@@ -27,6 +27,7 @@ from .wind import (
 )
 
 DEFAULT_VTHRES = 20.6  # m/s; the failure model's critical velocity
+BISECTION_TOL = 1e-9  # m/s; default speed tolerance of `critical_radius`
 
 
 # =============================================================================
@@ -35,7 +36,7 @@ DEFAULT_VTHRES = 20.6  # m/s; the failure model's critical velocity
 
 
 def critical_radius(
-    p: HollandParams, Vthres: float = DEFAULT_VTHRES, tol: float = 1e-9
+    p: HollandParams, Vthres: float = DEFAULT_VTHRES, tol: float = BISECTION_TOL
 ) -> float | None:
     """Outer radius (km) at which the radial wind profile equals `Vthres`.
 
@@ -375,6 +376,22 @@ TABLE_STORMS = [(25, 20), (25, 30), (25, 40), (37, 20), (37, 30), (37, 40),
                 (46, 20), (46, 30), (46, 40)]
 
 
+def _window_radius(p: HollandParams, Vhot: float) -> float:
+    """Radius (km) beyond which no cell lies inside Rm or has a radial wind
+    speed >= `Vhot`; infinite when `Vhot` <= 0 (every speed qualifies).
+
+    The bisection target is lowered by twice its tolerance, so the returned
+    radius is an upper bound: the profile there is at most Vhot - tol and
+    keeps decreasing outward.
+    """
+    Vhot -= 2.0 * BISECTION_TOL
+    if Vhot <= 0:
+        return np.inf
+    if p.Vm < Vhot:
+        return p.Rm
+    return max(p.Rm, critical_radius(p, Vhot))
+
+
 def storm_swath(
     track: Track,
     p: HollandParams,
@@ -390,17 +407,49 @@ def storm_swath(
     Streams over time steps (never materializing the full wind field), so
     large domains stay cheap.  Returns (rates, zone_mask) with one entry per
     grid cell.
+
+    At each step the wind, the intensity and the zone test are evaluated
+    only on the index-space bounding box of a disc of radius W about the
+    storm centre, W = max(Rm, Rcrit(Vhot)) plus one cell, where
+    Vhot = min(Vthres, Vcrit) - ||Vtr|| (the ||Vtr|| term only for an
+    asymmetric storm: vector addition raises a speed by at most ||Vtr||).
+    Beyond W a cell is outside Rm and its wind is below both Vthres and
+    Vcrit, so its zone bit is unchanged and its intensity is exactly
+    `lambda_norm`, which it receives without evaluation.  Every cell still
+    adds its per-step intensities one at a time in time order, so the
+    result is bit-identical to evaluating every cell at every step.
+
+    An asymmetric stationary storm (Vtr == (0, 0)) is the axisymmetric
+    storm, as in `asymmetric_field`.
     """
+    if hemisphere not in ("N", "S"):
+        raise ValueError("hemisphere must be 'N' or 'S'")
     if Vthres is None:
         Vthres = nhpp.Vcrit
+    asymmetric = asymmetric and track.speed > 0
     spin = 1.0 if hemisphere == "N" else -1.0
-    centers = grid.centers()
+    Vhot = min(Vthres, nhpp.Vcrit) - (track.speed if asymmetric else 0.0)
+    W = _window_radius(p, Vhot) + grid.cell_size
+    centers = grid.centers().reshape(grid.nx, grid.ny, 2)
+    xs = centers[:, 0, 0]
+    ys = centers[0, :, 1]
     pos = track.position(times.offsets())
-    rates = np.zeros(grid.n_cells)
-    zone = np.zeros(grid.n_cells, dtype=bool)
+    # Index bounds of each step's window; cell i's centre is at
+    # origin + (i + 0.5) * cell_size, and the one-cell pad in W absorbs the
+    # rounding of these divisions.
+    lo = np.floor((pos - W - grid.origin) / grid.cell_size)
+    hi = np.floor((pos + W - grid.origin) / grid.cell_size) + 1
+    shape = np.array([grid.nx, grid.ny])
+    lo = np.clip(lo, 0, shape).astype(int)
+    hi = np.clip(hi, 0, shape).astype(int)
+    rates = np.zeros((grid.nx, grid.ny))
+    zone = np.zeros((grid.nx, grid.ny), dtype=bool)
+    inc = np.empty((grid.nx, grid.ny))
     for t in range(times.n_steps):
-        dx = centers[:, 0] - pos[t, 0]
-        dy = centers[:, 1] - pos[t, 1]
+        rows = slice(lo[t, 0], hi[t, 0])
+        cols = slice(lo[t, 1], hi[t, 1])
+        dx = xs[rows, None] - pos[t, 0]
+        dy = ys[None, cols] - pos[t, 1]
         r = np.hypot(dx, dy)
         v = holland_speed(p, r)
         if asymmetric:
@@ -408,10 +457,12 @@ def storm_swath(
                 tx = np.where(r > 0, -spin * dy / r, 0.0)
                 ty = np.where(r > 0, spin * dx / r, 0.0)
             v = np.hypot(v * tx + track.Vtr[0], v * ty + track.Vtr[1])
-        rates += poisson_intensity(nhpp, v)
-        zone |= (r < p.Rm) | (v >= Vthres)
+        inc.fill(nhpp.lambda_norm)
+        inc[rows, cols] = poisson_intensity(nhpp, v)
+        rates += inc
+        zone[rows, cols] |= (r < p.Rm) | (v >= Vthres)
     rates *= times.dt
-    return rates, zone
+    return rates.ravel(), zone.ravel()
 
 
 def tables123(

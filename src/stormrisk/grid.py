@@ -79,12 +79,6 @@ class Grid:
         out[:, 1] = self.origin[1] + (iy + 0.5) * self.cell_size
         return out
 
-    def cell_corners(self, cell: int) -> list[tuple[float, float]]:
-        """Corner points of a cell, counter-clockwise."""
-        cx, cy = self.cell_center(cell)
-        h = self.cell_size / 2.0
-        return [(cx - h, cy - h), (cx + h, cy - h), (cx + h, cy + h), (cx - h, cy + h)]
-
 
 @dataclass(frozen=True)
 class TimeAxis:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stormrisk import (
     CriticalZone,
@@ -18,6 +19,7 @@ from stormrisk import (
     fit_power_law_vm_only,
     holland_speed,
     obround_area,
+    poisson_intensity,
     save_zone_sweep,
     storm_swath,
     sweep_critical_radius,
@@ -162,6 +164,97 @@ class TestNumericZone:
         from stormrisk import failure_rate
 
         assert np.allclose(rates, failure_rate(nhpp, field.velocities, times.dt), rtol=1e-12)
+
+
+def dense_swath(track, p, grid, times, nhpp, Vthres=None, asymmetric=False, hemisphere="N"):
+    """Reference swath: every cell evaluated at every step."""
+    if Vthres is None:
+        Vthres = nhpp.Vcrit
+    spin = 1.0 if hemisphere == "N" else -1.0
+    centers = grid.centers()
+    pos = track.position(times.offsets())
+    rates = np.zeros(grid.n_cells)
+    zone = np.zeros(grid.n_cells, dtype=bool)
+    for t in range(times.n_steps):
+        dx = centers[:, 0] - pos[t, 0]
+        dy = centers[:, 1] - pos[t, 1]
+        r = np.hypot(dx, dy)
+        v = holland_speed(p, r)
+        if asymmetric:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                tx = np.where(r > 0, -spin * dy / r, 0.0)
+                ty = np.where(r > 0, spin * dx / r, 0.0)
+            v = np.hypot(v * tx + track.Vtr[0], v * ty + track.Vtr[1])
+        rates += poisson_intensity(nhpp, v)
+        zone |= (r < p.Rm) | (v >= Vthres)
+    rates *= times.dt
+    return rates, zone
+
+
+class TestStormSwath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        Vm=st.floats(8.0, 70.0),
+        Rm=st.floats(5.0, 60.0),
+        B=st.sampled_from([0.6, 1.0, 1.5, 2.5]),
+        Vthres=st.one_of(st.none(), st.floats(8.0, 40.0)),
+        asymmetric=st.booleans(),
+        hemisphere=st.sampled_from(["N", "S"]),
+        vtr=st.one_of(
+            st.just((0.0, 0.0)),
+            st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+        ),
+        x0=st.tuples(st.floats(-600.0, 900.0), st.floats(-600.0, 900.0)),
+        nx=st.integers(1, 40),
+        ny=st.integers(1, 40),
+        cell=st.floats(0.5, 25.0),
+        n_steps=st.integers(1, 12),
+        dt=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    def test_matches_dense_reference(
+        self, Vm, Rm, B, Vthres, asymmetric, hemisphere, vtr, x0, nx, ny, cell, n_steps, dt
+    ):
+        p = HollandParams(Vm=Vm, Rm=Rm, B=B)
+        track = Track(x0=x0, Vtr=vtr, duration=n_steps * dt)
+        grid = Grid(origin=(-50.0, 20.0), nx=nx, ny=ny, cell_size=cell)
+        times = TimeAxis(n_steps=n_steps, dt=dt)
+        nhpp = NhppParams()
+        rates, zone = storm_swath(track, p, grid, times, nhpp, Vthres, asymmetric, hemisphere)
+        # A stationary asymmetric storm is the axisymmetric one.
+        ref_rates, ref_zone = dense_swath(
+            track, p, grid, times, nhpp, Vthres, asymmetric and vtr != (0.0, 0.0), hemisphere
+        )
+        assert np.array_equal(rates, ref_rates)
+        assert np.array_equal(zone, ref_zone)
+
+    def test_matches_dense_reference_on_table_storm(self):
+        cfg = TableConfig(n_steps=30)
+        grid, times, track = cfg.grid(), cfg.times(), cfg.track()
+        p = HollandParams(Vm=46.0, Rm=40.0)
+        nhpp = NhppParams()
+        for asym in (False, True):
+            rates, zone = storm_swath(track, p, grid, times, nhpp, asymmetric=asym)
+            ref_rates, ref_zone = dense_swath(track, p, grid, times, nhpp, asymmetric=asym)
+            assert np.array_equal(rates, ref_rates)
+            assert np.array_equal(zone, ref_zone)
+            assert 0 < np.count_nonzero(zone) < grid.n_cells
+
+    def test_unknown_hemisphere_rejected(self):
+        p, track, grid, times = TestNumericZone()._setup(cell=10.0)
+        with pytest.raises(ValueError, match="hemisphere"):
+            storm_swath(track, p, grid, times, NhppParams(), asymmetric=True, hemisphere="X")
+
+    def test_stationary_asymmetric_equals_axisymmetric(self):
+        p = HollandParams(Vm=46.0, Rm=30.0)
+        track = Track(x0=(3.7, -1.9), Vtr=(0.0, 0.0), duration=5.0)
+        grid = Grid(origin=(-400.0, -400.0), nx=200, ny=200, cell_size=4.0)
+        times = TimeAxis(n_steps=5)
+        nhpp = NhppParams()
+        axi = storm_swath(track, p, grid, times, nhpp)
+        for hemisphere in ("N", "S"):
+            asym = storm_swath(track, p, grid, times, nhpp, asymmetric=True, hemisphere=hemisphere)
+            assert np.array_equal(asym[0], axi[0])
+            assert np.array_equal(asym[1], axi[1])
 
 
 class TestRadiusFit:

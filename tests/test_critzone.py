@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,9 +232,9 @@ class TestStormSwath:
     def test_matches_dense_reference_on_table_storm(self):
         cfg = TableConfig(n_steps=30)
         grid, times, track = cfg.grid(), cfg.times(), cfg.track()
-        p = HollandParams(Vm=46.0, Rm=40.0)
         nhpp = NhppParams()
-        for asym in (False, True):
+        for (Vm, Rm), asym in itertools.product([(25, 20), (46, 40)], (False, True)):
+            p = HollandParams(Vm=float(Vm), Rm=float(Rm))
             rates, zone = storm_swath(track, p, grid, times, nhpp, asymmetric=asym)
             ref_rates, ref_zone = dense_swath(track, p, grid, times, nhpp, asymmetric=asym)
             assert np.array_equal(rates, ref_rates)

@@ -20,11 +20,11 @@ g = (max(Vm, Vcrit) - Vcrit) / Vcrit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
 from .nhpp import NhppParams, expected_failures_saturated, poisson_intensity
 from .wind import MPS_TO_KMH, HollandParams, WindField, holland_speed
@@ -412,14 +412,10 @@ def fit_loss_model(
 AGG_SWEEP_HEADER = ["Vm", "Rm", "damage_norm", "loss_norm"]
 
 
-def save_agg_sweep(
-    Vm, Rm, damage, loss, path, fmt: str = ".9g", header_comment: str | None = None
-) -> None:
+def save_agg_sweep(Vm, Rm, damage, loss, path, header_comment: str | None = None) -> None:
     """Write a damage/loss sweep as CSV."""
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(AGG_SWEEP_HEADER)
-        for v, r, d, lo in zip(Vm, Rm, damage, loss):
-            w.writerow([v, r, format(d, fmt), format(lo, fmt)])
+    rows = (
+        (v, r, format(d, TABLE_FMT), format(lo, TABLE_FMT))
+        for v, r, d, lo in zip(Vm, Rm, damage, loss)
+    )
+    _write_csv(path, AGG_SWEEP_HEADER, rows, header_comment)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregate, critzone, glm, nhpp
+from .csvio import TABLE_FMT, _write_csv
 from .ensemble import (
     EnsemblePerturbationSpec,
     default_thread_count,
@@ -359,11 +360,8 @@ def cmd_critzone(config: dict, args) -> int:
     stats = critzone.zone_failure_stats(rates, zone)
     Rcrit = critzone.critical_radius(params, nparams.Vcrit)
     out_dir = _out_dir(config)
-    with open(out_dir / "critzone_cells.csv", "w", newline="") as f:
-        f.write(f"# {tag}\n")
-        f.write("cell_id\n")
-        for cell in zone.cells:
-            f.write(f"{cell}\n")
+    cells = ([cell] for cell in zone.cells)
+    _write_csv(out_dir / "critzone_cells.csv", ["cell_id"], cells, tag, line_end="\n")
     report = {
         "config_sha256": digest,
         "Vthres_mps": nparams.Vcrit,
@@ -569,14 +567,11 @@ def cmd_tables123(config: dict, args) -> int:
         "max_fr_axi", "max_fr_asym",
         "mean_fr_axi", "mean_fr_asym",
     ]
-    with open(out, "w", newline="") as f:
-        f.write(f"# {tag}\n")
-        f.write(",".join(cols) + "\n")
-        for rec in records:
-            row = [str(rec["Vm"]), str(rec["Rm"])] + [
-                format(rec[c], ".9g") for c in cols[2:]
-            ]
-            f.write(",".join(row) + "\n")
+    rows = (
+        [str(rec["Vm"]), str(rec["Rm"])] + [format(rec[c], TABLE_FMT) for c in cols[2:]]
+        for rec in records
+    )
+    _write_csv(out, cols, rows, tag, line_end="\n")
     return 0
 
 

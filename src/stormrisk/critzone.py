@@ -10,11 +10,11 @@ the track — which gives a closed-form area to check the numeric zone against.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
 from .grid import Grid, TimeAxis
 from .nhpp import NhppParams, poisson_intensity
@@ -505,25 +505,13 @@ SWEEP_HEADER = ["Vm_mps", "Rm_km", "Rcrit_km", "Acrit_numeric_km2",
                 "Acrit_obround_km2", "maxFR", "meanFR"]
 
 
-def save_zone_sweep(rows, path, fmt: str = ".9g", header_comment: str | None = None) -> None:
+def save_zone_sweep(rows, path, header_comment: str | None = None) -> None:
     """Write a zone sweep as CSV with the standard columns.
 
     `rows` are dicts keyed like the header.
     """
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(SWEEP_HEADER)
-        for row in rows:
-            w.writerow(
-                [
-                    row["Vm_mps"],
-                    row["Rm_km"],
-                    format(row["Rcrit_km"], fmt),
-                    format(row["Acrit_numeric_km2"], fmt),
-                    format(row["Acrit_obround_km2"], fmt),
-                    format(row["maxFR"], fmt),
-                    format(row["meanFR"], fmt),
-                ]
-            )
+    table = (
+        [row["Vm_mps"], row["Rm_km"]] + [format(row[k], TABLE_FMT) for k in SWEEP_HEADER[2:]]
+        for row in rows
+    )
+    _write_csv(path, SWEEP_HEADER, table, header_comment)

@@ -11,7 +11,6 @@ externally produced ensembles ingest identically.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import VELOCITY_FMT, _read_csv, _write_csv
 from .grid import Grid, TimeAxis
 from .wind import HollandParams, Track, WindField, asymmetric_field, axisymmetric_field
 
@@ -175,9 +175,7 @@ def mean_velocity(e: Ensemble) -> np.ndarray:
 ENSEMBLE_HEADER = ["member", "cell_id", "time_index", "velocity_mps"]
 
 
-def save_ensemble(
-    e: Ensemble, path, fmt: str = ".17g", header_comment: str | None = None
-) -> None:
+def save_ensemble(e: Ensemble, path, header_comment: str | None = None) -> None:
     """Write ensemble CSV plus a JSON sidecar describing the dimensions.
 
     `path` names the CSV; the sidecar is written next to it at `path + ".json"`.
@@ -198,16 +196,13 @@ def save_ensemble(
     with open(str(path) + ".json", "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(ENSEMBLE_HEADER)
-        for i, m in enumerate(e.members):
-            v = m.velocities
-            for cell in range(e.grid.n_cells):
-                for t in range(e.times.n_steps):
-                    w.writerow([i, cell, t, format(v[cell, t], fmt)])
+    rows = (
+        (i, cell, t, format(x, VELOCITY_FMT))
+        for i, m in enumerate(e.members)
+        for cell, vc in enumerate(m.velocities)
+        for t, x in enumerate(vc.tolist())
+    )
+    _write_csv(path, ENSEMBLE_HEADER, rows, header_comment)
 
 
 def load_ensemble(path) -> Ensemble:
@@ -227,28 +222,17 @@ def load_ensemble(path) -> Ensemble:
     if H < 1:
         raise ValueError(f"{path}: no members")
     v = np.full((H, grid.n_cells, times.n_steps), np.nan)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        while header is not None and header and header[0].startswith("#"):
-            header = next(reader, None)
-        if header != ENSEMBLE_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(ENSEMBLE_HEADER)}")
-        n_rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                i, cell, t = int(row[0]), int(row[1]), int(row[2])
-                vel = float(row[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-            if not (0 <= i < H and 0 <= cell < grid.n_cells and 0 <= t < times.n_steps):
-                raise ValueError(f"{path}:{lineno}: member/cell/time out of range")
-            v[i, cell, t] = vel
-            n_rows += 1
+    n_rows = 0
+    for lineno, row in _read_csv(path, ENSEMBLE_HEADER):
+        try:
+            i, cell, t = int(row[0]), int(row[1]), int(row[2])
+            vel = float(row[3])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+        if not (0 <= i < H and 0 <= cell < grid.n_cells and 0 <= t < times.n_steps):
+            raise ValueError(f"{path}:{lineno}: member/cell/time out of range")
+        v[i, cell, t] = vel
+        n_rows += 1
     if n_rows == 0:
         raise ValueError(f"{path}: no members")
     missing = np.argwhere(np.isnan(v))

@@ -10,11 +10,12 @@ errors and a likelihood-ratio test against the intercept-only model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+
+from .csvio import TABLE_FMT, _read_csv, _write_csv
 
 
 @dataclass(frozen=True)
@@ -214,35 +215,23 @@ OBS_HEADER = ["county", "time_h", "outages", "households"]
 
 
 def save_observations(observations, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(OBS_HEADER)
-        for o in observations:
-            w.writerow([o.county, format(o.time_h, ".9g"), o.outages, o.households])
+    rows = ((o.county, format(o.time_h, TABLE_FMT), o.outages, o.households) for o in observations)
+    _write_csv(path, OBS_HEADER, rows)
 
 
 def load_observations(path) -> list[OutageObservation]:
     out = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != OBS_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(OBS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                obs = OutageObservation(
-                    county=row[0],
-                    time_h=float(row[1]),
-                    outages=int(row[2]),
-                    households=int(row[3]),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            out.append(obs)
+    for lineno, (county, time_h, outages, households) in _read_csv(path, OBS_HEADER):
+        try:
+            obs = OutageObservation(
+                county=county,
+                time_h=float(time_h),
+                outages=int(outages),
+                households=int(households),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        out.append(obs)
     if not out:
         raise ValueError(f"{path}: no observations")
     return out

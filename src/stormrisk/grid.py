@@ -9,11 +9,12 @@ flat map frame.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .csvio import _read_csv, _write_csv
 
 KM_PER_DEGREE_LAT = 111.32
 
@@ -331,13 +332,12 @@ COUNTY_HEADER = ["county", "cell_id", "households", "asset_density_km_per_km2"]
 
 def save_county_fixture(counties: CountySet, path) -> None:
     """Write a county fixture CSV (one row per (county, cell))."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(COUNTY_HEADER)
-        for name in counties.names():
-            c = counties[name]
-            for cell in sorted(c.cells):
-                w.writerow([c.name, cell, c.households, repr(c.asset_density)])
+    rows = (
+        (c.name, cell, c.households, repr(c.asset_density))
+        for c in sorted(counties, key=lambda c: c.name)
+        for cell in sorted(c.cells)
+    )
+    _write_csv(path, COUNTY_HEADER, rows)
 
 
 def load_county_fixture(path) -> CountySet:
@@ -348,30 +348,19 @@ def load_county_fixture(path) -> CountySet:
     line number.
     """
     rows: dict[str, dict] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != COUNTY_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(COUNTY_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            name, cell_s, hh_s, dens_s = row
-            try:
-                cell = int(cell_s)
-                hh = int(hh_s)
-                dens = float(dens_s)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-            rec = rows.setdefault(name, {"cells": set(), "households": hh, "density": dens})
-            if rec["households"] != hh or rec["density"] != dens:
-                raise ValueError(
-                    f"{path}:{lineno}: inconsistent households/asset_density for "
-                    f"county {name!r}"
-                )
-            rec["cells"].add(cell)
+    for lineno, (name, cell_s, hh_s, dens_s) in _read_csv(path, COUNTY_HEADER):
+        try:
+            cell = int(cell_s)
+            hh = int(hh_s)
+            dens = float(dens_s)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+        rec = rows.setdefault(name, {"cells": set(), "households": hh, "density": dens})
+        if rec["households"] != hh or rec["density"] != dens:
+            raise ValueError(
+                f"{path}:{lineno}: inconsistent households/asset_density for county {name!r}"
+            )
+        rec["cells"].add(cell)
     if not rows:
         raise ValueError(f"{path}: no counties")
     return CountySet(

@@ -12,13 +12,13 @@ Poissons).  Finite asset counts saturate the count distribution.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
 
+from .csvio import TABLE_FMT, _write_csv
 from .ensemble import Ensemble, mean_velocity
 
 
@@ -335,29 +335,17 @@ def expected_failures_saturated(total_rate: float, Ng: int) -> float:
 FAILURE_RATE_HEADER = ["cell_id", "failure_rate_per_km"]
 
 
-def save_failure_rate_field(
-    rates, path, fmt: str = ".9g", header_comment: str | None = None
-) -> None:
+def save_failure_rate_field(rates, path, header_comment: str | None = None) -> None:
     """Write per-cell failure rates as CSV `cell_id,failure_rate_per_km`."""
-    rates = np.asarray(rates, dtype=float)
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(FAILURE_RATE_HEADER)
-        for cell, rate in enumerate(rates):
-            w.writerow([cell, format(rate, fmt)])
+    rates = np.asarray(rates, dtype=float).tolist()
+    rows = ((cell, format(rate, TABLE_FMT)) for cell, rate in enumerate(rates))
+    _write_csv(path, FAILURE_RATE_HEADER, rows, header_comment)
 
 
 def save_failure_distribution(
-    dist: FailureDistribution, path, fmt: str = ".9g", header_comment: str | None = None
+    dist: FailureDistribution, path, header_comment: str | None = None
 ) -> None:
     """Write a count distribution as CSV `n,probability`, final row the tail."""
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(["n", "probability"])
-        for n, mass in enumerate(dist.pmf):
-            w.writerow([n, format(mass, fmt)])
-        w.writerow(["tail", format(dist.tail, fmt)])
+    rows = [(n, format(mass, TABLE_FMT)) for n, mass in enumerate(dist.pmf)]
+    rows.append(("tail", format(dist.tail, TABLE_FMT)))
+    _write_csv(path, ["n", "probability"], rows, header_comment)

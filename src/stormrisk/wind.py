@@ -12,11 +12,11 @@ Hemisphere, the strongest winds sit due east of the centre.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import VELOCITY_FMT, _read_csv, _write_csv
 from .grid import Grid, TimeAxis
 
 MPS_TO_KMH = 3.6
@@ -207,50 +207,34 @@ def asymmetric_field(
 WINDFIELD_HEADER = ["cell_id", "time_index", "velocity_mps"]
 
 
-def save_wind_field(
-    field: WindField, path, fmt: str = ".17g", header_comment: str | None = None
-) -> None:
+def save_wind_field(field: WindField, path, header_comment: str | None = None) -> None:
     """Write a wind field as columnar CSV `cell_id,time_index,velocity_mps`.
 
-    The default float format round-trips exactly and always carries at least
-    nine significant digits.  `header_comment`, if given, is written as a
-    leading `#` line (readers skip such lines).
+    Velocities round-trip exactly and always carry at least nine significant
+    digits.  `header_comment`, if given, is written as a leading `#` line
+    (readers skip such lines).
     """
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(WINDFIELD_HEADER)
-        v = field.velocities
-        for cell in range(field.grid.n_cells):
-            for t in range(field.times.n_steps):
-                w.writerow([cell, t, format(v[cell, t], fmt)])
+    rows = (
+        (cell, t, format(x, VELOCITY_FMT))
+        for cell, vc in enumerate(field.velocities)
+        for t, x in enumerate(vc.tolist())
+    )
+    _write_csv(path, WINDFIELD_HEADER, rows, header_comment)
 
 
 def load_wind_field(path, grid: Grid, times: TimeAxis) -> WindField:
     """Read a wind-field CSV written by `save_wind_field`."""
     v = np.full((grid.n_cells, times.n_steps), np.nan)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        while header is not None and header and header[0].startswith("#"):
-            header = next(reader, None)
-        if header != WINDFIELD_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(WINDFIELD_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                cell = int(row[0])
-                t = int(row[1])
-                vel = float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-            if not (0 <= cell < grid.n_cells and 0 <= t < times.n_steps):
-                raise ValueError(f"{path}:{lineno}: cell/time out of range")
-            v[cell, t] = vel
+    for lineno, row in _read_csv(path, WINDFIELD_HEADER):
+        try:
+            cell = int(row[0])
+            t = int(row[1])
+            vel = float(row[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+        if not (0 <= cell < grid.n_cells and 0 <= t < times.n_steps):
+            raise ValueError(f"{path}:{lineno}: cell/time out of range")
+        v[cell, t] = vel
     missing = np.argwhere(np.isnan(v))
     if missing.size:
         cell, t = missing[0]

@@ -17,6 +17,10 @@ from stormrisk import (
     Ensemble,
     OutageObservation,
     critzone,
+    load_county_fixture,
+    load_ensemble,
+    load_observations,
+    load_wind_field,
     save_agg_sweep,
     save_county_fixture,
     save_ensemble,
@@ -198,3 +202,52 @@ class TestGoldenBytes:
             b"25,20,0.333333333,66666.6667,0.1,1e-12,7,0\n"
             b"46.0,40.0,1,2,3,4,5,6\n"
         )
+
+
+class TestReader:
+    def test_wind_field_error_names_physical_line_after_comment(self, tmp_path):
+        path = tmp_path / "wf.csv"
+        path.write_text(
+            "# config_sha256=abc\n"
+            "cell_id,time_index,velocity_mps\n"
+            "0,0,1.0\n"
+            "0,1,oops\n"
+        )
+        with pytest.raises(ValueError, match=r"wf\.csv:4: malformed row"):
+            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=2))
+
+    def test_ensemble_error_names_physical_line_after_comments_and_blanks(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        save_ensemble(Ensemble(members=(F1,)), path, header_comment=TAG)
+        lines = path.read_text().splitlines()
+        lines[3:3] = ["", "# a note", "0,9,0,1.0"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"ens\.csv:6: member/cell/time out of range"):
+            load_ensemble(path)
+
+    def test_field_count_checked_with_line(self, tmp_path):
+        path = tmp_path / "wf.csv"
+        path.write_text("cell_id,time_index,velocity_mps\n0,0\n")
+        with pytest.raises(ValueError, match=r"wf\.csv:2: expected 3 fields, got 2"):
+            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=1))
+
+    def test_observations_accept_comment_line(self, tmp_path):
+        obs = [OutageObservation(county="a", time_h=0.5, outages=3, households=100)]
+        path = tmp_path / "obs.csv"
+        save_observations(obs, path)
+        path.write_bytes(b"# config_sha256=abc\n" + path.read_bytes())
+        assert load_observations(path) == obs
+
+    def test_county_fixture_accepts_comment_line(self, tmp_path):
+        path = tmp_path / "cty.csv"
+        save_county_fixture(CountySet([County(name="a", cells={0, 2}, households=7)]), path)
+        path.write_bytes(b"# config_sha256=abc\n" + path.read_bytes())
+        loaded = load_county_fixture(path)
+        assert loaded.names() == ["a"]
+        assert loaded["a"].cells == frozenset({0, 2})
+
+    def test_observation_error_names_physical_line_after_comment(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("# config_sha256=abc\ncounty,time_h,outages,households\na,0.0,5,3\n")
+        with pytest.raises(ValueError, match=r"obs\.csv:3:"):
+            load_observations(path)

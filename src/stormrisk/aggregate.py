@@ -150,12 +150,7 @@ def total_damage_saturated(rates_per_km, inventory) -> float:
     line = np.asarray(inventory.line_km, dtype=float)
     if rates.shape != line.shape:
         raise ValueError("rates and inventory have different cell counts")
-    return float(
-        sum(
-            expected_failures_saturated(float(l * r), int(n))
-            for l, r, n in zip(line, rates, counts)
-        )
-    )
+    return float(np.sum(expected_failures_saturated(line * rates, counts)))
 
 
 # =============================================================================

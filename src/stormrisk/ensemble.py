@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import VELOCITY_FMT, _read_csv, _write_csv
+from .csvio import VELOCITY_FMT, _check_no_repeats, _read_csv, _write_csv
 from .grid import Grid, TimeAxis
 from .wind import HollandParams, Track, WindField, asymmetric_field, axisymmetric_field
 
@@ -208,8 +208,9 @@ def save_ensemble(e: Ensemble, path, header_comment: str | None = None) -> None:
 def load_ensemble(path) -> Ensemble:
     """Read an ensemble CSV and its JSON sidecar.
 
-    Every member must provide a velocity for every (cell, time); gaps and
-    malformed rows raise errors naming the offending location.
+    Every member must provide a velocity for every (cell, time) exactly once;
+    gaps, repeats and malformed rows raise errors naming the offending
+    location.
     """
     with open(str(path) + ".json") as f:
         meta = json.load(f)
@@ -235,6 +236,7 @@ def load_ensemble(path) -> Ensemble:
         n_rows += 1
     if n_rows == 0:
         raise ValueError(f"{path}: no members")
+    _check_no_repeats(path, ENSEMBLE_HEADER, v, n_rows)
     missing = np.argwhere(np.isnan(v))
     if missing.size:
         i, cell, t = missing[0]

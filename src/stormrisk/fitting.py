@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def linear_least_squares(X, y, weights=None) -> LinearFit:
     se_s = np.sqrt(np.maximum(np.diag(cov_s), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se_s > 0, beta_s / se_s, np.inf)
-    p = 2.0 * stats.t.sf(np.abs(t), dof)
+    p = 2.0 * stdtr(dof, -np.abs(t))
     return LinearFit(
         beta=beta_s / scale,
         se=se_s / scale,

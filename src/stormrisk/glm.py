@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 from .csvio import TABLE_FMT, _read_csv, _write_csv
 
@@ -28,6 +28,9 @@ class OutageObservation:
     households: int
 
     def __post_init__(self):
+        # Data files skip rows whose first field starts with '#'.
+        if self.county.startswith("#"):
+            raise ValueError(f"county {self.county!r} must not start with '#'")
         if self.households <= 0:
             raise ValueError("households must be > 0")
         if not 0 <= self.outages <= self.households:
@@ -151,13 +154,13 @@ def fit_binomial(
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         zstat = np.where(se > 0, beta / se, np.inf)
-    p_values = 2.0 * stats.norm.sf(np.abs(zstat))
+    p_values = 2.0 * ndtr(-np.abs(zstat))
 
     pbar = np.clip(y.sum() / n.sum(), _P_CLAMP, 1 - _P_CLAMP)
     null_dev = _binomial_deviance(y, n, np.full(nobs, pbar))
     df = k - 1
     lr = max(null_dev - dev, 0.0)
-    lr_p = float(stats.chi2.sf(lr, df)) if df > 0 else 1.0
+    lr_p = float(chdtrc(df, lr)) if df > 0 else 1.0
     separated = bool(np.any(p <= _P_CLAMP) or np.any(p >= 1 - _P_CLAMP))
     return GlmFit(
         beta=beta,

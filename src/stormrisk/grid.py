@@ -162,6 +162,9 @@ class County:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", frozenset(self.cells))
+        # Data files skip rows whose first field starts with '#'.
+        if self.name.startswith("#"):
+            raise ValueError(f"county name {self.name!r} must not start with '#'")
         if not self.cells:
             raise ValueError(f"county {self.name!r} has no cells")
         if self.households < 0:

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik
 
 from .csvio import TABLE_FMT, _write_csv
 from .ensemble import Ensemble, mean_velocity
@@ -254,11 +253,22 @@ def poisson_pmf(n, rate: float) -> np.ndarray:
     return np.exp(_log_poisson_pmf(n, rate))
 
 
+def _poisson_quantile(q: float, mu: float) -> int:
+    """Smallest k with Pr(N <= k) >= q for N ~ Poisson(mu), 0 < q < 1, mu > 0.
+
+    The rounded-up continuous inverse of the cdf is off by at most one, so
+    the count below it is tried first (the same rule as `scipy.stats`).
+    """
+    k = np.ceil(pdtrik(q, mu))
+    below = max(k - 1.0, 0.0)
+    return int(below if pdtr(below, mu) >= q else k)
+
+
 def default_n_max(max_rate: float) -> int:
     """Truncation point: the 1 - 1e-9 quantile of a Poisson at `max_rate`."""
     if max_rate <= 0:
         return 1
-    return int(poisson.ppf(1.0 - 1e-9, max_rate))
+    return _poisson_quantile(1.0 - 1e-9, max_rate)
 
 
 def fd_a(
@@ -270,7 +280,7 @@ def fd_a(
         n_max = default_n_max(rate)
     n = np.arange(n_max + 1)
     pmf = poisson_pmf(n, rate)
-    tail = max(0.0, float(poisson.sf(n_max, rate)))
+    tail = max(0.0, float(pdtrc(n_max, rate)))
     return FailureDistribution(kind="poisson", pmf=pmf, tail=tail)
 
 
@@ -286,7 +296,7 @@ def fd_b(
     tail = 0.0
     for rate in rates:
         pmf += poisson_pmf(n, float(rate))
-        tail += max(0.0, float(poisson.sf(n_max, float(rate))))
+        tail += max(0.0, float(pdtrc(n_max, float(rate))))
     pmf /= len(rates)
     tail /= len(rates)
     return FailureDistribution(kind="mixture", pmf=pmf, tail=tail)
@@ -306,26 +316,30 @@ def saturated_distribution(total_rate: float, Ng: int) -> FailureDistribution:
         return FailureDistribution(kind="saturated", pmf=np.array([1.0]), tail=0.0)
     n = np.arange(Ng + 1)
     pmf = poisson_pmf(n, total_rate)
-    below = float(poisson.cdf(Ng - 1, total_rate)) if total_rate > 0 else 1.0
+    below = float(pdtr(Ng - 1, total_rate)) if total_rate > 0 else 1.0
     pmf[Ng] = max(0.0, 1.0 - below)
     return FailureDistribution(kind="saturated", pmf=pmf, tail=0.0)
 
 
-def expected_failures_saturated(total_rate: float, Ng: int) -> float:
-    """Exact mean of the saturated count distribution.
+def expected_failures_saturated(total_rate, Ng):
+    """Exact mean of the saturated count distribution, E[min(N, Ng)].
 
+    With N ~ Poisson(total_rate) the sum over n < Ng of n Pr(N = n) is
+    total_rate * Pr(N <= Ng - 2), so the mean is that plus Ng * Pr(N >= Ng).
     Monotone nondecreasing in the rate, bounded by Ng, and asymptotically
-    approaching Ng as the rate grows.
+    approaching Ng as the rate grows.  Vectorized over `total_rate` and `Ng`
+    (broadcast together); scalar arguments give a float.
     """
-    if Ng < 0:
+    lam = np.asarray(total_rate, dtype=float)
+    ng = np.asarray(Ng)
+    if np.any(ng < 0):
         raise ValueError("Ng must be >= 0")
-    if total_rate < 0:
+    if np.any(lam < 0):
         raise ValueError("total_rate must be >= 0")
-    if Ng == 0 or total_rate == 0.0:
-        return 0.0
-    n = np.arange(Ng)  # 0 .. Ng-1
-    body = float(np.sum(n * poisson_pmf(n, total_rate)))
-    return body + Ng * max(0.0, float(poisson.sf(Ng - 1, total_rate)))
+    # pdtr(-1, .) is NaN; for Ng == 1 the sum over n < Ng is empty.
+    body = np.where(ng >= 2, lam * pdtr(ng - 2, lam), 0.0)
+    out = np.where((ng == 0) | (lam == 0.0), 0.0, body + ng * pdtrc(ng - 1, lam))
+    return float(out) if out.ndim == 0 else out
 
 
 # =============================================================================

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import VELOCITY_FMT, _read_csv, _write_csv
+from .csvio import VELOCITY_FMT, _check_no_repeats, _read_csv, _write_csv
 from .grid import Grid, TimeAxis
 
 MPS_TO_KMH = 3.6
@@ -225,6 +225,7 @@ def save_wind_field(field: WindField, path, header_comment: str | None = None) -
 def load_wind_field(path, grid: Grid, times: TimeAxis) -> WindField:
     """Read a wind-field CSV written by `save_wind_field`."""
     v = np.full((grid.n_cells, times.n_steps), np.nan)
+    n_rows = 0
     for lineno, row in _read_csv(path, WINDFIELD_HEADER):
         try:
             cell = int(row[0])
@@ -235,6 +236,8 @@ def load_wind_field(path, grid: Grid, times: TimeAxis) -> WindField:
         if not (0 <= cell < grid.n_cells and 0 <= t < times.n_steps):
             raise ValueError(f"{path}:{lineno}: cell/time out of range")
         v[cell, t] = vel
+        n_rows += 1
+    _check_no_repeats(path, WINDFIELD_HEADER, v, n_rows)
     missing = np.argwhere(np.isnan(v))
     if missing.size:
         cell, t = missing[0]

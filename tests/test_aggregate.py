@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stormrisk import (
     AssetInventory,
@@ -14,6 +15,7 @@ from stormrisk import (
     axisymmetric_field,
     damage_loss_sweep,
     excess_integral,
+    expected_failures_saturated,
     fit_damage_model,
     fit_loss_model,
     g_of_vm,
@@ -141,7 +143,30 @@ class TestTotalLoss:
         assert exact == pytest.approx(plug + rp.half_ratio * lam_sum, rel=1e-9)
 
 
+def total_damage_saturated_per_cell(rates, inventory) -> float:
+    """Reference: each cell's saturated mean, summed one cell at a time."""
+    return float(
+        sum(
+            expected_failures_saturated(float(l * r), int(n))
+            for l, r, n in zip(inventory.line_km, rates, inventory.asset_counts())
+        )
+    )
+
+
 class TestSaturated:
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 1e3)), min_size=1, max_size=50
+        )
+    )
+    def test_matches_per_cell_sum(self, cells):
+        line, rates = (np.array(c) for c in zip(*cells))
+        inv = AssetInventory(line_km=line)
+        # Only the order of the (nonnegative) summands differs.
+        assert total_damage_saturated(rates, inv) == pytest.approx(
+            total_damage_saturated_per_cell(rates, inv), rel=1e-13, abs=0.0
+        )
+
     def test_zero_inventory(self):
         inv = AssetInventory(line_km=np.zeros(4))
         assert total_damage_saturated(np.full(4, 100.0), inv) == 0.0

@@ -251,3 +251,37 @@ class TestReader:
         path.write_text("# config_sha256=abc\ncounty,time_h,outages,households\na,0.0,5,3\n")
         with pytest.raises(ValueError, match=r"obs\.csv:3:"):
             load_observations(path)
+
+    def test_wind_field_repeated_row_names_second_line(self, tmp_path):
+        path = tmp_path / "wf.csv"
+        path.write_text("cell_id,time_index,velocity_mps\n0,0,1.0\n0,1,3.0\n0,0,2.0\n")
+        with pytest.raises(
+            ValueError, match=r"wf\.csv:4: repeated row for cell_id 0, time_index 0"
+        ):
+            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=2))
+
+    def test_ensemble_repeated_row_names_second_line(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        save_ensemble(Ensemble(members=(F1, F2)), path, header_comment=TAG)
+        lines = path.read_text().splitlines()
+        lines.insert(5, "1,1,0,9.0")  # line 6; member 1's own row is now line 10
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError, match=r"ens\.csv:10: repeated row for member 1, cell_id 1, time_index 0"
+        ):
+            load_ensemble(path)
+
+    def test_county_name_starting_with_hash_rejected(self):
+        # The reader would skip its row as a comment.
+        with pytest.raises(ValueError, match="county name '#north'"):
+            County(name="#north", cells={0})
+
+    def test_observation_county_starting_with_hash_rejected(self):
+        with pytest.raises(ValueError, match="county '#north'"):
+            OutageObservation(county="#north", time_h=0.0, outages=1, households=10)
+
+    def test_wind_field_nan_velocity_is_missing_not_repeated(self, tmp_path):
+        path = tmp_path / "wf.csv"
+        path.write_text("cell_id,time_index,velocity_mps\n0,0,1.0\n0,1,nan\n")
+        with pytest.raises(ValueError, match="missing velocity for cell 0, time 1"):
+            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=2))

@@ -13,17 +13,10 @@ from .aggregate import (
     RepairParams,
     SweepConfig,
     damage_loss_sweep,
-    excess_integral,
     fit_damage_model,
     fit_loss_model,
     g_of_vm,
-    repair_loss_per_cell,
     save_agg_sweep,
-    total_damage,
-    total_damage_decomposed,
-    total_damage_saturated,
-    total_loss,
-    total_loss_decomposed,
 )
 from .critzone import (
     CritAreaFit,
@@ -62,33 +55,23 @@ from .glm import (
     inv_logit,
     load_observations,
     logit,
-    outage_design,
-    predict_outage_rate,
     save_observations,
-    synthesize_observations,
 )
 from .grid import (
     County,
     CountySet,
     Grid,
     TimeAxis,
-    assign_cells_to_counties,
     county_average,
     load_county_fixture,
-    lonlat_to_km,
-    radial_distance,
     save_county_fixture,
 )
 from .nhpp import (
-    AssetInventory,
     FailureDistribution,
     NhppParams,
-    cumulative_velocity,
     default_n_max,
     expected_failures_saturated,
-    exponential_intensity,
     failure_rate,
-    failure_rate_through,
     fd_a,
     fd_b,
     fr1,

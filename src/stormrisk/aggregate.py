@@ -1,12 +1,13 @@
 """
-Region-aggregate damage and loss: exact accumulation and parametric fits.
+Region-aggregate damage and loss: a (Vm, Rm) sweep and parametric fits.
 
 Over a bounded region G crossed by a storm, total expected damage is the sum
 of cellwise inhomogeneous-Poisson failure rates, and total repair loss is the
-sum of cellwise quadratic repair costs.  Both admit a decomposition into a
-nominal term (weather-independent, proportional to |G| and the exposure time)
-plus excess terms driven by the velocity ratio f = v / Vcrit wherever it
-exceeds one:
+sum of cellwise quadratic repair costs.  `damage_loss_sweep` accumulates both
+directly.  Both admit a decomposition into a nominal term (weather-independent,
+proportional to |G| and the exposure time) plus excess terms driven by the
+velocity ratio f = v / Vcrit wherever it exceeds one (checked against the
+sweep by the property tests in tests/test_aggregate.py):
 
     damage:  Lambda_tot = |G| lambda T + lambda alpha sum_g sum_t (f^2 - 1) dt
     loss:    L_tot = (Lf / (2 Y)) * [ |G| (lambda T)^2
@@ -26,47 +27,13 @@ import numpy as np
 
 from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
-from .nhpp import NhppParams, expected_failures_saturated, poisson_intensity
-from .wind import MPS_TO_KMH, HollandParams, WindField, holland_speed
+from .nhpp import NhppParams, poisson_intensity
+from .wind import MPS_TO_KMH, HollandParams, holland_speed
 
 
 # =============================================================================
-# Exact aggregates over a wind field
+# (Vm, Rm) sweep over the reference region
 # =============================================================================
-
-
-def total_damage(field: WindField, p: NhppParams, cell_line_km: float = 1.0) -> float:
-    """Expected failures summed over all cells of a wind field.
-
-    `cell_line_km` scales the per-unit-length rates to a line length per cell
-    (the default 1 reports rate per km per cell).
-    """
-    lam = poisson_intensity(p, field.velocities)
-    return float(lam.sum() * field.times.dt * cell_line_km)
-
-
-def excess_integral(field: WindField, p: NhppParams) -> np.ndarray:
-    """Per-cell integral of (f^2 - 1) over times where v exceeds Vcrit.
-
-    f = v / Vcrit.  This is the quantity the nominal/excess decompositions
-    are built from; units are hours.
-    """
-    f2m1 = np.square(field.velocities / p.Vcrit) - 1.0
-    return np.where(f2m1 > 0, f2m1, 0.0).sum(axis=1) * field.times.dt
-
-
-def total_damage_decomposed(field: WindField, p: NhppParams) -> dict[str, float]:
-    """Nominal/excess split of the total expected damage.
-
-    Returns {"nominal", "excess", "total"}; `total` equals `total_damage` to
-    rounding because the piecewise intensity is exactly
-    lambda (1 + alpha (f^2 - 1)) above Vcrit and lambda below.
-    """
-    G = field.grid.n_cells
-    T = field.times.duration
-    nominal = G * p.lambda_norm * T
-    excess = p.lambda_norm * p.alpha * float(excess_integral(field, p).sum())
-    return {"nominal": nominal, "excess": excess, "total": nominal + excess}
 
 
 @dataclass(frozen=True)
@@ -88,74 +55,6 @@ class RepairParams:
     @property
     def half_ratio(self) -> float:
         return 0.5 * self.Lf / self.Y
-
-
-def repair_loss_per_cell(n_failures, repair: RepairParams) -> np.ndarray:
-    """Repair loss of each cell given its failure count (or expectation)."""
-    n = np.asarray(n_failures, dtype=float)
-    return repair.half_ratio * n * n
-
-
-def total_loss(
-    field: WindField,
-    p: NhppParams,
-    repair: RepairParams,
-    poisson_exact: bool = False,
-) -> float:
-    """Total repair loss over all cells of a wind field.
-
-    By default uses the deterministic plug-in n = Lambda_cell, matching the
-    closed-form decomposition below.  With `poisson_exact`, uses the Poisson
-    second moment E[n^2] = Lambda + Lambda^2 instead.
-    """
-    lam = poisson_intensity(p, field.velocities).sum(axis=1) * field.times.dt
-    n2 = lam + lam * lam if poisson_exact else lam * lam
-    return float(repair.half_ratio * n2.sum())
-
-
-def total_loss_decomposed(
-    field: WindField, p: NhppParams, repair: RepairParams
-) -> dict[str, float]:
-    """Three-term split of the plug-in total loss.
-
-    Returns {"nominal", "cross", "excess", "total"}; `total` equals
-    `total_loss(..., poisson_exact=False)` to rounding.
-    """
-    G = field.grid.n_cells
-    T = field.times.duration
-    E = excess_integral(field, p)
-    la = p.lambda_norm * p.alpha
-    nominal = G * (p.lambda_norm * T) ** 2
-    cross = 2.0 * p.lambda_norm * la * T * float(E.sum())
-    excess = la * la * float((E * E).sum())
-    h = repair.half_ratio
-    return {
-        "nominal": h * nominal,
-        "cross": h * cross,
-        "excess": h * excess,
-        "total": h * (nominal + cross + excess),
-    }
-
-
-def total_damage_saturated(rates_per_km, inventory) -> float:
-    """Expected failures summed over cells with finite per-cell asset counts.
-
-    `rates_per_km` are cellwise failure rates per km of line; each cell's
-    count distribution is the Poisson at line_km * rate truncated at its
-    asset count, so the total follows an S-curve in storm intensity instead
-    of growing without bound.
-    """
-    rates = np.asarray(rates_per_km, dtype=float)
-    counts = inventory.asset_counts()
-    line = np.asarray(inventory.line_km, dtype=float)
-    if rates.shape != line.shape:
-        raise ValueError("rates and inventory have different cell counts")
-    return float(np.sum(expected_failures_saturated(line * rates, counts)))
-
-
-# =============================================================================
-# (Vm, Rm) sweep over the reference region
-# =============================================================================
 
 
 @dataclass(frozen=True)

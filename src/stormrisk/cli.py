@@ -68,7 +68,6 @@ DEFAULT_CONFIG: dict = {
         "sigma_Rm_km": 3.0,
         "asymmetric": False,
     },
-    "inventory": {"line_km_per_cell": 10.0, "unit_length_km": 0.1},
     "repair": {"Lf": 1.0, "Y": 1.0},
     "sweep": {
         "Vm_min": 21.0,
@@ -155,7 +154,7 @@ def validate_config(config: dict) -> None:
     _require(config, "holland.Rm_km", num, lambda v: v > 0, "> 0")
     _require(config, "holland.B", num, lambda v: v > 0, "> 0")
     _require(config, "nhpp.Vcrit_mps", num, lambda v: v > 0, "> 0")
-    _require(config, "nhpp.alpha", num, lambda v: v > 0, "> 0")
+    _require(config, "nhpp.alpha", num, lambda v: v >= 1, ">= 1")
     _require(config, "nhpp.lambda_norm", num, lambda v: v > 0, "> 0")
     _require(config, "field.asymmetric", bool, describe="a boolean")
     _require(config, "field.hemisphere", str, lambda v: v in ("N", "S"), '"N" or "S"')
@@ -163,8 +162,6 @@ def validate_config(config: dict) -> None:
     for key in ("sigma_track_km", "sigma_heading_deg", "sigma_Vm_mps", "sigma_Rm_km"):
         _require(config, f"ensemble.{key}", num, lambda v: v >= 0, ">= 0")
     _require(config, "ensemble.asymmetric", bool, describe="a boolean")
-    _require(config, "inventory.line_km_per_cell", num, lambda v: v >= 0, ">= 0")
-    _require(config, "inventory.unit_length_km", num, lambda v: v > 0, "> 0")
     _require(config, "repair.Lf", num, lambda v: v >= 0, ">= 0")
     _require(config, "repair.Y", num, lambda v: v > 0, "> 0")
     for key in ("Vm_min", "Vm_max", "Vm_step", "Rm_min", "Rm_max", "Rm_step"):
@@ -327,20 +324,23 @@ def cmd_failure_rates(config: dict, args) -> int:
 
 def cmd_fail_dist(config: dict, args) -> int:
     tag = f"config_sha256={config_hash(config)}"
-    ens = _generate_ensemble(config, args.threads)
-    params = _build_nhpp(config)
     try:
         cells = [int(c) for c in args.cells.split(",") if c.strip() != ""]
     except ValueError:
         raise ConfigError("--cells", "expected a comma-separated list of cell ids") from None
     if not cells:
         raise ConfigError("--cells", "need at least one cell id")
-    n_cells = ens.grid.n_cells
-    out_dir = _out_dir(config)
-    make = nhpp.fd_a if args.kind == "fda" else nhpp.fd_b
+    n_cells = _build_grid(config).n_cells
     for cell in cells:
         if not 0 <= cell < n_cells:
             raise ConfigError("--cells", f"cell {cell} outside [0, {n_cells})")
+    if args.n_max is not None and args.n_max < 0:
+        raise ConfigError("--n-max", "must be >= 0")
+    ens = _generate_ensemble(config, args.threads)
+    params = _build_nhpp(config)
+    out_dir = _out_dir(config)
+    make = nhpp.fd_a if args.kind == "fda" else nhpp.fd_b
+    for cell in cells:
         dist = make(params, ens, cell, n_max=args.n_max)
         nhpp.save_failure_distribution(
             dist, out_dir / f"fail_dist_{args.kind}_cell{cell}.csv", header_comment=tag

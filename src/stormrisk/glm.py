@@ -176,28 +176,20 @@ def fit_binomial(
     )
 
 
-def predict_outage_rate(fit: GlmFit, exposure) -> np.ndarray:
-    """Outage probability at the given exposure values (intercept implied)."""
-    x = np.asarray(exposure, dtype=float)
-    X = np.column_stack([np.ones_like(x), x])
-    return fit.predict(X)
-
-
 # =============================================================================
 # Pipeline: wind field -> county exposure -> fit
 # =============================================================================
 
 
-def outage_design(observations, exposure_by_county) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _outage_design(observations, exposure_by_county) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build (X, outages, totals) from observations and a county->exposure map.
 
-    `exposure_by_county` maps county name to a callable of time (hours) or to
-    a constant; X has an intercept column and the exposure column.
+    `exposure_by_county` maps county name to a callable of time (hours); X has
+    an intercept column and the exposure column.
     """
     xs, ys, ns = [], [], []
     for obs in observations:
-        e = exposure_by_county[obs.county]
-        xs.append(float(e(obs.time_h)) if callable(e) else float(e))
+        xs.append(float(exposure_by_county[obs.county](obs.time_h)))
         ys.append(obs.outages)
         ns.append(obs.households)
     x = np.array(xs)
@@ -206,7 +198,7 @@ def outage_design(observations, exposure_by_county) -> tuple[np.ndarray, np.ndar
 
 def fit_outages(observations, exposure_by_county) -> GlmFit:
     """Fit the one-regressor outage model from observations and exposures."""
-    X, y, n = outage_design(observations, exposure_by_county)
+    X, y, n = _outage_design(observations, exposure_by_county)
     return fit_binomial(X, y, n)
 
 
@@ -237,32 +229,4 @@ def load_observations(path) -> list[OutageObservation]:
         out.append(obs)
     if not out:
         raise ValueError(f"{path}: no observations")
-    return out
-
-
-def synthesize_observations(
-    counties,
-    exposure_by_county,
-    times_h,
-    beta0: float,
-    beta1: float,
-    seed: int = 0,
-) -> list[OutageObservation]:
-    """Draw synthetic outage counts from the logit model itself.
-
-    For each county and time, p = inv_logit(beta0 + beta1 * exposure(t)) and
-    outages ~ Binomial(households, p).  Useful as a self-consistent fixture:
-    refitting should recover (beta0, beta1) within sampling error.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for c in counties:
-        e = exposure_by_county[c.name if hasattr(c, "name") else c]
-        households = c.households if hasattr(c, "households") else counties[c]
-        name = c.name if hasattr(c, "name") else c
-        for t in times_h:
-            x = float(e(t)) if callable(e) else float(e)
-            p = float(inv_logit(beta0 + beta1 * x))
-            k = int(rng.binomial(households, p))
-            out.append(OutageObservation(county=name, time_h=float(t), outages=k, households=households))
     return out

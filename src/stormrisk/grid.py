@@ -1,22 +1,18 @@
 """
-Spatial grid, time axis, and county assignment.
+Spatial grid, time axis, and counties.
 
-All core geometry is planar, in kilometres.  Latitude/longitude inputs are
-converted at ingestion with a fixed 111.32 km/degree latitude scale and a
-cos(latitude) scale for longitude, so that everything downstream works in a
-flat map frame.
+All geometry is planar, in kilometres, on a regular grid of square cells.
+A county is a named set of grid cell ids, read from a county fixture CSV;
+county exposures are plain means of a per-cell field over those cells.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .csvio import _read_csv, _write_csv
-
-KM_PER_DEGREE_LAT = 111.32
 
 
 # =============================================================================
@@ -62,16 +58,6 @@ class Grid:
         """Area of one cell in km^2."""
         return self.cell_size * self.cell_size
 
-    def cell_center(self, cell: int) -> tuple[float, float]:
-        """Centre-point of cell `cell` in km."""
-        if not 0 <= cell < self.n_cells:
-            raise ValueError(f"invalid cell id {cell} for {self.nx}x{self.ny} grid")
-        ix, iy = divmod(cell, self.ny)
-        return (
-            self.origin[0] + (ix + 0.5) * self.cell_size,
-            self.origin[1] + (iy + 0.5) * self.cell_size,
-        )
-
     def centers(self) -> np.ndarray:
         """Centre-points of all cells as an (n_cells, 2) array, in id order."""
         ix, iy = np.divmod(np.arange(self.n_cells), self.ny)
@@ -113,26 +99,6 @@ class TimeAxis:
     def offsets(self) -> np.ndarray:
         """Elapsed hours of each sample relative to t0."""
         return np.arange(self.n_steps) * self.dt
-
-
-def radial_distance(grid: Grid, cell: int, center: tuple[float, float]) -> float:
-    """Euclidean distance (km) from a cell's centre-point to `center`."""
-    cx, cy = grid.cell_center(cell)
-    return math.hypot(cx - center[0], cy - center[1])
-
-
-def lonlat_to_km(lon, lat, lon0: float, lat0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Convert lon/lat degrees to planar km about a reference point.
-
-    Uses 111.32 km per degree of latitude and a cos(lat0)-scaled longitude
-    degree.  Suitable for the storm-scale domains used here; not a map
-    projection.
-    """
-    lon = np.asarray(lon, dtype=float)
-    lat = np.asarray(lat, dtype=float)
-    x = (lon - lon0) * KM_PER_DEGREE_LAT * math.cos(math.radians(lat0))
-    y = (lat - lat0) * KM_PER_DEGREE_LAT
-    return x, y
 
 
 # =============================================================================
@@ -202,119 +168,6 @@ class CountySet:
 
     def names(self) -> list[str]:
         return sorted(self._by_name)
-
-
-# -----------------------------------------------------------------------------
-# Polygon clipping (cell/polygon overlap areas)
-# -----------------------------------------------------------------------------
-
-
-def polygon_area(poly: list[tuple[float, float]]) -> float:
-    """Absolute (shoelace) area of a simple polygon."""
-    a = 0.0
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        a += x1 * y2 - x2 * y1
-    return abs(a) / 2.0
-
-
-def _clip_halfplane(poly, inside, intersect):
-    out = []
-    n = len(poly)
-    for i in range(n):
-        cur, nxt = poly[i], poly[(i + 1) % n]
-        cin, nin = inside(cur), inside(nxt)
-        if cin:
-            out.append(cur)
-            if not nin:
-                out.append(intersect(cur, nxt))
-        elif nin:
-            out.append(intersect(cur, nxt))
-    return out
-
-
-def clip_polygon_to_rect(poly, xmin, xmax, ymin, ymax):
-    """Sutherland-Hodgman clip of a polygon against an axis-aligned rectangle."""
-
-    def x_cross(p, q, x):
-        t = (x - p[0]) / (q[0] - p[0])
-        return (x, p[1] + t * (q[1] - p[1]))
-
-    def y_cross(p, q, y):
-        t = (y - p[1]) / (q[1] - p[1])
-        return (p[0] + t * (q[0] - p[0]), y)
-
-    out = list(poly)
-    for inside, intersect in (
-        (lambda p: p[0] >= xmin, lambda p, q: x_cross(p, q, xmin)),
-        (lambda p: p[0] <= xmax, lambda p, q: x_cross(p, q, xmax)),
-        (lambda p: p[1] >= ymin, lambda p, q: y_cross(p, q, ymin)),
-        (lambda p: p[1] <= ymax, lambda p, q: y_cross(p, q, ymax)),
-    ):
-        if not out:
-            return []
-        out = _clip_halfplane(out, inside, intersect)
-    return out
-
-
-def cell_polygon_overlap(grid: Grid, cell: int, poly) -> float:
-    """Overlap area (km^2) between a grid cell and a simple polygon."""
-    cx, cy = grid.cell_center(cell)
-    h = grid.cell_size / 2.0
-    clipped = clip_polygon_to_rect(poly, cx - h, cx + h, cy - h, cy + h)
-    return polygon_area(clipped) if len(clipped) >= 3 else 0.0
-
-
-def assign_cells_to_counties(
-    grid: Grid,
-    county_polygons: dict[str, list[tuple[float, float]]],
-    households: dict[str, int] | None = None,
-    asset_density: dict[str, float] | None = None,
-) -> CountySet:
-    """Assign each grid cell to the county polygon covering the majority of it.
-
-    Cells with no covering polygon are left unassigned.  An exact 50/50 area
-    tie goes to the lexicographically smaller county name, which keeps the
-    assignment deterministic and independent of dict ordering.
-
-    Parameters
-    ----------
-    grid : Grid
-    county_polygons : dict
-        Name -> simple polygon (list of (x, y) km vertices).
-    households, asset_density : dict, optional
-        Per-county metadata carried onto the County records.
-    """
-    for name, poly in county_polygons.items():
-        if len(poly) < 3 or polygon_area(poly) == 0.0:
-            raise ValueError(f"degenerate polygon for county {name!r}")
-    cells: dict[str, set[int]] = {name: set() for name in county_polygons}
-    for cell in range(grid.n_cells):
-        best_name = None
-        best_area = 0.0
-        for name in sorted(county_polygons):
-            a = cell_polygon_overlap(grid, cell, county_polygons[name])
-            if a > best_area:  # ties keep the earlier (lexicographic) name
-                best_area = a
-                best_name = name
-        if best_name is not None and best_area > grid.cell_area / 2.0 - 1e-12:
-            cells[best_name].add(cell)
-    households = households or {}
-    asset_density = asset_density or {}
-    return CountySet(
-        [
-            County(
-                name=name,
-                cells=frozenset(cs),
-                households=households.get(name, 0),
-                asset_density=asset_density.get(name, 0.0),
-            )
-            for name, cs in cells.items()
-            if cs
-        ]
-    )
 
 
 def county_average(field_values, county: County) -> float:

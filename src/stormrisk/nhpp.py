@@ -48,37 +48,6 @@ class NhppParams:
             raise ValueError("lambda_norm must be > 0")
 
 
-@dataclass(frozen=True)
-class AssetInventory:
-    """Per-cell distribution-line lengths and derived asset counts.
-
-    `line_km` is the length of line in each cell (km); an asset is one line
-    segment of `unit_length_km` (default 0.1 km), and the per-cell asset count
-    is the rounded ratio.
-    """
-
-    line_km: np.ndarray
-    unit_length_km: float = 0.1
-
-    def __post_init__(self):
-        lk = np.asarray(self.line_km, dtype=float)
-        if np.any(lk < 0):
-            raise ValueError("line lengths must be >= 0")
-        if self.unit_length_km <= 0:
-            raise ValueError("unit_length_km must be > 0")
-        object.__setattr__(self, "line_km", lk)
-
-    def asset_counts(self) -> np.ndarray:
-        """Integer asset count per cell, Ng = round(line_km / unit_length)."""
-        return np.rint(self.line_km / self.unit_length_km).astype(int)
-
-
-# Worked asset densities (km of line per km^2): dense urban and rural service
-# territories, respectively.
-URBAN_LINE_DENSITY_KM_PER_KM2 = 7.08
-RURAL_LINE_DENSITY_KM_PER_KM2 = 0.65
-
-
 # =============================================================================
 # Intensity and failure rate
 # =============================================================================
@@ -101,24 +70,6 @@ def poisson_intensity(p: NhppParams, v):
     hot = v >= p.Vcrit
     ratio = v[hot] / p.Vcrit
     out[hot] = p.lambda_norm * (1.0 + p.alpha * (ratio * ratio - 1.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def exponential_intensity(p: NhppParams, v):
-    """Exponential-growth intensity variant behind the same interface.
-
-    Nominal below Vcrit; lambda_norm * (1 + alpha * (exp(v/Vcrit - 1) - 1))
-    at and above it.  Continuous at Vcrit.  Provided for comparison only; the
-    quadratic model is the one exercised by the acceptance suite.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("velocity must be >= 0")
-    out = np.full(v.shape, p.lambda_norm)
-    hot = v >= p.Vcrit
-    out[hot] = p.lambda_norm * (1.0 + p.alpha * (np.exp(v[hot] / p.Vcrit - 1.0) - 1.0))
     if out.ndim == 0:
         return float(out)
     return out
@@ -179,23 +130,6 @@ def fr2(p: NhppParams, e: Ensemble, cell: int | None = None):
 def member_rates(p: NhppParams, e: Ensemble, cell: int) -> np.ndarray:
     """Per-member failure rates at one cell, shape (H,)."""
     return np.asarray([failure_rate(p, m.velocities[cell], e.times.dt) for m in e.members])
-
-
-def failure_rate_through(p: NhppParams, e: Ensemble, cell: int, t_prime: int) -> float:
-    """Ensemble-mean failure rate accumulated through time index `t_prime`
-    (inclusive).  Nondecreasing in `t_prime`; equals fr2 at the final index."""
-    if not 0 <= t_prime < e.times.n_steps:
-        raise ValueError("t_prime out of range")
-    v = e.velocities()[:, cell, : t_prime + 1]
-    return float(np.mean(failure_rate(p, v, e.times.dt)))
-
-
-def cumulative_velocity(e: Ensemble, cell: int, t_prime: int) -> float:
-    """Ensemble-averaged wind speed summed through time index `t_prime`
-    (inclusive).  Nondecreasing in `t_prime`."""
-    if not 0 <= t_prime < e.times.n_steps:
-        raise ValueError("t_prime out of range")
-    return float(np.mean(np.sum(e.velocities()[:, cell, : t_prime + 1], axis=-1)))
 
 
 # =============================================================================

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stormrisk import (
-    AssetInventory,
     Grid,
     HollandParams,
     NhppParams,
@@ -11,92 +10,91 @@ from stormrisk import (
     SweepConfig,
     TimeAxis,
     Track,
-    WindField,
     axisymmetric_field,
     damage_loss_sweep,
-    excess_integral,
     expected_failures_saturated,
+    failure_rate,
     fit_damage_model,
     fit_loss_model,
     g_of_vm,
-    repair_loss_per_cell,
+    holland_speed,
     save_agg_sweep,
-    total_damage,
-    total_damage_decomposed,
-    total_damage_saturated,
-    total_loss,
-    total_loss_decomposed,
 )
 from stormrisk.aggregate import _damage_design, _loss_design
 
 P = NhppParams()
 VCRIT = P.Vcrit
+SMALL = SweepConfig(nx=6, ny=8, cell_size=40.0, T=6.0)
+CONFIGS = [SMALL, SweepConfig(nx=5, ny=7, cell_size=25.0, vtr=5.0, T=10.0, dt=0.5, B=1.5)]
 
 
-def _subcritical_field(n_cells=1000, n_steps=121):
-    grid = Grid(nx=n_cells, ny=1, cell_size=1.0)
-    times = TimeAxis(n_steps=n_steps, dt=1.0)
-    v = np.full((n_cells, n_steps), 10.0)
-    return WindField(grid=grid, times=times, velocities=v)
+def excess_integral(Vm, Rm, nhpp: NhppParams, config: SweepConfig) -> np.ndarray:
+    """Per-cell E = sum_t (f^2 - 1)_+ dt on the sweep grid, f = v / Vcrit.
+
+    The quantity the paper's nominal/excess decompositions are built from;
+    recomputed here independently of `damage_loss_sweep`.
+    """
+    xs, ys = config.grid_centers()
+    cy = config.centre_y()
+    p = HollandParams(Vm=Vm, Rm=Rm, B=config.B)
+    E = np.zeros((config.nx, config.ny))
+    for k in range(config.n_steps):
+        f = holland_speed(p, np.hypot(xs[:, None], ys[None, :] - cy[k])) / nhpp.Vcrit
+        E += np.maximum(f * f - 1.0, 0.0)
+    return E * config.dt
 
 
-def _storm_field(Vm=37, Rm=30, cell=10.0):
-    p = HollandParams(Vm=Vm, Rm=Rm)
-    track = Track(x0=(0.0, -100.0), Vtr=(0.0, 3.0), duration=20.0)
-    grid = Grid(origin=(-200.0, -250.0), nx=int(400 / cell), ny=int(500 / cell), cell_size=cell)
-    times = TimeAxis(n_steps=21, dt=1.0)
-    return axisymmetric_field(track, p, grid, times), p
+def _one_storm(Vm, Rm, nhpp=P, repair=None, config=SMALL) -> tuple[float, float]:
+    _, _, d, lo = damage_loss_sweep([Vm], [Rm], nhpp=nhpp, repair=repair, config=config)
+    return float(d[0]), float(lo[0])
+
+
+storms = st.tuples(
+    st.floats(5.0, 90.0),  # Vm, below and above Vcrit
+    st.floats(5.0, 80.0),  # Rm
+    st.floats(1.0, 1e4),  # alpha
+    st.floats(1e-6, 1e-3),  # lambda_norm
+    st.sampled_from(CONFIGS),
+)
 
 
 class TestTotalDamage:
     def test_all_subcritical_is_nominal(self):
-        field = _subcritical_field()
-        assert total_damage(field, P) == pytest.approx(1000 * 121 * P.lambda_norm, rel=1e-12)
+        nominal = SMALL.T * P.lambda_norm
+        for Vm in (10.0, 15.0, 20.0):
+            assert _one_storm(Vm, 30.0)[0] == pytest.approx(nominal, rel=1e-12)
 
-    def test_additive_over_partition(self):
-        field, _ = _storm_field()
-        whole = total_damage(field, P)
-        half = field.grid.n_cells // 2
-        grid_a = Grid(nx=half, ny=1, cell_size=field.grid.cell_size)
-        grid_b = Grid(nx=field.grid.n_cells - half, ny=1, cell_size=field.grid.cell_size)
-        a = WindField(grid=grid_a, times=field.times, velocities=field.velocities[:half])
-        b = WindField(grid=grid_b, times=field.times, velocities=field.velocities[half:])
-        assert whole == pytest.approx(total_damage(a, P) + total_damage(b, P), rel=1e-12)
-
-    def test_line_length_scaling(self):
-        field = _subcritical_field(10, 5)
-        assert total_damage(field, P, cell_line_km=3.0) == pytest.approx(
-            3.0 * total_damage(field, P), rel=1e-14
-        )
-
-    def test_decomposition_matches_direct_sum(self):
-        field, _ = _storm_field()
-        parts = total_damage_decomposed(field, P)
-        assert parts["total"] == pytest.approx(parts["nominal"] + parts["excess"], rel=1e-14)
-        assert parts["total"] == pytest.approx(total_damage(field, P), rel=1e-9)
-        assert parts["excess"] > 0
+    @given(storms)
+    def test_decomposition_matches_direct_sum(self, storm):
+        # mean damage = lambda T + lambda alpha mean_g sum_t (f^2 - 1)_+ dt
+        Vm, Rm, alpha, lam, cfg = storm
+        nhpp = NhppParams(alpha=alpha, lambda_norm=lam)
+        E = excess_integral(Vm, Rm, nhpp, cfg)
+        expected = lam * cfg.n_steps * cfg.dt + lam * alpha * E.mean()
+        assert _one_storm(Vm, Rm, nhpp, config=cfg)[0] == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_subcritical_decomposition_has_no_excess(self):
-        parts = total_damage_decomposed(_subcritical_field(100, 10), P)
-        assert parts["excess"] == 0.0
-        assert parts["total"] == parts["nominal"]
+        excess = P.lambda_norm * P.alpha * excess_integral(20.0, 30.0, P, SMALL).mean()
+        assert excess == 0.0
+        assert _one_storm(20.0, 30.0)[0] == pytest.approx(SMALL.T * P.lambda_norm, rel=1e-12)
 
     def test_excess_integral_zero_below_vcrit(self):
-        assert np.all(excess_integral(_subcritical_field(5, 3), P) == 0.0)
+        assert np.all(excess_integral(20.0, 30.0, P, SMALL) == 0.0)
+        assert np.any(excess_integral(37.0, 30.0, P, SMALL) > 0.0)
 
 
 class TestRepairLoss:
-    def test_zero_failures(self):
-        assert repair_loss_per_cell(0.0, RepairParams())[()] == 0.0
-
     def test_ten_failures_unit_params(self):
-        assert repair_loss_per_cell(10.0, RepairParams(Lf=1, Y=1))[()] == 50.0
+        # loss per cell = (Lf / (2 Y)) n^2
+        assert RepairParams(Lf=1, Y=1).half_ratio * 10.0**2 == 50.0
 
     def test_doubling_quadruples(self):
+        # Doubling lambda_norm doubles every cell's failures.
         rp = RepairParams(Lf=2.0, Y=4.0)
-        assert repair_loss_per_cell(6.0, rp)[()] == pytest.approx(
-            4 * repair_loss_per_cell(3.0, rp)[()], rel=1e-14
-        )
+        d1, l1 = _one_storm(37.0, 30.0, NhppParams(lambda_norm=1e-5), rp)
+        d2, l2 = _one_storm(37.0, 30.0, NhppParams(lambda_norm=2e-5), rp)
+        assert d2 == pytest.approx(2 * d1, rel=1e-14)
+        assert l2 == pytest.approx(4 * l1, rel=1e-14)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -107,91 +105,83 @@ class TestRepairLoss:
 
 class TestTotalLoss:
     def test_all_subcritical_nominal(self):
-        field = _subcritical_field()
-        lam_t = 121 * P.lambda_norm
-        expected = 0.5 * 1000 * lam_t * lam_t
-        assert total_loss(field, P, RepairParams()) == pytest.approx(expected, rel=1e-12)
+        rp = RepairParams(Lf=3.0, Y=2.0)
+        expected = rp.half_ratio * (SMALL.T * P.lambda_norm) ** 2
+        for Vm in (10.0, 15.0, 20.0):
+            assert _one_storm(Vm, 30.0, repair=rp)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_single_cell_plug_in(self):
-        # One cell with accumulated rate exactly 2 -> loss 0.5 * 4 = 2.
-        grid = Grid(nx=1, ny=1)
-        times = TimeAxis(n_steps=1, dt=1.0)
-        v = VCRIT * np.sqrt((2.0 / P.lambda_norm - 1.0) / P.alpha + 1.0)
-        field = WindField(grid=grid, times=times, velocities=np.array([[v]]))
-        assert total_loss(field, P, RepairParams()) == pytest.approx(2.0, rel=1e-9)
+        # One cell at the origin, passed at the same distance on both steps,
+        # accumulated rate exactly 2 -> loss 0.5 * 2^2 = 2.
+        cfg = SweepConfig(nx=1, ny=1, T=2.0)
+        r = abs(cfg.centre_y()[0])
+        v = VCRIT * np.sqrt((1.0 / P.lambda_norm - 1.0) / P.alpha + 1.0)
+        Vm = v / holland_speed(HollandParams(Vm=1.0, Rm=30.0), r)
+        damage, loss = _one_storm(Vm, 30.0, config=cfg)
+        assert damage == pytest.approx(2.0, rel=1e-9)
+        assert loss == pytest.approx(2.0, rel=1e-9)
 
     def test_loss_at_least_nominal(self):
-        field, _ = _storm_field()
-        nominal = 0.5 * field.grid.n_cells * (field.times.duration * P.lambda_norm) ** 2
-        assert total_loss(field, P, RepairParams()) >= nominal
+        nominal = 0.5 * (SMALL.T * P.lambda_norm) ** 2
+        for Vm in (25.0, 46.0, 80.0):
+            assert _one_storm(Vm, 30.0)[1] >= nominal
 
-    def test_decomposition_matches_direct(self):
-        field, _ = _storm_field()
-        rp = RepairParams(Lf=3.0, Y=2.0)
-        parts = total_loss_decomposed(field, P, rp)
-        assert parts["total"] == pytest.approx(
-            parts["nominal"] + parts["cross"] + parts["excess"], rel=1e-14
+    @given(storms, st.floats(0.0, 10.0), st.floats(0.1, 10.0))
+    def test_decomposition_matches_direct(self, storm, Lf, Y):
+        # mean loss = h [(lambda T)^2 + 2 lambda (lambda alpha) T mean(E)
+        #                + (lambda alpha)^2 mean(E^2)],  h = Lf / (2 Y)
+        Vm, Rm, alpha, lam, cfg = storm
+        nhpp = NhppParams(alpha=alpha, lambda_norm=lam)
+        rp = RepairParams(Lf=Lf, Y=Y)
+        E = excess_integral(Vm, Rm, nhpp, cfg)
+        T = cfg.n_steps * cfg.dt
+        la = lam * alpha
+        expected = rp.half_ratio * (
+            (lam * T) ** 2 + 2.0 * lam * la * T * E.mean() + la * la * np.mean(E * E)
         )
-        assert parts["total"] == pytest.approx(total_loss(field, P, rp), rel=1e-9)
-
-    def test_poisson_exact_adds_first_moment(self):
-        field, _ = _storm_field()
-        rp = RepairParams()
-        plug = total_loss(field, P, rp)
-        exact = total_loss(field, P, rp, poisson_exact=True)
-        lam_sum = total_damage(field, P)
-        assert exact == pytest.approx(plug + rp.half_ratio * lam_sum, rel=1e-9)
+        assert _one_storm(Vm, Rm, nhpp, rp, cfg)[1] == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
-def total_damage_saturated_per_cell(rates, inventory) -> float:
-    """Reference: each cell's saturated mean, summed one cell at a time."""
-    return float(
-        sum(
-            expected_failures_saturated(float(l * r), int(n))
-            for l, r, n in zip(inventory.line_km, rates, inventory.asset_counts())
-        )
-    )
+def _storm_rates(Vm, cell=10.0) -> np.ndarray:
+    """Per-cell accumulated failure rates of one storm crossing a 400 x 500 km grid."""
+    track = Track(x0=(0.0, -100.0), Vtr=(0.0, 3.0), duration=20.0)
+    grid = Grid(origin=(-200.0, -250.0), nx=int(400 / cell), ny=int(500 / cell), cell_size=cell)
+    times = TimeAxis(n_steps=21, dt=1.0)
+    field = axisymmetric_field(track, HollandParams(Vm=Vm, Rm=30), grid, times)
+    return failure_rate(P, field.velocities, times.dt)
 
 
 class TestSaturated:
+    """Region-total saturated damage: sum over cells of E[min(N, Ng)]."""
+
     @given(
-        st.lists(
-            st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 1e3)), min_size=1, max_size=50
-        )
+        st.lists(st.tuples(st.integers(0, 50), st.floats(0.0, 1e3)), min_size=1, max_size=50)
     )
     def test_matches_per_cell_sum(self, cells):
-        line, rates = (np.array(c) for c in zip(*cells))
-        inv = AssetInventory(line_km=line)
+        ng, rates = (np.array(c) for c in zip(*cells))
+        per_cell = sum(expected_failures_saturated(float(r), int(n)) for r, n in zip(rates, ng))
         # Only the order of the (nonnegative) summands differs.
-        assert total_damage_saturated(rates, inv) == pytest.approx(
-            total_damage_saturated_per_cell(rates, inv), rel=1e-13, abs=0.0
+        assert expected_failures_saturated(rates, ng).sum() == pytest.approx(
+            per_cell, rel=1e-13, abs=0.0
         )
 
     def test_zero_inventory(self):
-        inv = AssetInventory(line_km=np.zeros(4))
-        assert total_damage_saturated(np.full(4, 100.0), inv) == 0.0
+        assert expected_failures_saturated(np.full(4, 100.0), np.zeros(4, dtype=int)).sum() == 0.0
 
     def test_asymptote_is_total_asset_count(self):
-        inv = AssetInventory(line_km=np.array([0.65, 0.65]))
-        total = total_damage_saturated(np.full(2, 1e4), inv)
-        assert total == pytest.approx(inv.asset_counts().sum(), abs=1e-6)
+        ng = np.array([2, 3])
+        total = expected_failures_saturated(np.full(2, 1e4), ng).sum()
+        assert total == pytest.approx(ng.sum(), abs=1e-6)
 
     def test_monotone_in_vm(self):
-        from stormrisk import failure_rate
-
-        inv = AssetInventory(line_km=np.full(40 * 50, 0.65))
-        totals = []
-        for Vm in (25, 37, 46, 60):
-            field, _ = _storm_field(Vm=Vm)
-            rates = failure_rate(P, field.velocities, field.times.dt)
-            totals.append(total_damage_saturated(rates, inv))
+        ng = np.full(40 * 50, 2)
+        totals = [expected_failures_saturated(_storm_rates(Vm), ng).sum() for Vm in (25, 37, 46, 60)]
         assert all(a <= b + 1e-12 for a, b in zip(totals, totals[1:]))
-        assert totals[-1] < inv.asset_counts().sum()
+        assert totals[-1] < ng.sum()
 
     def test_shape_mismatch(self):
-        inv = AssetInventory(line_km=np.zeros(3))
         with pytest.raises(ValueError):
-            total_damage_saturated(np.zeros(4), inv)
+            expected_failures_saturated(np.zeros(4), np.zeros(3, dtype=int))
 
 
 class TestG:

@@ -103,6 +103,11 @@ class TestEntryPoints:
         cfg = _write_config(tmp_path)
         assert main(["windfield", "--config", cfg, "--threads", "0"]) == 2
 
+    def test_alpha_below_one_exits_2_naming_field(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["critzone", "--config", cfg, "--set", "nhpp.alpha=0.5"]) == 2
+        assert "nhpp.alpha" in capsys.readouterr().err
+
 
 class TestWindfieldCommand:
     def test_writes_csv_with_config_hash(self, tmp_path):
@@ -160,6 +165,18 @@ class TestEnsembleCommands:
             # is asserted in the distribution unit tests.
             assert total == pytest.approx(1.0, abs=1e-7)
 
+    def test_fail_dist_negative_n_max_exits_2(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["fail-dist", "--config", cfg, "--n-max", "-1"]) == 2
+        assert "--n-max" in capsys.readouterr().err
+
+    def test_fail_dist_bad_cell_exits_2_before_writing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["fail-dist", "--config", cfg, "--cells", "0,99999"]) == 2
+        assert "--cells" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestCritzoneAndSweeps:
     def test_critzone_outputs(self, tmp_path):
@@ -208,11 +225,13 @@ class TestOutageFit:
         obs_csv = tmp_path / "obs.csv"
         save_observations(obs, obs_csv)
         cfg = _write_config(tmp_path, counties_csv=str(counties_csv))
-        rc = main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)])
-        assert rc == 0
-        report = json.loads((tmp_path / "out" / "outage_fit.json").read_text())
-        assert len(report["beta"]) == 2
-        assert report["predictor"] == "failure_rate"
+        for predictor in ("failure_rate", "cumulative_velocity"):
+            rc = main(["outage-fit", "--config", cfg, "--obs", str(obs_csv), "--predictor", predictor])
+            assert rc == 0
+            report = json.loads((tmp_path / "out" / "outage_fit.json").read_text())
+            assert report["predictor"] == predictor
+            assert len(report["beta"]) == 2
+            assert np.all(np.isfinite(report["beta"])) and np.all(np.isfinite(report["se"]))
 
     def test_requires_counties(self, tmp_path, capsys):
         obs_csv = tmp_path / "obs.csv"

@@ -9,11 +9,9 @@ from stormrisk import (
     inv_logit,
     load_observations,
     logit,
-    outage_design,
-    predict_outage_rate,
     save_observations,
-    synthesize_observations,
 )
+from stormrisk.glm import _outage_design
 
 
 def _design(n=40, seed=0):
@@ -131,25 +129,25 @@ class TestFitBinomial:
         y = _draw(X, [-2.0, 1.0], totals, seed=11)
         fit = fit_binomial(X, y, totals)
         xs = np.linspace(-10, 10, 101)
-        probs = predict_outage_rate(fit, xs)
+        probs = fit.predict(np.column_stack([np.ones_like(xs), xs]))
         assert np.all(np.diff(probs) >= 0)
         assert probs[0] < 0.01 and probs[-1] > 0.99
 
 
 class TestPipeline:
-    def _counties(self):
-        class C:
-            def __init__(self, name, households):
-                self.name = name
-                self.households = households
-
-        return [C(f"c{i}", 1000) for i in range(6)]
-
     def test_synthesize_and_refit(self):
-        counties = self._counties()
-        exposures = {c.name: (lambda t, k=i: 0.5 * k + 0.05 * t) for i, c in enumerate(counties)}
+        # Counts drawn from the logit model itself; the refit must recover
+        # (beta0, beta1) within sampling error.
+        rng = np.random.default_rng(42)
+        exposures = {f"c{i}": (lambda t, k=i: 0.5 * k + 0.05 * t) for i in range(6)}
         times = np.arange(0.0, 12.0)
-        obs = synthesize_observations(counties, exposures, times, beta0=-3.0, beta1=1.0, seed=42)
+        obs = []
+        for name, e in exposures.items():
+            p = inv_logit(-3.0 + 1.0 * np.array([e(t) for t in times]))
+            obs += [
+                OutageObservation(county=name, time_h=float(t), outages=int(k), households=1000)
+                for t, k in zip(times, rng.binomial(1000, p))
+            ]
         fit = fit_outages(obs, exposures)
         assert fit.beta[0] == pytest.approx(-3.0, abs=3 * fit.se[0])
         assert fit.beta[1] == pytest.approx(1.0, abs=3 * fit.se[1])
@@ -159,7 +157,7 @@ class TestPipeline:
             OutageObservation(county="a", time_h=0.0, outages=1, households=10),
             OutageObservation(county="b", time_h=1.0, outages=2, households=20),
         ]
-        X, y, n = outage_design(obs, {"a": 1.5, "b": 2.5})
+        X, y, n = _outage_design(obs, {"a": lambda t: 1.5, "b": lambda t: 2.5})
         assert np.array_equal(X[:, 1], [1.5, 2.5])
         assert np.array_equal(y, [1.0, 2.0])
         assert np.array_equal(n, [10.0, 20.0])

@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from stormrisk import (
     County,
     CountySet,
     Grid,
     TimeAxis,
-    assign_cells_to_counties,
     county_average,
     load_county_fixture,
-    lonlat_to_km,
-    radial_distance,
     save_county_fixture,
 )
-from stormrisk.grid import cell_polygon_overlap, polygon_area
 
 
 class TestGrid:
@@ -27,10 +22,11 @@ class TestGrid:
 
     def test_cell_center_formula(self):
         g = Grid(origin=(10.0, -5.0), nx=3, ny=4, cell_size=2.0)
+        centers = g.centers()
         # x-major: cell i = ix * ny + iy
-        assert g.cell_center(0) == (11.0, -4.0)
-        assert g.cell_center(4) == (13.0, -4.0)  # ix=1, iy=0
-        assert g.cell_center(1) == (11.0, -2.0)  # ix=0, iy=1
+        assert tuple(centers[0]) == (11.0, -4.0)
+        assert tuple(centers[4]) == (13.0, -4.0)  # ix=1, iy=0
+        assert tuple(centers[1]) == (11.0, -2.0)  # ix=0, iy=1
 
     def test_cell_area(self):
         assert Grid(nx=1, ny=1, cell_size=3.0).cell_area == 9.0
@@ -39,13 +35,6 @@ class TestGrid:
     def test_invalid_grid(self, bad):
         with pytest.raises(ValueError):
             Grid(**{"nx": 2, "ny": 2, "cell_size": 1.0, **bad})
-
-    def test_invalid_cell_id(self):
-        g = Grid(nx=2, ny=2)
-        with pytest.raises(ValueError):
-            g.cell_center(4)
-        with pytest.raises(ValueError):
-            g.cell_center(-1)
 
 
 class TestTimeAxis:
@@ -58,112 +47,6 @@ class TestTimeAxis:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             TimeAxis(**{"n_steps": 1, "dt": 1.0, **bad})
-
-
-class TestRadialDistance:
-    def test_coincident(self):
-        g = Grid(origin=(9.5, -0.5), nx=1, ny=1, cell_size=1.0)  # centre (10, 0)
-        assert radial_distance(g, 0, (10.0, 0.0)) == 0.0
-
-    def test_3_4_5(self):
-        g = Grid(origin=(2.5, 3.5), nx=1, ny=1, cell_size=1.0)  # centre (3, 4)
-        assert radial_distance(g, 0, (0.0, 0.0)) == pytest.approx(5.0, abs=1e-12)
-
-    def test_axis_aligned(self):
-        g = Grid(origin=(29.5, -0.5), nx=1, ny=1, cell_size=1.0)  # centre (30, 0)
-        assert radial_distance(g, 0, (10.0, 0.0)) == pytest.approx(20.0, abs=1e-12)
-
-    def test_invalid_cell(self):
-        with pytest.raises(ValueError):
-            radial_distance(Grid(nx=1, ny=1), 1, (0.0, 0.0))
-
-    @given(
-        st.tuples(*[st.floats(-100, 100) for _ in range(6)]),
-    )
-    def test_symmetry_and_triangle_inequality(self, pts):
-        ax, ay, bx, by, cx, cy = pts
-        g = Grid(origin=(ax - 0.5, ay - 0.5), nx=1, ny=1, cell_size=1.0)
-        dab = radial_distance(g, 0, (bx, by))
-        dac = radial_distance(g, 0, (cx, cy))
-        gb = Grid(origin=(bx - 0.5, by - 0.5), nx=1, ny=1, cell_size=1.0)
-        dba = radial_distance(gb, 0, (ax, ay))
-        dbc = radial_distance(gb, 0, (cx, cy))
-        assert dab == pytest.approx(dba, abs=1e-9)
-        assert dac <= dab + dbc + 1e-9
-
-
-class TestLonLat:
-    def test_latitude_scale(self):
-        x, y = lonlat_to_km(0.0, 1.0, 0.0, 0.0)
-        assert float(y) == pytest.approx(111.32)
-        assert float(x) == 0.0
-
-    def test_longitude_cosine_scale(self):
-        x, _ = lonlat_to_km(1.0, 60.0, 0.0, 60.0)
-        assert float(x) == pytest.approx(111.32 * np.cos(np.radians(60.0)), rel=1e-12)
-
-
-class TestPolygons:
-    def test_shoelace_square(self):
-        assert polygon_area([(0, 0), (2, 0), (2, 2), (0, 2)]) == pytest.approx(4.0)
-
-    def test_cell_polygon_overlap_full(self):
-        g = Grid(nx=1, ny=1, cell_size=1.0)
-        assert cell_polygon_overlap(g, 0, [(-1, -1), (2, -1), (2, 2), (-1, 2)]) == pytest.approx(1.0)
-
-
-class TestAssignment:
-    def test_fully_inside(self):
-        g = Grid(nx=1, ny=1, cell_size=1.0)
-        cs = assign_cells_to_counties(g, {"A": [(-1, -1), (2, -1), (2, 2), (-1, 2)]})
-        assert cs["A"].cells == frozenset({0})
-
-    def test_majority_rule_60_40(self):
-        # Cell spans x in [0, 1]; A covers x < 0.6, B covers x > 0.6.
-        g = Grid(nx=1, ny=1, cell_size=1.0)
-        cs = assign_cells_to_counties(
-            g,
-            {
-                "B": [(0.6, -1), (2, -1), (2, 2), (0.6, 2)],
-                "A": [(-1, -1), (0.6, -1), (0.6, 2), (-1, 2)],
-            },
-        )
-        assert cs["A"].cells == frozenset({0})
-        assert "B" not in cs.names()
-
-    def test_exact_tie_goes_to_lexicographically_smaller(self):
-        g = Grid(nx=1, ny=1, cell_size=1.0)
-        halves = {
-            "zeta": [(-1, -1), (0.5, -1), (0.5, 2), (-1, 2)],
-            "beta": [(0.5, -1), (2, -1), (2, 2), (0.5, 2)],
-        }
-        cs = assign_cells_to_counties(g, halves)
-        assert cs["beta"].cells == frozenset({0})
-
-    def test_uncovered_cells_left_unassigned(self):
-        g = Grid(nx=2, ny=1, cell_size=1.0)
-        cs = assign_cells_to_counties(g, {"A": [(-1, -1), (1, -1), (1, 2), (-1, 2)]})
-        assigned = set().union(*(c.cells for c in cs))
-        assert assigned == {0}
-
-    def test_degenerate_polygon_rejected(self):
-        g = Grid(nx=1, ny=1)
-        with pytest.raises(ValueError):
-            assign_cells_to_counties(g, {"A": [(0, 0), (1, 0), (2, 0)]})
-
-    def test_partition_property(self):
-        g = Grid(nx=4, ny=4, cell_size=1.0)
-        cs = assign_cells_to_counties(
-            g,
-            {
-                "west": [(0, 0), (2, 0), (2, 4), (0, 4)],
-                "east": [(2, 0), (4, 0), (4, 4), (2, 4)],
-            },
-        )
-        cells = [c.cells for c in cs]
-        union = set().union(*cells)
-        assert sum(len(c) for c in cells) == len(union)  # disjoint
-        assert union <= set(range(g.n_cells))
 
 
 class TestCountyAverage:

@@ -3,19 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stormrisk import (
-    AssetInventory,
     Ensemble,
     FailureDistribution,
     Grid,
     NhppParams,
     TimeAxis,
     WindField,
-    cumulative_velocity,
     default_n_max,
     expected_failures_saturated,
-    exponential_intensity,
     failure_rate,
-    failure_rate_through,
     fd_a,
     fd_b,
     fr1,
@@ -114,15 +110,6 @@ class TestIntensity:
             NhppParams(**bad)
 
 
-class TestExponentialIntensity:
-    def test_subcritical_nominal_and_continuity(self):
-        assert exponential_intensity(P, 10.0) == P.lambda_norm
-        assert exponential_intensity(P, P.Vcrit) == pytest.approx(P.lambda_norm, rel=1e-14)
-
-    def test_grows_faster_than_quadratic_far_out(self):
-        assert exponential_intensity(P, 120.0) > poisson_intensity(P, 120.0)
-
-
 class TestFailureRate:
     def test_subcritical_series_gives_nominal_total(self):
         rate = failure_rate(P, np.zeros(121), dt=1.0)
@@ -185,25 +172,6 @@ class TestEnsembleRates:
         e = _ensemble()
         assert np.asarray(fr1(P, e)).shape == (1,)
         assert np.asarray(fr2(P, e)).shape == (1,)
-
-    def test_failure_rate_through_monotone_and_final(self):
-        e = _ensemble()
-        r0 = failure_rate_through(P, e, 0, 0)
-        r1 = failure_rate_through(P, e, 0, 1)
-        assert r1 >= r0 > 0
-        assert r1 == pytest.approx(fr2(P, e, 0), rel=1e-14)
-
-    def test_cumulative_velocity(self):
-        e = _ensemble()
-        # means: t0 -> 25.75, t1 -> 5.0
-        assert cumulative_velocity(e, 0, 0) == pytest.approx(25.75, rel=1e-14)
-        assert cumulative_velocity(e, 0, 1) == pytest.approx(30.75, rel=1e-14)
-
-    def test_t_prime_out_of_range(self):
-        with pytest.raises(ValueError):
-            failure_rate_through(P, _ensemble(), 0, 2)
-        with pytest.raises(ValueError):
-            cumulative_velocity(_ensemble(), 0, -1)
 
 
 class TestFailureDistributions:
@@ -322,22 +290,6 @@ class TestSaturated:
                 n = np.arange(0, 200)
                 brute = float(np.sum(np.minimum(n, ng) * sp.pmf(n, rate)))
                 assert expected_failures_saturated(rate, ng) == pytest.approx(brute, abs=1e-12)
-
-
-class TestAssetInventory:
-    def test_counts_rounded(self):
-        inv = AssetInventory(line_km=np.array([1.0, 0.56, 0.0]))
-        assert np.array_equal(inv.asset_counts(), [10, 6, 0])
-
-    def test_custom_unit(self):
-        inv = AssetInventory(line_km=np.array([3.0]), unit_length_km=0.5)
-        assert inv.asset_counts()[0] == 6
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            AssetInventory(line_km=np.array([-1.0]))
-        with pytest.raises(ValueError):
-            AssetInventory(line_km=np.array([1.0]), unit_length_km=0.0)
 
 
 class TestExports:

@@ -28,7 +28,7 @@ import numpy as np
 from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
 from .nhpp import NhppParams, poisson_intensity
-from .wind import MPS_TO_KMH, HollandParams, holland_speed
+from .wind import MPS_TO_KMH, HollandParams, _wind_steps
 
 
 # =============================================================================
@@ -108,16 +108,15 @@ def damage_loss_sweep(
     repair = repair or RepairParams()
     config = config or SweepConfig()
     xs, ys = config.grid_centers()
-    X = xs[:, None]
     cy = config.centre_y()
+    pos = np.column_stack([np.zeros_like(cy), cy])
     out_vm, out_rm, out_d, out_l = [], [], [], []
     for Vm in Vm_values:
         for Rm in Rm_values:
             p = HollandParams(Vm=float(Vm), Rm=float(Rm), B=config.B)
             lam = np.zeros((config.nx, config.ny))
-            for k in range(config.n_steps):
-                r = np.hypot(X, ys[None, :] - cy[k])
-                lam += poisson_intensity(nhpp, holland_speed(p, r))
+            for _, _, v in _wind_steps(p, xs, ys, pos):
+                lam += poisson_intensity(nhpp, v)
             lam *= config.dt
             out_vm.append(float(Vm))
             out_rm.append(float(Rm))

@@ -351,26 +351,30 @@ def cmd_fail_dist(config: dict, args) -> int:
 def cmd_critzone(config: dict, args) -> int:
     digest = config_hash(config)
     tag = f"config_sha256={digest}"
-    field = _build_field(config)
     params = _build_holland(config)
     nparams = _build_nhpp(config)
     track = _build_track(config)
-    zone = critzone.critical_zone_numeric(field, nparams.Vcrit, params, track)
-    rates = nhpp.failure_rate(nparams, field.velocities, field.times.dt)
-    stats = critzone.zone_failure_stats(rates, zone)
+    grid = _build_grid(config)
+    times = _build_times(config)
+    asymmetric, hemisphere = config["field"]["asymmetric"], config["field"]["hemisphere"]
+    rates, zone = critzone.storm_swath(
+        track, params, grid, times, nparams, asymmetric=asymmetric, hemisphere=hemisphere
+    )
+    stats = critzone._zone_stats(rates, zone)
+    cells = np.flatnonzero(zone)
     Rcrit = critzone.critical_radius(params, nparams.Vcrit)
     out_dir = _out_dir(config)
-    cells = ([cell] for cell in zone.cells)
-    _write_csv(out_dir / "critzone_cells.csv", ["cell_id"], cells, tag, line_end="\n")
+    rows = ([cell] for cell in cells)
+    _write_csv(out_dir / "critzone_cells.csv", ["cell_id"], rows, tag, line_end="\n")
     report = {
         "config_sha256": digest,
         "Vthres_mps": nparams.Vcrit,
         "Rcrit_km": None if Rcrit is None else float(format(Rcrit, ".9g")),
-        "area_numeric_km2": float(format(zone.area, ".9g")),
+        "area_numeric_km2": float(format(len(cells) * grid.cell_area, ".9g")),
         "area_obround_km2": None
         if Rcrit is None
-        else float(format(critzone.obround_area(Rcrit, field.times.duration, track.Vtr), ".9g")),
-        "n_cells": zone.n_cells,
+        else float(format(critzone.obround_area(Rcrit, times.duration, track.Vtr), ".9g")),
+        "n_cells": len(cells),
         "max_failure_rate_per_km": float(format(stats["max"], ".9g")),
         "mean_failure_rate_per_km": float(format(stats["mean"], ".9g")),
     }
@@ -456,10 +460,7 @@ def _zone_rate_stats(p, nparams, track, times, rc: float) -> dict[str, float]:
         cell_size=cell,
     )
     rates, zone = critzone.storm_swath(track, p, grid, times, nparams)
-    sub = rates[zone]
-    if sub.size == 0:
-        return {"max": 0.0, "mean": 0.0}
-    return {"max": float(sub.max()), "mean": float(sub.mean())}
+    return critzone._zone_stats(rates, zone)
 
 
 def _sweep_fit_aggregate(config: dict, digest: str, target: str) -> None:

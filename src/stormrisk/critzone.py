@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
@@ -23,11 +24,12 @@ from .wind import (
     HollandParams,
     Track,
     WindField,
+    _grid_axes,
+    _wind_steps,
     holland_speed,
 )
 
 DEFAULT_VTHRES = 20.6  # m/s; the failure model's critical velocity
-BISECTION_TOL = 1e-9  # m/s; default speed tolerance of `critical_radius`
 
 
 # =============================================================================
@@ -35,14 +37,12 @@ BISECTION_TOL = 1e-9  # m/s; default speed tolerance of `critical_radius`
 # =============================================================================
 
 
-def critical_radius(
-    p: HollandParams, Vthres: float = DEFAULT_VTHRES, tol: float = BISECTION_TOL
-) -> float | None:
+def critical_radius(p: HollandParams, Vthres: float = DEFAULT_VTHRES) -> float | None:
     """Outer radius (km) at which the radial wind profile equals `Vthres`.
 
     None when Vm < Vthres (no such radius exists); Rm when Vm == Vthres;
     otherwise the unique root beyond Rm, found by bisection on the monotone
-    outer branch to |V(r) - Vthres| <= `tol` m/s.
+    outer branch to |V(r) - Vthres| <= 1e-9 m/s.
     """
     if Vthres <= 0:
         raise ValueError("Vthres must be > 0")
@@ -57,7 +57,7 @@ def critical_radius(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = holland_speed(p, mid)
-        if abs(v - Vthres) <= tol:
+        if abs(v - Vthres) <= 1e-9:
             return mid
         if v > Vthres:
             lo = mid
@@ -110,14 +110,14 @@ def critical_zone_numeric(
     Works for both axisymmetric and asymmetric fields (the inside-Rm clause
     is always evaluated against the centre of the given track).
     """
-    centers = field.grid.centers()
+    grid = field.grid
+    xs, ys = _grid_axes(grid)
     pos = track.position(field.times.offsets())
-    in_zone = np.zeros(field.grid.n_cells, dtype=bool)
-    for t in range(field.times.n_steps):
-        r = np.hypot(centers[:, 0] - pos[t, 0], centers[:, 1] - pos[t, 1])
-        in_zone |= (r < p.Rm) | (field.velocities[:, t] >= Vthres)
-    cells = np.flatnonzero(in_zone)
-    return CriticalZone(cells=cells, area=len(cells) * field.grid.cell_area, Vthres=Vthres)
+    inside = np.zeros((grid.nx, grid.ny), dtype=bool)
+    for window, r, _ in _wind_steps(p, xs, ys, pos, reach=p.Rm + grid.cell_size):
+        inside[window] |= r < p.Rm
+    cells = np.flatnonzero(inside.ravel() | np.any(field.velocities >= Vthres, axis=1))
+    return CriticalZone(cells=cells, area=len(cells) * grid.cell_area, Vthres=Vthres)
 
 
 def obround_area(Rcrit: float, T: float, Vtr) -> float:
@@ -133,13 +133,18 @@ def obround_area(Rcrit: float, T: float, Vtr) -> float:
     return 2.0 * Rcrit * T * speed * MPS_TO_KMH + np.pi * Rcrit * Rcrit
 
 
+def _zone_stats(rates, zone) -> dict[str, float]:
+    """Maximum and mean of `rates` over a zone given as a boolean mask or as
+    sorted cell ids; both are 0 for an empty zone."""
+    sub = np.asarray(rates, dtype=float)[zone]
+    if sub.size == 0:
+        return {"max": 0.0, "mean": 0.0}
+    return {"max": float(sub.max()), "mean": float(sub.mean())}
+
+
 def zone_failure_stats(rates, zone: CriticalZone) -> dict[str, float]:
     """Maximum and mean failure rate over the zone's cells."""
-    rates = np.asarray(rates, dtype=float)
-    if zone.n_cells == 0:
-        return {"max": 0.0, "mean": 0.0}
-    sub = rates[zone.cells]
-    return {"max": float(sub.max()), "mean": float(sub.mean())}
+    return _zone_stats(rates, zone.cells)
 
 
 def axisymmetric_zone_area(
@@ -380,16 +385,19 @@ def _window_radius(p: HollandParams, Vhot: float) -> float:
     """Radius (km) beyond which no cell lies inside Rm or has a radial wind
     speed >= `Vhot`; infinite when `Vhot` <= 0 (every speed qualifies).
 
-    The bisection target is lowered by twice its tolerance, so the returned
-    radius is an upper bound: the profile there is at most Vhot - tol and
-    keeps decreasing outward.
+    With y = (Rm/r)^B the profile reads (V/Vm)^2 = y e^(1-y), so the outer
+    radius where V = U is Rm y^(-1/B) with y = -W0(-(U/Vm)^2 / e), W0 the
+    principal branch of the Lambert W function.  It is taken at
+    U = Vhot (1 - 1e-8): the rounding of W and of the profile is far smaller
+    than that margin, so the profile there is below Vhot and keeps decreasing
+    outward.
     """
-    Vhot -= 2.0 * BISECTION_TOL
     if Vhot <= 0:
         return np.inf
     if p.Vm < Vhot:
         return p.Rm
-    return max(p.Rm, critical_radius(p, Vhot))
+    y = -lambertw(-(((1.0 - 1e-8) * Vhot / p.Vm) ** 2) / np.e).real
+    return p.Rm * y ** (-1.0 / p.B)
 
 
 def storm_swath(
@@ -406,61 +414,28 @@ def storm_swath(
 
     Streams over time steps (never materializing the full wind field), so
     large domains stay cheap.  Returns (rates, zone_mask) with one entry per
-    grid cell.
-
-    At each step the wind, the intensity and the zone test are evaluated
-    only on the index-space bounding box of a disc of radius W about the
-    storm centre, W = max(Rm, Rcrit(Vhot)) plus one cell, where
-    Vhot = min(Vthres, Vcrit) - ||Vtr|| (the ||Vtr|| term only for an
-    asymmetric storm: vector addition raises a speed by at most ||Vtr||).
-    Beyond W a cell is outside Rm and its wind is below both Vthres and
-    Vcrit, so its zone bit is unchanged and its intensity is exactly
-    `lambda_norm`, which it receives without evaluation.  Every cell still
-    adds its per-step intensities one at a time in time order, so the
-    result is bit-identical to evaluating every cell at every step.
+    grid cell.  Each step evaluates only the window where the wind can reach
+    Vthres or Vcrit, and the result is bit-identical to evaluating every cell
+    at every step (the window invariant of `stormrisk.wind`).
 
     An asymmetric stationary storm (Vtr == (0, 0)) is the axisymmetric
     storm, as in `asymmetric_field`.
     """
-    if hemisphere not in ("N", "S"):
-        raise ValueError("hemisphere must be 'N' or 'S'")
     if Vthres is None:
         Vthres = nhpp.Vcrit
-    asymmetric = asymmetric and track.speed > 0
-    spin = 1.0 if hemisphere == "N" else -1.0
-    Vhot = min(Vthres, nhpp.Vcrit) - (track.speed if asymmetric else 0.0)
-    W = _window_radius(p, Vhot) + grid.cell_size
-    centers = grid.centers().reshape(grid.nx, grid.ny, 2)
-    xs = centers[:, 0, 0]
-    ys = centers[0, :, 1]
+    Vtr = track.Vtr if asymmetric else (0.0, 0.0)
+    Vhot = min(Vthres, nhpp.Vcrit) - float(np.hypot(*Vtr))
+    reach = _window_radius(p, Vhot) + grid.cell_size
+    xs, ys = _grid_axes(grid)
     pos = track.position(times.offsets())
-    # Index bounds of each step's window; cell i's centre is at
-    # origin + (i + 0.5) * cell_size, and the one-cell pad in W absorbs the
-    # rounding of these divisions.
-    lo = np.floor((pos - W - grid.origin) / grid.cell_size)
-    hi = np.floor((pos + W - grid.origin) / grid.cell_size) + 1
-    shape = np.array([grid.nx, grid.ny])
-    lo = np.clip(lo, 0, shape).astype(int)
-    hi = np.clip(hi, 0, shape).astype(int)
     rates = np.zeros((grid.nx, grid.ny))
     zone = np.zeros((grid.nx, grid.ny), dtype=bool)
     inc = np.empty((grid.nx, grid.ny))
-    for t in range(times.n_steps):
-        rows = slice(lo[t, 0], hi[t, 0])
-        cols = slice(lo[t, 1], hi[t, 1])
-        dx = xs[rows, None] - pos[t, 0]
-        dy = ys[None, cols] - pos[t, 1]
-        r = np.hypot(dx, dy)
-        v = holland_speed(p, r)
-        if asymmetric:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                tx = np.where(r > 0, -spin * dy / r, 0.0)
-                ty = np.where(r > 0, spin * dx / r, 0.0)
-            v = np.hypot(v * tx + track.Vtr[0], v * ty + track.Vtr[1])
+    for window, r, v in _wind_steps(p, xs, ys, pos, reach, Vtr, hemisphere):
         inc.fill(nhpp.lambda_norm)
-        inc[rows, cols] = poisson_intensity(nhpp, v)
+        inc[window] = poisson_intensity(nhpp, v)
         rates += inc
-        zone[rows, cols] |= (r < p.Rm) | (v >= Vthres)
+        zone[window] |= (r < p.Rm) | (v >= Vthres)
     rates *= times.dt
     return rates.ravel(), zone.ravel()
 
@@ -488,11 +463,10 @@ def tables123(
             rates, zone = storm_swath(
                 track, p, grid, times, nhpp, asymmetric=asym
             )
-            area = float(np.count_nonzero(zone)) * grid.cell_area
-            sub = rates[zone]
-            rec[f"area_{label}_km2"] = area
-            rec[f"max_fr_{label}"] = float(sub.max()) if sub.size else 0.0
-            rec[f"mean_fr_{label}"] = float(sub.mean()) if sub.size else 0.0
+            stats = _zone_stats(rates, zone)
+            rec[f"area_{label}_km2"] = float(np.count_nonzero(zone)) * grid.cell_area
+            rec[f"max_fr_{label}"] = stats["max"]
+            rec[f"mean_fr_{label}"] = stats["mean"]
         out.append(rec)
     return out
 

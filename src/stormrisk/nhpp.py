@@ -102,29 +102,15 @@ def nominal_rate(p: NhppParams, n_steps: int, dt: float = 1.0) -> float:
 # =============================================================================
 
 
-def fr1(p: NhppParams, e: Ensemble, cell: int | None = None):
-    """Failure rate of the ensemble-mean winds.
-
-    Returns the rate at one cell, or the full per-cell array when `cell` is
-    None.
-    """
-    vbar = mean_velocity(e)
-    if cell is not None:
-        vbar = vbar[cell]
-    return failure_rate(p, vbar, e.times.dt)
+def fr1(p: NhppParams, e: Ensemble) -> np.ndarray:
+    """Failure rate of the ensemble-mean winds, per cell."""
+    return failure_rate(p, mean_velocity(e), e.times.dt)
 
 
-def fr2(p: NhppParams, e: Ensemble, cell: int | None = None):
-    """Ensemble mean of the per-member failure rates (>= fr1 by convexity).
-
-    Returns the rate at one cell, or the full per-cell array when `cell` is
-    None.  Member order is fixed, so the reduction is reproducible.
-    """
-    v = e.velocities()
-    if cell is not None:
-        v = v[:, cell]
-    rates = failure_rate(p, v, e.times.dt)
-    return np.asarray(rates).mean(axis=0) if np.ndim(rates) else float(rates)
+def fr2(p: NhppParams, e: Ensemble) -> np.ndarray:
+    """Ensemble mean of the per-member failure rates (>= fr1 by convexity),
+    per cell.  Member order is fixed, so the reduction is reproducible."""
+    return failure_rate(p, e.velocities(), e.times.dt).mean(axis=0)
 
 
 def member_rates(p: NhppParams, e: Ensemble, cell: int) -> np.ndarray:
@@ -209,7 +195,7 @@ def fd_a(
     p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None
 ) -> FailureDistribution:
     """Single Poisson at the ensemble-mean failure rate (per km of line)."""
-    rate = fr2(p, e, cell)
+    rate = member_rates(p, e, cell).mean()
     if n_max is None:
         n_max = default_n_max(rate)
     n = np.arange(n_max + 1)

@@ -8,6 +8,23 @@ Fields come in two flavours: axisymmetric (speed depends only on radius) and
 asymmetric, where the tangential cyclonic wind vector is added to the storm
 translation vector so that, for a northward-moving storm in the Northern
 Hemisphere, the strongest winds sit due east of the centre.
+
+Storm geometry lives in one kernel, `_wind_steps`: for each storm position it
+yields the index window of grid cells within a given reach of the centre,
+their distances r to the centre and their speeds v.  Dense fields take the
+whole grid at every step; the swath and zone reducers of `critzone` and the
+damage/loss sweep of `aggregate` consume the same steps.
+
+Window invariant.  A reducer that evaluates only a window must give each
+cell outside it the result an evaluation would give.  `critzone.storm_swath`
+uses the reach W plus one cell, where W >= max(Rm, Rcrit(Vhot)) is the
+closed-form bound `critzone._window_radius` and Vhot = min(Vthres, Vcrit) -
+||Vtr|| (the ||Vtr|| term only for an asymmetric storm: vector addition
+raises a speed by at most ||Vtr||).  Beyond W a cell is outside Rm and its
+wind is below both Vthres and Vcrit, so its zone bit is unchanged and its
+intensity is exactly `lambda_norm`, which it receives without evaluation.
+Every cell still adds its per-step intensities one at a time in time order,
+so the swath is bit-identical to evaluating every cell at every step.
 """
 
 from __future__ import annotations
@@ -140,16 +157,56 @@ def holland_speed(p: HollandParams, r):
     return out
 
 
-def _radii(track: Track, grid: Grid, times: TimeAxis) -> np.ndarray:
-    """Distance (km) from every cell centre to the storm centre at every time.
+def _grid_axes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-centre x (length nx) and y (length ny) coordinates of a grid."""
+    centers = grid.centers().reshape(grid.nx, grid.ny, 2)
+    return centers[:, 0, 0], centers[0, :, 1]
 
-    Shape (n_cells, n_steps).
+
+def _wind_steps(p: HollandParams, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
+    """The storm-geometry kernel: the wind at each storm position in turn.
+
+    `xs` and `ys` are the ascending cell-centre coordinates of a rectangular
+    grid and `pos` the (n_steps, 2) storm-centre positions, in km.  Yields
+    `(window, r, v)` per position: the index window `(rows, cols)` of slices
+    covering every cell within `reach` km of the centre on both axes (the
+    whole grid when `reach` is infinite), the cell-to-centre distances `r`
+    and the wind speeds `v` on that window.  With a non-zero translation
+    velocity `Vtr` (m/s) the speed is the magnitude of the cyclonic wind
+    vector plus `Vtr`; see the module docstring.
     """
-    centers = grid.centers()  # (n_cells, 2)
-    pos = track.position(times.offsets())  # (n_steps, 2)
-    dx = centers[:, 0:1] - pos[None, :, 0]
-    dy = centers[:, 1:2] - pos[None, :, 1]
-    return np.hypot(dx, dy)
+    if hemisphere not in ("N", "S"):
+        raise ValueError("hemisphere must be 'N' or 'S'")
+    spin = 1.0 if hemisphere == "N" else -1.0
+    # A stationary storm skips the vector sum, so its speeds are exactly the
+    # axisymmetric ones (no rounding through the unit-vector decomposition).
+    asymmetric = tuple(Vtr) != (0.0, 0.0)
+    lo_x = np.searchsorted(xs, pos[:, 0] - reach)
+    hi_x = np.searchsorted(xs, pos[:, 0] + reach, side="right")
+    lo_y = np.searchsorted(ys, pos[:, 1] - reach)
+    hi_y = np.searchsorted(ys, pos[:, 1] + reach, side="right")
+    for t, (px, py) in enumerate(pos):
+        window = (slice(lo_x[t], hi_x[t]), slice(lo_y[t], hi_y[t]))
+        dx = xs[window[0], None] - px
+        dy = ys[None, window[1]] - py
+        r = np.hypot(dx, dy)
+        v = holland_speed(p, r)
+        if asymmetric:
+            # Tangential unit vector for counterclockwise rotation: (-dy, dx) / r.
+            with np.errstate(invalid="ignore", divide="ignore"):
+                tx = np.where(r > 0, -spin * dy / r, 0.0)
+                ty = np.where(r > 0, spin * dx / r, 0.0)
+            v = np.hypot(v * tx + Vtr[0], v * ty + Vtr[1])
+        yield window, r, v
+
+
+def _dense_field(track, p, grid, times, Vtr=(0.0, 0.0), hemisphere="N") -> WindField:
+    xs, ys = _grid_axes(grid)
+    velocities = np.empty((grid.n_cells, times.n_steps))
+    steps = _wind_steps(p, xs, ys, track.position(times.offsets()), Vtr=Vtr, hemisphere=hemisphere)
+    for t, (_, _, v) in enumerate(steps):
+        velocities[:, t] = v.ravel()
+    return WindField(grid=grid, times=times, velocities=velocities)
 
 
 def axisymmetric_field(
@@ -157,8 +214,7 @@ def axisymmetric_field(
 ) -> WindField:
     """Axisymmetric wind field: speed is the radial profile of the distance
     from each cell to the instantaneous storm centre."""
-    r = _radii(track, grid, times)
-    return WindField(grid=grid, times=times, velocities=holland_speed(p, r))
+    return _dense_field(track, p, grid, times)
 
 
 def asymmetric_field(
@@ -175,29 +231,10 @@ def asymmetric_field(
     Hemisphere) is vector-added to the translation velocity; the field stores
     the magnitude of the sum.  For a northward-moving storm the maximum at
     fixed radius falls 90 degrees clockwise of the translation direction,
-    i.e. due east of the centre.
+    i.e. due east of the centre.  A stationary storm gives the axisymmetric
+    field exactly.
     """
-    if hemisphere not in ("N", "S"):
-        raise ValueError("hemisphere must be 'N' or 'S'")
-    if track.Vtr == (0.0, 0.0):
-        # Degenerate stationary storm: the tangential magnitude is unchanged,
-        # so return the axisymmetric field exactly (no rounding through the
-        # unit-vector decomposition).
-        return axisymmetric_field(track, p, grid, times)
-    spin = 1.0 if hemisphere == "N" else -1.0
-    centers = grid.centers()
-    pos = track.position(times.offsets())
-    dx = centers[:, 0:1] - pos[None, :, 0]
-    dy = centers[:, 1:2] - pos[None, :, 1]
-    r = np.hypot(dx, dy)
-    v = holland_speed(p, r)
-    # Tangential unit vector for counterclockwise rotation: (-dy, dx) / r.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tx = np.where(r > 0, -spin * dy / r, 0.0)
-        ty = np.where(r > 0, spin * dx / r, 0.0)
-    wx = v * tx + track.Vtr[0]
-    wy = v * ty + track.Vtr[1]
-    return WindField(grid=grid, times=times, velocities=np.hypot(wx, wy))
+    return _dense_field(track, p, grid, times, track.Vtr, hemisphere)
 
 
 # =============================================================================

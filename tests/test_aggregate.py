@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stormrisk import (
     Grid,
@@ -18,6 +18,7 @@ from stormrisk import (
     fit_loss_model,
     g_of_vm,
     holland_speed,
+    poisson_intensity,
     save_agg_sweep,
 )
 from stormrisk.aggregate import _damage_design, _loss_design
@@ -191,7 +192,48 @@ class TestG:
         assert g_of_vm(10.0, VCRIT)[()] == 0.0
 
 
+def sweep_reference(Vm_values, Rm_values, nhpp, repair, config):
+    """Reference `damage_loss_sweep`: its loop before the shared geometry
+    kernel, with the distances taken from the centred grid axes directly."""
+    xs, ys = config.grid_centers()
+    X = xs[:, None]
+    cy = config.centre_y()
+    out = []
+    for Vm in Vm_values:
+        for Rm in Rm_values:
+            p = HollandParams(Vm=float(Vm), Rm=float(Rm), B=config.B)
+            lam = np.zeros((config.nx, config.ny))
+            for k in range(config.n_steps):
+                r = np.hypot(X, ys[None, :] - cy[k])
+                lam += poisson_intensity(nhpp, holland_speed(p, r))
+            lam *= config.dt
+            out.append((float(Vm), float(Rm), float(lam.mean()),
+                        float(repair.half_ratio * np.mean(lam * lam))))
+    return tuple(np.array(col) for col in zip(*out))
+
+
 class TestSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        Vm=st.lists(st.floats(5.0, 90.0), min_size=1, max_size=3),
+        Rm=st.lists(st.floats(5.0, 80.0), min_size=1, max_size=3),
+        nx=st.integers(1, 12),
+        ny=st.integers(1, 12),
+        cell=st.floats(1.0, 60.0),
+        vtr=st.floats(0.5, 12.0),
+        T=st.floats(1.0, 30.0),
+        dt=st.sampled_from([0.5, 1.0, 3.0]),
+        B=st.sampled_from([0.6, 1.0, 1.5, 2.5]),
+        Lf=st.floats(0.0, 5.0),
+    )
+    def test_bit_identical_to_reference_loop(self, Vm, Rm, nx, ny, cell, vtr, T, dt, B, Lf):
+        config = SweepConfig(nx=nx, ny=ny, cell_size=cell, vtr=vtr, T=T, dt=dt, B=B)
+        repair = RepairParams(Lf=Lf, Y=2.0)
+        got = damage_loss_sweep(Vm, Rm, nhpp=P, repair=repair, config=config)
+        ref = sweep_reference(Vm, Rm, P, repair, config)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
     def test_small_sweep_shapes_and_nominal_floor(self):
         cfg = SweepConfig(nx=6, ny=8, cell_size=40.0, T=6.0)
         Vm, Rm, d, lo = damage_loss_sweep([25, 37], [20, 40], config=cfg)

@@ -7,6 +7,7 @@ from stormrisk import (
     County,
     CountySet,
     OutageObservation,
+    critical_zone_numeric,
     save_county_fixture,
     save_observations,
 )
@@ -83,7 +84,7 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main([cmd, "--help"])
         assert exc.value.code == 0
-        assert cmd in capsys.readouterr().out or True
+        assert cmd in capsys.readouterr().out
 
     def test_invalid_dt_exits_2_naming_field(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -187,6 +188,26 @@ class TestCritzoneAndSweeps:
         assert report["area_numeric_km2"] > 0
         cells = (tmp_path / "out" / "critzone_cells.csv").read_text().splitlines()
         assert len(cells) > 2
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_critzone_streams_without_a_dense_field(self, tmp_path, monkeypatch, asymmetric):
+        from stormrisk import cli, wind
+
+        cfg = _write_config(tmp_path, field={"asymmetric": asymmetric, "hemisphere": "S"})
+        config = load_config(cfg, [])
+        track, params = cli._build_track(config), cli._build_holland(config)
+        field = cli._build_field(config)
+        zone = critical_zone_numeric(field, cli._build_nhpp(config).Vcrit, params, track)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("critzone must not build a dense wind field")
+
+        for name in ("axisymmetric_field", "asymmetric_field"):
+            monkeypatch.setattr(cli, name, refuse)
+            monkeypatch.setattr(wind, name, refuse)
+        assert main(["critzone", "--config", cfg]) == 0
+        lines = (tmp_path / "out" / "critzone_cells.csv").read_text().splitlines()
+        assert [int(c) for c in lines[2:]] == zone.cells.tolist()
 
     def test_sweep_fit_critzone(self, tmp_path):
         cfg = _write_config(

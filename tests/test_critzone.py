@@ -28,6 +28,7 @@ from stormrisk import (
     tables123,
     zone_failure_stats,
 )
+from stormrisk.critzone import _window_radius
 
 VTHRES = 20.6
 
@@ -191,6 +192,33 @@ def dense_swath(track, p, grid, times, nhpp, Vthres=None, asymmetric=False, hemi
         zone |= (r < p.Rm) | (v >= Vthres)
     rates *= times.dt
     return rates, zone
+
+
+class TestWindowRadius:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        Vm=st.floats(5.0, 90.0),
+        Rm=st.floats(1.0, 100.0),
+        B=st.sampled_from([0.6, 1.0, 1.5, 2.5]),
+        # Vhot / Vm, down to 0.05 so that Vhot * 1e-8 exceeds the 1e-9 m/s
+        # bisection tolerance; up to and at Vm, where W0 has its branch point.
+        frac=st.one_of(
+            st.floats(0.05, 1.0),
+            st.sampled_from([1.0, 1.0 - 1e-15, 1.0 - 1e-12, 1.0 - 1e-9, 1.0 - 1e-6]),
+        ),
+    )
+    def test_closed_form_bounds_the_bisection_root(self, Vm, Rm, B, frac):
+        p = HollandParams(Vm=Vm, Rm=Rm, B=B)
+        Vhot = frac * Vm
+        bound = _window_radius(p, Vhot)
+        assert holland_speed(p, bound) < Vhot
+        assert bound >= critical_radius(p, Vhot)
+
+    def test_degenerate_targets(self):
+        p = HollandParams(Vm=30.0, Rm=25.0)
+        assert _window_radius(p, 0.0) == np.inf
+        assert _window_radius(p, -3.0) == np.inf
+        assert _window_radius(p, 30.5) == 25.0
 
 
 class TestStormSwath:

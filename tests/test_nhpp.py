@@ -139,10 +139,10 @@ class TestFailureRate:
 
 class TestEnsembleRates:
     def test_fr1_example(self):
-        assert fr1(P, _ensemble(), cell=0) == pytest.approx(EX_FR1, rel=1e-13)
+        assert fr1(P, _ensemble())[0] == pytest.approx(EX_FR1, rel=1e-13)
 
     def test_fr2_example(self):
-        assert fr2(P, _ensemble(), cell=0) == pytest.approx(EX_FR2, rel=1e-13)
+        assert fr2(P, _ensemble())[0] == pytest.approx(EX_FR2, rel=1e-13)
 
     def test_member_rates_example(self):
         r = member_rates(P, _ensemble(), cell=0)
@@ -151,14 +151,14 @@ class TestEnsembleRates:
 
     def test_jensen_fr2_ge_fr1(self):
         e = _ensemble()
-        assert fr2(P, e, 0) >= fr1(P, e, 0)
+        assert fr2(P, e)[0] >= fr1(P, e)[0]
 
     def test_identical_members_give_equality(self):
         grid = Grid(nx=1, ny=1)
         times = TimeAxis(n_steps=2, dt=1.0)
         m = WindField(grid=grid, times=times, velocities=np.array([[30.0, 25.0]]))
         e = Ensemble(members=(m, m, m))
-        assert fr2(P, e, 0) == pytest.approx(fr1(P, e, 0), rel=1e-14)
+        assert fr2(P, e)[0] == pytest.approx(fr1(P, e)[0], rel=1e-14)
 
     def test_all_subcritical_gives_equality(self):
         grid = Grid(nx=1, ny=1)
@@ -166,7 +166,7 @@ class TestEnsembleRates:
         m0 = WindField(grid=grid, times=times, velocities=np.array([[1.0, 5.0, 10.0]]))
         m1 = WindField(grid=grid, times=times, velocities=np.array([[15.0, 2.0, 0.0]]))
         e = Ensemble(members=(m0, m1))
-        assert fr2(P, e, 0) == fr1(P, e, 0) == pytest.approx(3 * P.lambda_norm, rel=1e-14)
+        assert fr2(P, e)[0] == fr1(P, e)[0] == pytest.approx(3 * P.lambda_norm, rel=1e-14)
 
     def test_fr_arrays_when_cell_omitted(self):
         e = _ensemble()
@@ -178,6 +178,14 @@ class TestFailureDistributions:
     def test_fd_a_zero_count_probability(self):
         d = fd_a(P, _ensemble(), 0)
         assert d.kind == "poisson"
+        assert d.pmf[0] == pytest.approx(EX_PRA0, rel=1e-12)
+
+    def test_fd_a_reads_one_cell_only(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("fd_a must not stack the whole ensemble")
+
+        monkeypatch.setattr(Ensemble, "velocities", refuse)
+        d = fd_a(P, _ensemble(), 0)
         assert d.pmf[0] == pytest.approx(EX_PRA0, rel=1e-12)
 
     def test_fd_b_zero_count_probability(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stormrisk import (
     Grid,
@@ -159,6 +159,67 @@ class TestAsymmetricField:
         # Northward translation: 90 degrees clockwise = due east = theta 0/2pi.
         dist = min(abs(best - 0.0), abs(best - 2 * math.pi))
         assert dist <= thetas[1] - thetas[0] + 1e-12
+
+
+def dense_field_reference(track, p, grid, times, asymmetric=False, hemisphere="N"):
+    """Reference field: every cell-to-centre distance at every time in one
+    array, the radial profile on it and, for a moving asymmetric storm, the
+    vector sum with the translation velocity (the code before the shared
+    geometry kernel)."""
+    centers = grid.centers()
+    pos = track.position(times.offsets())
+    dx = centers[:, 0:1] - pos[None, :, 0]
+    dy = centers[:, 1:2] - pos[None, :, 1]
+    r = np.hypot(dx, dy)
+    v = holland_speed(p, r)
+    if not asymmetric or track.Vtr == (0.0, 0.0):
+        return v
+    spin = 1.0 if hemisphere == "N" else -1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tx = np.where(r > 0, -spin * dy / r, 0.0)
+        ty = np.where(r > 0, spin * dx / r, 0.0)
+    return np.hypot(v * tx + track.Vtr[0], v * ty + track.Vtr[1])
+
+
+class TestFieldsMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        Vm=st.floats(8.0, 70.0),
+        Rm=st.floats(5.0, 60.0),
+        B=st.sampled_from([0.6, 1.0, 1.5, 2.5]),
+        asymmetric=st.booleans(),
+        hemisphere=st.sampled_from(["N", "S"]),
+        vtr=st.one_of(
+            st.just((0.0, 0.0)),
+            st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+        ),
+        x0=st.tuples(st.floats(-600.0, 900.0), st.floats(-600.0, 900.0)),
+        nx=st.integers(1, 30),
+        ny=st.integers(1, 30),
+        cell=st.floats(0.5, 25.0),
+        n_steps=st.integers(1, 12),
+        dt=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    def test_bit_identical_to_dense_reference(
+        self, Vm, Rm, B, asymmetric, hemisphere, vtr, x0, nx, ny, cell, n_steps, dt
+    ):
+        p = HollandParams(Vm=Vm, Rm=Rm, B=B)
+        track = Track(x0=x0, Vtr=vtr, duration=n_steps * dt)
+        grid = Grid(origin=(-50.0, 20.0), nx=nx, ny=ny, cell_size=cell)
+        times = TimeAxis(n_steps=n_steps, dt=dt)
+        if asymmetric:
+            field = asymmetric_field(track, p, grid, times, hemisphere=hemisphere)
+        else:
+            field = axisymmetric_field(track, p, grid, times)
+        ref = dense_field_reference(track, p, grid, times, asymmetric, hemisphere)
+        assert np.array_equal(field.velocities, ref)
+
+    def test_unknown_hemisphere_rejected(self):
+        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0), duration=1.0)
+        with pytest.raises(ValueError, match="hemisphere"):
+            asymmetric_field(
+                track, HollandParams(Vm=25, Rm=20), Grid(), TimeAxis(), hemisphere="X"
+            )
 
 
 class TestWindFieldValidation:

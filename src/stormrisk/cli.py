@@ -124,6 +124,8 @@ def _require(config: dict, path: str, types, check=None, describe: str = ""):
         raise ConfigError(path, f"expected {describe or 'a number'}, got a boolean")
     if not isinstance(node, types):
         raise ConfigError(path, f"expected {describe or types}, got {type(node).__name__}")
+    if isinstance(node, float) and not np.isfinite(node):
+        raise ConfigError(path, f"expected a finite number, got {node!r}")
     if check is not None and not check(node):
         raise ConfigError(path, f"value {node!r} out of range ({describe})")
     return node
@@ -139,8 +141,8 @@ def validate_config(config: dict) -> None:
     _require(config, "grid.cell_size_km", num, lambda v: v > 0, "> 0")
     origin = _require(config, "grid.origin_km", list, lambda v: len(v) == 2, "[x, y]")
     for v in origin:
-        if not isinstance(v, num) or isinstance(v, bool):
-            raise ConfigError("grid.origin_km", "entries must be numbers")
+        if not isinstance(v, num) or isinstance(v, bool) or not np.isfinite(v):
+            raise ConfigError("grid.origin_km", "entries must be finite numbers")
     _require(config, "times.n_steps", int, lambda v: v >= 1, ">= 1")
     _require(config, "times.dt_h", num, lambda v: v > 0, "> 0")
     _require(config, "times.t0_h", num, describe="a number")
@@ -148,8 +150,8 @@ def validate_config(config: dict) -> None:
     vtr = _require(config, "track.vtr_mps", list, lambda v: len(v) == 2, "[vx, vy]")
     for path, pair in (("track.x0_km", x0), ("track.vtr_mps", vtr)):
         for v in pair:
-            if not isinstance(v, num) or isinstance(v, bool):
-                raise ConfigError(path, "entries must be numbers")
+            if not isinstance(v, num) or isinstance(v, bool) or not np.isfinite(v):
+                raise ConfigError(path, "entries must be finite numbers")
     _require(config, "holland.Vm_mps", num, lambda v: v > 0, "> 0")
     _require(config, "holland.Rm_km", num, lambda v: v > 0, "> 0")
     _require(config, "holland.B", num, lambda v: v > 0, "> 0")
@@ -470,8 +472,9 @@ def _sweep_fit_aggregate(config: dict, digest: str, target: str) -> None:
         Lf=float(config["repair"]["Lf"]), Y=float(config["repair"]["Y"])
     )
     Vm_grid, Rm_grid = _sweep_grids(config)
+    sweep = aggregate.SweepConfig(B=float(config["holland"]["B"]))
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(
-        Vm_grid, Rm_grid, nhpp=nparams, repair=repair
+        Vm_grid, Rm_grid, nhpp=nparams, repair=repair, config=sweep
     )
     out_dir = _out_dir(config)
     aggregate.save_agg_sweep(
@@ -479,28 +482,18 @@ def _sweep_fit_aggregate(config: dict, digest: str, target: str) -> None:
     )
     if target == "damage":
         model = aggregate.fit_damage_model(Vm, Rm, damage, nparams.Vcrit)
-        report = {
-            "config_sha256": digest,
-            "p1": model.p1,
-            "p2": model.p2,
-            "terms": list(model.terms),
-            "beta": [float(b) for b in model.beta],
-            "se": [float(s) for s in model.fit.se],
-            "p_values": [float(p) for p in model.fit.p_values],
-            "rms_relative_residual": model.fit.rms,
-        }
+        report = {"p1": model.p1, "p2": model.p2}
     else:
         model = aggregate.fit_loss_model(Vm, Rm, loss, nparams.Vcrit)
-        report = {
-            "config_sha256": digest,
-            "p": model.p,
-            "terms": list(model.terms),
-            "beta": [float(b) for b in model.beta],
-            "se": [float(s) for s in model.fit.se],
-            "p_values": [float(p) for p in model.fit.p_values],
-            "rms_relative_residual": model.fit.rms,
-            "condition_number": model.fit.cond,
-        }
+        report = {"p": model.p, "condition_number": model.fit.cond}
+    report.update(
+        config_sha256=digest,
+        terms=list(model.terms),
+        beta=[float(b) for b in model.beta],
+        se=[float(s) for s in model.fit.se],
+        p_values=[float(p) for p in model.fit.p_values],
+        rms_relative_residual=model.fit.rms,
+    )
     _write_report(out_dir / f"{target}_fit.json", report)
 
 

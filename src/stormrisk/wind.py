@@ -13,7 +13,8 @@ Storm geometry lives in one kernel, `_wind_steps`: for each storm position it
 yields the index window of grid cells within a given reach of the centre,
 their distances r to the centre and their speeds v.  Dense fields take the
 whole grid at every step; the swath and zone reducers of `critzone` and the
-damage/loss sweep of `aggregate` consume the same steps.
+damage/loss sweep of `aggregate` consume the same steps, the sweep for a
+chunk of storms at once.
 
 Window invariant.  A reducer that evaluates only a window must give each
 cell outside it the result an evaluation would give.  `critzone.storm_swath`
@@ -46,11 +47,11 @@ class HollandParams:
     Parameters
     ----------
     Vm : float
-        Maximum sustained wind speed (m/s), > 0.
+        Maximum sustained wind speed (m/s), finite and > 0.
     Rm : float
-        Radius of maximum winds (km), > 0.
+        Radius of maximum winds (km), finite and > 0.
     B : float
-        Profile shape parameter, > 0 (default 1; typically between 1 and 2.5).
+        Profile shape parameter, finite and > 0 (default 1; typically 1-2.5).
     """
 
     Vm: float
@@ -58,12 +59,10 @@ class HollandParams:
     B: float = 1.0
 
     def __post_init__(self):
-        if self.Vm <= 0:
-            raise ValueError("Vm must be > 0")
-        if self.Rm <= 0:
-            raise ValueError("Rm must be > 0")
-        if self.B <= 0:
-            raise ValueError("B must be > 0")
+        for name in ("Vm", "Rm", "B"):
+            # Also false for NaN, so a NaN storm cannot pass as a calm one.
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,6 @@ class Track:
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
-
-    @property
-    def speed(self) -> float:
-        """Translation speed ||Vtr|| in m/s."""
-        return float(np.hypot(*self.Vtr))
 
     def position(self, elapsed_h) -> np.ndarray:
         """Storm-centre position (km) after `elapsed_h` hours.
@@ -133,25 +127,31 @@ class WindField:
 # =============================================================================
 
 
-def holland_speed(p: HollandParams, r):
+def holland_speed(p, r):
     """Wind speed (m/s) at radius `r` km from the storm centre.
 
     Vectorized over `r`.  The r -> 0 limit of the profile is 0 m/s and is
     returned as such (storm-centre cells occur routinely); negative radii are
-    an error.
+    an error.  `p` is one `HollandParams`, or a sequence of them: a batch of
+    storms, which adds a leading storms axis and takes each radius's log once.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be >= 0")
-    out = np.zeros(r.shape)
-    pos = r > 0
+    if isinstance(p, HollandParams):
+        Vm, Rm, B = p.Vm, p.Rm, p.B
+    else:  # one (storms, 1, ...) column per parameter, broadcasting against r
+        rows = np.array([(q.Vm, q.Rm, q.B) for q in p], dtype=float).reshape(-1, 3)
+        Vm, Rm, B = rows.T.reshape((3, -1) + (1,) * r.ndim)
     # Evaluated as Vm * exp((B/2) log(Rm/r) + (1 - (Rm/r)^B) / 2): near the
     # centre (Rm/r)^B overflows, but the exponent then underflows to -inf and
     # the speed correctly evaluates to 0 instead of inf * 0 = nan.  The log is
     # taken as a difference so the ratio itself cannot overflow for subnormal r.
-    with np.errstate(over="ignore"):
-        logx = np.log(p.Rm) - np.log(r[pos])
-        out[pos] = p.Vm * np.exp(0.5 * p.B * logx + 0.5 * (1.0 - np.exp(p.B * logx)))
+    # At r = 0 the exponent is inf - inf = nan; the limit there is 0.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        logx = np.log(Rm) - np.log(r)
+        v = Vm * np.exp(0.5 * B * logx + 0.5 * (1.0 - np.exp(B * logx)))
+    out = np.where(r > 0, v, 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -163,7 +163,7 @@ def _grid_axes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return centers[:, 0, 0], centers[0, :, 1]
 
 
-def _wind_steps(p: HollandParams, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
+def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
     """The storm-geometry kernel: the wind at each storm position in turn.
 
     `xs` and `ys` are the ascending cell-centre coordinates of a rectangular
@@ -173,7 +173,8 @@ def _wind_steps(p: HollandParams, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hem
     whole grid when `reach` is infinite), the cell-to-centre distances `r`
     and the wind speeds `v` on that window.  With a non-zero translation
     velocity `Vtr` (m/s) the speed is the magnitude of the cyclonic wind
-    vector plus `Vtr`; see the module docstring.
+    vector plus `Vtr`; see the module docstring.  For a batch of storms `p`
+    (see `holland_speed`), `v` has a leading storms axis.
     """
     if hemisphere not in ("N", "S"):
         raise ValueError("hemisphere must be 'N' or 'S'")

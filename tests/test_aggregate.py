@@ -1,6 +1,11 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+from stormrisk import aggregate
 
 from stormrisk import (
     Grid,
@@ -225,14 +230,54 @@ class TestSweep:
         dt=st.sampled_from([0.5, 1.0, 3.0]),
         B=st.sampled_from([0.6, 1.0, 1.5, 2.5]),
         Lf=st.floats(0.0, 5.0),
+        chunk=st.sampled_from([1, 2, 3, aggregate._SWEEP_CHUNK]),
     )
-    def test_bit_identical_to_reference_loop(self, Vm, Rm, nx, ny, cell, vtr, T, dt, B, Lf):
+    def test_bit_identical_to_reference_loop(self, Vm, Rm, nx, ny, cell, vtr, T, dt, B, Lf, chunk):
+        # A config whose T / dt rounds to no step is rejected (TestSweepConfig).
+        assume(round(T / dt) >= 1)
         config = SweepConfig(nx=nx, ny=ny, cell_size=cell, vtr=vtr, T=T, dt=dt, B=B)
         repair = RepairParams(Lf=Lf, Y=2.0)
-        got = damage_loss_sweep(Vm, Rm, nhpp=P, repair=repair, config=config)
+        # Up to 9 storms in chunks of 1-3: full, partial and single-storm chunks.
+        with mock.patch.object(aggregate, "_SWEEP_CHUNK", chunk):
+            got = damage_loss_sweep(Vm, Rm, nhpp=P, repair=repair, config=config)
         ref = sweep_reference(Vm, Rm, P, repair, config)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
+
+    def test_bit_identical_across_default_chunks(self):
+        # 35 storms: two full chunks and a partial one at the default size.
+        Vm, Rm = np.linspace(15.0, 80.0, 5), [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
+        assert len(Vm) * len(Rm) % aggregate._SWEEP_CHUNK != 0
+        assert len(Vm) * len(Rm) > 2 * aggregate._SWEEP_CHUNK
+        got = damage_loss_sweep(Vm, Rm, config=SMALL)
+        ref = sweep_reference(Vm, Rm, P, RepairParams(), SMALL)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("Vm, Rm", [([], [20.0]), ([25.0], []), ([], [])])
+    def test_empty_sweep(self, Vm, Rm):
+        out = damage_loss_sweep(Vm, Rm, config=SMALL)
+        assert len(out) == 4
+        for a in out:
+            assert a.shape == (0,) and a.dtype == np.float64
+
+    @pytest.mark.parametrize("Vm, Rm", [(np.nan, 20.0), (25.0, np.inf), (25.0, np.nan)])
+    def test_non_finite_storm_rejected(self, Vm, Rm):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            damage_loss_sweep([40.0, Vm], [30.0, Rm], config=SMALL)
+
+    def test_memory_bounded_by_chunk(self):
+        # 1,000 storms on the default 25 x 40 grid: one unchunked (storms, cells)
+        # temporary alone would be 8 MB.
+        Vm, Rm = np.arange(21.0, 61.0), np.arange(20.0, 45.0)
+        assert len(Vm) * len(Rm) == 1000
+        tracemalloc.start()
+        try:
+            damage_loss_sweep(Vm, Rm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_small_sweep_shapes_and_nominal_floor(self):
         cfg = SweepConfig(nx=6, ny=8, cell_size=40.0, T=6.0)
@@ -250,6 +295,34 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_sha256=q"
         assert lines[1] == "Vm,Rm,damage_norm,loss_norm"
+
+
+class TestSweepConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"nx": 0},
+            {"ny": 0},
+            {"cell_size": 0.0},
+            {"cell_size": np.inf},
+            {"T": -5.0},
+            {"T": np.nan},
+            {"dt": 0.0},
+            {"dt": np.inf},
+            {"B": 0.0},
+            {"B": np.nan},
+            {"vtr": -1.0},
+            {"vtr": np.inf},
+            {"vtr": np.nan},
+            {"T": 1.0, "dt": 3.0},  # T / dt rounds to no step
+        ],
+    )
+    def test_invalid_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SweepConfig(**bad)
+
+    def test_stationary_storm_allowed(self):
+        assert np.all(SweepConfig(vtr=0.0).centre_y() == 0.0)
 
 
 class TestDamageFit:

@@ -109,6 +109,26 @@ class TestEntryPoints:
         assert main(["critzone", "--config", cfg, "--set", "nhpp.alpha=0.5"]) == 2
         assert "nhpp.alpha" in capsys.readouterr().err
 
+    def test_infinite_rm_exits_2_naming_field(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["critzone", "--config", cfg, "--set", "holland.Rm_km=Infinity"]) == 2
+        err = capsys.readouterr().err
+        assert "holland.Rm_km" in err and "finite" in err
+
+    def test_infinite_sweep_bound_exits_2_naming_field(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        argv = ["sweep-fit", "--config", cfg, "--target", "damage", "--set", "sweep.Vm_max=Infinity"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "sweep.Vm_max" in err and "finite" in err
+
+    @pytest.mark.parametrize(
+        "assignment", ["times.t0_h=NaN", "repair.Lf=Infinity", "track.x0_km=[0, NaN]"]
+    )
+    def test_non_finite_numbers_rejected(self, assignment):
+        with pytest.raises(ConfigError, match=assignment.split("=")[0]):
+            load_config(None, [assignment])
+
 
 class TestWindfieldCommand:
     def test_writes_csv_with_config_hash(self, tmp_path):
@@ -227,6 +247,24 @@ class TestCritzoneAndSweeps:
         assert main(["sweep-fit", "--config", cfg, "--target", "damage"]) == 0
         report = json.loads((tmp_path / "out" / "damage_fit.json").read_text())
         assert 1.0 <= report["p1"] <= 1.5
+
+
+    def test_sweep_fit_damage_honours_holland_b(self, tmp_path):
+        from stormrisk import NhppParams, SweepConfig, damage_loss_sweep, save_agg_sweep
+
+        sweep = {"Vm_min": 22, "Vm_max": 80, "Vm_step": 6, "Rm_min": 20, "Rm_max": 50, "Rm_step": 15}
+        Vm, Rm = np.arange(22.0, 80.0 + 1e-9, 6.0), np.arange(20.0, 50.0 + 1e-9, 15.0)
+
+        def sweep_rows(B):
+            cfg = _write_config(tmp_path, sweep=sweep, holland={"Vm_mps": 37.0, "Rm_km": 30.0, "B": B})
+            assert main(["sweep-fit", "--config", cfg, "--target", "damage"]) == 0
+            return (tmp_path / "out" / "damage_sweep.csv").read_text().splitlines()[1:]
+
+        got = sweep_rows(1.5)
+        expected = tmp_path / "expected.csv"
+        save_agg_sweep(*damage_loss_sweep(Vm, Rm, nhpp=NhppParams(), config=SweepConfig(B=1.5)), expected)
+        assert got == expected.read_text().splitlines()
+        assert got != sweep_rows(1.0)
 
 
 class TestOutageFit:

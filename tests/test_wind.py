@@ -16,6 +16,7 @@ from stormrisk import (
     load_wind_field,
     save_wind_field,
 )
+from stormrisk.wind import _wind_steps
 
 # Frozen oracle: 25 * sqrt(0.5) * exp(0.25), hand evaluation of the radial
 # profile at (Vm=25, Rm=20, B=1), r=40.
@@ -71,6 +72,54 @@ class TestHollandSpeed:
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
             HollandParams(**{"Vm": 25.0, "Rm": 20.0, "B": 1.0, **bad})
+
+    @pytest.mark.parametrize("name", ["Vm", "Rm", "B"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, name, value):
+        # NaN compares false with everything, so a plain `<= 0` check lets it in.
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            HollandParams(**{"Vm": 25.0, "Rm": 20.0, "B": 1.0, name: value})
+
+
+class TestHollandBatch:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(1.0, 100.0), st.floats(1.0, 100.0), st.sampled_from([0.6, 1.0, 2.5])),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(st.floats(0.0, 1e4), min_size=1, max_size=12),
+    )
+    def test_rows_bit_identical_to_single_storms(self, storms, radii):
+        batch = [HollandParams(Vm=Vm, Rm=Rm, B=B) for Vm, Rm, B in storms]
+        r = np.array(radii + [0.0]).reshape(-1, 1)
+        v = holland_speed(batch, r)
+        assert v.shape == (len(batch),) + r.shape
+        for row, p in zip(v, batch):
+            assert np.array_equal(row, holland_speed(p, r))
+
+    def test_scalar_radius_and_empty_batch(self):
+        batch = [HollandParams(Vm=25, Rm=20), HollandParams(Vm=37, Rm=30, B=1.5)]
+        assert holland_speed(batch, 40.0).tolist() == [holland_speed(p, 40.0) for p in batch]
+        assert holland_speed([], np.ones((2, 3))).shape == (0, 2, 3)
+
+    def test_negative_r_rejected(self):
+        with pytest.raises(ValueError, match="radius"):
+            holland_speed([HollandParams(Vm=25, Rm=20)], [1.0, -1.0])
+
+    @pytest.mark.parametrize("Vtr", [(0.0, 0.0), (2.0, 3.0)])
+    def test_kernel_batch_rows_match_single_storms(self, Vtr):
+        batch = [HollandParams(Vm=25, Rm=20), HollandParams(Vm=46, Rm=40, B=1.5)]
+        xs, ys = np.linspace(-90.0, 90.0, 7), np.linspace(-60.0, 60.0, 5)
+        pos = np.array([[0.0, -30.0], [10.0, 0.0], [30.0, 45.0]])
+        steps = _wind_steps(batch, xs, ys, pos, reach=50.0, Vtr=Vtr, hemisphere="S")
+        singles = [list(_wind_steps(p, xs, ys, pos, reach=50.0, Vtr=Vtr, hemisphere="S")) for p in batch]
+        for t, (window, r, v) in enumerate(steps):
+            assert v.shape == (len(batch),) + r.shape
+            for k, single in enumerate(singles):
+                assert single[t][0] == window
+                assert np.array_equal(v[k], single[t][2])
 
 
 class TestTrack:

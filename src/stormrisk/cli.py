@@ -131,6 +131,10 @@ def _require(config: dict, path: str, types, check=None, describe: str = ""):
     return node
 
 
+# Most storms `_sweep_grids` may make, far above the default sweep's 1,860.
+_MAX_SWEEP_STORMS = 10**6
+
+
 def validate_config(config: dict) -> None:
     """Check every field used by the commands, raising ConfigError with the
     dotted path of the first offending field."""
@@ -172,6 +176,19 @@ def validate_config(config: dict) -> None:
         raise ConfigError("sweep.Vm_max", "must be >= sweep.Vm_min")
     if config["sweep"]["Rm_max"] < config["sweep"]["Rm_min"]:
         raise ConfigError("sweep.Rm_max", "must be >= sweep.Rm_min")
+    s = config["sweep"]
+    n_Vm, n_Rm = (  # the lengths of `_sweep_grids`' two np.arange axes
+        np.ceil((s[f"{a}_max"] + 1e-9 - s[f"{a}_min"]) / s[f"{a}_step"]) for a in ("Vm", "Rm")
+    )
+    if n_Vm > _MAX_SWEEP_STORMS:
+        raise ConfigError(
+            "sweep.Vm_max", f"{n_Vm:.3g} Vm values at sweep.Vm_step; at most {_MAX_SWEEP_STORMS:,} storms"
+        )
+    if n_Vm * n_Rm > _MAX_SWEEP_STORMS:
+        raise ConfigError(
+            "sweep.Rm_max",
+            f"{n_Vm:.0f} Vm by {n_Rm:.3g} Rm values at sweep.Rm_step; at most {_MAX_SWEEP_STORMS:,} storms",
+        )
     if config["counties_csv"] is not None and not isinstance(config["counties_csv"], str):
         raise ConfigError("counties_csv", "expected a path string or null")
     _require(config, "output_dir", str, describe="a path string")

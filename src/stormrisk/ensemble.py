@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import VELOCITY_FMT, _check_no_repeats, _read_csv, _write_csv
+from .csvio import _read_velocities, _write_velocities
 from .grid import Grid, TimeAxis
 from .wind import HollandParams, Track, WindField, asymmetric_field, axisymmetric_field
 
@@ -173,6 +173,15 @@ def mean_velocity(e: Ensemble) -> np.ndarray:
 # =============================================================================
 
 ENSEMBLE_HEADER = ["member", "cell_id", "time_index", "velocity_mps"]
+# The sidecar keys `load_ensemble` needs: int for an integer, float for any finite number.
+_SIDECAR_FIELDS = {"H": int, "nx": int, "ny": int, "n_steps": int, "cell_size_km": float, "dt_h": float}
+
+
+def _is_number(value, kind) -> bool:
+    """Whether a JSON value is an integer (`kind` int) or a finite number (`kind` float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def save_ensemble(e: Ensemble, path, header_comment: str | None = None) -> None:
@@ -196,13 +205,7 @@ def save_ensemble(e: Ensemble, path, header_comment: str | None = None) -> None:
     with open(str(path) + ".json", "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")
-    rows = (
-        (i, cell, t, format(x, VELOCITY_FMT))
-        for i, m in enumerate(e.members)
-        for cell, vc in enumerate(m.velocities)
-        for t, x in enumerate(vc.tolist())
-    )
-    _write_csv(path, ENSEMBLE_HEADER, rows, header_comment)
+    _write_velocities(path, ENSEMBLE_HEADER, [m.velocities for m in e.members], header_comment)
 
 
 def load_ensemble(path) -> Ensemble:
@@ -210,36 +213,33 @@ def load_ensemble(path) -> Ensemble:
 
     Every member must provide a velocity for every (cell, time) exactly once;
     gaps, repeats and malformed rows raise errors naming the offending
-    location.
+    location, and a sidecar that is not JSON or misses or mistypes a key
+    raises one naming the sidecar and the key.
     """
-    with open(str(path) + ".json") as f:
-        meta = json.load(f)
-    origin = tuple(float(v) for v in meta.get("origin_km", (0.0, 0.0)))
+    sidecar = f"{path}.json"
+    try:
+        with open(sidecar) as f:
+            meta = json.load(f)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{sidecar}: invalid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: expected a JSON object")
+    for key, kind in _SIDECAR_FIELDS.items():
+        if key not in meta:
+            raise ValueError(f"{sidecar}: missing key {key!r}")
+        if not _is_number(meta[key], kind):
+            what = "an integer" if kind is int else "a finite number"
+            raise ValueError(f"{sidecar}: {key} must be {what}, got {meta[key]!r}")
+    origin = meta.get("origin_km", [0.0, 0.0])
+    if not (isinstance(origin, list) and len(origin) == 2 and all(_is_number(v, float) for v in origin)):
+        raise ValueError(f"{sidecar}: origin_km must be [x, y], two finite numbers, got {origin!r}")
     grid = Grid(
-        origin=origin, nx=int(meta["nx"]), ny=int(meta["ny"]), cell_size=float(meta["cell_size_km"])
+        origin=tuple(map(float, origin)), nx=meta["nx"], ny=meta["ny"], cell_size=float(meta["cell_size_km"])
     )
-    times = TimeAxis(n_steps=int(meta["n_steps"]), dt=float(meta["dt_h"]))
-    H = int(meta["H"])
+    times = TimeAxis(n_steps=meta["n_steps"], dt=float(meta["dt_h"]))
+    H = meta["H"]
     if H < 1:
         raise ValueError(f"{path}: no members")
-    v = np.full((H, grid.n_cells, times.n_steps), np.nan)
-    n_rows = 0
-    for lineno, row in _read_csv(path, ENSEMBLE_HEADER):
-        try:
-            i, cell, t = int(row[0]), int(row[1]), int(row[2])
-            vel = float(row[3])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-        if not (0 <= i < H and 0 <= cell < grid.n_cells and 0 <= t < times.n_steps):
-            raise ValueError(f"{path}:{lineno}: member/cell/time out of range")
-        v[i, cell, t] = vel
-        n_rows += 1
-    if n_rows == 0:
-        raise ValueError(f"{path}: no members")
-    _check_no_repeats(path, ENSEMBLE_HEADER, v, n_rows)
-    missing = np.argwhere(np.isnan(v))
-    if missing.size:
-        i, cell, t = missing[0]
-        raise ValueError(f"{path}: missing velocity for member {i}, cell {cell}, time {t}")
+    v = _read_velocities(path, ENSEMBLE_HEADER, (H, grid.n_cells, times.n_steps))
     members = [WindField(grid=grid, times=times, velocities=v[i]) for i in range(H)]
     return Ensemble(members=tuple(members))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import VELOCITY_FMT, _check_no_repeats, _read_csv, _write_csv
+from .csvio import _read_velocities, _write_velocities
 from .grid import Grid, TimeAxis
 
 MPS_TO_KMH = 3.6
@@ -252,32 +252,10 @@ def save_wind_field(field: WindField, path, header_comment: str | None = None) -
     digits.  `header_comment`, if given, is written as a leading `#` line
     (readers skip such lines).
     """
-    rows = (
-        (cell, t, format(x, VELOCITY_FMT))
-        for cell, vc in enumerate(field.velocities)
-        for t, x in enumerate(vc.tolist())
-    )
-    _write_csv(path, WINDFIELD_HEADER, rows, header_comment)
+    _write_velocities(path, WINDFIELD_HEADER, [field.velocities], header_comment)
 
 
 def load_wind_field(path, grid: Grid, times: TimeAxis) -> WindField:
     """Read a wind-field CSV written by `save_wind_field`."""
-    v = np.full((grid.n_cells, times.n_steps), np.nan)
-    n_rows = 0
-    for lineno, row in _read_csv(path, WINDFIELD_HEADER):
-        try:
-            cell = int(row[0])
-            t = int(row[1])
-            vel = float(row[2])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-        if not (0 <= cell < grid.n_cells and 0 <= t < times.n_steps):
-            raise ValueError(f"{path}:{lineno}: cell/time out of range")
-        v[cell, t] = vel
-        n_rows += 1
-    _check_no_repeats(path, WINDFIELD_HEADER, v, n_rows)
-    missing = np.argwhere(np.isnan(v))
-    if missing.size:
-        cell, t = missing[0]
-        raise ValueError(f"{path}: missing velocity for cell {cell}, time {t}")
+    v = _read_velocities(path, WINDFIELD_HEADER, (grid.n_cells, times.n_steps))
     return WindField(grid=grid, times=times, velocities=v)

@@ -123,6 +123,20 @@ class TestEntryPoints:
         assert "sweep.Vm_max" in err and "finite" in err
 
     @pytest.mark.parametrize(
+        "assignment, field",
+        [
+            ("sweep.Vm_max=1e300", "sweep.Vm_max"),  # np.arange: "Maximum allowed size exceeded"
+            ("sweep.Vm_step=1e-12", "sweep.Vm_max"),  # np.arange: a 429 TiB MemoryError
+            ("sweep.Rm_step=1e-4", "sweep.Rm_max"),  # 60 x 300,001 storms
+        ],
+    )
+    def test_huge_sweep_exits_2_naming_field(self, tmp_path, capsys, assignment, field):
+        cfg = _write_config(tmp_path)
+        assert main(["sweep-fit", "--config", cfg, "--target", "damage", "--set", assignment]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "at most 1,000,000 storms" in err
+
+    @pytest.mark.parametrize(
         "assignment", ["times.t0_h=NaN", "repair.Lf=Infinity", "track.x0_km=[0, NaN]"]
     )
     def test_non_finite_numbers_rejected(self, assignment):

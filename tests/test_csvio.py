@@ -2,14 +2,19 @@
 
 The golden bytes pin the format as released: a LF `# comment` line, then
 CRLF rows from the `save_*` writers, and LF throughout for the two tables
-the CLI writes (`tables123.csv`, `critzone_cells.csv`).
+the CLI writes (`tables123.csv`, `critzone_cells.csv`).  The velocity tables
+are also checked byte for byte against the row-by-row `csv.writer` path they
+were first written with.
 """
 
 import json
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stormrisk import (
     County,
@@ -30,10 +35,13 @@ from stormrisk import (
     save_wind_field,
     save_zone_sweep,
 )
+from stormrisk import csvio
 from stormrisk.cli import main
+from stormrisk.csvio import VELOCITY_FMT, _write_csv
+from stormrisk.ensemble import ENSEMBLE_HEADER
 from stormrisk.grid import Grid, TimeAxis
 from stormrisk.nhpp import FailureDistribution
-from stormrisk.wind import WindField
+from stormrisk.wind import WINDFIELD_HEADER, WindField
 
 GRID = Grid(nx=2, ny=1, cell_size=5.0)
 TIMES = TimeAxis(n_steps=2)
@@ -202,6 +210,95 @@ class TestGoldenBytes:
             b"25,20,0.333333333,66666.6667,0.1,1e-12,7,0\n"
             b"46.0,40.0,1,2,3,4,5,6\n"
         )
+
+
+def reference_save_ensemble(e: Ensemble, path, header_comment=None) -> None:
+    """The ensemble CSV as `save_ensemble` wrote it through `csv.writer`, one
+    4-tuple and one `format` per row: the byte reference for the bulk writer."""
+    rows = (
+        (i, cell, t, format(x, VELOCITY_FMT))
+        for i, m in enumerate(e.members)
+        for cell, vc in enumerate(m.velocities)
+        for t, x in enumerate(vc.tolist())
+    )
+    _write_csv(path, ENSEMBLE_HEADER, rows, header_comment)
+
+
+def reference_save_wind_field(field: WindField, path, header_comment=None) -> None:
+    """`save_wind_field`'s former `csv.writer` path, the same way."""
+    rows = (
+        (cell, t, format(x, VELOCITY_FMT))
+        for cell, vc in enumerate(field.velocities)
+        for t, x in enumerate(vc.tolist())
+    )
+    _write_csv(path, WINDFIELD_HEADER, rows, header_comment)
+
+
+# Zeros of both signs, the smallest subnormal, exponent and digit-count edges.
+EDGE_VELOCITIES = [0.0, -0.0, 1.0, 5e-324, 1e-5, 123456789.0, 1e300]
+
+
+@st.composite
+def ensembles(draw) -> Ensemble:
+    """1-4 members on grids of 1-5 x 1-5 cells and 1-7 steps.
+
+    Values are spread over the cells from a drawn pool of edge cases and
+    random floats, which keeps the drawn data small.
+    """
+    H, nx, ny, n_steps = draw(
+        st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(1, 7))
+    )
+    pool = draw(
+        st.lists(
+            st.sampled_from(EDGE_VELOCITIES) | st.floats(0.0, allow_infinity=False),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.array(pool)[rng.integers(len(pool), size=(H, nx * ny, n_steps))]
+    grid, times = Grid(nx=nx, ny=ny), TimeAxis(n_steps=n_steps)
+    return Ensemble(members=tuple(WindField(grid=grid, times=times, velocities=m) for m in v))
+
+
+class TestVelocityWriter:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ensembles(), st.integers(1, 3), st.sampled_from([None, TAG]))
+    def test_bytes_match_reference_writer(self, tmp_path, e, block, comment):
+        # Blocks of 1-3 cells end mid-member and mid-grid.
+        with mock.patch.object(csvio, "_BLOCK_CELLS", block):
+            save_ensemble(e, tmp_path / "ens.csv", header_comment=comment)
+            save_wind_field(e.members[-1], tmp_path / "wf.csv", header_comment=comment)
+        reference_save_ensemble(e, tmp_path / "ref_ens.csv", header_comment=comment)
+        reference_save_wind_field(e.members[-1], tmp_path / "ref_wf.csv", header_comment=comment)
+        assert (tmp_path / "ens.csv").read_bytes() == (tmp_path / "ref_ens.csv").read_bytes()
+        assert (tmp_path / "wf.csv").read_bytes() == (tmp_path / "ref_wf.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ensembles(), st.integers(1, 3))
+    def test_round_trip_bit_equal(self, tmp_path, e, block):
+        with mock.patch.object(csvio, "_BLOCK_CELLS", block):
+            save_ensemble(e, tmp_path / "ens.csv", header_comment=TAG)
+        loaded = load_ensemble(tmp_path / "ens.csv")
+        # Compare bits, so that -0.0 must come back as -0.0.
+        assert np.array_equal(loaded.velocities().view(np.uint64), e.velocities().view(np.uint64))
+
+    def test_memory_does_not_grow_with_members(self, tmp_path):
+        # 400 cells of 49 steps span four blocks, the last one partial.  (The
+        # forecast's 100 x 100 grid takes over a minute under tracemalloc.)
+        grid, times = Grid(nx=20, ny=20), TimeAxis(n_steps=49)
+        assert 3 * csvio._BLOCK_CELLS < grid.n_cells < 4 * csvio._BLOCK_CELLS
+        v = np.random.default_rng(0).uniform(0.0, 60.0, (grid.n_cells, times.n_steps))
+        field = WindField(grid=grid, times=times, velocities=v)
+        peaks = {}
+        for H in (2, 20):
+            tracemalloc.start()
+            try:
+                save_ensemble(Ensemble(members=(field,) * H), tmp_path / "ens.csv")
+                _, peaks[H] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[20] <= 1.1 * peaks[2]
 
 
 class TestReader:

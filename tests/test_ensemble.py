@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,59 @@ class TestEnsembleIO:
         )
         with pytest.raises(ValueError, match="no members"):
             load_ensemble(path)
+
+    @pytest.mark.parametrize("key", ["H", "nx", "ny", "n_steps", "cell_size_km", "dt_h"])
+    def test_sidecar_missing_key_named(self, tmp_path, key):
+        path = self._with_sidecar(tmp_path, lambda meta: meta.pop(key))
+        with pytest.raises(ValueError, match=rf"ens\.csv\.json: missing key '{key}'"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("nx", 2.7), ("ny", "4"), ("H", True), ("n_steps", 6.0), ("H", None)]
+    )
+    def test_sidecar_non_integer_dimension_named(self, tmp_path, key, value):
+        path = self._with_sidecar(tmp_path, lambda meta: meta.update({key: value}))
+        with pytest.raises(ValueError, match=rf"ens\.csv\.json: {key} must be an integer"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("cell_size_km", "12"), ("dt_h", None), ("dt_h", [1.0]), ("cell_size_km", float("nan")),
+         ("dt_h", float("inf"))],
+    )
+    def test_sidecar_non_numeric_spacing_named(self, tmp_path, key, value):
+        path = self._with_sidecar(tmp_path, lambda meta: meta.update({key: value}))
+        with pytest.raises(ValueError, match=rf"ens\.csv\.json: {key} must be a finite number"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("origin", [[1.0], "ab", [0.0, None], [0.0, float("nan")], None])
+    def test_sidecar_bad_origin_named(self, tmp_path, origin):
+        path = self._with_sidecar(tmp_path, lambda meta: meta.update(origin_km=origin))
+        with pytest.raises(ValueError, match=r"ens\.csv\.json: origin_km must be \[x, y\]"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("text, error", [("{nope", "invalid JSON"), ("[1, 2]", "expected a JSON object")])
+    def test_sidecar_not_a_json_object_named(self, tmp_path, text, error):
+        path = self._with_sidecar(tmp_path, lambda meta: None)
+        (tmp_path / "ens.csv.json").write_text(text)
+        with pytest.raises(ValueError, match=rf"ens\.csv\.json: {error}"):
+            load_ensemble(path)
+
+    def test_sidecar_without_origin_loads_at_zero(self, tmp_path):
+        path = self._with_sidecar(tmp_path, lambda meta: meta.pop("origin_km"))
+        assert load_ensemble(path).grid.origin == (0.0, 0.0)
+
+    def test_sidecar_accepts_integer_spacing(self, tmp_path):
+        path = self._with_sidecar(tmp_path, lambda meta: meta.update(cell_size_km=12))
+        assert load_ensemble(path).grid == GRID
+
+    @staticmethod
+    def _with_sidecar(tmp_path, edit):
+        """A saved 2-member ensemble whose sidecar dict went through `edit`."""
+        path = tmp_path / "ens.csv"
+        save_ensemble(generate_synthetic_ensemble(_spec(H=2), GRID, TIMES), path)
+        sidecar = tmp_path / "ens.csv.json"
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        return path

@@ -51,7 +51,6 @@ from .glm import (
     GlmFit,
     OutageObservation,
     fit_binomial,
-    fit_outages,
     inv_logit,
     load_observations,
     logit,

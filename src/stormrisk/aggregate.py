@@ -167,19 +167,47 @@ def _relative_weights(y: np.ndarray) -> np.ndarray:
     return 1.0 / np.square(y)
 
 
+# The exponent grids and the significance level of the term pruning.  The
+# grids keep p2 <= 0.5 < 1 <= p1, so every (p1, p2) pair is scanned.
+_P1_GRID = np.round(np.arange(1.00, 1.5001, 0.01), 2).tolist()
+_P2_GRID = np.round(np.arange(-0.50, 0.5001, 0.01), 2).tolist()
+_LOSS_P_GRID = np.round(np.arange(1.20, 2.0001, 0.01), 2).tolist()
+_DROP_P = 0.05
+
+
+def _scan_fit(y, candidates, design, terms):
+    """Relative-error least squares at each exponent tuple in `candidates`.
+
+    `design(c, terms)` builds the regressors of the named `terms` at
+    exponents `c`.  The first candidate with the smallest rms wins; terms
+    insignificant at `_DROP_P` are then dropped and the model refit, unless
+    that would keep none or all of them.  Returns (c, terms, fit).
+    """
+    w = _relative_weights(y)
+    best = None
+    for c in candidates:
+        fit = linear_least_squares(design(c, terms), y, weights=w)
+        if best is None or fit.rms < best[1].rms:
+            best = (c, fit)
+    c, fit = best
+    keep = tuple(t for t, p in zip(terms, fit.p_values) if p < _DROP_P)
+    if 0 < len(keep) < len(terms):
+        fit = linear_least_squares(design(c, keep), y, weights=w)
+        terms = keep
+    return c, terms, fit
+
+
 @dataclass(frozen=True)
 class DamageFitModel:
     """Per-cell damage model
     D(Vm, Rm) = b1 + b2 Rm g^p1 + b3 Rm^2 g^(2 p1) + b4 Rm g^p2 + b5 Rm^2 g^(2 p2)
 
-    with g the normalized intensity excess.  Exponents are scanned on fixed
-    grids; terms insignificant at `drop_p` are removed and the model refit.
-    `terms` names the retained regressors in order of `fit.beta`.
+    with g the normalized intensity excess.  `terms` names the retained
+    regressors in order of `fit.beta`.
     """
 
     p1: float
     p2: float
-    beta: np.ndarray
     terms: tuple[str, ...]
     fit: LinearFit
     Vcrit: float
@@ -204,42 +232,16 @@ def _damage_design(Vm, Rm, p1, p2, Vcrit, terms=_DAMAGE_TERMS) -> np.ndarray:
     return np.column_stack([cols[t] for t in terms])
 
 
-def fit_damage_model(
-    Vm,
-    Rm,
-    damage,
-    Vcrit: float,
-    p1_grid=None,
-    p2_grid=None,
-    drop_p: float = 0.05,
-) -> DamageFitModel:
-    """Scan (p1, p2) exponent grids, fit by relative-error least squares,
-    keep the scan minimum, and prune insignificant terms.
-
-    Default grids: p1 in [1, 1.5], p2 in [-0.5, 0.5], both step 0.01.
-    """
-    if p1_grid is None:
-        p1_grid = np.round(np.arange(1.00, 1.5001, 0.01), 2)
-    if p2_grid is None:
-        p2_grid = np.round(np.arange(-0.50, 0.5001, 0.01), 2)
-    y = np.asarray(damage, dtype=float)
-    w = _relative_weights(y)
-    best = None
-    for p1 in p1_grid:
-        for p2 in p2_grid:
-            if p2 >= p1:
-                continue
-            X = _damage_design(Vm, Rm, p1, p2, Vcrit)
-            fit = linear_least_squares(X, y, weights=w)
-            if best is None or fit.rms < best[0]:
-                best = (fit.rms, float(p1), float(p2), fit)
-    _, p1, p2, fit = best
-    terms = _DAMAGE_TERMS
-    keep = tuple(t for t, p in zip(terms, fit.p_values) if p < drop_p)
-    if len(keep) and len(keep) < len(terms):
-        fit = linear_least_squares(_damage_design(Vm, Rm, p1, p2, Vcrit, keep), y, weights=w)
-        terms = keep
-    return DamageFitModel(p1=p1, p2=p2, beta=fit.beta, terms=terms, fit=fit, Vcrit=Vcrit)
+def fit_damage_model(Vm, Rm, damage, Vcrit: float) -> DamageFitModel:
+    """Scan p1 in [1, 1.5] and p2 in [-0.5, 0.5] (step 0.01) for the
+    relative-error least-squares minimum, then prune insignificant terms."""
+    (p1, p2), terms, fit = _scan_fit(
+        np.asarray(damage, dtype=float),
+        [(p1, p2) for p1 in _P1_GRID for p2 in _P2_GRID],
+        lambda c, terms: _damage_design(Vm, Rm, *c, Vcrit, terms),
+        _DAMAGE_TERMS,
+    )
+    return DamageFitModel(p1=p1, p2=p2, terms=terms, fit=fit, Vcrit=Vcrit)
 
 
 @dataclass(frozen=True)
@@ -248,12 +250,11 @@ class LossFitModel:
     [1, Rm g^p, Rm^2 g^2p, Rm^3 g^3p, Rm^4 g^4p, Rm^2 g^p, Rm^3 g^p,
      Rm^3 g^2p, Rm^4 g^2p, Rm, Rm^2, Rm^3, Rm^4],
 
-    with the single exponent p scanned on a grid and insignificant terms
-    pruned as in the damage model.
+    with the single exponent p scanned and insignificant terms pruned as in
+    the damage model.
     """
 
     p: float
-    beta: np.ndarray
     terms: tuple[str, ...]
     fit: LinearFit
     Vcrit: float
@@ -290,33 +291,16 @@ def _loss_design(Vm, Rm, p, Vcrit, terms=_LOSS_TERMS) -> np.ndarray:
     return np.column_stack([cols[t] for t in terms])
 
 
-def fit_loss_model(
-    Vm,
-    Rm,
-    loss,
-    Vcrit: float,
-    p_grid=None,
-    drop_p: float = 0.05,
-) -> LossFitModel:
-    """Scan the loss exponent grid (default [1.2, 2] step 0.01), fit by
-    relative-error least squares, keep the minimum, prune, refit."""
-    if p_grid is None:
-        p_grid = np.round(np.arange(1.20, 2.0001, 0.01), 2)
-    y = np.asarray(loss, dtype=float)
-    w = _relative_weights(y)
-    best = None
-    for p in p_grid:
-        X = _loss_design(Vm, Rm, p, Vcrit)
-        fit = linear_least_squares(X, y, weights=w)
-        if best is None or fit.rms < best[0]:
-            best = (fit.rms, float(p), fit)
-    _, p, fit = best
-    terms = _LOSS_TERMS
-    keep = tuple(t for t, pv in zip(terms, fit.p_values) if pv < drop_p)
-    if len(keep) and len(keep) < len(terms):
-        fit = linear_least_squares(_loss_design(Vm, Rm, p, Vcrit, keep), y, weights=w)
-        terms = keep
-    return LossFitModel(p=p, beta=fit.beta, terms=terms, fit=fit, Vcrit=Vcrit)
+def fit_loss_model(Vm, Rm, loss, Vcrit: float) -> LossFitModel:
+    """Scan p in [1.2, 2] (step 0.01) for the relative-error least-squares
+    minimum, then prune insignificant terms."""
+    (p,), terms, fit = _scan_fit(
+        np.asarray(loss, dtype=float),
+        [(p,) for p in _LOSS_P_GRID],
+        lambda c, terms: _loss_design(Vm, Rm, *c, Vcrit, terms),
+        _LOSS_TERMS,
+    )
+    return LossFitModel(p=p, terms=terms, fit=fit, Vcrit=Vcrit)
 
 
 # =============================================================================

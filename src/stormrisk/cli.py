@@ -388,14 +388,14 @@ def cmd_critzone(config: dict, args) -> int:
     report = {
         "config_sha256": digest,
         "Vthres_mps": nparams.Vcrit,
-        "Rcrit_km": None if Rcrit is None else float(format(Rcrit, ".9g")),
-        "area_numeric_km2": float(format(len(cells) * grid.cell_area, ".9g")),
+        "Rcrit_km": None if Rcrit is None else float(format(Rcrit, TABLE_FMT)),
+        "area_numeric_km2": float(format(len(cells) * grid.cell_area, TABLE_FMT)),
         "area_obround_km2": None
         if Rcrit is None
-        else float(format(critzone.obround_area(Rcrit, times.duration, track.Vtr), ".9g")),
+        else float(format(critzone.obround_area(Rcrit, times.duration, track.Vtr), TABLE_FMT)),
         "n_cells": len(cells),
-        "max_failure_rate_per_km": float(format(stats["max"], ".9g")),
-        "mean_failure_rate_per_km": float(format(stats["mean"], ".9g")),
+        "max_failure_rate_per_km": float(format(stats["max"], TABLE_FMT)),
+        "mean_failure_rate_per_km": float(format(stats["mean"], TABLE_FMT)),
     }
     _write_report(out_dir / "critzone_stats.json", report)
     return 0
@@ -506,7 +506,7 @@ def _sweep_fit_aggregate(config: dict, digest: str, target: str) -> None:
     report.update(
         config_sha256=digest,
         terms=list(model.terms),
-        beta=[float(b) for b in model.beta],
+        beta=[float(b) for b in model.fit.beta],
         se=[float(s) for s in model.fit.se],
         p_values=[float(p) for p in model.fit.p_values],
         rms_relative_residual=model.fit.rms,
@@ -529,6 +529,9 @@ def cmd_outage_fit(config: dict, args) -> int:
         raise ConfigError("counties_csv", "required for outage-fit")
     counties = load_county_fixture(config["counties_csv"])
     observations = glm.load_observations(args.obs)
+    unknown = sorted({obs.county for obs in observations} - set(counties.names()))
+    if unknown:
+        raise ConfigError("--obs", f"counties not in counties_csv: {', '.join(map(repr, unknown))}")
     ens = _generate_ensemble(config, args.threads)
     nparams = _build_nhpp(config)
     dt = ens.times.dt
@@ -538,18 +541,19 @@ def cmd_outage_fit(config: dict, args) -> int:
         per_cell = np.cumsum(nhpp.poisson_intensity(nparams, v) * dt, axis=-1).mean(axis=0)
     else:
         per_cell = np.cumsum(v, axis=-1).mean(axis=0)
-
-    def county_exposure(name):
-        county = counties[name]
-
-        def at(time_h: float) -> float:
-            k = int(np.clip(np.floor(time_h / dt), 0, ens.times.n_steps - 1))
-            return county_average(per_cell[:, k], county)
-
-        return at
-
-    exposures = {name: county_exposure(name) for name in counties.names()}
-    fit = glm.fit_outages(observations, exposures)
+    # Each observation's exposure is its county's mean at the step holding
+    # time_h, clipped to the horizon.
+    last = ens.times.n_steps - 1
+    exposure = []
+    for obs in observations:
+        k = int(np.clip(np.floor(obs.time_h / dt), 0, last))
+        exposure.append(county_average(per_cell[:, k], counties[obs.county]))
+    x = np.array(exposure)
+    fit = glm.fit_binomial(
+        np.column_stack([np.ones_like(x), x]),
+        np.array([obs.outages for obs in observations], dtype=float),
+        np.array([obs.households for obs in observations], dtype=float),
+    )
     report = {
         "config_sha256": digest,
         "predictor": args.predictor,

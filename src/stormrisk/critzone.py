@@ -29,15 +29,13 @@ from .wind import (
     holland_speed,
 )
 
-DEFAULT_VTHRES = 20.6  # m/s; the failure model's critical velocity
-
 
 # =============================================================================
 # Critical radius
 # =============================================================================
 
 
-def critical_radius(p: HollandParams, Vthres: float = DEFAULT_VTHRES) -> float | None:
+def critical_radius(p: HollandParams, Vthres: float) -> float | None:
     """Outer radius (km) at which the radial wind profile equals `Vthres`.
 
     None when Vm < Vthres (no such radius exists); Rm when Vm == Vthres;
@@ -151,7 +149,7 @@ def axisymmetric_zone_area(
     track: Track,
     p: HollandParams,
     times: TimeAxis,
-    Vthres: float = DEFAULT_VTHRES,
+    Vthres: float,
     cell_size: float = 2.0,
 ) -> float:
     """Numeric critical-zone area (km^2) of an axisymmetric storm.
@@ -225,9 +223,7 @@ class CritRadiusFit:
         return self.a1 * Rm * (Vm / self.Vthres) ** self.a2
 
 
-def sweep_critical_radius(
-    Vm_values, Rm_values, Vthres: float = DEFAULT_VTHRES, B: float = 1.0
-):
+def sweep_critical_radius(Vm_values, Rm_values, Vthres: float, B: float = 1.0):
     """Critical radii over the cartesian (Vm, Rm) sweep.
 
     Returns flat arrays (Vm, Rm, Rcrit) covering pairs with Vm >= Vthres.
@@ -244,7 +240,7 @@ def sweep_critical_radius(
     return (np.array(out_vm), np.array(out_rm), np.array(out_rc))
 
 
-def fit_crit_radius(Vm, Rm, Rcrit, Vthres: float = DEFAULT_VTHRES) -> CritRadiusFit:
+def fit_crit_radius(Vm, Rm, Rcrit, Vthres: float) -> CritRadiusFit:
     """Least-squares fit of log(Rcrit / Rm) = log(a1) + a2 * log(Vm / Vthres)."""
     Vm = np.asarray(Vm, dtype=float)
     Rm = np.asarray(Rm, dtype=float)

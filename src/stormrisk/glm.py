@@ -92,16 +92,15 @@ def _binomial_deviance(y, n, p) -> float:
     return float(2.0 * np.sum(t1 + t2))
 
 
-def fit_binomial(
-    X,
-    outages,
-    totals,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> GlmFit:
+# IRLS convergence tolerance (relative coefficient change) and step cap.
+_TOL = 1e-10
+_MAX_ITER = 100
+
+
+def fit_binomial(X, outages, totals) -> GlmFit:
     """Binomial logit fit of `outages` out of `totals` on design `X` by IRLS.
 
-    Converges when the relative coefficient change drops below `tol`.  Each
+    Converges when the relative coefficient change drops below `_TOL`.  Each
     IRLS step is halved until the deviance does not increase, so the iteration
     cannot diverge; probabilities are clamped away from 0/1 and an estimate
     pinned at the clamp is reported via `separated`.
@@ -127,7 +126,7 @@ def fit_binomial(
     trace = [dev]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         w = n * p * (1.0 - p)
         z = X @ beta + (y - n * p) / w
         sw = np.sqrt(w)
@@ -144,7 +143,7 @@ def fit_binomial(
         change = np.linalg.norm(step * delta) / max(np.linalg.norm(trial), 1e-30)
         beta, p, dev = trial, p_trial, dev_trial
         trace.append(dev)
-        if change < tol:
+        if change < _TOL:
             converged = True
             break
 
@@ -174,32 +173,6 @@ def fit_binomial(
         separated=separated,
         deviance_trace=tuple(trace),
     )
-
-
-# =============================================================================
-# Pipeline: wind field -> county exposure -> fit
-# =============================================================================
-
-
-def _outage_design(observations, exposure_by_county) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (X, outages, totals) from observations and a county->exposure map.
-
-    `exposure_by_county` maps county name to a callable of time (hours); X has
-    an intercept column and the exposure column.
-    """
-    xs, ys, ns = [], [], []
-    for obs in observations:
-        xs.append(float(exposure_by_county[obs.county](obs.time_h)))
-        ys.append(obs.outages)
-        ns.append(obs.households)
-    x = np.array(xs)
-    return np.column_stack([np.ones_like(x), x]), np.array(ys, dtype=float), np.array(ns, dtype=float)
-
-
-def fit_outages(observations, exposure_by_county) -> GlmFit:
-    """Fit the one-regressor outage model from observations and exposures."""
-    X, y, n = _outage_design(observations, exposure_by_county)
-    return fit_binomial(X, y, n)
 
 
 # =============================================================================

@@ -46,8 +46,10 @@ class Grid:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("nx and ny must be >= 1")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
+        if not 0 < self.cell_size < np.inf:
+            raise ValueError("cell_size must be finite and > 0")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("origin must be finite")
 
     @property
     def n_cells(self) -> int:
@@ -88,8 +90,8 @@ class TimeAxis:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and > 0")
 
     @property
     def duration(self) -> float:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stormrisk import aggregate
 
@@ -26,7 +26,15 @@ from stormrisk import (
     poisson_intensity,
     save_agg_sweep,
 )
-from stormrisk.aggregate import _damage_design, _loss_design
+from stormrisk.aggregate import (
+    _DAMAGE_TERMS,
+    _LOSS_TERMS,
+    _damage_design,
+    _loss_design,
+    _relative_weights,
+    _scan_fit,
+)
+from stormrisk.fitting import linear_least_squares
 
 P = NhppParams()
 VCRIT = P.Vcrit
@@ -363,3 +371,157 @@ class TestLossFit:
         model = fit_loss_model(Vm, Rm, y, VCRIT)
         assert model.p == pytest.approx(p, abs=1e-9)
         assert np.allclose(model.predict(Vm, Rm), y, rtol=1e-5)
+
+
+def damage_fit_reference(Vm, Rm, damage, Vcrit, p1_grid=None, p2_grid=None, drop_p=0.05):
+    """Reference `fit_damage_model`: its own scan, pick and prune loop from
+    before `aggregate._scan_fit`.  Returns (p1, p2, terms, fit)."""
+    if p1_grid is None:
+        p1_grid = np.round(np.arange(1.00, 1.5001, 0.01), 2)
+    if p2_grid is None:
+        p2_grid = np.round(np.arange(-0.50, 0.5001, 0.01), 2)
+    y = np.asarray(damage, dtype=float)
+    w = _relative_weights(y)
+    best = None
+    for p1 in p1_grid:
+        for p2 in p2_grid:
+            if p2 >= p1:
+                continue
+            X = _damage_design(Vm, Rm, p1, p2, Vcrit)
+            fit = linear_least_squares(X, y, weights=w)
+            if best is None or fit.rms < best[0]:
+                best = (fit.rms, float(p1), float(p2), fit)
+    _, p1, p2, fit = best
+    terms = _DAMAGE_TERMS
+    keep = tuple(t for t, p in zip(terms, fit.p_values) if p < drop_p)
+    if len(keep) and len(keep) < len(terms):
+        fit = linear_least_squares(_damage_design(Vm, Rm, p1, p2, Vcrit, keep), y, weights=w)
+        terms = keep
+    return p1, p2, terms, fit
+
+
+def loss_fit_reference(Vm, Rm, loss, Vcrit, p_grid=None, drop_p=0.05):
+    """Reference `fit_loss_model`: its own scan, pick and prune loop from
+    before `aggregate._scan_fit`.  Returns (p, terms, fit)."""
+    if p_grid is None:
+        p_grid = np.round(np.arange(1.20, 2.0001, 0.01), 2)
+    y = np.asarray(loss, dtype=float)
+    w = _relative_weights(y)
+    best = None
+    for p in p_grid:
+        X = _loss_design(Vm, Rm, p, Vcrit)
+        fit = linear_least_squares(X, y, weights=w)
+        if best is None or fit.rms < best[0]:
+            best = (fit.rms, float(p), fit)
+    _, p, fit = best
+    terms = _LOSS_TERMS
+    keep = tuple(t for t, pv in zip(terms, fit.p_values) if pv < drop_p)
+    if len(keep) and len(keep) < len(terms):
+        fit = linear_least_squares(_loss_design(Vm, Rm, p, Vcrit, keep), y, weights=w)
+        terms = keep
+    return p, terms, fit
+
+
+def assert_same_fit(a, b):
+    for name in ("beta", "se", "p_values", "rms", "cond"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+# A 40-storm sweep grid with responses drawn from the models themselves.
+SCAN_VM, SCAN_RM = (a.ravel() for a in np.meshgrid(np.arange(22.0, 81.0, 6.0), [20.0, 30.0, 40.0, 50.0]))
+# The same grid with g in {0, 1} only: g^p is then the same for every p > 0,
+# so distinct exponents tie exactly and the scan must keep the first.
+FLAT_VM = np.where(SCAN_VM < 50.0, VCRIT, 2.0 * VCRIT)
+
+
+def _damage_response(Vm, beta, noise, seed=0):
+    y = _damage_design(Vm, SCAN_RM, 1.13, 0.1, VCRIT) @ np.asarray(beta)
+    return y * (1.0 + noise * np.random.default_rng(seed).normal(size=y.shape))
+
+
+def _loss_response(Vm, beta, noise, seed=0):
+    y = _loss_design(Vm, SCAN_RM, 1.6, VCRIT) @ np.asarray(beta)
+    return y * (1.0 + noise * np.random.default_rng(seed).normal(size=y.shape))
+
+
+def _scan(Vm, y, candidates, design, terms, drop_p):
+    """`_scan_fit` on the SCAN_RM grid, pruning at `drop_p`."""
+    with mock.patch.object(aggregate, "_DROP_P", drop_p):
+        return _scan_fit(y, candidates, lambda c, t: design(Vm, SCAN_RM, *c, VCRIT, t), terms)
+
+
+# Few distinct exponents, so lists repeat entries and the scan meets exact ties.
+P1S = st.lists(st.sampled_from([1.0, 1.13, 1.2, 1.5]), min_size=1, max_size=4)
+P2S = st.lists(st.sampled_from([-0.5, 0.0, 0.1, 0.5]), min_size=1, max_size=4)
+DAMAGE_BETA = st.lists(st.sampled_from([0.0, 2e-3, -1e-3]), min_size=4, max_size=4)
+NOISE = st.sampled_from([0.0, 1e-3, 0.05])
+# _DROP_P of 0 keeps no term (no refit), of 1.1 every term (no refit); 0.05
+# and 0.5 usually keep some and refit.
+DROP_P = st.sampled_from([0.0, 0.05, 0.5, 1.1])
+
+
+class TestScanFit:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p1s=P1S,
+        p2s=P2S,
+        beta=DAMAGE_BETA,
+        noise=NOISE,
+        seed=st.integers(0, 3),
+        drop_p=DROP_P,
+        flat=st.booleans(),
+    )
+    @example(p1s=[1.13, 1.13], p2s=[0.1, 0.1], beta=[2e-3, 0.0, 0.0, 0.0], noise=0.0, seed=0, drop_p=0.05, flat=False)
+    @example(p1s=[1.5, 1.0], p2s=[0.5, 0.1], beta=[2e-3, 0.0, 0.0, 0.0], noise=0.01, seed=0, drop_p=0.05, flat=True)
+    def test_damage_scan_matches_reference(self, p1s, p2s, beta, noise, seed, drop_p, flat):
+        # 0^p2 is infinite for p2 < 0.
+        assume(not flat or min(p2s) > 0)
+        Vm = FLAT_VM if flat else SCAN_VM
+        y = _damage_response(Vm, [0.5] + beta, noise, seed)
+        ref = damage_fit_reference(Vm, SCAN_RM, y, VCRIT, p1s, p2s, drop_p)
+        pairs = [(a, b) for a in p1s for b in p2s]
+        (p1, p2), terms, fit = _scan(Vm, y, pairs, _damage_design, _DAMAGE_TERMS, drop_p)
+        assert (p1, p2, terms) == ref[:3]
+        assert_same_fit(fit, ref[3])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ps=st.lists(st.sampled_from([1.2, 1.6, 1.61, 2.0]), min_size=1, max_size=5),
+        noise=NOISE,
+        seed=st.integers(0, 3),
+        drop_p=DROP_P,
+        flat=st.booleans(),
+    )
+    @example(ps=[2.0, 1.2], noise=0.01, seed=0, drop_p=0.05, flat=True)
+    def test_loss_scan_matches_reference(self, ps, noise, seed, drop_p, flat):
+        Vm = FLAT_VM if flat else SCAN_VM
+        beta = np.zeros(13)
+        beta[[0, 1, 3, 6]] = [0.2, 1.5e-2, 6.4e-6, 6.4e-5]
+        y = _loss_response(Vm, beta, noise, seed)
+        ref = loss_fit_reference(Vm, SCAN_RM, y, VCRIT, ps, drop_p)
+        (p,), terms, fit = _scan(Vm, y, [(p,) for p in ps], _loss_design, _LOSS_TERMS, drop_p)
+        assert (p, terms) == ref[:2]
+        assert_same_fit(fit, ref[2])
+
+    @pytest.mark.parametrize("drop_p, kept", [(0.0, "none"), (0.05, "some"), (1.1, "all")])
+    def test_prune_cases(self, drop_p, kept):
+        # Two of the four excess terms carry no signal.
+        y = _damage_response(SCAN_VM, [0.5, 6.7e-3, 1.8e-3, 0.0, 0.0], noise=0.01)
+        ref = damage_fit_reference(SCAN_VM, SCAN_RM, y, VCRIT, [1.1, 1.13, 1.13], [0.0, 0.1], drop_p)
+        significant = ref[3].p_values < drop_p
+        assert {"none": not significant.any(), "some": 0 < len(ref[2]) < 5, "all": significant.all()}[kept]
+        pairs = [(a, b) for a in [1.1, 1.13, 1.13] for b in [0.0, 0.1]]
+        (p1, p2), terms, fit = _scan(SCAN_VM, y, pairs, _damage_design, _DAMAGE_TERMS, drop_p)
+        assert (p1, p2, terms) == ref[:3]
+        assert_same_fit(fit, ref[3])
+
+    def test_real_grids_match_reference(self):
+        Vm, Rm, damage, loss = damage_loss_sweep(np.arange(21.0, 81.0, 4.0), [20.0, 30.0, 40.0, 50.0], config=SMALL)
+        model = fit_damage_model(Vm, Rm, damage, VCRIT)
+        ref = damage_fit_reference(Vm, Rm, damage, VCRIT)
+        assert (model.p1, model.p2, model.terms) == ref[:3]
+        assert_same_fit(model.fit, ref[3])
+        model = fit_loss_model(Vm, Rm, loss, VCRIT)
+        ref = loss_fit_reference(Vm, Rm, loss, VCRIT)
+        assert (model.p, model.terms) == ref[:2]
+        assert_same_fit(model.fit, ref[2])

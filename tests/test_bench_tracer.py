@@ -1,0 +1,100 @@
+"""bench/tracer.py still fits the package.
+
+The tracer wraps public stormrisk functions by name and counts problem sizes
+at some of them (`COUNTERS`).  A counter keyed on a name that is no longer a
+public function never fires, and one whose arguments or result changed
+shape is counted in `trace.counter_errors`.  Both would quietly blank a
+benchmark metric, so a tiny traced run checks them.  The run happens in a
+fresh interpreter, because the tracer patches the package in place.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from stormrisk import County, CountySet, OutageObservation, save_county_fixture, save_observations
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import importlib, inspect, json, pkgutil, sys
+
+import stormrisk
+import tracer
+
+public = set()
+for info in pkgutil.iter_modules(stormrisk.__path__):
+    mod = importlib.import_module(f"stormrisk.{info.name}")
+    public |= {
+        name
+        for name, obj in vars(mod).items()
+        if inspect.isfunction(obj) and obj.__module__ == mod.__name__ and not name.startswith("_")
+    }
+trace = tracer.Tracer()
+tracer.install(trace)
+cli = sys.modules["stormrisk.cli"]
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({
+    "unknown_counters": sorted(set(tracer.COUNTERS) - public),
+    "codes": codes,
+    "counts": dict(trace.counts),
+}))
+"""
+
+
+def test_traced_outage_and_damage_fits(tmp_path):
+    counties_csv, obs_csv, cfg = tmp_path / "counties.csv", tmp_path / "obs.csv", tmp_path / "cfg.json"
+    save_county_fixture(
+        CountySet(
+            [
+                County(name="near", cells=set(range(60, 84)), households=5000),
+                County(name="far", cells={0, 1, 2}, households=5000),
+            ]
+        ),
+        counties_csv,
+    )
+    save_observations(
+        [
+            OutageObservation(county=name, time_h=float(t), outages=k, households=5000)
+            for t in range(6)
+            for name, k in (("near", 40 * (t + 1)), ("far", 2))
+        ],
+        obs_csv,
+    )
+    cfg.write_text(
+        json.dumps(
+            {
+                "grid": {"nx": 12, "ny": 12, "cell_size_km": 6.0, "origin_km": [-36.0, -36.0]},
+                "times": {"n_steps": 6, "dt_h": 1.0},
+                "track": {"x0_km": [0.0, -30.0], "vtr_mps": [0.0, 3.0]},
+                "ensemble": {"H": 3},
+                "sweep": {"Vm_min": 22, "Vm_max": 80, "Vm_step": 6, "Rm_min": 20, "Rm_max": 50, "Rm_step": 10},
+                "counties_csv": str(counties_csv),
+                "output_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    argvs = [
+        ["outage-fit", "--config", str(cfg), "--obs", str(obs_csv), "--threads", "1"],
+        ["sweep-fit", "--config", str(cfg), "--target", "damage", "--threads", "1"],
+    ]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "bench"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(argvs)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["unknown_counters"] == []
+    assert report["codes"] == [0, 0]
+    counts = report["counts"]
+    assert counts.get("trace.counter_errors", 0) == 0
+    assert counts["glm.irls_iterations"] > 0
+    # 51 x 101 exponent pairs, plus the refit if the pruning drops a term.
+    assert counts["fitting.fits"] in (5151, 5152)
+    assert counts["aggregate.storms"] == 40

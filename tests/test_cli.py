@@ -7,10 +7,16 @@ from stormrisk import (
     County,
     CountySet,
     OutageObservation,
+    county_average,
     critical_zone_numeric,
+    fit_binomial,
+    load_county_fixture,
+    load_observations,
+    nhpp,
     save_county_fixture,
     save_observations,
 )
+from stormrisk import cli
 from stormrisk.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -225,7 +231,7 @@ class TestCritzoneAndSweeps:
 
     @pytest.mark.parametrize("asymmetric", [False, True])
     def test_critzone_streams_without_a_dense_field(self, tmp_path, monkeypatch, asymmetric):
-        from stormrisk import cli, wind
+        from stormrisk import wind
 
         cfg = _write_config(tmp_path, field={"asymmetric": asymmetric, "hemisphere": "S"})
         config = load_config(cfg, [])
@@ -281,7 +287,98 @@ class TestCritzoneAndSweeps:
         assert got != sweep_rows(1.0)
 
 
+def outage_fit_reference(cfg, obs_csv, predictor, path):
+    """Reference `outage-fit`: the command as it was before it built its own
+    design, with per-county exposure closures, `glm._outage_design` and
+    `glm.fit_outages`.  Writes the report to `path`."""
+    config = load_config(cfg, [])
+    counties = load_county_fixture(config["counties_csv"])
+    observations = load_observations(obs_csv)
+    ens = cli._generate_ensemble(config, 1)
+    nparams = cli._build_nhpp(config)
+    dt = ens.times.dt
+    v = ens.velocities()
+    if predictor == "failure_rate":
+        per_cell = np.cumsum(nhpp.poisson_intensity(nparams, v) * dt, axis=-1).mean(axis=0)
+    else:
+        per_cell = np.cumsum(v, axis=-1).mean(axis=0)
+
+    def county_exposure(name):
+        county = counties[name]
+
+        def at(time_h: float) -> float:
+            k = int(np.clip(np.floor(time_h / dt), 0, ens.times.n_steps - 1))
+            return county_average(per_cell[:, k], county)
+
+        return at
+
+    exposure_by_county = {name: county_exposure(name) for name in counties.names()}
+    xs, ys, ns = [], [], []
+    for obs in observations:
+        xs.append(float(exposure_by_county[obs.county](obs.time_h)))
+        ys.append(obs.outages)
+        ns.append(obs.households)
+    x = np.array(xs)
+    X = np.column_stack([np.ones_like(x), x])
+    fit = fit_binomial(X, np.array(ys, dtype=float), np.array(ns, dtype=float))
+    report = {
+        "config_sha256": config_hash(config),
+        "predictor": predictor,
+        "beta": [float(b) for b in fit.beta],
+        "se": [float(s) for s in fit.se],
+        "wald_p_values": [float(p) for p in fit.p_values],
+        "deviance": fit.deviance,
+        "null_deviance": fit.null_deviance,
+        "lr_p_value": fit.lr_p_value,
+        "n_iterations": fit.n_iter,
+        "converged": fit.converged,
+        "separated": fit.separated,
+        "significant_at_0p05": bool(fit.p_values[1] < 0.05),
+    }
+    cli._write_report(path, report)
+
+
+def _outage_inputs(tmp_path, extra_obs=()):
+    counties = CountySet(
+        [
+            County(name="near", cells=set(range(60, 84)), households=5000),
+            County(name="far", cells={0, 1, 2}, households=5000),
+        ]
+    )
+    counties_csv = tmp_path / "counties.csv"
+    save_county_fixture(counties, counties_csv)
+    obs = []
+    # Times off the step grid and past both ends of the 6-step horizon.
+    for t in (-1.0, 0.0, 1.5, 2.0, 3.99, 5.0, 7.5):
+        obs.append(OutageObservation(county="near", time_h=t, outages=int(40 * (t + 2)), households=5000))
+        obs.append(OutageObservation(county="far", time_h=t, outages=2, households=5000))
+    obs_csv = tmp_path / "obs.csv"
+    save_observations(obs + list(extra_obs), obs_csv)
+    return _write_config(tmp_path, counties_csv=str(counties_csv)), obs_csv
+
+
 class TestOutageFit:
+    @pytest.mark.parametrize("predictor", ["failure_rate", "cumulative_velocity"])
+    def test_report_matches_reference_pipeline(self, tmp_path, predictor):
+        cfg, obs_csv = _outage_inputs(tmp_path)
+        assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv), "--predictor", predictor]) == 0
+        outage_fit_reference(cfg, obs_csv, predictor, tmp_path / "reference.json")
+        got = (tmp_path / "out" / "outage_fit.json").read_bytes()
+        assert got == (tmp_path / "reference.json").read_bytes()
+
+    def test_unknown_county_exits_2_before_the_ensemble(self, tmp_path, capsys, monkeypatch):
+        stray = OutageObservation(county="zz", time_h=1.0, outages=1, households=10)
+        cfg, obs_csv = _outage_inputs(tmp_path, [stray])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ensemble generated for a bad --obs file")
+
+        monkeypatch.setattr(cli, "_generate_ensemble", refuse)
+        assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
+        err = capsys.readouterr().err
+        assert "--obs" in err and "'zz'" in err
+        assert not (tmp_path / "out" / "outage_fit.json").exists()
+
     def test_end_to_end(self, tmp_path):
         counties = CountySet(
             [

@@ -5,13 +5,11 @@ from stormrisk import (
     GlmFit,
     OutageObservation,
     fit_binomial,
-    fit_outages,
     inv_logit,
     load_observations,
     logit,
     save_observations,
 )
-from stormrisk.glm import _outage_design
 
 
 def _design(n=40, seed=0):
@@ -136,31 +134,18 @@ class TestFitBinomial:
 
 class TestPipeline:
     def test_synthesize_and_refit(self):
-        # Counts drawn from the logit model itself; the refit must recover
-        # (beta0, beta1) within sampling error.
+        # Counts drawn from the logit model itself over county exposures that
+        # grow in time; the refit must recover (beta0, beta1) within sampling
+        # error.
         rng = np.random.default_rng(42)
-        exposures = {f"c{i}": (lambda t, k=i: 0.5 * k + 0.05 * t) for i in range(6)}
         times = np.arange(0.0, 12.0)
-        obs = []
-        for name, e in exposures.items():
-            p = inv_logit(-3.0 + 1.0 * np.array([e(t) for t in times]))
-            obs += [
-                OutageObservation(county=name, time_h=float(t), outages=int(k), households=1000)
-                for t, k in zip(times, rng.binomial(1000, p))
-            ]
-        fit = fit_outages(obs, exposures)
+        x = np.concatenate([0.5 * k + 0.05 * times for k in range(6)])
+        X = np.column_stack([np.ones_like(x), x])
+        totals = np.full(x.size, 1000.0)
+        y = rng.binomial(1000, inv_logit(-3.0 + 1.0 * x)).astype(float)
+        fit = fit_binomial(X, y, totals)
         assert fit.beta[0] == pytest.approx(-3.0, abs=3 * fit.se[0])
         assert fit.beta[1] == pytest.approx(1.0, abs=3 * fit.se[1])
-
-    def test_outage_design_constant_exposure(self):
-        obs = [
-            OutageObservation(county="a", time_h=0.0, outages=1, households=10),
-            OutageObservation(county="b", time_h=1.0, outages=2, households=20),
-        ]
-        X, y, n = _outage_design(obs, {"a": lambda t: 1.5, "b": lambda t: 2.5})
-        assert np.array_equal(X[:, 1], [1.5, 2.5])
-        assert np.array_equal(y, [1.0, 2.0])
-        assert np.array_equal(n, [10.0, 20.0])
 
 
 class TestObservationIO:

@@ -36,6 +36,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(**{"nx": 2, "ny": 2, "cell_size": 1.0, **bad})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"cell_size": np.nan},
+            {"cell_size": np.inf},
+            {"origin": (np.nan, 0.0)},
+            {"origin": (0.0, -np.inf)},
+        ],
+    )
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(**{"nx": 2, "ny": 2, "cell_size": 1.0, **bad})
+
 
 class TestTimeAxis:
     def test_duration_and_offsets(self):
@@ -47,6 +60,11 @@ class TestTimeAxis:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             TimeAxis(**{"n_steps": 1, "dt": 1.0, **bad})
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="finite"):
+            TimeAxis(n_steps=1, dt=dt)
 
 
 class TestCountyAverage:

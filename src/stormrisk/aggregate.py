@@ -25,12 +25,13 @@ g = (max(Vm, Vcrit) - Vcrit) / Vcrit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
-from .nhpp import NhppParams, poisson_intensity
+from .nhpp import NhppParams, _intensity
 from .wind import MPS_TO_KMH, HollandParams, _wind_steps
 
 
@@ -131,14 +132,20 @@ def damage_loss_sweep(
     Rm = np.tile(np.asarray(Rm_values, dtype=float), len(Vm_values))
     damage, loss = np.empty(Vm.size), np.empty(Vm.size)
     xs, ys = config.grid_centers()
+    # Mirror fold: the track runs along x = 0 with no translation vector, so if
+    # xs == -xs[::-1] column nx-1-i equals column i.  Evaluate ceil(nx/2) columns.
+    if not np.array_equal(xs, -xs[::-1]):
+        raise ValueError("sweep grid x centres must be symmetric about the track")
+    half = xs[: (config.nx + 1) // 2]
     cy = config.centre_y()
     pos = np.column_stack([np.zeros_like(cy), cy])
     storms = [HollandParams(Vm=v, Rm=r, B=config.B) for v, r in zip(Vm.tolist(), Rm.tolist())]
     for lo in range(0, len(storms), _SWEEP_CHUNK):
         chunk = slice(lo, lo + _SWEEP_CHUNK)
-        lam = np.zeros((len(storms[chunk]), config.nx, config.ny))
-        for _, _, v in _wind_steps(storms[chunk], xs, ys, pos):
-            lam += poisson_intensity(nhpp, v)
+        lam = np.zeros((len(storms[chunk]), len(half), config.ny))
+        for _, _, v in _wind_steps(storms[chunk], half, ys, pos):
+            lam += _intensity(nhpp, v)
+        lam = np.concatenate([lam, lam[:, : config.nx // 2][:, ::-1]], axis=1)
         lam = lam.reshape(len(lam), -1) * config.dt
         # Row means keep each storm's pairwise summation over its cells.
         damage[chunk] = lam.mean(axis=1)
@@ -175,17 +182,75 @@ _LOSS_P_GRID = np.round(np.arange(1.20, 2.0001, 0.01), 2).tolist()
 _DROP_P = 0.05
 
 
-def _scan_fit(y, candidates, design, terms):
+# The screen's band, relative to sum(w y^2); the rows and columns per block of
+# its Gram matrices (0.8 MB at most); and the candidates per batched solve.
+_SCREEN_BAND, _SCREEN_ROWS, _SCREEN_COLUMNS, _SCREEN_BATCH = 1e-8, 32, 320, 256
+
+
+def _screen(y, candidates, Rm, g, powers):
+    """Scan positions of the candidates that may hold the least rms, or None.
+
+    Term j of candidate c is the column Rm^a g^(k c[s]), (a, k, s) = powers[j].
+    Each distinct column of a term enters a bank once, and each candidate's
+    normal equations are a sub-block of the bank's Gram matrix.  None (a
+    non-finite bank or a singular sub-block) means: scan every candidate."""
+    sw = 1.0 / np.abs(y)  # the square root of _relative_weights
+    yw = y * sw
+    c = np.asarray(candidates, dtype=float)
+    n_columns = sum(len(np.unique(k * c[:, s])) for _, k, s in powers)
+    rss, err = np.empty(len(c)), np.empty(len(c))
+    for part in np.array_split(np.arange(len(c)), -(-n_columns // _SCREEN_COLUMNS)):
+        a, q, index = [], [], []
+        for ak, k, s in powers:
+            exps, inv = np.unique(k * c[part, s], return_inverse=True)
+            a, q, index = a + [ak] * len(exps), q + exps.tolist(), index + [len(q) + inv]
+        index, a, q = np.stack(index, axis=1), np.array(a, dtype=float), np.array(q)
+        G, b = np.zeros((len(q), len(q))), np.zeros(len(q))
+        for lo in range(0, len(y), _SCREEN_ROWS):
+            rows = slice(lo, lo + _SCREEN_ROWS)
+            C = Rm[rows, None] ** a * g[rows, None] ** q * sw[rows, None]
+            if not np.all(np.isfinite(C)):  # then G would not be finite either
+                return None
+            b += C.T @ yw[rows]
+            for j in range(0, len(q), _SCREEN_ROWS):  # no (columns, columns) temporary
+                G[:, j : j + _SCREEN_ROWS] += C.T @ C[:, j : j + _SCREEN_ROWS]
+        scale = np.sqrt(np.diag(G)) + (np.diag(G) == 0)  # 1 for an all-zero column
+        G /= scale
+        G /= scale[:, None]
+        b /= scale
+        for lo in range(0, len(part), _SCREEN_BATCH):
+            i = index[lo : lo + _SCREEN_BATCH]
+            Gc, bc = G[i[:, :, None], i[:, None, :]], b[i]
+            try:
+                beta = np.linalg.solve(Gc, bc[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                return None
+            # The residual sum of squares at beta, second order in its error,
+            # and a bound on the rounding of this sum (|G_ij| <= 1 once scaled).
+            quad = np.einsum("ci,cij,cj->c", beta, Gc, beta) - 2.0 * np.einsum("ci,ci->c", bc, beta)
+            rss[part[lo : lo + _SCREEN_BATCH]] = yw @ yw + quad
+            err[part[lo : lo + _SCREEN_BATCH]] = np.abs(beta).sum(1) ** 2 + 2.0 * np.abs(bc * beta).sum(1)
+    err = 64 * np.finfo(float).eps * (err + yw @ yw)
+    if not np.all(np.isfinite(rss + err)):
+        return None
+    return np.flatnonzero(rss - err <= np.min(rss + err) + _SCREEN_BAND * (yw @ yw))
+
+
+def _scan_fit(y, candidates, design, terms, bank=None):
     """Relative-error least squares at each exponent tuple in `candidates`.
 
     `design(c, terms)` builds the regressors of the named `terms` at
     exponents `c`.  The first candidate with the smallest rms wins; terms
     insignificant at `_DROP_P` are then dropped and the model refit, unless
     that would keep none or all of them.  Returns (c, terms, fit).
+
+    With `bank` = (Rm, g, powers) of `_screen`, the exact fit runs only on
+    the screened candidates, in scan order, which picks the same candidate.
     """
     w = _relative_weights(y)
+    band = None if bank is None else _screen(y, candidates, *bank)
     best = None
-    for c in candidates:
+    for c in candidates if band is None else [candidates[i] for i in band]:
         fit = linear_least_squares(design(c, terms), y, weights=w)
         if best is None or fit.rms < best[1].rms:
             best = (c, fit)
@@ -216,31 +281,35 @@ class DamageFitModel:
         return self.fit.predict(_damage_design(Vm, Rm, self.p1, self.p2, self.Vcrit, self.terms))
 
 
-_DAMAGE_TERMS = ("const", "Rm*g^p1", "Rm^2*g^2p1", "Rm*g^p2", "Rm^2*g^2p2")
+def _power_design(Vm, Rm, Vcrit, powers, exponents, terms) -> np.ndarray:
+    """The regressors Rm^a g^(k exponents[s]) of `terms`, (a, k, s) = powers[t]."""
+    g, Rm = g_of_vm(Vm, Vcrit), np.asarray(Rm, dtype=float)
+    return np.column_stack([Rm**a * g ** (k * exponents[s]) for a, k, s in map(powers.get, terms)])
+
+
+_DAMAGE_POWERS = {"const": (0, 0, 0), "Rm*g^p1": (1, 1, 0), "Rm^2*g^2p1": (2, 2, 0),
+                  "Rm*g^p2": (1, 1, 1), "Rm^2*g^2p2": (2, 2, 1)}
+_DAMAGE_TERMS = tuple(_DAMAGE_POWERS)
 
 
 def _damage_design(Vm, Rm, p1, p2, Vcrit, terms=_DAMAGE_TERMS) -> np.ndarray:
-    g = g_of_vm(Vm, Vcrit)
-    Rm = np.asarray(Rm, dtype=float)
-    cols = {
-        "const": np.ones_like(g),
-        "Rm*g^p1": Rm * g**p1,
-        "Rm^2*g^2p1": Rm**2 * g ** (2 * p1),
-        "Rm*g^p2": Rm * g**p2,
-        "Rm^2*g^2p2": Rm**2 * g ** (2 * p2),
-    }
-    return np.column_stack([cols[t] for t in terms])
+    return _power_design(Vm, Rm, Vcrit, _DAMAGE_POWERS, (p1, p2), terms)
+
+
+def _fit_powers(y, Vm, Rm, Vcrit, candidates, powers):
+    """The screened `_scan_fit` of a `_power_design` model over `candidates`."""
+    bank = (np.asarray(Rm, dtype=float), g_of_vm(Vm, Vcrit), list(powers.values()))
+    design = partial(_power_design, Vm, Rm, Vcrit, powers)
+    return _scan_fit(np.asarray(y, dtype=float), candidates, design, tuple(powers), bank)
 
 
 def fit_damage_model(Vm, Rm, damage, Vcrit: float) -> DamageFitModel:
     """Scan p1 in [1, 1.5] and p2 in [-0.5, 0.5] (step 0.01) for the
     relative-error least-squares minimum, then prune insignificant terms."""
-    (p1, p2), terms, fit = _scan_fit(
-        np.asarray(damage, dtype=float),
-        [(p1, p2) for p1 in _P1_GRID for p2 in _P2_GRID],
-        lambda c, terms: _damage_design(Vm, Rm, *c, Vcrit, terms),
-        _DAMAGE_TERMS,
-    )
+    if not np.all(g_of_vm(Vm, Vcrit) > 0):  # g = 0 makes the p2 < 0 terms infinite
+        raise ValueError(f"every Vm must exceed Vcrit = {Vcrit:g} for the damage fit")
+    candidates = [(p1, p2) for p1 in _P1_GRID for p2 in _P2_GRID]
+    (p1, p2), terms, fit = _fit_powers(damage, Vm, Rm, Vcrit, candidates, _DAMAGE_POWERS)
     return DamageFitModel(p1=p1, p2=p2, terms=terms, fit=fit, Vcrit=Vcrit)
 
 
@@ -263,43 +332,22 @@ class LossFitModel:
         return self.fit.predict(_loss_design(Vm, Rm, self.p, self.Vcrit, self.terms))
 
 
-_LOSS_TERMS = (
-    "const", "Rm*g^p", "Rm^2*g^2p", "Rm^3*g^3p", "Rm^4*g^4p",
-    "Rm^2*g^p", "Rm^3*g^p", "Rm^3*g^2p", "Rm^4*g^2p",
-    "Rm", "Rm^2", "Rm^3", "Rm^4",
-)
+_LOSS_POWERS = {
+    "const": (0, 0, 0), "Rm*g^p": (1, 1, 0), "Rm^2*g^2p": (2, 2, 0), "Rm^3*g^3p": (3, 3, 0),
+    "Rm^4*g^4p": (4, 4, 0), "Rm^2*g^p": (2, 1, 0), "Rm^3*g^p": (3, 1, 0), "Rm^3*g^2p": (3, 2, 0),
+    "Rm^4*g^2p": (4, 2, 0), "Rm": (1, 0, 0), "Rm^2": (2, 0, 0), "Rm^3": (3, 0, 0), "Rm^4": (4, 0, 0),
+}
+_LOSS_TERMS = tuple(_LOSS_POWERS)
 
 
 def _loss_design(Vm, Rm, p, Vcrit, terms=_LOSS_TERMS) -> np.ndarray:
-    g = g_of_vm(Vm, Vcrit)
-    Rm = np.asarray(Rm, dtype=float)
-    cols = {
-        "const": np.ones_like(g),
-        "Rm*g^p": Rm * g**p,
-        "Rm^2*g^2p": Rm**2 * g ** (2 * p),
-        "Rm^3*g^3p": Rm**3 * g ** (3 * p),
-        "Rm^4*g^4p": Rm**4 * g ** (4 * p),
-        "Rm^2*g^p": Rm**2 * g**p,
-        "Rm^3*g^p": Rm**3 * g**p,
-        "Rm^3*g^2p": Rm**3 * g ** (2 * p),
-        "Rm^4*g^2p": Rm**4 * g ** (2 * p),
-        "Rm": Rm,
-        "Rm^2": Rm**2,
-        "Rm^3": Rm**3,
-        "Rm^4": Rm**4,
-    }
-    return np.column_stack([cols[t] for t in terms])
+    return _power_design(Vm, Rm, Vcrit, _LOSS_POWERS, (p,), terms)
 
 
 def fit_loss_model(Vm, Rm, loss, Vcrit: float) -> LossFitModel:
     """Scan p in [1.2, 2] (step 0.01) for the relative-error least-squares
     minimum, then prune insignificant terms."""
-    (p,), terms, fit = _scan_fit(
-        np.asarray(loss, dtype=float),
-        [(p,) for p in _LOSS_P_GRID],
-        lambda c, terms: _loss_design(Vm, Rm, *c, Vcrit, terms),
-        _LOSS_TERMS,
-    )
+    (p,), terms, fit = _fit_powers(loss, Vm, Rm, Vcrit, [(p,) for p in _LOSS_P_GRID], _LOSS_POWERS)
     return LossFitModel(p=p, terms=terms, fit=fit, Vcrit=Vcrit)
 
 

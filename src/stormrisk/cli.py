@@ -488,6 +488,8 @@ def _sweep_fit_aggregate(config: dict, digest: str, target: str) -> None:
     repair = aggregate.RepairParams(
         Lf=float(config["repair"]["Lf"]), Y=float(config["repair"]["Y"])
     )
+    if target == "damage" and config["sweep"]["Vm_min"] <= nparams.Vcrit:
+        raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({nparams.Vcrit:g}) for --target damage")
     Vm_grid, Rm_grid = _sweep_grids(config)
     sweep = aggregate.SweepConfig(B=float(config["holland"]["B"]))
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(

@@ -18,7 +18,7 @@ from scipy.special import lambertw
 from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
 from .grid import Grid, TimeAxis
-from .nhpp import NhppParams, poisson_intensity
+from .nhpp import NhppParams, _intensity
 from .wind import (
     MPS_TO_KMH,
     HollandParams,
@@ -429,7 +429,7 @@ def storm_swath(
     inc = np.empty((grid.nx, grid.ny))
     for window, r, v in _wind_steps(p, xs, ys, pos, reach, Vtr, hemisphere):
         inc.fill(nhpp.lambda_norm)
-        inc[window] = poisson_intensity(nhpp, v)
+        inc[window] = _intensity(nhpp, v)
         rates += inc
         zone[window] |= (r < p.Rm) | (v >= Vthres)
     rates *= times.dt

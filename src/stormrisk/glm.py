@@ -31,6 +31,8 @@ class OutageObservation:
         # Data files skip rows whose first field starts with '#'.
         if self.county.startswith("#"):
             raise ValueError(f"county {self.county!r} must not start with '#'")
+        if not np.isfinite(self.time_h):
+            raise ValueError(f"time_h must be finite, got {self.time_h!r}")
         if self.households <= 0:
             raise ValueError("households must be > 0")
         if not 0 <= self.outages <= self.households:

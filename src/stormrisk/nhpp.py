@@ -66,13 +66,14 @@ def poisson_intensity(p: NhppParams, v):
     v = np.asarray(v, dtype=float)
     if np.any(v < 0):
         raise ValueError("velocity must be >= 0")
-    out = np.full(v.shape, p.lambda_norm)
-    hot = v >= p.Vcrit
-    ratio = v[hot] / p.Vcrit
-    out[hot] = p.lambda_norm * (1.0 + p.alpha * (ratio * ratio - 1.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _intensity(p, v)
+    return float(out) if out.ndim == 0 else out
+
+
+def _intensity(p: NhppParams, v: np.ndarray) -> np.ndarray:
+    """`poisson_intensity` of speeds `v` >= 0, unchecked, in one pass."""
+    ratio = v / p.Vcrit
+    return np.where(v >= p.Vcrit, p.lambda_norm * (1.0 + p.alpha * (ratio * ratio - 1.0)), p.lambda_norm)
 
 
 def failure_rate(p: NhppParams, velocities, dt: float = 1.0):

@@ -138,11 +138,20 @@ def holland_speed(p, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be >= 0")
+    out = _speed(*_profile(p, r.ndim), r)
+    return float(out) if out.ndim == 0 else out
+
+
+def _profile(p, ndim):
+    """(Vm, Rm, B) of a storm, or of a batch as columns for `ndim`-d radii."""
     if isinstance(p, HollandParams):
-        Vm, Rm, B = p.Vm, p.Rm, p.B
-    else:  # one (storms, 1, ...) column per parameter, broadcasting against r
-        rows = np.array([(q.Vm, q.Rm, q.B) for q in p], dtype=float).reshape(-1, 3)
-        Vm, Rm, B = rows.T.reshape((3, -1) + (1,) * r.ndim)
+        return p.Vm, p.Rm, p.B
+    rows = np.array([(q.Vm, q.Rm, q.B) for q in p], dtype=float).reshape(-1, 3)
+    return rows.T.reshape((3, -1) + (1,) * ndim)
+
+
+def _speed(Vm, Rm, B, r):
+    """`holland_speed` of `_profile` parameters at radii `r` >= 0, unchecked."""
     # Evaluated as Vm * exp((B/2) log(Rm/r) + (1 - (Rm/r)^B) / 2): near the
     # centre (Rm/r)^B overflows, but the exponent then underflows to -inf and
     # the speed correctly evaluates to 0 instead of inf * 0 = nan.  The log is
@@ -151,10 +160,7 @@ def holland_speed(p, r):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         logx = np.log(Rm) - np.log(r)
         v = Vm * np.exp(0.5 * B * logx + 0.5 * (1.0 - np.exp(B * logx)))
-    out = np.where(r > 0, v, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(r > 0, v, 0.0)
 
 
 def _grid_axes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -186,12 +192,13 @@ def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
     hi_x = np.searchsorted(xs, pos[:, 0] + reach, side="right")
     lo_y = np.searchsorted(ys, pos[:, 1] - reach)
     hi_y = np.searchsorted(ys, pos[:, 1] + reach, side="right")
+    profile = _profile(p, 2)
     for t, (px, py) in enumerate(pos):
         window = (slice(lo_x[t], hi_x[t]), slice(lo_y[t], hi_y[t]))
         dx = xs[window[0], None] - px
         dy = ys[None, window[1]] - py
-        r = np.hypot(dx, dy)
-        v = holland_speed(p, r)
+        r = np.hypot(dx, dy)  # never negative, so the profile skips the check
+        v = _speed(*profile, r)
         if asymmetric:
             # Tangential unit vector for counterclockwise rotation: (-dy, dx) / r.
             with np.errstate(invalid="ignore", divide="ignore"):

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -27,12 +29,16 @@ from stormrisk import (
     save_agg_sweep,
 )
 from stormrisk.aggregate import (
+    _DAMAGE_POWERS,
     _DAMAGE_TERMS,
+    _LOSS_POWERS,
     _LOSS_TERMS,
     _damage_design,
     _loss_design,
+    _power_design,
     _relative_weights,
     _scan_fit,
+    _screen,
 )
 from stormrisk.fitting import linear_least_squares
 
@@ -225,6 +231,12 @@ def sweep_reference(Vm_values, Rm_values, nhpp, repair, config):
     return tuple(np.array(col) for col in zip(*out))
 
 
+# Six storms in chunks of four on the default sweep's cell size and track.
+MIRROR_CASE = dict(
+    Vm=[30.0, 50.0, 70.0], Rm=[20.0, 40.0], ny=5, cell=22.264, vtr=3.0, T=24.0, dt=1.0, B=1.0, Lf=1.0, chunk=4
+)
+
+
 class TestSweep:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -240,6 +252,13 @@ class TestSweep:
         Lf=st.floats(0.0, 5.0),
         chunk=st.sampled_from([1, 2, 3, aggregate._SWEEP_CHUNK]),
     )
+    # The mirror fold evaluates ceil(nx / 2) columns: one column with nothing
+    # mirrored, one mirrored, and the default grid's odd and even neighbours,
+    # each with a partial last chunk of storms.
+    @example(nx=1, **MIRROR_CASE)
+    @example(nx=2, **MIRROR_CASE)
+    @example(nx=24, **MIRROR_CASE)
+    @example(nx=25, **MIRROR_CASE)
     def test_bit_identical_to_reference_loop(self, Vm, Rm, nx, ny, cell, vtr, T, dt, B, Lf, chunk):
         # A config whose T / dt rounds to no step is rejected (TestSweepConfig).
         assume(round(T / dt) >= 1)
@@ -261,6 +280,12 @@ class TestSweep:
         ref = sweep_reference(Vm, Rm, P, RepairParams(), SMALL)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
+
+    def test_asymmetric_grid_refused(self):
+        xs, ys = SMALL.grid_centers()
+        with mock.patch.object(SweepConfig, "grid_centers", lambda self: (xs + 1.0, ys)):
+            with pytest.raises(ValueError, match="symmetric about the track"):
+                damage_loss_sweep([40.0], [30.0], config=SMALL)
 
     @pytest.mark.parametrize("Vm, Rm", [([], [20.0]), ([25.0], []), ([], [])])
     def test_empty_sweep(self, Vm, Rm):
@@ -344,6 +369,14 @@ class TestDamageFit:
         assert model.p1 == pytest.approx(p1, abs=1e-9)
         assert model.p2 == pytest.approx(p2, abs=1e-9)
         assert np.allclose(model.predict(Vm, Rm), y, rtol=1e-6)
+
+    @pytest.mark.parametrize("Vm_low", [VCRIT, 15.0])
+    def test_vm_at_or_below_vcrit_refused_before_scanning(self, Vm_low):
+        # g = 0 there, and the p2 < 0 terms would be infinite.
+        Vm, Rm = np.array([Vm_low, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]), np.full(7, 30.0)
+        with mock.patch.object(aggregate, "_scan_fit", side_effect=AssertionError("scanned")):
+            with pytest.raises(ValueError, match="every Vm must exceed Vcrit = 20.6"):
+                fit_damage_model(Vm, Rm, np.linspace(1.0, 2.0, 7), VCRIT)
 
     def test_insignificant_terms_dropped(self):
         rng = np.random.default_rng(3)
@@ -525,3 +558,134 @@ class TestScanFit:
         ref = loss_fit_reference(Vm, Rm, loss, VCRIT)
         assert (model.p, model.terms) == ref[:2]
         assert_same_fit(model.fit, ref[2])
+
+
+def exact_argmin(y, candidates, design):
+    """Scan position of the first candidate with the least exact rms."""
+    w = _relative_weights(y)
+    rms = [linear_least_squares(design(c), y, weights=w).rms for c in candidates]
+    return int(np.argmin(rms))
+
+
+def _bank(Vm, Rm, powers):
+    return Rm, g_of_vm(Vm, VCRIT), list(powers.values())
+
+
+# A sweep-shaped grid of 140 storms, every Vm above Vcrit.
+SCREEN_VM, SCREEN_RM = (
+    a.ravel() for a in np.meshgrid(np.arange(22.0, 81.0, 3.0), np.arange(20.0, 51.0, 5.0))
+)
+
+
+class TestScreen:
+    """`_screen` keeps a band of candidates that always holds the exact argmin."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p1=st.sampled_from([1.0, 1.07, 1.13, 1.3, 1.5]),
+        p2=st.sampled_from([-0.5, -0.2, 0.0, 0.1, 0.37, 0.5]),
+        mix=st.sampled_from([0.0, 0.5, 1e-6]),
+        beta=st.lists(st.floats(-3e-3, 3e-3), min_size=4, max_size=4),
+        noise=st.sampled_from([0.0, 1e-4, 0.05]),
+        seed=st.integers(0, 3),
+    )
+    def test_band_holds_damage_argmin(self, p1, p2, mix, beta, noise, seed):
+        # `mix` blends in the model at p1 + 0.01: at 0.5 the two neighbouring
+        # exponents tie nearly, at 1e-6 they differ in the sixth digit.
+        design = lambda c: _damage_design(SCREEN_VM, SCREEN_RM, *c, VCRIT)
+        b = np.array([0.5] + beta)
+        y = (1 - mix) * design((p1, p2)) @ b + mix * design((p1 + 0.01, p2)) @ b
+        y = np.abs(y) * (1.0 + noise * np.random.default_rng(seed).normal(size=y.shape)) + 0.01
+        p1s, p2s = (1.0, 1.07, 1.08, 1.13, 1.14, 1.3, 1.31, 1.5, 1.51), (-0.5, -0.2, 0.0, 0.1, 0.37, 0.5)
+        candidates = [(a, c) for a in p1s for c in p2s]
+        band = _screen(y, candidates, *_bank(SCREEN_VM, SCREEN_RM, _DAMAGE_POWERS))
+        assert band is not None and len(band) >= 1
+        assert exact_argmin(y, candidates, design) in band
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.sampled_from([1.2, 1.5, 1.61, 2.0]),
+        mix=st.sampled_from([0.0, 0.5]),
+        noise=st.sampled_from([0.0, 1e-3, 0.05]),
+        seed=st.integers(0, 3),
+        four_radii=st.booleans(),
+    )
+    def test_band_holds_loss_argmin(self, p, mix, noise, seed, four_radii):
+        # On four distinct radii the polynomial terms 1, Rm, ..., Rm^4 are
+        # linearly dependent: the screen must then fall back or still hold
+        # the argmin of the exact (minimum-norm) fits.
+        Vm, Rm = (SCAN_VM, SCAN_RM) if four_radii else (SCREEN_VM, SCREEN_RM)
+        design = lambda c: _loss_design(Vm, Rm, *c, VCRIT)
+        b = np.zeros(13)
+        b[[0, 1, 3, 6]] = [0.2, 1.5e-2, 6.4e-6, 6.4e-5]
+        y = (1 - mix) * design((p,)) @ b + mix * design((p + 0.01,)) @ b
+        y = y * (1.0 + noise * np.random.default_rng(seed).normal(size=y.shape))
+        candidates = [(q,) for q in np.round(np.arange(1.2, 2.0001, 0.01), 2).tolist()]
+        with mock.patch.object(aggregate, "_SCREEN_COLUMNS", 100):  # several Gram matrices
+            band = _screen(y, candidates, *_bank(Vm, Rm, _LOSS_POWERS))
+        assert four_radii or band is not None
+        assert band is None or exact_argmin(y, candidates, design) in band
+
+    def test_exact_ties_between_distinct_exponents(self):
+        # With g in {0, 1}, g^p is the same column for every p > 0: every
+        # candidate ties exactly and the band must hold them all, the first
+        # (the exact scan's pick) included.
+        powers = {"const": (0, 0, 0), "Rm*g^p": (1, 1, 0)}
+        Vm = np.where(SCREEN_VM < 50.0, VCRIT, 2.0 * VCRIT)
+        y = 1.0 + 0.01 * SCREEN_RM * g_of_vm(Vm, VCRIT) + 0.01 * np.sin(SCREEN_VM)
+        candidates = [(q,) for q in (0.3, 0.7, 1.0, 1.9)]
+        band = _screen(y, candidates, *_bank(Vm, SCREEN_RM, powers))
+        assert band.tolist() == [0, 1, 2, 3]
+        design = partial(_power_design, Vm, SCREEN_RM, VCRIT, powers)
+        screened = _scan_fit(y, candidates, design, tuple(powers), _bank(Vm, SCREEN_RM, powers))
+        exact = _scan_fit(y, candidates, design, tuple(powers))
+        assert screened[:2] == exact[:2] == ((0.3,), tuple(powers))
+        assert_same_fit(screened[2], exact[2])
+
+    def test_non_finite_bank_falls_back_to_the_full_scan(self):
+        # g = 0 with a negative exponent makes a bank column infinite.
+        Vm = np.where(SCREEN_VM < 30.0, VCRIT, SCREEN_VM)
+        y = 1.0 + 0.01 * np.cos(SCREEN_VM)
+        powers = {"const": (0, 0, 0), "Rm*g^p": (1, 1, 0)}
+        candidates = [(0.5,), (-0.5,), (1.0,)]
+        bank = _bank(Vm, SCREEN_RM, powers)
+        # The bank's own 0^-0.5 is the only floating-point warning on the way.
+        with warnings.catch_warnings(), np.errstate(divide="ignore"):
+            warnings.simplefilter("error")
+            assert _screen(y, candidates, *bank) is None
+            assert _screen(y, candidates[::2], *bank) is not None
+
+    def test_singular_candidate_falls_back(self):
+        # Two terms on the same exponent slot: the candidate's design has two
+        # equal columns at g in {0, 1}.
+        powers = {"Rm*g^p": (1, 1, 0), "Rm*g^2p": (1, 2, 0)}
+        Vm = np.where(SCREEN_VM < 50.0, VCRIT, 2.0 * VCRIT)
+        y = 1.0 + 0.01 * np.sin(SCREEN_VM)
+        assert _screen(y, [(0.5,), (1.0,)], *_bank(Vm, SCREEN_RM, powers)) is None
+
+
+class TestFitCallCount:
+    """The screened fits run the exact least squares on the band only."""
+
+    @pytest.mark.parametrize("target", ["damage", "loss"])
+    def test_exact_fits_at_most_band_plus_two(self, target):
+        Vm_grid, Rm_grid = np.arange(21.0, 81.0, 6.0), np.arange(20.0, 51.0, 5.0)
+        Vm, Rm, damage, loss = damage_loss_sweep(Vm_grid, Rm_grid, config=SMALL)
+        calls, bands = [], []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linear_least_squares(*args, **kwargs)
+
+        def screen(*args):
+            bands.append(_screen(*args))
+            return bands[-1]
+
+        with mock.patch.object(aggregate, "linear_least_squares", counted), \
+                mock.patch.object(aggregate, "_screen", screen):
+            if target == "damage":
+                fit_damage_model(Vm, Rm, damage, VCRIT)
+            else:
+                fit_loss_model(Vm, Rm, loss, VCRIT)
+        assert len(bands) == 1 and bands[0] is not None
+        assert 1 <= len(calls) <= len(bands[0]) + 2 < 10

@@ -14,7 +14,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-from stormrisk import County, CountySet, OutageObservation, save_county_fixture, save_observations
+from unittest import mock
+
+import numpy as np
+
+from stormrisk import (
+    County,
+    CountySet,
+    NhppParams,
+    OutageObservation,
+    aggregate,
+    damage_loss_sweep,
+    fit_damage_model,
+    save_county_fixture,
+    save_observations,
+)
+from stormrisk.fitting import linear_least_squares
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,6 +110,17 @@ def test_traced_outage_and_damage_fits(tmp_path):
     counts = report["counts"]
     assert counts.get("trace.counter_errors", 0) == 0
     assert counts["glm.irls_iterations"] > 0
-    # 51 x 101 exponent pairs, plus the refit if the pruning drops a term.
-    assert counts["fitting.fits"] in (5151, 5152)
+    # The screened exponent pairs' exact fits, plus the refit if the pruning
+    # drops a term: the same calls as the damage fit makes untraced.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linear_least_squares(*args, **kwargs)
+
+    Vm_grid, Rm_grid = np.arange(22.0, 80.0 + 1e-9, 6.0), np.arange(20.0, 50.0 + 1e-9, 10.0)
+    Vm, Rm, damage, _ = damage_loss_sweep(Vm_grid, Rm_grid)
+    with mock.patch.object(aggregate, "linear_least_squares", counted):
+        fit_damage_model(Vm, Rm, damage, NhppParams().Vcrit)
+    assert counts["fitting.fits"] == len(calls) < 10
     assert counts["aggregate.storms"] == 40

@@ -269,6 +269,25 @@ class TestCritzoneAndSweeps:
         assert 1.0 <= report["p1"] <= 1.5
 
 
+    def test_damage_sweep_reaching_vcrit_exits_2_naming_vm_min(self, tmp_path, capsys, monkeypatch):
+        # g = 0 at Vm <= Vcrit would make the p2 < 0 terms infinite.
+        monkeypatch.setattr(cli.aggregate, "damage_loss_sweep", None)  # refused before the sweep
+        cfg = _write_config(tmp_path)
+        assert main(["sweep-fit", "--config", cfg, "--target", "damage", "--set", "sweep.Vm_min=20.6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid input: sweep.Vm_min: must be > nhpp.Vcrit_mps (20.6) for --target damage\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_loss_sweep_reaching_vcrit_still_fits(self, tmp_path):
+        cfg = _write_config(
+            tmp_path,
+            sweep={"Vm_min": 20.6, "Vm_max": 80, "Vm_step": 6, "Rm_min": 20, "Rm_max": 50, "Rm_step": 10},
+        )
+        assert main(["sweep-fit", "--config", cfg, "--target", "loss"]) == 0
+        report = json.loads((tmp_path / "out" / "loss_fit.json").read_text())
+        assert 1.2 <= report["p"] <= 2.0
+
     def test_sweep_fit_damage_honours_holland_b(self, tmp_path):
         from stormrisk import NhppParams, SweepConfig, damage_loss_sweep, save_agg_sweep
 
@@ -378,6 +397,18 @@ class TestOutageFit:
         err = capsys.readouterr().err
         assert "--obs" in err and "'zz'" in err
         assert not (tmp_path / "out" / "outage_fit.json").exists()
+
+    def test_nan_time_row_named_by_line_before_the_ensemble(self, tmp_path, capsys, monkeypatch):
+        cfg, obs_csv = _outage_inputs(tmp_path)
+        lines = obs_csv.read_text().splitlines(keepends=True)
+        header = 1 + lines[0].startswith("#")
+        lines.insert(header, "near,nan,1,100\n")
+        obs_csv.write_text("".join(lines))
+        monkeypatch.setattr(cli, "_generate_ensemble", None)  # never reached
+        assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 1
+        err = capsys.readouterr().err
+        assert f"{obs_csv}:{header + 1}: time_h must be finite, got nan" in err
+        assert "Traceback" not in err and "cannot convert" not in err
 
     def test_end_to_end(self, tmp_path):
         counties = CountySet(

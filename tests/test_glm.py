@@ -165,6 +165,17 @@ class TestObservationIO:
         with pytest.raises(ValueError, match=":2:"):
             load_observations(path)
 
+    @pytest.mark.parametrize("time_h", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, time_h):
+        with pytest.raises(ValueError, match="time_h must be finite"):
+            OutageObservation(county="a", time_h=time_h, outages=1, households=100)
+
+    def test_nan_time_row_line_numbered(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("county,time_h,outages,households\na,nan,1,100\nb,1.0,2,100\n")
+        with pytest.raises(ValueError, match=r"obs\.csv:2: time_h must be finite, got nan"):
+            load_observations(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             OutageObservation(county="a", time_h=0.0, outages=-1, households=10)

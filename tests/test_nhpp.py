@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stormrisk import (
     Ensemble,
@@ -103,6 +104,31 @@ class TestIntensity:
     @given(st.floats(0.0, 200.0))
     def test_at_least_nominal(self, v):
         assert poisson_intensity(P, v) >= P.lambda_norm * (1 - 1e-15)
+
+    @settings(deadline=None)
+    @given(
+        v=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+            elements=st.one_of(st.sampled_from([0.0, P.Vcrit, 2 * P.Vcrit]), st.floats(0.0, 200.0)),
+        ),
+        alpha=st.floats(1.0, 1e4),
+    )
+    @example(v=np.array(P.Vcrit), alpha=P.alpha)  # 0-d, at Vcrit exactly
+    @example(v=np.empty((0, 3)), alpha=P.alpha)
+    def test_one_pass_matches_masked_form(self, v, alpha):
+        # The masked fill-gather-scatter form poisson_intensity had before its
+        # one np.where pass: each element goes through the same arithmetic.
+        p = NhppParams(alpha=alpha)
+        ref = np.full(v.shape, p.lambda_norm)
+        hot = v >= p.Vcrit
+        ratio = v[hot] / p.Vcrit
+        ref[hot] = p.lambda_norm * (1.0 + p.alpha * (ratio * ratio - 1.0))
+        got = poisson_intensity(p, v)
+        if v.ndim == 0:
+            assert isinstance(got, float) and got == float(ref)
+        else:
+            assert got.shape == v.shape and np.array_equal(got, ref)
 
     @pytest.mark.parametrize("bad", [{"Vcrit": 0.0}, {"alpha": 0.5}, {"lambda_norm": 0.0}])
     def test_invalid_params(self, bad):

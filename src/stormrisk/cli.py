@@ -8,7 +8,7 @@ directory.  Each output embeds the SHA-256 hash of the resolved config, so a
 result file can always be traced to the exact inputs that produced it.
 
 Exit codes: 0 success, 1 runtime failure (e.g. missing input file), 2 invalid
-input (bad config value or flag).
+input (bad config value or flag, or an input file that does not parse).
 """
 
 from __future__ import annotations
@@ -25,15 +25,18 @@ from . import aggregate, critzone, glm, nhpp
 from .csvio import TABLE_FMT, _write_csv
 from .ensemble import (
     EnsemblePerturbationSpec,
+    _mean,
+    _member_velocities,
     default_thread_count,
-    generate_synthetic_ensemble,
-    save_ensemble,
+    save_ensemble_members,
 )
 from .grid import Grid, TimeAxis, county_average, load_county_fixture
 from .nhpp import NhppParams
 from .wind import (
     HollandParams,
     Track,
+    _grid_axes,
+    _sub_grid,
     asymmetric_field,
     axisymmetric_field,
     save_wind_field,
@@ -287,10 +290,18 @@ def _build_field(config):
     return axisymmetric_field(track, params, grid, times)
 
 
-def _generate_ensemble(config, threads: int):
-    return generate_synthetic_ensemble(
-        _build_ensemble_spec(config), _build_grid(config), _build_times(config), threads=threads
-    )
+def _members(config, threads: int, axes=None):
+    """Each member's velocities in turn, on the grid or on cell-centre `axes`."""
+    axes = _grid_axes(_build_grid(config)) if axes is None else axes
+    return _member_velocities(_build_ensemble_spec(config), *axes, _build_times(config), threads)
+
+
+def _load(loader, name: str, path):
+    """`loader(path)`; a file that does not parse is bad input under `name`."""
+    try:
+        return loader(path)
+    except ValueError as exc:  # it names the file and line
+        raise ConfigError(name, str(exc)) from None
 
 
 def _out_dir(config) -> Path:
@@ -326,16 +337,17 @@ def cmd_windfield(config: dict, args) -> int:
 
 def cmd_ensemble(config: dict, args) -> int:
     tag = f"config_sha256={config_hash(config)}"
-    ens = _generate_ensemble(config, args.threads)
-    save_ensemble(ens, _out_dir(config) / "ensemble.csv", header_comment=tag)
+    members = _members(config, args.threads)
+    out = _out_dir(config) / "ensemble.csv"
+    save_ensemble_members(_build_grid(config), _build_times(config), members, out, header_comment=tag)
     return 0
 
 
 def cmd_failure_rates(config: dict, args) -> int:
     tag = f"config_sha256={config_hash(config)}"
-    ens = _generate_ensemble(config, args.threads)
-    params = _build_nhpp(config)
-    rates = nhpp.fr1(params, ens) if args.which == "fr1" else nhpp.fr2(params, ens)
+    members = _members(config, args.threads)
+    reduce = nhpp._fr1 if args.which == "fr1" else nhpp._fr2
+    rates = reduce(_build_nhpp(config), members, _build_times(config).dt)
     out = _out_dir(config) / f"failure_rates_{args.which}.csv"
     nhpp.save_failure_rate_field(rates, out, header_comment=tag)
     return 0
@@ -349,18 +361,19 @@ def cmd_fail_dist(config: dict, args) -> int:
         raise ConfigError("--cells", "expected a comma-separated list of cell ids") from None
     if not cells:
         raise ConfigError("--cells", "need at least one cell id")
-    n_cells = _build_grid(config).n_cells
+    grid = _build_grid(config)
     for cell in cells:
-        if not 0 <= cell < n_cells:
-            raise ConfigError("--cells", f"cell {cell} outside [0, {n_cells})")
+        if not 0 <= cell < grid.n_cells:
+            raise ConfigError("--cells", f"cell {cell} outside [0, {grid.n_cells})")
     if args.n_max is not None and args.n_max < 0:
         raise ConfigError("--n-max", "must be >= 0")
-    ens = _generate_ensemble(config, args.threads)
-    params = _build_nhpp(config)
+    xs, ys, rows = _sub_grid(grid, cells)
+    members = _members(config, args.threads, (xs, ys))
+    rates = nhpp._member_rates(_build_nhpp(config), members, rows, _build_times(config).dt)
     out_dir = _out_dir(config)
-    make = nhpp.fd_a if args.kind == "fda" else nhpp.fd_b
-    for cell in cells:
-        dist = make(params, ens, cell, n_max=args.n_max)
+    make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
+    for j, cell in enumerate(cells):
+        dist = make(rates[:, j], args.n_max)
         nhpp.save_failure_distribution(
             dist, out_dir / f"fail_dist_{args.kind}_cell{cell}.csv", header_comment=tag
         )
@@ -525,27 +538,29 @@ def cmd_sweep_fit(config: dict, args) -> int:
     return 0
 
 
+def _cumulative_exposure(nparams: NhppParams, velocities, dt: float, predictor: str) -> np.ndarray:
+    """Member mean of each cell's running sum of intensity times `dt`
+    ("failure_rate") or of speed, from the members' arrays one at a time."""
+    if predictor == "failure_rate":
+        return _mean(np.cumsum(nhpp.poisson_intensity(nparams, v) * dt, axis=-1) for v in velocities)
+    return _mean(np.cumsum(v, axis=-1) for v in velocities)
+
+
 def cmd_outage_fit(config: dict, args) -> int:
     digest = config_hash(config)
     if config["counties_csv"] is None:
         raise ConfigError("counties_csv", "required for outage-fit")
-    counties = load_county_fixture(config["counties_csv"])
-    observations = glm.load_observations(args.obs)
+    counties = _load(load_county_fixture, "counties_csv", config["counties_csv"])
+    observations = _load(glm.load_observations, "--obs", args.obs)
     unknown = sorted({obs.county for obs in observations} - set(counties.names()))
     if unknown:
         raise ConfigError("--obs", f"counties not in counties_csv: {', '.join(map(repr, unknown))}")
-    ens = _generate_ensemble(config, args.threads)
-    nparams = _build_nhpp(config)
-    dt = ens.times.dt
-
-    v = ens.velocities()
-    if args.predictor == "failure_rate":
-        per_cell = np.cumsum(nhpp.poisson_intensity(nparams, v) * dt, axis=-1).mean(axis=0)
-    else:
-        per_cell = np.cumsum(v, axis=-1).mean(axis=0)
+    times = _build_times(config)
+    dt = times.dt
+    per_cell = _cumulative_exposure(_build_nhpp(config), _members(config, args.threads), dt, args.predictor)
     # Each observation's exposure is its county's mean at the step holding
     # time_h, clipped to the horizon.
-    last = ens.times.n_steps - 1
+    last = times.n_steps - 1
     exposure = []
     for obs in observations:
         k = int(np.clip(np.floor(obs.time_h / dt), 0, last))

@@ -39,27 +39,29 @@ def _write_csv(path, header, rows, comment: str | None = None, line_end: str = "
         w.writerows(rows)
 
 
-def _write_velocities(path, header, fields, comment: str | None = None) -> None:
+def _write_velocities(path, header, fields, comment: str | None = None) -> int:
     """Write `header`, then a CRLF row `[member,]cell,t,velocity` for every
-    value of each (cells, steps) array in `fields`; the member column comes
-    when `header` has four.  Each block of `_BLOCK_CELLS` cells is one row
+    value of each (cells, steps) array of the iterable `fields`, written as
+    each arrives; the member column comes when `header` has four.  Returns
+    the number of arrays.  Each block of `_BLOCK_CELLS` cells is one row
     template filled by one `%`.  The bytes are `_write_csv`'s with velocities
     as `format(x, VELOCITY_FMT)`: `%` formats through the same
     `PyOS_double_to_string`, and the `csv` module never quotes a number.
     """
-    n_cells, n_steps = fields[0].shape
-    # "c," joined over these is cell c's rows: "c,0,%.17g\r\nc,1,%.17g\r\n..."
-    steps = [""] + [f"{t},%{VELOCITY_FMT}\r\n" for t in range(n_steps)]
     with open(path, "w", newline="") as f:
         if comment:
             f.write(f"# {comment}\n")
         f.write(",".join(header) + "\r\n")
         for i, v in enumerate(fields):
+            n_cells, n_steps = v.shape
+            # "c," joined over these is cell c's rows: "c,0,%.17g\r\nc,1,%.17g\r\n..."
+            steps = [""] + [f"{t},%{VELOCITY_FMT}\r\n" for t in range(n_steps)]
             member = f"{i}," if len(header) == 4 else ""
             for lo in range(0, n_cells, _BLOCK_CELLS):
                 cells = range(lo, min(lo + _BLOCK_CELLS, n_cells))
                 template = "".join([f"{member}{c},".join(steps) for c in cells])
                 f.write(template % tuple(v[lo : cells.stop].ravel().tolist()))
+    return i + 1
 
 
 def _read_csv(path, header):

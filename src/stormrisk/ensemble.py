@@ -7,6 +7,11 @@ Gaussians drawn from a splittable seeded stream (member i always uses
 substream i, so results do not depend on evaluation order or thread count).
 The file format stores velocities rather than generating parameters, so
 externally produced ensembles ingest identically.
+
+`Ensemble` is the in-memory form.  The CLI streams: it takes members one at a
+time from `_member_velocities` and folds each into the reducer (`_mean`) its
+statistic needs, so its memory does not grow with H.  The statistics of an
+`Ensemble` use the same reducers and give the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .csvio import _read_velocities, _write_velocities
 from .grid import Grid, TimeAxis
-from .wind import HollandParams, Track, WindField, asymmetric_field, axisymmetric_field
+from .wind import HollandParams, Track, WindField, _grid_axes, _velocities
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class Ensemble:
         return self.members[0].times
 
     def velocities(self) -> np.ndarray:
-        """All member velocities stacked, shape (H, n_cells, n_steps)."""
+        """All member velocities stacked, shape (H, n_cells, n_steps); no statistic uses it."""
         return np.stack([m.velocities for m in self.members])
 
 
@@ -119,12 +124,21 @@ def member_parameters(
     return track, params
 
 
-def _member_field(
-    spec: EnsemblePerturbationSpec, grid: Grid, times: TimeAxis, child_seed
-) -> WindField:
-    track, params = member_parameters(spec, child_seed)
-    make = asymmetric_field if spec.asymmetric else axisymmetric_field
-    return make(track, params, grid, times)
+def _member_velocities(spec: EnsemblePerturbationSpec, xs, ys, times: TimeAxis, threads: int = 1):
+    """Yield each member's `wind._velocities` on cell-centre axes `xs`, `ys`
+    in member order, made `threads` at a time: at most that many in flight."""
+    children = np.random.SeedSequence(spec.seed).spawn(spec.H)
+
+    def make(child_seed):
+        track, params = member_parameters(spec, child_seed)
+        return _velocities(track, params, xs, ys, times, track.Vtr if spec.asymmetric else (0.0, 0.0))
+
+    if threads <= 1 or spec.H == 1:
+        yield from map(make, children)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for lo in range(0, spec.H, threads):
+            yield from pool.map(make, children[lo : lo + threads])
 
 
 def generate_synthetic_ensemble(
@@ -138,17 +152,10 @@ def generate_synthetic_ensemble(
     Member i draws from substream i of `spec.seed`, so identical spec and
     seed reproduce bit-identical ensembles regardless of `threads`.
     """
-    children = np.random.SeedSequence(spec.seed).spawn(spec.H)
     if threads is None:
         threads = default_thread_count()
-    if threads > 1 and spec.H > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            members = list(
-                pool.map(lambda cs: _member_field(spec, grid, times, cs), children)
-            )
-    else:
-        members = [_member_field(spec, grid, times, cs) for cs in children]
-    return Ensemble(members=tuple(members))
+    velocities = _member_velocities(spec, *_grid_axes(grid), times, threads)
+    return Ensemble(members=tuple(WindField(grid=grid, times=times, velocities=v) for v in velocities))
 
 
 def default_thread_count() -> int:
@@ -160,12 +167,26 @@ def default_thread_count() -> int:
         return 1
 
 
+def _mean(arrays) -> np.ndarray:
+    """Mean of equal-shape arrays taken one at a time, `acc = a0; acc += ai;
+    acc /= n`: bit for bit `np.stack(arrays).mean(axis=0)`, except that numpy
+    sums eight or more one-value arrays pairwise."""
+    it = iter(arrays)
+    acc, n = np.array(next(it), dtype=float), 1
+    for a in it:
+        acc += a
+        n += 1
+        del a  # so that no spent array is alive while the next one is made
+    acc /= n
+    return acc
+
+
 def mean_velocity(e: Ensemble) -> np.ndarray:
     """Ensemble-mean wind speed per (cell, time), shape (n_cells, n_steps).
 
     Uses a fixed member order, so the reduction is reproducible bit-for-bit.
     """
-    return e.velocities().mean(axis=0)
+    return _mean(m.velocities for m in e.members)
 
 
 # =============================================================================
@@ -191,21 +212,29 @@ def save_ensemble(e: Ensemble, path, header_comment: str | None = None) -> None:
     `header_comment`, if given, is written as a leading `#` line in the CSV
     and under the "comment" key of the sidecar.
     """
+    save_ensemble_members(e.grid, e.times, (m.velocities for m in e.members), path, header_comment)
+
+
+def save_ensemble_members(
+    grid: Grid, times: TimeAxis, velocities, path, header_comment: str | None = None
+) -> None:
+    """`save_ensemble` of the member velocity arrays of an iterable, each
+    written as it arrives."""
+    H = _write_velocities(path, ENSEMBLE_HEADER, velocities, header_comment)
     sidecar = {
-        "H": e.H,
-        "nx": e.grid.nx,
-        "ny": e.grid.ny,
-        "cell_size_km": e.grid.cell_size,
-        "origin_km": list(e.grid.origin),
-        "n_steps": e.times.n_steps,
-        "dt_h": e.times.dt,
+        "H": H,
+        "nx": grid.nx,
+        "ny": grid.ny,
+        "cell_size_km": grid.cell_size,
+        "origin_km": list(grid.origin),
+        "n_steps": times.n_steps,
+        "dt_h": times.dt,
     }
     if header_comment:
         sidecar["comment"] = header_comment
     with open(str(path) + ".json", "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")
-    _write_velocities(path, ENSEMBLE_HEADER, [m.velocities for m in e.members], header_comment)
 
 
 def load_ensemble(path) -> Ensemble:

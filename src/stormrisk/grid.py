@@ -88,6 +88,8 @@ class TimeAxis:
     dt: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not 0 < self.dt < np.inf:

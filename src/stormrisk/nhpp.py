@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, pdtr, pdtrc, pdtrik
 
 from .csvio import TABLE_FMT, _write_csv
-from .ensemble import Ensemble, mean_velocity
+from .ensemble import Ensemble, _mean
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,33 @@ def nominal_rate(p: NhppParams, n_steps: int, dt: float = 1.0) -> float:
 
 def fr1(p: NhppParams, e: Ensemble) -> np.ndarray:
     """Failure rate of the ensemble-mean winds, per cell."""
-    return failure_rate(p, mean_velocity(e), e.times.dt)
+    return _fr1(p, (m.velocities for m in e.members), e.times.dt)
 
 
 def fr2(p: NhppParams, e: Ensemble) -> np.ndarray:
     """Ensemble mean of the per-member failure rates (>= fr1 by convexity),
     per cell.  Member order is fixed, so the reduction is reproducible."""
-    return failure_rate(p, e.velocities(), e.times.dt).mean(axis=0)
+    return _fr2(p, (m.velocities for m in e.members), e.times.dt)
 
 
 def member_rates(p: NhppParams, e: Ensemble, cell: int) -> np.ndarray:
     """Per-member failure rates at one cell, shape (H,)."""
-    return np.asarray([failure_rate(p, m.velocities[cell], e.times.dt) for m in e.members])
+    return _member_rates(p, (m.velocities for m in e.members), [cell], e.times.dt)[:, 0]
+
+
+# The reducers behind the three above take the members' velocity arrays one
+# at a time, in order, from any iterable: the CLI streams them.
+def _fr1(p: NhppParams, velocities, dt: float) -> np.ndarray:
+    return failure_rate(p, _mean(velocities), dt)
+
+
+def _fr2(p: NhppParams, velocities, dt: float) -> np.ndarray:
+    return _mean(failure_rate(p, v, dt) for v in velocities)
+
+
+def _member_rates(p: NhppParams, velocities, rows, dt: float) -> np.ndarray:
+    """Each member's rates at rows `rows` of its array, shape (H, len(rows))."""
+    return np.array([failure_rate(p, v[rows], dt) for v in velocities])
 
 
 # =============================================================================
@@ -192,11 +207,19 @@ def default_n_max(max_rate: float) -> int:
     return _poisson_quantile(1.0 - 1e-9, max_rate)
 
 
-def fd_a(
-    p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None
-) -> FailureDistribution:
+def fd_a(p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None) -> FailureDistribution:
     """Single Poisson at the ensemble-mean failure rate (per km of line)."""
-    rate = member_rates(p, e, cell).mean()
+    return _fd_a(member_rates(p, e, cell), n_max)
+
+
+def fd_b(p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None) -> FailureDistribution:
+    """Equal-weight mixture of per-member Poisson distributions."""
+    return _fd_b(member_rates(p, e, cell), n_max)
+
+
+def _fd_a(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
+    """`fd_a` of the members' rates at one cell."""
+    rate = rates.mean()
     if n_max is None:
         n_max = default_n_max(rate)
     n = np.arange(n_max + 1)
@@ -205,11 +228,8 @@ def fd_a(
     return FailureDistribution(kind="poisson", pmf=pmf, tail=tail)
 
 
-def fd_b(
-    p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None
-) -> FailureDistribution:
-    """Equal-weight mixture of per-member Poisson distributions."""
-    rates = member_rates(p, e, cell)
+def _fd_b(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
+    """`fd_b` of the members' rates at one cell."""
     if n_max is None:
         n_max = default_n_max(float(rates.max()))
     n = np.arange(n_max + 1)

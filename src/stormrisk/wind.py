@@ -12,9 +12,9 @@ Hemisphere, the strongest winds sit due east of the centre.
 Storm geometry lives in one kernel, `_wind_steps`: for each storm position it
 yields the index window of grid cells within a given reach of the centre,
 their distances r to the centre and their speeds v.  Dense fields take the
-whole grid at every step; the swath and zone reducers of `critzone` and the
-damage/loss sweep of `aggregate` consume the same steps, the sweep for a
-chunk of storms at once.
+whole grid at every step (`fail-dist` only the sub-grid of its cells); the
+swath and zone reducers of `critzone` and the damage/loss sweep of
+`aggregate` consume the same steps, the sweep for a chunk of storms at once.
 
 Window invariant.  A reducer that evaluates only a window must give each
 cell outside it the result an evaluation would give.  `critzone.storm_swath`
@@ -208,13 +208,23 @@ def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
         yield window, r, v
 
 
-def _dense_field(track, p, grid, times, Vtr=(0.0, 0.0), hemisphere="N") -> WindField:
+def _sub_grid(grid: Grid, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axes of the sub-grid of the distinct x and y columns of `cells`,
+    ascending, and each cell's index in it.  The kernel computes each value on
+    its own, so the sub-grid's field holds exactly the grid's at `cells`."""
     xs, ys = _grid_axes(grid)
-    velocities = np.empty((grid.n_cells, times.n_steps))
+    ux, ix = np.unique(np.asarray(cells) // grid.ny, return_inverse=True)
+    uy, iy = np.unique(np.asarray(cells) % grid.ny, return_inverse=True)
+    return xs[ux], ys[uy], ix * len(uy) + iy
+
+
+def _velocities(track, p, xs, ys, times, Vtr=(0.0, 0.0), hemisphere="N") -> np.ndarray:
+    """The (len(xs) * len(ys), n_steps) speeds on the grid with axes `xs`, `ys`."""
+    velocities = np.empty((len(xs) * len(ys), times.n_steps))
     steps = _wind_steps(p, xs, ys, track.position(times.offsets()), Vtr=Vtr, hemisphere=hemisphere)
     for t, (_, _, v) in enumerate(steps):
         velocities[:, t] = v.ravel()
-    return WindField(grid=grid, times=times, velocities=velocities)
+    return velocities
 
 
 def axisymmetric_field(
@@ -222,7 +232,7 @@ def axisymmetric_field(
 ) -> WindField:
     """Axisymmetric wind field: speed is the radial profile of the distance
     from each cell to the instantaneous storm centre."""
-    return _dense_field(track, p, grid, times)
+    return WindField(grid=grid, times=times, velocities=_velocities(track, p, *_grid_axes(grid), times))
 
 
 def asymmetric_field(
@@ -242,7 +252,8 @@ def asymmetric_field(
     i.e. due east of the centre.  A stationary storm gives the axisymmetric
     field exactly.
     """
-    return _dense_field(track, p, grid, times, track.Vtr, hemisphere)
+    v = _velocities(track, p, *_grid_axes(grid), times, track.Vtr, hemisphere)
+    return WindField(grid=grid, times=times, velocities=v)
 
 
 # =============================================================================

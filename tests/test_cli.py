@@ -10,10 +10,12 @@ from stormrisk import (
     county_average,
     critical_zone_numeric,
     fit_binomial,
+    generate_synthetic_ensemble,
     load_county_fixture,
     load_observations,
     nhpp,
     save_county_fixture,
+    save_ensemble,
     save_observations,
 )
 from stormrisk import cli
@@ -206,6 +208,40 @@ class TestEnsembleCommands:
             # is asserted in the distribution unit tests.
             assert total == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_streamed_outputs_match_the_in_memory_ensemble(self, tmp_path, threads):
+        # The commands never hold the ensemble; the same statistics of an
+        # `Ensemble` must give the same bytes.
+        cfg = _write_config(tmp_path, ensemble={"H": 5, "asymmetric": True})
+        cells = [0, 77, 143, 77]
+        for argv in (
+            ["ensemble"],
+            ["failure-rates", "--which", "fr1"],
+            ["failure-rates", "--which", "fr2"],
+            ["fail-dist", "--kind", "fda", "--cells", ",".join(map(str, cells))],
+            ["fail-dist", "--kind", "fdb", "--cells", ",".join(map(str, cells))],
+        ):
+            assert main(argv + ["--config", cfg, "--threads", threads]) == 0
+        config = load_config(cfg, [])
+        tag = f"config_sha256={config_hash(config)}"
+        ens = generate_synthetic_ensemble(
+            cli._build_ensemble_spec(config), cli._build_grid(config), cli._build_times(config)
+        )
+        p = cli._build_nhpp(config)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        save_ensemble(ens, ref / "ensemble.csv", header_comment=tag)
+        nhpp.save_failure_rate_field(nhpp.fr1(p, ens), ref / "failure_rates_fr1.csv", tag)
+        nhpp.save_failure_rate_field(nhpp.fr2(p, ens), ref / "failure_rates_fr2.csv", tag)
+        for kind, make in (("fda", nhpp.fd_a), ("fdb", nhpp.fd_b)):
+            for cell in cells:
+                dist = make(p, ens, cell)
+                nhpp.save_failure_distribution(dist, ref / f"fail_dist_{kind}_cell{cell}.csv", tag)
+        names = sorted(path.name for path in ref.iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "out").iterdir())
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes(), name
+
     def test_fail_dist_negative_n_max_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         assert main(["fail-dist", "--config", cfg, "--n-max", "-1"]) == 2
@@ -313,7 +349,9 @@ def outage_fit_reference(cfg, obs_csv, predictor, path):
     config = load_config(cfg, [])
     counties = load_county_fixture(config["counties_csv"])
     observations = load_observations(obs_csv)
-    ens = cli._generate_ensemble(config, 1)
+    ens = generate_synthetic_ensemble(
+        cli._build_ensemble_spec(config), cli._build_grid(config), cli._build_times(config), threads=1
+    )
     nparams = cli._build_nhpp(config)
     dt = ens.times.dt
     v = ens.velocities()
@@ -392,7 +430,7 @@ class TestOutageFit:
         def refuse(*args, **kwargs):
             raise AssertionError("ensemble generated for a bad --obs file")
 
-        monkeypatch.setattr(cli, "_generate_ensemble", refuse)
+        monkeypatch.setattr(cli, "_member_velocities", refuse)
         assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
         err = capsys.readouterr().err
         assert "--obs" in err and "'zz'" in err
@@ -404,11 +442,26 @@ class TestOutageFit:
         header = 1 + lines[0].startswith("#")
         lines.insert(header, "near,nan,1,100\n")
         obs_csv.write_text("".join(lines))
-        monkeypatch.setattr(cli, "_generate_ensemble", None)  # never reached
-        assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 1
+        monkeypatch.setattr(cli, "_member_velocities", None)  # never reached
+        assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
         err = capsys.readouterr().err
         assert f"{obs_csv}:{header + 1}: time_h must be finite, got nan" in err
         assert "Traceback" not in err and "cannot convert" not in err
+
+    def test_bad_counties_file_exits_2_naming_the_line_before_the_ensemble(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg, obs_csv = _outage_inputs(tmp_path)
+        counties_csv = tmp_path / "counties.csv"
+        lines = counties_csv.read_text().splitlines(keepends=True)
+        header = 1 + lines[0].startswith("#")
+        lines.insert(header + 1, "near,many,5000,1.0\n")
+        counties_csv.write_text("".join(lines))
+        monkeypatch.setattr(cli, "_member_velocities", None)  # never reached
+        assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: invalid input: counties_csv: {counties_csv}:{header + 2}: malformed row" in err
+        assert "Traceback" not in err
 
     def test_end_to_end(self, tmp_path):
         counties = CountySet(

@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stormrisk import (
     Ensemble,
@@ -18,6 +20,11 @@ from stormrisk import (
     member_parameters,
     save_ensemble,
 )
+from stormrisk import NhppParams, ensemble, failure_rate, fr1, fr2, member_rates, poisson_intensity
+from stormrisk.cli import _cumulative_exposure
+from stormrisk.ensemble import _mean, _member_velocities
+from stormrisk.nhpp import _fr1, _fr2, _member_rates
+from stormrisk.wind import _grid_axes
 
 GRID = Grid(origin=(-30.0, -30.0), nx=5, ny=4, cell_size=12.0)
 TIMES = TimeAxis(n_steps=6, dt=1.0)
@@ -214,3 +221,115 @@ class TestEnsembleIO:
         edit(meta)
         sidecar.write_text(json.dumps(meta))
         return path
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestStreamingReducers:
+    """Each reducer, fed the members one at a time, against the stacked form
+    it replaces: `np.stack(...)` of every member, then one reduction over the
+    members axis.  Bits, not values, are compared."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        H=st.integers(1, 6),
+        n_cells=st.integers(1, 13),
+        n_steps=st.integers(1, 17),
+        dt=st.sampled_from([0.5, 1.0, 3.0]),
+        hot=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(H=10, n_cells=7, n_steps=5, dt=1.0, hot=0.5, seed=3)  # the CLI's default H
+    def test_bit_identical_to_stacked_reduction(self, H, n_cells, n_steps, dt, hot, seed):
+        p = NhppParams()
+        rng = np.random.default_rng(seed)
+        # Speeds straddling Vcrit, with some exactly at it.
+        vs = [rng.uniform(0.0, p.Vcrit / max(1.0 - hot, 0.05), (n_cells, n_steps)) for _ in range(H)]
+        vs[0][0, 0] = p.Vcrit
+        grid, times = Grid(nx=n_cells, ny=1), TimeAxis(n_steps=n_steps, dt=dt)
+        e = Ensemble(members=tuple(WindField(grid=grid, times=times, velocities=v) for v in vs))
+        stack = np.stack(vs)
+
+        mean_ref = stack.mean(axis=0)
+        assert np.array_equal(_bits(_mean(iter(vs))), _bits(mean_ref))
+        assert np.array_equal(_bits(mean_velocity(e)), _bits(mean_ref))
+
+        fr1_ref = failure_rate(p, mean_ref, dt)
+        assert np.array_equal(_bits(_fr1(p, iter(vs), dt)), _bits(fr1_ref))
+        assert np.array_equal(_bits(fr1(p, e)), _bits(fr1_ref))
+
+        fr2_ref = failure_rate(p, stack, dt).mean(axis=0)
+        assert np.array_equal(_bits(_fr2(p, iter(vs), dt)), _bits(fr2_ref))
+        assert np.array_equal(_bits(fr2(p, e)), _bits(fr2_ref))
+
+        exposure_ref = np.cumsum(poisson_intensity(p, stack) * dt, axis=-1).mean(axis=0)
+        exposure = _cumulative_exposure(p, iter(vs), dt, "failure_rate")
+        assert np.array_equal(_bits(exposure), _bits(exposure_ref))
+        speed_ref = np.cumsum(stack, axis=-1).mean(axis=0)
+        speed = _cumulative_exposure(p, iter(vs), dt, "cumulative_velocity")
+        assert np.array_equal(_bits(speed), _bits(speed_ref))
+
+        cells = sorted({int(c) for c in rng.integers(0, n_cells, 3)})
+        rates = _member_rates(p, iter(vs), cells, dt)
+        assert rates.shape == (H, len(cells))
+        for j, cell in enumerate(cells):
+            ref = np.asarray([failure_rate(p, v[cell], dt) for v in vs])
+            assert np.array_equal(_bits(rates[:, j]), _bits(ref))
+            assert np.array_equal(_bits(member_rates(p, e, cell)), _bits(ref))
+            assert _bits(rates[:, j].mean()) == _bits(ref.mean())
+
+    def test_members_left_unchanged(self):
+        vs = [np.full((3, 2), 10.0), np.full((3, 2), 30.0)]
+        assert np.all(_mean(iter(vs)) == 20.0)
+        assert np.all(vs[0] == 10.0) and np.all(vs[1] == 30.0)
+
+
+class TestMemberStream:
+    def test_members_in_order_whatever_the_threads(self):
+        spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=7, asymmetric=True)
+        ens = generate_synthetic_ensemble(spec, GRID, TIMES, threads=1)
+        for threads in (1, 2, 3, 7, 9):
+            streamed = list(_member_velocities(spec, *_grid_axes(GRID), TIMES, threads))
+            assert len(streamed) == ens.H
+            for v, m in zip(streamed, ens.members):
+                assert np.array_equal(_bits(v), _bits(m.velocities))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_at_most_threads_members_in_flight(self, monkeypatch, threads):
+        started = []
+
+        def velocities(*args):
+            started.append(None)
+            return np.zeros((GRID.n_cells, TIMES.n_steps))
+
+        monkeypatch.setattr(ensemble, "_velocities", velocities)
+        spec = _spec(H=8)
+        for i, _ in enumerate(_member_velocities(spec, *_grid_axes(GRID), TIMES, threads)):
+            # Member i comes from chunk i // threads; no later chunk has started.
+            assert len(started) <= min(spec.H, (i // threads + 1) * threads)
+        assert len(started) == spec.H
+
+    @pytest.mark.parametrize("statistic", ["fr1", "fr2", "exposure"])
+    def test_peak_memory_does_not_grow_with_members(self, statistic):
+        # 400 cells of 49 steps: each member is 157 kB, so one more member
+        # held at once would add far more than 10% to the peak.
+        grid, times = Grid(origin=(-30.0, -30.0), nx=20, ny=20, cell_size=3.0), TimeAxis(n_steps=49)
+        xs, ys = _grid_axes(grid)
+        p = NhppParams()
+        reduce = {
+            "fr1": lambda vs: _fr1(p, vs, times.dt),
+            "fr2": lambda vs: _fr2(p, vs, times.dt),
+            "exposure": lambda vs: _cumulative_exposure(p, vs, times.dt, "failure_rate"),
+        }[statistic]
+        peaks = {}
+        for H in (2, 20):
+            spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=H)
+            tracemalloc.start()
+            try:
+                reduce(_member_velocities(spec, xs, ys, times))
+                _, peaks[H] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[20] <= 1.1 * peaks[2]

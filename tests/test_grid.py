@@ -66,6 +66,11 @@ class TestTimeAxis:
         with pytest.raises(ValueError, match="finite"):
             TimeAxis(n_steps=1, dt=dt)
 
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t0_rejected(self, t0):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            TimeAxis(t0=t0, n_steps=2)
+
 
 class TestCountyAverage:
     def test_mean(self):

@@ -16,7 +16,7 @@ from stormrisk import (
     load_wind_field,
     save_wind_field,
 )
-from stormrisk.wind import _wind_steps
+from stormrisk.wind import _grid_axes, _sub_grid, _velocities, _wind_steps
 
 # Frozen oracle: 25 * sqrt(0.5) * exp(0.25), hand evaluation of the radial
 # profile at (Vm=25, Rm=20, B=1), r=40.
@@ -262,6 +262,48 @@ class TestFieldsMatchReference:
             field = axisymmetric_field(track, p, grid, times)
         ref = dense_field_reference(track, p, grid, times, asymmetric, hemisphere)
         assert np.array_equal(field.velocities, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        Vm=st.floats(8.0, 70.0),
+        Rm=st.floats(5.0, 60.0),
+        asymmetric=st.booleans(),
+        hemisphere=st.sampled_from(["N", "S"]),
+        vtr=st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+        x0=st.tuples(st.floats(-200.0, 300.0), st.floats(-200.0, 300.0)),
+        nx=st.integers(1, 25),
+        ny=st.integers(1, 25),
+        cell=st.floats(0.5, 25.0),
+        n_steps=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_sub_grid_holds_the_full_field_at_its_cells(
+        self, Vm, Rm, asymmetric, hemisphere, vtr, x0, nx, ny, cell, n_steps, data
+    ):
+        # `fail-dist` evaluates only the columns and rows of its cells.
+        p = HollandParams(Vm=Vm, Rm=Rm)
+        track = Track(x0=x0, Vtr=vtr, duration=float(n_steps))
+        grid = Grid(origin=(-50.0, 20.0), nx=nx, ny=ny, cell_size=cell)
+        times = TimeAxis(n_steps=n_steps)
+        cells = data.draw(st.lists(st.integers(0, grid.n_cells - 1), min_size=1, max_size=8))
+        if asymmetric:
+            field = asymmetric_field(track, p, grid, times, hemisphere=hemisphere)
+        else:
+            field = axisymmetric_field(track, p, grid, times)
+        xs, ys, rows = _sub_grid(grid, cells)
+        assert np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)
+        assert len(xs) * len(ys) <= grid.n_cells
+        Vtr = track.Vtr if asymmetric else (0.0, 0.0)
+        sub = _velocities(track, p, xs, ys, times, Vtr, hemisphere)
+        assert sub.shape == (len(xs) * len(ys), n_steps)
+        assert np.array_equal(sub[rows].view(np.uint64), field.velocities[cells].view(np.uint64))
+
+    def test_sub_grid_of_every_cell_is_the_grid(self):
+        grid = Grid(origin=(-50.0, 20.0), nx=4, ny=3, cell_size=2.5)
+        xs, ys, rows = _sub_grid(grid, list(reversed(range(grid.n_cells))))
+        gx, gy = _grid_axes(grid)
+        assert np.array_equal(xs, gx) and np.array_equal(ys, gy)
+        assert rows.tolist() == list(reversed(range(grid.n_cells)))
 
     def test_unknown_hemisphere_rejected(self):
         track = Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0), duration=1.0)

@@ -538,12 +538,15 @@ def cmd_sweep_fit(config: dict, args) -> int:
     return 0
 
 
-def _cumulative_exposure(nparams: NhppParams, velocities, dt: float, predictor: str) -> np.ndarray:
+def _cumulative_exposure(nparams: NhppParams, velocities, dt: float, predictor: str, steps) -> np.ndarray:
     """Member mean of each cell's running sum of intensity times `dt`
-    ("failure_rate") or of speed, from the members' arrays one at a time."""
+    ("failure_rate") or of speed, at the time steps `steps` only, from the
+    members' arrays one at a time."""
     if predictor == "failure_rate":
-        return _mean(np.cumsum(nhpp.poisson_intensity(nparams, v) * dt, axis=-1) for v in velocities)
-    return _mean(np.cumsum(v, axis=-1) for v in velocities)
+        return _mean(
+            np.cumsum(nhpp.poisson_intensity(nparams, v) * dt, axis=-1)[:, steps] for v in velocities
+        )
+    return _mean(np.cumsum(v, axis=-1)[:, steps] for v in velocities)
 
 
 def cmd_outage_fit(config: dict, args) -> int:
@@ -557,15 +560,17 @@ def cmd_outage_fit(config: dict, args) -> int:
         raise ConfigError("--obs", f"counties not in counties_csv: {', '.join(map(repr, unknown))}")
     times = _build_times(config)
     dt = times.dt
-    per_cell = _cumulative_exposure(_build_nhpp(config), _members(config, args.threads), dt, args.predictor)
     # Each observation's exposure is its county's mean at the step holding
-    # time_h, clipped to the horizon.
+    # time_h, clipped to the horizon; only those steps are kept.
     last = times.n_steps - 1
-    exposure = []
-    for obs in observations:
-        k = int(np.clip(np.floor(obs.time_h / dt), 0, last))
-        exposure.append(county_average(per_cell[:, k], counties[obs.county]))
-    x = np.array(exposure)
+    steps, column = np.unique(
+        [int(np.clip(np.floor(obs.time_h / dt), 0, last)) for obs in observations], return_inverse=True
+    )
+    members = _members(config, args.threads)
+    per_step = _cumulative_exposure(_build_nhpp(config), members, dt, args.predictor, steps)
+    x = np.array(
+        [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
+    )
     fit = glm.fit_binomial(
         np.column_stack([np.ones_like(x), x]),
         np.array([obs.outages for obs in observations], dtype=float),

@@ -10,10 +10,10 @@ the track — which gives a closed-form area to check the numeric zone against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
@@ -377,22 +377,42 @@ TABLE_STORMS = [(25, 20), (25, 30), (25, 40), (37, 20), (37, 30), (37, 40),
                 (46, 20), (46, 30), (46, 40)]
 
 
+def _lambert_w0(z: float) -> float:
+    """Principal branch W0 of the Lambert W function on -1/e < z < 0: the
+    w in (-1, 0) with w e^w = z.
+
+    Starts from the branch-point series in p = sqrt(2 (e z + 1)) and takes
+    Halley steps, which converge cubically; five reach rounding level
+    everywhere on the interval, down to subnormal z.
+    """
+    p = math.sqrt(2.0 * (math.e * z + 1.0))
+    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    for _ in range(5):
+        ew = math.exp(w)
+        f = w * ew - z
+        if f == 0.0:
+            break
+        wp1 = w + 1.0
+        w -= f / (ew * wp1 - 0.5 * (w + 2.0) * f / wp1)
+    return w
+
+
 def _window_radius(p: HollandParams, Vhot: float) -> float:
     """Radius (km) beyond which no cell lies inside Rm or has a radial wind
     speed >= `Vhot`; infinite when `Vhot` <= 0 (every speed qualifies).
 
     With y = (Rm/r)^B the profile reads (V/Vm)^2 = y e^(1-y), so the outer
     radius where V = U is Rm y^(-1/B) with y = -W0(-(U/Vm)^2 / e), W0 the
-    principal branch of the Lambert W function.  It is taken at
-    U = Vhot (1 - 1e-8): the rounding of W and of the profile is far smaller
-    than that margin, so the profile there is below Vhot and keeps decreasing
-    outward.
+    principal branch of the Lambert W function (`_lambert_w0`).  It is taken
+    at U = Vhot (1 - 1e-8): the rounding of W and of the profile is far
+    smaller than that margin, so the profile there is below Vhot and keeps
+    decreasing outward.
     """
     if Vhot <= 0:
         return np.inf
     if p.Vm < Vhot:
         return p.Rm
-    y = -lambertw(-(((1.0 - 1e-8) * Vhot / p.Vm) ** 2) / np.e).real
+    y = -_lambert_w0(-(((1.0 - 1e-8) * Vhot / p.Vm) ** 2) / math.e)
     return p.Rm * y ** (-1.0 / p.B)
 
 

@@ -10,22 +10,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 
 @dataclass(frozen=True)
 class LinearFit:
     """Result of a (possibly weighted) linear least-squares solve.
 
-    Standard errors and p-values are the usual OLS/WLS ones from the scaled
-    normal equations; `cond` is the condition number of the scaled design.
+    Standard errors and t statistics are the usual OLS/WLS ones from the
+    scaled normal equations, with `dof` residual degrees of freedom; `cond`
+    is the condition number of the scaled design.
     """
 
     beta: np.ndarray
     se: np.ndarray
-    p_values: np.ndarray
+    t: np.ndarray
+    dof: int
     rms: float
     cond: float
+
+    @property
+    def p_values(self) -> np.ndarray:
+        """Two-sided Student-t p-values of the coefficients.  Computed when
+        read, so that only a caller that needs them loads `scipy.special`."""
+        from scipy.special import stdtr
+
+        return 2.0 * stdtr(self.dof, -np.abs(self.t))
 
     def predict(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.beta
@@ -61,11 +70,11 @@ def linear_least_squares(X, y, weights=None) -> LinearFit:
     se_s = np.sqrt(np.maximum(np.diag(cov_s), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se_s > 0, beta_s / se_s, np.inf)
-    p = 2.0 * stdtr(dof, -np.abs(t))
     return LinearFit(
         beta=beta_s / scale,
         se=se_s / scale,
-        p_values=p,
+        t=t,
+        dof=dof,
         rms=float(np.sqrt(np.mean(res * res))),
         cond=cond,
     )

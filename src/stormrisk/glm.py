@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 from .csvio import TABLE_FMT, _read_csv, _write_csv
 
@@ -107,6 +106,8 @@ def fit_binomial(X, outages, totals) -> GlmFit:
     cannot diverge; probabilities are clamped away from 0/1 and an estimate
     pinned at the clamp is reported via `separated`.
     """
+    from scipy.special import chdtrc, ndtr
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(outages, dtype=float)
     n = np.asarray(totals, dtype=float)

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik
+
+# scipy.special is imported inside the functions that use it: loading it
+# takes most of a CLI start-up, and most commands compute no Poisson tail.
 
 from .csvio import TABLE_FMT, _write_csv
 from .ensemble import Ensemble, _mean
@@ -176,6 +178,8 @@ class FailureDistribution:
 
 
 def _log_poisson_pmf(n: np.ndarray, rate: float) -> np.ndarray:
+    from scipy.special import gammaln
+
     if rate == 0.0:
         out = np.full(n.shape, -np.inf)
         out[n == 0] = 0.0
@@ -195,6 +199,8 @@ def _poisson_quantile(q: float, mu: float) -> int:
     The rounded-up continuous inverse of the cdf is off by at most one, so
     the count below it is tried first (the same rule as `scipy.stats`).
     """
+    from scipy.special import pdtr, pdtrik
+
     k = np.ceil(pdtrik(q, mu))
     below = max(k - 1.0, 0.0)
     return int(below if pdtr(below, mu) >= q else k)
@@ -219,6 +225,8 @@ def fd_b(p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None) -> Fai
 
 def _fd_a(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
     """`fd_a` of the members' rates at one cell."""
+    from scipy.special import pdtrc
+
     rate = rates.mean()
     if n_max is None:
         n_max = default_n_max(rate)
@@ -230,6 +238,8 @@ def _fd_a(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
 
 def _fd_b(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
     """`fd_b` of the members' rates at one cell."""
+    from scipy.special import pdtrc
+
     if n_max is None:
         n_max = default_n_max(float(rates.max()))
     n = np.arange(n_max + 1)
@@ -249,6 +259,8 @@ def saturated_distribution(total_rate: float, Ng: int) -> FailureDistribution:
     Poisson pmf at `total_rate` (failures, i.e. line length times the per-km
     rate) for n < Ng; all remaining mass is placed at n = Ng.
     """
+    from scipy.special import pdtr
+
     if Ng < 0:
         raise ValueError("Ng must be >= 0")
     if total_rate < 0:
@@ -271,6 +283,8 @@ def expected_failures_saturated(total_rate, Ng):
     approaching Ng as the rate grows.  Vectorized over `total_rate` and `Ng`
     (broadcast together); scalar arguments give a float.
     """
+    from scipy.special import pdtr, pdtrc
+
     lam = np.asarray(total_rate, dtype=float)
     ng = np.asarray(Ng)
     if np.any(ng < 0):

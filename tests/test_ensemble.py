@@ -264,12 +264,14 @@ class TestStreamingReducers:
         assert np.array_equal(_bits(_fr2(p, iter(vs), dt)), _bits(fr2_ref))
         assert np.array_equal(_bits(fr2(p, e)), _bits(fr2_ref))
 
+        # Every step, and the distinct sorted steps of a few observations.
         exposure_ref = np.cumsum(poisson_intensity(p, stack) * dt, axis=-1).mean(axis=0)
-        exposure = _cumulative_exposure(p, iter(vs), dt, "failure_rate")
-        assert np.array_equal(_bits(exposure), _bits(exposure_ref))
         speed_ref = np.cumsum(stack, axis=-1).mean(axis=0)
-        speed = _cumulative_exposure(p, iter(vs), dt, "cumulative_velocity")
-        assert np.array_equal(_bits(speed), _bits(speed_ref))
+        for steps in (np.arange(n_steps), np.unique(rng.integers(0, n_steps, 3))):
+            exposure = _cumulative_exposure(p, iter(vs), dt, "failure_rate", steps)
+            assert np.array_equal(_bits(exposure), _bits(exposure_ref[:, steps]))
+            speed = _cumulative_exposure(p, iter(vs), dt, "cumulative_velocity", steps)
+            assert np.array_equal(_bits(speed), _bits(speed_ref[:, steps]))
 
         cells = sorted({int(c) for c in rng.integers(0, n_cells, 3)})
         rates = _member_rates(p, iter(vs), cells, dt)
@@ -321,7 +323,7 @@ class TestMemberStream:
         reduce = {
             "fr1": lambda vs: _fr1(p, vs, times.dt),
             "fr2": lambda vs: _fr2(p, vs, times.dt),
-            "exposure": lambda vs: _cumulative_exposure(p, vs, times.dt, "failure_rate"),
+            "exposure": lambda vs: _cumulative_exposure(p, vs, times.dt, "failure_rate", np.arange(49)),
         }[statistic]
         peaks = {}
         for H in (2, 20):

@@ -91,7 +91,6 @@ from .wind import (
     asymmetric_field,
     axisymmetric_field,
     holland_speed,
-    load_wind_field,
     save_wind_field,
 )
 

@@ -4,7 +4,7 @@ The data-file format, in one place.
 Every CSV the package writes is an optional `# comment` line (the CLI puts
 `# config_sha256=<hash>` there), a header row, then one row per record.
 `_write_velocities` writes the two velocity tables (wind field, ensemble)
-from a row template per block of cells; `_write_csv` writes the other,
+from a bytes row template per block of cells; `_write_csv` writes the other,
 smaller tables through the `csv` module.  The comment line ends with LF and
 rows with CRLF, except in the two tables the CLI writes itself
 (`tables123.csv`, `critzone_cells.csv`), which use LF throughout.  Readers
@@ -14,7 +14,11 @@ repeats an earlier row's key.
 
 Floats are written with one of two formats: velocities with `VELOCITY_FMT`,
 which round-trips every float64 exactly, and derived tables (rates, areas,
-masses) with `TABLE_FMT`.
+masses) with `TABLE_FMT`.  The velocity bytes are those of `%.17g`, but a
+velocity in [1, 1e16) (nearly every wind speed) is formatted by digit
+arithmetic in numpy (`_fixed_17g`): its 17 digits are the exactly rounded
+product of x and a power of ten, written through a table of four-digit
+groups.  Every other value goes through `%` itself.
 """
 
 from __future__ import annotations
@@ -27,6 +31,17 @@ VELOCITY_FMT = ".17g"
 TABLE_FMT = ".9g"
 
 _BLOCK_CELLS = 128  # cells per row template in `_write_velocities`
+
+# `_fixed_17g`'s tables: the powers of ten 10^0..10^17 (all exact in
+# float64) with their Veltkamp halves, and "0000".."9999" as little-endian
+# uint32s whose four bytes are the ASCII digits in order, made from the 100
+# two-digit pairs "00".."99".
+_SPLIT = 2.0**27 + 1
+_POW10 = (10 ** np.arange(18, dtype=np.int64)).astype(np.float64)
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_PAIRS = np.arange(100, dtype=np.uint32) // 10 | np.arange(100, dtype=np.uint32) % 10 << 8 | 0x3030
+_QUADS = (_PAIRS[:, None] | _PAIRS << 16).ravel().astype("<u4", copy=False)
 
 
 def _write_csv(path, header, rows, comment: str | None = None, line_end: str = "\r\n") -> None:
@@ -43,25 +58,112 @@ def _write_velocities(path, header, fields, comment: str | None = None) -> int:
     """Write `header`, then a CRLF row `[member,]cell,t,velocity` for every
     value of each (cells, steps) array of the iterable `fields`, written as
     each arrives; the member column comes when `header` has four.  Returns
-    the number of arrays.  Each block of `_BLOCK_CELLS` cells is one row
-    template filled by one `%`.  The bytes are `_write_csv`'s with velocities
-    as `format(x, VELOCITY_FMT)`: `%` formats through the same
-    `PyOS_double_to_string`, and the `csv` module never quotes a number.
+    the number of arrays; with none it raises `ValueError` before making the
+    file.  Each block of `_BLOCK_CELLS` cells is one bytes template filled by
+    one `%` with the `_velocity_bytes` of its values, so the bytes are
+    `_write_csv`'s with velocities as `format(x, VELOCITY_FMT)` (the `csv`
+    module never quotes a number).
     """
-    with open(path, "w", newline="") as f:
+    fields = iter(fields)
+    v = next(fields, None)
+    if v is None:
+        raise ValueError(f"{path}: no {header[0].split('_')[0]}s")
+    n = 0
+    with open(path, "wb") as f:
         if comment:
-            f.write(f"# {comment}\n")
-        f.write(",".join(header) + "\r\n")
-        for i, v in enumerate(fields):
+            f.write(f"# {comment}\n".encode())
+        f.write(",".join(header).encode() + b"\r\n")
+        while v is not None:
+            v = np.asarray(v, dtype=np.float64)
             n_cells, n_steps = v.shape
-            # "c," joined over these is cell c's rows: "c,0,%.17g\r\nc,1,%.17g\r\n..."
-            steps = [""] + [f"{t},%{VELOCITY_FMT}\r\n" for t in range(n_steps)]
-            member = f"{i}," if len(header) == 4 else ""
+            # b"c," joined over these is cell c's rows: b"c,0,%b\r\nc,1,%b\r\n..."
+            steps = [b""] + [b"%d,%%b\r\n" % t for t in range(n_steps)]
+            member = b"%d," % n if len(header) == 4 else b""
             for lo in range(0, n_cells, _BLOCK_CELLS):
                 cells = range(lo, min(lo + _BLOCK_CELLS, n_cells))
-                template = "".join([f"{member}{c},".join(steps) for c in cells])
-                f.write(template % tuple(v[lo : cells.stop].ravel().tolist()))
-    return i + 1
+                template = b"".join([(member + b"%d," % c).join(steps) for c in cells])
+                f.write(template % tuple(_velocity_bytes(v[lo : cells.stop].ravel())))
+            n += 1
+            v = next(fields, None)
+    return n
+
+
+def _velocity_bytes(x: np.ndarray) -> list[bytes]:
+    """`b"%.17g" % v` for each value `v` of the float64 array `x`, in order.
+
+    Values in [1, 1e16) go through `_fixed_17g`; every other value (below 1,
+    zeros of both signs, negative, huge, nan, inf) through `%` itself.
+    """
+    fast = (x >= 1.0) & (x < 1e16)
+    if fast.all():
+        return _fixed_17g(x).tolist()
+    out = np.zeros(x.shape, "S24")  # the longest %.17g: -2.2250738585072014e-308
+    out[fast] = _fixed_17g(x[fast])
+    out[~fast] = [b"%.17g" % v for v in x[~fast].tolist()]
+    return out.tolist()  # an S array drops each value's trailing NUL padding
+
+
+def _fixed_17g(x: np.ndarray) -> np.ndarray:
+    """`%.17g` of each value of `x`, all in [1, 1e16), as an `S18` array.
+
+    There `%.17g` prints fixed notation: the 17 significant digits of `x`
+    (`_digits17`) with the point after the first e + 1 of them, then
+    trailing zeros stripped from the fraction, and the point with them when
+    none of it is left.
+    """
+    n = len(x)
+    e, d = _digits17(x)
+    # Their ASCII, four at a time: "000" + the first digit, then four groups.
+    top, low = np.divmod(d, 10**8)
+    words = np.empty((n, 5), "<u4")
+    words[:, 0] = _QUADS[top // 10**8]
+    words[:, 1] = _QUADS[top // 10**4 % 10**4]
+    words[:, 2] = _QUADS[top % 10**4]
+    words[:, 3] = _QUADS[low // 10**4]
+    words[:, 4] = _QUADS[low % 10**4]
+    digits = words.view(np.uint8)[:, 3:]
+    # "d.ddd...", then on the rows with e >= k the point moves past digit k.
+    out = np.empty((n, 18), np.uint8)
+    out[:, 0] = digits[:, 0]
+    out[:, 1] = ord(".")
+    out[:, 2:] = digits[:, 1:]
+    for k in range(1, e.max(initial=0) + 1):
+        moved = e >= k
+        np.copyto(out[:, k], digits[:, k], where=moved)
+        np.copyto(out[:, k + 1], ord("."), where=moved)
+    # Only a row whose last digit is 0 has zeros to strip.  NULs stand for
+    # the stripped bytes: an S array drops them at the end of each value.
+    rows = np.flatnonzero(digits[:, 16] == ord("0"))
+    if rows.size:
+        tail = out[rows]
+        zeros = np.logical_and.accumulate(tail[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+        r, point = np.arange(rows.size), e[rows] + 1
+        zeros[r, point] = zeros[r, point + 1]  # the point goes with the whole fraction
+        tail[zeros] = 0
+        out[rows] = tail
+    return out.view("S18").ravel()
+
+
+def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`(e, d)` for each value of `x`, all in [1, 1e16): e = floor(log10 x),
+    0..15, and d in [1e16, 1e17), the int64 of x's 17 significant digits,
+    correctly rounded with ties to even.  Only float64 and int64 arithmetic;
+    the one inexact step, log10, is checked against the exact powers of ten.
+    """
+    e = np.floor(np.log10(x)).astype(np.intp)
+    e += (x >= _POW10[e + 1]).astype(np.intp) - (x < _POW10[e])
+    # Dekker's two-product: hi + lo == x * 10^(16 - e) exactly, from the
+    # 26/27-bit Veltkamp halves of both factors.  hi lies in [1e16, 1e17],
+    # above 2^53, so it is an even integer and hi + rint(lo) is the product
+    # rounded half to even.
+    p = 16 - e
+    hi = x * _POW10[p]
+    t = x * _SPLIT
+    xh = t - (t - x)
+    xl = x - xh
+    ph, pl = _POW10_HI[p], _POW10_LO[p]
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
 def _read_csv(path, header):

@@ -219,8 +219,18 @@ def save_ensemble_members(
     grid: Grid, times: TimeAxis, velocities, path, header_comment: str | None = None
 ) -> None:
     """`save_ensemble` of the member velocity arrays of an iterable, each
-    written as it arrives."""
-    H = _write_velocities(path, ENSEMBLE_HEADER, velocities, header_comment)
+    written as it arrives.  No members raise `ValueError` before any file is
+    made; a member whose shape is not (cells, steps) raises one before it is
+    written, and no sidecar is written."""
+    shape = (grid.n_cells, times.n_steps)
+
+    def checked():
+        for i, v in enumerate(velocities):
+            if np.shape(v) != shape:
+                raise ValueError(f"{path}: member {i} has shape {np.shape(v)}, expected {shape}")
+            yield v
+
+    H = _write_velocities(path, ENSEMBLE_HEADER, checked(), header_comment)
     sidecar = {
         "H": H,
         "nx": grid.nx,

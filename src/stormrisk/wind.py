@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _read_velocities, _write_velocities
+from .csvio import _write_velocities
 from .grid import Grid, TimeAxis
 
 MPS_TO_KMH = 3.6
@@ -271,9 +271,3 @@ def save_wind_field(field: WindField, path, header_comment: str | None = None) -
     (readers skip such lines).
     """
     _write_velocities(path, WINDFIELD_HEADER, [field.velocities], header_comment)
-
-
-def load_wind_field(path, grid: Grid, times: TimeAxis) -> WindField:
-    """Read a wind-field CSV written by `save_wind_field`."""
-    v = _read_velocities(path, WINDFIELD_HEADER, (grid.n_cells, times.n_steps))
-    return WindField(grid=grid, times=times, velocities=v)

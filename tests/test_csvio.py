@@ -8,6 +8,7 @@ were first written with.
 """
 
 import json
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -25,7 +26,6 @@ from stormrisk import (
     load_county_fixture,
     load_ensemble,
     load_observations,
-    load_wind_field,
     save_agg_sweep,
     save_county_fixture,
     save_ensemble,
@@ -37,7 +37,7 @@ from stormrisk import (
 )
 from stormrisk import csvio
 from stormrisk.cli import main
-from stormrisk.csvio import VELOCITY_FMT, _write_csv
+from stormrisk.csvio import VELOCITY_FMT, _read_velocities, _write_csv
 from stormrisk.ensemble import ENSEMBLE_HEADER
 from stormrisk.grid import Grid, TimeAxis
 from stormrisk.nhpp import FailureDistribution
@@ -234,8 +234,10 @@ def reference_save_wind_field(field: WindField, path, header_comment=None) -> No
     _write_csv(path, WINDFIELD_HEADER, rows, header_comment)
 
 
-# Zeros of both signs, the smallest subnormal, exponent and digit-count edges.
-EDGE_VELOCITIES = [0.0, -0.0, 1.0, 5e-324, 1e-5, 123456789.0, 1e300]
+# Zeros of both signs, the smallest subnormal, exponent and digit-count edges,
+# a half-way tie at the 17th digit (1 + 2^-17 = 1.00000762939453125) and the
+# float below 1e15 (999999999999999.875).
+EDGE_VELOCITIES = [0.0, -0.0, 1.0, 5e-324, 1e-5, 123456789.0, 1e300, 1 + 2**-17, math.nextafter(1e15, 0)]
 
 
 @st.composite
@@ -301,6 +303,71 @@ class TestVelocityWriter:
         assert peaks[20] <= 1.1 * peaks[2]
 
 
+def percent_17g(x) -> list[bytes]:
+    """The reference: `%` itself, one value at a time."""
+    return [b"%.17g" % v for v in np.asarray(x, dtype=np.float64).tolist()]
+
+
+def ties(e: int, count: int) -> np.ndarray:
+    """`count` floats odd * 2^-(17 - e) in [10^e, 10^(e+1)).  Times 10^(16 - e)
+    each is odd * 5^(16 - e) / 2, so its 17th digit is followed by exactly 5."""
+    lo = -(-(10**e * 2 ** (17 - e)) // 2)
+    hi = min(10 ** (e + 1) * 2 ** (17 - e), 2**53) // 2
+    odd = 2 * np.random.default_rng(e).integers(lo, hi, count) + 1
+    return odd.astype(np.float64) * 2.0 ** -(17 - e)
+
+
+# The bits of 1.0 and 1e16: the interval of `_fixed_17g`, drawn densely.
+FIXED_BITS = (int(np.float64(1.0).view(np.uint64)), int(np.float64(1e16).view(np.uint64)))
+
+
+class TestVelocityBytes:
+    """`csvio._velocity_bytes` against `%` itself, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=20))
+    def test_any_floats(self, xs):
+        assert csvio._velocity_bytes(np.array(xs)) == percent_17g(xs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1) | st.integers(*FIXED_BITS), min_size=1, max_size=50))
+    def test_any_bit_patterns(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert csvio._velocity_bytes(x) == percent_17g(x)
+
+    @pytest.mark.parametrize("e", range(16))
+    def test_half_way_ties(self, e):
+        x = ties(e, 2_000)
+        assert np.all((10.0**e <= x) & (x < 10.0 ** (e + 1)))
+        assert csvio._velocity_bytes(x) == percent_17g(x)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        below = above = [10.0 ** np.arange(-5, 18)]
+        for _ in range(3):  # 1-3 ulp either side
+            below = below + [np.nextafter(below[-1], 0)]
+            above = above + [np.nextafter(above[-1], np.inf)]
+        x = np.concatenate(below + above[1:])
+        assert csvio._velocity_bytes(x) == percent_17g(x)
+
+    def test_ends_of_the_fixed_interval(self):
+        x = np.array([math.nextafter(1.0, 0), 1.0, math.nextafter(1e16, 0), 1e16])
+        got = csvio._velocity_bytes(x)
+        assert got == percent_17g(x)
+        assert got == [b"0.99999999999999989", b"1", b"9999999999999998", b"10000000000000000"]
+
+    def test_trailing_zeros(self):
+        # Integers and quarters: the 17 digits end in zeros, all but a few
+        # through the point.
+        x = np.concatenate([np.arange(1.0, 5_000.0), np.arange(4.0, 20_000.0) / 4, [2.0**53, 1e15 + 0.5]])
+        got = csvio._velocity_bytes(x)
+        assert got == percent_17g(x)
+        assert got[:3] == [b"1", b"2", b"3"] and b"1.25" in got
+
+    def test_mixed_block_keeps_order(self):
+        x = np.array([0.5, 37.0, -1.0, np.nan, 2.5, np.inf, -0.0, 1e17, 41.000000000000007])
+        assert csvio._velocity_bytes(x) == percent_17g(x)
+
+
 class TestReader:
     def test_wind_field_error_names_physical_line_after_comment(self, tmp_path):
         path = tmp_path / "wf.csv"
@@ -311,7 +378,7 @@ class TestReader:
             "0,1,oops\n"
         )
         with pytest.raises(ValueError, match=r"wf\.csv:4: malformed row"):
-            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=2))
+            _read_velocities(path, WINDFIELD_HEADER, (1, 2))
 
     def test_ensemble_error_names_physical_line_after_comments_and_blanks(self, tmp_path):
         path = tmp_path / "ens.csv"
@@ -326,7 +393,7 @@ class TestReader:
         path = tmp_path / "wf.csv"
         path.write_text("cell_id,time_index,velocity_mps\n0,0\n")
         with pytest.raises(ValueError, match=r"wf\.csv:2: expected 3 fields, got 2"):
-            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=1))
+            _read_velocities(path, WINDFIELD_HEADER, (1, 1))
 
     def test_observations_accept_comment_line(self, tmp_path):
         obs = [OutageObservation(county="a", time_h=0.5, outages=3, households=100)]
@@ -355,7 +422,7 @@ class TestReader:
         with pytest.raises(
             ValueError, match=r"wf\.csv:4: repeated row for cell_id 0, time_index 0"
         ):
-            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=2))
+            _read_velocities(path, WINDFIELD_HEADER, (1, 2))
 
     def test_ensemble_repeated_row_names_second_line(self, tmp_path):
         path = tmp_path / "ens.csv"
@@ -381,4 +448,4 @@ class TestReader:
         path = tmp_path / "wf.csv"
         path.write_text("cell_id,time_index,velocity_mps\n0,0,1.0\n0,1,nan\n")
         with pytest.raises(ValueError, match="missing velocity for cell 0, time 1"):
-            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=2))
+            _read_velocities(path, WINDFIELD_HEADER, (1, 2))

@@ -22,7 +22,7 @@ from stormrisk import (
 )
 from stormrisk import NhppParams, ensemble, failure_rate, fr1, fr2, member_rates, poisson_intensity
 from stormrisk.cli import _cumulative_exposure
-from stormrisk.ensemble import _mean, _member_velocities
+from stormrisk.ensemble import _mean, _member_velocities, save_ensemble_members
 from stormrisk.nhpp import _fr1, _fr2, _member_rates
 from stormrisk.wind import _grid_axes
 
@@ -210,6 +210,29 @@ class TestEnsembleIO:
     def test_sidecar_accepts_integer_spacing(self, tmp_path):
         path = self._with_sidecar(tmp_path, lambda meta: meta.update(cell_size_km=12))
         assert load_ensemble(path).grid == GRID
+
+    @pytest.mark.parametrize("members", [[], iter(())])
+    def test_no_members_raise_before_any_file(self, tmp_path, members):
+        path = tmp_path / "ens.csv"
+        with pytest.raises(ValueError, match=r"ens\.csv: no members"):
+            save_ensemble_members(Grid(nx=2, ny=2), TimeAxis(n_steps=2), members, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_member_shape_named_before_it_is_written(self, tmp_path, bad):
+        grid, times = Grid(nx=2, ny=2), TimeAxis(n_steps=2)
+        members = [np.full((4, 2), 30.0), np.full((4, 2), 31.0)]
+        members[bad] = np.ones((3, 5))
+        path = tmp_path / "ens.csv"
+        with pytest.raises(ValueError, match=rf"member {bad} has shape \(3, 5\), expected \(4, 2\)"):
+            save_ensemble_members(grid, times, members, path)
+        assert not (tmp_path / "ens.csv.json").exists()
+        if bad == 0:
+            assert not path.exists()  # member 0 is checked before the file is made
+        else:
+            lines = path.read_bytes().splitlines()
+            assert len(lines) == 1 + 8  # the header and member 0
+            assert not any(line.startswith(b"1,") for line in lines)
 
     @staticmethod
     def _with_sidecar(tmp_path, edit):

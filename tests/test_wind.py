@@ -13,10 +13,10 @@ from stormrisk import (
     asymmetric_field,
     axisymmetric_field,
     holland_speed,
-    load_wind_field,
     save_wind_field,
 )
-from stormrisk.wind import _grid_axes, _sub_grid, _velocities, _wind_steps
+from stormrisk.csvio import _read_velocities
+from stormrisk.wind import WINDFIELD_HEADER, _grid_axes, _sub_grid, _velocities, _wind_steps
 
 # Frozen oracle: 25 * sqrt(0.5) * exp(0.25), hand evaluation of the radial
 # profile at (Vm=25, Rm=20, B=1), r=40.
@@ -339,6 +339,11 @@ class TestWindFieldValidation:
             )
 
 
+def read_wind_field(path, grid, times) -> np.ndarray:
+    """The velocities of a `save_wind_field` file, read by the shared reader."""
+    return _read_velocities(path, WINDFIELD_HEADER, (grid.n_cells, times.n_steps))
+
+
 class TestWindFieldIO:
     def _field(self):
         track = Track(x0=(3.0, -10.0), Vtr=(1.0, 3.0), duration=4.0)
@@ -353,28 +358,28 @@ class TestWindFieldIO:
         field = self._field()
         path = tmp_path / "wind.csv"
         save_wind_field(field, path)
-        loaded = load_wind_field(path, field.grid, field.times)
-        assert np.array_equal(loaded.velocities, field.velocities)
+        loaded = read_wind_field(path, field.grid, field.times)
+        assert np.array_equal(loaded, field.velocities)
 
     def test_header_mandatory(self, tmp_path):
         path = tmp_path / "wind.csv"
         path.write_text("0,0,1.0\n")
         with pytest.raises(ValueError, match="header"):
-            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=1))
+            read_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=1))
 
     def test_missing_row_named(self, tmp_path):
         path = tmp_path / "wind.csv"
         path.write_text("cell_id,time_index,velocity_mps\n0,0,1.0\n")
         with pytest.raises(ValueError, match="cell 0, time 1"):
-            load_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=2))
+            read_wind_field(path, Grid(nx=1, ny=1), TimeAxis(n_steps=2))
 
     def test_comment_lines_skipped(self, tmp_path):
         field = self._field()
         path = tmp_path / "wind.csv"
         save_wind_field(field, path, header_comment="config_sha256=deadbeef")
         assert path.read_text().startswith("# config_sha256=deadbeef\n")
-        loaded = load_wind_field(path, field.grid, field.times)
-        assert np.array_equal(loaded.velocities, field.velocities)
+        loaded = read_wind_field(path, field.grid, field.times)
+        assert np.array_equal(loaded, field.velocities)
 
     def test_nine_significant_digits(self, tmp_path):
         field = self._field()

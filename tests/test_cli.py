@@ -57,6 +57,133 @@ def _write_config(tmp_path, **extra) -> str:
     return str(path)
 
 
+# The exact stderr line of each config value that exits 2, one per field and
+# fault: out of range, not finite, an unknown key, the sweep order and the
+# sweep's storm cap.
+CONFIG_ERRORS = [
+    ("grid.nx=0", "grid.nx: value 0 out of range (>= 1)"),
+    ("grid.ny=0", "grid.ny: value 0 out of range (>= 1)"),
+    ("times.n_steps=0", "times.n_steps: value 0 out of range (>= 1)"),
+    ("ensemble.H=0", "ensemble.H: value 0 out of range (>= 1)"),
+    ("seed=-1", "seed: value -1 out of range (>= 0)"),
+    ("grid.cell_size_km=-1", "grid.cell_size_km: value -1 out of range (> 0)"),
+    ("grid.cell_size_km=NaN", "grid.cell_size_km: expected a finite number, got nan"),
+    ("times.dt_h=-1", "times.dt_h: value -1 out of range (> 0)"),
+    ("times.dt_h=NaN", "times.dt_h: expected a finite number, got nan"),
+    ("times.t0_h=NaN", "times.t0_h: expected a finite number, got nan"),
+    ("holland.Vm_mps=-1", "holland.Vm_mps: value -1 out of range (> 0)"),
+    ("holland.Vm_mps=NaN", "holland.Vm_mps: expected a finite number, got nan"),
+    ("holland.Rm_km=-1", "holland.Rm_km: value -1 out of range (> 0)"),
+    ("holland.Rm_km=NaN", "holland.Rm_km: expected a finite number, got nan"),
+    ("holland.B=-1", "holland.B: value -1 out of range (> 0)"),
+    ("holland.B=NaN", "holland.B: expected a finite number, got nan"),
+    ("nhpp.Vcrit_mps=-1", "nhpp.Vcrit_mps: value -1 out of range (> 0)"),
+    ("nhpp.Vcrit_mps=NaN", "nhpp.Vcrit_mps: expected a finite number, got nan"),
+    ("nhpp.alpha=0.5", "nhpp.alpha: value 0.5 out of range (>= 1)"),
+    ("nhpp.alpha=NaN", "nhpp.alpha: expected a finite number, got nan"),
+    ("nhpp.lambda_norm=-1", "nhpp.lambda_norm: value -1 out of range (> 0)"),
+    ("nhpp.lambda_norm=NaN", "nhpp.lambda_norm: expected a finite number, got nan"),
+    ("ensemble.sigma_track_km=-1", "ensemble.sigma_track_km: value -1 out of range (>= 0)"),
+    ("ensemble.sigma_track_km=NaN", "ensemble.sigma_track_km: expected a finite number, got nan"),
+    ("ensemble.sigma_heading_deg=-1", "ensemble.sigma_heading_deg: value -1 out of range (>= 0)"),
+    ("ensemble.sigma_heading_deg=NaN", "ensemble.sigma_heading_deg: expected a finite number, got nan"),
+    ("ensemble.sigma_Vm_mps=-1", "ensemble.sigma_Vm_mps: value -1 out of range (>= 0)"),
+    ("ensemble.sigma_Vm_mps=NaN", "ensemble.sigma_Vm_mps: expected a finite number, got nan"),
+    ("ensemble.sigma_Rm_km=-1", "ensemble.sigma_Rm_km: value -1 out of range (>= 0)"),
+    ("ensemble.sigma_Rm_km=NaN", "ensemble.sigma_Rm_km: expected a finite number, got nan"),
+    ("repair.Lf=-1", "repair.Lf: value -1 out of range (>= 0)"),
+    ("repair.Lf=NaN", "repair.Lf: expected a finite number, got nan"),
+    ("repair.Y=-1", "repair.Y: value -1 out of range (> 0)"),
+    ("repair.Y=NaN", "repair.Y: expected a finite number, got nan"),
+    ("sweep.Vm_min=-1", "sweep.Vm_min: value -1 out of range (> 0)"),
+    ("sweep.Vm_min=NaN", "sweep.Vm_min: expected a finite number, got nan"),
+    ("sweep.Vm_max=-1", "sweep.Vm_max: value -1 out of range (> 0)"),
+    ("sweep.Vm_max=NaN", "sweep.Vm_max: expected a finite number, got nan"),
+    ("sweep.Vm_step=-1", "sweep.Vm_step: value -1 out of range (> 0)"),
+    ("sweep.Vm_step=NaN", "sweep.Vm_step: expected a finite number, got nan"),
+    ("sweep.Rm_min=-1", "sweep.Rm_min: value -1 out of range (> 0)"),
+    ("sweep.Rm_min=NaN", "sweep.Rm_min: expected a finite number, got nan"),
+    ("sweep.Rm_max=-1", "sweep.Rm_max: value -1 out of range (> 0)"),
+    ("sweep.Rm_max=NaN", "sweep.Rm_max: expected a finite number, got nan"),
+    ("sweep.Rm_step=-1", "sweep.Rm_step: value -1 out of range (> 0)"),
+    ("sweep.Rm_step=NaN", "sweep.Rm_step: expected a finite number, got nan"),
+    ("holland.Vm_mps=Infinity", "holland.Vm_mps: expected a finite number, got inf"),
+    ("repair.Y=-Infinity", "repair.Y: expected a finite number, got -inf"),
+    ("grid.origin_km=[1]", "grid.origin_km: value [1] out of range ([x, y])"),
+    ("grid.origin_km=[1, NaN]", "grid.origin_km: entries must be finite numbers"),
+    ("grid.origin_km=[1, true]", "grid.origin_km: entries must be finite numbers"),
+    ("track.x0_km=[1]", "track.x0_km: value [1] out of range ([x, y])"),
+    ("track.x0_km=[1, NaN]", "track.x0_km: entries must be finite numbers"),
+    ("track.x0_km=[1, true]", "track.x0_km: entries must be finite numbers"),
+    ("track.vtr_mps=[1]", "track.vtr_mps: value [1] out of range ([vx, vy])"),
+    ("track.vtr_mps=[1, NaN]", "track.vtr_mps: entries must be finite numbers"),
+    ("track.vtr_mps=[1, true]", "track.vtr_mps: entries must be finite numbers"),
+    ("field.hemisphere=E", "field.hemisphere: value 'E' out of range (\"N\" or \"S\")"),
+    ("grid.typo=1", "grid.typo: unknown config field"),
+    ("times.typo=1", "times.typo: unknown config field"),
+    ("track.typo=1", "track.typo: unknown config field"),
+    ("holland.typo=1", "holland.typo: unknown config field"),
+    ("nhpp.typo=1", "nhpp.typo: unknown config field"),
+    ("field.typo=1", "field.typo: unknown config field"),
+    ("ensemble.typo=1", "ensemble.typo: unknown config field"),
+    ("repair.typo=1", "repair.typo: unknown config field"),
+    ("sweep.typo=1", "sweep.typo: unknown config field"),
+    ("typo=1", "typo: unknown config field"),
+    ("sweep.Vm_max=20", "sweep.Vm_max: must be >= sweep.Vm_min"),
+    ("sweep.Rm_max=19.5", "sweep.Rm_max: must be >= sweep.Rm_min"),
+    ("sweep.Vm_max=1e300", "sweep.Vm_max: 1e+300 Vm values at sweep.Vm_step; at most 1,000,000 storms"),
+    ("sweep.Vm_step=1e-12", "sweep.Vm_max: 5.9e+13 Vm values at sweep.Vm_step; at most 1,000,000 storms"),
+    ("sweep.Rm_step=1e-4", "sweep.Rm_max: 60 Vm by 3e+05 Rm values at sweep.Rm_step; at most 1,000,000 storms"),
+]
+
+# A value of the wrong JSON type.
+TYPE_ERRORS = [
+    ("grid.nx=7.0", "grid.nx: expected >= 1, got float"),
+    ("grid.nx=true", "grid.nx: expected >= 1, got a boolean"),
+    ("grid.ny=7.0", "grid.ny: expected >= 1, got float"),
+    ("grid.ny=true", "grid.ny: expected >= 1, got a boolean"),
+    ("times.n_steps=7.0", "times.n_steps: expected >= 1, got float"),
+    ("times.n_steps=true", "times.n_steps: expected >= 1, got a boolean"),
+    ("ensemble.H=7.0", "ensemble.H: expected >= 1, got float"),
+    ("ensemble.H=true", "ensemble.H: expected >= 1, got a boolean"),
+    ("seed=7.0", "seed: expected >= 0, got float"),
+    ("seed=true", "seed: expected >= 0, got a boolean"),
+    ("grid.cell_size_km=\"x\"", "grid.cell_size_km: expected > 0, got str"),
+    ("times.dt_h=\"x\"", "times.dt_h: expected > 0, got str"),
+    ("times.t0_h=\"x\"", "times.t0_h: expected a number, got str"),
+    ("holland.Vm_mps=\"x\"", "holland.Vm_mps: expected > 0, got str"),
+    ("holland.Rm_km=\"x\"", "holland.Rm_km: expected > 0, got str"),
+    ("holland.B=\"x\"", "holland.B: expected > 0, got str"),
+    ("nhpp.Vcrit_mps=\"x\"", "nhpp.Vcrit_mps: expected > 0, got str"),
+    ("nhpp.alpha=\"x\"", "nhpp.alpha: expected >= 1, got str"),
+    ("nhpp.lambda_norm=\"x\"", "nhpp.lambda_norm: expected > 0, got str"),
+    ("ensemble.sigma_track_km=\"x\"", "ensemble.sigma_track_km: expected >= 0, got str"),
+    ("ensemble.sigma_heading_deg=\"x\"", "ensemble.sigma_heading_deg: expected >= 0, got str"),
+    ("ensemble.sigma_Vm_mps=\"x\"", "ensemble.sigma_Vm_mps: expected >= 0, got str"),
+    ("ensemble.sigma_Rm_km=\"x\"", "ensemble.sigma_Rm_km: expected >= 0, got str"),
+    ("repair.Lf=\"x\"", "repair.Lf: expected >= 0, got str"),
+    ("repair.Y=\"x\"", "repair.Y: expected > 0, got str"),
+    ("sweep.Vm_min=\"x\"", "sweep.Vm_min: expected > 0, got str"),
+    ("sweep.Vm_max=\"x\"", "sweep.Vm_max: expected > 0, got str"),
+    ("sweep.Vm_step=\"x\"", "sweep.Vm_step: expected > 0, got str"),
+    ("sweep.Rm_min=\"x\"", "sweep.Rm_min: expected > 0, got str"),
+    ("sweep.Rm_max=\"x\"", "sweep.Rm_max: expected > 0, got str"),
+    ("sweep.Rm_step=\"x\"", "sweep.Rm_step: expected > 0, got str"),
+    ("holland.Vm_mps.x=1", "holland.Vm_mps: expected > 0, got dict"),
+    ("grid.cell_size_km=false", "grid.cell_size_km: expected > 0, got a boolean"),
+    ("grid.origin_km=3", "grid.origin_km: expected [x, y], got int"),
+    ("track.x0_km=3", "track.x0_km: expected [x, y], got int"),
+    ("track.vtr_mps=3", "track.vtr_mps: expected [vx, vy], got int"),
+    ("field.asymmetric=1", "field.asymmetric: expected a boolean, got int"),
+    ("ensemble.asymmetric=1", "ensemble.asymmetric: expected a boolean, got int"),
+    ("scenario=3", "scenario: expected a string, got int"),
+    ("field.hemisphere=1", "field.hemisphere: expected \"N\" or \"S\", got int"),
+    ("counties_csv=3", "counties_csv: expected a path string or null"),
+    ("output_dir=3", "output_dir: expected a path string, got int"),
+    ("output_dir=null", "output_dir: expected a path string, got NoneType"),
+]
+
+
 class TestConfig:
     def test_defaults_validate(self):
         validate_config(DEFAULT_CONFIG)
@@ -84,6 +211,20 @@ class TestConfig:
         b = load_config(None, ["grid.nx=7"])
         assert config_hash(a) == config_hash(load_config(None, []))
         assert config_hash(a) != config_hash(b)
+
+
+class TestConfigMessages:
+    """Each bad config value exits 2 with exactly one line naming its field."""
+
+    def _run(self, tmp_path, capsys, assignment):
+        # output_dir first so a value wrongly accepted writes nothing here.
+        rc = main(["windfield", "--set", f"output_dir={tmp_path / 'out'}", "--set", assignment])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment, message", CONFIG_ERRORS + TYPE_ERRORS)
+    def test_exact_stderr_line(self, tmp_path, capsys, assignment, message):
+        assert self._run(tmp_path, capsys, assignment) == (2, f"error: invalid config: {message}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEntryPoints:

@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,35 +56,140 @@ class ConfigError(ValueError):
 # Config document
 # =============================================================================
 
-DEFAULT_CONFIG: dict = {
-    "scenario": "default",
-    "grid": {"nx": 100, "ny": 100, "cell_size_km": 1.0, "origin_km": [0.0, 0.0]},
-    "times": {"n_steps": 121, "dt_h": 1.0, "t0_h": 0.0},
-    "track": {"x0_km": [50.0, -150.0], "vtr_mps": [0.0, 3.0]},
-    "holland": {"Vm_mps": 46.0, "Rm_km": 30.0, "B": 1.0},
-    "nhpp": {"Vcrit_mps": 20.6, "alpha": 4175.6, "lambda_norm": 3.5e-5},
-    "field": {"asymmetric": False, "hemisphere": "N"},
-    "ensemble": {
-        "H": 10,
-        "sigma_track_km": 10.0,
-        "sigma_heading_deg": 5.0,
-        "sigma_Vm_mps": 3.0,
-        "sigma_Rm_km": 3.0,
-        "asymmetric": False,
-    },
-    "repair": {"Lf": 1.0, "Y": 1.0},
-    "sweep": {
-        "Vm_min": 21.0,
-        "Vm_max": 80.0,
-        "Vm_step": 1.0,
-        "Rm_min": 20.0,
-        "Rm_max": 50.0,
-        "Rm_step": 1.0,
-    },
-    "counties_csv": None,
-    "output_dir": "out",
-    "seed": 0,
+
+def _pair(value) -> tuple[float, float]:
+    return float(value[0]), float(value[1])
+
+
+# A field's kind: the JSON types it accepts, what a message calls them, and the
+# conversion of its value for the builders (None: used as it is).
+_STRING = ((str,), "a string", None)
+_INTEGER = ((int,), "an integer", None)
+_NUMBER = ((int, float), "a number", float)
+_BOOLEAN = ((bool,), "a boolean", None)
+_XY = ((list,), "[x, y]", _pair)
+_VXY = ((list,), "[vx, vy]", _pair)
+_PATH = ((str,), "a path string", None)
+_OPTIONAL_PATH = ((str, type(None)), "a path string or null", None)
+
+# A check's text, as messages and the README give it, and its test.
+_CHECKS = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    '"N" or "S"': lambda v: v in ("N", "S"),
 }
+
+# One row per config field: (dotted path, default, kind, check).  The default
+# config, the validation and the builders' values all come from this table,
+# and the README's config reference is tested against it.
+CONFIG_SCHEMA = (
+    ("scenario", "default", _STRING, None),
+    ("grid.nx", 100, _INTEGER, ">= 1"),
+    ("grid.ny", 100, _INTEGER, ">= 1"),
+    ("grid.cell_size_km", 1.0, _NUMBER, "> 0"),
+    ("grid.origin_km", [0.0, 0.0], _XY, None),
+    ("times.n_steps", 121, _INTEGER, ">= 1"),
+    ("times.dt_h", 1.0, _NUMBER, "> 0"),
+    ("times.t0_h", 0.0, _NUMBER, None),  # accepted and ignored: no command reads it
+    ("track.x0_km", [50.0, -150.0], _XY, None),
+    ("track.vtr_mps", [0.0, 3.0], _VXY, None),
+    ("holland.Vm_mps", 46.0, _NUMBER, "> 0"),
+    ("holland.Rm_km", 30.0, _NUMBER, "> 0"),
+    ("holland.B", 1.0, _NUMBER, "> 0"),
+    ("nhpp.Vcrit_mps", 20.6, _NUMBER, "> 0"),
+    ("nhpp.alpha", 4175.6, _NUMBER, ">= 1"),
+    ("nhpp.lambda_norm", 3.5e-5, _NUMBER, "> 0"),
+    ("field.asymmetric", False, _BOOLEAN, None),
+    ("field.hemisphere", "N", _STRING, '"N" or "S"'),
+    ("ensemble.H", 10, _INTEGER, ">= 1"),
+    ("ensemble.sigma_track_km", 10.0, _NUMBER, ">= 0"),
+    ("ensemble.sigma_heading_deg", 5.0, _NUMBER, ">= 0"),
+    ("ensemble.sigma_Vm_mps", 3.0, _NUMBER, ">= 0"),
+    ("ensemble.sigma_Rm_km", 3.0, _NUMBER, ">= 0"),
+    ("ensemble.asymmetric", False, _BOOLEAN, None),
+    ("repair.Lf", 1.0, _NUMBER, ">= 0"),
+    ("repair.Y", 1.0, _NUMBER, "> 0"),
+    ("sweep.Vm_min", 21.0, _NUMBER, "> 0"),
+    ("sweep.Vm_max", 80.0, _NUMBER, "> 0"),
+    ("sweep.Vm_step", 1.0, _NUMBER, "> 0"),
+    ("sweep.Rm_min", 20.0, _NUMBER, "> 0"),
+    ("sweep.Rm_max", 50.0, _NUMBER, "> 0"),
+    ("sweep.Rm_step", 1.0, _NUMBER, "> 0"),
+    ("counties_csv", None, _OPTIONAL_PATH, None),
+    ("output_dir", "out", _PATH, None),
+    ("seed", 0, _INTEGER, ">= 0"),
+)
+
+# Most storms `_sweep_grids` may make, far above the default sweep's 1,860.
+_MAX_SWEEP_STORMS = 10**6
+
+
+def _nest(items) -> dict:
+    """The nested dict holding each `(dotted path, value)` of `items`."""
+    out: dict = {}
+    for path, value in items:
+        *sections, key = path.split(".")
+        node = out
+        for part in sections:
+            node = node.setdefault(part, {})
+        node[key] = value
+    return out
+
+
+DEFAULT_CONFIG: dict = _nest((path, default) for path, default, _, _ in CONFIG_SCHEMA)
+
+
+def _finite(v) -> bool:
+    """Whether a JSON number is finite as a float; a huge integer is not."""
+    return abs(v) <= sys.float_info.max
+
+
+def _type_name(value) -> str:
+    return "a boolean" if isinstance(value, bool) else type(value).__name__
+
+
+def _sweep_axes(sweep: dict) -> list[tuple]:
+    """The `np.arange` (start, stop, step) of the sweep's Vm and Rm axes."""
+    return [(sweep[f"{a}_min"], sweep[f"{a}_max"] + 1e-9, sweep[f"{a}_step"]) for a in ("Vm", "Rm")]
+
+
+def _sweep_grids(config) -> list[np.ndarray]:
+    return [np.arange(*axis) for axis in _sweep_axes(config["sweep"])]
+
+
+def validate_config(config: dict) -> dict:
+    """Check every field against its schema row, then the sweep's range,
+    raising ConfigError with the dotted path of the first offending field.
+    Returns the fields' values nested as in `config`, with numbers as floats
+    and pairs as tuples of floats."""
+    values = []
+    for path, _, (types, name, convert), check in CONFIG_SCHEMA:
+        value = config
+        for part in path.split("."):
+            value = value[part]
+        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+            raise ConfigError(path, f"expected {name}, got {_type_name(value)}")
+        if convert is float and not _finite(value):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        if convert is _pair and len(value) != 2:
+            raise ConfigError(path, f"value {value!r} out of range ({name})")
+        if convert is _pair and not all(type(v) in (int, float) and _finite(v) for v in value):
+            raise ConfigError(path, "entries must be finite numbers")
+        if check is not None and not _CHECKS[check](value):
+            raise ConfigError(path, f"value {value!r} out of range ({check})")
+        values.append((path, value if convert is None else convert(value)))
+    s = config["sweep"]
+    for a in ("Vm", "Rm"):
+        if s[f"{a}_max"] < s[f"{a}_min"]:
+            raise ConfigError(f"sweep.{a}_max", f"must be >= sweep.{a}_min")
+    n_Vm, n_Rm = (np.ceil((stop - start) / step) for start, stop, step in _sweep_axes(s))
+    cap = f"at most {_MAX_SWEEP_STORMS:,} storms"
+    if n_Vm > _MAX_SWEEP_STORMS:
+        raise ConfigError("sweep.Vm_max", f"{n_Vm:.3g} Vm values at sweep.Vm_step; {cap}")
+    if n_Vm * n_Rm > _MAX_SWEEP_STORMS:
+        raise ConfigError("sweep.Rm_max", f"{n_Vm:.0f} Vm by {n_Rm:.3g} Rm values at sweep.Rm_step; {cap}")
+    return _nest(values)
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
@@ -92,7 +198,9 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(here, "unknown config field")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(here, f"expected an object, got {_type_name(value)}")
             out[key] = _deep_merge(base[key], value, here)
         else:
             out[key] = value
@@ -102,109 +210,23 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
 def apply_override(config: dict, assignment: str) -> dict:
     """Apply one ``dotted.path=value`` override; values parse as JSON with a
     plain-string fallback."""
-    if "=" not in assignment:
+    dotted, equals, raw = assignment.partition("=")
+    if not equals:
         raise ConfigError(assignment, "override must look like path=value")
-    dotted, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer too long to parse
         value = raw
-    node: dict = {}
-    leaf = node
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        leaf[part] = {}
-        leaf = leaf[part]
-    leaf[parts[-1]] = value
-    return _deep_merge(config, node)
-
-
-def _require(config: dict, path: str, types, check=None, describe: str = ""):
-    node = config
-    for part in path.split("."):
-        node = node[part]
-    if isinstance(node, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ConfigError(path, f"expected {describe or 'a number'}, got a boolean")
-    if not isinstance(node, types):
-        raise ConfigError(path, f"expected {describe or types}, got {type(node).__name__}")
-    if isinstance(node, float) and not np.isfinite(node):
-        raise ConfigError(path, f"expected a finite number, got {node!r}")
-    if check is not None and not check(node):
-        raise ConfigError(path, f"value {node!r} out of range ({describe})")
-    return node
-
-
-# Most storms `_sweep_grids` may make, far above the default sweep's 1,860.
-_MAX_SWEEP_STORMS = 10**6
-
-
-def validate_config(config: dict) -> None:
-    """Check every field used by the commands, raising ConfigError with the
-    dotted path of the first offending field."""
-    num = (int, float)
-    _require(config, "scenario", str, describe="a string")
-    _require(config, "grid.nx", int, lambda v: v >= 1, ">= 1")
-    _require(config, "grid.ny", int, lambda v: v >= 1, ">= 1")
-    _require(config, "grid.cell_size_km", num, lambda v: v > 0, "> 0")
-    origin = _require(config, "grid.origin_km", list, lambda v: len(v) == 2, "[x, y]")
-    for v in origin:
-        if not isinstance(v, num) or isinstance(v, bool) or not np.isfinite(v):
-            raise ConfigError("grid.origin_km", "entries must be finite numbers")
-    _require(config, "times.n_steps", int, lambda v: v >= 1, ">= 1")
-    _require(config, "times.dt_h", num, lambda v: v > 0, "> 0")
-    _require(config, "times.t0_h", num, describe="a number")
-    x0 = _require(config, "track.x0_km", list, lambda v: len(v) == 2, "[x, y]")
-    vtr = _require(config, "track.vtr_mps", list, lambda v: len(v) == 2, "[vx, vy]")
-    for path, pair in (("track.x0_km", x0), ("track.vtr_mps", vtr)):
-        for v in pair:
-            if not isinstance(v, num) or isinstance(v, bool) or not np.isfinite(v):
-                raise ConfigError(path, "entries must be finite numbers")
-    _require(config, "holland.Vm_mps", num, lambda v: v > 0, "> 0")
-    _require(config, "holland.Rm_km", num, lambda v: v > 0, "> 0")
-    _require(config, "holland.B", num, lambda v: v > 0, "> 0")
-    _require(config, "nhpp.Vcrit_mps", num, lambda v: v > 0, "> 0")
-    _require(config, "nhpp.alpha", num, lambda v: v >= 1, ">= 1")
-    _require(config, "nhpp.lambda_norm", num, lambda v: v > 0, "> 0")
-    _require(config, "field.asymmetric", bool, describe="a boolean")
-    _require(config, "field.hemisphere", str, lambda v: v in ("N", "S"), '"N" or "S"')
-    _require(config, "ensemble.H", int, lambda v: v >= 1, ">= 1")
-    for key in ("sigma_track_km", "sigma_heading_deg", "sigma_Vm_mps", "sigma_Rm_km"):
-        _require(config, f"ensemble.{key}", num, lambda v: v >= 0, ">= 0")
-    _require(config, "ensemble.asymmetric", bool, describe="a boolean")
-    _require(config, "repair.Lf", num, lambda v: v >= 0, ">= 0")
-    _require(config, "repair.Y", num, lambda v: v > 0, "> 0")
-    for key in ("Vm_min", "Vm_max", "Vm_step", "Rm_min", "Rm_max", "Rm_step"):
-        _require(config, f"sweep.{key}", num, lambda v: v > 0, "> 0")
-    if config["sweep"]["Vm_max"] < config["sweep"]["Vm_min"]:
-        raise ConfigError("sweep.Vm_max", "must be >= sweep.Vm_min")
-    if config["sweep"]["Rm_max"] < config["sweep"]["Rm_min"]:
-        raise ConfigError("sweep.Rm_max", "must be >= sweep.Rm_min")
-    s = config["sweep"]
-    n_Vm, n_Rm = (  # the lengths of `_sweep_grids`' two np.arange axes
-        np.ceil((s[f"{a}_max"] + 1e-9 - s[f"{a}_min"]) / s[f"{a}_step"]) for a in ("Vm", "Rm")
-    )
-    if n_Vm > _MAX_SWEEP_STORMS:
-        raise ConfigError(
-            "sweep.Vm_max", f"{n_Vm:.3g} Vm values at sweep.Vm_step; at most {_MAX_SWEEP_STORMS:,} storms"
-        )
-    if n_Vm * n_Rm > _MAX_SWEEP_STORMS:
-        raise ConfigError(
-            "sweep.Rm_max",
-            f"{n_Vm:.0f} Vm by {n_Rm:.3g} Rm values at sweep.Rm_step; at most {_MAX_SWEEP_STORMS:,} storms",
-        )
-    if config["counties_csv"] is not None and not isinstance(config["counties_csv"], str):
-        raise ConfigError("counties_csv", "expected a path string or null")
-    _require(config, "output_dir", str, describe="a path string")
-    _require(config, "seed", int, lambda v: v >= 0, ">= 0")
+    return _deep_merge(config, _nest([(dotted, value)]))
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
     config = DEFAULT_CONFIG
     if path is not None:
         try:
-            with open(path) as f:
+            with open(path, "rb") as f:
                 user = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise ConfigError(str(path), f"invalid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError(str(path), "config document must be a JSON object")
@@ -226,74 +248,51 @@ def config_hash(config: dict) -> str:
 # =============================================================================
 
 
-def _build_grid(config) -> Grid:
-    g = config["grid"]
-    return Grid(
-        origin=tuple(float(v) for v in g["origin_km"]),
-        nx=g["nx"],
-        ny=g["ny"],
-        cell_size=float(g["cell_size_km"]),
-    )
+class _Built(NamedTuple):
+    """The objects a config describes."""
+
+    grid: Grid
+    times: TimeAxis
+    track: Track
+    holland: HollandParams
+    nhpp: NhppParams
+    spec: EnsemblePerturbationSpec
+    repair: aggregate.RepairParams
 
 
-def _build_times(config) -> TimeAxis:
-    t = config["times"]
-    return TimeAxis(t0=float(t["t0_h"]), n_steps=t["n_steps"], dt=float(t["dt_h"]))
-
-
-def _build_track(config) -> Track:
-    t = config["track"]
-    duration = config["times"]["n_steps"] * config["times"]["dt_h"]
-    return Track(
-        x0=tuple(float(v) for v in t["x0_km"]),
-        Vtr=tuple(float(v) for v in t["vtr_mps"]),
-        duration=float(duration),
-    )
-
-
-def _build_holland(config) -> HollandParams:
-    h = config["holland"]
-    return HollandParams(Vm=float(h["Vm_mps"]), Rm=float(h["Rm_km"]), B=float(h["B"]))
-
-
-def _build_nhpp(config) -> NhppParams:
-    n = config["nhpp"]
-    return NhppParams(
-        Vcrit=float(n["Vcrit_mps"]),
-        alpha=float(n["alpha"]),
-        lambda_norm=float(n["lambda_norm"]),
-    )
-
-
-def _build_ensemble_spec(config) -> EnsemblePerturbationSpec:
-    e = config["ensemble"]
-    return EnsemblePerturbationSpec(
-        base_track=_build_track(config),
-        base_params=_build_holland(config),
-        sigma_track=float(e["sigma_track_km"]),
-        sigma_heading=float(e["sigma_heading_deg"]),
-        sigma_Vm=float(e["sigma_Vm_mps"]),
-        sigma_Rm=float(e["sigma_Rm_km"]),
-        seed=config["seed"],
+def _build(config) -> _Built:
+    """The objects `config` describes, from its validated values."""
+    v = validate_config(config)
+    g, h, n, e = v["grid"], v["holland"], v["nhpp"], v["ensemble"]
+    times = TimeAxis(n_steps=v["times"]["n_steps"], dt=v["times"]["dt_h"])
+    track = Track(x0=v["track"]["x0_km"], Vtr=v["track"]["vtr_mps"], duration=times.duration)
+    holland = HollandParams(Vm=h["Vm_mps"], Rm=h["Rm_km"], B=h["B"])
+    spec = EnsemblePerturbationSpec(
+        base_track=track,
+        base_params=holland,
+        sigma_track=e["sigma_track_km"],
+        sigma_heading=e["sigma_heading_deg"],
+        sigma_Vm=e["sigma_Vm_mps"],
+        sigma_Rm=e["sigma_Rm_km"],
+        seed=v["seed"],
         H=e["H"],
         asymmetric=e["asymmetric"],
     )
+    return _Built(
+        grid=Grid(origin=g["origin_km"], nx=g["nx"], ny=g["ny"], cell_size=g["cell_size_km"]),
+        times=times,
+        track=track,
+        holland=holland,
+        nhpp=NhppParams(Vcrit=n["Vcrit_mps"], alpha=n["alpha"], lambda_norm=n["lambda_norm"]),
+        spec=spec,
+        repair=aggregate.RepairParams(Lf=v["repair"]["Lf"], Y=v["repair"]["Y"]),
+    )
 
 
-def _build_field(config):
-    track = _build_track(config)
-    params = _build_holland(config)
-    grid = _build_grid(config)
-    times = _build_times(config)
-    if config["field"]["asymmetric"]:
-        return asymmetric_field(track, params, grid, times, hemisphere=config["field"]["hemisphere"])
-    return axisymmetric_field(track, params, grid, times)
-
-
-def _members(config, threads: int, axes=None):
+def _members(b: _Built, threads: int, axes=None):
     """Each member's velocities in turn, on the grid or on cell-centre `axes`."""
-    axes = _grid_axes(_build_grid(config)) if axes is None else axes
-    return _member_velocities(_build_ensemble_spec(config), *axes, _build_times(config), threads)
+    axes = _grid_axes(b.grid) if axes is None else axes
+    return _member_velocities(b.spec, *axes, b.times, threads)
 
 
 def _load(loader, name: str, path):
@@ -316,44 +315,39 @@ def _write_report(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
-def _sweep_grids(config) -> tuple[np.ndarray, np.ndarray]:
-    s = config["sweep"]
-    Vm = np.arange(s["Vm_min"], s["Vm_max"] + 1e-9, s["Vm_step"])
-    Rm = np.arange(s["Rm_min"], s["Rm_max"] + 1e-9, s["Rm_step"])
-    return Vm, Rm
-
-
 # =============================================================================
 # Subcommands
 # =============================================================================
 
 
-def cmd_windfield(config: dict, args) -> int:
+def cmd_windfield(b: _Built, config: dict, args) -> int:
     tag = f"config_sha256={config_hash(config)}"
-    field = _build_field(config)
+    f = config["field"]
+    if f["asymmetric"]:
+        field = asymmetric_field(b.track, b.holland, b.grid, b.times, hemisphere=f["hemisphere"])
+    else:
+        field = axisymmetric_field(b.track, b.holland, b.grid, b.times)
     save_wind_field(field, _out_dir(config) / "windfield.csv", header_comment=tag)
     return 0
 
 
-def cmd_ensemble(config: dict, args) -> int:
+def cmd_ensemble(b: _Built, config: dict, args) -> int:
     tag = f"config_sha256={config_hash(config)}"
-    members = _members(config, args.threads)
     out = _out_dir(config) / "ensemble.csv"
-    save_ensemble_members(_build_grid(config), _build_times(config), members, out, header_comment=tag)
+    save_ensemble_members(b.grid, b.times, _members(b, args.threads), out, header_comment=tag)
     return 0
 
 
-def cmd_failure_rates(config: dict, args) -> int:
+def cmd_failure_rates(b: _Built, config: dict, args) -> int:
     tag = f"config_sha256={config_hash(config)}"
-    members = _members(config, args.threads)
     reduce = nhpp._fr1 if args.which == "fr1" else nhpp._fr2
-    rates = reduce(_build_nhpp(config), members, _build_times(config).dt)
+    rates = reduce(b.nhpp, _members(b, args.threads), b.times.dt)
     out = _out_dir(config) / f"failure_rates_{args.which}.csv"
     nhpp.save_failure_rate_field(rates, out, header_comment=tag)
     return 0
 
 
-def cmd_fail_dist(config: dict, args) -> int:
+def cmd_fail_dist(b: _Built, config: dict, args) -> int:
     tag = f"config_sha256={config_hash(config)}"
     try:
         cells = [int(c) for c in args.cells.split(",") if c.strip() != ""]
@@ -361,15 +355,13 @@ def cmd_fail_dist(config: dict, args) -> int:
         raise ConfigError("--cells", "expected a comma-separated list of cell ids") from None
     if not cells:
         raise ConfigError("--cells", "need at least one cell id")
-    grid = _build_grid(config)
     for cell in cells:
-        if not 0 <= cell < grid.n_cells:
-            raise ConfigError("--cells", f"cell {cell} outside [0, {grid.n_cells})")
+        if not 0 <= cell < b.grid.n_cells:
+            raise ConfigError("--cells", f"cell {cell} outside [0, {b.grid.n_cells})")
     if args.n_max is not None and args.n_max < 0:
         raise ConfigError("--n-max", "must be >= 0")
-    xs, ys, rows = _sub_grid(grid, cells)
-    members = _members(config, args.threads, (xs, ys))
-    rates = nhpp._member_rates(_build_nhpp(config), members, rows, _build_times(config).dt)
+    xs, ys, rows = _sub_grid(b.grid, cells)
+    rates = nhpp._member_rates(b.nhpp, _members(b, args.threads, (xs, ys)), rows, b.times.dt)
     out_dir = _out_dir(config)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
     for j, cell in enumerate(cells):
@@ -380,14 +372,10 @@ def cmd_fail_dist(config: dict, args) -> int:
     return 0
 
 
-def cmd_critzone(config: dict, args) -> int:
+def cmd_critzone(b: _Built, config: dict, args) -> int:
     digest = config_hash(config)
     tag = f"config_sha256={digest}"
-    params = _build_holland(config)
-    nparams = _build_nhpp(config)
-    track = _build_track(config)
-    grid = _build_grid(config)
-    times = _build_times(config)
+    params, nparams, track, grid, times = b.holland, b.nhpp, b.track, b.grid, b.times
     asymmetric, hemisphere = config["field"]["asymmetric"], config["field"]["hemisphere"]
     rates, zone = critzone.storm_swath(
         track, params, grid, times, nparams, asymmetric=asymmetric, hemisphere=hemisphere
@@ -414,21 +402,17 @@ def cmd_critzone(config: dict, args) -> int:
     return 0
 
 
-def _sweep_fit_critzone(config: dict, digest: str) -> None:
+def _sweep_fit_critzone(b: _Built, config: dict, digest: str) -> None:
     tag = f"config_sha256={digest}"
-    nparams = _build_nhpp(config)
-    track = _build_track(config)
-    times = _build_times(config)
+    nparams, track, times, B = b.nhpp, b.track, b.times, b.holland.B
     Vm_grid, Rm_grid = _sweep_grids(config)
-    Vm, Rm, Rcrit = critzone.sweep_critical_radius(
-        Vm_grid, Rm_grid, Vthres=nparams.Vcrit, B=float(config["holland"]["B"])
-    )
+    Vm, Rm, Rcrit = critzone.sweep_critical_radius(Vm_grid, Rm_grid, Vthres=nparams.Vcrit, B=B)
     radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=nparams.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)
     rows = []
     areas = []
     for v, r, rc in zip(Vm, Rm, Rcrit):
-        p = HollandParams(Vm=float(v), Rm=float(r), B=float(config["holland"]["B"]))
+        p = HollandParams(Vm=float(v), Rm=float(r), B=B)
         # Resolution tracks the zone size so large storms stay affordable.
         cell = float(np.clip(rc / 100.0, 2.0, 25.0))
         a_num = critzone.axisymmetric_zone_area(track, p, times, nparams.Vcrit, cell_size=cell)
@@ -495,18 +479,15 @@ def _zone_rate_stats(p, nparams, track, times, rc: float) -> dict[str, float]:
     return critzone._zone_stats(rates, zone)
 
 
-def _sweep_fit_aggregate(config: dict, digest: str, target: str) -> None:
+def _sweep_fit_aggregate(b: _Built, config: dict, digest: str, target: str) -> None:
     tag = f"config_sha256={digest}"
-    nparams = _build_nhpp(config)
-    repair = aggregate.RepairParams(
-        Lf=float(config["repair"]["Lf"]), Y=float(config["repair"]["Y"])
-    )
+    nparams = b.nhpp
     if target == "damage" and config["sweep"]["Vm_min"] <= nparams.Vcrit:
         raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({nparams.Vcrit:g}) for --target damage")
     Vm_grid, Rm_grid = _sweep_grids(config)
-    sweep = aggregate.SweepConfig(B=float(config["holland"]["B"]))
+    sweep = aggregate.SweepConfig(B=b.holland.B)
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(
-        Vm_grid, Rm_grid, nhpp=nparams, repair=repair, config=sweep
+        Vm_grid, Rm_grid, nhpp=nparams, repair=b.repair, config=sweep
     )
     out_dir = _out_dir(config)
     aggregate.save_agg_sweep(
@@ -521,7 +502,7 @@ def _sweep_fit_aggregate(config: dict, digest: str, target: str) -> None:
     report.update(
         config_sha256=digest,
         terms=list(model.terms),
-        beta=[float(b) for b in model.fit.beta],
+        beta=[float(x) for x in model.fit.beta],
         se=[float(s) for s in model.fit.se],
         p_values=[float(p) for p in model.fit.p_values],
         rms_relative_residual=model.fit.rms,
@@ -529,12 +510,12 @@ def _sweep_fit_aggregate(config: dict, digest: str, target: str) -> None:
     _write_report(out_dir / f"{target}_fit.json", report)
 
 
-def cmd_sweep_fit(config: dict, args) -> int:
+def cmd_sweep_fit(b: _Built, config: dict, args) -> int:
     digest = config_hash(config)
     if args.target == "critzone":
-        _sweep_fit_critzone(config, digest)
+        _sweep_fit_critzone(b, config, digest)
     else:
-        _sweep_fit_aggregate(config, digest, args.target)
+        _sweep_fit_aggregate(b, config, digest, args.target)
     return 0
 
 
@@ -549,7 +530,7 @@ def _cumulative_exposure(nparams: NhppParams, velocities, dt: float, predictor: 
     return _mean(np.cumsum(v, axis=-1)[:, steps] for v in velocities)
 
 
-def cmd_outage_fit(config: dict, args) -> int:
+def cmd_outage_fit(b: _Built, config: dict, args) -> int:
     digest = config_hash(config)
     if config["counties_csv"] is None:
         raise ConfigError("counties_csv", "required for outage-fit")
@@ -558,7 +539,7 @@ def cmd_outage_fit(config: dict, args) -> int:
     unknown = sorted({obs.county for obs in observations} - set(counties.names()))
     if unknown:
         raise ConfigError("--obs", f"counties not in counties_csv: {', '.join(map(repr, unknown))}")
-    times = _build_times(config)
+    times = b.times
     dt = times.dt
     # Each observation's exposure is its county's mean at the step holding
     # time_h, clipped to the horizon; only those steps are kept.
@@ -566,8 +547,7 @@ def cmd_outage_fit(config: dict, args) -> int:
     steps, column = np.unique(
         [int(np.clip(np.floor(obs.time_h / dt), 0, last)) for obs in observations], return_inverse=True
     )
-    members = _members(config, args.threads)
-    per_step = _cumulative_exposure(_build_nhpp(config), members, dt, args.predictor, steps)
+    per_step = _cumulative_exposure(b.nhpp, _members(b, args.threads), dt, args.predictor, steps)
     x = np.array(
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )
@@ -579,7 +559,7 @@ def cmd_outage_fit(config: dict, args) -> int:
     report = {
         "config_sha256": digest,
         "predictor": args.predictor,
-        "beta": [float(b) for b in fit.beta],
+        "beta": [float(x) for x in fit.beta],
         "se": [float(s) for s in fit.se],
         "wald_p_values": [float(p) for p in fit.p_values],
         "deviance": fit.deviance,
@@ -594,9 +574,9 @@ def cmd_outage_fit(config: dict, args) -> int:
     return 0
 
 
-def cmd_tables123(config: dict, args) -> int:
+def cmd_tables123(b: _Built, config: dict, args) -> int:
     tag = f"config_sha256={config_hash(config)}"
-    records = critzone.tables123(nhpp=_build_nhpp(config))
+    records = critzone.tables123(nhpp=b.nhpp)
     out = _out_dir(config) / "tables123.csv"
     cols = [
         "Vm", "Rm",
@@ -679,11 +659,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(config, args)
+        return args.func(_build(config), config, args)
     except ConfigError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2

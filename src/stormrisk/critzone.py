@@ -363,7 +363,7 @@ class TableConfig:
         )
 
     def times(self) -> TimeAxis:
-        return TimeAxis(t0=0.0, n_steps=self.n_steps, dt=self.dt)
+        return TimeAxis(n_steps=self.n_steps, dt=self.dt)
 
     def track(self) -> Track:
         return Track(

@@ -75,21 +75,16 @@ class TimeAxis:
 
     Parameters
     ----------
-    t0 : float
-        Epoch of the first sample in hours.
     n_steps : int
         Number of samples.
     dt : float
         Spacing in hours (default one hour).
     """
 
-    t0: float = 0.0
     n_steps: int = 1
     dt: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.t0):
-            raise ValueError("t0 must be finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not 0 < self.dt < np.inf:
@@ -101,7 +96,7 @@ class TimeAxis:
         return self.n_steps * self.dt
 
     def offsets(self) -> np.ndarray:
-        """Elapsed hours of each sample relative to t0."""
+        """Elapsed hours of each sample since the first."""
         return np.arange(self.n_steps) * self.dt
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,47 +139,47 @@ CONFIG_ERRORS = [
 
 # A value of the wrong JSON type.
 TYPE_ERRORS = [
-    ("grid.nx=7.0", "grid.nx: expected >= 1, got float"),
-    ("grid.nx=true", "grid.nx: expected >= 1, got a boolean"),
-    ("grid.ny=7.0", "grid.ny: expected >= 1, got float"),
-    ("grid.ny=true", "grid.ny: expected >= 1, got a boolean"),
-    ("times.n_steps=7.0", "times.n_steps: expected >= 1, got float"),
-    ("times.n_steps=true", "times.n_steps: expected >= 1, got a boolean"),
-    ("ensemble.H=7.0", "ensemble.H: expected >= 1, got float"),
-    ("ensemble.H=true", "ensemble.H: expected >= 1, got a boolean"),
-    ("seed=7.0", "seed: expected >= 0, got float"),
-    ("seed=true", "seed: expected >= 0, got a boolean"),
-    ("grid.cell_size_km=\"x\"", "grid.cell_size_km: expected > 0, got str"),
-    ("times.dt_h=\"x\"", "times.dt_h: expected > 0, got str"),
-    ("times.t0_h=\"x\"", "times.t0_h: expected a number, got str"),
-    ("holland.Vm_mps=\"x\"", "holland.Vm_mps: expected > 0, got str"),
-    ("holland.Rm_km=\"x\"", "holland.Rm_km: expected > 0, got str"),
-    ("holland.B=\"x\"", "holland.B: expected > 0, got str"),
-    ("nhpp.Vcrit_mps=\"x\"", "nhpp.Vcrit_mps: expected > 0, got str"),
-    ("nhpp.alpha=\"x\"", "nhpp.alpha: expected >= 1, got str"),
-    ("nhpp.lambda_norm=\"x\"", "nhpp.lambda_norm: expected > 0, got str"),
-    ("ensemble.sigma_track_km=\"x\"", "ensemble.sigma_track_km: expected >= 0, got str"),
-    ("ensemble.sigma_heading_deg=\"x\"", "ensemble.sigma_heading_deg: expected >= 0, got str"),
-    ("ensemble.sigma_Vm_mps=\"x\"", "ensemble.sigma_Vm_mps: expected >= 0, got str"),
-    ("ensemble.sigma_Rm_km=\"x\"", "ensemble.sigma_Rm_km: expected >= 0, got str"),
-    ("repair.Lf=\"x\"", "repair.Lf: expected >= 0, got str"),
-    ("repair.Y=\"x\"", "repair.Y: expected > 0, got str"),
-    ("sweep.Vm_min=\"x\"", "sweep.Vm_min: expected > 0, got str"),
-    ("sweep.Vm_max=\"x\"", "sweep.Vm_max: expected > 0, got str"),
-    ("sweep.Vm_step=\"x\"", "sweep.Vm_step: expected > 0, got str"),
-    ("sweep.Rm_min=\"x\"", "sweep.Rm_min: expected > 0, got str"),
-    ("sweep.Rm_max=\"x\"", "sweep.Rm_max: expected > 0, got str"),
-    ("sweep.Rm_step=\"x\"", "sweep.Rm_step: expected > 0, got str"),
-    ("holland.Vm_mps.x=1", "holland.Vm_mps: expected > 0, got dict"),
-    ("grid.cell_size_km=false", "grid.cell_size_km: expected > 0, got a boolean"),
+    ("grid.nx=7.0", "grid.nx: expected an integer, got float"),
+    ("grid.nx=true", "grid.nx: expected an integer, got a boolean"),
+    ("grid.ny=7.0", "grid.ny: expected an integer, got float"),
+    ("grid.ny=true", "grid.ny: expected an integer, got a boolean"),
+    ("times.n_steps=7.0", "times.n_steps: expected an integer, got float"),
+    ("times.n_steps=true", "times.n_steps: expected an integer, got a boolean"),
+    ("ensemble.H=7.0", "ensemble.H: expected an integer, got float"),
+    ("ensemble.H=true", "ensemble.H: expected an integer, got a boolean"),
+    ("seed=7.0", "seed: expected an integer, got float"),
+    ("seed=true", "seed: expected an integer, got a boolean"),
+    ('grid.cell_size_km="x"', "grid.cell_size_km: expected a number, got str"),
+    ('times.dt_h="x"', "times.dt_h: expected a number, got str"),
+    ('times.t0_h="x"', "times.t0_h: expected a number, got str"),
+    ('holland.Vm_mps="x"', "holland.Vm_mps: expected a number, got str"),
+    ('holland.Rm_km="x"', "holland.Rm_km: expected a number, got str"),
+    ('holland.B="x"', "holland.B: expected a number, got str"),
+    ('nhpp.Vcrit_mps="x"', "nhpp.Vcrit_mps: expected a number, got str"),
+    ('nhpp.alpha="x"', "nhpp.alpha: expected a number, got str"),
+    ('nhpp.lambda_norm="x"', "nhpp.lambda_norm: expected a number, got str"),
+    ('ensemble.sigma_track_km="x"', "ensemble.sigma_track_km: expected a number, got str"),
+    ('ensemble.sigma_heading_deg="x"', "ensemble.sigma_heading_deg: expected a number, got str"),
+    ('ensemble.sigma_Vm_mps="x"', "ensemble.sigma_Vm_mps: expected a number, got str"),
+    ('ensemble.sigma_Rm_km="x"', "ensemble.sigma_Rm_km: expected a number, got str"),
+    ('repair.Lf="x"', "repair.Lf: expected a number, got str"),
+    ('repair.Y="x"', "repair.Y: expected a number, got str"),
+    ('sweep.Vm_min="x"', "sweep.Vm_min: expected a number, got str"),
+    ('sweep.Vm_max="x"', "sweep.Vm_max: expected a number, got str"),
+    ('sweep.Vm_step="x"', "sweep.Vm_step: expected a number, got str"),
+    ('sweep.Rm_min="x"', "sweep.Rm_min: expected a number, got str"),
+    ('sweep.Rm_max="x"', "sweep.Rm_max: expected a number, got str"),
+    ('sweep.Rm_step="x"', "sweep.Rm_step: expected a number, got str"),
+    ("holland.Vm_mps.x=1", "holland.Vm_mps: expected a number, got dict"),
+    ("grid.cell_size_km=false", "grid.cell_size_km: expected a number, got a boolean"),
     ("grid.origin_km=3", "grid.origin_km: expected [x, y], got int"),
     ("track.x0_km=3", "track.x0_km: expected [x, y], got int"),
     ("track.vtr_mps=3", "track.vtr_mps: expected [vx, vy], got int"),
     ("field.asymmetric=1", "field.asymmetric: expected a boolean, got int"),
     ("ensemble.asymmetric=1", "ensemble.asymmetric: expected a boolean, got int"),
     ("scenario=3", "scenario: expected a string, got int"),
-    ("field.hemisphere=1", "field.hemisphere: expected \"N\" or \"S\", got int"),
-    ("counties_csv=3", "counties_csv: expected a path string or null"),
+    ("field.hemisphere=1", "field.hemisphere: expected a string, got int"),
+    ("counties_csv=3", "counties_csv: expected a path string or null, got int"),
     ("output_dir=3", "output_dir: expected a path string, got int"),
     ("output_dir=null", "output_dir: expected a path string, got NoneType"),
 ]
@@ -206,6 +207,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="times.dt_h"):
             load_config(None, ["times.dt_h=-1"])
 
+    def test_default_config_hash_pinned(self):
+        # A default whose value or JSON type drifted would move every output's hash line.
+        digest = "11e560b630875f70370844e497aa6d3485b8ddd6688d18dcad6a3e6cb251f660"
+        assert config_hash(load_config(None, [])) == digest
+
+    def test_readme_reference_matches_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme[readme.index("| Field | Default | Kind | Check |") :].split("\n\n")[0].splitlines()
+        rows = [tuple(c.strip().strip("`") for c in line.strip("|").split("|")) for line in lines[2:]]
+        schema = [
+            (path, json.dumps(default), name, check or "")
+            for path, default, (_, name, _), check in cli.CONFIG_SCHEMA
+        ]
+        assert rows == schema
+
     def test_hash_stable_and_sensitive(self):
         a = load_config(None, [])
         b = load_config(None, ["grid.nx=7"])
@@ -221,10 +237,55 @@ class TestConfigMessages:
         rc = main(["windfield", "--set", f"output_dir={tmp_path / 'out'}", "--set", assignment])
         return rc, capsys.readouterr().err
 
-    @pytest.mark.parametrize("assignment, message", CONFIG_ERRORS + TYPE_ERRORS)
+    @pytest.mark.parametrize(
+        "assignment, message", CONFIG_ERRORS + TYPE_ERRORS, ids=[a for a, _ in CONFIG_ERRORS + TYPE_ERRORS]
+    )
     def test_exact_stderr_line(self, tmp_path, capsys, assignment, message):
         assert self._run(tmp_path, capsys, assignment) == (2, f"error: invalid config: {message}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "document, overrides, message",
+        [
+            ({}, ["grid=5"], "grid: expected an object, got int"),
+            ({}, ["sweep=3"], "sweep: expected an object, got int"),
+            ({}, ["times=[1]"], "times: expected an object, got list"),
+            ({"grid": None}, [], "grid: expected an object, got NoneType"),
+        ],
+        ids=["grid=5", "sweep=3", "times=[1]", "grid-null-in-file"],
+    )
+    def test_non_object_section_exits_2(self, tmp_path, capsys, document, overrides, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **document}))
+        argv = ["windfield", "--config", str(cfg)] + [a for o in overrides for a in ("--set", o)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid config: {message}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            (f"holland.Vm_mps=1{'0' * 400}", f"holland.Vm_mps: expected a finite number, got 1{'0' * 400}"),
+            (f"grid.origin_km=[1{'0' * 400}, 0]", "grid.origin_km: entries must be finite numbers"),
+            (f"holland.Vm_mps=1{'0' * 5000}", "holland.Vm_mps: expected a number, got str"),  # too long to parse
+        ],
+        ids=["float-overflow", "pair-float-overflow", "too-many-digits"],
+    )
+    def test_huge_integer_exits_2(self, tmp_path, capsys, assignment, message):
+        assert self._run(tmp_path, capsys, assignment) == (2, f"error: invalid config: {message}\n")
+
+    def test_undecodable_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"scenario": "\xff"}')
+        assert main(["windfield", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {cfg}: invalid JSON: ") and err.count("\n") == 1
+
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        assert main(["windfield", "--config", str(tmp_path)]) == 1  # a directory
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
 
 
 class TestEntryPoints:
@@ -365,10 +426,9 @@ class TestEnsembleCommands:
             assert main(argv + ["--config", cfg, "--threads", threads]) == 0
         config = load_config(cfg, [])
         tag = f"config_sha256={config_hash(config)}"
-        ens = generate_synthetic_ensemble(
-            cli._build_ensemble_spec(config), cli._build_grid(config), cli._build_times(config)
-        )
-        p = cli._build_nhpp(config)
+        built = cli._build(config)
+        ens = generate_synthetic_ensemble(built.spec, built.grid, built.times)
+        p = built.nhpp
         ref = tmp_path / "ref"
         ref.mkdir()
         save_ensemble(ens, ref / "ensemble.csv", header_comment=tag)
@@ -412,9 +472,12 @@ class TestCritzoneAndSweeps:
 
         cfg = _write_config(tmp_path, field={"asymmetric": asymmetric, "hemisphere": "S"})
         config = load_config(cfg, [])
-        track, params = cli._build_track(config), cli._build_holland(config)
-        field = cli._build_field(config)
-        zone = critical_zone_numeric(field, cli._build_nhpp(config).Vcrit, params, track)
+        b = cli._build(config)
+        if asymmetric:
+            field = wind.asymmetric_field(b.track, b.holland, b.grid, b.times, hemisphere="S")
+        else:
+            field = wind.axisymmetric_field(b.track, b.holland, b.grid, b.times)
+        zone = critical_zone_numeric(field, b.nhpp.Vcrit, b.holland, b.track)
 
         def refuse(*args, **kwargs):
             raise AssertionError("critzone must not build a dense wind field")
@@ -490,10 +553,9 @@ def outage_fit_reference(cfg, obs_csv, predictor, path):
     config = load_config(cfg, [])
     counties = load_county_fixture(config["counties_csv"])
     observations = load_observations(obs_csv)
-    ens = generate_synthetic_ensemble(
-        cli._build_ensemble_spec(config), cli._build_grid(config), cli._build_times(config), threads=1
-    )
-    nparams = cli._build_nhpp(config)
+    built = cli._build(config)
+    ens = generate_synthetic_ensemble(built.spec, built.grid, built.times, threads=1)
+    nparams = built.nhpp
     dt = ens.times.dt
     v = ens.velocities()
     if predictor == "failure_rate":

@@ -52,7 +52,7 @@ class TestGrid:
 
 class TestTimeAxis:
     def test_duration_and_offsets(self):
-        t = TimeAxis(t0=5.0, n_steps=4, dt=0.5)
+        t = TimeAxis(n_steps=4, dt=0.5)
         assert t.duration == 2.0
         assert np.array_equal(t.offsets(), [0.0, 0.5, 1.0, 1.5])
 
@@ -65,11 +65,6 @@ class TestTimeAxis:
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="finite"):
             TimeAxis(n_steps=1, dt=dt)
-
-    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
-    def test_non_finite_t0_rejected(self, t0):
-        with pytest.raises(ValueError, match="t0 must be finite"):
-            TimeAxis(t0=t0, n_steps=2)
 
 
 class TestCountyAverage:

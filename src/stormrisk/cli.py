@@ -215,7 +215,7 @@ def apply_override(config: dict, assignment: str) -> dict:
         raise ConfigError(assignment, "override must look like path=value")
     try:
         value = json.loads(raw)
-    except ValueError:  # not JSON, or an integer too long to parse
+    except (ValueError, RecursionError):  # not JSON, an over-long integer, or nested too deep
         value = raw
     return _deep_merge(config, _nest([(dotted, value)]))
 
@@ -226,7 +226,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         try:
             with open(path, "rb") as f:
                 user = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8/16/32, too long, too deep
             raise ConfigError(str(path), f"invalid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError(str(path), "config document must be a JSON object")

@@ -269,15 +269,20 @@ class TestConfigMessages:
             (f"holland.Vm_mps=1{'0' * 400}", f"holland.Vm_mps: expected a finite number, got 1{'0' * 400}"),
             (f"grid.origin_km=[1{'0' * 400}, 0]", "grid.origin_km: entries must be finite numbers"),
             (f"holland.Vm_mps=1{'0' * 5000}", "holland.Vm_mps: expected a number, got str"),  # too long to parse
+            (f"holland.Vm_mps={'[' * 10**5}{']' * 10**5}", "holland.Vm_mps: expected a number, got str"),
         ],
-        ids=["float-overflow", "pair-float-overflow", "too-many-digits"],
+        ids=["float-overflow", "pair-float-overflow", "too-many-digits", "nested-too-deep"],
     )
-    def test_huge_integer_exits_2(self, tmp_path, capsys, assignment, message):
+    def test_oversized_value_exits_2(self, tmp_path, capsys, assignment, message):
         assert self._run(tmp_path, capsys, assignment) == (2, f"error: invalid config: {message}\n")
 
-    def test_undecodable_config_exits_2_naming_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "document", [b'{"scenario": "\xff"}', b'{"scenario": ' + b"[" * 10**5 + b"]" * 10**5 + b"}"],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_undecodable_config_exits_2_naming_the_file(self, tmp_path, capsys, document):
         cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(b'{"scenario": "\xff"}')
+        cfg.write_bytes(document)
         assert main(["windfield", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid config: {cfg}: invalid JSON: ") and err.count("\n") == 1

@@ -123,6 +123,10 @@ CONFIG_SCHEMA = (
 
 # Most storms `_sweep_grids` may make, far above the default sweep's 1,860.
 _MAX_SWEEP_STORMS = 10**6
+# Most cells times steps a wind field may have: 8 GB of float64 speeds as one
+# (cells, steps) array, far above the default 1.21 million.
+_FIELD_SIZE = ("grid.nx", "grid.ny", "times.n_steps")
+_MAX_CELL_STEPS = 10**9
 
 
 def _nest(items) -> dict:
@@ -179,6 +183,14 @@ def validate_config(config: dict) -> dict:
         if check is not None and not _CHECKS[check](value):
             raise ConfigError(path, f"value {value!r} out of range ({check})")
         values.append((path, value if convert is None else convert(value)))
+    size = 1
+    for path in _FIELD_SIZE:
+        section, key = path.split(".")
+        value = config[section][key]
+        size *= value
+        if size > _MAX_CELL_STEPS:
+            cap = f"{' * '.join(_FIELD_SIZE)} at most {_MAX_CELL_STEPS:,}"
+            raise ConfigError(path, f"value {value!r} out of range ({cap})")
     s = config["sweep"]
     for a in ("Vm", "Rm"):
         if s[f"{a}_max"] < s[f"{a}_min"]:
@@ -415,7 +427,7 @@ def _sweep_fit_critzone(b: _Built, config: dict, digest: str) -> None:
         p = HollandParams(Vm=float(v), Rm=float(r), B=B)
         # Resolution tracks the zone size so large storms stay affordable.
         cell = float(np.clip(rc / 100.0, 2.0, 25.0))
-        a_num = critzone.axisymmetric_zone_area(track, p, times, nparams.Vcrit, cell_size=cell)
+        a_num = critzone.axisymmetric_zone_area(track, p, times, rc, cell_size=cell)
         a_ob = critzone.obround_area(rc, times.duration, track.Vtr)
         stats = _zone_rate_stats(p, nparams, track, times, rc)
         areas.append(a_num)
@@ -524,10 +536,12 @@ def _cumulative_exposure(nparams: NhppParams, velocities, dt: float, predictor: 
     ("failure_rate") or of speed, at the time steps `steps` only, from the
     members' arrays one at a time."""
     if predictor == "failure_rate":
-        return _mean(
-            np.cumsum(nhpp.poisson_intensity(nparams, v) * dt, axis=-1)[:, steps] for v in velocities
-        )
-    return _mean(np.cumsum(v, axis=-1)[:, steps] for v in velocities)
+        def running(v):
+            return np.cumsum(nhpp.poisson_intensity(nparams, v) * dt, axis=-1)[:, steps]
+    else:
+        def running(v):
+            return np.cumsum(v, axis=-1)[:, steps]
+    return _mean(nhpp._by_cells(running, v) for v in velocities)
 
 
 def cmd_outage_fit(b: _Built, config: dict, args) -> int:

@@ -25,8 +25,8 @@ from .wind import (
     Track,
     WindField,
     _grid_axes,
+    _speed,
     _wind_steps,
-    holland_speed,
 )
 
 
@@ -44,24 +44,39 @@ def critical_radius(p: HollandParams, Vthres: float) -> float | None:
     """
     if Vthres <= 0:
         raise ValueError("Vthres must be > 0")
-    if p.Vm < Vthres:
-        return None
-    if p.Vm == Vthres:
-        return p.Rm
-    lo = p.Rm
-    hi = 2.0 * p.Rm
-    while holland_speed(p, hi) >= Vthres:
-        hi *= 2.0
+    (Rc,) = _critical_radii(*np.array([[p.Vm], [p.Rm], [p.B]], dtype=float), Vthres)
+    return None if np.isnan(Rc) else float(Rc)
+
+
+def _critical_radii(Vm, Rm, B, Vthres: float) -> np.ndarray:
+    """`critical_radius` of each storm of the float arrays `Vm`, `Rm`, `B`,
+    nan where it is None, all bisected at once.
+
+    Each storm starts from lo = Rm and hi = 2 Rm, doubles hi while V(hi) >=
+    Vthres, then halves [lo, hi] until |V(mid) - Vthres| <= 1e-9 m/s; a done
+    mask freezes each storm's result at its own last midpoint.
+    """
+    out = np.where(Vm == Vthres, Rm, np.nan)
+    todo = Vm > Vthres
+    lo, hi = Rm, 2.0 * Rm
+    grow = todo.copy()
+    while grow.any():
+        grow &= _speed(Vm, Rm, B, hi) >= Vthres
+        hi[grow] *= 2.0
     for _ in range(200):
+        if not todo.any():
+            return out
         mid = 0.5 * (lo + hi)
-        v = holland_speed(p, mid)
-        if abs(v - Vthres) <= 1e-9:
-            return mid
-        if v > Vthres:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("critical_radius bisection did not converge")
+        v = _speed(Vm, Rm, B, mid)
+        done = todo & (np.abs(v - Vthres) <= 1e-9)
+        out[done] = mid[done]
+        todo &= ~done
+        above = v > Vthres
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    if todo.any():
+        raise RuntimeError("critical_radius bisection did not converge")
+    return out
 
 
 # =============================================================================
@@ -145,14 +160,18 @@ def zone_failure_stats(rates, zone: CriticalZone) -> dict[str, float]:
     return _zone_stats(rates, zone.cells)
 
 
+_AREA_ROWS = 32  # x-rows per block of `axisymmetric_zone_area`'s count
+
+
 def axisymmetric_zone_area(
     track: Track,
     p: HollandParams,
     times: TimeAxis,
-    Vthres: float,
+    Rcrit: float | None,
     cell_size: float = 2.0,
 ) -> float:
-    """Numeric critical-zone area (km^2) of an axisymmetric storm.
+    """Numeric critical-zone area (km^2) of an axisymmetric storm whose
+    critical radius is `Rcrit` (`critical_radius`; None below threshold).
 
     For an axisymmetric field the union-over-times zone is exactly the set of
     cells whose minimum distance to the sampled storm centres is at most the
@@ -161,8 +180,11 @@ def axisymmetric_zone_area(
     sampled centres are collinear and equally spaced, so the nearest one is
     found by rounding the projection onto the track.
     """
-    Rc = critical_radius(p, Vthres)
-    radius = p.Rm if Rc is None else Rc
+    radius = p.Rm if Rcrit is None else Rcrit
+    # A cell counts when d < Rm or d <= Rcrit: one test, as d < Rm is d <=
+    # the float below Rm.
+    below_rm = np.nextafter(p.Rm, 0.0)
+    limit = below_rm if Rcrit is None else max(Rcrit, below_rm)
     pos = track.position(times.offsets())
     a, b = pos[0], pos[-1]
     step = np.hypot(*(pos[1] - pos[0])) if times.n_steps > 1 else 0.0
@@ -175,24 +197,34 @@ def axisymmetric_zone_area(
         ex, ey = (b - a) / np.hypot(*(b - a))
     else:
         ex, ey = 1.0, 0.0
+    # Blocks of _AREA_ROWS x-rows, every step in place in two buffers: each
+    # value is the one whole-array expressions would give, so is the count.
+    pye = (ys - a[1]) * ey
+    k = np.empty((_AREA_ROWS, len(ys)))
+    d = np.empty_like(k)
+    inside = np.empty(k.shape, dtype=bool)
     count = 0
-    # Chunk over x to bound memory on large swaths.
-    for x0 in range(0, len(xs), 1024):
-        X = xs[x0 : x0 + 1024][:, None]
-        Y = ys[None, :]
-        px = X - a[0]
-        py = Y - a[1]
+    for x0 in range(0, len(xs), _AREA_ROWS):
+        X = xs[x0 : x0 + _AREA_ROWS, None]
+        n = len(X)
+        kb, db, ib = k[:n], d[:n], inside[:n]
         if step > 0:
-            k = np.clip(np.rint((px * ex + py * ey) / step), 0, times.n_steps - 1)
+            # k * step, k the nearest step, clipped to the track's ends.
+            np.add((X - a[0]) * ex, pye, out=kb)
+            kb /= step
+            np.rint(kb, out=kb)
+            np.clip(kb, 0, times.n_steps - 1, out=kb)
+            kb *= step
         else:
-            k = np.zeros((X.shape[0], Y.shape[1]))
-        cx = a[0] + k * step * ex
-        cy = a[1] + k * step * ey
-        d = np.hypot(X - cx, Y - cy)
-        if Rc is None:
-            count += int(np.count_nonzero(d < p.Rm))
-        else:
-            count += int(np.count_nonzero((d < p.Rm) | (d <= Rc)))
+            kb.fill(0.0)
+        np.multiply(kb, ex, out=db)
+        db += a[0]
+        np.subtract(X, db, out=db)  # X - cx
+        kb *= ey
+        kb += a[1]
+        np.subtract(ys, kb, out=kb)  # Y - cy
+        np.hypot(db, kb, out=db)
+        count += int(np.count_nonzero(np.less_equal(db, limit, out=ib)))
     return count * cell_size * cell_size
 
 
@@ -226,18 +258,19 @@ class CritRadiusFit:
 def sweep_critical_radius(Vm_values, Rm_values, Vthres: float, B: float = 1.0):
     """Critical radii over the cartesian (Vm, Rm) sweep.
 
-    Returns flat arrays (Vm, Rm, Rcrit) covering pairs with Vm >= Vthres.
+    Returns flat arrays (Vm, Rm, Rcrit) covering pairs with Vm >= Vthres, Vm
+    the outer axis.
     """
-    out_vm, out_rm, out_rc = [], [], []
-    for Vm in Vm_values:
-        for Rm in Rm_values:
-            Rc = critical_radius(HollandParams(Vm=Vm, Rm=Rm, B=B), Vthres)
-            if Rc is None:
-                continue
-            out_vm.append(Vm)
-            out_rm.append(Rm)
-            out_rc.append(Rc)
-    return (np.array(out_vm), np.array(out_rm), np.array(out_rc))
+    Vm_values, Rm_values = np.asarray(Vm_values), np.asarray(Rm_values)
+    Vm = np.repeat(Vm_values, len(Rm_values))
+    Rm = np.tile(Rm_values, len(Vm_values))
+    valid = (0 < Vm) & (Vm < np.inf) & (0 < Rm) & (Rm < np.inf) & (0 < B < np.inf)
+    if not valid.all():
+        i = np.argmin(valid)
+        HollandParams(Vm=Vm[i], Rm=Rm[i], B=B)  # raises the first pair's error
+    Rc = _critical_radii(Vm.astype(float), Rm.astype(float), np.full(len(Vm), float(B)), Vthres)
+    keep = ~np.isnan(Rc)
+    return Vm[keep], Rm[keep], Rc[keep]
 
 
 def fit_crit_radius(Vm, Rm, Rcrit, Vthres: float) -> CritRadiusFit:
@@ -446,11 +479,13 @@ def storm_swath(
     pos = track.position(times.offsets())
     rates = np.zeros((grid.nx, grid.ny))
     zone = np.zeros((grid.nx, grid.ny), dtype=bool)
-    inc = np.empty((grid.nx, grid.ny))
     for window, r, v in _wind_steps(p, xs, ys, pos, reach, Vtr, hemisphere):
-        inc.fill(nhpp.lambda_norm)
-        inc[window] = _intensity(nhpp, v)
-        rates += inc
+        # Each cell adds this step's intensity to its rate, the window's
+        # evaluated and every other cell's lambda_norm.
+        hot = _intensity(nhpp, v)
+        hot += rates[window]
+        rates += nhpp.lambda_norm
+        rates[window] = hot
         zone[window] |= (r < p.Rm) | (v >= Vthres)
     rates *= times.dt
     return rates.ravel(), zone.ravel()

@@ -24,6 +24,7 @@ groups.  Every other value goes through `%` itself.
 from __future__ import annotations
 
 import csv
+import functools
 
 import numpy as np
 
@@ -32,16 +33,21 @@ TABLE_FMT = ".9g"
 
 _BLOCK_CELLS = 128  # cells per row template in `_write_velocities`
 
-# `_fixed_17g`'s tables: the powers of ten 10^0..10^17 (all exact in
-# float64) with their Veltkamp halves, and "0000".."9999" as little-endian
-# uint32s whose four bytes are the ASCII digits in order, made from the 100
-# two-digit pairs "00".."99".
+# `_digits17`'s tables: the powers of ten 10^0..10^17 (all exact in float64)
+# with their Veltkamp halves.
 _SPLIT = 2.0**27 + 1
 _POW10 = (10 ** np.arange(18, dtype=np.int64)).astype(np.float64)
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_PAIRS = np.arange(100, dtype=np.uint32) // 10 | np.arange(100, dtype=np.uint32) % 10 << 8 | 0x3030
-_QUADS = (_PAIRS[:, None] | _PAIRS << 16).ravel().astype("<u4", copy=False)
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """`_fixed_17g`'s table of "0000".."9999" as little-endian uint32s whose
+    four bytes are the ASCII digits in order, made from the 100 two-digit
+    pairs "00".."99" on first use: only the velocity tables need it."""
+    pairs = np.arange(100, dtype=np.uint32) // 10 | np.arange(100, dtype=np.uint32) % 10 << 8 | 0x3030
+    return (pairs[:, None] | pairs << 16).ravel().astype("<u4", copy=False)
 
 
 def _write_csv(path, header, rows, comment: str | None = None, line_end: str = "\r\n") -> None:
@@ -115,12 +121,13 @@ def _fixed_17g(x: np.ndarray) -> np.ndarray:
     e, d = _digits17(x)
     # Their ASCII, four at a time: "000" + the first digit, then four groups.
     top, low = np.divmod(d, 10**8)
+    quads = _quads()
     words = np.empty((n, 5), "<u4")
-    words[:, 0] = _QUADS[top // 10**8]
-    words[:, 1] = _QUADS[top // 10**4 % 10**4]
-    words[:, 2] = _QUADS[top % 10**4]
-    words[:, 3] = _QUADS[low // 10**4]
-    words[:, 4] = _QUADS[low % 10**4]
+    words[:, 0] = quads[top // 10**8]
+    words[:, 1] = quads[top // 10**4 % 10**4]
+    words[:, 2] = quads[top % 10**4]
+    words[:, 3] = quads[low // 10**4]
+    words[:, 4] = quads[low % 10**4]
     digits = words.view(np.uint8)[:, 3:]
     # "d.ddd...", then on the rows with e >= k the point moves past digit k.
     out = np.empty((n, 18), np.uint8)

@@ -88,10 +88,22 @@ def failure_rate(p: NhppParams, velocities, dt: float = 1.0):
     v = np.asarray(velocities, dtype=float)
     if v.size == 0:
         raise ValueError("velocities must be non-empty")
-    out = np.sum(poisson_intensity(p, v), axis=-1) * dt
+    series = v.reshape(-1, v.shape[-1])
+    out = _by_cells(lambda block: np.sum(poisson_intensity(p, block), axis=-1), series)
+    out = out.reshape(v.shape[:-1]) * dt
     if out.ndim == 0:
         return float(out)
     return out
+
+
+_BLOCK_CELLS = 256  # rows per block in `_by_cells`
+
+
+def _by_cells(f, v: np.ndarray) -> np.ndarray:
+    """`f(v)` for a row-wise `f` of a (cells, steps) array, taken on blocks
+    of `_BLOCK_CELLS` rows and concatenated, so its whole-array temporaries
+    are never made.  Each row's values are computed as in `f(v)`."""
+    return np.concatenate([f(v[lo : lo + _BLOCK_CELLS]) for lo in range(0, len(v), _BLOCK_CELLS)])
 
 
 def nominal_rate(p: NhppParams, n_steps: int, dt: float = 1.0) -> float:

@@ -156,17 +156,33 @@ def _speed(Vm, Rm, B, r):
     # centre (Rm/r)^B overflows, but the exponent then underflows to -inf and
     # the speed correctly evaluates to 0 instead of inf * 0 = nan.  The log is
     # taken as a difference so the ratio itself cannot overflow for subnormal r.
-    # At r = 0 the exponent is inf - inf = nan; the limit there is 0.
+    # At r = 0 the exponent is inf - inf = nan; the limit there is 0.  The
+    # steps run in place, in that expression's order up to operand order (IEEE
+    # results do not depend on it); with B = 1 the exact products by B are
+    # skipped.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         logx = np.log(Rm) - np.log(r)
-        v = Vm * np.exp(0.5 * B * logx + 0.5 * (1.0 - np.exp(B * logx)))
-    return np.where(r > 0, v, 0.0)
+        v = np.empty(np.shape(logx))
+        unit = (B == 1).all() if isinstance(B, np.ndarray) else B == 1
+        np.exp(logx if unit else np.multiply(logx, B, out=v), out=v)
+        np.subtract(1.0, v, out=v)
+        v *= 0.5
+        logx *= 0.5 if unit else 0.5 * B
+        v += logx
+        np.exp(v, out=v)
+        v *= Vm
+    np.copyto(v, 0.0, where=~(r > 0))
+    return v
 
 
 def _grid_axes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-centre x (length nx) and y (length ny) coordinates of a grid."""
-    centers = grid.centers().reshape(grid.nx, grid.ny, 2)
-    return centers[:, 0, 0], centers[0, :, 1]
+    """Cell-centre x (length nx) and y (length ny) coordinates of a grid,
+    the values `Grid.centers` gives."""
+    x0, y0 = grid.origin
+    return (
+        x0 + (np.arange(grid.nx) + 0.5) * grid.cell_size,
+        y0 + (np.arange(grid.ny) + 0.5) * grid.cell_size,
+    )
 
 
 def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):

@@ -209,7 +209,7 @@ def test_criterion_05_obround():
         track = Track(x0=(0.0, 0.0), Vtr=(0.0, vtr), duration=T)
         times = TimeAxis(n_steps=11, dt=1.0)
         rc = critical_radius(p, P.Vcrit)
-        numeric = axisymmetric_zone_area(track, p, times, P.Vcrit, cell_size=cell)
+        numeric = axisymmetric_zone_area(track, p, times, rc, cell_size=cell)
         closed = obround_area(rc, T, vtr)
         rel = abs(numeric - closed) / closed
         worst = max(worst, rel / (3 * cell / rc))

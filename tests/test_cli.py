@@ -19,7 +19,7 @@ from stormrisk import (
     save_ensemble,
     save_observations,
 )
-from stormrisk import cli
+from stormrisk import cli, critzone
 from stormrisk.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -135,6 +135,12 @@ CONFIG_ERRORS = [
     ("sweep.Vm_max=1e300", "sweep.Vm_max: 1e+300 Vm values at sweep.Vm_step; at most 1,000,000 storms"),
     ("sweep.Vm_step=1e-12", "sweep.Vm_max: 5.9e+13 Vm values at sweep.Vm_step; at most 1,000,000 storms"),
     ("sweep.Rm_step=1e-4", "sweep.Rm_max: 60 Vm by 3e+05 Rm values at sweep.Rm_step; at most 1,000,000 storms"),
+    ("grid.nx=1000000000000000000000",
+     "grid.nx: value 1000000000000000000000 out of range (grid.nx * grid.ny * times.n_steps at most 1,000,000,000)"),
+    ("grid.ny=100000000",
+     "grid.ny: value 100000000 out of range (grid.nx * grid.ny * times.n_steps at most 1,000,000,000)"),
+    ("times.n_steps=100001",
+     "times.n_steps: value 100001 out of range (grid.nx * grid.ny * times.n_steps at most 1,000,000,000)"),
 ]
 
 # A value of the wrong JSON type.
@@ -352,6 +358,25 @@ class TestEntryPoints:
         assert field in err and "at most 1,000,000 storms" in err
 
     @pytest.mark.parametrize(
+        "assignments, field",
+        [
+            (["grid.nx=1000000000000000000000"], "grid.nx"),  # numpy: "Maximum allowed size exceeded"
+            (["grid.nx=100000", "grid.ny=100000"], "grid.ny"),  # a 74.5 GiB MemoryError
+            (["grid.nx=1000", "grid.ny=1000", "times.n_steps=1001"], "times.n_steps"),
+        ],
+    )
+    def test_huge_field_exits_2_naming_field(self, tmp_path, capsys, assignments, field):
+        sets = [a for assignment in assignments for a in ("--set", assignment)]
+        assert main(["windfield", "--set", f"output_dir={tmp_path / 'out'}"] + sets) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {field}: ") and err.count("\n") == 1
+        assert "at most 1,000,000,000)" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_field_at_the_cap_is_valid(self):
+        load_config(None, ["grid.nx=1000", "grid.ny=1000", "times.n_steps=1000"])
+
+    @pytest.mark.parametrize(
         "assignment", ["times.t0_h=NaN", "repair.Lf=Infinity", "track.x0_km=[0, NaN]"]
     )
     def test_non_finite_numbers_rejected(self, assignment):
@@ -503,6 +528,19 @@ class TestCritzoneAndSweeps:
         report = json.loads((tmp_path / "out" / "critzone_fit.json").read_text())
         assert report["radius_fit"]["a1"] > 0
         assert (tmp_path / "out" / "critzone_sweep.csv").exists()
+
+    def test_sweep_fit_critzone_bisects_no_storm_alone(self, tmp_path, monkeypatch):
+        # Each storm's radius comes from the one vectorised sweep bisection.
+        def refuse(*args, **kwargs):
+            raise AssertionError("critical_radius called for a sweep storm")
+
+        monkeypatch.setattr(critzone, "critical_radius", refuse)
+        cfg = _write_config(
+            tmp_path,
+            sweep={"Vm_min": 15, "Vm_max": 46, "Vm_step": 7, "Rm_min": 20, "Rm_max": 50, "Rm_step": 10},
+        )
+        assert main(["sweep-fit", "--config", cfg, "--target", "critzone"]) == 0
+        assert (tmp_path / "out" / "critzone_sweep.csv").read_text().count("\n") == 1 + 1 + 4 * 4
 
     def test_sweep_fit_damage(self, tmp_path):
         cfg = _write_config(

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stormrisk import (
     CriticalZone,
@@ -28,7 +28,7 @@ from stormrisk import (
     tables123,
     zone_failure_stats,
 )
-from stormrisk.critzone import _window_radius
+from stormrisk.critzone import _critical_radii, _window_radius
 
 VTHRES = 20.6
 
@@ -89,6 +89,71 @@ class TestCriticalRadius:
             critical_radius(HollandParams(Vm=25, Rm=20), 0.0)
 
 
+def scalar_critical_radius(p, Vthres):
+    """Reference: the scalar bisection `critical_radius` ran before it became
+    the one-storm case of the vectorised `_critical_radii`."""
+    if p.Vm < Vthres:
+        return None
+    if p.Vm == Vthres:
+        return p.Rm
+    lo = p.Rm
+    hi = 2.0 * p.Rm
+    while holland_speed(p, hi) >= Vthres:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        v = holland_speed(p, mid)
+        if abs(v - Vthres) <= 1e-9:
+            return mid
+        if v > Vthres:
+            lo = mid
+        else:
+            hi = mid
+    raise RuntimeError("critical_radius bisection did not converge")
+
+
+# Vm as a multiple of Vthres: below, at and above it, up to storms whose
+# bracket [Rm, 2 Rm] must double many times.
+VM_OVER_VTHRES = st.one_of(
+    st.floats(0.2, 6.0),
+    st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-6, 0.5, 4.0]),
+)
+
+
+class TestVectorisedBisection:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        storms=st.lists(
+            st.tuples(VM_OVER_VTHRES, st.floats(1.0, 100.0), st.floats(0.5, 2.5)), min_size=1, max_size=12
+        ),
+        Vthres=st.floats(5.0, 40.0),
+    )
+    @example(storms=[(80 / 20.6, 50.0, 1.0), (1.0, 30.0, 1.0), (0.7, 30.0, 2.5)], Vthres=20.6)
+    @example(storms=[(6.0, 10.0, 0.5)], Vthres=40.0)  # the bracket doubles 14 times
+    def test_equals_scalar_loop_bit_for_bit(self, storms, Vthres):
+        params = [HollandParams(Vm=q * Vthres, Rm=Rm, B=B) for q, Rm, B in storms]
+        ref = [scalar_critical_radius(p, Vthres) for p in params]
+        assert [critical_radius(p, Vthres) for p in params] == ref
+        columns = (np.array([getattr(p, name) for p in params]) for name in ("Vm", "Rm", "B"))
+        got = _critical_radii(*columns, Vthres)
+        assert [None if np.isnan(g) else g for g in got.tolist()] == ref
+
+    @pytest.mark.parametrize("B", [1.0, 1.5])
+    def test_sweep_equals_scalar_loop(self, B):
+        # Every other storm of the default sweep's range.
+        Vm_grid, Rm_grid = np.arange(21.0, 80 + 1e-9, 2.0), np.arange(20.0, 50 + 1e-9, 2.0)
+        Vm, Rm, Rc = sweep_critical_radius(Vm_grid, Rm_grid, VTHRES, B=B)
+        ref = [(v, r, scalar_critical_radius(HollandParams(Vm=v, Rm=r, B=B), VTHRES))
+               for v, r in itertools.product(Vm_grid, Rm_grid)]
+        assert list(zip(Vm.tolist(), Rm.tolist(), Rc.tolist())) == [t for t in ref if t[2] is not None]
+
+    def test_sweep_rejects_an_invalid_storm_as_holland_params_does(self):
+        with pytest.raises(ValueError, match="Rm must be finite and > 0"):
+            sweep_critical_radius([25.0, 30.0], [20.0, -1.0], VTHRES)
+        with pytest.raises(ValueError, match="B must be finite and > 0"):
+            sweep_critical_radius([25.0], [20.0], VTHRES, B=0.0)
+
+
 class TestObround:
     def test_frozen_oracle(self):
         assert obround_area(50.0, 121.0, 3.0) == pytest.approx(OBROUND_50_121_3, rel=1e-13)
@@ -145,8 +210,8 @@ class TestNumericZone:
 
     def test_fast_area_matches_cell_count(self):
         p, track, _, times = self._setup()
-        fast = axisymmetric_zone_area(track, p, times, VTHRES, cell_size=2.0)
         rc = critical_radius(p, VTHRES)
+        fast = axisymmetric_zone_area(track, p, times, rc, cell_size=2.0)
         expected = obround_area(rc, 10.0, 3.0)
         assert fast == pytest.approx(expected, rel=3 * 2.0 / rc)
 
@@ -154,7 +219,7 @@ class TestNumericZone:
         p, track, grid, times = self._setup(cell=4.0)
         field = axisymmetric_field(track, p, grid, times)
         zone = critical_zone_numeric(field, VTHRES, p, track)
-        fast = axisymmetric_zone_area(track, p, times, VTHRES, cell_size=4.0)
+        fast = axisymmetric_zone_area(track, p, times, critical_radius(p, VTHRES), cell_size=4.0)
         assert fast == pytest.approx(zone.area, rel=0.05)
 
     def test_storm_swath_consistent_with_field_union(self):
@@ -167,6 +232,68 @@ class TestNumericZone:
         from stormrisk import failure_rate
 
         assert np.allclose(rates, failure_rate(nhpp, field.velocities, times.dt), rtol=1e-12)
+
+
+def zone_area_by_1024_rows(track, p, times, Vthres, cell_size):
+    """Reference: `axisymmetric_zone_area` as it counted before its blocked,
+    in-place count, bisecting the radius itself and building each 1,024-row
+    chunk's arrays whole."""
+    Rc = scalar_critical_radius(p, Vthres)
+    radius = p.Rm if Rc is None else Rc
+    pos = track.position(times.offsets())
+    a, b = pos[0], pos[-1]
+    step = np.hypot(*(pos[1] - pos[0])) if times.n_steps > 1 else 0.0
+    pad = radius + 2 * cell_size
+    xmin, ymin = np.minimum(a, b) - pad
+    xmax, ymax = np.maximum(a, b) + pad
+    xs = np.arange(xmin + cell_size / 2, xmax, cell_size)
+    ys = np.arange(ymin + cell_size / 2, ymax, cell_size)
+    if step > 0:
+        ex, ey = (b - a) / np.hypot(*(b - a))
+    else:
+        ex, ey = 1.0, 0.0
+    count = 0
+    for x0 in range(0, len(xs), 1024):
+        X = xs[x0 : x0 + 1024][:, None]
+        Y = ys[None, :]
+        px = X - a[0]
+        py = Y - a[1]
+        if step > 0:
+            k = np.clip(np.rint((px * ex + py * ey) / step), 0, times.n_steps - 1)
+        else:
+            k = np.zeros((X.shape[0], Y.shape[1]))
+        cx = a[0] + k * step * ex
+        cy = a[1] + k * step * ey
+        d = np.hypot(X - cx, Y - cy)
+        if Rc is None:
+            count += int(np.count_nonzero(d < p.Rm))
+        else:
+            count += int(np.count_nonzero((d < p.Rm) | (d <= Rc)))
+    return count * cell_size * cell_size
+
+
+class TestBlockedZoneArea:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=VM_OVER_VTHRES.filter(lambda q: q <= 2.0),
+        Rm=st.floats(5.0, 40.0),
+        B=st.floats(0.5, 2.5),
+        x0=st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+        speed=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+        heading=st.floats(0.0, 2 * np.pi),
+        n_steps=st.integers(1, 40),
+        dt=st.floats(0.25, 2.0),
+        cell=st.floats(0.7, 8.0),
+    )
+    @example(q=0.8, Rm=30.0, B=1.0, x0=(0.0, 0.0), speed=3.0, heading=0.0, n_steps=11, dt=1.0, cell=2.0)
+    @example(q=1.8, Rm=40.0, B=1.0, x0=(0.0, 0.0), speed=0.0, heading=0.0, n_steps=11, dt=1.0, cell=0.7)
+    def test_equals_the_1024_row_count(self, q, Rm, B, x0, speed, heading, n_steps, dt, cell):
+        p = HollandParams(Vm=q * VTHRES, Rm=Rm, B=B)
+        Vtr = (speed * np.cos(heading), speed * np.sin(heading))
+        track = Track(x0=x0, Vtr=Vtr, duration=n_steps * dt)
+        times = TimeAxis(n_steps=n_steps, dt=dt)
+        got = axisymmetric_zone_area(track, p, times, critical_radius(p, VTHRES), cell_size=cell)
+        assert got == zone_area_by_1024_rows(track, p, times, VTHRES, cell)
 
 
 def dense_swath(track, p, grid, times, nhpp, Vthres=None, asymmetric=False, hemisphere="N"):

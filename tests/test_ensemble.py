@@ -265,6 +265,7 @@ class TestStreamingReducers:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(H=10, n_cells=7, n_steps=5, dt=1.0, hot=0.5, seed=3)  # the CLI's default H
+    @example(H=2, n_cells=600, n_steps=49, dt=1.0, hot=0.5, seed=4)  # three blocks of cells, one partial
     def test_bit_identical_to_stacked_reduction(self, H, n_cells, n_steps, dt, hot, seed):
         p = NhppParams()
         rng = np.random.default_rng(seed)

@@ -163,6 +163,36 @@ class TestFailureRate:
             failure_rate(P, np.array([]))
 
 
+class TestBlockedFailureRate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 700), st.integers(1, 130)),
+            st.tuples(st.integers(1, 3), st.integers(1, 300), st.integers(1, 20)),
+            st.tuples(st.integers(1, 200)),
+        ),
+        dt=st.sampled_from([0.5, 1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(10_000, 49), dt=1.0, seed=0)  # one forecast member
+    def test_equals_the_whole_array_sum(self, shape, dt, seed):
+        # Speeds straddling Vcrit, one exactly at it.
+        v = np.random.default_rng(seed).uniform(0.0, 2.5 * P.Vcrit, shape)
+        v.flat[0] = P.Vcrit
+        ref = np.sum(poisson_intensity(P, v), axis=-1) * dt
+        got = failure_rate(P, v, dt)
+        if v.ndim == 1:
+            assert isinstance(got, float) and got == float(ref)
+        else:
+            assert got.shape == ref.shape and np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_negative_speed_in_a_later_block_rejected(self):
+        v = np.full((600, 3), 10.0)
+        v[599, 2] = -0.1
+        with pytest.raises(ValueError, match="velocity must be >= 0"):
+            failure_rate(P, v)
+
+
 class TestEnsembleRates:
     def test_fr1_example(self):
         assert fr1(P, _ensemble())[0] == pytest.approx(EX_FR1, rel=1e-13)

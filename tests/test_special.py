@@ -1,7 +1,8 @@
 """The `scipy.special` calls the package makes equal, bit for bit, the
 `scipy.stats` calls they replace; its own Lambert W0 matches
 `scipy.special.lambertw`; and a CLI process loads `scipy.special` only when
-it computes a Student-t, normal, chi-square or Poisson tail.
+it computes a Student-t, normal, chi-square or Poisson tail (and builds the
+velocity writer's digit table only when it writes velocities).
 
 `scipy.stats` is the reference here only: each distribution method below is
 a wrapper over the ufunc the package calls directly.
@@ -164,3 +165,19 @@ def test_scipy_special_loaded_only_for_tails(tiny_inputs, argv, loads):
     result = _fresh_python(code, *argv, "--config", "cfg.json", cwd=tiny_inputs)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", str(loads)]
+
+
+def test_digit_table_built_only_for_velocity_tables(tiny_inputs):
+    # Every other command first, in one process, then one that writes velocities.
+    code = (
+        "import sys\n"
+        "from stormrisk import csvio\n"
+        "from stormrisk.cli import main\n"
+        "for argv in map(str.split, sys.argv[1:]):\n"
+        "    rc = main(argv + ['--config', 'cfg.json'])\n"
+        "    print(argv[0], rc, csvio._quads.cache_info().currsize)\n"
+    )
+    others = [argv for argv, _ in COMMANDS if argv[0] not in ("windfield", "ensemble")]
+    result = _fresh_python(code, *map(" ".join, others), "windfield", cwd=tiny_inputs)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"{argv[0]} 0 0" for argv in others] + ["windfield 0 1"]

@@ -16,7 +16,7 @@ from stormrisk import (
     save_wind_field,
 )
 from stormrisk.csvio import _read_velocities
-from stormrisk.wind import WINDFIELD_HEADER, _grid_axes, _sub_grid, _velocities, _wind_steps
+from stormrisk.wind import WINDFIELD_HEADER, _grid_axes, _profile, _speed, _sub_grid, _velocities, _wind_steps
 
 # Frozen oracle: 25 * sqrt(0.5) * exp(0.25), hand evaluation of the radial
 # profile at (Vm=25, Rm=20, B=1), r=40.
@@ -120,6 +120,45 @@ class TestHollandBatch:
             for k, single in enumerate(singles):
                 assert single[t][0] == window
                 assert np.array_equal(v[k], single[t][2])
+
+
+def speed_reference(Vm, Rm, B, r):
+    """Reference: `wind._speed` as one whole-array expression, before it
+    worked in place."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        logx = np.log(Rm) - np.log(r)
+        v = Vm * np.exp(0.5 * B * logx + 0.5 * (1.0 - np.exp(B * logx)))
+    return np.where(r > 0, v, 0.0)
+
+
+# Radii down to zero and subnormals, where the profile's log overflows.
+RADII = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, 5e-324, 1e-310, 2.2e-308, 1e-300, 1e-12, 1e300]))
+STORM = st.tuples(st.floats(1.0, 100.0), st.floats(1.0, 100.0), st.one_of(st.just(1.0), st.floats(0.5, 2.5)))
+
+
+class TestInPlaceSpeed:
+    @settings(max_examples=150, deadline=None)
+    @given(storms=st.lists(STORM, min_size=1, max_size=6), radii=st.lists(RADII, min_size=1, max_size=40))
+    def test_equals_whole_array_expression(self, storms, radii):
+        batch = [HollandParams(Vm=Vm, Rm=Rm, B=B) for Vm, Rm, B in storms]
+        for r in (np.array(radii), np.array(radii[:1]).reshape(()), np.array(radii).reshape(-1, 1)):
+            for profile in [_profile(p, r.ndim) for p in batch] + [_profile(batch, r.ndim)]:
+                got, ref = _speed(*profile, r), speed_reference(*profile, r)
+                assert got.shape == ref.shape
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        origin=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+        nx=st.integers(1, 40),
+        ny=st.integers(1, 40),
+        cell=st.floats(0.01, 50.0),
+    )
+    def test_grid_axes_are_the_cell_centres(self, origin, nx, ny, cell):
+        grid = Grid(origin=origin, nx=nx, ny=ny, cell_size=cell)
+        xs, ys = _grid_axes(grid)
+        centers = grid.centers().reshape(nx, ny, 2)
+        assert np.array_equal(xs, centers[:, 0, 0]) and np.array_equal(ys, centers[0, :, 1])
 
 
 class TestTrack:

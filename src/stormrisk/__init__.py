@@ -35,6 +35,7 @@ from .critzone import (
     sweep_critical_radius,
     tables123,
     zone_failure_stats,
+    zone_sweep,
 )
 from .ensemble import (
     Ensemble,
@@ -42,7 +43,6 @@ from .ensemble import (
     default_thread_count,
     generate_synthetic_ensemble,
     load_ensemble,
-    mean_velocity,
     member_parameters,
     save_ensemble,
 )

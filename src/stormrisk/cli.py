@@ -107,7 +107,6 @@ CONFIG_SCHEMA = (
     ("ensemble.sigma_heading_deg", 5.0, _NUMBER, ">= 0"),
     ("ensemble.sigma_Vm_mps", 3.0, _NUMBER, ">= 0"),
     ("ensemble.sigma_Rm_km", 3.0, _NUMBER, ">= 0"),
-    ("ensemble.asymmetric", False, _BOOLEAN, None),
     ("repair.Lf", 1.0, _NUMBER, ">= 0"),
     ("repair.Y", 1.0, _NUMBER, "> 0"),
     ("sweep.Vm_min", 21.0, _NUMBER, "> 0"),
@@ -273,9 +272,10 @@ class _Built(NamedTuple):
 
 
 def _build(config) -> _Built:
-    """The objects `config` describes, from its validated values."""
+    """The objects `config` describes, from its validated values.  Ensemble
+    members take their asymmetry and hemisphere from `field`."""
     v = validate_config(config)
-    g, h, n, e = v["grid"], v["holland"], v["nhpp"], v["ensemble"]
+    g, h, n, e, f = v["grid"], v["holland"], v["nhpp"], v["ensemble"], v["field"]
     times = TimeAxis(n_steps=v["times"]["n_steps"], dt=v["times"]["dt_h"])
     track = Track(x0=v["track"]["x0_km"], Vtr=v["track"]["vtr_mps"], duration=times.duration)
     holland = HollandParams(Vm=h["Vm_mps"], Rm=h["Rm_km"], B=h["B"])
@@ -288,7 +288,8 @@ def _build(config) -> _Built:
         sigma_Rm=e["sigma_Rm_km"],
         seed=v["seed"],
         H=e["H"],
-        asymmetric=e["asymmetric"],
+        asymmetric=f["asymmetric"],
+        hemisphere=f["hemisphere"],
     )
     return _Built(
         grid=Grid(origin=g["origin_km"], nx=g["nx"], ny=g["ny"], cell_size=g["cell_size_km"]),
@@ -332,35 +333,29 @@ def _write_report(path: Path, payload: dict) -> None:
 # =============================================================================
 
 
-def cmd_windfield(b: _Built, config: dict, args) -> int:
-    tag = f"config_sha256={config_hash(config)}"
+def cmd_windfield(b: _Built, config: dict, args, digest: str) -> None:
     f = config["field"]
     if f["asymmetric"]:
         field = asymmetric_field(b.track, b.holland, b.grid, b.times, hemisphere=f["hemisphere"])
     else:
         field = axisymmetric_field(b.track, b.holland, b.grid, b.times)
-    save_wind_field(field, _out_dir(config) / "windfield.csv", header_comment=tag)
-    return 0
+    save_wind_field(field, _out_dir(config) / "windfield.csv", header_comment=f"config_sha256={digest}")
 
 
-def cmd_ensemble(b: _Built, config: dict, args) -> int:
-    tag = f"config_sha256={config_hash(config)}"
+def cmd_ensemble(b: _Built, config: dict, args, digest: str) -> None:
     out = _out_dir(config) / "ensemble.csv"
-    save_ensemble_members(b.grid, b.times, _members(b, args.threads), out, header_comment=tag)
-    return 0
+    save_ensemble_members(b.grid, b.times, _members(b, args.threads), out, f"config_sha256={digest}")
 
 
-def cmd_failure_rates(b: _Built, config: dict, args) -> int:
-    tag = f"config_sha256={config_hash(config)}"
+def cmd_failure_rates(b: _Built, config: dict, args, digest: str) -> None:
     reduce = nhpp._fr1 if args.which == "fr1" else nhpp._fr2
     rates = reduce(b.nhpp, _members(b, args.threads), b.times.dt)
     out = _out_dir(config) / f"failure_rates_{args.which}.csv"
-    nhpp.save_failure_rate_field(rates, out, header_comment=tag)
-    return 0
+    nhpp.save_failure_rate_field(rates, out, header_comment=f"config_sha256={digest}")
 
 
-def cmd_fail_dist(b: _Built, config: dict, args) -> int:
-    tag = f"config_sha256={config_hash(config)}"
+def cmd_fail_dist(b: _Built, config: dict, args, digest: str) -> None:
+    tag = f"config_sha256={digest}"
     try:
         cells = [int(c) for c in args.cells.split(",") if c.strip() != ""]
     except ValueError:
@@ -381,72 +376,42 @@ def cmd_fail_dist(b: _Built, config: dict, args) -> int:
         nhpp.save_failure_distribution(
             dist, out_dir / f"fail_dist_{args.kind}_cell{cell}.csv", header_comment=tag
         )
-    return 0
 
 
-def cmd_critzone(b: _Built, config: dict, args) -> int:
-    digest = config_hash(config)
-    tag = f"config_sha256={digest}"
-    params, nparams, track, grid, times = b.holland, b.nhpp, b.track, b.grid, b.times
-    asymmetric, hemisphere = config["field"]["asymmetric"], config["field"]["hemisphere"]
+def cmd_critzone(b: _Built, config: dict, args, digest: str) -> None:
+    f = config["field"]
     rates, zone = critzone.storm_swath(
-        track, params, grid, times, nparams, asymmetric=asymmetric, hemisphere=hemisphere
+        b.track, b.holland, b.grid, b.times, b.nhpp, asymmetric=f["asymmetric"], hemisphere=f["hemisphere"]
     )
     stats = critzone._zone_stats(rates, zone)
     cells = np.flatnonzero(zone)
-    Rcrit = critzone.critical_radius(params, nparams.Vcrit)
+    Rcrit = critzone.critical_radius(b.holland, b.nhpp.Vcrit)
     out_dir = _out_dir(config)
     rows = ([cell] for cell in cells)
-    _write_csv(out_dir / "critzone_cells.csv", ["cell_id"], rows, tag, line_end="\n")
+    _write_csv(out_dir / "critzone_cells.csv", ["cell_id"], rows, f"config_sha256={digest}", line_end="\n")
     report = {
         "config_sha256": digest,
-        "Vthres_mps": nparams.Vcrit,
+        "Vthres_mps": b.nhpp.Vcrit,
         "Rcrit_km": None if Rcrit is None else float(format(Rcrit, TABLE_FMT)),
-        "area_numeric_km2": float(format(len(cells) * grid.cell_area, TABLE_FMT)),
+        "area_numeric_km2": float(format(len(cells) * b.grid.cell_area, TABLE_FMT)),
         "area_obround_km2": None
         if Rcrit is None
-        else float(format(critzone.obround_area(Rcrit, times.duration, track.Vtr), TABLE_FMT)),
+        else float(format(critzone.obround_area(Rcrit, b.times.duration, b.track.Vtr), TABLE_FMT)),
         "n_cells": len(cells),
         "max_failure_rate_per_km": float(format(stats["max"], TABLE_FMT)),
         "mean_failure_rate_per_km": float(format(stats["mean"], TABLE_FMT)),
     }
     _write_report(out_dir / "critzone_stats.json", report)
-    return 0
 
 
 def _sweep_fit_critzone(b: _Built, config: dict, digest: str) -> None:
-    tag = f"config_sha256={digest}"
-    nparams, track, times, B = b.nhpp, b.track, b.times, b.holland.B
-    Vm_grid, Rm_grid = _sweep_grids(config)
-    Vm, Rm, Rcrit = critzone.sweep_critical_radius(Vm_grid, Rm_grid, Vthres=nparams.Vcrit, B=B)
-    radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=nparams.Vcrit)
+    sweep = critzone.zone_sweep(*_sweep_grids(config), b.nhpp, b.track, b.times, b.holland.B)
+    Vm, Rm, Rcrit, area = sweep[:4]
+    radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=b.nhpp.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)
-    rows = []
-    areas = []
-    for v, r, rc in zip(Vm, Rm, Rcrit):
-        p = HollandParams(Vm=float(v), Rm=float(r), B=B)
-        # Resolution tracks the zone size so large storms stay affordable.
-        cell = float(np.clip(rc / 100.0, 2.0, 25.0))
-        a_num = critzone.axisymmetric_zone_area(track, p, times, rc, cell_size=cell)
-        a_ob = critzone.obround_area(rc, times.duration, track.Vtr)
-        stats = _zone_rate_stats(p, nparams, track, times, rc)
-        areas.append(a_num)
-        rows.append(
-            {
-                "Vm_mps": float(v),
-                "Rm_km": float(r),
-                "Rcrit_km": rc,
-                "Acrit_numeric_km2": a_num,
-                "Acrit_obround_km2": a_ob,
-                "maxFR": stats["max"],
-                "meanFR": stats["mean"],
-            }
-        )
-    area_fit = critzone.fit_crit_area(
-        Vm, Rm, np.array(areas), radius_fit, times.duration, track.Vtr
-    )
+    area_fit = critzone.fit_crit_area(Vm, Rm, area, radius_fit, b.times.duration, b.track.Vtr)
     out_dir = _out_dir(config)
-    critzone.save_zone_sweep(rows, out_dir / "critzone_sweep.csv", header_comment=tag)
+    critzone.save_zone_sweep(sweep, out_dir / "critzone_sweep.csv", header_comment=f"config_sha256={digest}")
     report = {
         "config_sha256": digest,
         "radius_fit": {
@@ -472,27 +437,7 @@ def _sweep_fit_critzone(b: _Built, config: dict, digest: str) -> None:
     _write_report(out_dir / "critzone_fit.json", report)
 
 
-def _zone_rate_stats(p, nparams, track, times, rc: float) -> dict[str, float]:
-    """Max and mean failure rate over the zone, on a coarse grid spanning the
-    storm swath.  Resolution scales with the critical radius so per-storm cost
-    is bounded across the sweep."""
-    pos = track.position(times.offsets())
-    cell = float(np.clip(rc / 30.0, 1.0, 25.0))
-    pad = rc + 2.0 * cell
-    lo = pos.min(axis=0) - pad
-    hi = pos.max(axis=0) + pad
-    grid = Grid(
-        origin=(float(lo[0]), float(lo[1])),
-        nx=max(1, int(np.ceil((hi[0] - lo[0]) / cell))),
-        ny=max(1, int(np.ceil((hi[1] - lo[1]) / cell))),
-        cell_size=cell,
-    )
-    rates, zone = critzone.storm_swath(track, p, grid, times, nparams)
-    return critzone._zone_stats(rates, zone)
-
-
 def _sweep_fit_aggregate(b: _Built, config: dict, digest: str, target: str) -> None:
-    tag = f"config_sha256={digest}"
     nparams = b.nhpp
     if target == "damage" and config["sweep"]["Vm_min"] <= nparams.Vcrit:
         raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({nparams.Vcrit:g}) for --target damage")
@@ -503,7 +448,7 @@ def _sweep_fit_aggregate(b: _Built, config: dict, digest: str, target: str) -> N
     )
     out_dir = _out_dir(config)
     aggregate.save_agg_sweep(
-        Vm, Rm, damage, loss, out_dir / f"{target}_sweep.csv", header_comment=tag
+        Vm, Rm, damage, loss, out_dir / f"{target}_sweep.csv", header_comment=f"config_sha256={digest}"
     )
     if target == "damage":
         model = aggregate.fit_damage_model(Vm, Rm, damage, nparams.Vcrit)
@@ -522,13 +467,11 @@ def _sweep_fit_aggregate(b: _Built, config: dict, digest: str, target: str) -> N
     _write_report(out_dir / f"{target}_fit.json", report)
 
 
-def cmd_sweep_fit(b: _Built, config: dict, args) -> int:
-    digest = config_hash(config)
+def cmd_sweep_fit(b: _Built, config: dict, args, digest: str) -> None:
     if args.target == "critzone":
         _sweep_fit_critzone(b, config, digest)
     else:
         _sweep_fit_aggregate(b, config, digest, args.target)
-    return 0
 
 
 def _cumulative_exposure(nparams: NhppParams, velocities, dt: float, predictor: str, steps) -> np.ndarray:
@@ -544,8 +487,7 @@ def _cumulative_exposure(nparams: NhppParams, velocities, dt: float, predictor: 
     return _mean(nhpp._by_cells(running, v) for v in velocities)
 
 
-def cmd_outage_fit(b: _Built, config: dict, args) -> int:
-    digest = config_hash(config)
+def cmd_outage_fit(b: _Built, config: dict, args, digest: str) -> None:
     if config["counties_csv"] is None:
         raise ConfigError("counties_csv", "required for outage-fit")
     counties = _load(load_county_fixture, "counties_csv", config["counties_csv"])
@@ -585,25 +527,16 @@ def cmd_outage_fit(b: _Built, config: dict, args) -> int:
         "significant_at_0p05": bool(fit.p_values[1] < 0.05),
     }
     _write_report(_out_dir(config) / "outage_fit.json", report)
-    return 0
 
 
-def cmd_tables123(b: _Built, config: dict, args) -> int:
-    tag = f"config_sha256={config_hash(config)}"
+def cmd_tables123(b: _Built, config: dict, args, digest: str) -> None:
     records = critzone.tables123(nhpp=b.nhpp)
     out = _out_dir(config) / "tables123.csv"
-    cols = [
-        "Vm", "Rm",
-        "area_axi_km2", "area_asym_km2",
-        "max_fr_axi", "max_fr_asym",
-        "mean_fr_axi", "mean_fr_asym",
-    ]
     rows = (
-        [str(rec["Vm"]), str(rec["Rm"])] + [format(rec[c], TABLE_FMT) for c in cols[2:]]
+        [str(rec["Vm"]), str(rec["Rm"])] + [format(rec[c], TABLE_FMT) for c in critzone.TABLE_HEADER[2:]]
         for rec in records
     )
-    _write_csv(out, cols, rows, tag, line_end="\n")
-    return 0
+    _write_csv(out, critzone.TABLE_HEADER, rows, f"config_sha256={digest}", line_end="\n")
 
 
 # =============================================================================
@@ -677,7 +610,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(_build(config), config, args)
+        args.func(_build(config), config, args, config_hash(config))
     except ConfigError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
@@ -687,6 +620,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure: report, do not traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

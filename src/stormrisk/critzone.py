@@ -408,6 +408,8 @@ class TableConfig:
 
 TABLE_STORMS = [(25, 20), (25, 30), (25, 40), (37, 20), (37, 30), (37, 40),
                 (46, 20), (46, 30), (46, 40)]
+TABLE_HEADER = ["Vm", "Rm", "area_axi_km2", "area_asym_km2", "max_fr_axi", "max_fr_asym",
+                "mean_fr_axi", "mean_fr_asym"]
 
 
 def _lambert_w0(z: float) -> float:
@@ -455,25 +457,23 @@ def storm_swath(
     grid: Grid,
     times: TimeAxis,
     nhpp: NhppParams,
-    Vthres: float | None = None,
     asymmetric: bool = False,
     hemisphere: str = "N",
 ):
-    """Accumulated failure rate and critical-zone mask of one storm.
+    """Accumulated failure rate and critical-zone mask of one storm, the
+    zone threshold being the critical velocity `nhpp.Vcrit`.
 
     Streams over time steps (never materializing the full wind field), so
     large domains stay cheap.  Returns (rates, zone_mask) with one entry per
     grid cell.  Each step evaluates only the window where the wind can reach
-    Vthres or Vcrit, and the result is bit-identical to evaluating every cell
-    at every step (the window invariant of `stormrisk.wind`).
+    Vcrit, and the result is bit-identical to evaluating every cell at every
+    step (the window invariant of `stormrisk.wind`).
 
     An asymmetric stationary storm (Vtr == (0, 0)) is the axisymmetric
     storm, as in `asymmetric_field`.
     """
-    if Vthres is None:
-        Vthres = nhpp.Vcrit
     Vtr = track.Vtr if asymmetric else (0.0, 0.0)
-    Vhot = min(Vthres, nhpp.Vcrit) - float(np.hypot(*Vtr))
+    Vhot = nhpp.Vcrit - float(np.hypot(*Vtr))
     reach = _window_radius(p, Vhot) + grid.cell_size
     xs, ys = _grid_axes(grid)
     pos = track.position(times.offsets())
@@ -486,7 +486,7 @@ def storm_swath(
         hot += rates[window]
         rates += nhpp.lambda_norm
         rates[window] = hot
-        zone[window] |= (r < p.Rm) | (v >= Vthres)
+        zone[window] |= (r < p.Rm) | (v >= nhpp.Vcrit)
     rates *= times.dt
     return rates.ravel(), zone.ravel()
 
@@ -495,11 +495,8 @@ def tables123(
     config: TableConfig | None = None, nhpp: NhppParams | None = None
 ) -> list[dict]:
     """Critical-zone area and failure-rate statistics for the nine benchmark
-    storms, axisymmetric and asymmetric.
-
-    Returns one record per (Vm, Rm) with keys `Vm`, `Rm`, `area_axi_km2`,
-    `area_asym_km2`, `max_fr_axi`, `max_fr_asym`, `mean_fr_axi`,
-    `mean_fr_asym`.
+    storms, axisymmetric and asymmetric: one record per (Vm, Rm), keyed by
+    `TABLE_HEADER`.
     """
     config = config or TableConfig()
     nhpp = nhpp or NhppParams()
@@ -523,20 +520,47 @@ def tables123(
 
 
 # =============================================================================
-# Sweep CSV
+# (Vm, Rm) zone sweep
 # =============================================================================
 
 SWEEP_HEADER = ["Vm_mps", "Rm_km", "Rcrit_km", "Acrit_numeric_km2",
                 "Acrit_obround_km2", "maxFR", "meanFR"]
 
 
-def save_zone_sweep(rows, path, header_comment: str | None = None) -> None:
-    """Write a zone sweep as CSV with the standard columns.
+def zone_sweep(Vm_values, Rm_values, nhpp: NhppParams, track: Track, times: TimeAxis, B: float = 1.0):
+    """The `SWEEP_HEADER` columns, as arrays, of the storms of the cartesian
+    (Vm, Rm) sweep with Vm >= `nhpp.Vcrit` (Vm the outer axis) on `track`.
+    The zone's failure rates come from `storm_swath` on a grid spanning the
+    swath.  The area and rate grids coarsen as the critical radius grows, so
+    the cost per storm stays bounded across the sweep."""
+    Vm, Rm, Rcrit = sweep_critical_radius(Vm_values, Rm_values, Vthres=nhpp.Vcrit, B=B)
+    pos = track.position(times.offsets())
+    area, obround, max_fr, mean_fr = (np.empty(len(Rcrit)) for _ in range(4))
+    for i, (v, r, rc) in enumerate(zip(Vm, Rm, Rcrit)):
+        p = HollandParams(Vm=float(v), Rm=float(r), B=B)
+        area[i] = axisymmetric_zone_area(track, p, times, rc, cell_size=float(np.clip(rc / 100.0, 2.0, 25.0)))
+        obround[i] = obround_area(rc, times.duration, track.Vtr)
+        cell = float(np.clip(rc / 30.0, 1.0, 25.0))
+        pad = rc + 2.0 * cell
+        lo = pos.min(axis=0) - pad
+        hi = pos.max(axis=0) + pad
+        grid = Grid(
+            origin=(float(lo[0]), float(lo[1])),
+            nx=max(1, int(np.ceil((hi[0] - lo[0]) / cell))),
+            ny=max(1, int(np.ceil((hi[1] - lo[1]) / cell))),
+            cell_size=cell,
+        )
+        stats = _zone_stats(*storm_swath(track, p, grid, times, nhpp))
+        max_fr[i], mean_fr[i] = stats["max"], stats["mean"]
+    return Vm, Rm, Rcrit, area, obround, max_fr, mean_fr
 
-    `rows` are dicts keyed like the header.
-    """
-    table = (
-        [row["Vm_mps"], row["Rm_km"]] + [format(row[k], TABLE_FMT) for k in SWEEP_HEADER[2:]]
-        for row in rows
+
+def save_zone_sweep(columns, path, header_comment: str | None = None) -> None:
+    """Write the `SWEEP_HEADER` columns of a zone sweep (as `zone_sweep`
+    returns them) as CSV: Vm and Rm as Python floats print, the rest at
+    `TABLE_FMT`."""
+    rows = (
+        [float(v), float(r)] + [format(x, TABLE_FMT) for x in rest]
+        for v, r, *rest in zip(*columns)
     )
-    _write_csv(path, SWEEP_HEADER, table, header_comment)
+    _write_csv(path, SWEEP_HEADER, rows, header_comment)

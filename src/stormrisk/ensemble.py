@@ -72,7 +72,8 @@ class EnsemblePerturbationSpec:
     (km), translation direction rotated by N(0, sigma_heading) degrees, Vm and
     Rm jittered by N(0, sigma_Vm) / N(0, sigma_Rm) and truncated below at
     1 m/s and 1 km.  Perturbations are drawn once per member and held constant
-    over the storm lifetime.
+    over the storm lifetime.  With `asymmetric`, members are
+    `asymmetric_field`s of their `hemisphere`.
     """
 
     base_track: Track
@@ -84,6 +85,7 @@ class EnsemblePerturbationSpec:
     seed: int = 0
     H: int = 1
     asymmetric: bool = False
+    hemisphere: str = "N"
 
     def __post_init__(self):
         for name in ("sigma_track", "sigma_heading", "sigma_Vm", "sigma_Rm"):
@@ -131,7 +133,8 @@ def _member_velocities(spec: EnsemblePerturbationSpec, xs, ys, times: TimeAxis, 
 
     def make(child_seed):
         track, params = member_parameters(spec, child_seed)
-        return _velocities(track, params, xs, ys, times, track.Vtr if spec.asymmetric else (0.0, 0.0))
+        Vtr = track.Vtr if spec.asymmetric else (0.0, 0.0)
+        return _velocities(track, params, xs, ys, times, Vtr, spec.hemisphere)
 
     if threads <= 1 or spec.H == 1:
         yield from map(make, children)
@@ -179,14 +182,6 @@ def _mean(arrays) -> np.ndarray:
         del a  # so that no spent array is alive while the next one is made
     acc /= n
     return acc
-
-
-def mean_velocity(e: Ensemble) -> np.ndarray:
-    """Ensemble-mean wind speed per (cell, time), shape (n_cells, n_steps).
-
-    Uses a fixed member order, so the reduction is reproducible bit-for-bit.
-    """
-    return _mean(m.velocities for m in e.members)
 
 
 # =============================================================================

@@ -19,11 +19,11 @@ swath and zone reducers of `critzone` and the damage/loss sweep of
 Window invariant.  A reducer that evaluates only a window must give each
 cell outside it the result an evaluation would give.  `critzone.storm_swath`
 uses the reach W plus one cell, where W >= max(Rm, Rcrit(Vhot)) is the
-closed-form bound `critzone._window_radius` and Vhot = min(Vthres, Vcrit) -
-||Vtr|| (the ||Vtr|| term only for an asymmetric storm: vector addition
-raises a speed by at most ||Vtr||).  Beyond W a cell is outside Rm and its
-wind is below both Vthres and Vcrit, so its zone bit is unchanged and its
-intensity is exactly `lambda_norm`, which it receives without evaluation.
+closed-form bound `critzone._window_radius` and Vhot = Vcrit - ||Vtr|| (the
+||Vtr|| term only for an asymmetric storm: vector addition raises a speed by
+at most ||Vtr||).  Beyond W a cell is outside Rm and its wind is below Vcrit,
+the zone threshold, so its zone bit is unchanged and its intensity is
+exactly `lambda_norm`, which it receives without evaluation.
 Every cell still adds its per-step intensities one at a time in time order,
 so the swath is bit-identical to evaluating every cell at every step.
 """

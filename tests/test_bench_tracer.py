@@ -59,6 +59,22 @@ print(json.dumps({
 """
 
 
+def _traced(tmp_path, argvs) -> dict:
+    """The tracer's report on running each of `argvs` through `cli.main`."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "bench"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(argvs)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["unknown_counters"] == []
+    return report
+
+
 def test_traced_outage_and_damage_fits(tmp_path):
     counties_csv, obs_csv, cfg = tmp_path / "counties.csv", tmp_path / "obs.csv", tmp_path / "cfg.json"
     save_county_fixture(
@@ -91,21 +107,13 @@ def test_traced_outage_and_damage_fits(tmp_path):
             }
         )
     )
-    argvs = [
-        ["outage-fit", "--config", str(cfg), "--obs", str(obs_csv), "--threads", "1"],
-        ["sweep-fit", "--config", str(cfg), "--target", "damage", "--threads", "1"],
-    ]
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "bench"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(argvs)],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
+    report = _traced(
+        tmp_path,
+        [
+            ["outage-fit", "--config", str(cfg), "--obs", str(obs_csv), "--threads", "1"],
+            ["sweep-fit", "--config", str(cfg), "--target", "damage", "--threads", "1"],
+        ],
     )
-    assert result.returncode == 0, result.stderr[-2000:]
-    report = json.loads(result.stdout.splitlines()[-1])
-    assert report["unknown_counters"] == []
     assert report["codes"] == [0, 0]
     counts = report["counts"]
     assert counts.get("trace.counter_errors", 0) == 0
@@ -124,3 +132,22 @@ def test_traced_outage_and_damage_fits(tmp_path):
         fit_damage_model(Vm, Rm, damage, NhppParams().Vcrit)
     assert counts["fitting.fits"] == len(calls) < 10
     assert counts["aggregate.storms"] == 40
+
+
+def test_traced_critzone_and_sweep(tmp_path):
+    # The sweep's storms reach `storm_swath` through `critzone.zone_sweep`;
+    # the tracer must still count their cell-steps.
+    config = ["--set", f"output_dir={tmp_path / 'out'}", "--set", "times.n_steps=6", "--set", "grid.nx=20"]
+    sweep = [f"sweep.{k}={v}" for k, v in (("Vm_max", 40), ("Vm_step", 9), ("Rm_step", 15))]
+    report = _traced(
+        tmp_path,
+        [
+            ["critzone"] + config,
+            ["sweep-fit", "--target", "critzone"] + config + [a for s in sweep for a in ("--set", s)],
+        ],
+    )
+    assert report["codes"] == [0, 0]
+    counts = report["counts"]
+    assert counts.get("trace.counter_errors", 0) == 0
+    # More than the critzone command's own 20 x 100 cells times 6 steps.
+    assert counts["critzone.cell_steps"] > 20 * 100 * 6

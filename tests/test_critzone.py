@@ -27,8 +27,10 @@ from stormrisk import (
     sweep_critical_radius,
     tables123,
     zone_failure_stats,
+    zone_sweep,
 )
-from stormrisk.critzone import _critical_radii, _window_radius
+from stormrisk.critzone import SWEEP_HEADER, _critical_radii, _window_radius, _zone_stats
+from stormrisk.csvio import TABLE_FMT, _write_csv
 
 VTHRES = 20.6
 
@@ -296,10 +298,8 @@ class TestBlockedZoneArea:
         assert got == zone_area_by_1024_rows(track, p, times, VTHRES, cell)
 
 
-def dense_swath(track, p, grid, times, nhpp, Vthres=None, asymmetric=False, hemisphere="N"):
+def dense_swath(track, p, grid, times, nhpp, asymmetric=False, hemisphere="N"):
     """Reference swath: every cell evaluated at every step."""
-    if Vthres is None:
-        Vthres = nhpp.Vcrit
     spin = 1.0 if hemisphere == "N" else -1.0
     centers = grid.centers()
     pos = track.position(times.offsets())
@@ -316,7 +316,7 @@ def dense_swath(track, p, grid, times, nhpp, Vthres=None, asymmetric=False, hemi
                 ty = np.where(r > 0, spin * dx / r, 0.0)
             v = np.hypot(v * tx + track.Vtr[0], v * ty + track.Vtr[1])
         rates += poisson_intensity(nhpp, v)
-        zone |= (r < p.Rm) | (v >= Vthres)
+        zone |= (r < p.Rm) | (v >= nhpp.Vcrit)
     rates *= times.dt
     return rates, zone
 
@@ -354,7 +354,6 @@ class TestStormSwath:
         Vm=st.floats(8.0, 70.0),
         Rm=st.floats(5.0, 60.0),
         B=st.sampled_from([0.6, 1.0, 1.5, 2.5]),
-        Vthres=st.one_of(st.none(), st.floats(8.0, 40.0)),
         asymmetric=st.booleans(),
         hemisphere=st.sampled_from(["N", "S"]),
         vtr=st.one_of(
@@ -369,17 +368,17 @@ class TestStormSwath:
         dt=st.sampled_from([0.5, 1.0, 3.0]),
     )
     def test_matches_dense_reference(
-        self, Vm, Rm, B, Vthres, asymmetric, hemisphere, vtr, x0, nx, ny, cell, n_steps, dt
+        self, Vm, Rm, B, asymmetric, hemisphere, vtr, x0, nx, ny, cell, n_steps, dt
     ):
         p = HollandParams(Vm=Vm, Rm=Rm, B=B)
         track = Track(x0=x0, Vtr=vtr, duration=n_steps * dt)
         grid = Grid(origin=(-50.0, 20.0), nx=nx, ny=ny, cell_size=cell)
         times = TimeAxis(n_steps=n_steps, dt=dt)
         nhpp = NhppParams()
-        rates, zone = storm_swath(track, p, grid, times, nhpp, Vthres, asymmetric, hemisphere)
+        rates, zone = storm_swath(track, p, grid, times, nhpp, asymmetric, hemisphere)
         # A stationary asymmetric storm is the axisymmetric one.
         ref_rates, ref_zone = dense_swath(
-            track, p, grid, times, nhpp, Vthres, asymmetric and vtr != (0.0, 0.0), hemisphere
+            track, p, grid, times, nhpp, asymmetric and vtr != (0.0, 0.0), hemisphere
         )
         assert np.array_equal(rates, ref_rates)
         assert np.array_equal(zone, ref_zone)
@@ -509,15 +508,82 @@ class TestBenchmarkTables:
         assert cfg.track().Vtr[0] == 0.0
 
 
+def zone_rate_stats(p, nparams, track, times, rc):
+    """Reference: the sweep's zone rate statistics as the command line took
+    them, on a coarse grid spanning the swath."""
+    pos = track.position(times.offsets())
+    cell = float(np.clip(rc / 30.0, 1.0, 25.0))
+    pad = rc + 2.0 * cell
+    lo = pos.min(axis=0) - pad
+    hi = pos.max(axis=0) + pad
+    grid = Grid(
+        origin=(float(lo[0]), float(lo[1])),
+        nx=max(1, int(np.ceil((hi[0] - lo[0]) / cell))),
+        ny=max(1, int(np.ceil((hi[1] - lo[1]) / cell))),
+        cell_size=cell,
+    )
+    rates, zone = storm_swath(track, p, grid, times, nparams)
+    return _zone_stats(rates, zone)
+
+
+def zone_sweep_rows(Vm_grid, Rm_grid, nparams, track, times, B):
+    """Reference: the sweep's row dicts as the command line built them, one
+    storm at a time."""
+    Vm, Rm, Rcrit = sweep_critical_radius(Vm_grid, Rm_grid, Vthres=nparams.Vcrit, B=B)
+    rows = []
+    for v, r, rc in zip(Vm, Rm, Rcrit):
+        p = HollandParams(Vm=float(v), Rm=float(r), B=B)
+        cell = float(np.clip(rc / 100.0, 2.0, 25.0))
+        stats = zone_rate_stats(p, nparams, track, times, rc)
+        rows.append(
+            {
+                "Vm_mps": float(v),
+                "Rm_km": float(r),
+                "Rcrit_km": rc,
+                "Acrit_numeric_km2": axisymmetric_zone_area(track, p, times, rc, cell_size=cell),
+                "Acrit_obround_km2": obround_area(rc, times.duration, track.Vtr),
+                "maxFR": stats["max"],
+                "meanFR": stats["mean"],
+            }
+        )
+    return rows
+
+
+def save_zone_rows(rows, path, header_comment):
+    """Reference: the sweep CSV writer that took row dicts."""
+    table = (
+        [row["Vm_mps"], row["Rm_km"]] + [format(row[k], TABLE_FMT) for k in SWEEP_HEADER[2:]]
+        for row in rows
+    )
+    _write_csv(path, SWEEP_HEADER, table, header_comment)
+
+
+class TestZoneSweep:
+    @pytest.mark.parametrize("B", [1.0, 1.5])
+    def test_equals_the_per_storm_loop_bit_for_bit(self, tmp_path, B):
+        nparams = NhppParams()
+        times = TimeAxis(n_steps=12, dt=1.0)
+        track = Track(x0=(50.0, -150.0), Vtr=(0.0, 3.0), duration=times.duration)
+        # Vm = 18 is below Vcrit: its storms are left out.
+        Vm_grid, Rm_grid = np.arange(18.0, 46.0 + 1e-9, 7.0), np.arange(20.0, 50.0 + 1e-9, 10.0)
+        columns = zone_sweep(Vm_grid, Rm_grid, nparams, track, times, B)
+        rows = zone_sweep_rows(Vm_grid, Rm_grid, nparams, track, times, B)
+        assert len(rows) == 16
+        assert len(columns) == len(SWEEP_HEADER)
+        for name, column in zip(SWEEP_HEADER, columns):
+            ref = np.array([row[name] for row in rows], dtype=float)
+            assert np.asarray(column, dtype=float).tobytes() == ref.tobytes(), name
+        save_zone_sweep(columns, tmp_path / "columns.csv", header_comment="config_sha256=xyz")
+        save_zone_rows(rows, tmp_path / "rows.csv", header_comment="config_sha256=xyz")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 class TestSweepCsv:
     def test_save(self, tmp_path):
-        rows = [
-            dict(Vm_mps=25, Rm_km=20, Rcrit_km=56.0, Acrit_numeric_km2=1.0,
-                 Acrit_obround_km2=1.1, maxFR=0.5, meanFR=0.2)
-        ]
+        columns = ([25.0], [20.0], [56.0], [1.0], [1.1], [0.5], [0.2])
         path = tmp_path / "sweep.csv"
-        save_zone_sweep(rows, path, header_comment="config_sha256=xyz")
+        save_zone_sweep(columns, path, header_comment="config_sha256=xyz")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_sha256=xyz"
         assert lines[1].startswith("Vm_mps,Rm_km,Rcrit_km")
-        assert lines[2].startswith("25,20,56")
+        assert lines[2].startswith("25.0,20.0,56")

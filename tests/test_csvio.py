@@ -109,16 +109,8 @@ class TestGoldenBytes:
 
     def test_zone_sweep(self, tmp_path):
         path = tmp_path / "zs.csv"
-        row = {
-            "Vm_mps": 25.0,
-            "Rm_km": 20.0,
-            "Rcrit_km": 1 / 3,
-            "Acrit_numeric_km2": 1234.56789012,
-            "Acrit_obround_km2": 2e-10,
-            "maxFR": 0.1,
-            "meanFR": 1 / 7,
-        }
-        save_zone_sweep([row], path, header_comment=TAG)
+        columns = [np.array([x]) for x in (25.0, 20.0, 1 / 3, 1234.56789012, 2e-10, 0.1, 1 / 7)]
+        save_zone_sweep(columns, path, header_comment=TAG)
         assert path.read_bytes() == (
             b"# config_sha256=abc\n"
             b"Vm_mps,Rm_km,Rcrit_km,Acrit_numeric_km2,Acrit_obround_km2,maxFR,meanFR\r\n"

@@ -13,10 +13,10 @@ from stormrisk import (
     TimeAxis,
     Track,
     WindField,
+    asymmetric_field,
     axisymmetric_field,
     generate_synthetic_ensemble,
     load_ensemble,
-    mean_velocity,
     member_parameters,
     save_ensemble,
 )
@@ -99,6 +99,18 @@ class TestGeneration:
         # Rotation preserves translation speed.
         assert np.allclose(speeds, 3.0, atol=1e-12)
 
+    @pytest.mark.parametrize("hemisphere", ["N", "S"])
+    def test_asymmetric_members_follow_the_hemisphere(self, hemisphere):
+        spec = _spec(
+            sigma_track=5.0, sigma_heading=10.0, sigma_Vm=3.0, H=3, asymmetric=True, hemisphere=hemisphere
+        )
+        ens = generate_synthetic_ensemble(spec, GRID, TIMES)
+        children = np.random.SeedSequence(spec.seed).spawn(spec.H)
+        for member, child in zip(ens.members, children):
+            track, params = member_parameters(spec, child)
+            field = asymmetric_field(track, params, GRID, TIMES, hemisphere=hemisphere)
+            assert np.array_equal(member.velocities, field.velocities)
+
 
 class TestEnsembleType:
     def test_requires_members(self):
@@ -115,7 +127,8 @@ class TestEnsembleType:
 class TestMeanVelocity:
     def test_identical_members(self):
         ens = generate_synthetic_ensemble(_spec(H=3), GRID, TIMES)
-        assert np.allclose(mean_velocity(ens), ens.members[0].velocities, rtol=1e-15, atol=0)
+        mean = _mean(m.velocities for m in ens.members)
+        assert np.allclose(mean, ens.members[0].velocities, rtol=1e-15, atol=0)
 
     def test_two_member_mean(self):
         v1 = np.full((GRID.n_cells, TIMES.n_steps), 10.0)
@@ -126,13 +139,13 @@ class TestMeanVelocity:
                 WindField(grid=GRID, times=TIMES, velocities=v2),
             )
         )
-        assert np.all(mean_velocity(ens) == 20.0)
+        assert np.all(_mean(m.velocities for m in ens.members) == 20.0)
 
     def test_mean_within_member_envelope(self):
         spec = _spec(sigma_track=8.0, sigma_Vm=5.0, H=7)
         ens = generate_synthetic_ensemble(spec, GRID, TIMES)
         v = ens.velocities()
-        m = mean_velocity(ens)
+        m = _mean(member.velocities for member in ens.members)
         assert np.all(m >= v.min(axis=0) - 1e-12)
         assert np.all(m <= v.max(axis=0) + 1e-12)
 
@@ -278,7 +291,7 @@ class TestStreamingReducers:
 
         mean_ref = stack.mean(axis=0)
         assert np.array_equal(_bits(_mean(iter(vs))), _bits(mean_ref))
-        assert np.array_equal(_bits(mean_velocity(e)), _bits(mean_ref))
+        assert np.array_equal(_bits(_mean(m.velocities for m in e.members)), _bits(mean_ref))
 
         fr1_ref = failure_rate(p, mean_ref, dt)
         assert np.array_equal(_bits(_fr1(p, iter(vs), dt)), _bits(fr1_ref))

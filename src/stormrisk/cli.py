@@ -23,7 +23,23 @@ from typing import NamedTuple
 import numpy as np
 
 from . import aggregate, critzone, glm, nhpp
-from .csvio import TABLE_FMT, _write_csv
+from .csvio import (
+    TABLE_FMT,
+    _BOOLEAN,
+    _INTEGER,
+    _NUMBER,
+    _OPTIONAL_PATH,
+    _PATH,
+    _STRING,
+    _VXY,
+    _XY,
+    ConfigError,
+    _check,
+    _read_json,
+    _type_name,
+    _write_csv,
+    _write_json,
+)
 from .ensemble import (
     EnsemblePerturbationSpec,
     _mean,
@@ -44,41 +60,9 @@ from .wind import (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid config value; `path` is the dotted field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
 # =============================================================================
 # Config document
 # =============================================================================
-
-
-def _pair(value) -> tuple[float, float]:
-    return float(value[0]), float(value[1])
-
-
-# A field's kind: the JSON types it accepts, what a message calls them, and the
-# conversion of its value for the builders (None: used as it is).
-_STRING = ((str,), "a string", None)
-_INTEGER = ((int,), "an integer", None)
-_NUMBER = ((int, float), "a number", float)
-_BOOLEAN = ((bool,), "a boolean", None)
-_XY = ((list,), "[x, y]", _pair)
-_VXY = ((list,), "[vx, vy]", _pair)
-_PATH = ((str,), "a path string", None)
-_OPTIONAL_PATH = ((str, type(None)), "a path string or null", None)
-
-# A check's text, as messages and the README give it, and its test.
-_CHECKS = {
-    "> 0": lambda v: v > 0,
-    ">= 0": lambda v: v >= 0,
-    ">= 1": lambda v: v >= 1,
-    '"N" or "S"': lambda v: v in ("N", "S"),
-}
 
 # One row per config field: (dotted path, default, kind, check).  The default
 # config, the validation and the builders' values all come from this table,
@@ -143,15 +127,6 @@ def _nest(items) -> dict:
 DEFAULT_CONFIG: dict = _nest((path, default) for path, default, _, _ in CONFIG_SCHEMA)
 
 
-def _finite(v) -> bool:
-    """Whether a JSON number is finite as a float; a huge integer is not."""
-    return abs(v) <= sys.float_info.max
-
-
-def _type_name(value) -> str:
-    return "a boolean" if isinstance(value, bool) else type(value).__name__
-
-
 def _sweep_axes(sweep: dict) -> list[tuple]:
     """The `np.arange` (start, stop, step) of the sweep's Vm and Rm axes."""
     return [(sweep[f"{a}_min"], sweep[f"{a}_max"] + 1e-9, sweep[f"{a}_step"]) for a in ("Vm", "Rm")]
@@ -167,21 +142,11 @@ def validate_config(config: dict) -> dict:
     Returns the fields' values nested as in `config`, with numbers as floats
     and pairs as tuples of floats."""
     values = []
-    for path, _, (types, name, convert), check in CONFIG_SCHEMA:
+    for path, _, kind, check in CONFIG_SCHEMA:
         value = config
         for part in path.split("."):
             value = value[part]
-        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
-            raise ConfigError(path, f"expected {name}, got {_type_name(value)}")
-        if convert is float and not _finite(value):
-            raise ConfigError(path, f"expected a finite number, got {value!r}")
-        if convert is _pair and len(value) != 2:
-            raise ConfigError(path, f"value {value!r} out of range ({name})")
-        if convert is _pair and not all(type(v) in (int, float) and _finite(v) for v in value):
-            raise ConfigError(path, "entries must be finite numbers")
-        if check is not None and not _CHECKS[check](value):
-            raise ConfigError(path, f"value {value!r} out of range ({check})")
-        values.append((path, value if convert is None else convert(value)))
+        values.append((path, _check(path, value, kind, check)))
     size = 1
     for path in _FIELD_SIZE:
         section, key = path.split(".")
@@ -234,14 +199,7 @@ def apply_override(config: dict, assignment: str) -> dict:
 def load_config(path: str | None, overrides: list[str]) -> dict:
     config = DEFAULT_CONFIG
     if path is not None:
-        try:
-            with open(path, "rb") as f:
-                user = json.load(f)
-        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8/16/32, too long, too deep
-            raise ConfigError(str(path), f"invalid JSON: {exc}") from None
-        if not isinstance(user, dict):
-            raise ConfigError(str(path), "config document must be a JSON object")
-        config = _deep_merge(config, user)
+        config = _deep_merge(config, _read_json(path))
     for assignment in overrides:
         config = apply_override(config, assignment)
     validate_config(config)
@@ -322,12 +280,6 @@ def _out_dir(config) -> Path:
     return path
 
 
-def _write_report(path: Path, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 # =============================================================================
 # Subcommands
 # =============================================================================
@@ -401,7 +353,7 @@ def cmd_critzone(b: _Built, config: dict, args, digest: str) -> None:
         "max_failure_rate_per_km": float(format(stats["max"], TABLE_FMT)),
         "mean_failure_rate_per_km": float(format(stats["mean"], TABLE_FMT)),
     }
-    _write_report(out_dir / "critzone_stats.json", report)
+    _write_json(out_dir / "critzone_stats.json", report)
 
 
 def _sweep_fit_critzone(b: _Built, config: dict, digest: str) -> None:
@@ -434,7 +386,7 @@ def _sweep_fit_critzone(b: _Built, config: dict, digest: str) -> None:
             "rms_residual_free": area_fit.residual_free,
         },
     }
-    _write_report(out_dir / "critzone_fit.json", report)
+    _write_json(out_dir / "critzone_fit.json", report)
 
 
 def _sweep_fit_aggregate(b: _Built, config: dict, digest: str, target: str) -> None:
@@ -464,7 +416,7 @@ def _sweep_fit_aggregate(b: _Built, config: dict, digest: str, target: str) -> N
         p_values=[float(p) for p in model.fit.p_values],
         rms_relative_residual=model.fit.rms,
     )
-    _write_report(out_dir / f"{target}_fit.json", report)
+    _write_json(out_dir / f"{target}_fit.json", report)
 
 
 def cmd_sweep_fit(b: _Built, config: dict, args, digest: str) -> None:
@@ -526,7 +478,7 @@ def cmd_outage_fit(b: _Built, config: dict, args, digest: str) -> None:
         "separated": fit.separated,
         "significant_at_0p05": bool(fit.p_values[1] < 0.05),
     }
-    _write_report(_out_dir(config) / "outage_fit.json", report)
+    _write_json(_out_dir(config) / "outage_fit.json", report)
 
 
 def cmd_tables123(b: _Built, config: dict, args, digest: str) -> None:

@@ -209,11 +209,12 @@ def axisymmetric_zone_area(
         n = len(X)
         kb, db, ib = k[:n], d[:n], inside[:n]
         if step > 0:
-            # k * step, k the nearest step, clipped to the track's ends.
+            # k * step, k the nearest step, clipped to the track's ends before
+            # the division so that a subnormal step cannot overflow it.
             np.add((X - a[0]) * ex, pye, out=kb)
+            np.clip(kb, 0, (times.n_steps - 1) * step, out=kb)
             kb /= step
             np.rint(kb, out=kb)
-            np.clip(kb, 0, times.n_steps - 1, out=kb)
             kb *= step
         else:
             kb.fill(0.0)

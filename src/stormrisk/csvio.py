@@ -19,12 +19,19 @@ velocity in [1, 1e16) (nearly every wind speed) is formatted by digit
 arithmetic in numpy (`_fixed_17g`): its 17 digits are the exactly rounded
 product of x and a power of ten, written through a table of four-digit
 groups.  Every other value goes through `%` itself.
+
+JSON documents (the config, the ensemble sidecar, the reports) go through
+`_read_json` and `_write_json`, and the config's and the sidecar's fields
+through one kind checker, `_check`.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import json
+import math
+import sys
 
 import numpy as np
 
@@ -173,8 +180,90 @@ def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _read_csv(path, header):
-    """Yield `(line number, row)` for each data row of a file with `header`."""
+class ConfigError(ValueError):
+    """Invalid input value; `path` names its field: a dotted config path, or
+    a JSON file and key."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
+def _pair(value) -> tuple[float, float]:
+    return float(value[0]), float(value[1])
+
+
+# A field's kind: the JSON types it accepts, what a message calls them, and the
+# conversion of its value for the builders (None: used as it is).
+_STRING = ((str,), "a string", None)
+_INTEGER = ((int,), "an integer", None)
+_NUMBER = ((int, float), "a number", float)
+_BOOLEAN = ((bool,), "a boolean", None)
+_XY = ((list,), "[x, y]", _pair)
+_VXY = ((list,), "[vx, vy]", _pair)
+_PATH = ((str,), "a path string", None)
+_OPTIONAL_PATH = ((str, type(None)), "a path string or null", None)
+
+# A check's text, as messages and the README give it, and its test.
+_CHECKS = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    '"N" or "S"': lambda v: v in ("N", "S"),
+}
+
+
+def _finite(v) -> bool:
+    """Whether a JSON number is finite as a float; a huge integer is not."""
+    return abs(v) <= sys.float_info.max
+
+
+def _type_name(value) -> str:
+    return "a boolean" if isinstance(value, bool) else type(value).__name__
+
+
+def _check(path: str, value, kind, check: str | None):
+    """`value` converted by its `kind`, once it has the kind and passes the
+    `_CHECKS` test `check`; otherwise ConfigError naming `path`."""
+    types, name, convert = kind
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+        raise ConfigError(path, f"expected {name}, got {_type_name(value)}")
+    if convert is float and not _finite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    if convert is _pair and len(value) != 2:
+        raise ConfigError(path, f"value {value!r} out of range ({name})")
+    if convert is _pair and not all(type(v) in (int, float) and _finite(v) for v in value):
+        raise ConfigError(path, "entries must be finite numbers")
+    if check is not None and not _CHECKS[check](value):
+        raise ConfigError(path, f"value {value!r} out of range ({check})")
+    return value if convert is None else convert(value)
+
+
+def _read_json(path) -> dict:
+    """The JSON object in the file at `path`.  A file that does not hold
+    one raises ConfigError naming the file."""
+    try:
+        with open(path, "rb") as f:
+            doc = json.load(f)
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8/16/32, too long, too deep
+        raise ConfigError(str(path), f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(str(path), f"expected a JSON object, got {_type_name(doc)}")
+    return doc
+
+
+def _write_json(path, doc: dict) -> None:
+    """Write `doc` with sorted keys, indented by two spaces, and a final LF."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _read_csv(path, header, types):
+    """Yield `(line number, fields)` for each data row of a file with
+    `header`, each field converted by its callable in `types`: `int`,
+    `float` or `str`.  A field that does not convert names the file and
+    line as a malformed row."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         first = next(reader, None)
@@ -189,39 +278,39 @@ def _read_csv(path, header):
                 raise ValueError(
                     f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
-            yield reader.line_num, row
+            try:
+                fields = [convert(field) for convert, field in zip(types, row)]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+            yield reader.line_num, fields
 
 
 def _read_velocities(path, header, shape) -> np.ndarray:
     """Read a `_write_velocities` table into an array of `shape`, indexed by
-    each row's integer columns.  Every slot must be given exactly once: bad
-    rows, repeated keys, gaps and an empty table raise errors naming the file
-    and the physical line or the slot.
+    each row's integer columns, in one pass.  Every slot must be given
+    exactly once, with a velocity that is nan (read as missing), or finite
+    and not negative.  The first bad row in the file (malformed, out of
+    range, repeated, or with such a velocity) raises an error naming the
+    file and its physical line; then a gap or an empty table raises one
+    naming the file and the slot.
     """
     names = [name.split("_")[0] for name in header[:-1]]  # member, cell, time
+    types = [int] * len(shape) + [float]
     v = np.full(shape, np.nan)
-    n_rows = 0
-    for lineno, row in _read_csv(path, header):
-        try:
-            key = tuple(map(int, row[:-1]))
-            vel = float(row[-1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+    seen = np.zeros(shape, dtype=bool)
+    for lineno, (*key, vel) in _read_csv(path, header, types):
+        key = tuple(key)
         if not all(0 <= k < n for k, n in zip(key, shape)):
             raise ValueError(f"{path}:{lineno}: {'/'.join(names)} out of range")
+        if seen[key]:
+            named = ", ".join(f"{name} {k}" for name, k in zip(header, key))
+            raise ValueError(f"{path}:{lineno}: repeated row for {named}")
+        if vel < 0 or vel == math.inf:
+            raise ValueError(f"{path}:{lineno}: velocity must be finite and >= 0, got {vel!r}")
+        seen[key] = True
         v[key] = vel
-        n_rows += 1
-    if n_rows == 0:
+    if not seen.any():
         raise ValueError(f"{path}: no {names[0]}s")
-    if n_rows > np.count_nonzero(~np.isnan(v)):
-        # A repeated key, or a nan velocity: read again to find the first repeat.
-        seen = np.zeros(shape, dtype=bool)
-        for lineno, row in _read_csv(path, header):
-            key = tuple(map(int, row[:-1]))
-            if seen[key]:
-                named = ", ".join(f"{name} {k}" for name, k in zip(header, key))
-                raise ValueError(f"{path}:{lineno}: repeated row for {named}")
-            seen[key] = True
     missing = np.argwhere(np.isnan(v))
     if missing.size:
         where = ", ".join(f"{name} {k}" for name, k in zip(names, missing[0]))

@@ -16,7 +16,6 @@ statistic needs, so its memory does not grow with H.  The statistics of an
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _read_velocities, _write_velocities
+from .csvio import (
+    _INTEGER,
+    _NUMBER,
+    _XY,
+    ConfigError,
+    _check,
+    _read_json,
+    _read_velocities,
+    _write_json,
+    _write_velocities,
+)
 from .grid import Grid, TimeAxis
 from .wind import HollandParams, Track, WindField, _grid_axes, _velocities
 
@@ -189,15 +198,18 @@ def _mean(arrays) -> np.ndarray:
 # =============================================================================
 
 ENSEMBLE_HEADER = ["member", "cell_id", "time_index", "velocity_mps"]
-# The sidecar keys `load_ensemble` needs: int for an integer, float for any finite number.
-_SIDECAR_FIELDS = {"H": int, "nx": int, "ny": int, "n_steps": int, "cell_size_km": float, "dt_h": float}
-
-
-def _is_number(value, kind) -> bool:
-    """Whether a JSON value is an integer (`kind` int) or a finite number (`kind` float)."""
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        return False
-    return not isinstance(value, float) or math.isfinite(value)
+# One row per sidecar key: (key, kind, check, the config field whose kind and
+# check it has).  Only origin_km may be left out.  The README's sidecar table
+# is tested against these rows.
+SIDECAR_SCHEMA = (
+    ("H", _INTEGER, ">= 1", "ensemble.H"),
+    ("nx", _INTEGER, ">= 1", "grid.nx"),
+    ("ny", _INTEGER, ">= 1", "grid.ny"),
+    ("cell_size_km", _NUMBER, "> 0", "grid.cell_size_km"),
+    ("origin_km", _XY, None, "grid.origin_km"),
+    ("n_steps", _INTEGER, ">= 1", "times.n_steps"),
+    ("dt_h", _NUMBER, "> 0", "times.dt_h"),
+)
 
 
 def save_ensemble(e: Ensemble, path, header_comment: str | None = None) -> None:
@@ -237,9 +249,7 @@ def save_ensemble_members(
     }
     if header_comment:
         sidecar["comment"] = header_comment
-    with open(str(path) + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(str(path) + ".json", sidecar)
 
 
 def load_ensemble(path) -> Ensemble:
@@ -247,33 +257,20 @@ def load_ensemble(path) -> Ensemble:
 
     Every member must provide a velocity for every (cell, time) exactly once;
     gaps, repeats and malformed rows raise errors naming the offending
-    location, and a sidecar that is not JSON or misses or mistypes a key
-    raises one naming the sidecar and the key.
+    location, and a sidecar that is not a JSON object, or misses a key or
+    gives one a value its `SIDECAR_SCHEMA` row rejects, raises one naming the
+    sidecar and the key.
     """
     sidecar = f"{path}.json"
-    try:
-        with open(sidecar) as f:
-            meta = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{sidecar}: invalid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar}: expected a JSON object")
-    for key, kind in _SIDECAR_FIELDS.items():
-        if key not in meta:
-            raise ValueError(f"{sidecar}: missing key {key!r}")
-        if not _is_number(meta[key], kind):
-            what = "an integer" if kind is int else "a finite number"
-            raise ValueError(f"{sidecar}: {key} must be {what}, got {meta[key]!r}")
-    origin = meta.get("origin_km", [0.0, 0.0])
-    if not (isinstance(origin, list) and len(origin) == 2 and all(_is_number(v, float) for v in origin)):
-        raise ValueError(f"{sidecar}: origin_km must be [x, y], two finite numbers, got {origin!r}")
-    grid = Grid(
-        origin=tuple(map(float, origin)), nx=meta["nx"], ny=meta["ny"], cell_size=float(meta["cell_size_km"])
-    )
-    times = TimeAxis(n_steps=meta["n_steps"], dt=float(meta["dt_h"]))
+    doc = {"origin_km": [0.0, 0.0], **_read_json(sidecar)}
+    meta = {}
+    for key, kind, check, _ in SIDECAR_SCHEMA:
+        if key not in doc:
+            raise ConfigError(sidecar, f"missing key {key!r}")
+        meta[key] = _check(f"{sidecar}: {key}", doc[key], kind, check)
+    grid = Grid(origin=meta["origin_km"], nx=meta["nx"], ny=meta["ny"], cell_size=meta["cell_size_km"])
+    times = TimeAxis(n_steps=meta["n_steps"], dt=meta["dt_h"])
     H = meta["H"]
-    if H < 1:
-        raise ValueError(f"{path}: no members")
     v = _read_velocities(path, ENSEMBLE_HEADER, (H, grid.n_cells, times.n_steps))
     members = [WindField(grid=grid, times=times, velocities=v[i]) for i in range(H)]
     return Ensemble(members=tuple(members))

@@ -192,17 +192,11 @@ def save_observations(observations, path) -> None:
 
 def load_observations(path) -> list[OutageObservation]:
     out = []
-    for lineno, (county, time_h, outages, households) in _read_csv(path, OBS_HEADER):
+    for lineno, fields in _read_csv(path, OBS_HEADER, (str, float, int, int)):
         try:
-            obs = OutageObservation(
-                county=county,
-                time_h=float(time_h),
-                outages=int(outages),
-                households=int(households),
-            )
-        except ValueError as exc:
+            out.append(OutageObservation(*fields))
+        except ValueError as exc:  # the record's own checks
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        out.append(obs)
     if not out:
         raise ValueError(f"{path}: no observations")
     return out

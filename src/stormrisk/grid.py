@@ -203,13 +203,7 @@ def load_county_fixture(path) -> CountySet:
     line number.
     """
     rows: dict[str, dict] = {}
-    for lineno, (name, cell_s, hh_s, dens_s) in _read_csv(path, COUNTY_HEADER):
-        try:
-            cell = int(cell_s)
-            hh = int(hh_s)
-            dens = float(dens_s)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+    for lineno, (name, cell, hh, dens) in _read_csv(path, COUNTY_HEADER, (str, int, int, float)):
         rec = rows.setdefault(name, {"cells": set(), "households": hh, "density": dens})
         if rec["households"] != hh or rec["density"] != dens:
             raise ValueError(

@@ -638,7 +638,7 @@ def outage_fit_reference(cfg, obs_csv, predictor, path):
         "separated": fit.separated,
         "significant_at_0p05": bool(fit.p_values[1] < 0.05),
     }
-    cli._write_report(path, report)
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _outage_inputs(tmp_path, extra_obs=()):

@@ -275,6 +275,7 @@ def zone_area_by_1024_rows(track, p, times, Vthres, cell_size):
 
 
 class TestBlockedZoneArea:
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=150, deadline=None)
     @given(
         q=VM_OVER_VTHRES.filter(lambda q: q <= 2.0),
@@ -289,13 +290,24 @@ class TestBlockedZoneArea:
     )
     @example(q=0.8, Rm=30.0, B=1.0, x0=(0.0, 0.0), speed=3.0, heading=0.0, n_steps=11, dt=1.0, cell=2.0)
     @example(q=1.8, Rm=40.0, B=1.0, x0=(0.0, 0.0), speed=0.0, heading=0.0, n_steps=11, dt=1.0, cell=0.7)
+    @example(q=1.2, Rm=30.0, B=1.0, x0=(0.0, 0.0), speed=1e-310, heading=0.0, n_steps=5, dt=1.0, cell=2.0)
     def test_equals_the_1024_row_count(self, q, Rm, B, x0, speed, heading, n_steps, dt, cell):
         p = HollandParams(Vm=q * VTHRES, Rm=Rm, B=B)
         Vtr = (speed * np.cos(heading), speed * np.sin(heading))
         track = Track(x0=x0, Vtr=Vtr, duration=n_steps * dt)
         times = TimeAxis(n_steps=n_steps, dt=dt)
         got = axisymmetric_zone_area(track, p, times, critical_radius(p, VTHRES), cell_size=cell)
-        assert got == zone_area_by_1024_rows(track, p, times, VTHRES, cell)
+        with np.errstate(over="ignore"):  # the reference divides by a subnormal step
+            assert got == zone_area_by_1024_rows(track, p, times, VTHRES, cell)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("Vtr", [(1e-310, 0.0), (5e-324, 0.0), (-1e-320, 0.0), (0.0, 1e-310), (1e-310, -1e-310)])
+    def test_subnormal_step_counts_as_stationary(self, Vtr):
+        # From x0 = (0, 0) the track's positions differ, however little.
+        p, times = HollandParams(Vm=37.0, Rm=30.0), TimeAxis(n_steps=5)
+        Rcrit = critical_radius(p, VTHRES)
+        stationary = axisymmetric_zone_area(Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0), duration=5.0), p, times, Rcrit)
+        assert axisymmetric_zone_area(Track(x0=(0.0, 0.0), Vtr=Vtr, duration=5.0), p, times, Rcrit) == stationary
 
 
 def dense_swath(track, p, grid, times, nhpp, asymmetric=False, hemisphere="N"):

@@ -37,7 +37,7 @@ from stormrisk import (
 )
 from stormrisk import csvio
 from stormrisk.cli import main
-from stormrisk.csvio import VELOCITY_FMT, _read_velocities, _write_csv
+from stormrisk.csvio import VELOCITY_FMT, _read_csv, _read_velocities, _write_csv
 from stormrisk.ensemble import ENSEMBLE_HEADER
 from stormrisk.grid import Grid, TimeAxis
 from stormrisk.nhpp import FailureDistribution
@@ -441,3 +441,145 @@ class TestReader:
         path.write_text("cell_id,time_index,velocity_mps\n0,0,1.0\n0,1,nan\n")
         with pytest.raises(ValueError, match="missing velocity for cell 0, time 1"):
             _read_velocities(path, WINDFIELD_HEADER, (1, 2))
+
+    @pytest.mark.parametrize("bad", ["-1.0", "-5e-324", "inf", "-inf", "1e999"])
+    def test_velocity_negative_or_infinite_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "wf.csv"
+        path.write_text(f"cell_id,time_index,velocity_mps\n0,0,1.0\n0,1,{bad}\n")
+        with pytest.raises(ValueError, match=r"wf\.csv:3: velocity must be finite and >= 0, got "):
+            _read_velocities(path, WINDFIELD_HEADER, (1, 2))
+
+    def test_ensemble_velocity_negative_names_its_line(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        save_ensemble(Ensemble(members=(F1, F2)), path, header_comment=TAG)
+        path.write_text(path.read_text().replace("1,0,1,0.66666666666666663", "1,0,1,-0.5"))
+        with pytest.raises(ValueError, match=r"ens\.csv:8: velocity must be finite and >= 0, got -0\.5"):
+            load_ensemble(path)
+
+
+def reference_read_velocities(path, header, shape) -> np.ndarray:
+    """`_read_velocities` as it read in two passes: one that fills the array,
+    then, only when more rows were read than slots filled, a second that
+    looks for the first repeat.  Errors of the first pass come first."""
+    names = [name.split("_")[0] for name in header[:-1]]
+    v = np.full(shape, np.nan)
+    n_rows = 0
+    for lineno, row in _read_csv(path, header, [str] * len(header)):
+        try:
+            key = tuple(map(int, row[:-1]))
+            vel = float(row[-1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+        if not all(0 <= k < n for k, n in zip(key, shape)):
+            raise ValueError(f"{path}:{lineno}: {'/'.join(names)} out of range")
+        v[key] = vel
+        n_rows += 1
+    if n_rows == 0:
+        raise ValueError(f"{path}: no {names[0]}s")
+    if n_rows > np.count_nonzero(~np.isnan(v)):
+        seen = np.zeros(shape, dtype=bool)
+        for lineno, row in _read_csv(path, header, [str] * len(header)):
+            key = tuple(map(int, row[:-1]))
+            if seen[key]:
+                named = ", ".join(f"{name} {k}" for name, k in zip(header, key))
+                raise ValueError(f"{path}:{lineno}: repeated row for {named}")
+            seen[key] = True
+    missing = np.argwhere(np.isnan(v))
+    if missing.size:
+        where = ", ".join(f"{name} {k}" for name, k in zip(names, missing[0]))
+        raise ValueError(f"{path}: missing velocity for {where}")
+    return v
+
+
+FAULTS = ("gap", "repeat", "nan", "range", "malformed")
+
+
+@st.composite
+def velocity_tables(draw):
+    """`(shape, header, lines, faults)`: every row of a wind-field or
+    ensemble table of `shape` in a drawn order, with drawn blank and comment
+    lines, then 0-3 faults from `FAULTS` applied in turn."""
+    shape = draw(st.tuples(*[st.integers(1, 3)] * draw(st.sampled_from([2, 3]))))
+    header = WINDFIELD_HEADER if len(shape) == 2 else ENSEMBLE_HEADER
+    size = math.prod(shape)
+    values = draw(st.lists(st.floats(0.0, 1e6), min_size=size, max_size=size))
+    rows = draw(st.permutations([[*map(str, key), repr(x)] for key, x in zip(np.ndindex(shape), values)]))
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=3))
+    for fault in faults:
+        at = draw(st.integers(0, len(rows)))  # an insertion point, or a row when < len(rows)
+        if fault == "gap" and at < len(rows):
+            del rows[at]
+        elif fault == "repeat" and rows:
+            rows.insert(at, [*draw(st.sampled_from(rows))[:-1], repr(draw(st.floats(0.0, 1e6)))])
+        elif fault == "nan" and at < len(rows):
+            rows[at] = [*rows[at][:-1], "nan"]
+        elif fault == "range":
+            axis = draw(st.integers(0, len(shape) - 1))
+            key = [0] * len(shape)
+            key[axis] = draw(st.sampled_from([-1, shape[axis]]))
+            rows.insert(at, [*map(str, key), "1.0"])
+        elif fault == "malformed" and at < len(rows):
+            column = draw(st.integers(0, len(shape)))
+            rows[at] = [*rows[at][:column], draw(st.sampled_from(["x", "1.5", ""])), *rows[at][column + 1 :]]
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# a note"])))
+    return shape, header, [",".join(header), *lines], faults
+
+
+def earliest_bad_line(lines, shape) -> int | None:
+    """The physical line of the first malformed, out-of-range or repeated
+    row of the table `lines`, or None."""
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line or line.startswith("#"):
+            continue
+        *fields, vel = line.split(",")
+        try:
+            key = tuple(map(int, fields))
+            float(vel)
+        except ValueError:
+            return lineno
+        if not all(0 <= k < n for k, n in zip(key, shape)) or key in seen:
+            return lineno
+        seen.add(key)
+    return None
+
+
+def outcome(read, path, header, shape):
+    """The bits `read` returns, or the message it raises."""
+    try:
+        return read(path, header, shape).view(np.uint64).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestOnePassReader:
+    """`_read_velocities` against the two-pass reader it replaced."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(velocity_tables())
+    def test_matches_the_two_pass_reader(self, tmp_path, table):
+        shape, header, lines, faults = table
+        path = tmp_path / "v.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = outcome(_read_velocities, path, header, shape)
+        if len(faults) <= 1:
+            # No fault, or one: the same array or the same message.
+            assert got == outcome(reference_read_velocities, path, header, shape)
+            return
+        # Several: the row fault on the earliest line, with the message the
+        # reference gives for it once the lines after it are cut away.
+        line = earliest_bad_line(lines, shape)
+        if line is not None:
+            assert got.startswith(f"{path}:{line}: ")
+            path.write_text("\n".join(lines[:line]) + "\n")
+        assert got == outcome(reference_read_velocities, path, header, shape)
+
+    def test_repeat_before_a_malformed_row_is_reported_first(self, tmp_path):
+        path = tmp_path / "wf.csv"
+        path.write_text("cell_id,time_index,velocity_mps\n0,0,1.0\n0,0,2.0\n0,oops,3.0\n")
+        with pytest.raises(ValueError, match=r"wf\.csv:3: repeated row for cell_id 0, time_index 0"):
+            _read_velocities(path, WINDFIELD_HEADER, (1, 2))
+        with pytest.raises(ValueError, match=r"wf\.csv:4: malformed row"):
+            reference_read_velocities(path, WINDFIELD_HEADER, (1, 2))

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from stormrisk import (
     save_ensemble,
 )
 from stormrisk import NhppParams, ensemble, failure_rate, fr1, fr2, member_rates, poisson_intensity
-from stormrisk.cli import _cumulative_exposure
-from stormrisk.ensemble import _mean, _member_velocities, save_ensemble_members
+from stormrisk.cli import CONFIG_SCHEMA, _cumulative_exposure
+from stormrisk.ensemble import SIDECAR_SCHEMA, _mean, _member_velocities, save_ensemble_members
 from stormrisk.nhpp import _fr1, _fr2, _member_rates
 from stormrisk.wind import _grid_axes
 
@@ -190,7 +191,7 @@ class TestEnsembleIO:
     )
     def test_sidecar_non_integer_dimension_named(self, tmp_path, key, value):
         path = self._with_sidecar(tmp_path, lambda meta: meta.update({key: value}))
-        with pytest.raises(ValueError, match=rf"ens\.csv\.json: {key} must be an integer"):
+        with pytest.raises(ValueError, match=rf"ens\.csv\.json: {key}: expected an integer, got "):
             load_ensemble(path)
 
     @pytest.mark.parametrize(
@@ -200,13 +201,14 @@ class TestEnsembleIO:
     )
     def test_sidecar_non_numeric_spacing_named(self, tmp_path, key, value):
         path = self._with_sidecar(tmp_path, lambda meta: meta.update({key: value}))
-        with pytest.raises(ValueError, match=rf"ens\.csv\.json: {key} must be a finite number"):
+        with pytest.raises(ValueError, match=rf"ens\.csv\.json: {key}: expected a (finite )?number, got "):
             load_ensemble(path)
 
     @pytest.mark.parametrize("origin", [[1.0], "ab", [0.0, None], [0.0, float("nan")], None])
     def test_sidecar_bad_origin_named(self, tmp_path, origin):
         path = self._with_sidecar(tmp_path, lambda meta: meta.update(origin_km=origin))
-        with pytest.raises(ValueError, match=r"ens\.csv\.json: origin_km must be \[x, y\]"):
+        origin_error = r"expected \[x, y\], got |value .* out of range \(\[x, y\]\)|entries must be finite numbers"
+        with pytest.raises(ValueError, match=rf"ens\.csv\.json: origin_km: ({origin_error})"):
             load_ensemble(path)
 
     @pytest.mark.parametrize("text, error", [("{nope", "invalid JSON"), ("[1, 2]", "expected a JSON object")])
@@ -215,6 +217,35 @@ class TestEnsembleIO:
         (tmp_path / "ens.csv.json").write_text(text)
         with pytest.raises(ValueError, match=rf"ens\.csv\.json: {error}"):
             load_ensemble(path)
+
+    @pytest.mark.parametrize(
+        "document", [b'{"H": "\xff"}', b'{"H": ' + b"[" * 10**5 + b"]" * 10**5 + b"}"],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_undecodable_sidecar_named(self, tmp_path, document):
+        path = self._with_sidecar(tmp_path, lambda meta: None)
+        (tmp_path / "ens.csv.json").write_bytes(document)
+        with pytest.raises(ValueError, match=r"ens\.csv\.json: invalid JSON: "):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize(
+        "key, value, check",
+        [("nx", 0, ">= 1"), ("dt_h", -1, "> 0"), ("H", 0, ">= 1"), ("n_steps", 0, ">= 1"),
+         ("cell_size_km", 0.0, "> 0")],
+    )
+    def test_sidecar_value_out_of_range_named(self, tmp_path, key, value, check):
+        path = self._with_sidecar(tmp_path, lambda meta: meta.update({key: value}))
+        with pytest.raises(ValueError, match=rf"ens\.csv\.json: {key}: value {value} out of range \({check}\)"):
+            load_ensemble(path)
+
+    def test_readme_sidecar_table_matches_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme[readme.index("| Key | Kind | Check | As config field |") :].split("\n\n")[0].splitlines()
+        rows = [tuple(c.strip().strip("`") for c in line.strip().strip("|").split("|")) for line in lines[2:]]
+        assert rows == [(key, name, check or "", field) for key, (_, name, _), check, field in SIDECAR_SCHEMA]
+        # Each key has the kind and check of its config field.
+        config = {path: (kind, check) for path, _, kind, check in CONFIG_SCHEMA}
+        assert all(config[field] == (kind, check) for _, kind, check, field in SIDECAR_SCHEMA)
 
     def test_sidecar_without_origin_loads_at_zero(self, tmp_path):
         path = self._with_sidecar(tmp_path, lambda meta: meta.pop("origin_km"))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -741,3 +742,138 @@ class TestOutageFit:
         cfg = _write_config(tmp_path)
         assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
         assert "counties_csv" in capsys.readouterr().err
+
+
+def _golden_digest(path) -> str:
+    """SHA-256 of an output file without the lines that carry the config
+    hash: a CSV's `# config_sha256=` line, a report's `config_sha256` key
+    and the sidecar's `comment`.  The hash moves with the output directory."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(line for line in lines if b"config_sha256" not in line)).hexdigest()
+
+
+_CRITZONE_SWEEP = {"Vm_min": 25, "Vm_max": 46, "Vm_step": 7, "Rm_min": 20, "Rm_max": 50, "Rm_step": 10}
+_AGGREGATE_SWEEP = {"Vm_min": 22, "Vm_max": 80, "Vm_step": 6, "Rm_min": 20, "Rm_max": 50, "Rm_step": 10}
+_SOUTH = {"asymmetric": True, "hemisphere": "S"}
+
+# One row per invocation: (argv after the command's config, config fields,
+# the digest of each file it writes).  The config is `_write_config`'s
+# 12 x 12 cells, 6 steps and 4 members.
+GOLDEN = {
+    "windfield": (
+        ["windfield"], {},
+        {
+            "windfield.csv": "880fef07d17dc1229505ff4aba8e45ee2360b9a7e5e61ef61424b1a2ce44085a",
+        },
+    ),
+    "windfield-south": (
+        ["windfield"], {"field": _SOUTH},
+        {
+            "windfield.csv": "f8358042f90f70de973d14e7469680ac79425b29d175f55de937b0b4e6f1c6a9",
+        },
+    ),
+    "ensemble": (
+        ["ensemble"], {},
+        {
+            "ensemble.csv": "6c4bee746c8505db8ec986480dcc613a5929ec5ca76d6a7e8ff8bbe36eddf2f7",
+            "ensemble.csv.json": "63f45820051699cf24033d0bc7b320120a111ad2ca106780daa6f1b7c4ad8688",
+        },
+    ),
+    "fr1": (
+        ["failure-rates", "--which", "fr1"], {},
+        {
+            "failure_rates_fr1.csv": "3040b2cbabe37763ffcaea940f9a89d7b611b11106bc03c4d96336791716d03e",
+        },
+    ),
+    "fr2": (
+        ["failure-rates", "--which", "fr2"], {},
+        {
+            "failure_rates_fr2.csv": "a5fec2bf5764c5a42660b326b35e13f94990a7999f7016bc6befebc26c280a50",
+        },
+    ),
+    "fda": (
+        ["fail-dist", "--kind", "fda", "--cells", "0,77,143"], {},
+        {
+            "fail_dist_fda_cell0.csv": "9c08287242dda0f66fb07057ad4c5de13e10ecddb2e8259246183fb9ada8d931",
+            "fail_dist_fda_cell143.csv": "09c2b4d1cbc75d6d62d701c8ff84b9f115a90a514d38846f8dce8a5fff7752b5",
+            "fail_dist_fda_cell77.csv": "f8a722b8dd072290cc39466e90bd098edc36d7c99b88b43ea9f5a6fd5048818c",
+        },
+    ),
+    "fdb": (
+        ["fail-dist", "--kind", "fdb", "--cells", "0,77,143"], {},
+        {
+            "fail_dist_fdb_cell0.csv": "3a5393ba721a64d591031cae3f6728f739071c9cb65095e306660046fb95245f",
+            "fail_dist_fdb_cell143.csv": "5b7c3cc03a7b85c58373bb2b70b8b17b892090849c998933ff2f714a32ff8b77",
+            "fail_dist_fdb_cell77.csv": "743b3e40bd7e7db9dd6d215320b72228cbc80a24baa914d19a05c66ca52d0be5",
+        },
+    ),
+    "critzone": (
+        ["critzone"], {},
+        {
+            "critzone_cells.csv": "4a057074a8a8fc1775a42f08d6a4181c1c01afad0de0c8b887ed1a06819dc7a6",
+            "critzone_stats.json": "0708df6fa25c6689d5f7f76ee8e4888b58e3906711114ba94ae2754800c85741",
+        },
+    ),
+    "critzone-south": (
+        ["critzone"], {"field": _SOUTH},
+        {
+            "critzone_cells.csv": "4a057074a8a8fc1775a42f08d6a4181c1c01afad0de0c8b887ed1a06819dc7a6",
+            "critzone_stats.json": "91a4498d8c86c7989ccf15fe6ea8ea794c721e3d97817eab2f7376b20bf24b32",
+        },
+    ),
+    "sweep-critzone": (
+        ["sweep-fit", "--target", "critzone"], {"sweep": _CRITZONE_SWEEP},
+        {
+            "critzone_fit.json": "7589e7fd94140004518c59e332c70d4f328f9f362034c4e3aad98de3700f145e",
+            "critzone_sweep.csv": "e45555044f0d812256e79c5edd77402e4ab2fa228d5b984aa069921c40d9f1ec",
+        },
+    ),
+    "sweep-damage": (
+        ["sweep-fit", "--target", "damage"], {"sweep": _AGGREGATE_SWEEP},
+        {
+            "damage_fit.json": "11e681dfb45aea27b6ca605f0f696faff340666957b7445add56f331be69be4b",
+            "damage_sweep.csv": "bbe56e7ecc01e51bd6acbdb84cb9e5e89b2aec4bc51d5e3b8af78a499e3cfe10",
+        },
+    ),
+    "sweep-loss": (
+        ["sweep-fit", "--target", "loss"], {"sweep": _AGGREGATE_SWEEP},
+        {
+            "loss_fit.json": "fdca878a1d5440b83d6ba6c59f47436c13d1fdba177c7e87fc1fc99af6fcb919",
+            "loss_sweep.csv": "bbe56e7ecc01e51bd6acbdb84cb9e5e89b2aec4bc51d5e3b8af78a499e3cfe10",
+        },
+    ),
+    "outage-rate": (
+        ["outage-fit", "--predictor", "failure_rate"], {},
+        {
+            "outage_fit.json": "e62c511fb6cc42217dfd3f5cb709ad8d229aebbff2089e11909b9951590a9e79",
+        },
+    ),
+    "outage-speed": (
+        ["outage-fit", "--predictor", "cumulative_velocity"], {},
+        {
+            "outage_fit.json": "4a929bd3d38d4f0f63f6c938c994b7b5b2b6c251e323346aea1745522455ab39",
+        },
+    ),
+    "tables123": (
+        ["tables123"], {},
+        {
+            "tables123.csv": "d044166dd1d4b36175b31f28598bbcfe1f598cf5ffca2e33513fff87252bf34e",
+        },
+    ),
+}
+
+
+class TestGoldenOutputs:
+    """Every command's output files, pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_output_bytes(self, tmp_path, name):
+        argv, fields, digests = GOLDEN[name]
+        if argv[0] == "outage-fit":
+            cfg, obs_csv = _outage_inputs(tmp_path)
+            argv = argv + ["--obs", str(obs_csv)]
+        else:
+            cfg = _write_config(tmp_path, **fields)
+        assert main(argv + ["--config", cfg]) == 0
+        out = tmp_path / "out"
+        assert {path.name: _golden_digest(path) for path in out.iterdir()} == digests

@@ -42,7 +42,6 @@ from .csvio import (
 )
 from .ensemble import (
     EnsemblePerturbationSpec,
-    _mean,
     _member_velocities,
     default_thread_count,
     save_ensemble_members,
@@ -52,7 +51,6 @@ from .nhpp import NhppParams
 from .wind import (
     HollandParams,
     Track,
-    _grid_axes,
     _sub_grid,
     asymmetric_field,
     axisymmetric_field,
@@ -104,7 +102,7 @@ CONFIG_SCHEMA = (
     ("seed", 0, _INTEGER, ">= 0"),
 )
 
-# Most storms `_sweep_grids` may make, far above the default sweep's 1,860.
+# Most storms a sweep may hold, far above the default sweep's 1,860.
 _MAX_SWEEP_STORMS = 10**6
 # Most cells times steps a wind field may have: 8 GB of float64 speeds as one
 # (cells, steps) array, far above the default 1.21 million.
@@ -130,10 +128,6 @@ DEFAULT_CONFIG: dict = _nest((path, default) for path, default, _, _ in CONFIG_S
 def _sweep_axes(sweep: dict) -> list[tuple]:
     """The `np.arange` (start, stop, step) of the sweep's Vm and Rm axes."""
     return [(sweep[f"{a}_min"], sweep[f"{a}_max"] + 1e-9, sweep[f"{a}_step"]) for a in ("Vm", "Rm")]
-
-
-def _sweep_grids(config) -> list[np.ndarray]:
-    return [np.arange(*axis) for axis in _sweep_axes(config["sweep"])]
 
 
 def validate_config(config: dict) -> dict:
@@ -217,8 +211,9 @@ def config_hash(config: dict) -> str:
 # =============================================================================
 
 
-class _Built(NamedTuple):
-    """The objects a config describes."""
+class _Run(NamedTuple):
+    """Everything a command reads: the objects a validated config describes,
+    the sweep's Vm and Rm values, the county file, the outputs' place and hash."""
 
     grid: Grid
     times: TimeAxis
@@ -227,10 +222,28 @@ class _Built(NamedTuple):
     nhpp: NhppParams
     spec: EnsemblePerturbationSpec
     repair: aggregate.RepairParams
+    sweep: tuple[np.ndarray, np.ndarray]
+    counties_csv: str | None
+    output_dir: Path
+    digest: str
+
+    @property
+    def tag(self) -> str:
+        """The comment line of every CSV the run writes."""
+        return f"config_sha256={self.digest}"
+
+    def out(self, name: str) -> Path:
+        """The path of output `name`; a command that stops first makes no directory."""
+        self.output_dir.mkdir(parents=True, exist_ok=True)
+        return self.output_dir / name
+
+    def report(self, name: str, doc: dict) -> None:
+        """Write `doc` and the config hash as the JSON output `name`."""
+        _write_json(self.out(name), {"config_sha256": self.digest, **doc})
 
 
-def _build(config) -> _Built:
-    """The objects `config` describes, from its validated values.  Ensemble
+def _build(config) -> _Run:
+    """The run `config` describes, from its validated values.  Ensemble
     members take their asymmetry and hemisphere from `field`."""
     v = validate_config(config)
     g, h, n, e, f = v["grid"], v["holland"], v["nhpp"], v["ensemble"], v["field"]
@@ -249,7 +262,7 @@ def _build(config) -> _Built:
         asymmetric=f["asymmetric"],
         hemisphere=f["hemisphere"],
     )
-    return _Built(
+    return _Run(
         grid=Grid(origin=g["origin_km"], nx=g["nx"], ny=g["ny"], cell_size=g["cell_size_km"]),
         times=times,
         track=track,
@@ -257,13 +270,17 @@ def _build(config) -> _Built:
         nhpp=NhppParams(Vcrit=n["Vcrit_mps"], alpha=n["alpha"], lambda_norm=n["lambda_norm"]),
         spec=spec,
         repair=aggregate.RepairParams(Lf=v["repair"]["Lf"], Y=v["repair"]["Y"]),
+        sweep=tuple(np.arange(*axis) for axis in _sweep_axes(v["sweep"])),
+        counties_csv=v["counties_csv"],
+        output_dir=Path(v["output_dir"]),
+        digest=config_hash(config),
     )
 
 
-def _members(b: _Built, threads: int, axes=None):
+def _members(run: _Run, threads: int, axes=None):
     """Each member's velocities in turn, on the grid or on cell-centre `axes`."""
-    axes = _grid_axes(b.grid) if axes is None else axes
-    return _member_velocities(b.spec, *axes, b.times, threads)
+    axes = run.grid.axes() if axes is None else axes
+    return _member_velocities(run.spec, *axes, run.times, threads)
 
 
 def _load(loader, name: str, path):
@@ -274,40 +291,30 @@ def _load(loader, name: str, path):
         raise ConfigError(name, str(exc)) from None
 
 
-def _out_dir(config) -> Path:
-    path = Path(config["output_dir"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # =============================================================================
 # Subcommands
 # =============================================================================
 
 
-def cmd_windfield(b: _Built, config: dict, args, digest: str) -> None:
-    f = config["field"]
-    if f["asymmetric"]:
-        field = asymmetric_field(b.track, b.holland, b.grid, b.times, hemisphere=f["hemisphere"])
+def cmd_windfield(run: _Run, args) -> None:
+    if run.spec.asymmetric:
+        field = asymmetric_field(run.track, run.holland, run.grid, run.times, hemisphere=run.spec.hemisphere)
     else:
-        field = axisymmetric_field(b.track, b.holland, b.grid, b.times)
-    save_wind_field(field, _out_dir(config) / "windfield.csv", header_comment=f"config_sha256={digest}")
+        field = axisymmetric_field(run.track, run.holland, run.grid, run.times)
+    save_wind_field(field, run.out("windfield.csv"), header_comment=run.tag)
 
 
-def cmd_ensemble(b: _Built, config: dict, args, digest: str) -> None:
-    out = _out_dir(config) / "ensemble.csv"
-    save_ensemble_members(b.grid, b.times, _members(b, args.threads), out, f"config_sha256={digest}")
+def cmd_ensemble(run: _Run, args) -> None:
+    save_ensemble_members(run.grid, run.times, _members(run, args.threads), run.out("ensemble.csv"), run.tag)
 
 
-def cmd_failure_rates(b: _Built, config: dict, args, digest: str) -> None:
+def cmd_failure_rates(run: _Run, args) -> None:
     reduce = nhpp._fr1 if args.which == "fr1" else nhpp._fr2
-    rates = reduce(b.nhpp, _members(b, args.threads), b.times.dt)
-    out = _out_dir(config) / f"failure_rates_{args.which}.csv"
-    nhpp.save_failure_rate_field(rates, out, header_comment=f"config_sha256={digest}")
+    rates = reduce(run.nhpp, _members(run, args.threads), run.times.dt)
+    nhpp.save_failure_rate_field(rates, run.out(f"failure_rates_{args.which}.csv"), header_comment=run.tag)
 
 
-def cmd_fail_dist(b: _Built, config: dict, args, digest: str) -> None:
-    tag = f"config_sha256={digest}"
+def cmd_fail_dist(run: _Run, args) -> None:
     try:
         cells = [int(c) for c in args.cells.split(",") if c.strip() != ""]
     except ValueError:
@@ -315,57 +322,50 @@ def cmd_fail_dist(b: _Built, config: dict, args, digest: str) -> None:
     if not cells:
         raise ConfigError("--cells", "need at least one cell id")
     for cell in cells:
-        if not 0 <= cell < b.grid.n_cells:
-            raise ConfigError("--cells", f"cell {cell} outside [0, {b.grid.n_cells})")
+        if not 0 <= cell < run.grid.n_cells:
+            raise ConfigError("--cells", f"cell {cell} outside [0, {run.grid.n_cells})")
     if args.n_max is not None and args.n_max < 0:
         raise ConfigError("--n-max", "must be >= 0")
-    xs, ys, rows = _sub_grid(b.grid, cells)
-    rates = nhpp._member_rates(b.nhpp, _members(b, args.threads, (xs, ys)), rows, b.times.dt)
-    out_dir = _out_dir(config)
+    xs, ys, rows = _sub_grid(run.grid, cells)
+    rates = nhpp._member_rates(run.nhpp, _members(run, args.threads, (xs, ys)), rows, run.times.dt)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
     for j, cell in enumerate(cells):
         dist = make(rates[:, j], args.n_max)
-        nhpp.save_failure_distribution(
-            dist, out_dir / f"fail_dist_{args.kind}_cell{cell}.csv", header_comment=tag
-        )
+        nhpp.save_failure_distribution(dist, run.out(f"fail_dist_{args.kind}_cell{cell}.csv"), run.tag)
 
 
-def cmd_critzone(b: _Built, config: dict, args, digest: str) -> None:
-    f = config["field"]
+def cmd_critzone(run: _Run, args) -> None:
+    s = run.spec
     rates, zone = critzone.storm_swath(
-        b.track, b.holland, b.grid, b.times, b.nhpp, asymmetric=f["asymmetric"], hemisphere=f["hemisphere"]
+        run.track, run.holland, run.grid, run.times, run.nhpp, asymmetric=s.asymmetric, hemisphere=s.hemisphere
     )
     stats = critzone._zone_stats(rates, zone)
     cells = np.flatnonzero(zone)
-    Rcrit = critzone.critical_radius(b.holland, b.nhpp.Vcrit)
-    out_dir = _out_dir(config)
+    Rcrit = critzone.critical_radius(run.holland, run.nhpp.Vcrit)
     rows = ([cell] for cell in cells)
-    _write_csv(out_dir / "critzone_cells.csv", ["cell_id"], rows, f"config_sha256={digest}", line_end="\n")
+    _write_csv(run.out("critzone_cells.csv"), ["cell_id"], rows, run.tag, line_end="\n")
     report = {
-        "config_sha256": digest,
-        "Vthres_mps": b.nhpp.Vcrit,
+        "Vthres_mps": run.nhpp.Vcrit,
         "Rcrit_km": None if Rcrit is None else float(format(Rcrit, TABLE_FMT)),
-        "area_numeric_km2": float(format(len(cells) * b.grid.cell_area, TABLE_FMT)),
+        "area_numeric_km2": float(format(len(cells) * run.grid.cell_area, TABLE_FMT)),
         "area_obround_km2": None
         if Rcrit is None
-        else float(format(critzone.obround_area(Rcrit, b.times.duration, b.track.Vtr), TABLE_FMT)),
+        else float(format(critzone.obround_area(Rcrit, run.times.duration, run.track.Vtr), TABLE_FMT)),
         "n_cells": len(cells),
         "max_failure_rate_per_km": float(format(stats["max"], TABLE_FMT)),
         "mean_failure_rate_per_km": float(format(stats["mean"], TABLE_FMT)),
     }
-    _write_json(out_dir / "critzone_stats.json", report)
+    run.report("critzone_stats.json", report)
 
 
-def _sweep_fit_critzone(b: _Built, config: dict, digest: str) -> None:
-    sweep = critzone.zone_sweep(*_sweep_grids(config), b.nhpp, b.track, b.times, b.holland.B)
+def _sweep_fit_critzone(run: _Run) -> None:
+    sweep = critzone.zone_sweep(*run.sweep, run.nhpp, run.track, run.times, run.holland.B)
     Vm, Rm, Rcrit, area = sweep[:4]
-    radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=b.nhpp.Vcrit)
+    radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=run.nhpp.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)
-    area_fit = critzone.fit_crit_area(Vm, Rm, area, radius_fit, b.times.duration, b.track.Vtr)
-    out_dir = _out_dir(config)
-    critzone.save_zone_sweep(sweep, out_dir / "critzone_sweep.csv", header_comment=f"config_sha256={digest}")
+    area_fit = critzone.fit_crit_area(Vm, Rm, area, radius_fit, run.times.duration, run.track.Vtr)
+    critzone.save_zone_sweep(sweep, run.out("critzone_sweep.csv"), header_comment=run.tag)
     report = {
-        "config_sha256": digest,
         "radius_fit": {
             "a1": radius_fit.a1,
             "a2": radius_fit.a2,
@@ -386,76 +386,51 @@ def _sweep_fit_critzone(b: _Built, config: dict, digest: str) -> None:
             "rms_residual_free": area_fit.residual_free,
         },
     }
-    _write_json(out_dir / "critzone_fit.json", report)
+    run.report("critzone_fit.json", report)
 
 
-def _sweep_fit_aggregate(b: _Built, config: dict, digest: str, target: str) -> None:
-    nparams = b.nhpp
-    if target == "damage" and config["sweep"]["Vm_min"] <= nparams.Vcrit:
-        raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({nparams.Vcrit:g}) for --target damage")
-    Vm_grid, Rm_grid = _sweep_grids(config)
-    sweep = aggregate.SweepConfig(B=b.holland.B)
-    Vm, Rm, damage, loss = aggregate.damage_loss_sweep(
-        Vm_grid, Rm_grid, nhpp=nparams, repair=b.repair, config=sweep
-    )
-    out_dir = _out_dir(config)
-    aggregate.save_agg_sweep(
-        Vm, Rm, damage, loss, out_dir / f"{target}_sweep.csv", header_comment=f"config_sha256={digest}"
-    )
-    if target == "damage":
-        model = aggregate.fit_damage_model(Vm, Rm, damage, nparams.Vcrit)
+def cmd_sweep_fit(run: _Run, args) -> None:
+    if args.target == "critzone":
+        _sweep_fit_critzone(run)
+        return
+    Vcrit = run.nhpp.Vcrit
+    if args.target == "damage" and np.any(run.sweep[0] <= Vcrit):
+        raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({Vcrit:g}) for --target damage")
+    sweep = aggregate.SweepConfig(B=run.holland.B)
+    Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, config=sweep)
+    aggregate.save_agg_sweep(Vm, Rm, damage, loss, run.out(f"{args.target}_sweep.csv"), header_comment=run.tag)
+    if args.target == "damage":
+        model = aggregate.fit_damage_model(Vm, Rm, damage, Vcrit)
         report = {"p1": model.p1, "p2": model.p2}
     else:
-        model = aggregate.fit_loss_model(Vm, Rm, loss, nparams.Vcrit)
+        model = aggregate.fit_loss_model(Vm, Rm, loss, Vcrit)
         report = {"p": model.p, "condition_number": model.fit.cond}
     report.update(
-        config_sha256=digest,
         terms=list(model.terms),
         beta=[float(x) for x in model.fit.beta],
         se=[float(s) for s in model.fit.se],
         p_values=[float(p) for p in model.fit.p_values],
         rms_relative_residual=model.fit.rms,
     )
-    _write_json(out_dir / f"{target}_fit.json", report)
+    run.report(f"{args.target}_fit.json", report)
 
 
-def cmd_sweep_fit(b: _Built, config: dict, args, digest: str) -> None:
-    if args.target == "critzone":
-        _sweep_fit_critzone(b, config, digest)
-    else:
-        _sweep_fit_aggregate(b, config, digest, args.target)
-
-
-def _cumulative_exposure(nparams: NhppParams, velocities, dt: float, predictor: str, steps) -> np.ndarray:
-    """Member mean of each cell's running sum of intensity times `dt`
-    ("failure_rate") or of speed, at the time steps `steps` only, from the
-    members' arrays one at a time."""
-    if predictor == "failure_rate":
-        def running(v):
-            return np.cumsum(nhpp.poisson_intensity(nparams, v) * dt, axis=-1)[:, steps]
-    else:
-        def running(v):
-            return np.cumsum(v, axis=-1)[:, steps]
-    return _mean(nhpp._by_cells(running, v) for v in velocities)
-
-
-def cmd_outage_fit(b: _Built, config: dict, args, digest: str) -> None:
-    if config["counties_csv"] is None:
+def cmd_outage_fit(run: _Run, args) -> None:
+    if run.counties_csv is None:
         raise ConfigError("counties_csv", "required for outage-fit")
-    counties = _load(load_county_fixture, "counties_csv", config["counties_csv"])
+    counties = _load(load_county_fixture, "counties_csv", run.counties_csv)
     observations = _load(glm.load_observations, "--obs", args.obs)
     unknown = sorted({obs.county for obs in observations} - set(counties.names()))
     if unknown:
         raise ConfigError("--obs", f"counties not in counties_csv: {', '.join(map(repr, unknown))}")
-    times = b.times
-    dt = times.dt
+    dt = run.times.dt
     # Each observation's exposure is its county's mean at the step holding
     # time_h, clipped to the horizon; only those steps are kept.
-    last = times.n_steps - 1
+    last = run.times.n_steps - 1
     steps, column = np.unique(
         [int(np.clip(np.floor(obs.time_h / dt), 0, last)) for obs in observations], return_inverse=True
     )
-    per_step = _cumulative_exposure(b.nhpp, _members(b, args.threads), dt, args.predictor, steps)
+    per_step = nhpp._cumulative_exposure(run.nhpp, _members(run, args.threads), dt, args.predictor, steps)
     x = np.array(
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )
@@ -465,7 +440,6 @@ def cmd_outage_fit(b: _Built, config: dict, args, digest: str) -> None:
         np.array([obs.households for obs in observations], dtype=float),
     )
     report = {
-        "config_sha256": digest,
         "predictor": args.predictor,
         "beta": [float(x) for x in fit.beta],
         "se": [float(s) for s in fit.se],
@@ -478,17 +452,16 @@ def cmd_outage_fit(b: _Built, config: dict, args, digest: str) -> None:
         "separated": fit.separated,
         "significant_at_0p05": bool(fit.p_values[1] < 0.05),
     }
-    _write_json(_out_dir(config) / "outage_fit.json", report)
+    run.report("outage_fit.json", report)
 
 
-def cmd_tables123(b: _Built, config: dict, args, digest: str) -> None:
-    records = critzone.tables123(nhpp=b.nhpp)
-    out = _out_dir(config) / "tables123.csv"
+def cmd_tables123(run: _Run, args) -> None:
+    records = critzone.tables123(nhpp=run.nhpp)
     rows = (
         [str(rec["Vm"]), str(rec["Rm"])] + [format(rec[c], TABLE_FMT) for c in critzone.TABLE_HEADER[2:]]
         for rec in records
     )
-    _write_csv(out, critzone.TABLE_HEADER, rows, f"config_sha256={digest}", line_end="\n")
+    _write_csv(run.out("tables123.csv"), critzone.TABLE_HEADER, rows, run.tag, line_end="\n")
 
 
 # =============================================================================
@@ -562,7 +535,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        args.func(_build(config), config, args, config_hash(config))
+        args.func(_build(config), args)
     except ConfigError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2

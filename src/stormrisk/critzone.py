@@ -24,7 +24,6 @@ from .wind import (
     HollandParams,
     Track,
     WindField,
-    _grid_axes,
     _speed,
     _wind_steps,
 )
@@ -124,7 +123,7 @@ def critical_zone_numeric(
     is always evaluated against the centre of the given track).
     """
     grid = field.grid
-    xs, ys = _grid_axes(grid)
+    xs, ys = grid.axes()
     pos = track.position(field.times.offsets())
     inside = np.zeros((grid.nx, grid.ny), dtype=bool)
     for window, r, _ in _wind_steps(p, xs, ys, pos, reach=p.Rm + grid.cell_size):
@@ -476,7 +475,7 @@ def storm_swath(
     Vtr = track.Vtr if asymmetric else (0.0, 0.0)
     Vhot = nhpp.Vcrit - float(np.hypot(*Vtr))
     reach = _window_radius(p, Vhot) + grid.cell_size
-    xs, ys = _grid_axes(grid)
+    xs, ys = grid.axes()
     pos = track.position(times.offsets())
     rates = np.zeros((grid.nx, grid.ny))
     zone = np.zeros((grid.nx, grid.ny), dtype=bool)

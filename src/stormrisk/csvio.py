@@ -10,7 +10,7 @@ rows with CRLF, except in the two tables the CLI writes itself
 (`tables123.csv`, `critzone_cells.csv`), which use LF throughout.  Readers
 skip leading `#` lines, check the header, skip blank and `#` rows, and name
 the file and physical line of the first bad row, including a row that
-repeats an earlier row's key.
+repeats an earlier row's key.  Files are UTF-8 in any locale.
 
 Floats are written with one of two formats: velocities with `VELOCITY_FMT`,
 which round-trips every float64 exactly, and derived tables (rates, areas,
@@ -59,7 +59,7 @@ def _quads() -> np.ndarray:
 
 def _write_csv(path, header, rows, comment: str | None = None, line_end: str = "\r\n") -> None:
     """Write `header` then every row of the iterable `rows`, streaming."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         if comment:
             f.write(f"# {comment}\n")
         w = csv.writer(f, lineterminator=line_end)
@@ -263,9 +263,9 @@ def _read_csv(path, header, types):
     """Yield `(line number, fields)` for each data row of a file with
     `header`, each field converted by its callable in `types`: `int`,
     `float` or `str`.  A field that does not convert names the file and
-    line as a malformed row."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    line as a malformed row; a line that is not UTF-8 names them too."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
+        reader = csv.reader(_utf8_lines(path, f))
         first = next(reader, None)
         while first and first[0].startswith("#"):
             first = next(reader, None)
@@ -283,6 +283,18 @@ def _read_csv(path, header, types):
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
             yield reader.line_num, fields
+
+
+def _utf8_lines(path, f):
+    """Yield the lines of `f`, opened with `errors="surrogateescape"`; a line
+    holding a byte that is not UTF-8 raises `ValueError` naming its place."""
+    for lineno, line in enumerate(f, 1):
+        try:
+            line.encode()
+        except UnicodeEncodeError as exc:  # an escaped byte
+            byte = ord(line[exc.start]) - 0xDC00
+            raise ValueError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
+        yield line
 
 
 def _read_velocities(path, header, shape) -> np.ndarray:

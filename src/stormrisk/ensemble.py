@@ -35,7 +35,7 @@ from .csvio import (
     _write_velocities,
 )
 from .grid import Grid, TimeAxis
-from .wind import HollandParams, Track, WindField, _grid_axes, _velocities
+from .wind import HollandParams, Track, WindField, _velocities
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def generate_synthetic_ensemble(
     """
     if threads is None:
         threads = default_thread_count()
-    velocities = _member_velocities(spec, *_grid_axes(grid), times, threads)
+    velocities = _member_velocities(spec, *grid.axes(), times, threads)
     return Ensemble(members=tuple(WindField(grid=grid, times=times, velocities=v) for v in velocities))
 
 

@@ -60,13 +60,18 @@ class Grid:
         """Area of one cell in km^2."""
         return self.cell_size * self.cell_size
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell-centre x (length nx) and y (length ny) coordinates."""
+        x0, y0 = self.origin
+        return (
+            x0 + (np.arange(self.nx) + 0.5) * self.cell_size,
+            y0 + (np.arange(self.ny) + 0.5) * self.cell_size,
+        )
+
     def centers(self) -> np.ndarray:
         """Centre-points of all cells as an (n_cells, 2) array, in id order."""
-        ix, iy = np.divmod(np.arange(self.n_cells), self.ny)
-        out = np.empty((self.n_cells, 2))
-        out[:, 0] = self.origin[0] + (ix + 0.5) * self.cell_size
-        out[:, 1] = self.origin[1] + (iy + 0.5) * self.cell_size
-        return out
+        xs, ys = self.axes()
+        return np.column_stack([np.repeat(xs, self.ny), np.tile(ys, self.nx)])
 
 
 @dataclass(frozen=True)

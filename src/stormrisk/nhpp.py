@@ -12,7 +12,7 @@ Poissons).  Finite asset counts saturate the count distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,8 +133,8 @@ def member_rates(p: NhppParams, e: Ensemble, cell: int) -> np.ndarray:
     return _member_rates(p, (m.velocities for m in e.members), [cell], e.times.dt)[:, 0]
 
 
-# The reducers behind the three above take the members' velocity arrays one
-# at a time, in order, from any iterable: the CLI streams them.
+# The reducers behind the three above, and the outage fit's exposure, take
+# the members' velocity arrays one at a time, in order, from any iterable.
 def _fr1(p: NhppParams, velocities, dt: float) -> np.ndarray:
     return failure_rate(p, _mean(velocities), dt)
 
@@ -146,6 +146,18 @@ def _fr2(p: NhppParams, velocities, dt: float) -> np.ndarray:
 def _member_rates(p: NhppParams, velocities, rows, dt: float) -> np.ndarray:
     """Each member's rates at rows `rows` of its array, shape (H, len(rows))."""
     return np.array([failure_rate(p, v[rows], dt) for v in velocities])
+
+
+def _cumulative_exposure(p: NhppParams, velocities, dt: float, predictor: str, steps) -> np.ndarray:
+    """Member mean of each cell's running sum of intensity times `dt`
+    ("failure_rate") or of speed, at the time steps `steps` only."""
+    if predictor == "failure_rate":
+        def running(v):
+            return np.cumsum(poisson_intensity(p, v) * dt, axis=-1)[:, steps]
+    else:
+        def running(v):
+            return np.cumsum(v, axis=-1)[:, steps]
+    return _mean(_by_cells(running, v) for v in velocities)
 
 
 # =============================================================================
@@ -189,20 +201,14 @@ class FailureDistribution:
         return float(np.sum(n * self.pmf) + (self.n_max + 1) * self.tail)
 
 
-def _log_poisson_pmf(n: np.ndarray, rate: float) -> np.ndarray:
-    from scipy.special import gammaln
-
-    if rate == 0.0:
-        out = np.full(n.shape, -np.inf)
-        out[n == 0] = 0.0
-        return out
-    return n * np.log(rate) - rate - gammaln(n + 1.0)
-
-
 def poisson_pmf(n, rate: float) -> np.ndarray:
     """Poisson pmf computed in log space (stable for large n and rate)."""
+    from scipy.special import gammaln
+
     n = np.asarray(n, dtype=float)
-    return np.exp(_log_poisson_pmf(n, rate))
+    if rate == 0.0:
+        return np.where(n == 0, 1.0, 0.0)
+    return np.exp(n * np.log(rate) - rate - gammaln(n + 1.0))
 
 
 def _poisson_quantile(q: float, mu: float) -> int:
@@ -236,16 +242,9 @@ def fd_b(p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None) -> Fai
 
 
 def _fd_a(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
-    """`fd_a` of the members' rates at one cell."""
-    from scipy.special import pdtrc
-
-    rate = rates.mean()
-    if n_max is None:
-        n_max = default_n_max(rate)
-    n = np.arange(n_max + 1)
-    pmf = poisson_pmf(n, rate)
-    tail = max(0.0, float(pdtrc(n_max, rate)))
-    return FailureDistribution(kind="poisson", pmf=pmf, tail=tail)
+    """`fd_a` of the members' rates at one cell: the one-member mixture of
+    their mean, whose masses are exactly the Poisson's."""
+    return replace(_fd_b(np.array([rates.mean()]), n_max), kind="poisson")
 
 
 def _fd_b(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
@@ -255,13 +254,8 @@ def _fd_b(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
     if n_max is None:
         n_max = default_n_max(float(rates.max()))
     n = np.arange(n_max + 1)
-    pmf = np.zeros(n_max + 1)
-    tail = 0.0
-    for rate in rates:
-        pmf += poisson_pmf(n, float(rate))
-        tail += max(0.0, float(pdtrc(n_max, float(rate))))
-    pmf /= len(rates)
-    tail /= len(rates)
+    pmf = _mean(poisson_pmf(n, float(rate)) for rate in rates)
+    tail = sum(max(0.0, float(pdtrc(n_max, float(rate)))) for rate in rates) / len(rates)
     return FailureDistribution(kind="mixture", pmf=pmf, tail=tail)
 
 

@@ -175,16 +175,6 @@ def _speed(Vm, Rm, B, r):
     return v
 
 
-def _grid_axes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-centre x (length nx) and y (length ny) coordinates of a grid,
-    the values `Grid.centers` gives."""
-    x0, y0 = grid.origin
-    return (
-        x0 + (np.arange(grid.nx) + 0.5) * grid.cell_size,
-        y0 + (np.arange(grid.ny) + 0.5) * grid.cell_size,
-    )
-
-
 def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
     """The storm-geometry kernel: the wind at each storm position in turn.
 
@@ -228,7 +218,7 @@ def _sub_grid(grid: Grid, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Axes of the sub-grid of the distinct x and y columns of `cells`,
     ascending, and each cell's index in it.  The kernel computes each value on
     its own, so the sub-grid's field holds exactly the grid's at `cells`."""
-    xs, ys = _grid_axes(grid)
+    xs, ys = grid.axes()
     ux, ix = np.unique(np.asarray(cells) // grid.ny, return_inverse=True)
     uy, iy = np.unique(np.asarray(cells) % grid.ny, return_inverse=True)
     return xs[ux], ys[uy], ix * len(uy) + iy
@@ -248,7 +238,7 @@ def axisymmetric_field(
 ) -> WindField:
     """Axisymmetric wind field: speed is the radial profile of the distance
     from each cell to the instantaneous storm centre."""
-    return WindField(grid=grid, times=times, velocities=_velocities(track, p, *_grid_axes(grid), times))
+    return WindField(grid=grid, times=times, velocities=_velocities(track, p, *grid.axes(), times))
 
 
 def asymmetric_field(
@@ -268,7 +258,7 @@ def asymmetric_field(
     i.e. due east of the centre.  A stationary storm gives the axisymmetric
     field exactly.
     """
-    v = _velocities(track, p, *_grid_axes(grid), times, track.Vtr, hemisphere)
+    v = _velocities(track, p, *grid.axes(), times, track.Vtr, hemisphere)
     return WindField(grid=grid, times=times, velocities=v)
 
 

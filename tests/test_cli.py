@@ -710,6 +710,17 @@ class TestOutageFit:
         assert f"error: invalid input: counties_csv: {counties_csv}:{header + 2}: malformed row" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("which", ["--obs", "counties_csv"])
+    def test_file_not_utf8_exits_2_naming_the_line(self, tmp_path, capsys, monkeypatch, which):
+        cfg, obs_csv = _outage_inputs(tmp_path)
+        path = obs_csv if which == "--obs" else tmp_path / "counties.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[3] = b"\xff" + lines[3]
+        path.write_bytes(b"".join(lines))
+        monkeypatch.setattr(cli, "_member_velocities", None)  # never reached
+        assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
+        assert capsys.readouterr().err == f"error: invalid input: {which}: {path}:4: byte 0xff is not UTF-8\n"
+
     def test_end_to_end(self, tmp_path):
         counties = CountySet(
             [

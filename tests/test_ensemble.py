@@ -22,10 +22,9 @@ from stormrisk import (
     save_ensemble,
 )
 from stormrisk import NhppParams, ensemble, failure_rate, fr1, fr2, member_rates, poisson_intensity
-from stormrisk.cli import CONFIG_SCHEMA, _cumulative_exposure
+from stormrisk.cli import CONFIG_SCHEMA
 from stormrisk.ensemble import SIDECAR_SCHEMA, _mean, _member_velocities, save_ensemble_members
-from stormrisk.nhpp import _fr1, _fr2, _member_rates
-from stormrisk.wind import _grid_axes
+from stormrisk.nhpp import _cumulative_exposure, _fr1, _fr2, _member_rates
 
 GRID = Grid(origin=(-30.0, -30.0), nx=5, ny=4, cell_size=12.0)
 TIMES = TimeAxis(n_steps=6, dt=1.0)
@@ -361,7 +360,7 @@ class TestMemberStream:
         spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=7, asymmetric=True)
         ens = generate_synthetic_ensemble(spec, GRID, TIMES, threads=1)
         for threads in (1, 2, 3, 7, 9):
-            streamed = list(_member_velocities(spec, *_grid_axes(GRID), TIMES, threads))
+            streamed = list(_member_velocities(spec, *GRID.axes(), TIMES, threads))
             assert len(streamed) == ens.H
             for v, m in zip(streamed, ens.members):
                 assert np.array_equal(_bits(v), _bits(m.velocities))
@@ -376,7 +375,7 @@ class TestMemberStream:
 
         monkeypatch.setattr(ensemble, "_velocities", velocities)
         spec = _spec(H=8)
-        for i, _ in enumerate(_member_velocities(spec, *_grid_axes(GRID), TIMES, threads)):
+        for i, _ in enumerate(_member_velocities(spec, *GRID.axes(), TIMES, threads)):
             # Member i comes from chunk i // threads; no later chunk has started.
             assert len(started) <= min(spec.H, (i // threads + 1) * threads)
         assert len(started) == spec.H
@@ -386,7 +385,7 @@ class TestMemberStream:
         # 400 cells of 49 steps: each member is 157 kB, so one more member
         # held at once would add far more than 10% to the peak.
         grid, times = Grid(origin=(-30.0, -30.0), nx=20, ny=20, cell_size=3.0), TimeAxis(n_steps=49)
-        xs, ys = _grid_axes(grid)
+        xs, ys = grid.axes()
         p = NhppParams()
         reduce = {
             "fr1": lambda vs: _fr1(p, vs, times.dt),

@@ -16,7 +16,7 @@ from stormrisk import (
     save_wind_field,
 )
 from stormrisk.csvio import _read_velocities
-from stormrisk.wind import WINDFIELD_HEADER, _grid_axes, _profile, _speed, _sub_grid, _velocities, _wind_steps
+from stormrisk.wind import WINDFIELD_HEADER, _profile, _speed, _sub_grid, _velocities, _wind_steps
 
 # Frozen oracle: 25 * sqrt(0.5) * exp(0.25), hand evaluation of the radial
 # profile at (Vm=25, Rm=20, B=1), r=40.
@@ -155,10 +155,13 @@ class TestInPlaceSpeed:
         cell=st.floats(0.01, 50.0),
     )
     def test_grid_axes_are_the_cell_centres(self, origin, nx, ny, cell):
+        # Cell ix * ny + iy has its centre at origin + (index + 0.5) * cell.
         grid = Grid(origin=origin, nx=nx, ny=ny, cell_size=cell)
-        xs, ys = _grid_axes(grid)
-        centers = grid.centers().reshape(nx, ny, 2)
-        assert np.array_equal(xs, centers[:, 0, 0]) and np.array_equal(ys, centers[0, :, 1])
+        x = [origin[0] + (ix + 0.5) * cell for ix in range(nx)]
+        y = [origin[1] + (iy + 0.5) * cell for iy in range(ny)]
+        xs, ys = grid.axes()
+        assert xs.tolist() == x and ys.tolist() == y
+        assert grid.centers().tolist() == [[x[ix], y[iy]] for ix in range(nx) for iy in range(ny)]
 
 
 class TestTrack:
@@ -340,7 +343,7 @@ class TestFieldsMatchReference:
     def test_sub_grid_of_every_cell_is_the_grid(self):
         grid = Grid(origin=(-50.0, 20.0), nx=4, ny=3, cell_size=2.5)
         xs, ys, rows = _sub_grid(grid, list(reversed(range(grid.n_cells))))
-        gx, gy = _grid_axes(grid)
+        gx, gy = grid.axes()
         assert np.array_equal(xs, gx) and np.array_equal(ys, gy)
         assert rows.tolist() == list(reversed(range(grid.n_cells)))
 

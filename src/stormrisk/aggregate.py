@@ -4,13 +4,13 @@ Region-aggregate damage and loss: a (Vm, Rm) sweep and parametric fits.
 Over a bounded region G crossed by a storm, total expected damage is the sum
 of cellwise inhomogeneous-Poisson failure rates, and total repair loss is the
 sum of cellwise quadratic repair costs.  `damage_loss_sweep` accumulates both
-directly, as a chunked reducer over the geometry kernel `wind._wind_steps`:
-each kernel step evaluates a bounded chunk of storms at once, and each storm
-adds its steps' intensities in time order.  Both admit a decomposition into a
-nominal term (weather-independent, proportional to |G| and the exposure time)
-plus excess terms driven by the velocity ratio f = v / Vcrit wherever it
-exceeds one (checked against the sweep by the property tests in
-tests/test_aggregate.py):
+directly over the geometry kernel `wind._wind_steps`, run once per radius for
+Vm = 1: a chunk of storms scales those speeds by each Vm (exact, as the
+profile ends with that product) and adds the steps' intensities in time order.
+Both admit a decomposition into a nominal term (weather-independent,
+proportional to |G| and the exposure time) plus excess terms driven by the
+velocity ratio f = v / Vcrit wherever it exceeds one (checked against the
+sweep by the property tests in tests/test_aggregate.py):
 
     damage:  Lambda_tot = |G| lambda T + lambda alpha sum_g sum_t (f^2 - 1) dt
     loss:    L_tot = (Lf / (2 Y)) * [ |G| (lambda T)^2
@@ -32,7 +32,7 @@ import numpy as np
 from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
 from .nhpp import NhppParams, _intensity
-from .wind import MPS_TO_KMH, HollandParams, _wind_steps
+from .wind import MPS_TO_KMH, HollandParams, _sweep_storms, _wind_steps
 
 
 # =============================================================================
@@ -107,9 +107,9 @@ class SweepConfig:
         return -L / 2.0 + (np.arange(self.n_steps) + 0.5) * step
 
 
-# Storms evaluated together: a (chunk, cells) temporary is 125 kB on the default
-# 25 x 40 grid, under malloc's 128 KiB mmap threshold.  Larger chunks were no
-# faster and page-faulted their temporaries in afresh at every step.
+# Vm values evaluated together: the chunk's speed buffer and rate sum are 66 kB
+# each on the default 25 x 40 grid's 13 x 40 half, under malloc's 128 KiB mmap
+# threshold, and both are made once per chunk, never per step.
 _SWEEP_CHUNK = 16
 
 
@@ -122,35 +122,38 @@ def damage_loss_sweep(
 ):
     """Mean per-cell damage and loss over the cartesian (Vm, Rm) sweep.
 
-    Returns flat arrays (Vm, Rm, damage, loss).  Damage is the mean cellwise
-    failure rate over the region; loss the mean cellwise plug-in repair loss.
+    Returns flat arrays (Vm, Rm, damage, loss), Vm outer.  Damage is the mean
+    cellwise failure rate over the region; loss the mean cellwise plug-in repair loss.
     """
     nhpp = nhpp or NhppParams()
     repair = repair or RepairParams()
     config = config or SweepConfig()
-    Vm = np.repeat(np.asarray(Vm_values, dtype=float), len(Rm_values))
-    Rm = np.tile(np.asarray(Rm_values, dtype=float), len(Vm_values))
-    damage, loss = np.empty(Vm.size), np.empty(Vm.size)
+    Vm_axis, Rm_axis = np.asarray(Vm_values, dtype=float), np.asarray(Rm_values, dtype=float)
+    Vm, Rm = _sweep_storms(Vm_axis, Rm_axis, config.B)
+    damage, loss = np.empty((2, Vm_axis.size, Rm_axis.size))
     xs, ys = config.grid_centers()
     # Mirror fold: the track runs along x = 0 with no translation vector, so if
     # xs == -xs[::-1] column nx-1-i equals column i.  Evaluate ceil(nx/2) columns.
     if not np.array_equal(xs, -xs[::-1]):
         raise ValueError("sweep grid x centres must be symmetric about the track")
     half = xs[: (config.nx + 1) // 2]
-    cy = config.centre_y()
-    pos = np.column_stack([np.zeros_like(cy), cy])
-    storms = [HollandParams(Vm=v, Rm=r, B=config.B) for v, r in zip(Vm.tolist(), Rm.tolist())]
-    for lo in range(0, len(storms), _SWEEP_CHUNK):
-        chunk = slice(lo, lo + _SWEEP_CHUNK)
-        lam = np.zeros((len(storms[chunk]), len(half), config.ny))
-        for _, _, v in _wind_steps(storms[chunk], half, ys, pos):
-            lam += _intensity(nhpp, v)
-        lam = np.concatenate([lam, lam[:, : config.nx // 2][:, ::-1]], axis=1)
-        lam = lam.reshape(len(lam), -1) * config.dt
-        # Row means keep each storm's pairwise summation over its cells.
-        damage[chunk] = lam.mean(axis=1)
-        loss[chunk] = repair.half_ratio * np.mean(lam * lam, axis=1)
-    return Vm, Rm, damage, loss
+    pos = np.column_stack([np.zeros(config.n_steps), config.centre_y()])
+    # One Vm = 1 profile per radius; no radius is checked or run without a Vm.
+    for j, Rm_j in enumerate(Rm_axis.tolist() if Vm.size else []):
+        speeds = np.stack([v for _, _, v in _wind_steps(HollandParams(1.0, Rm_j, config.B), half, ys, pos)])
+        for lo in range(0, Vm_axis.size, _SWEEP_CHUNK):
+            Vm_chunk = Vm_axis[lo : lo + _SWEEP_CHUNK, None, None]
+            lam = np.zeros((len(Vm_chunk),) + speeds.shape[1:])
+            v = np.empty_like(lam)
+            for s in speeds:
+                np.multiply(s, Vm_chunk, out=v)
+                lam += _intensity(nhpp, v, out=v)
+            lam = np.concatenate([lam, lam[:, : config.nx // 2][:, ::-1]], axis=1)
+            lam = lam.reshape(len(lam), -1) * config.dt
+            # Row means keep each storm's pairwise summation over its cells.
+            damage[lo : lo + _SWEEP_CHUNK, j] = lam.mean(axis=1)
+            loss[lo : lo + _SWEEP_CHUNK, j] = repair.half_ratio * np.mean(lam * lam, axis=1)
+    return Vm, Rm, damage.ravel(), loss.ravel()
 
 
 # =============================================================================

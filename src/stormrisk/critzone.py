@@ -19,14 +19,7 @@ from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
 from .grid import Grid, TimeAxis
 from .nhpp import NhppParams, _intensity
-from .wind import (
-    MPS_TO_KMH,
-    HollandParams,
-    Track,
-    WindField,
-    _speed,
-    _wind_steps,
-)
+from .wind import MPS_TO_KMH, HollandParams, Track, WindField, _speed, _sweep_storms, _wind_steps
 
 
 # =============================================================================
@@ -261,13 +254,7 @@ def sweep_critical_radius(Vm_values, Rm_values, Vthres: float, B: float = 1.0):
     Returns flat arrays (Vm, Rm, Rcrit) covering pairs with Vm >= Vthres, Vm
     the outer axis.
     """
-    Vm_values, Rm_values = np.asarray(Vm_values), np.asarray(Rm_values)
-    Vm = np.repeat(Vm_values, len(Rm_values))
-    Rm = np.tile(Rm_values, len(Vm_values))
-    valid = (0 < Vm) & (Vm < np.inf) & (0 < Rm) & (Rm < np.inf) & (0 < B < np.inf)
-    if not valid.all():
-        i = np.argmin(valid)
-        HollandParams(Vm=Vm[i], Rm=Rm[i], B=B)  # raises the first pair's error
+    Vm, Rm = _sweep_storms(Vm_values, Rm_values, B)
     Rc = _critical_radii(Vm.astype(float), Rm.astype(float), np.full(len(Vm), float(B)), Vthres)
     keep = ~np.isnan(Rc)
     return Vm[keep], Rm[keep], Rc[keep]
@@ -448,7 +435,10 @@ def _window_radius(p: HollandParams, Vhot: float) -> float:
     if p.Vm < Vhot:
         return p.Rm
     y = -_lambert_w0(-(((1.0 - 1e-8) * Vhot / p.Vm) ** 2) / math.e)
-    return p.Rm * y ** (-1.0 / p.B)
+    try:
+        return p.Rm * y ** (-1.0 / p.B)
+    except (ZeroDivisionError, OverflowError):  # y = 0, or y^(-1/B) past every float
+        return np.inf
 
 
 def storm_swath(

@@ -59,10 +59,10 @@ def poisson_intensity(p: NhppParams, v):
     """Failure intensity (failures/hr/km) at wind speed `v` m/s.
 
     Nominal below Vcrit; lambda_norm * (1 + alpha * ((v/Vcrit)^2 - 1)) at and
-    above it.  Continuous at Vcrit and vectorized over `v`.  The piecewise
-    form is used directly (rather than the algebraically equal
-    lambda_norm * (1 - alpha) + lambda_norm * alpha * f(v)^2 with
-    f = max(Vcrit, v)/Vcrit) so that subcritical speeds return exactly
+    above it.  Continuous at Vcrit and vectorized over `v`.  It is evaluated
+    as lambda_norm * (1 + alpha * (f^2 - 1)), f = max(v, Vcrit) / Vcrit, not
+    as the algebraically equal lambda_norm * (1 - alpha) + lambda_norm * alpha
+    * f^2: below Vcrit (and at NaN) f is exactly 1, so the result is exactly
     lambda_norm with no cancellation error.
     """
     v = np.asarray(v, dtype=float)
@@ -72,10 +72,16 @@ def poisson_intensity(p: NhppParams, v):
     return float(out) if out.ndim == 0 else out
 
 
-def _intensity(p: NhppParams, v: np.ndarray) -> np.ndarray:
-    """`poisson_intensity` of speeds `v` >= 0, unchecked, in one pass."""
-    ratio = v / p.Vcrit
-    return np.where(v >= p.Vcrit, p.lambda_norm * (1.0 + p.alpha * (ratio * ratio - 1.0)), p.lambda_norm)
+def _intensity(p: NhppParams, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`poisson_intensity` of speeds `v` >= 0, unchecked, into `out` (may be `v`) or a new array."""
+    out = np.fmax(v, p.Vcrit, out=out)
+    out /= p.Vcrit
+    out *= out
+    out -= 1.0
+    out *= p.alpha
+    out += 1.0
+    out *= p.lambda_norm
+    return out
 
 
 def failure_rate(p: NhppParams, velocities, dt: float = 1.0):

@@ -14,7 +14,7 @@ yields the index window of grid cells within a given reach of the centre,
 their distances r to the centre and their speeds v.  Dense fields take the
 whole grid at every step (`fail-dist` only the sub-grid of its cells); the
 swath and zone reducers of `critzone` and the damage/loss sweep of
-`aggregate` consume the same steps, the sweep for a chunk of storms at once.
+`aggregate` consume the same steps, the sweep for one Vm = 1 storm per radius.
 
 Window invariant.  A reducer that evaluates only a window must give each
 cell outside it the result an evaluation would give.  `critzone.storm_swath`
@@ -63,6 +63,17 @@ class HollandParams:
             # Also false for NaN, so a NaN storm cannot pass as a calm one.
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+
+
+def _sweep_storms(Vm_values, Rm_values, B: float):
+    """Flat (Vm, Rm) of the cartesian sweep, Vm outer.  Raises the
+    `HollandParams` error of its first invalid storm, if any."""
+    Vm, Rm = np.repeat(Vm_values, len(Rm_values)), np.tile(Rm_values, len(Vm_values))
+    valid = (0 < Vm) & (Vm < np.inf) & (0 < Rm) & (Rm < np.inf) & (0 < B < np.inf)
+    if not valid.all():
+        i = np.argmin(valid)
+        HollandParams(Vm=Vm[i], Rm=Rm[i], B=B)
+    return Vm, Rm
 
 
 @dataclass(frozen=True)
@@ -132,26 +143,18 @@ def holland_speed(p, r):
 
     Vectorized over `r`.  The r -> 0 limit of the profile is 0 m/s and is
     returned as such (storm-centre cells occur routinely); negative radii are
-    an error.  `p` is one `HollandParams`, or a sequence of them: a batch of
-    storms, which adds a leading storms axis and takes each radius's log once.
+    an error.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be >= 0")
-    out = _speed(*_profile(p, r.ndim), r)
+    out = _speed(p.Vm, p.Rm, p.B, r)
     return float(out) if out.ndim == 0 else out
 
 
-def _profile(p, ndim):
-    """(Vm, Rm, B) of a storm, or of a batch as columns for `ndim`-d radii."""
-    if isinstance(p, HollandParams):
-        return p.Vm, p.Rm, p.B
-    rows = np.array([(q.Vm, q.Rm, q.B) for q in p], dtype=float).reshape(-1, 3)
-    return rows.T.reshape((3, -1) + (1,) * ndim)
-
-
 def _speed(Vm, Rm, B, r):
-    """`holland_speed` of `_profile` parameters at radii `r` >= 0, unchecked."""
+    """`holland_speed` at radii `r` >= 0, unchecked; the parameters may be arrays.
+    The last step is the product by `Vm`: exactly `Vm` times the `Vm = 1` speeds."""
     # Evaluated as Vm * exp((B/2) log(Rm/r) + (1 - (Rm/r)^B) / 2): near the
     # centre (Rm/r)^B overflows, but the exponent then underflows to -inf and
     # the speed correctly evaluates to 0 instead of inf * 0 = nan.  The log is
@@ -185,8 +188,7 @@ def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
     whole grid when `reach` is infinite), the cell-to-centre distances `r`
     and the wind speeds `v` on that window.  With a non-zero translation
     velocity `Vtr` (m/s) the speed is the magnitude of the cyclonic wind
-    vector plus `Vtr`; see the module docstring.  For a batch of storms `p`
-    (see `holland_speed`), `v` has a leading storms axis.
+    vector plus `Vtr`; see the module docstring.
     """
     if hemisphere not in ("N", "S"):
         raise ValueError("hemisphere must be 'N' or 'S'")
@@ -198,13 +200,12 @@ def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
     hi_x = np.searchsorted(xs, pos[:, 0] + reach, side="right")
     lo_y = np.searchsorted(ys, pos[:, 1] - reach)
     hi_y = np.searchsorted(ys, pos[:, 1] + reach, side="right")
-    profile = _profile(p, 2)
     for t, (px, py) in enumerate(pos):
         window = (slice(lo_x[t], hi_x[t]), slice(lo_y[t], hi_y[t]))
         dx = xs[window[0], None] - px
         dy = ys[None, window[1]] - py
         r = np.hypot(dx, dy)  # never negative, so the profile skips the check
-        v = _speed(*profile, r)
+        v = _speed(p.Vm, p.Rm, p.B, r)
         if asymmetric:
             # Tangential unit vector for counterclockwise rotation: (-dy, dx) / r.
             with np.errstate(invalid="ignore", divide="ignore"):

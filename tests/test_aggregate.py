@@ -231,6 +231,9 @@ def sweep_reference(Vm_values, Rm_values, nhpp, repair, config):
     return tuple(np.array(col) for col in zip(*out))
 
 
+# Values HollandParams refuses.
+BAD_PARAMS = [0.0, -1.0, np.nan, np.inf]
+
 # Six storms in chunks of four on the default sweep's cell size and track.
 MIRROR_CASE = dict(
     Vm=[30.0, 50.0, 70.0], Rm=[20.0, 40.0], ny=5, cell=22.264, vtr=3.0, T=24.0, dt=1.0, B=1.0, Lf=1.0, chunk=4
@@ -259,6 +262,9 @@ class TestSweep:
     @example(nx=2, **MIRROR_CASE)
     @example(nx=24, **MIRROR_CASE)
     @example(nx=25, **MIRROR_CASE)
+    # Repeated Vm and Rm values, and Vm at and below Vcrit (all-nominal storms).
+    @example(**{**MIRROR_CASE, "Vm": [30.0, 15.0, 30.0, VCRIT], "Rm": [40.0, 20.0, 40.0], "nx": 25, "chunk": 3})
+    @example(**{**MIRROR_CASE, "Vm": [10.0, VCRIT, 10.0], "Rm": [30.0, 30.0], "nx": 24, "B": 2.5, "chunk": 2})
     def test_bit_identical_to_reference_loop(self, Vm, Rm, nx, ny, cell, vtr, T, dt, B, Lf, chunk):
         # A config whose T / dt rounds to no step is rejected (TestSweepConfig).
         assume(round(T / dt) >= 1)
@@ -298,6 +304,51 @@ class TestSweep:
     def test_non_finite_storm_rejected(self, Vm, Rm):
         with pytest.raises(ValueError, match="must be finite and > 0"):
             damage_loss_sweep([40.0, Vm], [30.0, Rm], config=SMALL)
+
+    def test_profile_evaluated_once_per_radius(self):
+        Vm, Rm = [25.0, 37.0, 46.0, 37.0], [20.0, 30.0, 20.0]
+        with mock.patch.object(aggregate, "_wind_steps", wraps=aggregate._wind_steps) as steps:
+            damage_loss_sweep(Vm, Rm, config=SMALL)
+        assert [c.args[0] for c in steps.call_args_list] == [HollandParams(Vm=1.0, Rm=r, B=SMALL.B) for r in Rm]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        Vm=st.lists(st.one_of(st.floats(5.0, 90.0), st.sampled_from(BAD_PARAMS)), max_size=4),
+        Rm=st.lists(st.one_of(st.floats(5.0, 80.0), st.sampled_from(BAD_PARAMS)), max_size=4),
+        B=st.one_of(st.just(1.0), st.sampled_from(BAD_PARAMS)),
+    )
+    @example(Vm=[40.0, np.nan], Rm=[30.0, np.inf], B=1.0)  # Rm fails first, in row 0
+    @example(Vm=[np.nan, 40.0], Rm=[30.0, np.inf], B=1.0)  # Vm fails first, at (0, 0)
+    @example(Vm=[], Rm=[np.nan], B=np.nan)  # no storm, nothing to check
+    def test_first_invalid_storm_in_sweep_order_raises(self, Vm, Rm, B):
+        config = SweepConfig(nx=2, ny=2, cell_size=40.0, T=2.0)
+        object.__setattr__(config, "B", B)  # past SweepConfig's own check
+        try:
+            for v in Vm:
+                for r in Rm:
+                    HollandParams(Vm=v, Rm=r, B=B)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                damage_loss_sweep(Vm, Rm, config=config)
+            assert str(raised.value) == str(exc)
+        else:
+            damage_loss_sweep(Vm, Rm, config=config)
+
+    def test_peak_memory_grows_only_by_the_outputs(self):
+        # Vm, Rm, damage and loss: 32 bytes per storm, plus 4 kB that the
+        # peak moves by between sweeps of equal work.  Whole chunks on both
+        # sides, so the chunk buffers are the same.
+        Rm, peaks = np.arange(20.0, 45.0), []
+        for n in (aggregate._SWEEP_CHUNK, 16 * aggregate._SWEEP_CHUNK):
+            Vm = np.linspace(21.0, 80.0, n)
+            tracemalloc.start()
+            try:
+                damage_loss_sweep(Vm, Rm)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 32 * 15 * aggregate._SWEEP_CHUNK * len(Rm) + 4096
 
     def test_memory_bounded_by_chunk(self):
         # 1,000 storms on the default 25 x 40 grid: one unchunked (storms, cells)

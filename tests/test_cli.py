@@ -520,6 +520,20 @@ class TestCritzoneAndSweeps:
         lines = (tmp_path / "out" / "critzone_cells.csv").read_text().splitlines()
         assert [int(c) for c in lines[2:]] == zone.cells.tolist()
 
+    @pytest.mark.parametrize(
+        "sets", [["nhpp.Vcrit_mps=1e-300"], ["nhpp.Vcrit_mps=1e-160"], ["nhpp.Vcrit_mps=1e-30", "holland.B=0.1"]]
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_critzone_tiny_threshold_exits_0(self, tmp_path, sets):
+        # The closed-form window radius underflows (y = 0) or overflows
+        # (y^(-1/B)); the window is then the whole grid.
+        argv = ["critzone", "--config", _write_config(tmp_path)]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "out" / "critzone_stats.json").read_text())
+        assert report["n_cells"] == 144
+
     def test_sweep_fit_critzone(self, tmp_path):
         cfg = _write_config(
             tmp_path,

@@ -25,6 +25,7 @@ from stormrisk import (
     save_failure_distribution,
     save_failure_rate_field,
 )
+from stormrisk.nhpp import _intensity
 
 P = NhppParams()  # Vcrit=20.6, alpha=4175.6, lambda_norm=3.5e-5
 
@@ -129,6 +130,9 @@ class TestIntensity:
             assert isinstance(got, float) and got == float(ref)
         else:
             assert got.shape == v.shape and np.array_equal(got, ref)
+            # In place, as the damage/loss sweep calls it.
+            buf = v.copy()
+            assert _intensity(p, buf, out=buf) is buf and np.array_equal(buf, ref)
 
     @pytest.mark.parametrize("bad", [{"Vcrit": 0.0}, {"alpha": 0.5}, {"lambda_norm": 0.0}])
     def test_invalid_params(self, bad):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stormrisk import (
     Grid,
@@ -16,7 +16,7 @@ from stormrisk import (
     save_wind_field,
 )
 from stormrisk.csvio import _read_velocities
-from stormrisk.wind import WINDFIELD_HEADER, _profile, _speed, _sub_grid, _velocities, _wind_steps
+from stormrisk.wind import WINDFIELD_HEADER, _speed, _sub_grid, _velocities, _wind_steps
 
 # Frozen oracle: 25 * sqrt(0.5) * exp(0.25), hand evaluation of the radial
 # profile at (Vm=25, Rm=20, B=1), r=40.
@@ -81,47 +81,6 @@ class TestHollandSpeed:
             HollandParams(**{"Vm": 25.0, "Rm": 20.0, "B": 1.0, name: value})
 
 
-class TestHollandBatch:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.floats(1.0, 100.0), st.floats(1.0, 100.0), st.sampled_from([0.6, 1.0, 2.5])),
-            min_size=1,
-            max_size=5,
-        ),
-        st.lists(st.floats(0.0, 1e4), min_size=1, max_size=12),
-    )
-    def test_rows_bit_identical_to_single_storms(self, storms, radii):
-        batch = [HollandParams(Vm=Vm, Rm=Rm, B=B) for Vm, Rm, B in storms]
-        r = np.array(radii + [0.0]).reshape(-1, 1)
-        v = holland_speed(batch, r)
-        assert v.shape == (len(batch),) + r.shape
-        for row, p in zip(v, batch):
-            assert np.array_equal(row, holland_speed(p, r))
-
-    def test_scalar_radius_and_empty_batch(self):
-        batch = [HollandParams(Vm=25, Rm=20), HollandParams(Vm=37, Rm=30, B=1.5)]
-        assert holland_speed(batch, 40.0).tolist() == [holland_speed(p, 40.0) for p in batch]
-        assert holland_speed([], np.ones((2, 3))).shape == (0, 2, 3)
-
-    def test_negative_r_rejected(self):
-        with pytest.raises(ValueError, match="radius"):
-            holland_speed([HollandParams(Vm=25, Rm=20)], [1.0, -1.0])
-
-    @pytest.mark.parametrize("Vtr", [(0.0, 0.0), (2.0, 3.0)])
-    def test_kernel_batch_rows_match_single_storms(self, Vtr):
-        batch = [HollandParams(Vm=25, Rm=20), HollandParams(Vm=46, Rm=40, B=1.5)]
-        xs, ys = np.linspace(-90.0, 90.0, 7), np.linspace(-60.0, 60.0, 5)
-        pos = np.array([[0.0, -30.0], [10.0, 0.0], [30.0, 45.0]])
-        steps = _wind_steps(batch, xs, ys, pos, reach=50.0, Vtr=Vtr, hemisphere="S")
-        singles = [list(_wind_steps(p, xs, ys, pos, reach=50.0, Vtr=Vtr, hemisphere="S")) for p in batch]
-        for t, (window, r, v) in enumerate(steps):
-            assert v.shape == (len(batch),) + r.shape
-            for k, single in enumerate(singles):
-                assert single[t][0] == window
-                assert np.array_equal(v[k], single[t][2])
-
-
 def speed_reference(Vm, Rm, B, r):
     """Reference: `wind._speed` as one whole-array expression, before it
     worked in place."""
@@ -136,13 +95,41 @@ RADII = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, 5e-324, 1e-310, 2.2
 STORM = st.tuples(st.floats(1.0, 100.0), st.floats(1.0, 100.0), st.one_of(st.just(1.0), st.floats(0.5, 2.5)))
 
 
+class TestVmScaling:
+    """The damage/loss sweep evaluates one Vm = 1 storm per radius and scales
+    its speeds by each Vm; that is exact because the profile's last step is
+    the product by Vm."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(storm=STORM, Vm=st.floats(1e-300, 1e300), radii=st.lists(RADII, min_size=1, max_size=40))
+    @example(storm=(1.0, 30.0, 1.0), Vm=46.0, radii=[0.0, 5e-324, 1e300])
+    @example(storm=(1.0, 30.0, 1.7), Vm=46.0, radii=[0.0, 5e-324, 1e300])
+    def test_speed_is_vm_times_unit_speed(self, storm, Vm, radii):
+        _, Rm, B = storm
+        r = np.array(radii)
+        got, ref = _speed(Vm, Rm, B, r), Vm * _speed(1.0, Rm, B, r)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_kernel_speeds_scale_with_vm(self):
+        xs, ys = np.linspace(-90.0, 90.0, 7), np.linspace(-60.0, 60.0, 5)
+        pos = np.array([[0.0, -30.0], [10.0, 0.0], [30.0, 45.0], [xs[2], ys[1]]])
+        for p in (HollandParams(Vm=25, Rm=20), HollandParams(Vm=46, Rm=40, B=1.5)):
+            unit = HollandParams(Vm=1.0, Rm=p.Rm, B=p.B)
+            steps = zip(_wind_steps(p, xs, ys, pos, reach=50.0), _wind_steps(unit, xs, ys, pos, reach=50.0))
+            for (window, r, v), (unit_window, unit_r, unit_v) in steps:
+                assert window == unit_window and np.array_equal(r, unit_r)
+                assert np.array_equal(v.view(np.uint64), (p.Vm * unit_v).view(np.uint64))
+
+
 class TestInPlaceSpeed:
     @settings(max_examples=150, deadline=None)
     @given(storms=st.lists(STORM, min_size=1, max_size=6), radii=st.lists(RADII, min_size=1, max_size=40))
     def test_equals_whole_array_expression(self, storms, radii):
-        batch = [HollandParams(Vm=Vm, Rm=Rm, B=B) for Vm, Rm, B in storms]
         for r in (np.array(radii), np.array(radii[:1]).reshape(()), np.array(radii).reshape(-1, 1)):
-            for profile in [_profile(p, r.ndim) for p in batch] + [_profile(batch, r.ndim)]:
+            # Each storm's scalars, and all storms as array parameters with a
+            # leading storms axis, as `critzone._critical_radii` passes them.
+            columns = np.array(storms).T.reshape((3, -1) + (1,) * r.ndim)
+            for profile in storms + [tuple(columns)]:
                 got, ref = _speed(*profile, r), speed_reference(*profile, r)
                 assert got.shape == ref.shape
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

@@ -11,7 +11,6 @@ from .aggregate import (
     DamageFitModel,
     LossFitModel,
     RepairParams,
-    SweepConfig,
     damage_loss_sweep,
     fit_damage_model,
     fit_loss_model,
@@ -22,7 +21,6 @@ from .critzone import (
     CritAreaFit,
     CriticalZone,
     CritRadiusFit,
-    TableConfig,
     axisymmetric_zone_area,
     critical_radius,
     critical_zone_numeric,
@@ -40,7 +38,6 @@ from .critzone import (
 from .ensemble import (
     Ensemble,
     EnsemblePerturbationSpec,
-    default_thread_count,
     generate_synthetic_ensemble,
     load_ensemble,
     member_parameters,

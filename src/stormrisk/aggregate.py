@@ -61,51 +61,13 @@ class RepairParams:
         return 0.5 * self.Lf / self.Y
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Reference region and storm kinematics for the damage/loss sweep.
-
-    A rectangular region of nx x ny cells centred on the track of a storm
-    translating northward at `vtr` for `T` hours, sampled hourly, with the
-    transit centred in time so the storm enters at one edge of its path and
-    exits symmetrically.  Aggregates are reported per cell (means over the
-    region), which makes the fitted coefficients independent of |G|.
-    """
-
-    nx: int = 25
-    ny: int = 40
-    cell_size: float = 22.264
-    vtr: float = 3.0
-    T: float = 24.0
-    dt: float = 1.0
-    B: float = 1.0
-
-    def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("nx and ny must be >= 1")
-        for name in ("cell_size", "T", "dt", "B"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0")
-        if not 0 <= self.vtr < np.inf:
-            raise ValueError("vtr must be finite and >= 0")
-        if self.n_steps < 1:
-            raise ValueError("T / dt must round to at least one step")
-
-    def grid_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = (np.arange(self.nx) - (self.nx - 1) / 2.0) * self.cell_size
-        ys = (np.arange(self.ny) - (self.ny - 1) / 2.0) * self.cell_size
-        return xs, ys
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
-
-    def centre_y(self) -> np.ndarray:
-        """Storm-centre y at each (midpoint) time sample, km."""
-        step = self.vtr * MPS_TO_KMH * self.dt
-        L = step * self.n_steps
-        return -L / 2.0 + (np.arange(self.n_steps) + 0.5) * step
-
+# The reference region: _NX x _NY cells of _CELL km centred on the track of a
+# storm moving north at _VTR m/s for _N_STEPS steps of _DT hours, sampled at
+# the step midpoints, with the transit centred in time so that the storm
+# enters at one edge of its path and exits symmetrically.  Aggregates are
+# reported per cell (means over the region), which makes the fitted
+# coefficients independent of |G|.
+_NX, _NY, _CELL, _VTR, _N_STEPS, _DT = 25, 40, 22.264, 3.0, 24, 1.0
 
 # Vm values evaluated together: the chunk's speed buffer and rate sum are 66 kB
 # each on the default 25 x 40 grid's 13 x 40 half, under malloc's 128 KiB mmap
@@ -118,29 +80,29 @@ def damage_loss_sweep(
     Rm_values,
     nhpp: NhppParams | None = None,
     repair: RepairParams | None = None,
-    config: SweepConfig | None = None,
+    B: float = 1.0,
 ):
-    """Mean per-cell damage and loss over the cartesian (Vm, Rm) sweep.
+    """Mean per-cell damage and loss over the cartesian (Vm, Rm) sweep of
+    storms with profile exponent `B` crossing the reference region.
 
     Returns flat arrays (Vm, Rm, damage, loss), Vm outer.  Damage is the mean
     cellwise failure rate over the region; loss the mean cellwise plug-in repair loss.
     """
     nhpp = nhpp or NhppParams()
     repair = repair or RepairParams()
-    config = config or SweepConfig()
     Vm_axis, Rm_axis = np.asarray(Vm_values, dtype=float), np.asarray(Rm_values, dtype=float)
-    Vm, Rm = _sweep_storms(Vm_axis, Rm_axis, config.B)
+    Vm, Rm = _sweep_storms(Vm_axis, Rm_axis, B)
     damage, loss = np.empty((2, Vm_axis.size, Rm_axis.size))
-    xs, ys = config.grid_centers()
-    # Mirror fold: the track runs along x = 0 with no translation vector, so if
-    # xs == -xs[::-1] column nx-1-i equals column i.  Evaluate ceil(nx/2) columns.
-    if not np.array_equal(xs, -xs[::-1]):
-        raise ValueError("sweep grid x centres must be symmetric about the track")
-    half = xs[: (config.nx + 1) // 2]
-    pos = np.column_stack([np.zeros(config.n_steps), config.centre_y()])
+    step = _VTR * MPS_TO_KMH * _DT
+    pos = np.column_stack([np.zeros(_N_STEPS), -step * _N_STEPS / 2.0 + (np.arange(_N_STEPS) + 0.5) * step])
+    # Mirror fold: the track runs along x = 0 with no translation vector, and
+    # the x centres (i - (_NX - 1) / 2) * _CELL are symmetric about it, so
+    # column _NX-1-i equals column i.  Evaluate ceil(_NX/2) columns.
+    half = (np.arange((_NX + 1) // 2) - (_NX - 1) / 2.0) * _CELL
+    ys = (np.arange(_NY) - (_NY - 1) / 2.0) * _CELL
     # One Vm = 1 profile per radius; no radius is checked or run without a Vm.
     for j, Rm_j in enumerate(Rm_axis.tolist() if Vm.size else []):
-        speeds = np.stack([v for _, _, v in _wind_steps(HollandParams(1.0, Rm_j, config.B), half, ys, pos)])
+        speeds = np.stack([v for _, _, v in _wind_steps(HollandParams(1.0, Rm_j, B), half, ys, pos)])
         for lo in range(0, Vm_axis.size, _SWEEP_CHUNK):
             Vm_chunk = Vm_axis[lo : lo + _SWEEP_CHUNK, None, None]
             lam = np.zeros((len(Vm_chunk),) + speeds.shape[1:])
@@ -148,8 +110,8 @@ def damage_loss_sweep(
             for s in speeds:
                 np.multiply(s, Vm_chunk, out=v)
                 lam += _intensity(nhpp, v, out=v)
-            lam = np.concatenate([lam, lam[:, : config.nx // 2][:, ::-1]], axis=1)
-            lam = lam.reshape(len(lam), -1) * config.dt
+            lam = np.concatenate([lam, lam[:, : _NX // 2][:, ::-1]], axis=1)
+            lam = lam.reshape(len(lam), -1) * _DT
             # Row means keep each storm's pairwise summation over its cells.
             damage[lo : lo + _SWEEP_CHUNK, j] = lam.mean(axis=1)
             loss[lo : lo + _SWEEP_CHUNK, j] = repair.half_ratio * np.mean(lam * lam, axis=1)

@@ -43,10 +43,9 @@ from .csvio import (
 from .ensemble import (
     EnsemblePerturbationSpec,
     _member_velocities,
-    default_thread_count,
     save_ensemble_members,
 )
-from .grid import Grid, TimeAxis, county_average, load_county_fixture
+from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, county_average, load_county_fixture
 from .nhpp import NhppParams
 from .wind import (
     HollandParams,
@@ -104,10 +103,8 @@ CONFIG_SCHEMA = (
 
 # Most storms a sweep may hold, far above the default sweep's 1,860.
 _MAX_SWEEP_STORMS = 10**6
-# Most cells times steps a wind field may have: 8 GB of float64 speeds as one
-# (cells, steps) array, far above the default 1.21 million.
+# The fields whose product `_MAX_CELL_STEPS` caps.
 _FIELD_SIZE = ("grid.nx", "grid.ny", "times.n_steps")
-_MAX_CELL_STEPS = 10**9
 
 
 def _nest(items) -> dict:
@@ -334,23 +331,32 @@ def cmd_fail_dist(run: _Run, args) -> None:
         nhpp.save_failure_distribution(dist, run.out(f"fail_dist_{args.kind}_cell{cell}.csv"), run.tag)
 
 
+def _require_finite(*values) -> None:
+    """Refuse a result past every float, as a threshold far below the
+    storm's winds gives: a critical radius, zone area or failure rate."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("nhpp.Vcrit_mps", "too small: a critical radius, zone area or failure rate is not finite")
+
+
 def cmd_critzone(run: _Run, args) -> None:
     s = run.spec
+    Rcrit = critzone.critical_radius(run.holland, run.nhpp.Vcrit)
+    obround = None if Rcrit is None else critzone.obround_area(Rcrit, run.times.duration, run.track.Vtr)
+    if Rcrit is not None:
+        _require_finite(Rcrit, obround)
     rates, zone = critzone.storm_swath(
         run.track, run.holland, run.grid, run.times, run.nhpp, asymmetric=s.asymmetric, hemisphere=s.hemisphere
     )
     stats = critzone._zone_stats(rates, zone)
+    _require_finite(stats["max"], stats["mean"])
     cells = np.flatnonzero(zone)
-    Rcrit = critzone.critical_radius(run.holland, run.nhpp.Vcrit)
     rows = ([cell] for cell in cells)
     _write_csv(run.out("critzone_cells.csv"), ["cell_id"], rows, run.tag, line_end="\n")
     report = {
         "Vthres_mps": run.nhpp.Vcrit,
         "Rcrit_km": None if Rcrit is None else float(format(Rcrit, TABLE_FMT)),
         "area_numeric_km2": float(format(len(cells) * run.grid.cell_area, TABLE_FMT)),
-        "area_obround_km2": None
-        if Rcrit is None
-        else float(format(critzone.obround_area(Rcrit, run.times.duration, run.track.Vtr), TABLE_FMT)),
+        "area_obround_km2": None if obround is None else float(format(obround, TABLE_FMT)),
         "n_cells": len(cells),
         "max_failure_rate_per_km": float(format(stats["max"], TABLE_FMT)),
         "mean_failure_rate_per_km": float(format(stats["mean"], TABLE_FMT)),
@@ -359,7 +365,11 @@ def cmd_critzone(run: _Run, args) -> None:
 
 
 def _sweep_fit_critzone(run: _Run) -> None:
-    sweep = critzone.zone_sweep(*run.sweep, run.nhpp, run.track, run.times, run.holland.B)
+    try:
+        sweep = critzone.zone_sweep(*run.sweep, run.nhpp, run.track, run.times, run.holland.B)
+    except ValueError as exc:  # a storm's swath grid is past the cap
+        raise ConfigError("nhpp.Vcrit_mps", f"too small: {exc}") from None
+    _require_finite(*sweep)
     Vm, Rm, Rcrit, area = sweep[:4]
     radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=run.nhpp.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)
@@ -396,8 +406,7 @@ def cmd_sweep_fit(run: _Run, args) -> None:
     Vcrit = run.nhpp.Vcrit
     if args.target == "damage" and np.any(run.sweep[0] <= Vcrit):
         raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({Vcrit:g}) for --target damage")
-    sweep = aggregate.SweepConfig(B=run.holland.B)
-    Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, config=sweep)
+    Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, B=run.holland.B)
     aggregate.save_agg_sweep(Vm, Rm, damage, loss, run.out(f"{args.target}_sweep.csv"), header_comment=run.tag)
     if args.target == "damage":
         model = aggregate.fit_damage_model(Vm, Rm, damage, Vcrit)
@@ -490,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="worker threads (default: STORMRISK_THREADS or 1)",
+            default=1,
+            help="worker threads (default: 1)",
         )
         p.set_defaults(func=func)
         return p
@@ -521,8 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = default_thread_count()
     if args.threads < 1:
         print("error: --threads: must be >= 1", file=sys.stderr)
         return 2

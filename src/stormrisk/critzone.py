@@ -17,7 +17,7 @@ import numpy as np
 
 from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
-from .grid import Grid, TimeAxis
+from .grid import _MAX_CELL_STEPS, Grid, TimeAxis
 from .nhpp import NhppParams, _intensity
 from .wind import MPS_TO_KMH, HollandParams, Track, WindField, _speed, _sweep_storms, _wind_steps
 
@@ -52,9 +52,11 @@ def _critical_radii(Vm, Rm, B, Vthres: float) -> np.ndarray:
     todo = Vm > Vthres
     lo, hi = Rm, 2.0 * Rm
     grow = todo.copy()
-    while grow.any():
-        grow &= _speed(Vm, Rm, B, hi) >= Vthres
-        hi[grow] *= 2.0
+    # A threshold far below Vm doubles hi past every float: that radius is inf.
+    with np.errstate(over="ignore"):
+        while grow.any():
+            grow &= _speed(Vm, Rm, B, hi) >= Vthres
+            hi[grow] *= 2.0
     for _ in range(200):
         if not todo.any():
             return out
@@ -351,47 +353,24 @@ def fit_crit_area(
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    """Stylized-storm configuration for the benchmark area/rate tables.
-
-    A storm crosses a bounded coastal domain northward at constant speed.
-    Areas and failure-rate statistics are reported for nine (Vm, Rm)
-    combinations, axisymmetric and asymmetric.  The domain bounds and cell
-    size reproduce the published reference values; cells are coarser than
-    the 1 km default because statistics within the zone are insensitive to
-    resolution while the bounded domain clips the largest storms.
-    """
-
-    domain_width: float = 995.294065
-    domain_depth: float = 1264.6287
-    cell_size: float = 5.35568345
-    vtr: float = 3.27856331
-    genesis_y: float = 10.6111712
-    track_x_offset: float = -0.345402611
-    grid_y_offset: float = -1.29386108
-    n_steps: int = 121
-    dt: float = 1.0
-    B: float = 1.0
-
-    def grid(self) -> Grid:
-        return Grid(
-            origin=(0.0, self.grid_y_offset),
-            nx=int(round(self.domain_width / self.cell_size)),
-            ny=int(round(self.domain_depth / self.cell_size)),
-            cell_size=self.cell_size,
-        )
-
-    def times(self) -> TimeAxis:
-        return TimeAxis(n_steps=self.n_steps, dt=self.dt)
-
-    def track(self) -> Track:
-        return Track(
-            x0=(self.domain_width / 2.0 + self.track_x_offset, self.genesis_y),
-            Vtr=(0.0, self.vtr),
-            duration=self.n_steps * self.dt,
-        )
-
+# The stylized scenario of the benchmark tables: a storm crosses a bounded
+# coastal domain (995 x 1265 km, 186 x 236 cells of 5.36 km, coarser than the
+# 1 km default because the zone statistics are insensitive to resolution while
+# the bounded domain clips the largest storms) northward at constant speed for
+# 121 hourly steps, with B = 1.  These values reproduce acceptance criteria 1-2
+# (the published areas and maximum rates); how they were derived is not
+# recorded.
+_TABLE_WIDTH, _TABLE_DEPTH, _TABLE_CELL = 995.294065, 1264.6287, 5.35568345
+_TABLE_GRID = Grid(
+    origin=(0.0, -1.29386108),
+    nx=int(round(_TABLE_WIDTH / _TABLE_CELL)),
+    ny=int(round(_TABLE_DEPTH / _TABLE_CELL)),
+    cell_size=_TABLE_CELL,
+)
+_TABLE_TIMES = TimeAxis(n_steps=121, dt=1.0)
+_TABLE_TRACK = Track(
+    x0=(_TABLE_WIDTH / 2.0 - 0.345402611, 10.6111712), Vtr=(0.0, 3.27856331), duration=121.0
+)
 
 TABLE_STORMS = [(25, 20), (25, 30), (25, 40), (37, 20), (37, 30), (37, 40),
                 (46, 20), (46, 30), (46, 40)]
@@ -481,28 +460,20 @@ def storm_swath(
     return rates.ravel(), zone.ravel()
 
 
-def tables123(
-    config: TableConfig | None = None, nhpp: NhppParams | None = None
-) -> list[dict]:
+def tables123(nhpp: NhppParams | None = None) -> list[dict]:
     """Critical-zone area and failure-rate statistics for the nine benchmark
-    storms, axisymmetric and asymmetric: one record per (Vm, Rm), keyed by
-    `TABLE_HEADER`.
+    storms on the tables' fixed scenario, axisymmetric and asymmetric: one
+    record per (Vm, Rm), keyed by `TABLE_HEADER`.
     """
-    config = config or TableConfig()
     nhpp = nhpp or NhppParams()
-    grid = config.grid()
-    times = config.times()
-    track = config.track()
     out = []
     for Vm, Rm in TABLE_STORMS:
-        p = HollandParams(Vm=float(Vm), Rm=float(Rm), B=config.B)
+        p = HollandParams(Vm=float(Vm), Rm=float(Rm))
         rec = {"Vm": Vm, "Rm": Rm}
         for asym, label in ((False, "axi"), (True, "asym")):
-            rates, zone = storm_swath(
-                track, p, grid, times, nhpp, asymmetric=asym
-            )
+            rates, zone = storm_swath(_TABLE_TRACK, p, _TABLE_GRID, _TABLE_TIMES, nhpp, asymmetric=asym)
             stats = _zone_stats(rates, zone)
-            rec[f"area_{label}_km2"] = float(np.count_nonzero(zone)) * grid.cell_area
+            rec[f"area_{label}_km2"] = float(np.count_nonzero(zone)) * _TABLE_GRID.cell_area
             rec[f"max_fr_{label}"] = stats["max"]
             rec[f"mean_fr_{label}"] = stats["mean"]
         out.append(rec)
@@ -522,24 +493,29 @@ def zone_sweep(Vm_values, Rm_values, nhpp: NhppParams, track: Track, times: Time
     (Vm, Rm) sweep with Vm >= `nhpp.Vcrit` (Vm the outer axis) on `track`.
     The zone's failure rates come from `storm_swath` on a grid spanning the
     swath.  The area and rate grids coarsen as the critical radius grows, so
-    the cost per storm stays bounded across the sweep."""
+    the cost per storm stays bounded across the sweep.  Raises ValueError,
+    before any storm is run, if a storm's rate grid would have more than
+    `_MAX_CELL_STEPS` cell-steps, as an infinite radius would."""
     Vm, Rm, Rcrit = sweep_critical_radius(Vm_values, Rm_values, Vthres=nhpp.Vcrit, B=B)
     pos = track.position(times.offsets())
+    cell = np.clip(Rcrit / 30.0, 1.0, 25.0)
+    pad = (Rcrit + 2.0 * cell)[:, None]
+    lo = pos.min(axis=0) - pad
+    shape = np.maximum(1.0, np.ceil((pos.max(axis=0) + pad - lo) / cell[:, None]))
+    too_big = ~(shape[:, 0] * shape[:, 1] * times.n_steps <= _MAX_CELL_STEPS)  # an inf radius too
+    if too_big.any():
+        i = np.argmax(too_big)
+        raise ValueError(
+            f"storm (Vm={Vm[i]:g}, Rm={Rm[i]:g}) has critical radius {Rcrit[i]:.3g} km; "
+            f"its swath grid passes {_MAX_CELL_STEPS:,} cell-steps"
+        )
     area, obround, max_fr, mean_fr = (np.empty(len(Rcrit)) for _ in range(4))
     for i, (v, r, rc) in enumerate(zip(Vm, Rm, Rcrit)):
         p = HollandParams(Vm=float(v), Rm=float(r), B=B)
         area[i] = axisymmetric_zone_area(track, p, times, rc, cell_size=float(np.clip(rc / 100.0, 2.0, 25.0)))
         obround[i] = obround_area(rc, times.duration, track.Vtr)
-        cell = float(np.clip(rc / 30.0, 1.0, 25.0))
-        pad = rc + 2.0 * cell
-        lo = pos.min(axis=0) - pad
-        hi = pos.max(axis=0) + pad
-        grid = Grid(
-            origin=(float(lo[0]), float(lo[1])),
-            nx=max(1, int(np.ceil((hi[0] - lo[0]) / cell))),
-            ny=max(1, int(np.ceil((hi[1] - lo[1]) / cell))),
-            cell_size=cell,
-        )
+        nx, ny = shape[i].astype(int).tolist()
+        grid = Grid(origin=tuple(lo[i].tolist()), nx=nx, ny=ny, cell_size=float(cell[i]))
         stats = _zone_stats(*storm_swath(track, p, grid, times, nhpp))
         max_fr[i], mean_fr[i] = stats["max"], stats["mean"]
     return Vm, Rm, Rcrit, area, obround, max_fr, mean_fr

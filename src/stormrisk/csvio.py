@@ -253,9 +253,10 @@ def _read_json(path) -> dict:
 
 
 def _write_json(path, doc: dict) -> None:
-    """Write `doc` with sorted keys, indented by two spaces, and a final LF."""
+    """Write `doc` as strict JSON (a non-finite number raises ValueError)
+    with sorted keys, indented by two spaces, and a final LF."""
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -17,7 +17,6 @@ statistic needs, so its memory does not grow with H.  The statistics of an
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -157,26 +156,15 @@ def generate_synthetic_ensemble(
     spec: EnsemblePerturbationSpec,
     grid: Grid,
     times: TimeAxis,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> Ensemble:
     """Generate an H-member ensemble of perturbed storms.
 
     Member i draws from substream i of `spec.seed`, so identical spec and
     seed reproduce bit-identical ensembles regardless of `threads`.
     """
-    if threads is None:
-        threads = default_thread_count()
     velocities = _member_velocities(spec, *grid.axes(), times, threads)
     return Ensemble(members=tuple(WindField(grid=grid, times=times, velocities=v) for v in velocities))
-
-
-def default_thread_count() -> int:
-    """Worker count from the STORMRISK_THREADS environment variable (default 1)."""
-    raw = os.environ.get("STORMRISK_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _mean(arrays) -> np.ndarray:

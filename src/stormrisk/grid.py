@@ -19,6 +19,10 @@ from .csvio import _read_csv, _write_csv
 # Grid and time axis
 # =============================================================================
 
+# Most cells times steps a wind field may have: 8 GB of float64 speeds as one
+# (cells, steps) array, far above the default config's 1.21 million.
+_MAX_CELL_STEPS = 10**9
+
 
 @dataclass(frozen=True)
 class Grid:

@@ -1,5 +1,13 @@
 import sys
 
+from hypothesis import settings
+
+# No per-example deadline: several property tests run a whole kernel per
+# example, and a first example that loads scipy.special can take longer than
+# hypothesis's default 200 ms on a slow machine.
+settings.register_profile("stormrisk", deadline=None)
+settings.load_profile("stormrisk")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance-criterion pass/fail lines after the test run."""

@@ -14,7 +14,6 @@ from stormrisk import (
     HollandParams,
     NhppParams,
     RepairParams,
-    SweepConfig,
     TimeAxis,
     Track,
     axisymmetric_field,
@@ -44,28 +43,37 @@ from stormrisk.fitting import linear_least_squares
 
 P = NhppParams()
 VCRIT = P.Vcrit
-SMALL = SweepConfig(nx=6, ny=8, cell_size=40.0, T=6.0)
-CONFIGS = [SMALL, SweepConfig(nx=5, ny=7, cell_size=25.0, vtr=5.0, T=10.0, dt=0.5, B=1.5)]
+T = aggregate._N_STEPS * aggregate._DT  # the reference region's exposure time, h
 
 
-def excess_integral(Vm, Rm, nhpp: NhppParams, config: SweepConfig) -> np.ndarray:
-    """Per-cell E = sum_t (f^2 - 1)_+ dt on the sweep grid, f = v / Vcrit.
+def region():
+    """The reference region's cell-centre axes, the storm centre's y at each
+    step (on x = 0), and the step: as the sweep documents them, rebuilt here."""
+    nx, ny, cell = aggregate._NX, aggregate._NY, aggregate._CELL
+    xs = (np.arange(nx) - (nx - 1) / 2.0) * cell
+    ys = (np.arange(ny) - (ny - 1) / 2.0) * cell
+    n_steps, step = aggregate._N_STEPS, aggregate._VTR * 3.6 * aggregate._DT
+    cy = -step * n_steps / 2.0 + (np.arange(n_steps) + 0.5) * step
+    return xs, ys, cy, aggregate._DT
+
+
+def excess_integral(Vm, Rm, nhpp: NhppParams, B=1.0) -> np.ndarray:
+    """Per-cell E = sum_t (f^2 - 1)_+ dt on the reference region, f = v / Vcrit.
 
     The quantity the paper's nominal/excess decompositions are built from;
     recomputed here independently of `damage_loss_sweep`.
     """
-    xs, ys = config.grid_centers()
-    cy = config.centre_y()
-    p = HollandParams(Vm=Vm, Rm=Rm, B=config.B)
-    E = np.zeros((config.nx, config.ny))
-    for k in range(config.n_steps):
-        f = holland_speed(p, np.hypot(xs[:, None], ys[None, :] - cy[k])) / nhpp.Vcrit
+    xs, ys, cy, dt = region()
+    p = HollandParams(Vm=Vm, Rm=Rm, B=B)
+    E = np.zeros((len(xs), len(ys)))
+    for y in cy:
+        f = holland_speed(p, np.hypot(xs[:, None], ys[None, :] - y)) / nhpp.Vcrit
         E += np.maximum(f * f - 1.0, 0.0)
-    return E * config.dt
+    return E * dt
 
 
-def _one_storm(Vm, Rm, nhpp=P, repair=None, config=SMALL) -> tuple[float, float]:
-    _, _, d, lo = damage_loss_sweep([Vm], [Rm], nhpp=nhpp, repair=repair, config=config)
+def _one_storm(Vm, Rm, nhpp=P, repair=None, B=1.0) -> tuple[float, float]:
+    _, _, d, lo = damage_loss_sweep([Vm], [Rm], nhpp=nhpp, repair=repair, B=B)
     return float(d[0]), float(lo[0])
 
 
@@ -74,33 +82,33 @@ storms = st.tuples(
     st.floats(5.0, 80.0),  # Rm
     st.floats(1.0, 1e4),  # alpha
     st.floats(1e-6, 1e-3),  # lambda_norm
-    st.sampled_from(CONFIGS),
+    st.sampled_from([1.0, 1.5]),  # B
 )
 
 
 class TestTotalDamage:
     def test_all_subcritical_is_nominal(self):
-        nominal = SMALL.T * P.lambda_norm
+        nominal = T * P.lambda_norm
         for Vm in (10.0, 15.0, 20.0):
             assert _one_storm(Vm, 30.0)[0] == pytest.approx(nominal, rel=1e-12)
 
     @given(storms)
     def test_decomposition_matches_direct_sum(self, storm):
         # mean damage = lambda T + lambda alpha mean_g sum_t (f^2 - 1)_+ dt
-        Vm, Rm, alpha, lam, cfg = storm
+        Vm, Rm, alpha, lam, B = storm
         nhpp = NhppParams(alpha=alpha, lambda_norm=lam)
-        E = excess_integral(Vm, Rm, nhpp, cfg)
-        expected = lam * cfg.n_steps * cfg.dt + lam * alpha * E.mean()
-        assert _one_storm(Vm, Rm, nhpp, config=cfg)[0] == pytest.approx(expected, rel=1e-9, abs=0.0)
+        E = excess_integral(Vm, Rm, nhpp, B)
+        expected = lam * T + lam * alpha * E.mean()
+        assert _one_storm(Vm, Rm, nhpp, B=B)[0] == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_subcritical_decomposition_has_no_excess(self):
-        excess = P.lambda_norm * P.alpha * excess_integral(20.0, 30.0, P, SMALL).mean()
+        excess = P.lambda_norm * P.alpha * excess_integral(20.0, 30.0, P).mean()
         assert excess == 0.0
-        assert _one_storm(20.0, 30.0)[0] == pytest.approx(SMALL.T * P.lambda_norm, rel=1e-12)
+        assert _one_storm(20.0, 30.0)[0] == pytest.approx(T * P.lambda_norm, rel=1e-12)
 
     def test_excess_integral_zero_below_vcrit(self):
-        assert np.all(excess_integral(20.0, 30.0, P, SMALL) == 0.0)
-        assert np.any(excess_integral(37.0, 30.0, P, SMALL) > 0.0)
+        assert np.all(excess_integral(20.0, 30.0, P) == 0.0)
+        assert np.any(excess_integral(37.0, 30.0, P) > 0.0)
 
 
 class TestRepairLoss:
@@ -126,23 +134,19 @@ class TestRepairLoss:
 class TestTotalLoss:
     def test_all_subcritical_nominal(self):
         rp = RepairParams(Lf=3.0, Y=2.0)
-        expected = rp.half_ratio * (SMALL.T * P.lambda_norm) ** 2
+        expected = rp.half_ratio * (T * P.lambda_norm) ** 2
         for Vm in (10.0, 15.0, 20.0):
             assert _one_storm(Vm, 30.0, repair=rp)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_single_cell_plug_in(self):
-        # One cell at the origin, passed at the same distance on both steps,
-        # accumulated rate exactly 2 -> loss 0.5 * 2^2 = 2.
-        cfg = SweepConfig(nx=1, ny=1, T=2.0)
-        r = abs(cfg.centre_y()[0])
-        v = VCRIT * np.sqrt((1.0 / P.lambda_norm - 1.0) / P.alpha + 1.0)
-        Vm = v / holland_speed(HollandParams(Vm=1.0, Rm=30.0), r)
-        damage, loss = _one_storm(Vm, 30.0, config=cfg)
-        assert damage == pytest.approx(2.0, rel=1e-9)
-        assert loss == pytest.approx(2.0, rel=1e-9)
+        # A subcritical storm at lambda_norm = 2 / T: every cell accumulates
+        # a rate of exactly 2 -> loss 0.5 * 2^2 = 2 per cell.
+        damage, loss = _one_storm(10.0, 30.0, nhpp=NhppParams(lambda_norm=2.0 / T))
+        assert damage == pytest.approx(2.0, rel=1e-12)
+        assert loss == pytest.approx(2.0, rel=1e-12)
 
     def test_loss_at_least_nominal(self):
-        nominal = 0.5 * (SMALL.T * P.lambda_norm) ** 2
+        nominal = 0.5 * (T * P.lambda_norm) ** 2
         for Vm in (25.0, 46.0, 80.0):
             assert _one_storm(Vm, 30.0)[1] >= nominal
 
@@ -150,16 +154,15 @@ class TestTotalLoss:
     def test_decomposition_matches_direct(self, storm, Lf, Y):
         # mean loss = h [(lambda T)^2 + 2 lambda (lambda alpha) T mean(E)
         #                + (lambda alpha)^2 mean(E^2)],  h = Lf / (2 Y)
-        Vm, Rm, alpha, lam, cfg = storm
+        Vm, Rm, alpha, lam, B = storm
         nhpp = NhppParams(alpha=alpha, lambda_norm=lam)
         rp = RepairParams(Lf=Lf, Y=Y)
-        E = excess_integral(Vm, Rm, nhpp, cfg)
-        T = cfg.n_steps * cfg.dt
+        E = excess_integral(Vm, Rm, nhpp, B)
         la = lam * alpha
         expected = rp.half_ratio * (
             (lam * T) ** 2 + 2.0 * lam * la * T * E.mean() + la * la * np.mean(E * E)
         )
-        assert _one_storm(Vm, Rm, nhpp, rp, cfg)[1] == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert _one_storm(Vm, Rm, nhpp, rp, B)[1] == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def _storm_rates(Vm, cell=10.0) -> np.ndarray:
@@ -211,21 +214,21 @@ class TestG:
         assert g_of_vm(10.0, VCRIT)[()] == 0.0
 
 
-def sweep_reference(Vm_values, Rm_values, nhpp, repair, config):
+def sweep_reference(Vm_values, Rm_values, nhpp, repair, B=1.0):
     """Reference `damage_loss_sweep`: its loop before the shared geometry
-    kernel, with the distances taken from the centred grid axes directly."""
-    xs, ys = config.grid_centers()
+    kernel and the mirror fold, with the distances taken from the centred
+    grid axes directly."""
+    xs, ys, cy, dt = region()
     X = xs[:, None]
-    cy = config.centre_y()
     out = []
     for Vm in Vm_values:
         for Rm in Rm_values:
-            p = HollandParams(Vm=float(Vm), Rm=float(Rm), B=config.B)
-            lam = np.zeros((config.nx, config.ny))
-            for k in range(config.n_steps):
-                r = np.hypot(X, ys[None, :] - cy[k])
+            p = HollandParams(Vm=float(Vm), Rm=float(Rm), B=B)
+            lam = np.zeros((len(xs), len(ys)))
+            for y in cy:
+                r = np.hypot(X, ys[None, :] - y)
                 lam += poisson_intensity(nhpp, holland_speed(p, r))
-            lam *= config.dt
+            lam *= dt
             out.append((float(Vm), float(Rm), float(lam.mean()),
                         float(repair.half_ratio * np.mean(lam * lam))))
     return tuple(np.array(col) for col in zip(*out))
@@ -234,46 +237,28 @@ def sweep_reference(Vm_values, Rm_values, nhpp, repair, config):
 # Values HollandParams refuses.
 BAD_PARAMS = [0.0, -1.0, np.nan, np.inf]
 
-# Six storms in chunks of four on the default sweep's cell size and track.
-MIRROR_CASE = dict(
-    Vm=[30.0, 50.0, 70.0], Rm=[20.0, 40.0], ny=5, cell=22.264, vtr=3.0, T=24.0, dt=1.0, B=1.0, Lf=1.0, chunk=4
-)
-
-
 class TestSweep:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         Vm=st.lists(st.floats(5.0, 90.0), min_size=1, max_size=3),
         Rm=st.lists(st.floats(5.0, 80.0), min_size=1, max_size=3),
-        nx=st.integers(1, 12),
-        ny=st.integers(1, 12),
-        cell=st.floats(1.0, 60.0),
-        vtr=st.floats(0.5, 12.0),
-        T=st.floats(1.0, 30.0),
-        dt=st.sampled_from([0.5, 1.0, 3.0]),
         B=st.sampled_from([0.6, 1.0, 1.5, 2.5]),
+        alpha=st.floats(1.0, 1e4),
         Lf=st.floats(0.0, 5.0),
         chunk=st.sampled_from([1, 2, 3, aggregate._SWEEP_CHUNK]),
     )
-    # The mirror fold evaluates ceil(nx / 2) columns: one column with nothing
-    # mirrored, one mirrored, and the default grid's odd and even neighbours,
-    # each with a partial last chunk of storms.
-    @example(nx=1, **MIRROR_CASE)
-    @example(nx=2, **MIRROR_CASE)
-    @example(nx=24, **MIRROR_CASE)
-    @example(nx=25, **MIRROR_CASE)
+    # Six storms in chunks of four: a partial last chunk.
+    @example(Vm=[30.0, 50.0, 70.0], Rm=[20.0, 40.0], B=1.0, alpha=P.alpha, Lf=1.0, chunk=4)
     # Repeated Vm and Rm values, and Vm at and below Vcrit (all-nominal storms).
-    @example(**{**MIRROR_CASE, "Vm": [30.0, 15.0, 30.0, VCRIT], "Rm": [40.0, 20.0, 40.0], "nx": 25, "chunk": 3})
-    @example(**{**MIRROR_CASE, "Vm": [10.0, VCRIT, 10.0], "Rm": [30.0, 30.0], "nx": 24, "B": 2.5, "chunk": 2})
-    def test_bit_identical_to_reference_loop(self, Vm, Rm, nx, ny, cell, vtr, T, dt, B, Lf, chunk):
-        # A config whose T / dt rounds to no step is rejected (TestSweepConfig).
-        assume(round(T / dt) >= 1)
-        config = SweepConfig(nx=nx, ny=ny, cell_size=cell, vtr=vtr, T=T, dt=dt, B=B)
+    @example(Vm=[30.0, 15.0, 30.0, VCRIT], Rm=[40.0, 20.0, 40.0], B=1.0, alpha=P.alpha, Lf=1.0, chunk=3)
+    @example(Vm=[10.0, VCRIT, 10.0], Rm=[30.0, 30.0], B=2.5, alpha=P.alpha, Lf=1.0, chunk=2)
+    def test_bit_identical_to_reference_loop(self, Vm, Rm, B, alpha, Lf, chunk):
+        nhpp = NhppParams(alpha=alpha)
         repair = RepairParams(Lf=Lf, Y=2.0)
         # Up to 9 storms in chunks of 1-3: full, partial and single-storm chunks.
         with mock.patch.object(aggregate, "_SWEEP_CHUNK", chunk):
-            got = damage_loss_sweep(Vm, Rm, nhpp=P, repair=repair, config=config)
-        ref = sweep_reference(Vm, Rm, P, repair, config)
+            got = damage_loss_sweep(Vm, Rm, nhpp=nhpp, repair=repair, B=B)
+        ref = sweep_reference(Vm, Rm, nhpp, repair, B)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
 
@@ -282,20 +267,14 @@ class TestSweep:
         Vm, Rm = np.linspace(15.0, 80.0, 5), [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
         assert len(Vm) * len(Rm) % aggregate._SWEEP_CHUNK != 0
         assert len(Vm) * len(Rm) > 2 * aggregate._SWEEP_CHUNK
-        got = damage_loss_sweep(Vm, Rm, config=SMALL)
-        ref = sweep_reference(Vm, Rm, P, RepairParams(), SMALL)
+        got = damage_loss_sweep(Vm, Rm)
+        ref = sweep_reference(Vm, Rm, P, RepairParams())
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
 
-    def test_asymmetric_grid_refused(self):
-        xs, ys = SMALL.grid_centers()
-        with mock.patch.object(SweepConfig, "grid_centers", lambda self: (xs + 1.0, ys)):
-            with pytest.raises(ValueError, match="symmetric about the track"):
-                damage_loss_sweep([40.0], [30.0], config=SMALL)
-
     @pytest.mark.parametrize("Vm, Rm", [([], [20.0]), ([25.0], []), ([], [])])
     def test_empty_sweep(self, Vm, Rm):
-        out = damage_loss_sweep(Vm, Rm, config=SMALL)
+        out = damage_loss_sweep(Vm, Rm)
         assert len(out) == 4
         for a in out:
             assert a.shape == (0,) and a.dtype == np.float64
@@ -303,15 +282,15 @@ class TestSweep:
     @pytest.mark.parametrize("Vm, Rm", [(np.nan, 20.0), (25.0, np.inf), (25.0, np.nan)])
     def test_non_finite_storm_rejected(self, Vm, Rm):
         with pytest.raises(ValueError, match="must be finite and > 0"):
-            damage_loss_sweep([40.0, Vm], [30.0, Rm], config=SMALL)
+            damage_loss_sweep([40.0, Vm], [30.0, Rm])
 
     def test_profile_evaluated_once_per_radius(self):
         Vm, Rm = [25.0, 37.0, 46.0, 37.0], [20.0, 30.0, 20.0]
         with mock.patch.object(aggregate, "_wind_steps", wraps=aggregate._wind_steps) as steps:
-            damage_loss_sweep(Vm, Rm, config=SMALL)
-        assert [c.args[0] for c in steps.call_args_list] == [HollandParams(Vm=1.0, Rm=r, B=SMALL.B) for r in Rm]
+            damage_loss_sweep(Vm, Rm, B=1.5)
+        assert [c.args[0] for c in steps.call_args_list] == [HollandParams(Vm=1.0, Rm=r, B=1.5) for r in Rm]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         Vm=st.lists(st.one_of(st.floats(5.0, 90.0), st.sampled_from(BAD_PARAMS)), max_size=4),
         Rm=st.lists(st.one_of(st.floats(5.0, 80.0), st.sampled_from(BAD_PARAMS)), max_size=4),
@@ -321,18 +300,16 @@ class TestSweep:
     @example(Vm=[np.nan, 40.0], Rm=[30.0, np.inf], B=1.0)  # Vm fails first, at (0, 0)
     @example(Vm=[], Rm=[np.nan], B=np.nan)  # no storm, nothing to check
     def test_first_invalid_storm_in_sweep_order_raises(self, Vm, Rm, B):
-        config = SweepConfig(nx=2, ny=2, cell_size=40.0, T=2.0)
-        object.__setattr__(config, "B", B)  # past SweepConfig's own check
         try:
             for v in Vm:
                 for r in Rm:
                     HollandParams(Vm=v, Rm=r, B=B)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                damage_loss_sweep(Vm, Rm, config=config)
+                damage_loss_sweep(Vm, Rm, B=B)
             assert str(raised.value) == str(exc)
         else:
-            damage_loss_sweep(Vm, Rm, config=config)
+            damage_loss_sweep(Vm, Rm, B=B)
 
     def test_peak_memory_grows_only_by_the_outputs(self):
         # Vm, Rm, damage and loss: 32 bytes per storm, plus 4 kB that the
@@ -364,10 +341,9 @@ class TestSweep:
         assert peak < 2_000_000
 
     def test_small_sweep_shapes_and_nominal_floor(self):
-        cfg = SweepConfig(nx=6, ny=8, cell_size=40.0, T=6.0)
-        Vm, Rm, d, lo = damage_loss_sweep([25, 37], [20, 40], config=cfg)
+        Vm, Rm, d, lo = damage_loss_sweep([25, 37], [20, 40])
         assert len(Vm) == 4
-        nominal = cfg.T * NhppParams().lambda_norm
+        nominal = T * NhppParams().lambda_norm
         assert np.all(d >= nominal - 1e-15)
         assert np.all(lo > 0)
         # Bigger storms do more damage.
@@ -379,34 +355,6 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_sha256=q"
         assert lines[1] == "Vm,Rm,damage_norm,loss_norm"
-
-
-class TestSweepConfig:
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"nx": 0},
-            {"ny": 0},
-            {"cell_size": 0.0},
-            {"cell_size": np.inf},
-            {"T": -5.0},
-            {"T": np.nan},
-            {"dt": 0.0},
-            {"dt": np.inf},
-            {"B": 0.0},
-            {"B": np.nan},
-            {"vtr": -1.0},
-            {"vtr": np.inf},
-            {"vtr": np.nan},
-            {"T": 1.0, "dt": 3.0},  # T / dt rounds to no step
-        ],
-    )
-    def test_invalid_rejected(self, bad):
-        with pytest.raises(ValueError):
-            SweepConfig(**bad)
-
-    def test_stationary_storm_allowed(self):
-        assert np.all(SweepConfig(vtr=0.0).centre_y() == 0.0)
 
 
 class TestDamageFit:
@@ -545,7 +493,7 @@ DROP_P = st.sampled_from([0.0, 0.05, 0.5, 1.1])
 
 
 class TestScanFit:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         p1s=P1S,
         p2s=P2S,
@@ -568,7 +516,7 @@ class TestScanFit:
         assert (p1, p2, terms) == ref[:3]
         assert_same_fit(fit, ref[3])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         ps=st.lists(st.sampled_from([1.2, 1.6, 1.61, 2.0]), min_size=1, max_size=5),
         noise=NOISE,
@@ -600,7 +548,7 @@ class TestScanFit:
         assert_same_fit(fit, ref[3])
 
     def test_real_grids_match_reference(self):
-        Vm, Rm, damage, loss = damage_loss_sweep(np.arange(21.0, 81.0, 4.0), [20.0, 30.0, 40.0, 50.0], config=SMALL)
+        Vm, Rm, damage, loss = damage_loss_sweep(np.arange(21.0, 81.0, 4.0), [20.0, 30.0, 40.0, 50.0])
         model = fit_damage_model(Vm, Rm, damage, VCRIT)
         ref = damage_fit_reference(Vm, Rm, damage, VCRIT)
         assert (model.p1, model.p2, model.terms) == ref[:3]
@@ -631,7 +579,7 @@ SCREEN_VM, SCREEN_RM = (
 class TestScreen:
     """`_screen` keeps a band of candidates that always holds the exact argmin."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         p1=st.sampled_from([1.0, 1.07, 1.13, 1.3, 1.5]),
         p2=st.sampled_from([-0.5, -0.2, 0.0, 0.1, 0.37, 0.5]),
@@ -653,7 +601,7 @@ class TestScreen:
         assert band is not None and len(band) >= 1
         assert exact_argmin(y, candidates, design) in band
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         p=st.sampled_from([1.2, 1.5, 1.61, 2.0]),
         mix=st.sampled_from([0.0, 0.5]),
@@ -721,7 +669,7 @@ class TestFitCallCount:
     @pytest.mark.parametrize("target", ["damage", "loss"])
     def test_exact_fits_at_most_band_plus_two(self, target):
         Vm_grid, Rm_grid = np.arange(21.0, 81.0, 6.0), np.arange(20.0, 51.0, 5.0)
-        Vm, Rm, damage, loss = damage_loss_sweep(Vm_grid, Rm_grid, config=SMALL)
+        Vm, Rm, damage, loss = damage_loss_sweep(Vm_grid, Rm_grid)
         calls, bands = [], []
 
         def counted(*args, **kwargs):

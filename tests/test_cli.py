@@ -229,6 +229,29 @@ class TestConfig:
         ]
         assert rows == schema
 
+    @pytest.mark.parametrize("path, default", [row[:2] for row in cli.CONFIG_SCHEMA], ids=lambda x: str(x))
+    def test_every_field_reaches_the_run(self, path, default):
+        # Another valid value of each field changes what the commands read,
+        # except for the label `scenario`, which enters only the hash, and
+        # `times.t0_h`, which no command reads.
+        if isinstance(default, bool):
+            other = not default
+        elif default is None:
+            other = "counties.csv"
+        elif isinstance(default, str):
+            other = {"N": "S"}.get(default, default + "2")
+        elif isinstance(default, list):
+            other = [x + 1.0 for x in default]
+        else:
+            other = default + 1
+
+        def run(overrides):
+            built = cli._build(load_config(None, overrides))
+            return built._replace(digest=None, sweep=[axis.tolist() for axis in built.sweep])
+
+        changed = run([f"{path}={json.dumps(other)}"]) != run([])
+        assert changed == (path not in ("scenario", "times.t0_h"))
+
     def test_hash_stable_and_sensitive(self):
         a = load_config(None, [])
         b = load_config(None, ["grid.nx=7"])
@@ -521,18 +544,48 @@ class TestCritzoneAndSweeps:
         assert [int(c) for c in lines[2:]] == zone.cells.tolist()
 
     @pytest.mark.parametrize(
-        "sets", [["nhpp.Vcrit_mps=1e-300"], ["nhpp.Vcrit_mps=1e-160"], ["nhpp.Vcrit_mps=1e-30", "holland.B=0.1"]]
+        "sets",
+        [
+            ["nhpp.Vcrit_mps=1e-300"],
+            ["nhpp.Vcrit_mps=1e-160"],
+            ["nhpp.Vcrit_mps=1e-30", "holland.B=0.1"],
+            ["nhpp.Vcrit_mps=1e-160", "holland.B=2"],  # a finite radius, but its obround area is not
+        ],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_critzone_tiny_threshold_exits_0(self, tmp_path, sets):
-        # The closed-form window radius underflows (y = 0) or overflows
-        # (y^(-1/B)); the window is then the whole grid.
+    def test_critzone_tiny_threshold_exits_2(self, tmp_path, capsys, sets):
+        # The critical radius or the obround area is past every float.
         argv = ["critzone", "--config", _write_config(tmp_path)]
         for assignment in sets:
             argv += ["--set", assignment]
-        assert main(argv) == 0
-        report = json.loads((tmp_path / "out" / "critzone_stats.json").read_text())
-        assert report["n_cells"] == 144
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid input: nhpp.Vcrit_mps: too small: a critical radius, zone area or failure rate"
+            " is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the intensity overflows
+    def test_critzone_overflowing_rates_exit_2(self, tmp_path, capsys):
+        # B = 1000 keeps the radius and its area small; the rates overflow.
+        argv = ["critzone", "--config", _write_config(tmp_path), "--set", "nhpp.Vcrit_mps=1e-160"]
+        assert main(argv + ["--set", "holland.B=1000"]) == 2
+        assert "nhpp.Vcrit_mps: too small" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("Vcrit, radius", [("1e-300", "inf"), ("1e-3", "2.4e+10")])
+    def test_sweep_fit_critzone_oversize_swath_exits_2(self, tmp_path, capsys, Vcrit, radius):
+        # An infinite radius, or a finite one whose swath grid passes the cap,
+        # is refused before any storm is run.
+        cfg = _write_config(
+            tmp_path,
+            sweep={"Vm_min": 21, "Vm_max": 80, "Vm_step": 20, "Rm_min": 20, "Rm_max": 50, "Rm_step": 15},
+        )
+        assert main(["sweep-fit", "--config", cfg, "--target", "critzone", "--set", f"nhpp.Vcrit_mps={Vcrit}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid input: nhpp.Vcrit_mps: too small: storm (Vm=21, Rm=20) has critical radius {radius} km;"
+            " its swath grid passes 1,000,000,000 cell-steps\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_fit_critzone(self, tmp_path):
         cfg = _write_config(
@@ -587,7 +640,7 @@ class TestCritzoneAndSweeps:
         assert 1.2 <= report["p"] <= 2.0
 
     def test_sweep_fit_damage_honours_holland_b(self, tmp_path):
-        from stormrisk import NhppParams, SweepConfig, damage_loss_sweep, save_agg_sweep
+        from stormrisk import NhppParams, damage_loss_sweep, save_agg_sweep
 
         sweep = {"Vm_min": 22, "Vm_max": 80, "Vm_step": 6, "Rm_min": 20, "Rm_max": 50, "Rm_step": 15}
         Vm, Rm = np.arange(22.0, 80.0 + 1e-9, 6.0), np.arange(20.0, 50.0 + 1e-9, 15.0)
@@ -599,7 +652,7 @@ class TestCritzoneAndSweeps:
 
         got = sweep_rows(1.5)
         expected = tmp_path / "expected.csv"
-        save_agg_sweep(*damage_loss_sweep(Vm, Rm, nhpp=NhppParams(), config=SweepConfig(B=1.5)), expected)
+        save_agg_sweep(*damage_loss_sweep(Vm, Rm, nhpp=NhppParams(), B=1.5), expected)
         assert got == expected.read_text().splitlines()
         assert got != sweep_rows(1.0)
 

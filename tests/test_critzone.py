@@ -9,7 +9,6 @@ from stormrisk import (
     Grid,
     HollandParams,
     NhppParams,
-    TableConfig,
     TimeAxis,
     Track,
     axisymmetric_field,
@@ -29,6 +28,7 @@ from stormrisk import (
     zone_failure_stats,
     zone_sweep,
 )
+from stormrisk import critzone
 from stormrisk.critzone import SWEEP_HEADER, _critical_radii, _window_radius, _zone_stats
 from stormrisk.csvio import TABLE_FMT, _write_csv
 
@@ -123,7 +123,7 @@ VM_OVER_VTHRES = st.one_of(
 
 
 class TestVectorisedBisection:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         storms=st.lists(
             st.tuples(VM_OVER_VTHRES, st.floats(1.0, 100.0), st.floats(0.5, 2.5)), min_size=1, max_size=12
@@ -276,7 +276,7 @@ def zone_area_by_1024_rows(track, p, times, Vthres, cell_size):
 
 class TestBlockedZoneArea:
     @pytest.mark.filterwarnings("error")
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         q=VM_OVER_VTHRES.filter(lambda q: q <= 2.0),
         Rm=st.floats(5.0, 40.0),
@@ -334,7 +334,7 @@ def dense_swath(track, p, grid, times, nhpp, asymmetric=False, hemisphere="N"):
 
 
 class TestWindowRadius:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         Vm=st.floats(5.0, 90.0),
         Rm=st.floats(1.0, 100.0),
@@ -361,7 +361,7 @@ class TestWindowRadius:
 
 
 class TestStormSwath:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         Vm=st.floats(8.0, 70.0),
         Rm=st.floats(5.0, 60.0),
@@ -396,8 +396,7 @@ class TestStormSwath:
         assert np.array_equal(zone, ref_zone)
 
     def test_matches_dense_reference_on_table_storm(self):
-        cfg = TableConfig(n_steps=30)
-        grid, times, track = cfg.grid(), cfg.times(), cfg.track()
+        grid, times, track = critzone._TABLE_GRID, TimeAxis(n_steps=30), critzone._TABLE_TRACK
         nhpp = NhppParams()
         for (Vm, Rm), asym in itertools.product([(25, 20), (46, 40)], (False, True)):
             p = HollandParams(Vm=float(Vm), Rm=float(Rm))
@@ -406,6 +405,23 @@ class TestStormSwath:
             assert np.array_equal(rates, ref_rates)
             assert np.array_equal(zone, ref_zone)
             assert 0 < np.count_nonzero(zone) < grid.n_cells
+
+    @pytest.mark.parametrize("Vcrit, B", [(1e-300, 1.0), (1e-160, 1.0), (1e-30, 0.1)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the intensity overflows
+    def test_tiny_threshold_window_is_the_whole_grid(self, Vcrit, B):
+        # The closed-form window radius underflows (y = 0) or overflows
+        # (y^(-1/B)); the window is then the whole grid.
+        p = HollandParams(Vm=37.0, Rm=30.0, B=B)
+        assert _window_radius(p, Vcrit) == np.inf
+        track = Track(x0=(0.0, -30.0), Vtr=(0.0, 3.0), duration=6.0)
+        grid = Grid(origin=(-36.0, -36.0), nx=12, ny=12, cell_size=6.0)
+        times = TimeAxis(n_steps=6)
+        nhpp = NhppParams(Vcrit=Vcrit)
+        rates, zone = storm_swath(track, p, grid, times, nhpp)
+        ref_rates, ref_zone = dense_swath(track, p, grid, times, nhpp)
+        assert np.array_equal(rates, ref_rates)
+        assert np.array_equal(zone, ref_zone)
+        assert zone.all()
 
     def test_unknown_hemisphere_rejected(self):
         p, track, grid, times = TestNumericZone()._setup(cell=10.0)
@@ -503,9 +519,11 @@ class TestAreaFit:
 
 
 class TestBenchmarkTables:
-    def test_structure_on_small_domain(self):
-        cfg = TableConfig(domain_width=300.0, domain_depth=400.0, cell_size=10.0, n_steps=20)
-        records = tables123(cfg)
+    def test_structure_on_small_domain(self, monkeypatch):
+        monkeypatch.setattr(critzone, "_TABLE_GRID", Grid(origin=(0.0, 0.0), nx=30, ny=40, cell_size=10.0))
+        monkeypatch.setattr(critzone, "_TABLE_TIMES", TimeAxis(n_steps=20))
+        monkeypatch.setattr(critzone, "_TABLE_TRACK", Track(x0=(150.0, 10.0), Vtr=(0.0, 3.3), duration=20.0))
+        records = tables123()
         assert len(records) == 9
         for rec in records:
             assert rec["area_asym_km2"] > 0
@@ -513,11 +531,12 @@ class TestBenchmarkTables:
             assert rec["mean_fr_axi"] > 0
 
     def test_default_config_grid_dimensions(self):
-        cfg = TableConfig()
-        g = cfg.grid()
-        assert g.nx * g.ny == g.n_cells
-        assert cfg.times().n_steps == 121
-        assert cfg.track().Vtr[0] == 0.0
+        g = critzone._TABLE_GRID
+        assert (g.nx, g.ny, g.cell_size) == (186, 236, 5.35568345)
+        assert (critzone._TABLE_TIMES.n_steps, critzone._TABLE_TIMES.dt) == (121, 1.0)
+        assert critzone._TABLE_TRACK.Vtr[0] == 0.0
+        # The storm runs up the middle of the domain.
+        assert critzone._TABLE_TRACK.x0[0] == pytest.approx(g.nx * g.cell_size / 2.0, abs=1.0)
 
 
 def zone_rate_stats(p, nparams, track, times, rc):

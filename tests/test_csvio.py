@@ -256,7 +256,7 @@ def ensembles(draw) -> Ensemble:
 
 
 class TestVelocityWriter:
-    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ensembles(), st.integers(1, 3), st.sampled_from([None, TAG]))
     def test_bytes_match_reference_writer(self, tmp_path, e, block, comment):
         # Blocks of 1-3 cells end mid-member and mid-grid.
@@ -268,7 +268,7 @@ class TestVelocityWriter:
         assert (tmp_path / "ens.csv").read_bytes() == (tmp_path / "ref_ens.csv").read_bytes()
         assert (tmp_path / "wf.csv").read_bytes() == (tmp_path / "ref_wf.csv").read_bytes()
 
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ensembles(), st.integers(1, 3))
     def test_round_trip_bit_equal(self, tmp_path, e, block):
         with mock.patch.object(csvio, "_BLOCK_CELLS", block):
@@ -316,12 +316,12 @@ FIXED_BITS = (int(np.float64(1.0).view(np.uint64)), int(np.float64(1e16).view(np
 class TestVelocityBytes:
     """`csvio._velocity_bytes` against `%` itself, byte for byte."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.floats(), min_size=1, max_size=20))
     def test_any_floats(self, xs):
         assert csvio._velocity_bytes(np.array(xs)) == percent_17g(xs)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.integers(0, 2**64 - 1) | st.integers(*FIXED_BITS), min_size=1, max_size=50))
     def test_any_bit_patterns(self, bits):
         x = np.array(bits, dtype=np.uint64).view(np.float64)
@@ -557,7 +557,7 @@ def outcome(read, path, header, shape):
 class TestOnePassReader:
     """`_read_velocities` against the two-pass reader it replaced."""
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(velocity_tables())
     def test_matches_the_two_pass_reader(self, tmp_path, table):
         shape, header, lines, faults = table

@@ -298,7 +298,7 @@ class TestStreamingReducers:
     it replaces: `np.stack(...)` of every member, then one reduction over the
     members axis.  Bits, not values, are compared."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         H=st.integers(1, 6),
         n_cells=st.integers(1, 13),

@@ -106,7 +106,6 @@ class TestIntensity:
     def test_at_least_nominal(self, v):
         assert poisson_intensity(P, v) >= P.lambda_norm * (1 - 1e-15)
 
-    @settings(deadline=None)
     @given(
         v=hnp.arrays(
             np.float64,
@@ -168,7 +167,7 @@ class TestFailureRate:
 
 
 class TestBlockedFailureRate:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         shape=st.one_of(
             st.tuples(st.integers(1, 700), st.integers(1, 130)),

@@ -100,7 +100,7 @@ class TestVmScaling:
     its speeds by each Vm; that is exact because the profile's last step is
     the product by Vm."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(storm=STORM, Vm=st.floats(1e-300, 1e300), radii=st.lists(RADII, min_size=1, max_size=40))
     @example(storm=(1.0, 30.0, 1.0), Vm=46.0, radii=[0.0, 5e-324, 1e300])
     @example(storm=(1.0, 30.0, 1.7), Vm=46.0, radii=[0.0, 5e-324, 1e300])
@@ -122,7 +122,7 @@ class TestVmScaling:
 
 
 class TestInPlaceSpeed:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(storms=st.lists(STORM, min_size=1, max_size=6), radii=st.lists(RADII, min_size=1, max_size=40))
     def test_equals_whole_array_expression(self, storms, radii):
         for r in (np.array(radii), np.array(radii[:1]).reshape(()), np.array(radii).reshape(-1, 1)):
@@ -134,7 +134,7 @@ class TestInPlaceSpeed:
                 assert got.shape == ref.shape
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         origin=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
         nx=st.integers(1, 40),
@@ -260,7 +260,7 @@ def dense_field_reference(track, p, grid, times, asymmetric=False, hemisphere="N
 
 
 class TestFieldsMatchReference:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         Vm=st.floats(8.0, 70.0),
         Rm=st.floats(5.0, 60.0),
@@ -292,7 +292,7 @@ class TestFieldsMatchReference:
         ref = dense_field_reference(track, p, grid, times, asymmetric, hemisphere)
         assert np.array_equal(field.velocities, ref)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         Vm=st.floats(8.0, 70.0),
         Rm=st.floats(5.0, 60.0),

@@ -47,15 +47,17 @@ print(f"maximum failure rate:   {rates.max():.3f} failures/km")
 
 # The critical zone: cells that at some time sit inside Rm or see winds at or
 # above the critical velocity.
-zone = critical_zone_numeric(field, nhpp.Vcrit, params, track)
+zone = critical_zone_numeric(field, nhpp.Vcrit, params, track)  # one bool per cell
 stats = zone_failure_stats(rates, zone)
-print(f"zone cells: {zone.n_cells} of {grid.n_cells}  ->  {zone.area:.0f} km^2")
+n_zone = np.count_nonzero(zone)
+area = n_zone * grid.cell_area
+print(f"zone cells: {n_zone} of {grid.n_cells}  ->  {area:.0f} km^2")
 print(f"zone failure rates: max {stats['max']:.3f}, mean {stats['mean']:.3f} failures/km")
 
 # For a straight constant storm the zone is an obround: a disc of the
 # critical radius dragged along the track.
 rcrit = critical_radius(params, nhpp.Vcrit)
 closed = obround_area(rcrit, times.duration, track.Vtr)
-rel = abs(zone.area - closed) / closed
+rel = abs(area - closed) / closed
 print(f"critical radius: {rcrit:.1f} km")
 print(f"obround area:    {closed:.0f} km^2  (numeric zone within {rel:.1%})")

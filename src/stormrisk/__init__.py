@@ -19,7 +19,6 @@ from .aggregate import (
 )
 from .critzone import (
     CritAreaFit,
-    CriticalZone,
     CritRadiusFit,
     axisymmetric_zone_area,
     critical_radius,

@@ -87,6 +87,7 @@ def damage_loss_sweep(
 
     Returns flat arrays (Vm, Rm, damage, loss), Vm outer.  Damage is the mean
     cellwise failure rate over the region; loss the mean cellwise plug-in repair loss.
+    A value past every float is inf, with no overflow warning.
     """
     nhpp = nhpp or NhppParams()
     repair = repair or RepairParams()
@@ -101,20 +102,21 @@ def damage_loss_sweep(
     half = (np.arange((_NX + 1) // 2) - (_NX - 1) / 2.0) * _CELL
     ys = (np.arange(_NY) - (_NY - 1) / 2.0) * _CELL
     # One Vm = 1 profile per radius; no radius is checked or run without a Vm.
-    for j, Rm_j in enumerate(Rm_axis.tolist() if Vm.size else []):
-        speeds = np.stack([v for _, _, v in _wind_steps(HollandParams(1.0, Rm_j, B), half, ys, pos)])
-        for lo in range(0, Vm_axis.size, _SWEEP_CHUNK):
-            Vm_chunk = Vm_axis[lo : lo + _SWEEP_CHUNK, None, None]
-            lam = np.zeros((len(Vm_chunk),) + speeds.shape[1:])
-            v = np.empty_like(lam)
-            for s in speeds:
-                np.multiply(s, Vm_chunk, out=v)
-                lam += _intensity(nhpp, v, out=v)
-            lam = np.concatenate([lam, lam[:, : _NX // 2][:, ::-1]], axis=1)
-            lam = lam.reshape(len(lam), -1) * _DT
-            # Row means keep each storm's pairwise summation over its cells.
-            damage[lo : lo + _SWEEP_CHUNK, j] = lam.mean(axis=1)
-            loss[lo : lo + _SWEEP_CHUNK, j] = repair.half_ratio * np.mean(lam * lam, axis=1)
+    with np.errstate(over="ignore"):
+        for j, Rm_j in enumerate(Rm_axis.tolist() if Vm.size else []):
+            speeds = np.stack([v for _, _, v in _wind_steps(HollandParams(1.0, Rm_j, B), half, ys, pos)])
+            for lo in range(0, Vm_axis.size, _SWEEP_CHUNK):
+                Vm_chunk = Vm_axis[lo : lo + _SWEEP_CHUNK, None, None]
+                lam = np.zeros((len(Vm_chunk),) + speeds.shape[1:])
+                v = np.empty_like(lam)
+                for s in speeds:
+                    np.multiply(s, Vm_chunk, out=v)
+                    lam += _intensity(nhpp, v, out=v)
+                lam = np.concatenate([lam, lam[:, : _NX // 2][:, ::-1]], axis=1)
+                lam = lam.reshape(len(lam), -1) * _DT
+                # Row means keep each storm's pairwise summation over its cells.
+                damage[lo : lo + _SWEEP_CHUNK, j] = lam.mean(axis=1)
+                loss[lo : lo + _SWEEP_CHUNK, j] = repair.half_ratio * np.mean(lam * lam, axis=1)
     return Vm, Rm, damage.ravel(), loss.ravel()
 
 

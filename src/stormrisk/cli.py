@@ -293,6 +293,15 @@ def _load(loader, name: str, path):
 # =============================================================================
 
 
+def _require_finite(*values) -> None:
+    """Refuse results past every float, as a threshold far below the storm's
+    winds gives: a critical radius, zone area, failure rate, exposure, damage
+    or loss.  Each value is a number or an array; a command calls it before
+    it makes any output."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ConfigError("nhpp.Vcrit_mps", "too small: a critical radius, zone area or failure rate is not finite")
+
+
 def cmd_windfield(run: _Run, args) -> None:
     if run.spec.asymmetric:
         field = asymmetric_field(run.track, run.holland, run.grid, run.times, hemisphere=run.spec.hemisphere)
@@ -308,6 +317,7 @@ def cmd_ensemble(run: _Run, args) -> None:
 def cmd_failure_rates(run: _Run, args) -> None:
     reduce = nhpp._fr1 if args.which == "fr1" else nhpp._fr2
     rates = reduce(run.nhpp, _members(run, args.threads), run.times.dt)
+    _require_finite(rates)
     nhpp.save_failure_rate_field(rates, run.out(f"failure_rates_{args.which}.csv"), header_comment=run.tag)
 
 
@@ -325,17 +335,11 @@ def cmd_fail_dist(run: _Run, args) -> None:
         raise ConfigError("--n-max", "must be >= 0")
     xs, ys, rows = _sub_grid(run.grid, cells)
     rates = nhpp._member_rates(run.nhpp, _members(run, args.threads, (xs, ys)), rows, run.times.dt)
+    _require_finite(rates)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
     for j, cell in enumerate(cells):
         dist = make(rates[:, j], args.n_max)
         nhpp.save_failure_distribution(dist, run.out(f"fail_dist_{args.kind}_cell{cell}.csv"), run.tag)
-
-
-def _require_finite(*values) -> None:
-    """Refuse a result past every float, as a threshold far below the
-    storm's winds gives: a critical radius, zone area or failure rate."""
-    if not np.all(np.isfinite(values)):
-        raise ConfigError("nhpp.Vcrit_mps", "too small: a critical radius, zone area or failure rate is not finite")
 
 
 def cmd_critzone(run: _Run, args) -> None:
@@ -347,7 +351,7 @@ def cmd_critzone(run: _Run, args) -> None:
     rates, zone = critzone.storm_swath(
         run.track, run.holland, run.grid, run.times, run.nhpp, asymmetric=s.asymmetric, hemisphere=s.hemisphere
     )
-    stats = critzone._zone_stats(rates, zone)
+    stats = critzone.zone_failure_stats(rates, zone)
     _require_finite(stats["max"], stats["mean"])
     cells = np.flatnonzero(zone)
     rows = ([cell] for cell in cells)
@@ -407,6 +411,7 @@ def cmd_sweep_fit(run: _Run, args) -> None:
     if args.target == "damage" and np.any(run.sweep[0] <= Vcrit):
         raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({Vcrit:g}) for --target damage")
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, B=run.holland.B)
+    _require_finite(damage, loss)
     aggregate.save_agg_sweep(Vm, Rm, damage, loss, run.out(f"{args.target}_sweep.csv"), header_comment=run.tag)
     if args.target == "damage":
         model = aggregate.fit_damage_model(Vm, Rm, damage, Vcrit)
@@ -443,6 +448,7 @@ def cmd_outage_fit(run: _Run, args) -> None:
     x = np.array(
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )
+    _require_finite(x)
     fit = glm.fit_binomial(
         np.column_stack([np.ones_like(x), x]),
         np.array([obs.outages for obs in observations], dtype=float),
@@ -466,6 +472,7 @@ def cmd_outage_fit(run: _Run, args) -> None:
 
 def cmd_tables123(run: _Run, args) -> None:
     records = critzone.tables123(nhpp=run.nhpp)
+    _require_finite(*(rec[c] for rec in records for c in critzone.TABLE_HEADER[2:]))
     rows = (
         [str(rec["Vm"]), str(rec["Rm"])] + [format(rec[c], TABLE_FMT) for c in critzone.TABLE_HEADER[2:]]
         for rec in records

@@ -78,53 +78,29 @@ def _critical_radii(Vm, Rm, B, Vthres: float) -> np.ndarray:
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class CriticalZone:
-    """Cells of a grid belonging to the critical zone.
-
-    `cells` are sorted grid ids; `area` is their total area in km^2.
-    """
-
-    cells: np.ndarray
-    area: float
-    Vthres: float
-
-    def __post_init__(self):
-        if self.Vthres <= 0:
-            raise ValueError("Vthres must be > 0")
-        object.__setattr__(self, "cells", np.asarray(self.cells, dtype=int))
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
-    def mask(self, n_cells_total: int) -> np.ndarray:
-        m = np.zeros(n_cells_total, dtype=bool)
-        m[self.cells] = True
-        return m
-
-
 def critical_zone_numeric(
     field: WindField,
     Vthres: float,
     p: HollandParams,
     track: Track,
-) -> CriticalZone:
-    """Union over times of the per-time critical zones of a wind field.
+) -> np.ndarray:
+    """Boolean mask, one entry per grid cell, of the union over times of the
+    per-time critical zones of a wind field.
 
     A cell enters if at any sample time it lies within Rm of the
     instantaneous storm centre, or its stored wind speed is >= `Vthres`.
     Works for both axisymmetric and asymmetric fields (the inside-Rm clause
     is always evaluated against the centre of the given track).
     """
+    if Vthres <= 0:
+        raise ValueError("Vthres must be > 0")
     grid = field.grid
     xs, ys = grid.axes()
     pos = track.position(field.times.offsets())
     inside = np.zeros((grid.nx, grid.ny), dtype=bool)
     for window, r, _ in _wind_steps(p, xs, ys, pos, reach=p.Rm + grid.cell_size):
         inside[window] |= r < p.Rm
-    cells = np.flatnonzero(inside.ravel() | np.any(field.velocities >= Vthres, axis=1))
-    return CriticalZone(cells=cells, area=len(cells) * grid.cell_area, Vthres=Vthres)
+    return inside.ravel() | np.any(field.velocities >= Vthres, axis=1)
 
 
 def obround_area(Rcrit: float, T: float, Vtr) -> float:
@@ -140,18 +116,15 @@ def obround_area(Rcrit: float, T: float, Vtr) -> float:
     return 2.0 * Rcrit * T * speed * MPS_TO_KMH + np.pi * Rcrit * Rcrit
 
 
-def _zone_stats(rates, zone) -> dict[str, float]:
-    """Maximum and mean of `rates` over a zone given as a boolean mask or as
-    sorted cell ids; both are 0 for an empty zone."""
+def zone_failure_stats(rates, zone: np.ndarray) -> dict[str, float]:
+    """Maximum and mean of `rates` over the boolean cell mask `zone`; both
+    are 0 for an empty zone.  A mean whose sum passes every float is inf,
+    with no overflow warning."""
     sub = np.asarray(rates, dtype=float)[zone]
     if sub.size == 0:
         return {"max": 0.0, "mean": 0.0}
-    return {"max": float(sub.max()), "mean": float(sub.mean())}
-
-
-def zone_failure_stats(rates, zone: CriticalZone) -> dict[str, float]:
-    """Maximum and mean failure rate over the zone's cells."""
-    return _zone_stats(rates, zone.cells)
+    with np.errstate(over="ignore"):
+        return {"max": float(sub.max()), "mean": float(sub.mean())}
 
 
 _AREA_ROWS = 32  # x-rows per block of `axisymmetric_zone_area`'s count
@@ -439,7 +412,8 @@ def storm_swath(
     step (the window invariant of `stormrisk.wind`).
 
     An asymmetric stationary storm (Vtr == (0, 0)) is the axisymmetric
-    storm, as in `asymmetric_field`.
+    storm, as in `asymmetric_field`.  A rate past every float, as a
+    threshold far below the winds gives, is inf, with no overflow warning.
     """
     Vtr = track.Vtr if asymmetric else (0.0, 0.0)
     Vhot = nhpp.Vcrit - float(np.hypot(*Vtr))
@@ -448,15 +422,16 @@ def storm_swath(
     pos = track.position(times.offsets())
     rates = np.zeros((grid.nx, grid.ny))
     zone = np.zeros((grid.nx, grid.ny), dtype=bool)
-    for window, r, v in _wind_steps(p, xs, ys, pos, reach, Vtr, hemisphere):
-        # Each cell adds this step's intensity to its rate, the window's
-        # evaluated and every other cell's lambda_norm.
-        hot = _intensity(nhpp, v)
-        hot += rates[window]
-        rates += nhpp.lambda_norm
-        rates[window] = hot
-        zone[window] |= (r < p.Rm) | (v >= nhpp.Vcrit)
-    rates *= times.dt
+    with np.errstate(over="ignore"):
+        for window, r, v in _wind_steps(p, xs, ys, pos, reach, Vtr, hemisphere):
+            # Each cell adds this step's intensity to its rate, the window's
+            # evaluated and every other cell's lambda_norm.
+            hot = _intensity(nhpp, v)
+            hot += rates[window]
+            rates += nhpp.lambda_norm
+            rates[window] = hot
+            zone[window] |= (r < p.Rm) | (v >= nhpp.Vcrit)
+        rates *= times.dt
     return rates.ravel(), zone.ravel()
 
 
@@ -472,7 +447,7 @@ def tables123(nhpp: NhppParams | None = None) -> list[dict]:
         rec = {"Vm": Vm, "Rm": Rm}
         for asym, label in ((False, "axi"), (True, "asym")):
             rates, zone = storm_swath(_TABLE_TRACK, p, _TABLE_GRID, _TABLE_TIMES, nhpp, asymmetric=asym)
-            stats = _zone_stats(rates, zone)
+            stats = zone_failure_stats(rates, zone)
             rec[f"area_{label}_km2"] = float(np.count_nonzero(zone)) * _TABLE_GRID.cell_area
             rec[f"max_fr_{label}"] = stats["max"]
             rec[f"mean_fr_{label}"] = stats["mean"]
@@ -502,7 +477,8 @@ def zone_sweep(Vm_values, Rm_values, nhpp: NhppParams, track: Track, times: Time
     pad = (Rcrit + 2.0 * cell)[:, None]
     lo = pos.min(axis=0) - pad
     shape = np.maximum(1.0, np.ceil((pos.max(axis=0) + pad - lo) / cell[:, None]))
-    too_big = ~(shape[:, 0] * shape[:, 1] * times.n_steps <= _MAX_CELL_STEPS)  # an inf radius too
+    with np.errstate(over="ignore"):  # an inf radius, or a product past every float, is too big
+        too_big = ~(shape[:, 0] * shape[:, 1] * times.n_steps <= _MAX_CELL_STEPS)
     if too_big.any():
         i = np.argmax(too_big)
         raise ValueError(
@@ -516,7 +492,7 @@ def zone_sweep(Vm_values, Rm_values, nhpp: NhppParams, track: Track, times: Time
         obround[i] = obround_area(rc, times.duration, track.Vtr)
         nx, ny = shape[i].astype(int).tolist()
         grid = Grid(origin=tuple(lo[i].tolist()), nx=nx, ny=ny, cell_size=float(cell[i]))
-        stats = _zone_stats(*storm_swath(track, p, grid, times, nhpp))
+        stats = zone_failure_stats(*storm_swath(track, p, grid, times, nhpp))
         max_fr[i], mean_fr[i] = stats["max"], stats["mean"]
     return Vm, Rm, Rcrit, area, obround, max_fr, mean_fr
 

@@ -89,14 +89,17 @@ def failure_rate(p: NhppParams, velocities, dt: float = 1.0):
 
     Sums poisson_intensity over the last axis times `dt`; an all-subcritical
     series of duration T returns lambda_norm * T.  Works on a single series
-    (shape (n_steps,)) or a field (shape (..., n_steps)).
+    (shape (n_steps,)) or a field (shape (..., n_steps)).  A rate past
+    every float, as a threshold far below the winds gives, is inf, with no
+    overflow warning; so are the ensemble rates and exposures below.
     """
     v = np.asarray(velocities, dtype=float)
     if v.size == 0:
         raise ValueError("velocities must be non-empty")
     series = v.reshape(-1, v.shape[-1])
-    out = _by_cells(lambda block: np.sum(poisson_intensity(p, block), axis=-1), series)
-    out = out.reshape(v.shape[:-1]) * dt
+    with np.errstate(over="ignore"):
+        out = _by_cells(lambda block: np.sum(poisson_intensity(p, block), axis=-1), series)
+        out = out.reshape(v.shape[:-1]) * dt
     if out.ndim == 0:
         return float(out)
     return out
@@ -146,7 +149,8 @@ def _fr1(p: NhppParams, velocities, dt: float) -> np.ndarray:
 
 
 def _fr2(p: NhppParams, velocities, dt: float) -> np.ndarray:
-    return _mean(failure_rate(p, v, dt) for v in velocities)
+    with np.errstate(over="ignore"):
+        return _mean(failure_rate(p, v, dt) for v in velocities)
 
 
 def _member_rates(p: NhppParams, velocities, rows, dt: float) -> np.ndarray:
@@ -163,7 +167,8 @@ def _cumulative_exposure(p: NhppParams, velocities, dt: float, predictor: str, s
     else:
         def running(v):
             return np.cumsum(v, axis=-1)[:, steps]
-    return _mean(_by_cells(running, v) for v in velocities)
+    with np.errstate(over="ignore"):
+        return _mean(_by_cells(running, v) for v in velocities)
 
 
 # =============================================================================

@@ -239,7 +239,7 @@ def test_criterion_06_set_equivalence():
         rates = failure_rate(P, field.velocities, times.dt)
         analytic = rates > nominal_rate(P, times.n_steps, times.dt)
         zone = critical_zone_numeric(field, P.Vcrit, p, track)
-        if not np.array_equal(analytic, zone.mask(grid.n_cells)):
+        if not np.array_equal(analytic, zone):
             ok = False
             break
     _crit(6, "{Λ > λnorm·T} equals numeric zone exactly, 10 random storms", ok)

@@ -510,6 +510,13 @@ class TestEnsembleCommands:
         assert not out.exists() or not any(out.iterdir())
 
 
+# The one line of a command whose results a tiny threshold makes non-finite.
+TOO_SMALL = (
+    "error: invalid input: nhpp.Vcrit_mps: too small: a critical radius, zone area or failure rate"
+    " is not finite\n"
+)
+
+
 class TestCritzoneAndSweeps:
     def test_critzone_outputs(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -541,7 +548,7 @@ class TestCritzoneAndSweeps:
             monkeypatch.setattr(wind, name, refuse)
         assert main(["critzone", "--config", cfg]) == 0
         lines = (tmp_path / "out" / "critzone_cells.csv").read_text().splitlines()
-        assert [int(c) for c in lines[2:]] == zone.cells.tolist()
+        assert [int(c) for c in lines[2:]] == np.flatnonzero(zone).tolist()
 
     @pytest.mark.parametrize(
         "sets",
@@ -558,18 +565,39 @@ class TestCritzoneAndSweeps:
         for assignment in sets:
             argv += ["--set", assignment]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: invalid input: nhpp.Vcrit_mps: too small: a critical radius, zone area or failure rate"
-            " is not finite\n"
-        )
+        assert capsys.readouterr().err == TOO_SMALL
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the intensity overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow is silent
     def test_critzone_overflowing_rates_exit_2(self, tmp_path, capsys):
         # B = 1000 keeps the radius and its area small; the rates overflow.
         argv = ["critzone", "--config", _write_config(tmp_path), "--set", "nhpp.Vcrit_mps=1e-160"]
         assert main(argv + ["--set", "holland.B=1000"]) == 2
-        assert "nhpp.Vcrit_mps: too small" in capsys.readouterr().err
+        assert capsys.readouterr().err == TOO_SMALL
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow is silent
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tables123"],
+            ["failure-rates"],
+            ["fail-dist"],
+            ["sweep-fit", "--target", "damage"],
+            ["sweep-fit", "--target", "loss"],
+            ["outage-fit"],
+        ],
+        ids=["tables123", "failure-rates", "fail-dist", "sweep-fit-damage", "sweep-fit-loss", "outage-fit"],
+    )
+    def test_overflowing_results_exit_2(self, tmp_path, capsys, argv):
+        # Every rate, exposure, damage and loss of these commands is inf.
+        if argv == ["outage-fit"]:
+            cfg, obs_csv = _outage_inputs(tmp_path)
+            argv = argv + ["--obs", str(obs_csv)]
+        else:
+            cfg = _write_config(tmp_path)
+        assert main(argv + ["--config", cfg, "--set", "nhpp.Vcrit_mps=1e-160"]) == 2
+        assert capsys.readouterr().err == TOO_SMALL
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("Vcrit, radius", [("1e-300", "inf"), ("1e-3", "2.4e+10")])

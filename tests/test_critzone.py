@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stormrisk import (
-    CriticalZone,
     Grid,
     HollandParams,
     NhppParams,
     TimeAxis,
     Track,
+    asymmetric_field,
     axisymmetric_field,
     axisymmetric_zone_area,
     critical_radius,
@@ -29,7 +29,7 @@ from stormrisk import (
     zone_sweep,
 )
 from stormrisk import critzone
-from stormrisk.critzone import SWEEP_HEADER, _critical_radii, _window_radius, _zone_stats
+from stormrisk.critzone import SWEEP_HEADER, _critical_radii, _window_radius
 from stormrisk.csvio import TABLE_FMT, _write_csv
 
 VTHRES = 20.6
@@ -189,26 +189,34 @@ class TestNumericZone:
         p, track, grid, times = self._setup()
         field = axisymmetric_field(track, p, grid, times)
         zone = critical_zone_numeric(field, VTHRES, p, track)
+        assert zone.dtype == bool and zone.shape == (grid.n_cells,)
         rc = critical_radius(p, VTHRES)
         expected = obround_area(rc, 10.0, 3.0)
-        assert zone.area == pytest.approx(expected, rel=3 * grid.cell_size / rc)
+        area = np.count_nonzero(zone) * grid.cell_area
+        assert area == pytest.approx(expected, rel=3 * grid.cell_size / rc)
 
     def test_subcritical_storm_zone_is_rm_swath(self):
         p, track, grid, times = self._setup(Vm=15)
         field = axisymmetric_field(track, p, grid, times)
         zone = critical_zone_numeric(field, VTHRES, p, track)
         expected = obround_area(p.Rm, 10.0, 3.0)
-        assert zone.area == pytest.approx(expected, rel=3 * grid.cell_size / p.Rm)
+        area = np.count_nonzero(zone) * grid.cell_area
+        assert area == pytest.approx(expected, rel=3 * grid.cell_size / p.Rm)
 
-    def test_mask(self):
-        zone = CriticalZone(cells=np.array([1, 3]), area=2.0, Vthres=VTHRES)
-        mask = zone.mask(5)
-        assert mask.tolist() == [False, True, False, True, False]
+    @pytest.mark.parametrize("Vthres", [0.0, -1.0])
+    def test_nonpositive_threshold_rejected(self, Vthres):
+        p, track, grid, times = self._setup(cell=10.0)
+        field = axisymmetric_field(track, p, grid, times)
+        with pytest.raises(ValueError, match="Vthres must be > 0"):
+            critical_zone_numeric(field, Vthres, p, track)
 
     def test_zone_failure_stats(self):
-        zone = CriticalZone(cells=np.array([0, 2]), area=2.0, Vthres=VTHRES)
+        zone = np.array([True, False, True])
         stats = zone_failure_stats([1.0, 99.0, 3.0], zone)
         assert stats == {"max": 3.0, "mean": 2.0}
+
+    def test_zone_failure_stats_empty_zone(self):
+        assert zone_failure_stats([1.0, 99.0], np.zeros(2, dtype=bool)) == {"max": 0.0, "mean": 0.0}
 
     def test_fast_area_matches_cell_count(self):
         p, track, _, times = self._setup()
@@ -222,15 +230,22 @@ class TestNumericZone:
         field = axisymmetric_field(track, p, grid, times)
         zone = critical_zone_numeric(field, VTHRES, p, track)
         fast = axisymmetric_zone_area(track, p, times, critical_radius(p, VTHRES), cell_size=4.0)
-        assert fast == pytest.approx(zone.area, rel=0.05)
+        assert fast == pytest.approx(np.count_nonzero(zone) * grid.cell_area, rel=0.05)
 
-    def test_storm_swath_consistent_with_field_union(self):
+    @pytest.mark.parametrize(
+        "asymmetric, hemisphere", [(False, "N"), (True, "N"), (True, "S")], ids=["axisymmetric", "N", "S"]
+    )
+    def test_storm_swath_consistent_with_field_union(self, asymmetric, hemisphere):
+        # The windowed swath's mask is the dense field's zone, cell for cell.
         p, track, grid, times = self._setup(cell=4.0)
         nhpp = NhppParams()
-        rates, mask = storm_swath(track, p, grid, times, nhpp)
-        field = axisymmetric_field(track, p, grid, times)
+        rates, mask = storm_swath(track, p, grid, times, nhpp, asymmetric=asymmetric, hemisphere=hemisphere)
+        if asymmetric:
+            field = asymmetric_field(track, p, grid, times, hemisphere=hemisphere)
+        else:
+            field = axisymmetric_field(track, p, grid, times)
         zone = critical_zone_numeric(field, nhpp.Vcrit, p, track)
-        assert np.array_equal(mask, zone.mask(grid.n_cells))
+        assert np.array_equal(mask, zone)
         from stormrisk import failure_rate
 
         assert np.allclose(rates, failure_rate(nhpp, field.velocities, times.dt), rtol=1e-12)
@@ -554,7 +569,7 @@ def zone_rate_stats(p, nparams, track, times, rc):
         cell_size=cell,
     )
     rates, zone = storm_swath(track, p, grid, times, nparams)
-    return _zone_stats(rates, zone)
+    return zone_failure_stats(rates, zone)
 
 
 def zone_sweep_rows(Vm_grid, Rm_grid, nparams, track, times, B):

@@ -337,6 +337,12 @@ def cmd_fail_dist(run: _Run, args) -> None:
     rates = nhpp._member_rates(run.nhpp, _members(run, args.threads, (xs, ys)), rows, run.times.dt)
     _require_finite(rates)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
+    if args.n_max is None:  # check the largest default truncation point, at FD-A's or FD-B's largest rate
+        peak = max(rates[:, j].mean() for j in range(len(cells))) if args.kind == "fda" else rates.max()
+        try:
+            nhpp.default_n_max(float(peak))
+        except ValueError as exc:
+            raise ConfigError("--n-max", f"required: {exc}") from None
     for j, cell in enumerate(cells):
         dist = make(rates[:, j], args.n_max)
         nhpp.save_failure_distribution(dist, run.out(f"fail_dist_{args.kind}_cell{cell}.csv"), run.tag)
@@ -412,13 +418,16 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({Vcrit:g}) for --target damage")
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, B=run.holland.B)
     _require_finite(damage, loss)
+    try:
+        if args.target == "damage":
+            model = aggregate.fit_damage_model(Vm, Rm, damage, Vcrit)
+            report = {"p1": model.p1, "p2": model.p2}
+        else:
+            model = aggregate.fit_loss_model(Vm, Rm, loss, Vcrit)
+            report = {"p": model.p, "condition_number": model.fit.cond}
+    except OverflowError as exc:
+        raise ConfigError("nhpp.Vcrit_mps", f"too small: {exc}") from None
     aggregate.save_agg_sweep(Vm, Rm, damage, loss, run.out(f"{args.target}_sweep.csv"), header_comment=run.tag)
-    if args.target == "damage":
-        model = aggregate.fit_damage_model(Vm, Rm, damage, Vcrit)
-        report = {"p1": model.p1, "p2": model.p2}
-    else:
-        model = aggregate.fit_loss_model(Vm, Rm, loss, Vcrit)
-        report = {"p": model.p, "condition_number": model.fit.cond}
     report.update(
         terms=list(model.terms),
         beta=[float(x) for x in model.fit.beta],
@@ -449,10 +458,14 @@ def cmd_outage_fit(run: _Run, args) -> None:
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )
     _require_finite(x)
+    households = np.array([obs.households for obs in observations], dtype=float)
+    with np.errstate(over="ignore"):  # the sum bounds every entry of the fit's X'WX
+        if not np.isfinite(np.sum(households * x * x)):
+            raise ConfigError("nhpp.Vcrit_mps", "too small: the exposures overflow the outage fit's normal equations")
     fit = glm.fit_binomial(
         np.column_stack([np.ones_like(x), x]),
         np.array([obs.outages for obs in observations], dtype=float),
-        np.array([obs.households for obs in observations], dtype=float),
+        households,
     )
     report = {
         "predictor": args.predictor,

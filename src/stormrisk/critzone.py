@@ -36,13 +36,13 @@ def critical_radius(p: HollandParams, Vthres: float) -> float | None:
     """
     if Vthres <= 0:
         raise ValueError("Vthres must be > 0")
-    (Rc,) = _critical_radii(*np.array([[p.Vm], [p.Rm], [p.B]], dtype=float), Vthres)
+    (Rc,) = _critical_radii(np.array([p.Vm], dtype=float), np.array([p.Rm], dtype=float), p.B, Vthres)
     return None if np.isnan(Rc) else float(Rc)
 
 
-def _critical_radii(Vm, Rm, B, Vthres: float) -> np.ndarray:
-    """`critical_radius` of each storm of the float arrays `Vm`, `Rm`, `B`,
-    nan where it is None, all bisected at once.
+def _critical_radii(Vm, Rm, B: float, Vthres: float) -> np.ndarray:
+    """`critical_radius` of each storm of the float arrays `Vm`, `Rm`, all
+    of profile exponent `B`, nan where it is None, all bisected at once.
 
     Each storm starts from lo = Rm and hi = 2 Rm, doubles hi while V(hi) >=
     Vthres, then halves [lo, hi] until |V(mid) - Vthres| <= 1e-9 m/s; a done
@@ -230,7 +230,7 @@ def sweep_critical_radius(Vm_values, Rm_values, Vthres: float, B: float = 1.0):
     the outer axis.
     """
     Vm, Rm = _sweep_storms(Vm_values, Rm_values, B)
-    Rc = _critical_radii(Vm.astype(float), Rm.astype(float), np.full(len(Vm), float(B)), Vthres)
+    Rc = _critical_radii(Vm.astype(float), Rm.astype(float), B, Vthres)
     keep = ~np.isnan(Rc)
     return Vm[keep], Rm[keep], Rc[keep]
 

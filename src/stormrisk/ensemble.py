@@ -136,7 +136,7 @@ def member_parameters(
 
 def _member_velocities(spec: EnsemblePerturbationSpec, xs, ys, times: TimeAxis, threads: int = 1):
     """Yield each member's `wind._velocities` on cell-centre axes `xs`, `ys`
-    in member order, made `threads` at a time: at most that many in flight."""
+    in member order, made `threads` >= 1 at a time by one pool: at most that many in flight."""
     children = np.random.SeedSequence(spec.seed).spawn(spec.H)
 
     def make(child_seed):
@@ -144,9 +144,6 @@ def _member_velocities(spec: EnsemblePerturbationSpec, xs, ys, times: TimeAxis, 
         Vtr = track.Vtr if spec.asymmetric else (0.0, 0.0)
         return _velocities(track, params, xs, ys, times, Vtr, spec.hemisphere)
 
-    if threads <= 1 or spec.H == 1:
-        yield from map(make, children)
-        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for lo in range(0, spec.H, threads):
             yield from pool.map(make, children[lo : lo + threads])

@@ -21,6 +21,7 @@ import numpy as np
 
 from .csvio import TABLE_FMT, _write_csv
 from .ensemble import Ensemble, _mean
+from .grid import _MAX_CELL_STEPS
 
 
 @dataclass(frozen=True)
@@ -222,24 +223,26 @@ def poisson_pmf(n, rate: float) -> np.ndarray:
     return np.exp(n * np.log(rate) - rate - gammaln(n + 1.0))
 
 
-def _poisson_quantile(q: float, mu: float) -> int:
-    """Smallest k with Pr(N <= k) >= q for N ~ Poisson(mu), 0 < q < 1, mu > 0.
+def default_n_max(max_rate: float) -> int:
+    """Truncation point: the 1 - 1e-9 quantile of a Poisson at `max_rate`.
 
     The rounded-up continuous inverse of the cdf is off by at most one, so
-    the count below it is tried first (the same rule as `scipy.stats`).
+    the count below it is tried first (the same rule as `scipy.stats`).  A
+    point past `_MAX_CELL_STEPS`, as from a rate of about 1e9 (NaN from about
+    1e10), raises `ValueError`: its pmf would not fit in memory.
     """
-    from scipy.special import pdtr, pdtrik
-
-    k = np.ceil(pdtrik(q, mu))
-    below = max(k - 1.0, 0.0)
-    return int(below if pdtr(below, mu) >= q else k)
-
-
-def default_n_max(max_rate: float) -> int:
-    """Truncation point: the 1 - 1e-9 quantile of a Poisson at `max_rate`."""
     if max_rate <= 0:
         return 1
-    return _poisson_quantile(1.0 - 1e-9, max_rate)
+    from scipy.special import pdtr, pdtrik
+
+    q = 1.0 - 1e-9
+    k = np.ceil(pdtrik(q, max_rate))
+    below = max(k - 1.0, 0.0)
+    k = below if pdtr(below, max_rate) >= q else k
+    if not k <= _MAX_CELL_STEPS:
+        rate = f"{max_rate:.3g}"
+        raise ValueError(f"the default truncation point at a failure rate of {rate} passes {_MAX_CELL_STEPS:,} counts")
+    return int(k)
 
 
 def fd_a(p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None) -> FailureDistribution:

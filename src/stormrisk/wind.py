@@ -153,7 +153,7 @@ def holland_speed(p, r):
 
 
 def _speed(Vm, Rm, B, r):
-    """`holland_speed` at radii `r` >= 0, unchecked; the parameters may be arrays.
+    """`holland_speed` at radii `r` >= 0, unchecked; `Vm`, `Rm` may be arrays, `B` is one number.
     The last step is the product by `Vm`: exactly `Vm` times the `Vm = 1` speeds."""
     # Evaluated as Vm * exp((B/2) log(Rm/r) + (1 - (Rm/r)^B) / 2): near the
     # centre (Rm/r)^B overflows, but the exponent then underflows to -inf and
@@ -166,7 +166,7 @@ def _speed(Vm, Rm, B, r):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         logx = np.log(Rm) - np.log(r)
         v = np.empty(np.shape(logx))
-        unit = (B == 1).all() if isinstance(B, np.ndarray) else B == 1
+        unit = B == 1
         np.exp(logx if unit else np.multiply(logx, B, out=v), out=v)
         np.subtract(1.0, v, out=v)
         v *= 0.5

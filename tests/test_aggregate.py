@@ -404,6 +404,15 @@ class TestLossFit:
         assert model.p == pytest.approx(p, abs=1e-9)
         assert np.allclose(model.predict(Vm, Rm), y, rtol=1e-5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_regressors_refused_before_scanning(self):
+        # g is about 1e41, so the Rm^4 g^4p terms pass every float at p = 2.
+        Vm, Rm = np.meshgrid(np.arange(22, 81, 3), np.arange(20, 51, 5))
+        Vm, Rm = Vm.ravel().astype(float), Rm.ravel().astype(float)
+        with mock.patch.object(aggregate, "_scan_fit", side_effect=AssertionError("scanned")):
+            with pytest.raises(OverflowError, match="overflows the fit's normal equations"):
+                fit_loss_model(Vm, Rm, np.ones_like(Vm), 1e-40)
+
 
 def damage_fit_reference(Vm, Rm, damage, Vcrit, p1_grid=None, p2_grid=None, drop_p=0.05):
     """Reference `fit_damage_model`: its own scan, pick and prune loop from

@@ -516,6 +516,8 @@ TOO_SMALL = (
     " is not finite\n"
 )
 
+SWEEP_FIT_OVERFLOW = "g = (Vm - Vcrit) / Vcrit overflows the fit's normal equations"
+
 
 class TestCritzoneAndSweeps:
     def test_critzone_outputs(self, tmp_path):
@@ -598,6 +600,75 @@ class TestCritzoneAndSweeps:
             cfg = _write_config(tmp_path)
         assert main(argv + ["--config", cfg, "--set", "nhpp.Vcrit_mps=1e-160"]) == 2
         assert capsys.readouterr().err == TOO_SMALL
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fail_dist_default_truncation_past_the_cap_exits_2(self, tmp_path, capsys):
+        # Finite member rates of ~1e123 have no default truncation point that
+        # fits in memory; every pmf would be built after the check.
+        argv = ["fail-dist", "--config", _write_config(tmp_path), "--kind", "fdb", "--cells", "70"]
+        assert main(argv + ["--set", "nhpp.Vcrit_mps=1e-60"]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid input: --n-max: required: the default truncation point at a failure rate of"
+            " 1.25e+123 passes 1,000,000,000 counts\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    # Huge but finite results that the commands still handle, their outputs
+    # pinned as in `TestGoldenOutputs`.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (
+                ["fail-dist", "--kind", "fdb", "--cells", "70", "--n-max", "50", "--set", "nhpp.Vcrit_mps=1e-60"],
+                {"fail_dist_fdb_cell70.csv": "4dca65822abcbdbe7be5949388e5ccaa512d7dc35742e245fc47c37918050b2f"},
+            ),
+            (
+                ["sweep-fit", "--target", "damage", "--set", "nhpp.Vcrit_mps=1e-60"]
+                + ["--set", "sweep.Vm_step=6", "--set", "sweep.Rm_step=5"],
+                {
+                    "damage_fit.json": "8a2de6668e94a66837947e3336b69fb2efd5a62c4735cf14b2f1baf333d51847",
+                    "damage_sweep.csv": "3c231a4a81800a0695f0a4bbe1d7b18d602c57f460513d1a14745ba6a5d7a755",
+                },
+            ),
+            (
+                ["outage-fit", "--set", "nhpp.Vcrit_mps=1e-60"],
+                {"outage_fit.json": "1aff71e318393f2b4072ab12a5719a6128d26dbb7529d825fea719c81d646bfa"},
+            ),
+        ],
+        ids=["fail-dist-n-max", "sweep-fit-damage", "outage-fit"],
+    )
+    def test_huge_finite_results_exit_0(self, tmp_path, argv, digests):
+        if argv[0] == "outage-fit":
+            cfg, obs_csv = _outage_inputs(tmp_path)
+            argv = argv + ["--obs", str(obs_csv)]
+        else:
+            cfg = _write_config(tmp_path)
+        assert main(argv + ["--config", cfg]) == 0
+        assert {path.name: _golden_digest(path) for path in (tmp_path / "out").iterdir()} == digests
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before any overflow
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            # A regressor g^8 Rm^4 past every float, then finite regressors
+            # whose weighted sum of squares is.
+            (["sweep-fit", "--target", "loss", "--set", "nhpp.Vcrit_mps=1e-40"], SWEEP_FIT_OVERFLOW),
+            (["sweep-fit", "--target", "loss", "--set", "nhpp.Vcrit_mps=1e-35"], SWEEP_FIT_OVERFLOW),
+            (["outage-fit", "--set", "nhpp.Vcrit_mps=1e-100"], "the exposures overflow the outage fit's normal equations"),
+        ],
+        ids=["sweep-fit-loss-regressor", "sweep-fit-loss-sum", "outage-fit"],
+    )
+    def test_fits_refuse_overflowing_regressors(self, tmp_path, capsys, argv, reason):
+        if argv[0] == "outage-fit":
+            cfg, obs_csv = _outage_inputs(tmp_path)
+            argv = argv + ["--obs", str(obs_csv)]
+        else:
+            cfg = _write_config(tmp_path)
+            argv = argv + ["--set", "sweep.Vm_step=6", "--set", "sweep.Rm_step=5"]
+        assert main(argv + ["--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: invalid input: nhpp.Vcrit_mps: too small: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("Vcrit, radius", [("1e-300", "inf"), ("1e-3", "2.4e+10")])

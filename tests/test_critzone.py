@@ -136,9 +136,12 @@ class TestVectorisedBisection:
         params = [HollandParams(Vm=q * Vthres, Rm=Rm, B=B) for q, Rm, B in storms]
         ref = [scalar_critical_radius(p, Vthres) for p in params]
         assert [critical_radius(p, Vthres) for p in params] == ref
-        columns = (np.array([getattr(p, name) for p in params]) for name in ("Vm", "Rm", "B"))
-        got = _critical_radii(*columns, Vthres)
-        assert [None if np.isnan(g) else g for g in got.tolist()] == ref
+        # The storms of each profile exponent at once, as a sweep passes them.
+        for B in {p.B for p in params}:
+            same = [i for i, p in enumerate(params) if p.B == B]
+            Vm, Rm = (np.array([getattr(params[i], name) for i in same]) for name in ("Vm", "Rm"))
+            got = _critical_radii(Vm, Rm, B, Vthres)
+            assert [None if np.isnan(g) else g for g in got.tolist()] == [ref[i] for i in same]
 
     @pytest.mark.parametrize("B", [1.0, 1.5])
     def test_sweep_equals_scalar_loop(self, B):

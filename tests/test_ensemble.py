@@ -365,7 +365,7 @@ class TestMemberStream:
             for v, m in zip(streamed, ens.members):
                 assert np.array_equal(_bits(v), _bits(m.velocities))
 
-    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_at_most_threads_members_in_flight(self, monkeypatch, threads):
         started = []
 

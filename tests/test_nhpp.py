@@ -290,6 +290,12 @@ class TestFailureDistributions:
 
             assert sp.sf(n_max, rate) <= 1e-9 * 1.01
 
+    @pytest.mark.parametrize("rate", [1e9, 1e12, np.inf])
+    def test_default_n_max_past_the_cap_raises(self, rate):
+        # The point at 1e9 is 1,000,189,672; past about 1e10 it is NaN.
+        with pytest.raises(ValueError, match="passes 1,000,000,000 counts"):
+            default_n_max(rate)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FailureDistribution(kind="poisson", pmf=np.array([0.5, 0.4]), tail=0.0)

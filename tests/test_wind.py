@@ -126,10 +126,14 @@ class TestInPlaceSpeed:
     @given(storms=st.lists(STORM, min_size=1, max_size=6), radii=st.lists(RADII, min_size=1, max_size=40))
     def test_equals_whole_array_expression(self, storms, radii):
         for r in (np.array(radii), np.array(radii[:1]).reshape(()), np.array(radii).reshape(-1, 1)):
-            # Each storm's scalars, and all storms as array parameters with a
-            # leading storms axis, as `critzone._critical_radii` passes them.
-            columns = np.array(storms).T.reshape((3, -1) + (1,) * r.ndim)
-            for profile in storms + [tuple(columns)]:
+            # Each storm's scalars, and the storms of each exponent B at once:
+            # arrays Vm and Rm with a leading storms axis, as
+            # `critzone._critical_radii` passes them.
+            shape, batches = (-1,) + (1,) * r.ndim, []
+            for B in {s[2] for s in storms}:
+                Vm, Rm = np.array([s[:2] for s in storms if s[2] == B]).T
+                batches.append((Vm.reshape(shape), Rm.reshape(shape), B))
+            for profile in storms + batches:
                 got, ref = _speed(*profile, r), speed_reference(*profile, r)
                 assert got.shape == ref.shape
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

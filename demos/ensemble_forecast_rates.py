@@ -29,7 +29,7 @@ from stormrisk import (
 # Base storm and Gaussian perturbation recipe: track jitter, heading error,
 # and intensity/size spread, one independent draw per member.
 spec = EnsemblePerturbationSpec(
-    base_track=Track(x0=(0.0, -120.0), Vtr=(0.0, 3.0), duration=24.0),
+    base_track=Track(x0=(0.0, -120.0), Vtr=(0.0, 3.0)),
     base_params=HollandParams(Vm=37.0, Rm=30.0),
     sigma_track=15.0,
     sigma_heading=10.0,

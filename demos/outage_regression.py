@@ -26,7 +26,7 @@ from stormrisk import (
 
 # One storm over a 200 x 200 km region split into four quadrant counties.
 params = HollandParams(Vm=40.0, Rm=30.0)
-track = Track(x0=(0.0, -80.0), Vtr=(0.0, 3.0), duration=24.0)
+track = Track(x0=(0.0, -80.0), Vtr=(0.0, 3.0))
 grid = Grid(origin=(-100.0, -100.0), nx=20, ny=20, cell_size=10.0)
 times = TimeAxis(n_steps=24, dt=1.0)
 field = axisymmetric_field(track, params, grid, times)

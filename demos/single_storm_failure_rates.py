@@ -27,7 +27,7 @@ from stormrisk import (
 # The storm: 37 m/s peak winds at 30 km from the centre, translating north
 # at 3 m/s (10.8 km/h) for a full day.
 params = HollandParams(Vm=37.0, Rm=30.0, B=1.0)
-track = Track(x0=(0.0, -150.0), Vtr=(0.0, 3.0), duration=24.0)
+track = Track(x0=(0.0, -150.0), Vtr=(0.0, 3.0))
 
 # An 800 x 900 km domain at 5 km resolution (wide enough to hold the whole
 # critical zone), hourly samples.

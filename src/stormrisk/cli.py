@@ -65,7 +65,6 @@ from .wind import (
 # config, the validation and the builders' values all come from this table,
 # and the README's config reference is tested against it.
 CONFIG_SCHEMA = (
-    ("scenario", "default", _STRING, None),
     ("grid.nx", 100, _INTEGER, ">= 1"),
     ("grid.ny", 100, _INTEGER, ">= 1"),
     ("grid.cell_size_km", 1.0, _NUMBER, "> 0"),
@@ -245,7 +244,7 @@ def _build(config) -> _Run:
     v = validate_config(config)
     g, h, n, e, f = v["grid"], v["holland"], v["nhpp"], v["ensemble"], v["field"]
     times = TimeAxis(n_steps=v["times"]["n_steps"], dt=v["times"]["dt_h"])
-    track = Track(x0=v["track"]["x0_km"], Vtr=v["track"]["vtr_mps"], duration=times.duration)
+    track = Track(x0=v["track"]["x0_km"], Vtr=v["track"]["vtr_mps"])
     holland = HollandParams(Vm=h["Vm_mps"], Rm=h["Rm_km"], B=h["B"])
     spec = EnsemblePerturbationSpec(
         base_track=track,
@@ -337,14 +336,21 @@ def cmd_fail_dist(run: _Run, args) -> None:
     rates = nhpp._member_rates(run.nhpp, _members(run, args.threads, (xs, ys)), rows, run.times.dt)
     _require_finite(rates)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
-    if args.n_max is None:  # check the largest default truncation point, at FD-A's or FD-B's largest rate
+    if args.n_max is None:  # the default truncation point follows FD-A's or FD-B's largest rate
         peak = max(rates[:, j].mean() for j in range(len(cells))) if args.kind == "fda" else rates.max()
-        try:
-            nhpp.default_n_max(float(peak))
-        except ValueError as exc:
-            raise ConfigError("--n-max", f"required: {exc}") from None
+        if not peak <= nhpp._MAX_DEFAULT_RATE:
+            raise ConfigError(
+                "--n-max",
+                f"required: a failure rate of {peak:.3g} passes {nhpp._MAX_DEFAULT_RATE:,.0f}, above which"
+                " the default truncation's masses may not total 1 within 1e-12",
+            )
+    dists = []
     for j, cell in enumerate(cells):
-        dist = make(rates[:, j], args.n_max)
+        try:
+            dists.append(make(rates[:, j], args.n_max))
+        except ValueError as exc:  # masses that miss 1
+            raise ConfigError("--n-max", f"at cell {cell}: {exc}") from None
+    for cell, dist in zip(cells, dists):
         nhpp.save_failure_distribution(dist, run.out(f"fail_dist_{args.kind}_cell{cell}.csv"), run.tag)
 
 
@@ -409,13 +415,23 @@ def _sweep_fit_critzone(run: _Run) -> None:
     run.report("critzone_fit.json", report)
 
 
+# The fewest storms each target's fits take: one more than their regressors.
+_FIT_STORMS = {"critzone": 3, "damage": len(aggregate._DAMAGE_TERMS) + 1, "loss": len(aggregate._LOSS_TERMS) + 1}
+
+
 def cmd_sweep_fit(run: _Run, args) -> None:
+    Vcrit, (Vm_values, Rm_values) = run.nhpp.Vcrit, run.sweep
+    if args.target == "damage" and np.any(Vm_values <= Vcrit):
+        raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({Vcrit:g}) for --target damage")
+    storms, reaching = len(Vm_values) * len(Rm_values), ""
+    if args.target == "critzone":  # a storm below Vcrit has no zone
+        storms, reaching = np.count_nonzero(Vm_values >= Vcrit) * len(Rm_values), " with Vm >= nhpp.Vcrit_mps"
+    need = _FIT_STORMS[args.target]
+    if storms < need:
+        raise ConfigError("sweep.Vm_max", f"{storms} storms{reaching}; the {args.target} fit needs at least {need}")
     if args.target == "critzone":
         _sweep_fit_critzone(run)
         return
-    Vcrit = run.nhpp.Vcrit
-    if args.target == "damage" and np.any(run.sweep[0] <= Vcrit):
-        raise ConfigError("sweep.Vm_min", f"must be > nhpp.Vcrit_mps ({Vcrit:g}) for --target damage")
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, B=run.holland.B)
     _require_finite(damage, loss)
     try:

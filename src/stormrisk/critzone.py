@@ -341,9 +341,7 @@ _TABLE_GRID = Grid(
     cell_size=_TABLE_CELL,
 )
 _TABLE_TIMES = TimeAxis(n_steps=121, dt=1.0)
-_TABLE_TRACK = Track(
-    x0=(_TABLE_WIDTH / 2.0 - 0.345402611, 10.6111712), Vtr=(0.0, 3.27856331), duration=121.0
-)
+_TABLE_TRACK = Track(x0=(_TABLE_WIDTH / 2.0 - 0.345402611, 10.6111712), Vtr=(0.0, 3.27856331))
 
 TABLE_STORMS = [(25, 20), (25, 30), (25, 40), (37, 20), (37, 30), (37, 40),
                 (46, 20), (46, 30), (46, 40)]

@@ -181,11 +181,10 @@ def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ConfigError(ValueError):
-    """Invalid input value; `path` names its field: a dotted config path, or
-    a JSON file and key."""
+    """Invalid input value; the message starts with `path`, which names its
+    field: a dotted config path, or a JSON file and key."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
         super().__init__(f"{path}: {message}")
 
 

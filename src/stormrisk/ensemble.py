@@ -121,11 +121,7 @@ def member_parameters(
     th = math.radians(dth)
     vx, vy = spec.base_track.Vtr
     vtr = (vx * math.cos(th) - vy * math.sin(th), vx * math.sin(th) + vy * math.cos(th))
-    track = Track(
-        x0=(spec.base_track.x0[0] + dx, spec.base_track.x0[1] + dy),
-        Vtr=vtr,
-        duration=spec.base_track.duration,
-    )
+    track = Track(x0=(spec.base_track.x0[0] + dx, spec.base_track.x0[1] + dy), Vtr=vtr)
     params = HollandParams(
         Vm=max(1.0, spec.base_params.Vm + dvm),
         Rm=max(1.0, spec.base_params.Rm + drm),

@@ -180,8 +180,6 @@ class CountySet:
 
 def county_average(field_values, county: County) -> float:
     """Arithmetic mean of a per-cell field over a county's cells."""
-    if not county.cells:
-        raise ValueError(f"county {county.name!r} has no cells")
     values = np.asarray(field_values, dtype=float)
     idx = np.fromiter(sorted(county.cells), dtype=int)
     return float(np.mean(values[idx]))

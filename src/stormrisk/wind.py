@@ -86,17 +86,12 @@ class Track:
         Genesis position (km, km) at elapsed time zero.
     Vtr : tuple of float
         Translation velocity vector (m/s, m/s).
-    duration : float
-        Storm lifetime in hours, > 0.
+
+    The storm's span is the run's `TimeAxis`.
     """
 
     x0: tuple[float, float]
     Vtr: tuple[float, float]
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
 
     def position(self, elapsed_h) -> np.ndarray:
         """Storm-centre position (km) after `elapsed_h` hours.

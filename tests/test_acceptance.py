@@ -206,7 +206,7 @@ def test_criterion_05_obround():
         Vm = float(rng.uniform(25.0, 46.0))
         Rm = float(rng.uniform(20.0, 50.0))
         p = HollandParams(Vm=Vm, Rm=Rm)
-        track = Track(x0=(0.0, 0.0), Vtr=(0.0, vtr), duration=T)
+        track = Track(x0=(0.0, 0.0), Vtr=(0.0, vtr))
         times = TimeAxis(n_steps=11, dt=1.0)
         rc = critical_radius(p, P.Vcrit)
         numeric = axisymmetric_zone_area(track, p, times, rc, cell_size=cell)
@@ -231,7 +231,7 @@ def test_criterion_06_set_equivalence():
         Rm = float(rng.uniform(20.0, 40.0))
         p = HollandParams(Vm=Vm, Rm=Rm)
         track = Track(
-            x0=(float(rng.uniform(-20, 20)), -60.0), Vtr=(0.0, 3.0), duration=12.0
+            x0=(float(rng.uniform(-20, 20)), -60.0), Vtr=(0.0, 3.0)
         )
         grid = Grid(origin=(-250.0, -250.0), nx=100, ny=100, cell_size=5.0)
         times = TimeAxis(n_steps=13, dt=1.0)
@@ -352,7 +352,7 @@ def test_criterion_12_closed_loop():
     # the saturated failure model (expected failed-asset fraction), or drawn
     # wind-independent as the null case.
     p = HollandParams(Vm=40, Rm=30)
-    track = Track(x0=(0.0, -80.0), Vtr=(0.0, 3.0), duration=24.0)
+    track = Track(x0=(0.0, -80.0), Vtr=(0.0, 3.0))
     grid = Grid(origin=(-100.0, -100.0), nx=20, ny=20, cell_size=10.0)
     times = TimeAxis(n_steps=24, dt=1.0)
     field = axisymmetric_field(track, p, grid, times)

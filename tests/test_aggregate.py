@@ -167,7 +167,7 @@ class TestTotalLoss:
 
 def _storm_rates(Vm, cell=10.0) -> np.ndarray:
     """Per-cell accumulated failure rates of one storm crossing a 400 x 500 km grid."""
-    track = Track(x0=(0.0, -100.0), Vtr=(0.0, 3.0), duration=20.0)
+    track = Track(x0=(0.0, -100.0), Vtr=(0.0, 3.0))
     grid = Grid(origin=(-200.0, -250.0), nx=int(400 / cell), ny=int(500 / cell), cell_size=cell)
     times = TimeAxis(n_steps=21, dt=1.0)
     field = axisymmetric_field(track, HollandParams(Vm=Vm, Rm=30), grid, times)

@@ -184,7 +184,7 @@ TYPE_ERRORS = [
     ("track.vtr_mps=3", "track.vtr_mps: expected [vx, vy], got int"),
     ("field.asymmetric=1", "field.asymmetric: expected a boolean, got int"),
     ("ensemble.asymmetric=1", "ensemble.asymmetric: unknown config field"),
-    ("scenario=3", "scenario: expected a string, got int"),
+    ("scenario=3", "scenario: unknown config field"),
     ("field.hemisphere=1", "field.hemisphere: expected a string, got int"),
     ("counties_csv=3", "counties_csv: expected a path string or null, got int"),
     ("output_dir=3", "output_dir: expected a path string, got int"),
@@ -201,9 +201,9 @@ class TestConfig:
             load_config(None, ["grid.cellsize=2"])
 
     def test_override_json_parsing(self):
-        cfg = load_config(None, ["grid.nx=7", "scenario=demo", "field.asymmetric=true"])
+        cfg = load_config(None, ["grid.nx=7", "field.hemisphere=S", "field.asymmetric=true"])
         assert cfg["grid"]["nx"] == 7
-        assert cfg["scenario"] == "demo"
+        assert cfg["field"]["hemisphere"] == "S"
         assert cfg["field"]["asymmetric"] is True
 
     def test_bad_override_shape(self):
@@ -216,7 +216,7 @@ class TestConfig:
 
     def test_default_config_hash_pinned(self):
         # A default whose value or JSON type drifted would move every output's hash line.
-        digest = "9e441159c014bc97e9dbacdf426c0c6d2c853f71ec106c46d4074c6948d13b25"
+        digest = "45ec8158aeb14d40fcb10da5a36ff23748dad91db4ae58a2b35e961c4b3bcad4"
         assert config_hash(load_config(None, [])) == digest
 
     def test_readme_reference_matches_schema(self):
@@ -232,8 +232,7 @@ class TestConfig:
     @pytest.mark.parametrize("path, default", [row[:2] for row in cli.CONFIG_SCHEMA], ids=lambda x: str(x))
     def test_every_field_reaches_the_run(self, path, default):
         # Another valid value of each field changes what the commands read,
-        # except for the label `scenario`, which enters only the hash, and
-        # `times.t0_h`, which no command reads.
+        # except for `times.t0_h`, which no command reads.
         if isinstance(default, bool):
             other = not default
         elif default is None:
@@ -250,7 +249,7 @@ class TestConfig:
             return built._replace(digest=None, sweep=[axis.tolist() for axis in built.sweep])
 
         changed = run([f"{path}={json.dumps(other)}"]) != run([])
-        assert changed == (path not in ("scenario", "times.t0_h"))
+        assert changed == (path != "times.t0_h")
 
     def test_hash_stable_and_sensitive(self):
         a = load_config(None, [])
@@ -307,7 +306,7 @@ class TestConfigMessages:
         assert self._run(tmp_path, capsys, assignment) == (2, f"error: invalid config: {message}\n")
 
     @pytest.mark.parametrize(
-        "document", [b'{"scenario": "\xff"}', b'{"scenario": ' + b"[" * 10**5 + b"]" * 10**5 + b"}"],
+        "document", [b'{"output_dir": "\xff"}', b'{"output_dir": ' + b"[" * 10**5 + b"]" * 10**5 + b"}"],
         ids=["not-utf8", "nested-too-deep"],
     )
     def test_undecodable_config_exits_2_naming_the_file(self, tmp_path, capsys, document):
@@ -609,9 +608,63 @@ class TestCritzoneAndSweeps:
         argv = ["fail-dist", "--config", _write_config(tmp_path), "--kind", "fdb", "--cells", "70"]
         assert main(argv + ["--set", "nhpp.Vcrit_mps=1e-60"]) == 2
         assert capsys.readouterr().err == (
-            "error: invalid input: --n-max: required: the default truncation point at a failure rate of"
-            " 1.25e+123 passes 1,000,000,000 counts\n"
+            "error: invalid input: --n-max: required: a failure rate of 1.25e+123 passes 1,000, above which"
+            " the default truncation's masses may not total 1 within 1e-12\n"
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # Rates of ~1e5, where the summed log-space pmf misses 1 by 3.6e-11.
+            (
+                ["--kind", "fdb", "--cells", "70"],
+                "required: a failure rate of 1.25e+05 passes 1,000, above which"
+                " the default truncation's masses may not total 1 within 1e-12",
+            ),
+            (
+                ["--kind", "fda", "--cells", "70"],
+                "required: a failure rate of 1.16e+05 passes 1,000, above which"
+                " the default truncation's masses may not total 1 within 1e-12",
+            ),
+            # Cell 33's masses total 1 within 1e-12, then cell 70's miss; nothing is written.
+            (
+                ["--kind", "fdb", "--cells", "33,70", "--n-max", "126000"],
+                "at cell 70: masses total 1.0000000000357925, expected 1 within 1e-12",
+            ),
+        ],
+        ids=["fdb", "fda", "n-max"],
+    )
+    def test_fail_dist_masses_that_miss_1_exit_2(self, tmp_path, capsys, argv, message):
+        argv = ["fail-dist", "--config", _write_config(tmp_path), "--set", "nhpp.Vcrit_mps=1e-1"] + argv
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: invalid input: --n-max: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "target, overrides, message",
+        [
+            ("loss", ["sweep.Vm_max=22", "sweep.Rm_max=20"], "2 storms; the loss fit needs at least 14"),
+            ("damage", ["sweep.Vm_max=25", "sweep.Rm_max=20"], "5 storms; the damage fit needs at least 6"),
+            (
+                "critzone",
+                ["sweep.Vm_max=22", "sweep.Rm_max=20"],
+                "2 storms with Vm >= nhpp.Vcrit_mps; the critzone fit needs at least 3",
+            ),
+            (
+                "critzone",
+                ["sweep.Vm_min=10", "sweep.Vm_max=20"],
+                "0 storms with Vm >= nhpp.Vcrit_mps; the critzone fit needs at least 3",
+            ),
+        ],
+        ids=["loss", "damage", "critzone", "critzone-below-vcrit"],
+    )
+    def test_sweep_too_small_to_fit_exits_2(self, tmp_path, capsys, target, overrides, message):
+        argv = ["sweep-fit", "--config", _write_config(tmp_path), "--target", target]
+        assert main(argv + [a for o in overrides for a in ("--set", o)]) == 2
+        assert capsys.readouterr().err == f"error: invalid input: sweep.Vm_max: {message}\n"
         assert not (tmp_path / "out").exists()
 
     # Huge but finite results that the commands still handle, their outputs

@@ -182,7 +182,7 @@ class TestObround:
 class TestNumericZone:
     def _setup(self, Vm=25, Rm=20, cell=2.0):
         p = HollandParams(Vm=Vm, Rm=Rm)
-        track = Track(x0=(0.0, -50.0), Vtr=(0.0, 3.0), duration=10.0)
+        track = Track(x0=(0.0, -50.0), Vtr=(0.0, 3.0))
         # 10 h at 10.8 km/h: track spans y in [-50, 58].
         grid = Grid(origin=(-150.0, -200.0), nx=int(300 / cell), ny=int(400 / cell), cell_size=cell)
         times = TimeAxis(n_steps=11, dt=1.0)
@@ -312,7 +312,7 @@ class TestBlockedZoneArea:
     def test_equals_the_1024_row_count(self, q, Rm, B, x0, speed, heading, n_steps, dt, cell):
         p = HollandParams(Vm=q * VTHRES, Rm=Rm, B=B)
         Vtr = (speed * np.cos(heading), speed * np.sin(heading))
-        track = Track(x0=x0, Vtr=Vtr, duration=n_steps * dt)
+        track = Track(x0=x0, Vtr=Vtr)
         times = TimeAxis(n_steps=n_steps, dt=dt)
         got = axisymmetric_zone_area(track, p, times, critical_radius(p, VTHRES), cell_size=cell)
         with np.errstate(over="ignore"):  # the reference divides by a subnormal step
@@ -324,8 +324,8 @@ class TestBlockedZoneArea:
         # From x0 = (0, 0) the track's positions differ, however little.
         p, times = HollandParams(Vm=37.0, Rm=30.0), TimeAxis(n_steps=5)
         Rcrit = critical_radius(p, VTHRES)
-        stationary = axisymmetric_zone_area(Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0), duration=5.0), p, times, Rcrit)
-        assert axisymmetric_zone_area(Track(x0=(0.0, 0.0), Vtr=Vtr, duration=5.0), p, times, Rcrit) == stationary
+        stationary = axisymmetric_zone_area(Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0)), p, times, Rcrit)
+        assert axisymmetric_zone_area(Track(x0=(0.0, 0.0), Vtr=Vtr), p, times, Rcrit) == stationary
 
 
 def dense_swath(track, p, grid, times, nhpp, asymmetric=False, hemisphere="N"):
@@ -401,7 +401,7 @@ class TestStormSwath:
         self, Vm, Rm, B, asymmetric, hemisphere, vtr, x0, nx, ny, cell, n_steps, dt
     ):
         p = HollandParams(Vm=Vm, Rm=Rm, B=B)
-        track = Track(x0=x0, Vtr=vtr, duration=n_steps * dt)
+        track = Track(x0=x0, Vtr=vtr)
         grid = Grid(origin=(-50.0, 20.0), nx=nx, ny=ny, cell_size=cell)
         times = TimeAxis(n_steps=n_steps, dt=dt)
         nhpp = NhppParams()
@@ -431,7 +431,7 @@ class TestStormSwath:
         # (y^(-1/B)); the window is then the whole grid.
         p = HollandParams(Vm=37.0, Rm=30.0, B=B)
         assert _window_radius(p, Vcrit) == np.inf
-        track = Track(x0=(0.0, -30.0), Vtr=(0.0, 3.0), duration=6.0)
+        track = Track(x0=(0.0, -30.0), Vtr=(0.0, 3.0))
         grid = Grid(origin=(-36.0, -36.0), nx=12, ny=12, cell_size=6.0)
         times = TimeAxis(n_steps=6)
         nhpp = NhppParams(Vcrit=Vcrit)
@@ -448,7 +448,7 @@ class TestStormSwath:
 
     def test_stationary_asymmetric_equals_axisymmetric(self):
         p = HollandParams(Vm=46.0, Rm=30.0)
-        track = Track(x0=(3.7, -1.9), Vtr=(0.0, 0.0), duration=5.0)
+        track = Track(x0=(3.7, -1.9), Vtr=(0.0, 0.0))
         grid = Grid(origin=(-400.0, -400.0), nx=200, ny=200, cell_size=4.0)
         times = TimeAxis(n_steps=5)
         nhpp = NhppParams()
@@ -540,7 +540,7 @@ class TestBenchmarkTables:
     def test_structure_on_small_domain(self, monkeypatch):
         monkeypatch.setattr(critzone, "_TABLE_GRID", Grid(origin=(0.0, 0.0), nx=30, ny=40, cell_size=10.0))
         monkeypatch.setattr(critzone, "_TABLE_TIMES", TimeAxis(n_steps=20))
-        monkeypatch.setattr(critzone, "_TABLE_TRACK", Track(x0=(150.0, 10.0), Vtr=(0.0, 3.3), duration=20.0))
+        monkeypatch.setattr(critzone, "_TABLE_TRACK", Track(x0=(150.0, 10.0), Vtr=(0.0, 3.3)))
         records = tables123()
         assert len(records) == 9
         for rec in records:
@@ -612,7 +612,7 @@ class TestZoneSweep:
     def test_equals_the_per_storm_loop_bit_for_bit(self, tmp_path, B):
         nparams = NhppParams()
         times = TimeAxis(n_steps=12, dt=1.0)
-        track = Track(x0=(50.0, -150.0), Vtr=(0.0, 3.0), duration=times.duration)
+        track = Track(x0=(50.0, -150.0), Vtr=(0.0, 3.0))
         # Vm = 18 is below Vcrit: its storms are left out.
         Vm_grid, Rm_grid = np.arange(18.0, 46.0 + 1e-9, 7.0), np.arange(20.0, 50.0 + 1e-9, 10.0)
         columns = zone_sweep(Vm_grid, Rm_grid, nparams, track, times, B)

@@ -97,7 +97,7 @@ class TestGoldenBytes:
 
     def test_failure_distribution(self, tmp_path):
         path = tmp_path / "fd.csv"
-        dist = FailureDistribution(kind="poisson", pmf=np.array([0.5, 0.25, 1 / 6]), tail=1 / 12)
+        dist = FailureDistribution(pmf=np.array([0.5, 0.25, 1 / 6]), tail=1 / 12)
         save_failure_distribution(dist, path)
         assert path.read_bytes() == (
             b"n,probability\r\n"

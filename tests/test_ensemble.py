@@ -28,7 +28,7 @@ from stormrisk.nhpp import _cumulative_exposure, _fr1, _fr2, _member_rates
 
 GRID = Grid(origin=(-30.0, -30.0), nx=5, ny=4, cell_size=12.0)
 TIMES = TimeAxis(n_steps=6, dt=1.0)
-TRACK = Track(x0=(0.0, -20.0), Vtr=(0.0, 3.0), duration=6.0)
+TRACK = Track(x0=(0.0, -20.0), Vtr=(0.0, 3.0))
 PARAMS = HollandParams(Vm=37, Rm=30)
 
 

@@ -236,7 +236,6 @@ class TestEnsembleRates:
 class TestFailureDistributions:
     def test_fd_a_zero_count_probability(self):
         d = fd_a(P, _ensemble(), 0)
-        assert d.kind == "poisson"
         assert d.pmf[0] == pytest.approx(EX_PRA0, rel=1e-12)
 
     def test_fd_a_reads_one_cell_only(self, monkeypatch):
@@ -249,7 +248,6 @@ class TestFailureDistributions:
 
     def test_fd_b_zero_count_probability(self):
         d = fd_b(P, _ensemble(), 0)
-        assert d.kind == "mixture"
         assert d.pmf[0] == pytest.approx(EX_PRB0, rel=1e-12)
 
     def test_fd_b_has_more_zero_mass(self):
@@ -298,9 +296,9 @@ class TestFailureDistributions:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FailureDistribution(kind="poisson", pmf=np.array([0.5, 0.4]), tail=0.0)
+            FailureDistribution(pmf=np.array([0.5, 0.4]), tail=0.0)
         with pytest.raises(ValueError):
-            FailureDistribution(kind="poisson", pmf=np.array([-0.1, 1.1]), tail=0.0)
+            FailureDistribution(pmf=np.array([-0.1, 1.1]), tail=0.0)
 
 
 class TestSaturated:

@@ -158,15 +158,11 @@ class TestInPlaceSpeed:
 class TestTrack:
     def test_position_advances_in_km(self):
         # 3 m/s northward = 10.8 km/h.
-        t = Track(x0=(5.0, 0.0), Vtr=(0.0, 3.0), duration=10.0)
+        t = Track(x0=(5.0, 0.0), Vtr=(0.0, 3.0))
         pos = t.position(np.array([0.0, 1.0, 2.0]))
         assert pos[0] == pytest.approx((5.0, 0.0))
         assert pos[1] == pytest.approx((5.0, 10.8))
         assert pos[2] == pytest.approx((5.0, 21.6))
-
-    def test_invalid_duration(self):
-        with pytest.raises(ValueError):
-            Track(x0=(0, 0), Vtr=(0, 3), duration=0.0)
 
 
 def _single_cell_grid(cx: float, cy: float) -> Grid:
@@ -175,21 +171,21 @@ def _single_cell_grid(cx: float, cy: float) -> Grid:
 
 class TestAxisymmetricField:
     def test_eye_calm(self):
-        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0), duration=1.0)
+        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0))
         field = axisymmetric_field(
             track, HollandParams(Vm=25, Rm=20), _single_cell_grid(0.0, 0.0), TimeAxis(n_steps=1)
         )
         assert field.velocities[0, 0] == 0.0
 
     def test_eyewall(self):
-        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0), duration=1.0)
+        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0))
         field = axisymmetric_field(
             track, HollandParams(Vm=25, Rm=20), _single_cell_grid(20.0, 0.0), TimeAxis(n_steps=1)
         )
         assert field.velocities[0, 0] == pytest.approx(25.0, abs=1e-12)
 
     def test_rotation_invariance_at_equal_radius(self):
-        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0), duration=1.0)
+        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0))
         p = HollandParams(Vm=25, Rm=20)
         times = TimeAxis(n_steps=1)
         r = 35.0
@@ -202,7 +198,7 @@ class TestAxisymmetricField:
 
 class TestAsymmetricField:
     def _field_at(self, cx, cy, hemisphere="N"):
-        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0), duration=1.0)
+        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0))
         p = HollandParams(Vm=25, Rm=20)
         return asymmetric_field(
             track, p, _single_cell_grid(cx, cy), TimeAxis(n_steps=1), hemisphere=hemisphere
@@ -218,7 +214,7 @@ class TestAsymmetricField:
         assert self._field_at(-20.0, 0.0, hemisphere="S") == pytest.approx(28.0, abs=1e-12)
 
     def test_zero_translation_equals_axisymmetric(self):
-        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0), duration=1.0)
+        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0))
         p = HollandParams(Vm=25, Rm=20)
         g = Grid(origin=(-25.0, -25.0), nx=10, ny=10, cell_size=5.0)
         times = TimeAxis(n_steps=3)
@@ -227,7 +223,7 @@ class TestAsymmetricField:
         assert np.array_equal(a.velocities, b.velocities)
 
     def test_azimuthal_max_is_90_degrees_clockwise_of_translation(self):
-        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0), duration=1.0)
+        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0))
         p = HollandParams(Vm=25, Rm=20)
         times = TimeAxis(n_steps=1)
         thetas = np.linspace(0, 2 * math.pi, 721)
@@ -286,7 +282,7 @@ class TestFieldsMatchReference:
         self, Vm, Rm, B, asymmetric, hemisphere, vtr, x0, nx, ny, cell, n_steps, dt
     ):
         p = HollandParams(Vm=Vm, Rm=Rm, B=B)
-        track = Track(x0=x0, Vtr=vtr, duration=n_steps * dt)
+        track = Track(x0=x0, Vtr=vtr)
         grid = Grid(origin=(-50.0, 20.0), nx=nx, ny=ny, cell_size=cell)
         times = TimeAxis(n_steps=n_steps, dt=dt)
         if asymmetric:
@@ -315,7 +311,7 @@ class TestFieldsMatchReference:
     ):
         # `fail-dist` evaluates only the columns and rows of its cells.
         p = HollandParams(Vm=Vm, Rm=Rm)
-        track = Track(x0=x0, Vtr=vtr, duration=float(n_steps))
+        track = Track(x0=x0, Vtr=vtr)
         grid = Grid(origin=(-50.0, 20.0), nx=nx, ny=ny, cell_size=cell)
         times = TimeAxis(n_steps=n_steps)
         cells = data.draw(st.lists(st.integers(0, grid.n_cells - 1), min_size=1, max_size=8))
@@ -339,7 +335,7 @@ class TestFieldsMatchReference:
         assert rows.tolist() == list(reversed(range(grid.n_cells)))
 
     def test_unknown_hemisphere_rejected(self):
-        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0), duration=1.0)
+        track = Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0))
         with pytest.raises(ValueError, match="hemisphere"):
             asymmetric_field(
                 track, HollandParams(Vm=25, Rm=20), Grid(), TimeAxis(), hemisphere="X"
@@ -379,7 +375,7 @@ def read_wind_field(path, grid, times) -> np.ndarray:
 
 class TestWindFieldIO:
     def _field(self):
-        track = Track(x0=(3.0, -10.0), Vtr=(1.0, 3.0), duration=4.0)
+        track = Track(x0=(3.0, -10.0), Vtr=(1.0, 3.0))
         return axisymmetric_field(
             track,
             HollandParams(Vm=37, Rm=30),

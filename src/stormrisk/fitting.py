@@ -1,5 +1,6 @@
 """
-Small linear least-squares helper shared by the fitting modules.
+Linear least squares shared by the fitting modules, and the tails of their
+p-values (Student-t here; chi-square for `glm`), built from `math` alone.
 
 Regressors are scaled to unit RMS before solving (the power-law bases used
 here are severely collinear), and coefficients are unscaled afterwards.
@@ -7,6 +8,7 @@ here are severely collinear), and coefficients are unscaled afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +32,8 @@ class LinearFit:
 
     @property
     def p_values(self) -> np.ndarray:
-        """Two-sided Student-t p-values of the coefficients.  Computed when
-        read, so that only a caller that needs them loads `scipy.special`."""
-        from scipy.special import stdtr
-
-        return 2.0 * stdtr(self.dof, -np.abs(self.t))
+        """Two-sided Student-t p-values of the coefficients."""
+        return np.array([t_sf2(t, self.dof) for t in self.t.tolist()], dtype=float)
 
     def predict(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.beta
@@ -78,3 +77,45 @@ def linear_least_squares(X, y, weights=None) -> LinearFit:
         rms=float(np.sqrt(np.mean(res * res))),
         cond=cond,
     )
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """F with I_x(a, b) = x^a y^b / (B(a, b) F), y = 1 - x, fast for x < (a+1)/(a+b+2): DiDonato & Morris
+    (1992) BFRAC by modified Lentz, whose a y - b x + 1 keeps the digits NR 6.4's 1 - (a+b) x/(a+1) loses."""
+    tiny, d = 1e-300, 0.0
+    f = c = a * (a * y - b * x + 1.0) / (a + 1.0) or tiny
+    for m in range(1, 10_000):
+        am = (a + m - 1) * (a + b + m - 1) * m * (b - m) * x * x / (a + 2 * m - 1) ** 2
+        bm = m + m * (b - m) * x / (a + 2 * m - 1) + (a + m) * (a * y - b * x + 1 + m * (1 + y)) / (a + 2 * m + 1)
+        d = 1.0 / (bm + am * d or tiny)
+        c = bm + am / c or tiny
+        f *= c * d
+        if abs(c * d - 1.0) <= 2.3e-16:
+            return f
+    raise ArithmeticError(f"the incomplete beta's continued fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def t_sf2(t: float, dof: int) -> float:
+    """Two-sided Student-t tail P(|T| > |t|) at integer `dof` >= 1: I_x(dof/2, 1/2) at x = dof / (dof + t^2)
+    (A&S 26.5.27, 26.7.1), with x and 1 - x each formed without a subtraction."""
+    t2 = t * t
+    if not t2 > 0.0:
+        return math.nan if math.isnan(t2) else 1.0
+    a, x, y = dof / 2.0, 1.0 / (1.0 + t2 / dof), 1.0 / (1.0 + dof / t2)
+    log_x = -math.log1p(t2 / dof) if t2 < math.inf else math.log(dof) - 2.0 * math.log(abs(t))
+    # 1/B(a, 1/2) = Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) by exact steps, as lgamma(1e3) rounds by ~1e-12.
+    inv_beta = math.prod(((k + 1) / k for k in range(2 - dof % 2, dof - 1, 2)), start=1 / math.pi if dof % 2 else 0.5)
+    front = math.exp(a * log_x - 0.5 * math.log1p(dof / t2)) * inv_beta
+    if x < (a + 1.0) / (a + 2.5):
+        return front / _beta_fraction(a, 0.5, x, y)
+    return 1.0 - front / _beta_fraction(0.5, a, y, x)
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Chi-square tail P(X > x) at integer `df` >= 1 (A&S 26.4.4-26.4.5): erfc(sqrt(h)) for
+    odd df, plus exp(-h) h^s / Gamma(s + 1) over s = df/2 - 1, df/2 - 2, ... >= 0, h = x/2."""
+    h = x / 2.0
+    if h == 0.0 or h == math.inf:
+        return float(h == 0.0)
+    head = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    return head + sum(math.exp(s / 2 * math.log(h) - h - math.lgamma(s / 2 + 1)) for s in range(df % 2, df - 1, 2))

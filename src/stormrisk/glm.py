@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import TABLE_FMT, _read_csv, _write_csv
+from .fitting import chi2_sf
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,6 @@ def fit_binomial(X, outages, totals) -> GlmFit:
     cannot diverge; probabilities are clamped away from 0/1 and an estimate
     pinned at the clamp is reported via `separated`.
     """
-    from scipy.special import chdtrc, ndtr
-
     X = np.asarray(X, dtype=float)
     y = np.asarray(outages, dtype=float)
     n = np.asarray(totals, dtype=float)
@@ -156,13 +155,13 @@ def fit_binomial(X, outages, totals) -> GlmFit:
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         zstat = np.where(se > 0, beta / se, np.inf)
-    p_values = 2.0 * ndtr(-np.abs(zstat))
+    p_values = np.array([chi2_sf(z * z, 1) for z in zstat.tolist()], dtype=float)  # P(|Z| > |z|) = P(chi2_1 > z^2)
 
     pbar = np.clip(y.sum() / n.sum(), _P_CLAMP, 1 - _P_CLAMP)
     null_dev = _binomial_deviance(y, n, np.full(nobs, pbar))
     df = k - 1
     lr = max(null_dev - dev, 0.0)
-    lr_p = float(chdtrc(df, lr)) if df > 0 else 1.0
+    lr_p = chi2_sf(lr, df) if df > 0 else 1.0
     separated = bool(np.any(p <= _P_CLAMP) or np.any(p >= 1 - _P_CLAMP))
     return GlmFit(
         beta=beta,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.special is imported inside the functions that use it: loading it
-# takes most of a CLI start-up, and most commands compute no Poisson tail.
+# scipy.special is imported inside the Poisson functions that use it: loading
+# it takes most of a CLI start-up, and only `fail-dist` computes a Poisson tail.
 
 from .csvio import TABLE_FMT, _write_csv
 from .ensemble import Ensemble, _mean

@@ -3,8 +3,9 @@ import sys
 from hypothesis import settings
 
 # No per-example deadline: several property tests run a whole kernel per
-# example, and a first example that loads scipy.special can take longer than
-# hypothesis's default 200 ms on a slow machine.
+# example, a first example that loads scipy (the reference of the tail tests)
+# can take longer than hypothesis's default 200 ms on a slow machine, and a
+# Student-t tail at 10,000 degrees of freedom steps 5,000 times.
 settings.register_profile("stormrisk", deadline=None)
 settings.load_profile("stormrisk")
 

@@ -724,6 +724,31 @@ class TestCritzoneAndSweeps:
         assert capsys.readouterr().err == f"error: invalid input: nhpp.Vcrit_mps: too small: {reason}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow is silent
+    @pytest.mark.parametrize("command", ["failure-rates", "critzone"])
+    @pytest.mark.parametrize("field", ["lambda_norm", "alpha"])
+    def test_overflowing_intensity_names_its_field(self, tmp_path, capsys, command, field):
+        # The intensity lambda_norm (1 + alpha ((Vm/Vcrit)^2 - 1)) at the storm's Vm is
+        # already past every float, so the field, not the threshold, is at fault.
+        argv = [command, "--config", _write_config(tmp_path), "--set", f"nhpp.{field}=1e308"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid input: nhpp.{field}: too large: the failure intensity at Vm = 37 m/s is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("step, warns", [("10", True), ("7.5", False)], ids=["4-radii", "5-radii"])
+    def test_singular_loss_design_warns(self, tmp_path, capsys, step, warns):
+        # 1, Rm, ..., Rm^4 are linearly dependent over four radii (20, 30, 40, 50)
+        # and independent over five; the fit still runs and writes its outputs.
+        argv = ["sweep-fit", "--config", _write_config(tmp_path), "--target", "loss", "--set", f"sweep.Rm_step={step}"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: sweep.Rm_step: 4 radii make the loss design singular;"
+            " its p-values and term pruning rest on a singular fit\n" if warns else ""
+        )
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["loss_fit.json", "loss_sweep.csv"]
+
     @pytest.mark.parametrize("Vcrit, radius", [("1e-300", "inf"), ("1e-3", "2.4e+10")])
     def test_sweep_fit_critzone_oversize_swath_exits_2(self, tmp_path, capsys, Vcrit, radius):
         # An infinite radius, or a finite one whose swath grid passes the cap,

@@ -1,11 +1,13 @@
-"""The `scipy.special` calls the package makes equal, bit for bit, the
-`scipy.stats` calls they replace; its own Lambert W0 matches
-`scipy.special.lambertw`; and a CLI process loads `scipy.special` only when
-it computes a Student-t, normal, chi-square or Poisson tail (and builds the
-velocity writer's digit table only when it writes velocities).
+"""The package's distribution tails against scipy and closed forms: its
+Poisson `scipy.special` calls equal, bit for bit, the `scipy.stats` calls they
+replace; its own Student-t, normal and chi-square tails match `scipy.stats`
+within the tolerance stated in each test; its Lambert W0 matches
+`scipy.special.lambertw`.  A CLI process loads scipy only when it computes a
+Poisson tail (`fail-dist`), and builds the velocity writer's digit table only
+when it writes velocities.
 
-`scipy.stats` is the reference here only: each distribution method below is
-a wrapper over the ufunc the package calls directly.
+`scipy.stats` is the reference here only: each Poisson method below is a
+wrapper over the ufunc the package calls directly.
 """
 
 import json
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats
-from scipy.special import chdtrc, lambertw, ndtr, pdtr, pdtrc, stdtr
+from scipy.special import lambertw, pdtr, pdtrc
 
 import stormrisk
 from stormrisk import (
@@ -31,6 +33,7 @@ from stormrisk import (
     save_observations,
 )
 from stormrisk.critzone import _lambert_w0
+from stormrisk.fitting import chi2_sf, t_sf2
 
 # Poisson means from 1e-9 to 1e4: log-uniform, plus hypothesis's own floats
 # (which favour the ends of the range).
@@ -62,23 +65,56 @@ def test_default_n_max(mu):
     assert default_n_max(mu) == int(stats.poisson.ppf(1.0 - 1e-9, mu))
 
 
-@given(NONNEG, st.integers(1, 10_000))
+def close(got, ref, rtol) -> bool:
+    """`got` within `rtol` relative of `ref`, where `ref` >= 1e-300; below
+    that, both are below 1e-299 (a reference may round to 0 there)."""
+    if ref >= 1e-300:
+        return abs(got - ref) <= rtol * ref
+    return got < 1e-299 and ref < 1e-299
+
+
+# The tails' tolerance, relative: 1e-12.  At dof = 1 `scipy.stats.t` itself is
+# off near t = 0 (by 3.4e-11 at t = 1.39e-6), so dof 1 and 2 are checked
+# against their closed forms instead.
+TAIL_RTOL = 1e-12
+
+
+@given(NONNEG, st.integers(2, 10_000))
 @example(np.inf, 3)
+@example(2.0937252715636730, 10_000)  # where the Numerical Recipes 6.4 fraction missed by 1.05e-12
 def test_t_sf(t, dof):
-    assert same(stdtr(dof, -abs(t)), stats.t.sf(abs(t), dof))
+    assert close(t_sf2(t, dof), 2.0 * stats.t.sf(t, dof), TAIL_RTOL)
+
+
+@given(NONNEG)
+@example(1.39e-6)
+@example(np.inf)
+def test_t_sf_one_dof_is_cauchy(t):
+    assert close(t_sf2(t, 1), 2.0 / math.pi * math.atan2(1.0, t), TAIL_RTOL)
+
+
+@given(st.floats(0.0, 1e150))
+@example(1.39e-6)
+def test_t_sf_two_dof_closed_form(t):
+    s = math.sqrt(2.0 + t * t)
+    assert close(t_sf2(t, 2), 2.0 / (s * (s + t)), TAIL_RTOL)
 
 
 @given(NONNEG)
 @example(np.inf)
+@example(1.4e154)  # z * z overflows
 def test_norm_sf(z):
-    assert same(ndtr(-abs(z)), stats.norm.sf(abs(z)))
+    # The two-sided normal tail as `glm` computes its Wald p-values: P(|Z| > z) = P(chi2_1 > z^2).
+    assert close(chi2_sf(z * z, 1), 2.0 * stats.norm.sf(z), TAIL_RTOL)
 
 
 @given(NONNEG, st.integers(1, 50))
 @example(0.0, 1)
 @example(0.0, 2)
+@example(5e-324, 2)  # h = x/2 underflows to 0
+@example(np.inf, 3)
 def test_chi2_sf(lr, df):
-    assert same(chdtrc(df, lr), stats.chi2.sf(lr, df))
+    assert close(chi2_sf(lr, df), stats.chi2.sf(lr, df), TAIL_RTOL)
 
 
 # The lower end of the window bound's W0 arguments, -((1 - 1e-8) Vhot/Vm)^2 / e
@@ -138,7 +174,7 @@ def tiny_inputs(tmp_path_factory):
     return d
 
 
-# Each command, and whether it computes a p-value or a Poisson tail.
+# Each command, and whether it computes a Poisson tail.
 COMMANDS = [
     (["windfield"], False),
     (["ensemble"], False),
@@ -147,24 +183,25 @@ COMMANDS = [
     (["critzone"], False),
     (["tables123"], False),
     (["sweep-fit", "--target", "critzone"], False),
-    (["sweep-fit", "--target", "damage"], True),  # coefficient p-values
-    (["sweep-fit", "--target", "loss"], True),
+    (["sweep-fit", "--target", "damage"], False),  # Student-t p-values, from `fitting`
+    (["sweep-fit", "--target", "loss"], False),
     (["fail-dist", "--cells", "0,55"], True),  # the Poisson truncation point and tail
-    (["outage-fit", "--obs", "obs.csv"], True),  # Wald and likelihood-ratio p-values
+    (["outage-fit", "--obs", "obs.csv"], False),  # normal and chi-square p-values, from `fitting`
 ]
 
 
 @pytest.mark.parametrize("argv, loads", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
 def test_scipy_special_loaded_only_for_tails(tiny_inputs, argv, loads):
+    # Only `fail-dist` loads scipy (`scipy.special`); every other command loads no scipy module.
     code = (
         "import sys\n"
         "from stormrisk.cli import main\n"
         "rc = main(sys.argv[1:])\n"
-        "print(rc, 'scipy.special' in sys.modules)"
+        "print(rc, 'scipy.special' in sys.modules, any(m.startswith('scipy') for m in sys.modules))"
     )
     result = _fresh_python(code, *argv, "--config", "cfg.json", cwd=tiny_inputs)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", str(loads)]
+    assert result.stdout.split() == ["0", str(loads), str(loads)]
 
 
 def test_digit_table_built_only_for_velocity_tables(tiny_inputs):

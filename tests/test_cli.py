@@ -681,7 +681,7 @@ class TestCritzoneAndSweeps:
                 ["sweep-fit", "--target", "damage", "--set", "nhpp.Vcrit_mps=1e-60"]
                 + ["--set", "sweep.Vm_step=6", "--set", "sweep.Rm_step=5"],
                 {
-                    "damage_fit.json": "8a2de6668e94a66837947e3336b69fb2efd5a62c4735cf14b2f1baf333d51847",
+                    "damage_fit.json": "0a30c805c92ef51ae5549b2dc86a95b2c932b11453018b32a13622a9a251e77c",
                     "damage_sweep.csv": "3c231a4a81800a0695f0a4bbe1d7b18d602c57f460513d1a14745ba6a5d7a755",
                 },
             ),
@@ -1086,27 +1086,27 @@ GOLDEN = {
     "sweep-damage": (
         ["sweep-fit", "--target", "damage"], {"sweep": _AGGREGATE_SWEEP},
         {
-            "damage_fit.json": "11e681dfb45aea27b6ca605f0f696faff340666957b7445add56f331be69be4b",
+            "damage_fit.json": "59f684b6f1145b1dd375d017ccf2b57a7a2077ab6974f4d6c7d9665b2a762c7c",
             "damage_sweep.csv": "bbe56e7ecc01e51bd6acbdb84cb9e5e89b2aec4bc51d5e3b8af78a499e3cfe10",
         },
     ),
     "sweep-loss": (
         ["sweep-fit", "--target", "loss"], {"sweep": _AGGREGATE_SWEEP},
         {
-            "loss_fit.json": "fdca878a1d5440b83d6ba6c59f47436c13d1fdba177c7e87fc1fc99af6fcb919",
+            "loss_fit.json": "332e3a0acbd3983e938351f3814da29d256225f7bf4ab4133d53603d00674abf",
             "loss_sweep.csv": "bbe56e7ecc01e51bd6acbdb84cb9e5e89b2aec4bc51d5e3b8af78a499e3cfe10",
         },
     ),
     "outage-rate": (
         ["outage-fit", "--predictor", "failure_rate"], {},
         {
-            "outage_fit.json": "e62c511fb6cc42217dfd3f5cb709ad8d229aebbff2089e11909b9951590a9e79",
+            "outage_fit.json": "f996358c8f33ada98605b53141efd490e0d376e2e497f90672c9158fbd9f1dad",
         },
     ),
     "outage-speed": (
         ["outage-fit", "--predictor", "cumulative_velocity"], {},
         {
-            "outage_fit.json": "4a929bd3d38d4f0f63f6c938c994b7b5b2b6c251e323346aea1745522455ab39",
+            "outage_fit.json": "f4d211c94e462a8d6fc85242717f6034a41e9bd35a66bea1262e30297796f0f2",
         },
     ),
     "tables123": (

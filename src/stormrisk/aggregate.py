@@ -164,7 +164,7 @@ def _screen(y, candidates, Rm, g, powers):
     sw = 1.0 / np.abs(y)  # the square root of _relative_weights
     yw = y * sw
     c = np.asarray(candidates, dtype=float)
-    n_columns = sum(len(np.unique(k * c[:, s])) for _, k, s in powers)
+    n_columns = sum(len(set((k * c[:, s]).tolist())) for _, k, s in powers)  # np.unique loads numpy.ma
     rss, err = np.empty(len(c)), np.empty(len(c))
     for part in np.array_split(np.arange(len(c)), -(-n_columns // _SCREEN_COLUMNS)):
         a, q, index = [], [], []

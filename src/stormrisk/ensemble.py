@@ -17,7 +17,6 @@ statistic needs, so its memory does not grow with H.  The statistics of an
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +132,7 @@ def member_parameters(
 def _member_velocities(spec: EnsemblePerturbationSpec, xs, ys, times: TimeAxis, threads: int = 1):
     """Yield each member's `wind._velocities` on cell-centre axes `xs`, `ys`
     in member order, made `threads` >= 1 at a time by one pool: at most that many in flight."""
+    from concurrent.futures import ThreadPoolExecutor  # here: it loads `logging`, `queue` and `traceback`
     children = np.random.SeedSequence(spec.seed).spawn(spec.H)
 
     def make(child_seed):

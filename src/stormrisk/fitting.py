@@ -8,6 +8,7 @@ here are severely collinear), and coefficients are unscaled afterwards.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +96,12 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
     raise ArithmeticError(f"the incomplete beta's continued fraction did not converge at a={a}, b={b}, x={x}")
 
 
+@functools.lru_cache(maxsize=128)
+def _inv_beta_half(dof: int) -> float:
+    """1/B(dof/2, 1/2) = Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) by O(dof) exact steps, as lgamma(1e3) is ~1e-12 off."""
+    return math.prod(((k + 1) / k for k in range(2 - dof % 2, dof - 1, 2)), start=1 / math.pi if dof % 2 else 0.5)
+
+
 def t_sf2(t: float, dof: int) -> float:
     """Two-sided Student-t tail P(|T| > |t|) at integer `dof` >= 1: I_x(dof/2, 1/2) at x = dof / (dof + t^2)
     (A&S 26.5.27, 26.7.1), with x and 1 - x each formed without a subtraction."""
@@ -103,9 +110,7 @@ def t_sf2(t: float, dof: int) -> float:
         return math.nan if math.isnan(t2) else 1.0
     a, x, y = dof / 2.0, 1.0 / (1.0 + t2 / dof), 1.0 / (1.0 + dof / t2)
     log_x = -math.log1p(t2 / dof) if t2 < math.inf else math.log(dof) - 2.0 * math.log(abs(t))
-    # 1/B(a, 1/2) = Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) by exact steps, as lgamma(1e3) rounds by ~1e-12.
-    inv_beta = math.prod(((k + 1) / k for k in range(2 - dof % 2, dof - 1, 2)), start=1 / math.pi if dof % 2 else 0.5)
-    front = math.exp(a * log_x - 0.5 * math.log1p(dof / t2)) * inv_beta
+    front = math.exp(a * log_x - 0.5 * math.log1p(dof / t2)) * _inv_beta_half(dof)
     if x < (a + 1.0) / (a + 2.5):
         return front / _beta_fraction(a, 0.5, x, y)
     return 1.0 - front / _beta_fraction(0.5, a, y, x)

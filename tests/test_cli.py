@@ -737,6 +737,16 @@ class TestCritzoneAndSweeps:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_nominal_rate_names_lambda_norm(self, tmp_path, capsys):
+        # Below Vcrit the intensity is lambda_norm = 1e308, finite; its sum over the 6 hours is not.
+        argv = ["failure-rates", "--config", _write_config(tmp_path)]
+        assert main(argv + ["--set", "nhpp.lambda_norm=1e308", "--set", "holland.Vm_mps=20"]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid input: nhpp.lambda_norm: too large: the nominal failure rate over 6 h is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("step, warns", [("10", True), ("7.5", False)], ids=["4-radii", "5-radii"])
     def test_singular_loss_design_warns(self, tmp_path, capsys, step, warns):
         # 1, Rm, ..., Rm^4 are linearly dependent over four radii (20, 30, 40, 50)

@@ -3,13 +3,15 @@ Poisson `scipy.special` calls equal, bit for bit, the `scipy.stats` calls they
 replace; its own Student-t, normal and chi-square tails match `scipy.stats`
 within the tolerance stated in each test; its Lambert W0 matches
 `scipy.special.lambertw`.  A CLI process loads scipy only when it computes a
-Poisson tail (`fail-dist`), and builds the velocity writer's digit table only
+Poisson tail (`fail-dist`), OpenSSL's `_hashlib` and the thread pool only when
+it makes ensemble members, and builds the velocity writer's digit table only
 when it writes velocities.
 
 `scipy.stats` is the reference here only: each Poisson method below is a
 wrapper over the ufunc the package calls directly.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -32,8 +34,10 @@ from stormrisk import (
     save_county_fixture,
     save_observations,
 )
+from stormrisk import fitting
+from stormrisk.cli import DEFAULT_CONFIG, config_hash
 from stormrisk.critzone import _lambert_w0
-from stormrisk.fitting import chi2_sf, t_sf2
+from stormrisk.fitting import LinearFit, chi2_sf, t_sf2
 
 # Poisson means from 1e-9 to 1e4: log-uniform, plus hypothesis's own floats
 # (which favour the ends of the range).
@@ -100,6 +104,38 @@ def test_t_sf_two_dof_closed_form(t):
     assert close(t_sf2(t, 2), 2.0 / (s * (s + t)), TAIL_RTOL)
 
 
+def _t_sf2_per_call(t: float, dof: int) -> float:
+    """`t_sf2` as it was before 1/B(dof/2, 1/2) was kept per dof: the product rebuilt on every call."""
+    t2 = t * t
+    if not t2 > 0.0:
+        return math.nan if math.isnan(t2) else 1.0
+    a, x, y = dof / 2.0, 1.0 / (1.0 + t2 / dof), 1.0 / (1.0 + dof / t2)
+    log_x = -math.log1p(t2 / dof) if t2 < math.inf else math.log(dof) - 2.0 * math.log(abs(t))
+    inv_beta = math.prod(((k + 1) / k for k in range(2 - dof % 2, dof - 1, 2)), start=1 / math.pi if dof % 2 else 0.5)
+    front = math.exp(a * log_x - 0.5 * math.log1p(dof / t2)) * inv_beta
+    if x < (a + 1.0) / (a + 2.5):
+        return front / fitting._beta_fraction(a, 0.5, x, y)
+    return 1.0 - front / fitting._beta_fraction(0.5, a, y, x)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True), st.integers(1, 100_000))
+@example(2.0937252715636730, 10_000)
+@example(3.0, 1_000_000)
+@example(-np.inf, 1)
+def test_t_sf_per_dof_factor_is_bit_identical(t, dof):
+    assert same(t_sf2(t, dof), _t_sf2_per_call(t, dof))
+
+
+def test_p_values_build_the_beta_factor_once():
+    # Thirteen coefficients at dof 10^6: one O(dof) product, not thirteen.
+    fit = LinearFit(beta=np.zeros(13), se=np.ones(13), t=np.linspace(0.5, 6.5, 13), dof=10**6, rms=0.0, cond=1.0)
+    fitting._inv_beta_half.cache_clear()
+    p = fit.p_values
+    info = fitting._inv_beta_half.cache_info()
+    assert (info.misses, info.hits) == (1, 12)
+    assert all(same(got, _t_sf2_per_call(t, fit.dof)) for got, t in zip(p, fit.t.tolist()))
+
+
 @given(NONNEG)
 @example(np.inf)
 @example(1.4e154)  # z * z overflows
@@ -142,11 +178,45 @@ def _fresh_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProces
     return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True)
 
 
+# The optional modules a command may load: scipy (`scipy.special`, for the
+# Poisson tails), OpenSSL's `_hashlib` (`numpy.random` imports `secrets`, which
+# imports `hmac` and `hashlib`), the member pool's `concurrent.futures` (with
+# `logging`, `queue` and `traceback`) and `numpy.ma`.
+MODULES = ("scipy", "_hashlib", "concurrent.futures", "numpy.ma")
+_LOADED = f"print(*(m for m in {MODULES!r} if m in sys.modules))"
+
+
 def test_cli_import_loads_no_scipy():
-    code = "import stormrisk.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # Nor OpenSSL, the pool or numpy.ma: the config hash is CPython's own SHA-256.
+    result = _fresh_python("import sys, stormrisk.cli\n" + _LOADED)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+
+
+@given(st.dictionaries(st.text(), JSON))
+def test_config_hash_is_sha256_of_canonical_json(config):
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    assert config_hash(config) == hashlib.sha256(canon.encode()).hexdigest()
+
+
+def test_config_hash_falls_back_to_hashlib():
+    # An interpreter built without `_sha2` and `_sha256` hashes through hashlib (OpenSSL), to the same digest.
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from stormrisk.cli import DEFAULT_CONFIG, config_hash, sha256\n"
+        "print(config_hash(DEFAULT_CONFIG), sha256.__module__)"
+    )
     result = _fresh_python(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split() == [config_hash(DEFAULT_CONFIG), "_hashlib"]
 
 
 @pytest.fixture(scope="module")
@@ -174,34 +244,30 @@ def tiny_inputs(tmp_path_factory):
     return d
 
 
-# Each command, and whether it computes a Poisson tail.
+# Each command, and the optional modules it loads.
+MEMBERS = ("_hashlib", "concurrent.futures")  # made by `ensemble._member_velocities`
 COMMANDS = [
-    (["windfield"], False),
-    (["ensemble"], False),
-    (["failure-rates", "--which", "fr1"], False),
-    (["failure-rates", "--which", "fr2"], False),
-    (["critzone"], False),
-    (["tables123"], False),
-    (["sweep-fit", "--target", "critzone"], False),
-    (["sweep-fit", "--target", "damage"], False),  # Student-t p-values, from `fitting`
-    (["sweep-fit", "--target", "loss"], False),
-    (["fail-dist", "--cells", "0,55"], True),  # the Poisson truncation point and tail
-    (["outage-fit", "--obs", "obs.csv"], False),  # normal and chi-square p-values, from `fitting`
+    (["windfield"], ()),
+    (["ensemble"], MEMBERS),
+    (["failure-rates", "--which", "fr1"], MEMBERS),
+    (["failure-rates", "--which", "fr2"], MEMBERS),
+    (["critzone"], ()),
+    (["tables123"], ()),
+    (["sweep-fit", "--target", "critzone"], ()),
+    (["sweep-fit", "--target", "damage"], ()),  # Student-t p-values, from `fitting`
+    (["sweep-fit", "--target", "loss"], ()),
+    (["fail-dist", "--cells", "0,55"], MODULES),  # the Poisson truncation point and tail; scipy loads numpy.ma
+    (["outage-fit", "--obs", "obs.csv"], MEMBERS),  # normal and chi-square p-values, from `fitting`
 ]
 
 
 @pytest.mark.parametrize("argv, loads", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
 def test_scipy_special_loaded_only_for_tails(tiny_inputs, argv, loads):
-    # Only `fail-dist` loads scipy (`scipy.special`); every other command loads no scipy module.
-    code = (
-        "import sys\n"
-        "from stormrisk.cli import main\n"
-        "rc = main(sys.argv[1:])\n"
-        "print(rc, 'scipy.special' in sys.modules, any(m.startswith('scipy') for m in sys.modules))"
-    )
+    # Only `fail-dist` loads scipy; only the commands that make members load OpenSSL and the pool.
+    code = "import sys\nfrom stormrisk.cli import main\nprint(main(sys.argv[1:]))\n" + _LOADED
     result = _fresh_python(code, *argv, "--config", "cfg.json", cwd=tiny_inputs)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", str(loads), str(loads)]
+    assert result.stdout.split() == ["0", *loads]
 
 
 def test_digit_table_built_only_for_velocity_tables(tiny_inputs):

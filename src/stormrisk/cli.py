@@ -300,8 +300,8 @@ def _load(loader, name: str, path):
 
 def _require_finite(p: NhppParams, Vm, T: float, *values) -> None:
     """Refuse results past every float (a critical radius, zone area, failure rate, exposure, damage or loss)
-    before any output, naming nhpp.alpha or nhpp.lambda_norm when the intensity at the largest `Vm` is past
-    every float, nhpp.lambda_norm when lambda_norm T over `T` hours is, else the threshold, as one far below."""
+    before any output, naming nhpp.alpha or nhpp.lambda_norm when the intensity at the largest `Vm` is, or
+    lambda_norm T over the run's `T` hours; else the threshold, as one far below the winds gives them."""
     if all(np.isfinite(v).all() for v in values):
         return
     with np.errstate(over="ignore"):  # the intensity lambda_norm (1 + alpha g), g = (Vm/Vcrit)^2 - 1

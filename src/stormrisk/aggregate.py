@@ -31,6 +31,7 @@ import numpy as np
 
 from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
+from .grid import TimeAxis
 from .nhpp import NhppParams, _intensity
 from .wind import MPS_TO_KMH, HollandParams, _sweep_storms, _wind_steps
 
@@ -68,6 +69,7 @@ class RepairParams:
 # reported per cell (means over the region), which makes the fitted
 # coefficients independent of |G|.
 _NX, _NY, _CELL, _VTR, _N_STEPS, _DT = 25, 40, 22.264, 3.0, 24, 1.0
+REFERENCE_TIMES = TimeAxis(n_steps=_N_STEPS, dt=_DT)  # the span that damage and loss accumulate over
 
 # Vm values evaluated together: the chunk's speed buffer and rate sum are 66 kB
 # each on the default 25 x 40 grid's 13 x 40 half, under malloc's 128 KiB mmap

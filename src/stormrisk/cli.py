@@ -298,10 +298,10 @@ def _load(loader, name: str, path):
 # =============================================================================
 
 
-def _require_finite(p: NhppParams, Vm, T: float, *values) -> None:
+def _require_finite(p: NhppParams, Vm, *values, T: float | None = None) -> None:
     """Refuse results past every float (a critical radius, zone area, failure rate, exposure, damage or loss)
     before any output, naming nhpp.alpha or nhpp.lambda_norm when the intensity at the largest `Vm` is, or
-    lambda_norm T over the run's `T` hours; else the threshold, as one far below the winds gives them."""
+    lambda_norm T for rates summed over `T` hours; else the threshold, as one far below the winds gives them."""
     if all(np.isfinite(v).all() for v in values):
         return
     with np.errstate(over="ignore"):  # the intensity lambda_norm (1 + alpha g), g = (Vm/Vcrit)^2 - 1
@@ -310,7 +310,7 @@ def _require_finite(p: NhppParams, Vm, T: float, *values) -> None:
     if np.isfinite(g) and not np.isfinite(intensity):
         field = "nhpp.alpha" if not np.isfinite(shape) else "nhpp.lambda_norm"
         raise ConfigError(field, f"too large: the failure intensity at Vm = {np.max(Vm):g} m/s is not finite")
-    if not np.isfinite(p.lambda_norm * T):
+    if T is not None and not np.isfinite(p.lambda_norm * T):
         raise ConfigError("nhpp.lambda_norm", f"too large: the nominal failure rate over {T:g} h is not finite")
     raise ConfigError("nhpp.Vcrit_mps", "too small: a critical radius, zone area or failure rate is not finite")
 
@@ -330,7 +330,7 @@ def cmd_ensemble(run: _Run, args) -> None:
 def cmd_failure_rates(run: _Run, args) -> None:
     reduce = nhpp._fr1 if args.which == "fr1" else nhpp._fr2
     rates = reduce(run.nhpp, _members(run, args.threads), run.times.dt)
-    _require_finite(run.nhpp, run.holland.Vm, run.times.duration, rates)
+    _require_finite(run.nhpp, run.holland.Vm, rates, T=run.times.duration)
     nhpp.save_failure_rate_field(rates, run.out(f"failure_rates_{args.which}.csv"), header_comment=run.tag)
 
 
@@ -348,7 +348,7 @@ def cmd_fail_dist(run: _Run, args) -> None:
         raise ConfigError("--n-max", "must be >= 0")
     xs, ys, rows = _sub_grid(run.grid, cells)
     rates = nhpp._member_rates(run.nhpp, _members(run, args.threads, (xs, ys)), rows, run.times.dt)
-    _require_finite(run.nhpp, run.holland.Vm, run.times.duration, rates)
+    _require_finite(run.nhpp, run.holland.Vm, rates, T=run.times.duration)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
     if args.n_max is None:  # the default truncation point follows FD-A's or FD-B's largest rate
         peak = max(rates[:, j].mean() for j in range(len(cells))) if args.kind == "fda" else rates.max()
@@ -373,12 +373,12 @@ def cmd_critzone(run: _Run, args) -> None:
     Rcrit = critzone.critical_radius(run.holland, run.nhpp.Vcrit)
     obround = None if Rcrit is None else critzone.obround_area(Rcrit, run.times.duration, run.track.Vtr)
     if Rcrit is not None:
-        _require_finite(run.nhpp, run.holland.Vm, run.times.duration, Rcrit, obround)
+        _require_finite(run.nhpp, run.holland.Vm, Rcrit, obround)
     rates, zone = critzone.storm_swath(
         run.track, run.holland, run.grid, run.times, run.nhpp, asymmetric=s.asymmetric, hemisphere=s.hemisphere
     )
     stats = critzone.zone_failure_stats(rates, zone)
-    _require_finite(run.nhpp, run.holland.Vm, run.times.duration, stats["max"], stats["mean"])
+    _require_finite(run.nhpp, run.holland.Vm, stats["max"], stats["mean"], T=run.times.duration)
     cells = np.flatnonzero(zone)
     rows = ([cell] for cell in cells)
     _write_csv(run.out("critzone_cells.csv"), ["cell_id"], rows, run.tag, line_end="\n")
@@ -399,7 +399,7 @@ def _sweep_fit_critzone(run: _Run) -> None:
         sweep = critzone.zone_sweep(*run.sweep, run.nhpp, run.track, run.times, run.holland.B)
     except ValueError as exc:  # a storm's swath grid is past the cap
         raise ConfigError("nhpp.Vcrit_mps", f"too small: {exc}") from None
-    _require_finite(run.nhpp, run.sweep[0], run.times.duration, *sweep)
+    _require_finite(run.nhpp, run.sweep[0], *sweep, T=run.times.duration)
     Vm, Rm, Rcrit, area = sweep[:4]
     radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=run.nhpp.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)
@@ -450,7 +450,7 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         print(f"warning: sweep.Rm_step: {len(Rm_values)} radii make the loss design singular;"
               " its p-values and term pruning rest on a singular fit", file=sys.stderr)
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, B=run.holland.B)
-    _require_finite(run.nhpp, Vm, aggregate._N_STEPS * aggregate._DT, damage, loss)
+    _require_finite(run.nhpp, Vm, damage, loss, T=aggregate.REFERENCE_TIMES.duration)
     try:
         if args.target == "damage":
             model = aggregate.fit_damage_model(Vm, Rm, damage, Vcrit)
@@ -490,7 +490,7 @@ def cmd_outage_fit(run: _Run, args) -> None:
     x = np.array(
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )
-    _require_finite(run.nhpp, run.holland.Vm, run.times.duration, x)
+    _require_finite(run.nhpp, run.holland.Vm, x, T=run.times.duration)
     households = np.array([obs.households for obs in observations], dtype=float)
     with np.errstate(over="ignore"):  # the sum bounds every entry of the fit's X'WX
         if not np.isfinite(np.sum(households * x * x)):
@@ -520,7 +520,7 @@ def cmd_tables123(run: _Run, args) -> None:
     records = critzone.tables123(nhpp=run.nhpp)
     values = (rec[c] for rec in records for c in critzone.TABLE_HEADER[2:])
     Vm = max(critzone.TABLE_STORMS)[0]  # the largest Vm leads its tuple
-    _require_finite(run.nhpp, Vm, critzone._TABLE_TIMES.duration, *values)
+    _require_finite(run.nhpp, Vm, *values, T=critzone.TABLE_TIMES.duration)
     rows = (
         [str(rec["Vm"]), str(rec["Rm"])] + [format(rec[c], TABLE_FMT) for c in critzone.TABLE_HEADER[2:]]
         for rec in records

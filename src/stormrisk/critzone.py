@@ -340,7 +340,7 @@ _TABLE_GRID = Grid(
     ny=int(round(_TABLE_DEPTH / _TABLE_CELL)),
     cell_size=_TABLE_CELL,
 )
-_TABLE_TIMES = TimeAxis(n_steps=121, dt=1.0)
+TABLE_TIMES = TimeAxis(n_steps=121, dt=1.0)
 _TABLE_TRACK = Track(x0=(_TABLE_WIDTH / 2.0 - 0.345402611, 10.6111712), Vtr=(0.0, 3.27856331))
 
 TABLE_STORMS = [(25, 20), (25, 30), (25, 40), (37, 20), (37, 30), (37, 40),
@@ -444,7 +444,7 @@ def tables123(nhpp: NhppParams | None = None) -> list[dict]:
         p = HollandParams(Vm=float(Vm), Rm=float(Rm))
         rec = {"Vm": Vm, "Rm": Rm}
         for asym, label in ((False, "axi"), (True, "asym")):
-            rates, zone = storm_swath(_TABLE_TRACK, p, _TABLE_GRID, _TABLE_TIMES, nhpp, asymmetric=asym)
+            rates, zone = storm_swath(_TABLE_TRACK, p, _TABLE_GRID, TABLE_TIMES, nhpp, asymmetric=asym)
             stats = zone_failure_stats(rates, zone)
             rec[f"area_{label}_km2"] = float(np.count_nonzero(zone)) * _TABLE_GRID.cell_area
             rec[f"max_fr_{label}"] = stats["max"]

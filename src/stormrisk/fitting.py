@@ -8,7 +8,6 @@ here are severely collinear), and coefficients are unscaled afterwards.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,8 +32,9 @@ class LinearFit:
 
     @property
     def p_values(self) -> np.ndarray:
-        """Two-sided Student-t p-values of the coefficients."""
-        return np.array([t_sf2(t, self.dof) for t in self.t.tolist()], dtype=float)
+        """Two-sided Student-t p-values of the coefficients, all from one 1/B(dof/2, 1/2)."""
+        inv_beta = _inv_beta_half(self.dof)
+        return np.array([t_sf2(t, self.dof, inv_beta) for t in self.t.tolist()], dtype=float)
 
     def predict(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.beta
@@ -96,21 +96,20 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
     raise ArithmeticError(f"the incomplete beta's continued fraction did not converge at a={a}, b={b}, x={x}")
 
 
-@functools.lru_cache(maxsize=128)
 def _inv_beta_half(dof: int) -> float:
     """1/B(dof/2, 1/2) = Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) by O(dof) exact steps, as lgamma(1e3) is ~1e-12 off."""
     return math.prod(((k + 1) / k for k in range(2 - dof % 2, dof - 1, 2)), start=1 / math.pi if dof % 2 else 0.5)
 
 
-def t_sf2(t: float, dof: int) -> float:
+def t_sf2(t: float, dof: int, inv_beta: float | None = None) -> float:
     """Two-sided Student-t tail P(|T| > |t|) at integer `dof` >= 1: I_x(dof/2, 1/2) at x = dof / (dof + t^2)
-    (A&S 26.5.27, 26.7.1), with x and 1 - x each formed without a subtraction."""
+    (A&S 26.5.27, 26.7.1), with x and 1 - x each formed without a subtraction; `inv_beta` is `_inv_beta_half(dof)`."""
     t2 = t * t
     if not t2 > 0.0:
         return math.nan if math.isnan(t2) else 1.0
     a, x, y = dof / 2.0, 1.0 / (1.0 + t2 / dof), 1.0 / (1.0 + dof / t2)
     log_x = -math.log1p(t2 / dof) if t2 < math.inf else math.log(dof) - 2.0 * math.log(abs(t))
-    front = math.exp(a * log_x - 0.5 * math.log1p(dof / t2)) * _inv_beta_half(dof)
+    front = math.exp(a * log_x - 0.5 * math.log1p(dof / t2)) * (_inv_beta_half(dof) if inv_beta is None else inv_beta)
     if x < (a + 1.0) / (a + 2.5):
         return front / _beta_fraction(a, 0.5, x, y)
     return 1.0 - front / _beta_fraction(0.5, a, y, x)

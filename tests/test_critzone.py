@@ -539,7 +539,7 @@ class TestAreaFit:
 class TestBenchmarkTables:
     def test_structure_on_small_domain(self, monkeypatch):
         monkeypatch.setattr(critzone, "_TABLE_GRID", Grid(origin=(0.0, 0.0), nx=30, ny=40, cell_size=10.0))
-        monkeypatch.setattr(critzone, "_TABLE_TIMES", TimeAxis(n_steps=20))
+        monkeypatch.setattr(critzone, "TABLE_TIMES", TimeAxis(n_steps=20))
         monkeypatch.setattr(critzone, "_TABLE_TRACK", Track(x0=(150.0, 10.0), Vtr=(0.0, 3.3)))
         records = tables123()
         assert len(records) == 9
@@ -551,7 +551,7 @@ class TestBenchmarkTables:
     def test_default_config_grid_dimensions(self):
         g = critzone._TABLE_GRID
         assert (g.nx, g.ny, g.cell_size) == (186, 236, 5.35568345)
-        assert (critzone._TABLE_TIMES.n_steps, critzone._TABLE_TIMES.dt) == (121, 1.0)
+        assert (critzone.TABLE_TIMES.n_steps, critzone.TABLE_TIMES.dt) == (121, 1.0)
         assert critzone._TABLE_TRACK.Vtr[0] == 0.0
         # The storm runs up the middle of the domain.
         assert critzone._TABLE_TRACK.x0[0] == pytest.approx(g.nx * g.cell_size / 2.0, abs=1.0)

@@ -105,7 +105,7 @@ def test_t_sf_two_dof_closed_form(t):
 
 
 def _t_sf2_per_call(t: float, dof: int) -> float:
-    """`t_sf2` as it was before 1/B(dof/2, 1/2) was kept per dof: the product rebuilt on every call."""
+    """`t_sf2` as it was when every call built 1/B(dof/2, 1/2) itself."""
     t2 = t * t
     if not t2 > 0.0:
         return math.nan if math.isnan(t2) else 1.0
@@ -122,17 +122,20 @@ def _t_sf2_per_call(t: float, dof: int) -> float:
 @example(2.0937252715636730, 10_000)
 @example(3.0, 1_000_000)
 @example(-np.inf, 1)
-def test_t_sf_per_dof_factor_is_bit_identical(t, dof):
-    assert same(t_sf2(t, dof), _t_sf2_per_call(t, dof))
+def test_t_sf_given_beta_factor_is_bit_identical(t, dof):
+    ref = _t_sf2_per_call(t, dof)
+    assert same(t_sf2(t, dof), ref)
+    assert same(t_sf2(t, dof, fitting._inv_beta_half(dof)), ref)
 
 
-def test_p_values_build_the_beta_factor_once():
+def test_p_values_build_the_beta_factor_once(monkeypatch):
     # Thirteen coefficients at dof 10^6: one O(dof) product, not thirteen.
+    dofs = []
+    inv_beta_half = fitting._inv_beta_half
+    monkeypatch.setattr(fitting, "_inv_beta_half", lambda dof: dofs.append(dof) or inv_beta_half(dof))
     fit = LinearFit(beta=np.zeros(13), se=np.ones(13), t=np.linspace(0.5, 6.5, 13), dof=10**6, rms=0.0, cond=1.0)
-    fitting._inv_beta_half.cache_clear()
     p = fit.p_values
-    info = fitting._inv_beta_half.cache_info()
-    assert (info.misses, info.hits) == (1, 12)
+    assert dofs == [10**6]
     assert all(same(got, _t_sf2_per_call(t, fit.dof)) for got, t in zip(p, fit.t.tolist()))
 
 
@@ -178,11 +181,13 @@ def _fresh_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProces
     return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True)
 
 
-# The optional modules a command may load: scipy (`scipy.special`, for the
-# Poisson tails), OpenSSL's `_hashlib` (`numpy.random` imports `secrets`, which
-# imports `hmac` and `hashlib`), the member pool's `concurrent.futures` (with
-# `logging`, `queue` and `traceback`) and `numpy.ma`.
-MODULES = ("scipy", "_hashlib", "concurrent.futures", "numpy.ma")
+# The optional modules a command may load: the package's own `scipy.special`
+# (the Poisson tails) and member pool `concurrent.futures` (with `logging`,
+# `queue` and `traceback`), and the `scipy`, OpenSSL `_hashlib` and `numpy.ma`
+# that `scipy.special` or `numpy.random` (through `secrets`, `hmac` and
+# `hashlib`) may load in turn.
+OWN = ("scipy.special", "concurrent.futures")
+MODULES = OWN + ("scipy", "_hashlib", "numpy.ma")
 _LOADED = f"print(*(m for m in {MODULES!r} if m in sys.modules))"
 
 
@@ -244,8 +249,8 @@ def tiny_inputs(tmp_path_factory):
     return d
 
 
-# Each command, and the optional modules it loads.
-MEMBERS = ("_hashlib", "concurrent.futures")  # made by `ensemble._member_velocities`
+# Each command, and which of the package's own optional modules it loads.
+MEMBERS = ("concurrent.futures",)  # made by `ensemble._member_velocities`
 COMMANDS = [
     (["windfield"], ()),
     (["ensemble"], MEMBERS),
@@ -256,18 +261,25 @@ COMMANDS = [
     (["sweep-fit", "--target", "critzone"], ()),
     (["sweep-fit", "--target", "damage"], ()),  # Student-t p-values, from `fitting`
     (["sweep-fit", "--target", "loss"], ()),
-    (["fail-dist", "--cells", "0,55"], MODULES),  # the Poisson truncation point and tail; scipy loads numpy.ma
+    (["fail-dist", "--cells", "0,55"], ("scipy.special",) + MEMBERS),  # the Poisson truncation point and tail
     (["outage-fit", "--obs", "obs.csv"], MEMBERS),  # normal and chi-square p-values, from `fitting`
 ]
 
 
 @pytest.mark.parametrize("argv, loads", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
 def test_scipy_special_loaded_only_for_tails(tiny_inputs, argv, loads):
-    # Only `fail-dist` loads scipy; only the commands that make members load OpenSSL and the pool.
+    # Only `fail-dist` loads scipy; only the commands that make members load the pool.  What numpy and
+    # scipy load in turn is theirs, so the other modules are checked only where neither is reached.
     code = "import sys\nfrom stormrisk.cli import main\nprint(main(sys.argv[1:]))\n" + _LOADED
     result = _fresh_python(code, *argv, "--config", "cfg.json", cwd=tiny_inputs)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", *loads]
+    rc, *loaded = result.stdout.split()
+    assert rc == "0"
+    assert [m for m in loaded if m in OWN] == list(loads)
+    if "scipy.special" not in loads:
+        assert "scipy" not in loaded
+    if not loads:  # no `numpy.random` member and no scipy: nothing may load OpenSSL or numpy.ma
+        assert loaded == []
 
 
 def test_digit_table_built_only_for_velocity_tables(tiny_inputs):

@@ -1020,6 +1020,7 @@ def _golden_digest(path) -> str:
 _CRITZONE_SWEEP = {"Vm_min": 25, "Vm_max": 46, "Vm_step": 7, "Rm_min": 20, "Rm_max": 50, "Rm_step": 10}
 _AGGREGATE_SWEEP = {"Vm_min": 22, "Vm_max": 80, "Vm_step": 6, "Rm_min": 20, "Rm_max": 50, "Rm_step": 10}
 _SOUTH = {"asymmetric": True, "hemisphere": "S"}
+_NORTH = {"asymmetric": True, "hemisphere": "N"}
 
 # One row per invocation: (argv after the command's config, config fields,
 # the digest of each file it writes).  The config is `_write_config`'s
@@ -1037,10 +1038,23 @@ GOLDEN = {
             "windfield.csv": "f8358042f90f70de973d14e7469680ac79425b29d175f55de937b0b4e6f1c6a9",
         },
     ),
+    "windfield-north": (
+        ["windfield"], {"field": _NORTH},
+        {
+            "windfield.csv": "acfdfaef4b97caa02d51b1a8cf5c1f5b1042217bcbe7639920be5215869b37d8",
+        },
+    ),
     "ensemble": (
         ["ensemble"], {},
         {
             "ensemble.csv": "6c4bee746c8505db8ec986480dcc613a5929ec5ca76d6a7e8ff8bbe36eddf2f7",
+            "ensemble.csv.json": "63f45820051699cf24033d0bc7b320120a111ad2ca106780daa6f1b7c4ad8688",
+        },
+    ),
+    "ensemble-asymmetric": (
+        ["ensemble"], {"field": _NORTH},
+        {
+            "ensemble.csv": "68e391d095336d740d2e7e5eeb594205787917c6e35a90b8ec819320c5ed956f",
             "ensemble.csv.json": "63f45820051699cf24033d0bc7b320120a111ad2ca106780daa6f1b7c4ad8688",
         },
     ),

@@ -18,10 +18,10 @@ from stormrisk import (
     NhppParams,
     TimeAxis,
     Track,
-    axisymmetric_field,
     expected_failures_saturated,
     fit_binomial,
     poisson_intensity,
+    wind_field,
 )
 
 # One storm over a 200 x 200 km region split into four quadrant counties.
@@ -29,7 +29,7 @@ params = HollandParams(Vm=40.0, Rm=30.0)
 track = Track(x0=(0.0, -80.0), Vtr=(0.0, 3.0))
 grid = Grid(origin=(-100.0, -100.0), nx=20, ny=20, cell_size=10.0)
 times = TimeAxis(n_steps=24, dt=1.0)
-field = axisymmetric_field(track, params, grid, times)
+field = wind_field(track, params, grid, times)
 
 nhpp = NhppParams()
 lam_cum = np.cumsum(poisson_intensity(nhpp, field.velocities) * times.dt, axis=1)

@@ -16,11 +16,11 @@ from stormrisk import (
     NhppParams,
     TimeAxis,
     Track,
-    axisymmetric_field,
     critical_radius,
     critical_zone_numeric,
     failure_rate,
     obround_area,
+    wind_field,
     zone_failure_stats,
 )
 
@@ -34,7 +34,7 @@ track = Track(x0=(0.0, -150.0), Vtr=(0.0, 3.0))
 grid = Grid(origin=(-400.0, -450.0), nx=160, ny=180, cell_size=5.0)
 times = TimeAxis(n_steps=25, dt=1.0)
 
-field = axisymmetric_field(track, params, grid, times)
+field = wind_field(track, params, grid, times)
 print(f"wind field: {grid.n_cells} cells x {times.n_steps} hours")
 print(f"peak sampled wind speed: {field.velocities.max():.2f} m/s")
 

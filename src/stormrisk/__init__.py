@@ -84,10 +84,9 @@ from .wind import (
     HollandParams,
     Track,
     WindField,
-    asymmetric_field,
-    axisymmetric_field,
     holland_speed,
     save_wind_field,
+    wind_field,
 )
 
 __version__ = "0.1.0"

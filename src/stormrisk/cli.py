@@ -53,14 +53,7 @@ from .ensemble import (
 )
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, county_average, load_county_fixture
 from .nhpp import NhppParams
-from .wind import (
-    HollandParams,
-    Track,
-    _sub_grid,
-    asymmetric_field,
-    axisymmetric_field,
-    save_wind_field,
-)
+from .wind import HollandParams, Track, _sub_grid, save_wind_field, wind_field
 
 
 # =============================================================================
@@ -316,10 +309,7 @@ def _require_finite(p: NhppParams, Vm, *values, T: float | None = None) -> None:
 
 
 def cmd_windfield(run: _Run, args) -> None:
-    if run.spec.asymmetric:
-        field = asymmetric_field(run.track, run.holland, run.grid, run.times, hemisphere=run.spec.hemisphere)
-    else:
-        field = axisymmetric_field(run.track, run.holland, run.grid, run.times)
+    field = wind_field(run.track, run.holland, run.grid, run.times, run.spec.asymmetric, run.spec.hemisphere)
     save_wind_field(field, run.out("windfield.csv"), header_comment=run.tag)
 
 

@@ -19,7 +19,7 @@ from .csvio import TABLE_FMT, _write_csv
 from .fitting import LinearFit, linear_least_squares
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis
 from .nhpp import NhppParams, _intensity
-from .wind import MPS_TO_KMH, HollandParams, Track, WindField, _speed, _sweep_storms, _wind_steps
+from .wind import MPS_TO_KMH, HollandParams, Track, WindField, _speed, _sweep_storms, _translation, _wind_steps
 
 
 # =============================================================================
@@ -410,10 +410,10 @@ def storm_swath(
     step (the window invariant of `stormrisk.wind`).
 
     An asymmetric stationary storm (Vtr == (0, 0)) is the axisymmetric
-    storm, as in `asymmetric_field`.  A rate past every float, as a
+    storm, as in `wind_field`.  A rate past every float, as a
     threshold far below the winds gives, is inf, with no overflow warning.
     """
-    Vtr = track.Vtr if asymmetric else (0.0, 0.0)
+    Vtr = _translation(track, asymmetric)
     Vhot = nhpp.Vcrit - float(np.hypot(*Vtr))
     reach = _window_radius(p, Vhot) + grid.cell_size
     xs, ys = grid.axes()

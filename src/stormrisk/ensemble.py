@@ -79,8 +79,8 @@ class EnsemblePerturbationSpec:
     (km), translation direction rotated by N(0, sigma_heading) degrees, Vm and
     Rm jittered by N(0, sigma_Vm) / N(0, sigma_Rm) and truncated below at
     1 m/s and 1 km.  Perturbations are drawn once per member and held constant
-    over the storm lifetime.  With `asymmetric`, members are
-    `asymmetric_field`s of their `hemisphere`.
+    over the storm lifetime.  Members are `wind_field`s of `asymmetric` and
+    `hemisphere`.
     """
 
     base_track: Track
@@ -137,8 +137,7 @@ def _member_velocities(spec: EnsemblePerturbationSpec, xs, ys, times: TimeAxis, 
 
     def make(child_seed):
         track, params = member_parameters(spec, child_seed)
-        Vtr = track.Vtr if spec.asymmetric else (0.0, 0.0)
-        return _velocities(track, params, xs, ys, times, Vtr, spec.hemisphere)
+        return _velocities(track, params, xs, ys, times, spec.asymmetric, spec.hemisphere)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for lo in range(0, spec.H, threads):

@@ -220,41 +220,41 @@ def _sub_grid(grid: Grid, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xs[ux], ys[uy], ix * len(uy) + iy
 
 
-def _velocities(track, p, xs, ys, times, Vtr=(0.0, 0.0), hemisphere="N") -> np.ndarray:
+def _translation(track: Track, asymmetric: bool) -> tuple[float, float]:
+    """The velocity (m/s) added to the cyclonic wind: the track's for an asymmetric storm, else none."""
+    return track.Vtr if asymmetric else (0.0, 0.0)
+
+
+def _velocities(track, p, xs, ys, times, asymmetric, hemisphere) -> np.ndarray:
     """The (len(xs) * len(ys), n_steps) speeds on the grid with axes `xs`, `ys`."""
     velocities = np.empty((len(xs) * len(ys), times.n_steps))
-    steps = _wind_steps(p, xs, ys, track.position(times.offsets()), Vtr=Vtr, hemisphere=hemisphere)
+    pos = track.position(times.offsets())
+    steps = _wind_steps(p, xs, ys, pos, Vtr=_translation(track, asymmetric), hemisphere=hemisphere)
     for t, (_, _, v) in enumerate(steps):
         velocities[:, t] = v.ravel()
     return velocities
 
 
-def axisymmetric_field(
-    track: Track, p: HollandParams, grid: Grid, times: TimeAxis
-) -> WindField:
-    """Axisymmetric wind field: speed is the radial profile of the distance
-    from each cell to the instantaneous storm centre."""
-    return WindField(grid=grid, times=times, velocities=_velocities(track, p, *grid.axes(), times))
-
-
-def asymmetric_field(
+def wind_field(
     track: Track,
     p: HollandParams,
     grid: Grid,
     times: TimeAxis,
+    asymmetric: bool = False,
     hemisphere: str = "N",
 ) -> WindField:
-    """Wind field with translation asymmetry.
+    """Wind field of one storm: at each cell and time, the radial profile of
+    the distance to the instantaneous storm centre.
 
-    The cyclonic wind vector (magnitude from the radial profile, direction
-    tangential — counterclockwise around the centre in the Northern
-    Hemisphere) is vector-added to the translation velocity; the field stores
-    the magnitude of the sum.  For a northward-moving storm the maximum at
-    fixed radius falls 90 degrees clockwise of the translation direction,
-    i.e. due east of the centre.  A stationary storm gives the axisymmetric
-    field exactly.
+    With `asymmetric`, the cyclonic wind vector (magnitude from the radial
+    profile, direction tangential: counterclockwise around the centre in the
+    Northern `hemisphere`, clockwise in the Southern) is vector-added to the
+    translation velocity and the field stores the magnitude of the sum.  For
+    a northward-moving storm the maximum at fixed radius falls 90 degrees
+    clockwise of the translation direction, i.e. due east of the centre.  A
+    stationary storm gives the axisymmetric field exactly.
     """
-    v = _velocities(track, p, *grid.axes(), times, track.Vtr, hemisphere)
+    v = _velocities(track, p, *grid.axes(), times, asymmetric, hemisphere)
     return WindField(grid=grid, times=times, velocities=v)
 
 

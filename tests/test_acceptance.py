@@ -38,7 +38,6 @@ from stormrisk import (
     TimeAxis,
     Track,
     WindField,
-    axisymmetric_field,
     axisymmetric_zone_area,
     critical_radius,
     critical_zone_numeric,
@@ -60,6 +59,7 @@ from stormrisk import (
     saturated_distribution,
     sweep_critical_radius,
     tables123,
+    wind_field,
 )
 from stormrisk.cli import main as cli_main
 from stormrisk.fitting import linear_least_squares
@@ -235,7 +235,7 @@ def test_criterion_06_set_equivalence():
         )
         grid = Grid(origin=(-250.0, -250.0), nx=100, ny=100, cell_size=5.0)
         times = TimeAxis(n_steps=13, dt=1.0)
-        field = axisymmetric_field(track, p, grid, times)
+        field = wind_field(track, p, grid, times)
         rates = failure_rate(P, field.velocities, times.dt)
         analytic = rates > nominal_rate(P, times.n_steps, times.dt)
         zone = critical_zone_numeric(field, P.Vcrit, p, track)
@@ -355,7 +355,7 @@ def test_criterion_12_closed_loop():
     track = Track(x0=(0.0, -80.0), Vtr=(0.0, 3.0))
     grid = Grid(origin=(-100.0, -100.0), nx=20, ny=20, cell_size=10.0)
     times = TimeAxis(n_steps=24, dt=1.0)
-    field = axisymmetric_field(track, p, grid, times)
+    field = wind_field(track, p, grid, times)
     from stormrisk import poisson_intensity
 
     lam_cum = np.cumsum(poisson_intensity(P, field.velocities) * times.dt, axis=1)

@@ -16,7 +16,6 @@ from stormrisk import (
     RepairParams,
     TimeAxis,
     Track,
-    axisymmetric_field,
     damage_loss_sweep,
     expected_failures_saturated,
     failure_rate,
@@ -26,6 +25,7 @@ from stormrisk import (
     holland_speed,
     poisson_intensity,
     save_agg_sweep,
+    wind_field,
 )
 from stormrisk.aggregate import (
     _DAMAGE_POWERS,
@@ -170,7 +170,7 @@ def _storm_rates(Vm, cell=10.0) -> np.ndarray:
     track = Track(x0=(0.0, -100.0), Vtr=(0.0, 3.0))
     grid = Grid(origin=(-200.0, -250.0), nx=int(400 / cell), ny=int(500 / cell), cell_size=cell)
     times = TimeAxis(n_steps=21, dt=1.0)
-    field = axisymmetric_field(track, HollandParams(Vm=Vm, Rm=30), grid, times)
+    field = wind_field(track, HollandParams(Vm=Vm, Rm=30), grid, times)
     return failure_rate(P, field.velocities, times.dt)
 
 

@@ -535,18 +535,14 @@ class TestCritzoneAndSweeps:
         cfg = _write_config(tmp_path, field={"asymmetric": asymmetric, "hemisphere": "S"})
         config = load_config(cfg, [])
         b = cli._build(config)
-        if asymmetric:
-            field = wind.asymmetric_field(b.track, b.holland, b.grid, b.times, hemisphere="S")
-        else:
-            field = wind.axisymmetric_field(b.track, b.holland, b.grid, b.times)
+        field = wind.wind_field(b.track, b.holland, b.grid, b.times, asymmetric=asymmetric, hemisphere="S")
         zone = critical_zone_numeric(field, b.nhpp.Vcrit, b.holland, b.track)
 
         def refuse(*args, **kwargs):
             raise AssertionError("critzone must not build a dense wind field")
 
-        for name in ("axisymmetric_field", "asymmetric_field"):
-            monkeypatch.setattr(cli, name, refuse)
-            monkeypatch.setattr(wind, name, refuse)
+        monkeypatch.setattr(cli, "wind_field", refuse)
+        monkeypatch.setattr(wind, "wind_field", refuse)
         assert main(["critzone", "--config", cfg]) == 0
         lines = (tmp_path / "out" / "critzone_cells.csv").read_text().splitlines()
         assert [int(c) for c in lines[2:]] == np.flatnonzero(zone).tolist()

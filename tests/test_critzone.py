@@ -10,8 +10,6 @@ from stormrisk import (
     NhppParams,
     TimeAxis,
     Track,
-    asymmetric_field,
-    axisymmetric_field,
     axisymmetric_zone_area,
     critical_radius,
     critical_zone_numeric,
@@ -25,6 +23,7 @@ from stormrisk import (
     storm_swath,
     sweep_critical_radius,
     tables123,
+    wind_field,
     zone_failure_stats,
     zone_sweep,
 )
@@ -190,7 +189,7 @@ class TestNumericZone:
 
     def test_matches_obround(self):
         p, track, grid, times = self._setup()
-        field = axisymmetric_field(track, p, grid, times)
+        field = wind_field(track, p, grid, times)
         zone = critical_zone_numeric(field, VTHRES, p, track)
         assert zone.dtype == bool and zone.shape == (grid.n_cells,)
         rc = critical_radius(p, VTHRES)
@@ -200,7 +199,7 @@ class TestNumericZone:
 
     def test_subcritical_storm_zone_is_rm_swath(self):
         p, track, grid, times = self._setup(Vm=15)
-        field = axisymmetric_field(track, p, grid, times)
+        field = wind_field(track, p, grid, times)
         zone = critical_zone_numeric(field, VTHRES, p, track)
         expected = obround_area(p.Rm, 10.0, 3.0)
         area = np.count_nonzero(zone) * grid.cell_area
@@ -209,7 +208,7 @@ class TestNumericZone:
     @pytest.mark.parametrize("Vthres", [0.0, -1.0])
     def test_nonpositive_threshold_rejected(self, Vthres):
         p, track, grid, times = self._setup(cell=10.0)
-        field = axisymmetric_field(track, p, grid, times)
+        field = wind_field(track, p, grid, times)
         with pytest.raises(ValueError, match="Vthres must be > 0"):
             critical_zone_numeric(field, Vthres, p, track)
 
@@ -230,7 +229,7 @@ class TestNumericZone:
 
     def test_fast_area_agrees_with_field_union(self):
         p, track, grid, times = self._setup(cell=4.0)
-        field = axisymmetric_field(track, p, grid, times)
+        field = wind_field(track, p, grid, times)
         zone = critical_zone_numeric(field, VTHRES, p, track)
         fast = axisymmetric_zone_area(track, p, times, critical_radius(p, VTHRES), cell_size=4.0)
         assert fast == pytest.approx(np.count_nonzero(zone) * grid.cell_area, rel=0.05)
@@ -243,10 +242,7 @@ class TestNumericZone:
         p, track, grid, times = self._setup(cell=4.0)
         nhpp = NhppParams()
         rates, mask = storm_swath(track, p, grid, times, nhpp, asymmetric=asymmetric, hemisphere=hemisphere)
-        if asymmetric:
-            field = asymmetric_field(track, p, grid, times, hemisphere=hemisphere)
-        else:
-            field = axisymmetric_field(track, p, grid, times)
+        field = wind_field(track, p, grid, times, asymmetric=asymmetric, hemisphere=hemisphere)
         zone = critical_zone_numeric(field, nhpp.Vcrit, p, track)
         assert np.array_equal(mask, zone)
         from stormrisk import failure_rate

@@ -14,12 +14,11 @@ from stormrisk import (
     TimeAxis,
     Track,
     WindField,
-    asymmetric_field,
-    axisymmetric_field,
     generate_synthetic_ensemble,
     load_ensemble,
     member_parameters,
     save_ensemble,
+    wind_field,
 )
 from stormrisk import NhppParams, ensemble, failure_rate, fr1, fr2, member_rates, poisson_intensity
 from stormrisk.cli import CONFIG_SCHEMA
@@ -48,7 +47,7 @@ class TestSpecValidation:
 class TestGeneration:
     def test_zero_sigmas_gives_identical_members(self):
         ens = generate_synthetic_ensemble(_spec(H=5), GRID, TIMES)
-        base = axisymmetric_field(TRACK, PARAMS, GRID, TIMES)
+        base = wind_field(TRACK, PARAMS, GRID, TIMES)
         assert ens.H == 5
         for m in ens.members:
             assert np.array_equal(m.velocities, base.velocities)
@@ -108,7 +107,7 @@ class TestGeneration:
         children = np.random.SeedSequence(spec.seed).spawn(spec.H)
         for member, child in zip(ens.members, children):
             track, params = member_parameters(spec, child)
-            field = asymmetric_field(track, params, GRID, TIMES, hemisphere=hemisphere)
+            field = wind_field(track, params, GRID, TIMES, asymmetric=True, hemisphere=hemisphere)
             assert np.array_equal(member.velocities, field.velocities)
 
 
@@ -118,8 +117,8 @@ class TestEnsembleType:
             Ensemble(members=())
 
     def test_requires_identical_dimensions(self):
-        a = axisymmetric_field(TRACK, PARAMS, GRID, TIMES)
-        other = axisymmetric_field(TRACK, PARAMS, GRID, TimeAxis(n_steps=3))
+        a = wind_field(TRACK, PARAMS, GRID, TIMES)
+        other = wind_field(TRACK, PARAMS, GRID, TimeAxis(n_steps=3))
         with pytest.raises(ValueError, match="member 1"):
             Ensemble(members=(a, other))
 

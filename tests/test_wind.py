@@ -10,10 +10,9 @@ from stormrisk import (
     TimeAxis,
     Track,
     WindField,
-    asymmetric_field,
-    axisymmetric_field,
     holland_speed,
     save_wind_field,
+    wind_field,
 )
 from stormrisk.csvio import _read_velocities
 from stormrisk.wind import WINDFIELD_HEADER, _speed, _sub_grid, _velocities, _wind_steps
@@ -172,14 +171,14 @@ def _single_cell_grid(cx: float, cy: float) -> Grid:
 class TestAxisymmetricField:
     def test_eye_calm(self):
         track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0))
-        field = axisymmetric_field(
+        field = wind_field(
             track, HollandParams(Vm=25, Rm=20), _single_cell_grid(0.0, 0.0), TimeAxis(n_steps=1)
         )
         assert field.velocities[0, 0] == 0.0
 
     def test_eyewall(self):
         track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0))
-        field = axisymmetric_field(
+        field = wind_field(
             track, HollandParams(Vm=25, Rm=20), _single_cell_grid(20.0, 0.0), TimeAxis(n_steps=1)
         )
         assert field.velocities[0, 0] == pytest.approx(25.0, abs=1e-12)
@@ -192,7 +191,7 @@ class TestAxisymmetricField:
         speeds = []
         for theta in np.linspace(0, 2 * math.pi, 17):
             g = _single_cell_grid(r * math.cos(theta), r * math.sin(theta))
-            speeds.append(axisymmetric_field(track, p, g, times).velocities[0, 0])
+            speeds.append(wind_field(track, p, g, times).velocities[0, 0])
         assert np.ptp(speeds) < 1e-9
 
 
@@ -200,8 +199,8 @@ class TestAsymmetricField:
     def _field_at(self, cx, cy, hemisphere="N"):
         track = Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0))
         p = HollandParams(Vm=25, Rm=20)
-        return asymmetric_field(
-            track, p, _single_cell_grid(cx, cy), TimeAxis(n_steps=1), hemisphere=hemisphere
+        return wind_field(
+            track, p, _single_cell_grid(cx, cy), TimeAxis(n_steps=1), asymmetric=True, hemisphere=hemisphere
         ).velocities[0, 0]
 
     def test_east_of_northward_track_is_vm_plus_vtr(self):
@@ -218,8 +217,8 @@ class TestAsymmetricField:
         p = HollandParams(Vm=25, Rm=20)
         g = Grid(origin=(-25.0, -25.0), nx=10, ny=10, cell_size=5.0)
         times = TimeAxis(n_steps=3)
-        a = asymmetric_field(track, p, g, times)
-        b = axisymmetric_field(track, p, g, times)
+        a = wind_field(track, p, g, times, asymmetric=True)
+        b = wind_field(track, p, g, times)
         assert np.array_equal(a.velocities, b.velocities)
 
     def test_azimuthal_max_is_90_degrees_clockwise_of_translation(self):
@@ -228,8 +227,8 @@ class TestAsymmetricField:
         times = TimeAxis(n_steps=1)
         thetas = np.linspace(0, 2 * math.pi, 721)
         speeds = [
-            asymmetric_field(
-                track, p, _single_cell_grid(20 * math.cos(t), 20 * math.sin(t)), times
+            wind_field(
+                track, p, _single_cell_grid(20 * math.cos(t), 20 * math.sin(t)), times, asymmetric=True
             ).velocities[0, 0]
             for t in thetas
         ]
@@ -285,10 +284,7 @@ class TestFieldsMatchReference:
         track = Track(x0=x0, Vtr=vtr)
         grid = Grid(origin=(-50.0, 20.0), nx=nx, ny=ny, cell_size=cell)
         times = TimeAxis(n_steps=n_steps, dt=dt)
-        if asymmetric:
-            field = asymmetric_field(track, p, grid, times, hemisphere=hemisphere)
-        else:
-            field = axisymmetric_field(track, p, grid, times)
+        field = wind_field(track, p, grid, times, asymmetric=asymmetric, hemisphere=hemisphere)
         ref = dense_field_reference(track, p, grid, times, asymmetric, hemisphere)
         assert np.array_equal(field.velocities, ref)
 
@@ -315,15 +311,11 @@ class TestFieldsMatchReference:
         grid = Grid(origin=(-50.0, 20.0), nx=nx, ny=ny, cell_size=cell)
         times = TimeAxis(n_steps=n_steps)
         cells = data.draw(st.lists(st.integers(0, grid.n_cells - 1), min_size=1, max_size=8))
-        if asymmetric:
-            field = asymmetric_field(track, p, grid, times, hemisphere=hemisphere)
-        else:
-            field = axisymmetric_field(track, p, grid, times)
+        field = wind_field(track, p, grid, times, asymmetric=asymmetric, hemisphere=hemisphere)
         xs, ys, rows = _sub_grid(grid, cells)
         assert np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)
         assert len(xs) * len(ys) <= grid.n_cells
-        Vtr = track.Vtr if asymmetric else (0.0, 0.0)
-        sub = _velocities(track, p, xs, ys, times, Vtr, hemisphere)
+        sub = _velocities(track, p, xs, ys, times, asymmetric, hemisphere)
         assert sub.shape == (len(xs) * len(ys), n_steps)
         assert np.array_equal(sub[rows].view(np.uint64), field.velocities[cells].view(np.uint64))
 
@@ -337,8 +329,8 @@ class TestFieldsMatchReference:
     def test_unknown_hemisphere_rejected(self):
         track = Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0))
         with pytest.raises(ValueError, match="hemisphere"):
-            asymmetric_field(
-                track, HollandParams(Vm=25, Rm=20), Grid(), TimeAxis(), hemisphere="X"
+            wind_field(
+                track, HollandParams(Vm=25, Rm=20), Grid(), TimeAxis(), asymmetric=True, hemisphere="X"
             )
 
 
@@ -376,7 +368,7 @@ def read_wind_field(path, grid, times) -> np.ndarray:
 class TestWindFieldIO:
     def _field(self):
         track = Track(x0=(3.0, -10.0), Vtr=(1.0, 3.0))
-        return axisymmetric_field(
+        return wind_field(
             track,
             HollandParams(Vm=37, Rm=30),
             Grid(nx=4, ny=3, cell_size=7.0),

@@ -269,14 +269,18 @@ def _fit_powers(y, Vm, Rm, Vcrit, candidates, powers):
     """The screened `_scan_fit` of a `_power_design` model over `candidates`.
     Raises `OverflowError` before any fit if a regressor's weighted sum of
     squares, which bounds its normal equations, is not finite at the smallest
-    or largest exponents (each regressor is monotone in each), as from a tiny Vcrit."""
+    or largest exponents (each regressor is monotone in each), as from a tiny
+    Vcrit; then if a response's square, its weight's reciprocal, is not."""
     bank = (np.asarray(Rm, dtype=float), g_of_vm(Vm, Vcrit), list(powers.values()))
     design = partial(_power_design, Vm, Rm, Vcrit, powers)
     c, sw = np.asarray(candidates, dtype=float), 1.0 / np.abs(np.asarray(y, dtype=float))
     with np.errstate(over="ignore"):
         sums = [np.sum(np.square(design(e, tuple(powers)) * sw[:, None]), axis=0) for e in (c.min(0), c.max(0))]
+        squares = np.square(y)
     if not np.all(np.isfinite(sums)):
         raise OverflowError("g = (Vm - Vcrit) / Vcrit overflows the fit's normal equations")
+    if not np.all(np.isfinite(squares)):
+        raise OverflowError("a response's square, which weights the fit, is not finite")
     return _scan_fit(np.asarray(y, dtype=float), candidates, design, tuple(powers), bank)
 
 

@@ -291,21 +291,49 @@ def _load(loader, name: str, path):
 # =============================================================================
 
 
-def _require_finite(p: NhppParams, Vm, *values, T: float | None = None) -> None:
-    """Refuse results past every float (a critical radius, zone area, failure rate, exposure, damage or loss)
-    before any output, naming nhpp.alpha or nhpp.lambda_norm when the intensity at the largest `Vm` is, or
-    lambda_norm T for rates summed over `T` hours; else the threshold, as one far below the winds gives them."""
+_THRESHOLD = "a critical radius, zone area or failure rate is not finite"
+
+
+def _require_finite(run: _Run, Vm, *values, T=None, of="rates", power=1, reason=_THRESHOLD) -> None:
+    """Refuse results past every float before any output, naming the field that puts them there.
+
+    `values` are critical radii and zone areas or, with `T`, the `power`-th powers of `of`: failure
+    rates summed over `T` hours ("rates"), repair losses (Lf / 2Y) rate^2 ("losses"), or the run's
+    wind speeds summed over its steps ("speeds").  Named in turn: holland.Vm_mps if Vm times the
+    steps is past every float (speeds); nhpp.alpha or nhpp.lambda_norm if the intensity at the
+    largest `Vm` is; nhpp.lambda_norm if the nominal rate lambda_norm T to the rates' power is;
+    repair.Lf or repair.Y if the losses' bound is only with the repair cost; nhpp.lambda_norm, with
+    `reason`, if the nominal rate is the larger factor of the rates' bound lambda_norm T (1 + alpha g);
+    else the threshold, with `reason`, as one far below the winds gives them."""
     if all(np.isfinite(v).all() for v in values):
         return
+    p, Vm, steps = run.nhpp, np.float64(np.max(Vm)), run.times.n_steps
+    k = 2 * power if of == "losses" else power  # the power of the rates
+
+    def refuse(field, too, what, n=1):
+        raise ConfigError(field, f"too {too}: {what}{'' if n == 1 else f' to the power {n}'} is not finite")
+
     with np.errstate(over="ignore"):  # the intensity lambda_norm (1 + alpha g), g = (Vm/Vcrit)^2 - 1
-        g = np.square(np.fmax(np.max(Vm), p.Vcrit) / p.Vcrit) - 1.0
-        shape, intensity = 1.0 + p.alpha * g, p.lambda_norm * (1.0 + p.alpha * g)
-    if np.isfinite(g) and not np.isfinite(intensity):
-        field = "nhpp.alpha" if not np.isfinite(shape) else "nhpp.lambda_norm"
-        raise ConfigError(field, f"too large: the failure intensity at Vm = {np.max(Vm):g} m/s is not finite")
-    if T is not None and not np.isfinite(p.lambda_norm * T):
-        raise ConfigError("nhpp.lambda_norm", f"too large: the nominal failure rate over {T:g} h is not finite")
-    raise ConfigError("nhpp.Vcrit_mps", "too small: a critical radius, zone area or failure rate is not finite")
+        if of == "speeds" and not np.isfinite((Vm * steps) ** power):  # no NHPP field enters a speed
+            refuse("holland.Vm_mps", "large", f"the wind speed summed over {steps} steps", power)
+        g = np.square(np.fmax(Vm, p.Vcrit) / p.Vcrit) - 1.0
+        shape = 1.0 + p.alpha * g
+        intensity = p.lambda_norm * shape
+        if of != "speeds" and np.isfinite(g) and not np.isfinite(intensity):
+            refuse("nhpp.alpha" if not np.isfinite(shape) else "nhpp.lambda_norm", "large",
+                   f"the failure intensity at Vm = {Vm:g} m/s")
+        if of != "speeds" and T is not None:
+            nominal = np.float64(p.lambda_norm * T)
+            if not np.isfinite(nominal**k):
+                refuse("nhpp.lambda_norm", "large", f"the nominal failure rate over {T:g} h", k)
+            bound, cost = (intensity * T) ** k, np.float64(run.repair.half_ratio) ** power
+            if of == "losses" and np.isfinite(bound) and not np.isfinite(cost * bound):
+                Lf = run.repair.Lf * run.repair.Y >= 1  # Lf, rather than 1 / Y, is past 1
+                field, too = ("repair.Lf", "large") if Lf else ("repair.Y", "small")
+                refuse(field, too, f"the repair loss over {T:g} h", power)
+            if nominal > shape:  # past every float through a sum, as of a mean over cells
+                raise ConfigError("nhpp.lambda_norm", f"too large: {reason}")
+    raise ConfigError("nhpp.Vcrit_mps", f"too small: {reason}")
 
 
 def cmd_windfield(run: _Run, args) -> None:
@@ -320,7 +348,7 @@ def cmd_ensemble(run: _Run, args) -> None:
 def cmd_failure_rates(run: _Run, args) -> None:
     reduce = nhpp._fr1 if args.which == "fr1" else nhpp._fr2
     rates = reduce(run.nhpp, _members(run, args.threads), run.times.dt)
-    _require_finite(run.nhpp, run.holland.Vm, rates, T=run.times.duration)
+    _require_finite(run, run.holland.Vm, rates, T=run.times.duration)
     nhpp.save_failure_rate_field(rates, run.out(f"failure_rates_{args.which}.csv"), header_comment=run.tag)
 
 
@@ -338,7 +366,7 @@ def cmd_fail_dist(run: _Run, args) -> None:
         raise ConfigError("--n-max", "must be >= 0")
     xs, ys, rows = _sub_grid(run.grid, cells)
     rates = nhpp._member_rates(run.nhpp, _members(run, args.threads, (xs, ys)), rows, run.times.dt)
-    _require_finite(run.nhpp, run.holland.Vm, rates, T=run.times.duration)
+    _require_finite(run, run.holland.Vm, rates, T=run.times.duration)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
     if args.n_max is None:  # the default truncation point follows FD-A's or FD-B's largest rate
         peak = max(rates[:, j].mean() for j in range(len(cells))) if args.kind == "fda" else rates.max()
@@ -363,12 +391,12 @@ def cmd_critzone(run: _Run, args) -> None:
     Rcrit = critzone.critical_radius(run.holland, run.nhpp.Vcrit)
     obround = None if Rcrit is None else critzone.obround_area(Rcrit, run.times.duration, run.track.Vtr)
     if Rcrit is not None:
-        _require_finite(run.nhpp, run.holland.Vm, Rcrit, obround)
+        _require_finite(run, run.holland.Vm, Rcrit, obround)
     rates, zone = critzone.storm_swath(
         run.track, run.holland, run.grid, run.times, run.nhpp, asymmetric=s.asymmetric, hemisphere=s.hemisphere
     )
     stats = critzone.zone_failure_stats(rates, zone)
-    _require_finite(run.nhpp, run.holland.Vm, stats["max"], stats["mean"], T=run.times.duration)
+    _require_finite(run, run.holland.Vm, stats["max"], stats["mean"], T=run.times.duration)
     cells = np.flatnonzero(zone)
     rows = ([cell] for cell in cells)
     _write_csv(run.out("critzone_cells.csv"), ["cell_id"], rows, run.tag, line_end="\n")
@@ -389,7 +417,7 @@ def _sweep_fit_critzone(run: _Run) -> None:
         sweep = critzone.zone_sweep(*run.sweep, run.nhpp, run.track, run.times, run.holland.B)
     except ValueError as exc:  # a storm's swath grid is past the cap
         raise ConfigError("nhpp.Vcrit_mps", f"too small: {exc}") from None
-    _require_finite(run.nhpp, run.sweep[0], *sweep, T=run.times.duration)
+    _require_finite(run, run.sweep[0], *sweep, T=run.times.duration)
     Vm, Rm, Rcrit, area = sweep[:4]
     radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=run.nhpp.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)
@@ -440,7 +468,9 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         print(f"warning: sweep.Rm_step: {len(Rm_values)} radii make the loss design singular;"
               " its p-values and term pruning rest on a singular fit", file=sys.stderr)
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, B=run.holland.B)
-    _require_finite(run.nhpp, Vm, damage, loss, T=aggregate.REFERENCE_TIMES.duration)
+    T = aggregate.REFERENCE_TIMES.duration
+    _require_finite(run, Vm, damage, T=T)
+    _require_finite(run, Vm, loss, T=T, of="losses")
     try:
         if args.target == "damage":
             model = aggregate.fit_damage_model(Vm, Rm, damage, Vcrit)
@@ -448,7 +478,10 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         else:
             model = aggregate.fit_loss_model(Vm, Rm, loss, Vcrit)
             report = {"p": model.p, "condition_number": model.fit.cond}
-    except OverflowError as exc:
+    except OverflowError as exc:  # in the fit's weights 1 / y^2, or in its regressors, powers of g
+        y, of = (damage, "rates") if args.target == "damage" else (loss, "losses")
+        with np.errstate(over="ignore"):
+            _require_finite(run, Vm, np.square(y), T=T, of=of, power=2, reason=str(exc))
         raise ConfigError("nhpp.Vcrit_mps", f"too small: {exc}") from None
     aggregate.save_agg_sweep(Vm, Rm, damage, loss, run.out(f"{args.target}_sweep.csv"), header_comment=run.tag)
     report.update(
@@ -480,11 +513,13 @@ def cmd_outage_fit(run: _Run, args) -> None:
     x = np.array(
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )
-    _require_finite(run.nhpp, run.holland.Vm, x, T=run.times.duration)
+    of = "rates" if args.predictor == "failure_rate" else "speeds"
+    _require_finite(run, run.holland.Vm, x, T=run.times.duration, of=of)
     households = np.array([obs.households for obs in observations], dtype=float)
     with np.errstate(over="ignore"):  # the sum bounds every entry of the fit's X'WX
-        if not np.isfinite(np.sum(households * x * x)):
-            raise ConfigError("nhpp.Vcrit_mps", "too small: the exposures overflow the outage fit's normal equations")
+        normal = np.sum(households * x * x)
+    reason = "the exposures overflow the outage fit's normal equations"
+    _require_finite(run, run.holland.Vm, normal, T=run.times.duration, of=of, power=2, reason=reason)
     fit = glm.fit_binomial(
         np.column_stack([np.ones_like(x), x]),
         np.array([obs.outages for obs in observations], dtype=float),
@@ -510,7 +545,7 @@ def cmd_tables123(run: _Run, args) -> None:
     records = critzone.tables123(nhpp=run.nhpp)
     values = (rec[c] for rec in records for c in critzone.TABLE_HEADER[2:])
     Vm = max(critzone.TABLE_STORMS)[0]  # the largest Vm leads its tuple
-    _require_finite(run.nhpp, Vm, *values, T=critzone.TABLE_TIMES.duration)
+    _require_finite(run, Vm, *values, T=critzone.TABLE_TIMES.duration)
     rows = (
         [str(rec["Vm"]), str(rec["Rm"])] + [format(rec[c], TABLE_FMT) for c in critzone.TABLE_HEADER[2:]]
         for rec in records

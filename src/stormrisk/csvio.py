@@ -253,10 +253,11 @@ def _read_json(path) -> dict:
 
 def _write_json(path, doc: dict) -> None:
     """Write `doc` as strict JSON (a non-finite number raises ValueError)
-    with sorted keys, indented by two spaces, and a final LF."""
+    with sorted keys, indented by two spaces, and a final LF.  The text is
+    formed before the file is opened, so a failure leaves no partial file."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write(text)
 
 
 def _read_csv(path, header, types):

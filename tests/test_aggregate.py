@@ -413,6 +413,15 @@ class TestLossFit:
             with pytest.raises(OverflowError, match="overflows the fit's normal equations"):
                 fit_loss_model(Vm, Rm, np.ones_like(Vm), 1e-40)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_responses_whose_squares_overflow_refused_before_scanning(self):
+        # Each weight is 1 / y^2, and 1e300^2 is past every float.
+        Vm, Rm = np.meshgrid(np.arange(22, 81, 3), np.arange(20, 51, 5))
+        Vm, Rm = Vm.ravel().astype(float), Rm.ravel().astype(float)
+        with mock.patch.object(aggregate, "_scan_fit", side_effect=AssertionError("scanned")):
+            with pytest.raises(OverflowError, match="a response's square, which weights the fit, is not finite"):
+                fit_loss_model(Vm, Rm, np.full_like(Vm, 1e300), VCRIT)
+
 
 def damage_fit_reference(Vm, Rm, damage, Vcrit, p1_grid=None, p2_grid=None, drop_p=0.05):
     """Reference `fit_damage_model`: its own scan, pick and prune loop from

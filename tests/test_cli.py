@@ -743,6 +743,65 @@ class TestCritzoneAndSweeps:
         )
         assert not (tmp_path / "out").exists()
 
+    # Results that overflow though the threshold is the default 20.6: each
+    # names the field that puts them past every float, with no warning.
+    _FAULTS = [
+        (
+            ["sweep-fit", "--target", "loss", "--set", "nhpp.lambda_norm=1e160"],  # rate^2 in the loss
+            "nhpp.lambda_norm: too large: the nominal failure rate over 24 h to the power 2 is not finite",
+        ),
+        (
+            ["sweep-fit", "--target", "damage", "--set", "nhpp.lambda_norm=1e300"],
+            "nhpp.lambda_norm: too large: the nominal failure rate over 24 h to the power 2 is not finite",
+        ),
+        (
+            ["outage-fit", "--set", "nhpp.lambda_norm=1e300"],  # x^2 in the normal equations
+            "nhpp.lambda_norm: too large: the nominal failure rate over 6 h to the power 2 is not finite",
+        ),
+        (
+            ["outage-fit", "--predictor", "cumulative_velocity", "--set", "holland.Vm_mps=1e200"],
+            "holland.Vm_mps: too large: the wind speed summed over 6 steps to the power 2 is not finite",
+        ),
+        (
+            # Each damage is finite, their sum over the region's 1,000 cells is not.
+            ["sweep-fit", "--target", "damage", "--set", "nhpp.lambda_norm=1e300", "--set", "sweep.Vm_max=80"],
+            "nhpp.lambda_norm: too large: a critical radius, zone area or failure rate is not finite",
+        ),
+        (
+            ["sweep-fit", "--target", "loss", "--set", "repair.Lf=1e308"],
+            "repair.Lf: too large: the repair loss over 24 h is not finite",
+        ),
+        (
+            ["sweep-fit", "--target", "damage", "--set", "repair.Lf=1e308"],
+            "repair.Lf: too large: the repair loss over 24 h is not finite",
+        ),
+        (
+            ["sweep-fit", "--target", "loss", "--set", "repair.Lf=1e300"],  # finite losses, their squares not
+            "repair.Lf: too large: the repair loss over 24 h to the power 2 is not finite",
+        ),
+        (
+            ["sweep-fit", "--target", "loss", "--set", "repair.Y=1e-300"],
+            "repair.Y: too small: the repair loss over 24 h to the power 2 is not finite",
+        ),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, message",
+        _FAULTS,
+        ids=["loss-lambda", "damage-lambda", "outage-lambda", "outage-Vm", "damage-mean-lambda", "loss-Lf",
+             "damage-Lf", "loss-fit-Lf", "loss-fit-Y"],
+    )
+    def test_overflow_names_the_field_at_fault(self, tmp_path, capsys, argv, message):
+        if argv[0] == "outage-fit":
+            cfg, obs_csv = _outage_inputs(tmp_path)
+            argv = argv + ["--obs", str(obs_csv)]
+        else:
+            cfg = _write_config(tmp_path, sweep=dict(_CRITZONE_SWEEP, Rm_step=5))  # 4 Vm by 7 Rm values
+        assert main(argv + ["--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: invalid input: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("step, warns", [("10", True), ("7.5", False)], ids=["4-radii", "5-radii"])
     def test_singular_loss_design_warns(self, tmp_path, capsys, step, warns):
         # 1, Rm, ..., Rm^4 are linearly dependent over four radii (20, 30, 40, 50)

@@ -203,6 +203,14 @@ class TestGoldenBytes:
             b"46.0,40.0,1,2,3,4,5,6\n"
         )
 
+    def test_json_that_fails_leaves_no_file(self, tmp_path):
+        # A non-finite number is refused before the file is opened, so no
+        # report is left stopping where the number would stand.
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            csvio._write_json(path, {"beta": [0.0] * 13, "condition_number": math.inf})
+        assert not path.exists()
+
 
 def reference_save_ensemble(e: Ensemble, path, header_comment=None) -> None:
     """The ensemble CSV as `save_ensemble` wrote it through `csv.writer`, one

@@ -1,11 +1,13 @@
-"""Every script in demos/ runs to completion.
+"""Every script in demos/, and the README's quick start, runs to completion.
 
-A public name is kept if a demo needs it, so the demos must keep running.
-Each runs in a fresh interpreter inside a temporary directory, with the
-package source on PYTHONPATH.
+A public name is kept if a demo needs it, so the demos must keep running, and
+a renamed one must not leave the README's example stale.  Each runs in a fresh
+interpreter inside a temporary directory, with the package source on
+PYTHONPATH.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +18,23 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
+def _run(script: Path, cwd: Path) -> None:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
+    result = subprocess.run([sys.executable, str(script)], cwd=cwd, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    _run(demo, tmp_path)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    script = tmp_path / "quick_start.py"
+    script.write_text(blocks[0])
+    _run(script, tmp_path)

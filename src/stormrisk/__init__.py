@@ -37,6 +37,7 @@ from .critzone import (
 from .ensemble import (
     Ensemble,
     EnsemblePerturbationSpec,
+    SyntheticEnsemble,
     generate_synthetic_ensemble,
     load_ensemble,
     member_parameters,

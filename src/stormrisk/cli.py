@@ -46,14 +46,10 @@ from .csvio import (
     _write_csv,
     _write_json,
 )
-from .ensemble import (
-    EnsemblePerturbationSpec,
-    _member_velocities,
-    save_ensemble_members,
-)
+from .ensemble import EnsemblePerturbationSpec, SyntheticEnsemble, save_ensemble
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, county_average, load_county_fixture
 from .nhpp import NhppParams
-from .wind import HollandParams, Track, _sub_grid, save_wind_field, wind_field
+from .wind import HollandParams, Track, save_wind_field, wind_field
 
 
 # =============================================================================
@@ -272,12 +268,6 @@ def _build(config) -> _Run:
     )
 
 
-def _members(run: _Run, threads: int, axes=None):
-    """Each member's velocities in turn, on the grid or on cell-centre `axes`."""
-    axes = run.grid.axes() if axes is None else axes
-    return _member_velocities(run.spec, *axes, run.times, threads)
-
-
 def _load(loader, name: str, path):
     """`loader(path)`; a file that does not parse is bad input under `name`."""
     try:
@@ -342,12 +332,12 @@ def cmd_windfield(run: _Run, args) -> None:
 
 
 def cmd_ensemble(run: _Run, args) -> None:
-    save_ensemble_members(run.grid, run.times, _members(run, args.threads), run.out("ensemble.csv"), run.tag)
+    save_ensemble(SyntheticEnsemble(run.spec, run.grid, run.times, args.threads), run.out("ensemble.csv"), run.tag)
 
 
 def cmd_failure_rates(run: _Run, args) -> None:
-    reduce = nhpp._fr1 if args.which == "fr1" else nhpp._fr2
-    rates = reduce(run.nhpp, _members(run, args.threads), run.times.dt)
+    members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
+    rates = (nhpp.fr1 if args.which == "fr1" else nhpp.fr2)(run.nhpp, members)
     _require_finite(run, run.holland.Vm, rates, T=run.times.duration)
     nhpp.save_failure_rate_field(rates, run.out(f"failure_rates_{args.which}.csv"), header_comment=run.tag)
 
@@ -364,8 +354,8 @@ def cmd_fail_dist(run: _Run, args) -> None:
             raise ConfigError("--cells", f"cell {cell} outside [0, {run.grid.n_cells})")
     if args.n_max is not None and args.n_max < 0:
         raise ConfigError("--n-max", "must be >= 0")
-    xs, ys, rows = _sub_grid(run.grid, cells)
-    rates = nhpp._member_rates(run.nhpp, _members(run, args.threads, (xs, ys)), rows, run.times.dt)
+    members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
+    rates = nhpp.member_rates(run.nhpp, members, cells)
     _require_finite(run, run.holland.Vm, rates, T=run.times.duration)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
     if args.n_max is None:  # the default truncation point follows FD-A's or FD-B's largest rate
@@ -509,7 +499,8 @@ def cmd_outage_fit(run: _Run, args) -> None:
     steps, column = np.unique(
         [int(np.clip(np.floor(obs.time_h / dt), 0, last)) for obs in observations], return_inverse=True
     )
-    per_step = nhpp._cumulative_exposure(run.nhpp, _members(run, args.threads), dt, args.predictor, steps)
+    members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
+    per_step = nhpp._cumulative_exposure(run.nhpp, members, args.predictor, steps)
     x = np.array(
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )

@@ -8,10 +8,12 @@ substream i, so results do not depend on evaluation order or thread count).
 The file format stores velocities rather than generating parameters, so
 externally produced ensembles ingest identically.
 
-`Ensemble` is the in-memory form.  The CLI streams: it takes members one at a
-time from `_member_velocities` and folds each into the reducer (`_mean`) its
-statistic needs, so its memory does not grow with H.  The statistics of an
-`Ensemble` use the same reducers and give the same bits.
+Members come from one of two sources with one read method, `fields(cells=None)`:
+`Ensemble`, the in-memory form, and `SyntheticEnsemble`, which generates each
+member as it is read.  The statistics (`nhpp.fr1`, `fr2`, `member_rates`, the
+outage exposure) and `save_ensemble` take either one, fold its members one at
+a time into the reducer (`_mean`) they need, and give the same bits for both;
+a generated source's memory does not grow with H.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .csvio import (
     _write_velocities,
 )
 from .grid import Grid, TimeAxis
-from .wind import HollandParams, Track, WindField, _velocities
+from .wind import HollandParams, Track, WindField, _sub_grid, _velocities
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,11 @@ class Ensemble:
     def velocities(self) -> np.ndarray:
         """All member velocities stacked, shape (H, n_cells, n_steps); no statistic uses it."""
         return np.stack([m.velocities for m in self.members])
+
+    def fields(self, cells=None):
+        """Each member's (n_cells, n_steps) velocities in member order, or only its rows `cells`."""
+        for m in self.members:
+            yield m.velocities if cells is None else m.velocities[cells]
 
 
 @dataclass(frozen=True)
@@ -129,34 +136,40 @@ def member_parameters(
     return track, params
 
 
-def _member_velocities(spec: EnsemblePerturbationSpec, xs, ys, times: TimeAxis, threads: int = 1):
-    """Yield each member's `wind._velocities` on cell-centre axes `xs`, `ys`
-    in member order, made `threads` >= 1 at a time by one pool: at most that many in flight."""
-    from concurrent.futures import ThreadPoolExecutor  # here: it loads `logging`, `queue` and `traceback`
-    children = np.random.SeedSequence(spec.seed).spawn(spec.H)
+@dataclass(frozen=True)
+class SyntheticEnsemble:
+    """The members `spec` perturbs, on `grid` over `times`, each made as it is
+    read: member i from substream i of `spec.seed`, the same bits whatever `threads`."""
 
-    def make(child_seed):
-        track, params = member_parameters(spec, child_seed)
-        return _velocities(track, params, xs, ys, times, spec.asymmetric, spec.hemisphere)
+    spec: EnsemblePerturbationSpec
+    grid: Grid
+    times: TimeAxis
+    threads: int = 1
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for lo in range(0, spec.H, threads):
-            yield from pool.map(make, children[lo : lo + threads])
+    def parameters(self):
+        """Each member's perturbed (track, params), in member order."""
+        for child_seed in np.random.SeedSequence(self.spec.seed).spawn(self.spec.H):
+            yield member_parameters(self.spec, child_seed)
+
+    def fields(self, cells=None):
+        """`Ensemble.fields`, members made `threads` at a time by one pool, on the sub-grid of `cells` if given."""
+        from concurrent.futures import ThreadPoolExecutor  # here: it loads `logging`, `queue` and `traceback`
+        spec, members = self.spec, list(self.parameters())
+        xs, ys, rows = (*self.grid.axes(), None) if cells is None else _sub_grid(self.grid, np.atleast_1d(cells))
+
+        def make(member):
+            v = _velocities(*member, xs, ys, self.times, spec.asymmetric, spec.hemisphere)
+            return v if rows is None else v[rows.reshape(np.shape(cells))]
+
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            for lo in range(0, spec.H, self.threads):
+                yield from pool.map(make, members[lo : lo + self.threads])
 
 
-def generate_synthetic_ensemble(
-    spec: EnsemblePerturbationSpec,
-    grid: Grid,
-    times: TimeAxis,
-    threads: int = 1,
-) -> Ensemble:
-    """Generate an H-member ensemble of perturbed storms.
-
-    Member i draws from substream i of `spec.seed`, so identical spec and
-    seed reproduce bit-identical ensembles regardless of `threads`.
-    """
-    velocities = _member_velocities(spec, *grid.axes(), times, threads)
-    return Ensemble(members=tuple(WindField(grid=grid, times=times, velocities=v) for v in velocities))
+def generate_synthetic_ensemble(spec: EnsemblePerturbationSpec, grid: Grid, times: TimeAxis, threads=1) -> Ensemble:
+    """The members of `SyntheticEnsemble`, held in memory."""
+    fields = SyntheticEnsemble(spec, grid, times, threads).fields()
+    return Ensemble(members=tuple(WindField(grid=grid, times=times, velocities=v) for v in fields))
 
 
 def _mean(arrays) -> np.ndarray:
@@ -192,32 +205,16 @@ SIDECAR_SCHEMA = (
 )
 
 
-def save_ensemble(e: Ensemble, path, header_comment: str | None = None) -> None:
-    """Write ensemble CSV plus a JSON sidecar describing the dimensions.
+def save_ensemble(e, path, header_comment: str | None = None) -> None:
+    """Write the members of `e` (`Ensemble` or `SyntheticEnsemble`), each as
+    it is read, as ensemble CSV plus a JSON sidecar describing the dimensions.
 
     `path` names the CSV; the sidecar is written next to it at `path + ".json"`.
     `header_comment`, if given, is written as a leading `#` line in the CSV
     and under the "comment" key of the sidecar.
     """
-    save_ensemble_members(e.grid, e.times, (m.velocities for m in e.members), path, header_comment)
-
-
-def save_ensemble_members(
-    grid: Grid, times: TimeAxis, velocities, path, header_comment: str | None = None
-) -> None:
-    """`save_ensemble` of the member velocity arrays of an iterable, each
-    written as it arrives.  No members raise `ValueError` before any file is
-    made; a member whose shape is not (cells, steps) raises one before it is
-    written, and no sidecar is written."""
-    shape = (grid.n_cells, times.n_steps)
-
-    def checked():
-        for i, v in enumerate(velocities):
-            if np.shape(v) != shape:
-                raise ValueError(f"{path}: member {i} has shape {np.shape(v)}, expected {shape}")
-            yield v
-
-    H = _write_velocities(path, ENSEMBLE_HEADER, checked(), header_comment)
+    grid, times = e.grid, e.times
+    H = _write_velocities(path, ENSEMBLE_HEADER, e.fields(), header_comment)
     sidecar = {
         "H": H,
         "nx": grid.nx,

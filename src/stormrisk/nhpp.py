@@ -20,7 +20,7 @@ import numpy as np
 # it takes most of a CLI start-up, and only `fail-dist` computes a Poisson tail.
 
 from .csvio import TABLE_FMT, _write_csv
-from .ensemble import Ensemble, _mean
+from .ensemble import _mean
 from .grid import _MAX_CELL_STEPS
 
 
@@ -127,41 +127,30 @@ def nominal_rate(p: NhppParams, n_steps: int, dt: float = 1.0) -> float:
 # =============================================================================
 
 
-def fr1(p: NhppParams, e: Ensemble) -> np.ndarray:
+# The ensemble statistics read the members of `e`, an `Ensemble` or a
+# `SyntheticEnsemble`, one at a time and in order from `e.fields`.
+def fr1(p: NhppParams, e) -> np.ndarray:
     """Failure rate of the ensemble-mean winds, per cell."""
-    return _fr1(p, (m.velocities for m in e.members), e.times.dt)
+    return failure_rate(p, _mean(e.fields()), e.times.dt)
 
 
-def fr2(p: NhppParams, e: Ensemble) -> np.ndarray:
+def fr2(p: NhppParams, e) -> np.ndarray:
     """Ensemble mean of the per-member failure rates (>= fr1 by convexity),
     per cell.  Member order is fixed, so the reduction is reproducible."""
-    return _fr2(p, (m.velocities for m in e.members), e.times.dt)
-
-
-def member_rates(p: NhppParams, e: Ensemble, cell: int) -> np.ndarray:
-    """Per-member failure rates at one cell, shape (H,)."""
-    return _member_rates(p, (m.velocities for m in e.members), [cell], e.times.dt)[:, 0]
-
-
-# The reducers behind the three above, and the outage fit's exposure, take
-# the members' velocity arrays one at a time, in order, from any iterable.
-def _fr1(p: NhppParams, velocities, dt: float) -> np.ndarray:
-    return failure_rate(p, _mean(velocities), dt)
-
-
-def _fr2(p: NhppParams, velocities, dt: float) -> np.ndarray:
     with np.errstate(over="ignore"):
-        return _mean(failure_rate(p, v, dt) for v in velocities)
+        return _mean(failure_rate(p, v, e.times.dt) for v in e.fields())
 
 
-def _member_rates(p: NhppParams, velocities, rows, dt: float) -> np.ndarray:
-    """Each member's rates at rows `rows` of its array, shape (H, len(rows))."""
-    return np.array([failure_rate(p, v[rows], dt) for v in velocities])
+def member_rates(p: NhppParams, e, cell) -> np.ndarray:
+    """Per-member failure rates at one cell, shape (H,), or at each of a list
+    of cells, shape (H, len(cells))."""
+    return np.array([failure_rate(p, v, e.times.dt) for v in e.fields(cell)])
 
 
-def _cumulative_exposure(p: NhppParams, velocities, dt: float, predictor: str, steps) -> np.ndarray:
+def _cumulative_exposure(p: NhppParams, e, predictor: str, steps) -> np.ndarray:
     """Member mean of each cell's running sum of intensity times `dt`
     ("failure_rate") or of speed, at the time steps `steps` only."""
+    dt = e.times.dt
     if predictor == "failure_rate":
         def running(v):
             return np.cumsum(poisson_intensity(p, v) * dt, axis=-1)[:, steps]
@@ -169,7 +158,7 @@ def _cumulative_exposure(p: NhppParams, velocities, dt: float, predictor: str, s
         def running(v):
             return np.cumsum(v, axis=-1)[:, steps]
     with np.errstate(over="ignore"):
-        return _mean(_by_cells(running, v) for v in velocities)
+        return _mean(_by_cells(running, v) for v in e.fields())
 
 
 # =============================================================================
@@ -252,12 +241,12 @@ def default_n_max(max_rate: float) -> int:
     return int(k)
 
 
-def fd_a(p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None) -> FailureDistribution:
+def fd_a(p: NhppParams, e, cell: int, n_max: int | None = None) -> FailureDistribution:
     """Single Poisson at the ensemble-mean failure rate (per km of line)."""
     return _fd_a(member_rates(p, e, cell), n_max)
 
 
-def fd_b(p: NhppParams, e: Ensemble, cell: int, n_max: int | None = None) -> FailureDistribution:
+def fd_b(p: NhppParams, e, cell: int, n_max: int | None = None) -> FailureDistribution:
     """Equal-weight mixture of per-member Poisson distributions."""
     return _fd_b(member_rates(p, e, cell), n_max)
 

@@ -20,7 +20,7 @@ from stormrisk import (
     save_ensemble,
     save_observations,
 )
-from stormrisk import cli, critzone
+from stormrisk import cli, critzone, ensemble, wind
 from stormrisk.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -451,6 +451,37 @@ class TestEnsembleCommands:
             return np.array([float(r[1]) for r in rows])
 
         assert np.all(read("fr2") >= read("fr1") - 1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ensemble"],
+            ["failure-rates", "--which", "fr1"],
+            ["failure-rates", "--which", "fr2"],
+            ["fail-dist", "--kind", "fdb", "--cells", "0,77,143"],
+            ["outage-fit"],
+        ],
+        ids=["ensemble", "fr1", "fr2", "fail-dist", "outage-fit"],
+    )
+    def test_each_member_is_made_once(self, tmp_path, monkeypatch, argv):
+        # One pass over the one member source: a second, as a check drawing velocities to find
+        # the members' Vm would make, makes each member twice.
+        made = []
+        velocities = wind._velocities
+
+        def counted(*args):
+            made.append(None)
+            return velocities(*args)
+
+        monkeypatch.setattr(wind, "_velocities", counted)
+        monkeypatch.setattr(ensemble, "_velocities", counted)
+        if argv == ["outage-fit"]:
+            cfg, obs_csv = _outage_inputs(tmp_path)
+            argv = argv + ["--obs", str(obs_csv)]
+        else:
+            cfg = _write_config(tmp_path)
+        assert main(argv + ["--config", cfg, "--threads", "3"]) == 0
+        assert len(made) == 4  # H
 
     def test_fail_dist_sums_to_one(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -986,7 +1017,7 @@ class TestOutageFit:
         def refuse(*args, **kwargs):
             raise AssertionError("ensemble generated for a bad --obs file")
 
-        monkeypatch.setattr(cli, "_member_velocities", refuse)
+        monkeypatch.setattr(ensemble.SyntheticEnsemble, "fields", refuse)
         assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
         err = capsys.readouterr().err
         assert "--obs" in err and "'zz'" in err
@@ -998,7 +1029,7 @@ class TestOutageFit:
         header = 1 + lines[0].startswith("#")
         lines.insert(header, "near,nan,1,100\n")
         obs_csv.write_text("".join(lines))
-        monkeypatch.setattr(cli, "_member_velocities", None)  # never reached
+        monkeypatch.setattr(ensemble.SyntheticEnsemble, "fields", None)  # never reached
         assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
         err = capsys.readouterr().err
         assert f"{obs_csv}:{header + 1}: time_h must be finite, got nan" in err
@@ -1013,7 +1044,7 @@ class TestOutageFit:
         header = 1 + lines[0].startswith("#")
         lines.insert(header + 1, "near,many,5000,1.0\n")
         counties_csv.write_text("".join(lines))
-        monkeypatch.setattr(cli, "_member_velocities", None)  # never reached
+        monkeypatch.setattr(ensemble.SyntheticEnsemble, "fields", None)  # never reached
         assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
         err = capsys.readouterr().err
         assert f"error: invalid input: counties_csv: {counties_csv}:{header + 2}: malformed row" in err
@@ -1026,7 +1057,7 @@ class TestOutageFit:
         lines = path.read_bytes().splitlines(keepends=True)
         lines[3] = b"\xff" + lines[3]
         path.write_bytes(b"".join(lines))
-        monkeypatch.setattr(cli, "_member_velocities", None)  # never reached
+        monkeypatch.setattr(ensemble.SyntheticEnsemble, "fields", None)  # never reached
         assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
         assert capsys.readouterr().err == f"error: invalid input: {which}: {path}:4: byte 0xff is not UTF-8\n"
 

@@ -10,6 +10,7 @@ from stormrisk import (
     Ensemble,
     EnsemblePerturbationSpec,
     Grid,
+    SyntheticEnsemble,
     HollandParams,
     TimeAxis,
     Track,
@@ -22,8 +23,8 @@ from stormrisk import (
 )
 from stormrisk import NhppParams, ensemble, failure_rate, fr1, fr2, member_rates, poisson_intensity
 from stormrisk.cli import CONFIG_SCHEMA
-from stormrisk.ensemble import SIDECAR_SCHEMA, _mean, _member_velocities, save_ensemble_members
-from stormrisk.nhpp import _cumulative_exposure, _fr1, _fr2, _member_rates
+from stormrisk.ensemble import SIDECAR_SCHEMA, _mean
+from stormrisk.nhpp import _cumulative_exposure
 
 GRID = Grid(origin=(-30.0, -30.0), nx=5, ny=4, cell_size=12.0)
 TIMES = TimeAxis(n_steps=6, dt=1.0)
@@ -253,28 +254,13 @@ class TestEnsembleIO:
         path = self._with_sidecar(tmp_path, lambda meta: meta.update(cell_size_km=12))
         assert load_ensemble(path).grid == GRID
 
-    @pytest.mark.parametrize("members", [[], iter(())])
-    def test_no_members_raise_before_any_file(self, tmp_path, members):
-        path = tmp_path / "ens.csv"
-        with pytest.raises(ValueError, match=r"ens\.csv: no members"):
-            save_ensemble_members(Grid(nx=2, ny=2), TimeAxis(n_steps=2), members, path)
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("bad", [0, 1])
-    def test_member_shape_named_before_it_is_written(self, tmp_path, bad):
-        grid, times = Grid(nx=2, ny=2), TimeAxis(n_steps=2)
-        members = [np.full((4, 2), 30.0), np.full((4, 2), 31.0)]
-        members[bad] = np.ones((3, 5))
-        path = tmp_path / "ens.csv"
-        with pytest.raises(ValueError, match=rf"member {bad} has shape \(3, 5\), expected \(4, 2\)"):
-            save_ensemble_members(grid, times, members, path)
-        assert not (tmp_path / "ens.csv.json").exists()
-        if bad == 0:
-            assert not path.exists()  # member 0 is checked before the file is made
-        else:
-            lines = path.read_bytes().splitlines()
-            assert len(lines) == 1 + 8  # the header and member 0
-            assert not any(line.startswith(b"1,") for line in lines)
+    def test_generated_source_saves_the_generated_ensemble(self, tmp_path):
+        # Each member is written as it is made, to the bytes of the in-memory ensemble's file.
+        spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=3, asymmetric=True)
+        save_ensemble(SyntheticEnsemble(spec, GRID, TIMES, threads=2), tmp_path / "a.csv", "tag")
+        save_ensemble(generate_synthetic_ensemble(spec, GRID, TIMES), tmp_path / "b.csv", "tag")
+        for suffix in ("", ".json"):
+            assert (tmp_path / f"a.csv{suffix}").read_bytes() == (tmp_path / f"b.csv{suffix}").read_bytes()
 
     @staticmethod
     def _with_sidecar(tmp_path, edit):
@@ -293,9 +279,9 @@ def _bits(a) -> np.ndarray:
 
 
 class TestStreamingReducers:
-    """Each reducer, fed the members one at a time, against the stacked form
-    it replaces: `np.stack(...)` of every member, then one reduction over the
-    members axis.  Bits, not values, are compared."""
+    """Each reducer, fed the members one at a time by a source's `fields`,
+    against the stacked form it replaces: `np.stack(...)` of every member,
+    then one reduction over the members axis.  Bits, not values, are compared."""
 
     @settings(max_examples=200)
     @given(
@@ -320,27 +306,25 @@ class TestStreamingReducers:
 
         mean_ref = stack.mean(axis=0)
         assert np.array_equal(_bits(_mean(iter(vs))), _bits(mean_ref))
-        assert np.array_equal(_bits(_mean(m.velocities for m in e.members)), _bits(mean_ref))
+        assert np.array_equal(_bits(_mean(e.fields())), _bits(mean_ref))
 
         fr1_ref = failure_rate(p, mean_ref, dt)
-        assert np.array_equal(_bits(_fr1(p, iter(vs), dt)), _bits(fr1_ref))
         assert np.array_equal(_bits(fr1(p, e)), _bits(fr1_ref))
 
         fr2_ref = failure_rate(p, stack, dt).mean(axis=0)
-        assert np.array_equal(_bits(_fr2(p, iter(vs), dt)), _bits(fr2_ref))
         assert np.array_equal(_bits(fr2(p, e)), _bits(fr2_ref))
 
         # Every step, and the distinct sorted steps of a few observations.
         exposure_ref = np.cumsum(poisson_intensity(p, stack) * dt, axis=-1).mean(axis=0)
         speed_ref = np.cumsum(stack, axis=-1).mean(axis=0)
         for steps in (np.arange(n_steps), np.unique(rng.integers(0, n_steps, 3))):
-            exposure = _cumulative_exposure(p, iter(vs), dt, "failure_rate", steps)
+            exposure = _cumulative_exposure(p, e, "failure_rate", steps)
             assert np.array_equal(_bits(exposure), _bits(exposure_ref[:, steps]))
-            speed = _cumulative_exposure(p, iter(vs), dt, "cumulative_velocity", steps)
+            speed = _cumulative_exposure(p, e, "cumulative_velocity", steps)
             assert np.array_equal(_bits(speed), _bits(speed_ref[:, steps]))
 
         cells = sorted({int(c) for c in rng.integers(0, n_cells, 3)})
-        rates = _member_rates(p, iter(vs), cells, dt)
+        rates = member_rates(p, e, cells)
         assert rates.shape == (H, len(cells))
         for j, cell in enumerate(cells):
             ref = np.asarray([failure_rate(p, v[cell], dt) for v in vs])
@@ -355,14 +339,44 @@ class TestStreamingReducers:
 
 
 class TestMemberStream:
+    """`SyntheticEnsemble`, the generated member source, against the
+    in-memory ensemble of the same spec."""
+
     def test_members_in_order_whatever_the_threads(self):
         spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=7, asymmetric=True)
         ens = generate_synthetic_ensemble(spec, GRID, TIMES, threads=1)
         for threads in (1, 2, 3, 7, 9):
-            streamed = list(_member_velocities(spec, *GRID.axes(), TIMES, threads))
+            streamed = list(SyntheticEnsemble(spec, GRID, TIMES, threads).fields())
             assert len(streamed) == ens.H
             for v, m in zip(streamed, ens.members):
                 assert np.array_equal(_bits(v), _bits(m.velocities))
+
+    @pytest.mark.parametrize("cells", [7, [7], [19, 0, 7, 7, 12], list(range(GRID.n_cells))])
+    def test_rows_of_cells_are_the_grid_rows(self, cells):
+        # The generated source evaluates the wind on the cells' sub-grid only.
+        spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=3, asymmetric=True)
+        source = SyntheticEnsemble(spec, GRID, TIMES)
+        ens = generate_synthetic_ensemble(spec, GRID, TIMES)
+        for e in (source, ens):
+            rows = list(e.fields(cells))
+            assert len(rows) == spec.H
+            for v, m in zip(rows, ens.members):
+                assert np.array_equal(_bits(v), _bits(m.velocities[cells]))
+        p = NhppParams(Vcrit=30.0)
+        assert np.array_equal(_bits(member_rates(p, source, cells)), _bits(member_rates(p, ens, cells)))
+
+    @pytest.mark.parametrize("statistic", ["fr1", "fr2"])
+    def test_statistics_of_both_sources_are_bit_identical(self, statistic):
+        spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=4)
+        p, reduce = NhppParams(Vcrit=30.0), {"fr1": fr1, "fr2": fr2}[statistic]
+        got = reduce(p, SyntheticEnsemble(spec, GRID, TIMES, threads=3))
+        assert np.array_equal(_bits(got), _bits(reduce(p, generate_synthetic_ensemble(spec, GRID, TIMES))))
+
+    def test_parameters_are_the_members_substreams(self):
+        spec = _spec(sigma_track=5.0, sigma_heading=10.0, sigma_Vm=3.0, sigma_Rm=2.0, H=4)
+        children = np.random.SeedSequence(spec.seed).spawn(spec.H)
+        got = list(SyntheticEnsemble(spec, GRID, TIMES).parameters())
+        assert got == [member_parameters(spec, child) for child in children]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_at_most_threads_members_in_flight(self, monkeypatch, threads):
@@ -374,7 +388,7 @@ class TestMemberStream:
 
         monkeypatch.setattr(ensemble, "_velocities", velocities)
         spec = _spec(H=8)
-        for i, _ in enumerate(_member_velocities(spec, *GRID.axes(), TIMES, threads)):
+        for i, _ in enumerate(SyntheticEnsemble(spec, GRID, TIMES, threads).fields()):
             # Member i comes from chunk i // threads; no later chunk has started.
             assert len(started) <= min(spec.H, (i // threads + 1) * threads)
         assert len(started) == spec.H
@@ -384,19 +398,18 @@ class TestMemberStream:
         # 400 cells of 49 steps: each member is 157 kB, so one more member
         # held at once would add far more than 10% to the peak.
         grid, times = Grid(origin=(-30.0, -30.0), nx=20, ny=20, cell_size=3.0), TimeAxis(n_steps=49)
-        xs, ys = grid.axes()
         p = NhppParams()
         reduce = {
-            "fr1": lambda vs: _fr1(p, vs, times.dt),
-            "fr2": lambda vs: _fr2(p, vs, times.dt),
-            "exposure": lambda vs: _cumulative_exposure(p, vs, times.dt, "failure_rate", np.arange(49)),
+            "fr1": lambda e: fr1(p, e),
+            "fr2": lambda e: fr2(p, e),
+            "exposure": lambda e: _cumulative_exposure(p, e, "failure_rate", np.arange(49)),
         }[statistic]
         peaks = {}
         for H in (2, 20):
-            spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=H)
+            source = SyntheticEnsemble(_spec(sigma_track=5.0, sigma_Vm=3.0, H=H), grid, times)
             tracemalloc.start()
             try:
-                reduce(_member_velocities(spec, xs, ys, times))
+                reduce(source)
                 _, peaks[H] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

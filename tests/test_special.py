@@ -250,7 +250,7 @@ def tiny_inputs(tmp_path_factory):
 
 
 # Each command, and which of the package's own optional modules it loads.
-MEMBERS = ("concurrent.futures",)  # made by `ensemble._member_velocities`
+MEMBERS = ("concurrent.futures",)  # by `ensemble.SyntheticEnsemble.fields`, which makes the members
 COMMANDS = [
     (["windfield"], ()),
     (["ensemble"], MEMBERS),

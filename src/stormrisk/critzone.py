@@ -32,7 +32,7 @@ def critical_radius(p: HollandParams, Vthres: float) -> float | None:
 
     None when Vm < Vthres (no such radius exists); Rm when Vm == Vthres;
     otherwise the unique root beyond Rm, found by bisection on the monotone
-    outer branch to |V(r) - Vthres| <= 1e-9 m/s.
+    outer branch to |V(r) - Vthres| <= 1e-9 m/s, or inf past every float.
     """
     if Vthres <= 0:
         raise ValueError("Vthres must be > 0")
@@ -52,11 +52,13 @@ def _critical_radii(Vm, Rm, B: float, Vthres: float) -> np.ndarray:
     todo = Vm > Vthres
     lo, hi = Rm, 2.0 * Rm
     grow = todo.copy()
-    # A threshold far below Vm doubles hi past every float: that radius is inf.
+    # A threshold far below Vm doubles hi past every float: that radius is inf, and is not bisected.
     with np.errstate(over="ignore"):
         while grow.any():
             grow &= _speed(Vm, Rm, B, hi) >= Vthres
             hi[grow] *= 2.0
+    out[todo & np.isinf(hi)] = np.inf
+    todo &= np.isfinite(hi)
     for _ in range(200):
         if not todo.any():
             return out

@@ -860,6 +860,30 @@ class TestCritzoneAndSweeps:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (
+                ["holland.Vm_mps=1e155"],
+                "nhpp.alpha: too large: the failure intensity at Vm = 1e+155 m/s is not finite",
+            ),
+            (
+                ["sweep.Vm_max=1e200", "sweep.Vm_step=1e199"],
+                "nhpp.Vcrit_mps: too small: storm (Vm=1e+199, Rm=20) has critical radius inf km;"
+                " its swath grid passes 1,000,000,000 cell-steps",
+            ),
+        ],
+        ids=["critzone", "sweep-fit"],
+    )
+    def test_critical_radius_past_every_float_exits_2(self, tmp_path, capsys, sets, message):
+        # The radius is inf, not a bisection of [Rm, inf] that never ends.
+        argv = ["critzone"] if len(sets) == 1 else ["sweep-fit", "--target", "critzone"]
+        argv += ["--config", _write_config(tmp_path)]
+        assert main(argv + [a for s in sets for a in ("--set", s)]) == 2
+        assert capsys.readouterr().err == f"error: invalid input: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_fit_critzone(self, tmp_path):
         cfg = _write_config(
             tmp_path,

@@ -89,6 +89,12 @@ class TestCriticalRadius:
         with pytest.raises(ValueError):
             critical_radius(HollandParams(Vm=25, Rm=20), 0.0)
 
+    def test_radius_past_every_float_is_inf(self):
+        # The bracket doubles past every float; that storm is not bisected.
+        assert critical_radius(HollandParams(1e200, 30), 20.6) == np.inf
+        Rc = _critical_radii(np.array([1e200, 37.0, 1e155]), np.array([30.0, 30.0, 30.0]), 1.0, 20.6)
+        assert Rc.tolist() == [np.inf, critical_radius(HollandParams(37, 30), 20.6), np.inf]
+
 
 def scalar_critical_radius(p, Vthres):
     """Reference: the scalar bisection `critical_radius` ran before it became

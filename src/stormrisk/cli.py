@@ -284,17 +284,19 @@ def _load(loader, name: str, path):
 _THRESHOLD = "a critical radius, zone area or failure rate is not finite"
 
 
-def _require_finite(run: _Run, Vm, *values, T=None, of="rates", power=1, reason=_THRESHOLD) -> None:
+def _require_finite(run: _Run, Vm, *values, T=None, of="rates", power=1, reason=_THRESHOLD, members=None) -> None:
     """Refuse results past every float before any output, naming the field that puts them there.
 
     `values` are critical radii and zone areas or, with `T`, the `power`-th powers of `of`: failure
     rates summed over `T` hours ("rates"), repair losses (Lf / 2Y) rate^2 ("losses"), or the run's
-    wind speeds summed over its steps ("speeds").  Named in turn: holland.Vm_mps if Vm times the
-    steps is past every float (speeds); nhpp.alpha or nhpp.lambda_norm if the intensity at the
-    largest `Vm` is; nhpp.lambda_norm if the nominal rate lambda_norm T to the rates' power is;
-    repair.Lf or repair.Y if the losses' bound is only with the repair cost; nhpp.lambda_norm, with
-    `reason`, if the nominal rate is the larger factor of the rates' bound lambda_norm T (1 + alpha g);
-    else the threshold, with `reason`, as one far below the winds gives them."""
+    wind speeds summed over its steps ("speeds").  Named in turn: ensemble.sigma_Vm_mps if the
+    speeds' or rates' bound is finite at `Vm` but not at the largest Vm of the storms of `members`,
+    a member source; holland.Vm_mps if Vm times the steps is past every float (speeds); nhpp.alpha
+    or nhpp.lambda_norm if the intensity at the largest `Vm` is; nhpp.lambda_norm if the nominal rate
+    lambda_norm T to the rates' power is; repair.Lf or repair.Y if the losses' bound is only with the
+    repair cost; nhpp.lambda_norm, with `reason`, if the nominal rate is the larger factor of the
+    rates' bound lambda_norm T (1 + alpha g); else the threshold, with `reason`, as one far below
+    the winds gives them."""
     if all(np.isfinite(v).all() for v in values):
         return
     p, Vm, steps = run.nhpp, np.float64(np.max(Vm)), run.times.n_steps
@@ -303,12 +305,22 @@ def _require_finite(run: _Run, Vm, *values, T=None, of="rates", power=1, reason=
     def refuse(field, too, what, n=1):
         raise ConfigError(field, f"too {too}: {what}{'' if n == 1 else f' to the power {n}'} is not finite")
 
-    with np.errstate(over="ignore"):  # the intensity lambda_norm (1 + alpha g), g = (Vm/Vcrit)^2 - 1
-        if of == "speeds" and not np.isfinite((Vm * steps) ** power):  # no NHPP field enters a speed
-            refuse("holland.Vm_mps", "large", f"the wind speed summed over {steps} steps", power)
+    def intensity(Vm):  # g = (Vm/Vcrit)^2 - 1, 1 + alpha g and the intensity lambda_norm (1 + alpha g)
         g = np.square(np.fmax(Vm, p.Vcrit) / p.Vcrit) - 1.0
         shape = 1.0 + p.alpha * g
-        intensity = p.lambda_norm * shape
+        return g, shape, p.lambda_norm * shape
+
+    def bound(Vm):  # of the speeds or rates of storms up to `Vm`
+        return (Vm * steps if of == "speeds" else intensity(Vm)[2] * T) ** power
+
+    with np.errstate(over="ignore"):
+        top = None if members is None else np.float64(max(q.Vm for _, q in members.parameters()))
+        if top is not None and np.isfinite(bound(Vm)) and not np.isfinite(bound(top)):
+            what = f"the wind speed summed over {steps} steps" if of == "speeds" else f"the failure rate over {T:g} h"
+            refuse("ensemble.sigma_Vm_mps", "large", f"{what} at the members' largest Vm = {top:g} m/s", power)
+        if of == "speeds" and not np.isfinite(bound(Vm)):  # no NHPP field enters a speed
+            refuse("holland.Vm_mps", "large", f"the wind speed summed over {steps} steps", power)
+        g, shape, intensity = intensity(Vm)
         if of != "speeds" and np.isfinite(g) and not np.isfinite(intensity):
             refuse("nhpp.alpha" if not np.isfinite(shape) else "nhpp.lambda_norm", "large",
                    f"the failure intensity at Vm = {Vm:g} m/s")
@@ -338,7 +350,7 @@ def cmd_ensemble(run: _Run, args) -> None:
 def cmd_failure_rates(run: _Run, args) -> None:
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     rates = (nhpp.fr1 if args.which == "fr1" else nhpp.fr2)(run.nhpp, members)
-    _require_finite(run, run.holland.Vm, rates, T=run.times.duration)
+    _require_finite(run, run.holland.Vm, rates, T=run.times.duration, members=members)
     nhpp.save_failure_rate_field(rates, run.out(f"failure_rates_{args.which}.csv"), header_comment=run.tag)
 
 
@@ -356,7 +368,7 @@ def cmd_fail_dist(run: _Run, args) -> None:
         raise ConfigError("--n-max", "must be >= 0")
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     rates = nhpp.member_rates(run.nhpp, members, cells)
-    _require_finite(run, run.holland.Vm, rates, T=run.times.duration)
+    _require_finite(run, run.holland.Vm, rates, T=run.times.duration, members=members)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
     if args.n_max is None:  # the default truncation point follows FD-A's or FD-B's largest rate
         peak = max(rates[:, j].mean() for j in range(len(cells))) if args.kind == "fda" else rates.max()
@@ -505,12 +517,12 @@ def cmd_outage_fit(run: _Run, args) -> None:
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )
     of = "rates" if args.predictor == "failure_rate" else "speeds"
-    _require_finite(run, run.holland.Vm, x, T=run.times.duration, of=of)
+    _require_finite(run, run.holland.Vm, x, T=run.times.duration, of=of, members=members)
     households = np.array([obs.households for obs in observations], dtype=float)
     with np.errstate(over="ignore"):  # the sum bounds every entry of the fit's X'WX
         normal = np.sum(households * x * x)
     reason = "the exposures overflow the outage fit's normal equations"
-    _require_finite(run, run.holland.Vm, normal, T=run.times.duration, of=of, power=2, reason=reason)
+    _require_finite(run, run.holland.Vm, normal, T=run.times.duration, of=of, power=2, reason=reason, members=members)
     fit = glm.fit_binomial(
         np.column_stack([np.ones_like(x), x]),
         np.array([obs.outages for obs in observations], dtype=float),

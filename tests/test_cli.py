@@ -818,6 +818,33 @@ class TestCritzoneAndSweeps:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["failure-rates", "--which", "fr1"], "the failure rate over 6 h"),
+            (["failure-rates", "--which", "fr2"], "the failure rate over 6 h"),
+            (["fail-dist", "--kind", "fdb", "--cells", "0,77"], "the failure rate over 6 h"),
+            (["outage-fit"], "the failure rate over 6 h"),
+            (["outage-fit", "--predictor", "cumulative_velocity"], "the wind speed summed over 6 steps"),
+        ],
+        ids=["fr1", "fr2", "fail-dist", "outage-fit", "outage-fit-speed"],
+    )
+    def test_member_intensity_past_every_float_names_sigma_vm(self, tmp_path, capsys, argv, what):
+        # The central Vm of 37 m/s keeps every bound finite; a member's Vm of about 1e200 does not.
+        if argv[0] == "outage-fit":
+            cfg, obs_csv = _outage_inputs(tmp_path)
+            argv = argv + ["--obs", str(obs_csv)]
+        else:
+            cfg = _write_config(tmp_path)
+        assert main(argv + ["--config", cfg, "--set", "ensemble.sigma_Vm_mps=1e200"]) == 2
+        power = " to the power 2" if argv[0] == "outage-fit" and "speed" in what else ""
+        assert capsys.readouterr().err == (
+            f"error: invalid input: ensemble.sigma_Vm_mps: too large: {what} at the members' largest"
+            f" Vm = 1.1273e+200 m/s{power} is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
         "argv, message",
         _FAULTS,
         ids=["loss-lambda", "damage-lambda", "outage-lambda", "outage-Vm", "damage-mean-lambda", "loss-Lf",

@@ -267,21 +267,30 @@ def _damage_design(Vm, Rm, p1, p2, Vcrit, terms=_DAMAGE_TERMS) -> np.ndarray:
 
 def _fit_powers(y, Vm, Rm, Vcrit, candidates, powers):
     """The screened `_scan_fit` of a `_power_design` model over `candidates`.
-    Raises `OverflowError` before any fit if a regressor's weighted sum of
-    squares, which bounds its normal equations, is not finite at the smallest
-    or largest exponents (each regressor is monotone in each), as from a tiny
-    Vcrit; then if a response's square, its weight's reciprocal, is not."""
+    Checks first, before any fit, that each regressor's weighted sum of
+    squares, which bounds its normal equations, is finite at the smallest and
+    largest exponents (each regressor is monotone in each).  If not, raises
+    `ValueError` where the unweighted sums are finite, so the weights 1 / y^2
+    of responses at or near 0 are at fault, and `OverflowError` where they are
+    not, as from a tiny Vcrit.  Then raises `OverflowError` if a response's
+    square, its weight's reciprocal, is not finite."""
     bank = (np.asarray(Rm, dtype=float), g_of_vm(Vm, Vcrit), list(powers.values()))
     design = partial(_power_design, Vm, Rm, Vcrit, powers)
-    c, sw = np.asarray(candidates, dtype=float), 1.0 / np.abs(np.asarray(y, dtype=float))
-    with np.errstate(over="ignore"):
-        sums = [np.sum(np.square(design(e, tuple(powers)) * sw[:, None]), axis=0) for e in (c.min(0), c.max(0))]
+    c, y = np.asarray(candidates, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sw = 1.0 / np.abs(y)
+        sums, plain = (
+            [np.sum(np.square(design(e, tuple(powers)) * w), axis=0) for e in (c.min(0), c.max(0))]
+            for w in (sw[:, None], 1.0)
+        )
         squares = np.square(y)
     if not np.all(np.isfinite(sums)):
+        if np.all(np.isfinite(plain)):
+            raise ValueError("a response is too close to 0 for the fit's relative weights 1 / y^2")
         raise OverflowError("g = (Vm - Vcrit) / Vcrit overflows the fit's normal equations")
     if not np.all(np.isfinite(squares)):
         raise OverflowError("a response's square, which weights the fit, is not finite")
-    return _scan_fit(np.asarray(y, dtype=float), candidates, design, tuple(powers), bank)
+    return _scan_fit(y, candidates, design, tuple(powers), bank)
 
 
 def fit_damage_model(Vm, Rm, damage, Vcrit: float) -> DamageFitModel:

@@ -480,6 +480,12 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         else:
             model = aggregate.fit_loss_model(Vm, Rm, loss, Vcrit)
             report = {"p": model.p, "condition_number": model.fit.cond}
+    except ValueError as exc:  # responses near 0: name the smaller factor of their bound (Lf/2Y) (lambda_norm T)^2
+        nominal = run.nhpp.lambda_norm * T
+        field, too = "nhpp.lambda_norm", "small"
+        if args.target == "loss" and run.repair.half_ratio <= nominal * nominal:
+            field, too = ("repair.Lf", "small") if run.repair.Lf * run.repair.Y <= 1 else ("repair.Y", "large")
+        raise ConfigError(field, f"too {too}: {exc}") from None
     except OverflowError as exc:  # in the fit's weights 1 / y^2, or in its regressors, powers of g
         y, of = (damage, "rates") if args.target == "damage" else (loss, "losses")
         with np.errstate(over="ignore"):

@@ -422,6 +422,18 @@ class TestLossFit:
             with pytest.raises(OverflowError, match="a response's square, which weights the fit, is not finite"):
                 fit_loss_model(Vm, Rm, np.full_like(Vm, 1e300), VCRIT)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("y", [0.0, 1e-200], ids=["zero", "tiny"])
+    def test_responses_near_zero_refused_before_scanning(self, y):
+        # Weights 1 / y^2 of inf, or of 1e400 in the normal equations, while the regressors are finite.
+        Vm, Rm = np.meshgrid(np.arange(22, 81, 3), np.arange(20, 51, 5))
+        Vm, Rm = Vm.ravel().astype(float), Rm.ravel().astype(float)
+        loss = np.full_like(Vm, 1.0)
+        loss[3] = y
+        with mock.patch.object(aggregate, "_scan_fit", side_effect=AssertionError("scanned")):
+            with pytest.raises(ValueError, match=r"a response is too close to 0 for the fit's relative weights"):
+                fit_loss_model(Vm, Rm, loss, VCRIT)
+
 
 def damage_fit_reference(Vm, Rm, damage, Vcrit, p1_grid=None, p2_grid=None, drop_p=0.05):
     """Reference `fit_damage_model`: its own scan, pick and prune loop from

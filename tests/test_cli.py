@@ -860,6 +860,27 @@ class TestCritzoneAndSweeps:
         assert capsys.readouterr().err == f"error: invalid input: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "target, assignment, field",
+        [
+            ("loss", "repair.Lf=0", "repair.Lf: too small"),  # every loss is 0
+            ("loss", "repair.Y=1e200", "repair.Y: too large"),
+            ("loss", "nhpp.lambda_norm=1e-300", "nhpp.lambda_norm: too small"),  # every loss underflows to 0
+            ("loss", "nhpp.lambda_norm=1e-150", "nhpp.lambda_norm: too small"),
+            ("damage", "nhpp.lambda_norm=1e-300", "nhpp.lambda_norm: too small"),  # damages of about 1e-298
+        ],
+        ids=["loss-Lf", "loss-Y", "loss-lambda", "loss-lambda-sums", "damage-lambda"],
+    )
+    def test_responses_near_zero_name_their_factor(self, tmp_path, capsys, target, assignment, field):
+        # Each weight 1 / y^2, or the weighted normal equations, pass every float.
+        cfg = _write_config(tmp_path, sweep=dict(_CRITZONE_SWEEP, Rm_step=5))  # 4 Vm by 7 Rm values
+        assert main(["sweep-fit", "--config", cfg, "--target", target, "--set", assignment]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid input: {field}: a response is too close to 0 for the fit's relative weights 1 / y^2\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("step, warns", [("10", True), ("7.5", False)], ids=["4-radii", "5-radii"])
     def test_singular_loss_design_warns(self, tmp_path, capsys, step, warns):
         # 1, Rm, ..., Rm^4 are linearly dependent over four radii (20, 30, 40, 50)

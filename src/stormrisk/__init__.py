@@ -8,8 +8,6 @@ power laws, and regressing observed outages on storm exposure.
 """
 
 from .aggregate import (
-    DamageFitModel,
-    LossFitModel,
     RepairParams,
     damage_loss_sweep,
     fit_damage_model,
@@ -18,8 +16,6 @@ from .aggregate import (
     save_agg_sweep,
 )
 from .critzone import (
-    CritAreaFit,
-    CritRadiusFit,
     axisymmetric_zone_area,
     critical_radius,
     critical_zone_numeric,
@@ -81,7 +77,6 @@ from .nhpp import (
     save_failure_rate_field,
 )
 from .wind import (
-    MPS_TO_KMH,
     HollandParams,
     Track,
     WindField,

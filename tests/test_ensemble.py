@@ -254,14 +254,6 @@ class TestEnsembleIO:
         path = self._with_sidecar(tmp_path, lambda meta: meta.update(cell_size_km=12))
         assert load_ensemble(path).grid == GRID
 
-    def test_generated_source_saves_the_generated_ensemble(self, tmp_path):
-        # Each member is written as it is made, to the bytes of the in-memory ensemble's file.
-        spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=3, asymmetric=True)
-        save_ensemble(SyntheticEnsemble(spec, GRID, TIMES, threads=2), tmp_path / "a.csv", "tag")
-        save_ensemble(generate_synthetic_ensemble(spec, GRID, TIMES), tmp_path / "b.csv", "tag")
-        for suffix in ("", ".json"):
-            assert (tmp_path / f"a.csv{suffix}").read_bytes() == (tmp_path / f"b.csv{suffix}").read_bytes()
-
     @staticmethod
     def _with_sidecar(tmp_path, edit):
         """A saved 2-member ensemble whose sidecar dict went through `edit`."""
@@ -364,19 +356,6 @@ class TestMemberStream:
                 assert np.array_equal(_bits(v), _bits(m.velocities[cells]))
         p = NhppParams(Vcrit=30.0)
         assert np.array_equal(_bits(member_rates(p, source, cells)), _bits(member_rates(p, ens, cells)))
-
-    @pytest.mark.parametrize("statistic", ["fr1", "fr2"])
-    def test_statistics_of_both_sources_are_bit_identical(self, statistic):
-        spec = _spec(sigma_track=5.0, sigma_Vm=3.0, H=4)
-        p, reduce = NhppParams(Vcrit=30.0), {"fr1": fr1, "fr2": fr2}[statistic]
-        got = reduce(p, SyntheticEnsemble(spec, GRID, TIMES, threads=3))
-        assert np.array_equal(_bits(got), _bits(reduce(p, generate_synthetic_ensemble(spec, GRID, TIMES))))
-
-    def test_parameters_are_the_members_substreams(self):
-        spec = _spec(sigma_track=5.0, sigma_heading=10.0, sigma_Vm=3.0, sigma_Rm=2.0, H=4)
-        children = np.random.SeedSequence(spec.seed).spawn(spec.H)
-        got = list(SyntheticEnsemble(spec, GRID, TIMES).parameters())
-        assert got == [member_parameters(spec, child) for child in children]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_at_most_threads_members_in_flight(self, monkeypatch, threads):

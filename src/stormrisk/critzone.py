@@ -62,7 +62,7 @@ def _critical_radii(Vm, Rm, B: float, Vthres: float) -> np.ndarray:
     for _ in range(200):
         if not todo.any():
             return out
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 (lo + hi) bit for bit on normal floats, with no sum to overflow
         v = _speed(Vm, Rm, B, mid)
         done = todo & (np.abs(v - Vthres) <= 1e-9)
         out[done] = mid[done]
@@ -476,8 +476,8 @@ def zone_sweep(Vm_values, Rm_values, nhpp: NhppParams, track: Track, times: Time
     cell = np.clip(Rcrit / 30.0, 1.0, 25.0)
     pad = (Rcrit + 2.0 * cell)[:, None]
     lo = pos.min(axis=0) - pad
-    shape = np.maximum(1.0, np.ceil((pos.max(axis=0) + pad - lo) / cell[:, None]))
-    with np.errstate(over="ignore"):  # an inf radius, or a product past every float, is too big
+    with np.errstate(over="ignore"):  # an inf radius, or a span or product past every float, is too big
+        shape = np.maximum(1.0, np.ceil((pos.max(axis=0) + pad - lo) / cell[:, None]))
         too_big = ~(shape[:, 0] * shape[:, 1] * times.n_steps <= _MAX_CELL_STEPS)
     if too_big.any():
         i = np.argmax(too_big)

@@ -112,7 +112,7 @@ def fit_binomial(X, outages, totals) -> GlmFit:
     n = np.asarray(totals, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or y.shape != n.shape:
         raise ValueError("X, outages, totals shapes are inconsistent")
-    if np.any(n <= 0) or np.any(y < 0) or np.any(y > n):
+    if not (np.all(n > 0) and np.all(y >= 0) and np.all(y <= n)):  # NaN fails it too
         raise ValueError("need 0 <= outages <= totals and totals > 0")
     nobs, k = X.shape
     if nobs <= k:

@@ -63,11 +63,11 @@ def poisson_intensity(p: NhppParams, v):
     above it.  Continuous at Vcrit and vectorized over `v`.  It is evaluated
     as lambda_norm * (1 + alpha * (f^2 - 1)), f = max(v, Vcrit) / Vcrit, not
     as the algebraically equal lambda_norm * (1 - alpha) + lambda_norm * alpha
-    * f^2: below Vcrit (and at NaN) f is exactly 1, so the result is exactly
-    lambda_norm with no cancellation error.
+    * f^2: below Vcrit f is exactly 1, so the result is exactly lambda_norm
+    with no cancellation error.  A negative or NaN speed is an error.
     """
     v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
+    if not np.all(v >= 0):  # NaN fails it too
         raise ValueError("velocity must be >= 0")
     out = _intensity(p, v)
     return float(out) if out.ndim == 0 else out
@@ -201,10 +201,10 @@ class FailureDistribution:
         return float(np.sum(n * self.pmf) + (self.n_max + 1) * self.tail)
 
 
-# The largest rate `fail-dist` builds at its default truncation point.  Above
-# it the log-space `poisson_pmf`, summed up to that point, can miss 1 by more
-# than `FailureDistribution`'s 1e-12: over 800 geometric rates r in [500, 4000],
-# `_fd_b(np.array([r]), None)` failed first at r = 1,256 and at 190 rates in all;
+# The largest rate `fd_a` and `fd_b` build at their default truncation point.
+# Above it the log-space `poisson_pmf`, summed up to that point, can miss 1 by
+# more than `FailureDistribution`'s 1e-12: over 800 geometric rates r in [500,
+# 4000], an uncapped `_fd_b` failed first at r = 1,256 and at 190 rates in all;
 # none of 25,000 rates below 1,000, nor of 2,000 mixtures in [500, 1,000], failed.
 _MAX_DEFAULT_RATE = 1000.0
 
@@ -258,11 +258,18 @@ def _fd_a(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
 
 
 def _fd_b(rates: np.ndarray, n_max: int | None) -> FailureDistribution:
-    """`fd_b` of the members' rates at one cell."""
+    """`fd_b` of the members' rates at one cell.  Without `n_max`, a largest rate
+    past `_MAX_DEFAULT_RATE` raises ValueError before any pmf is built."""
+    if n_max is None:
+        peak = float(rates.max())
+        if not peak <= _MAX_DEFAULT_RATE:
+            raise ValueError(
+                f"a failure rate of {peak:.3g} passes {_MAX_DEFAULT_RATE:,.0f}, above which"
+                " the default truncation's masses may not total 1 within 1e-12"
+            )
+        n_max = default_n_max(peak)
     from scipy.special import pdtrc
 
-    if n_max is None:
-        n_max = default_n_max(float(rates.max()))
     n = np.arange(n_max + 1)
     pmf = _mean(poisson_pmf(n, float(rate)) for rate in rates)
     tail = sum(max(0.0, float(pdtrc(n_max, float(rate)))) for rate in rates) / len(rates)

@@ -137,11 +137,11 @@ def holland_speed(p, r):
     """Wind speed (m/s) at radius `r` km from the storm centre.
 
     Vectorized over `r`.  The r -> 0 limit of the profile is 0 m/s and is
-    returned as such (storm-centre cells occur routinely); negative radii are
-    an error.
+    returned as such (storm-centre cells occur routinely); negative or NaN
+    radii are an error.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):  # NaN fails it too
         raise ValueError("radius must be >= 0")
     out = _speed(p.Vm, p.Rm, p.B, r)
     return float(out) if out.ndim == 0 else out

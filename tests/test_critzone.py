@@ -95,6 +95,14 @@ class TestCriticalRadius:
         Rc = _critical_radii(np.array([1e200, 37.0, 1e155]), np.array([30.0, 30.0, 30.0]), 1.0, 20.6)
         assert Rc.tolist() == [np.inf, critical_radius(HollandParams(37, 30), 20.6), np.inf]
 
+    @pytest.mark.filterwarnings("error")
+    def test_radius_near_the_largest_float_bisects(self):
+        # The bracket nears the largest float, where lo + hi overflows; the midpoint does not.
+        p = HollandParams(Vm=2.6e154, Rm=20.0)
+        Rc = critical_radius(p, 20.6)
+        assert 1e307 < Rc < np.finfo(float).max
+        assert abs(holland_speed(p, Rc) - 20.6) <= 1e-9
+
 
 def scalar_critical_radius(p, Vthres):
     """Reference: the scalar bisection `critical_radius` ran before it became

@@ -121,6 +121,11 @@ class TestFitBinomial:
         with pytest.raises(ValueError):
             fit_binomial(np.ones((2, 2)), np.array([1.0, 1.0]), np.array([5.0, 5.0]))
 
+    def test_nan_outage_rejected(self):
+        X = _design(n=5)
+        with pytest.raises(ValueError, match="need 0 <= outages <= totals and totals > 0"):
+            fit_binomial(X, np.array([1.0, 2.0, np.nan, 1.0, 0.0]), np.full(5, 5.0))
+
     def test_predict_monotone_s_curve(self):
         X = _design(50, seed=10)
         totals = np.full(50, 1000.0)

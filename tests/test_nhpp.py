@@ -25,6 +25,7 @@ from stormrisk import (
     save_failure_distribution,
     save_failure_rate_field,
 )
+from stormrisk import nhpp
 from stormrisk.nhpp import _intensity
 
 P = NhppParams()  # Vcrit=20.6, alpha=4175.6, lambda_norm=3.5e-5
@@ -92,6 +93,13 @@ class TestIntensity:
     def test_negative_velocity_rejected(self):
         with pytest.raises(ValueError):
             poisson_intensity(P, -0.1)
+
+    def test_nan_velocity_rejected(self):
+        # NaN is not calm air: it fails the range check, in a rate too.
+        with pytest.raises(ValueError, match="velocity must be >= 0"):
+            poisson_intensity(P, np.nan)
+        with pytest.raises(ValueError, match="velocity must be >= 0"):
+            failure_rate(P, [np.nan, 30.0])
 
     def test_equivalent_algebraic_form(self):
         # lambda_norm*(1-alpha) + lambda_norm*alpha*(max(v,Vcrit)/Vcrit)^2
@@ -287,6 +295,19 @@ class TestFailureDistributions:
             from scipy.stats import poisson as sp
 
             assert sp.sf(n_max, rate) <= 1e-9 * 1.01
+
+    @pytest.mark.parametrize("make", [fd_a, fd_b])
+    def test_default_truncation_refuses_a_rate_past_its_cap(self, monkeypatch, make):
+        # Above 1,000 the default point's masses may not total 1; no pmf is built.
+        def refuse(*args):
+            raise AssertionError("a pmf was built")
+
+        monkeypatch.setattr(nhpp, "poisson_pmf", refuse)
+        grid, times = Grid(nx=1, ny=1), TimeAxis(n_steps=1)
+        e = Ensemble(members=(WindField(grid=grid, times=times, velocities=np.array([[0.0]])),))
+        message = "a failure rate of 2e\\+03 passes 1,000, above which the default truncation's masses"
+        with pytest.raises(ValueError, match=message):
+            make(NhppParams(lambda_norm=2000.0), e, 0)
 
     @pytest.mark.parametrize("rate", [1e9, 1e12, np.inf])
     def test_default_n_max_past_the_cap_raises(self, rate):

@@ -56,6 +56,11 @@ class TestHollandSpeed:
         with pytest.raises(ValueError):
             holland_speed(HollandParams(Vm=25, Rm=20), -1.0)
 
+    @pytest.mark.parametrize("r", [np.nan, [10.0, np.nan]], ids=["scalar", "array"])
+    def test_nan_r_rejected(self, r):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            holland_speed(HollandParams(Vm=25, Rm=20), r)
+
     @given(
         st.floats(1.0, 100.0),
         st.floats(1.0, 100.0),

@@ -281,61 +281,52 @@ def _load(loader, name: str, path):
 # =============================================================================
 
 
-_THRESHOLD = "a critical radius, zone area or failure rate is not finite"
+# The factors of every result a command refuses as past every float, one row each: (config field,
+# the field in its place when the storms are a sweep's, the power of its value in the result, the
+# results it enters).  Results: failure rates (r), at most lambda_norm T alpha (Vm / Vcrit)^2;
+# wind speeds summed over the steps (v), at most Vm times the steps; a storm's geometry (g:
+# critical radius, zone area, a sweep storm's swath grid, a fit's regressors), growing with Rm
+# and Vm / Vcrit; repair losses (l), Lf / 2Y times a rate squared.  ensemble.sigma_Vm_mps enters
+# as the members' largest Vm over the central Vm.
+_FACTORS = (
+    ("nhpp.lambda_norm", None, 1, "rl"),
+    ("nhpp.alpha", None, 1, "rl"),
+    ("nhpp.Vcrit_mps", None, -1, "rgl"),
+    ("holland.Vm_mps", "sweep.Vm_max", 1, "rvgl"),
+    ("ensemble.sigma_Vm_mps", None, 1, "rv"),
+    ("holland.Rm_km", "sweep.Rm_max", 1, "g"),
+    ("repair.Lf", None, 1, "l"),
+    ("repair.Y", None, -1, "l"),
+)
+
+_ZONE = "a critical radius, zone area or failure rate is not finite"
 
 
-def _require_finite(run: _Run, Vm, *values, T=None, of="rates", power=1, reason=_THRESHOLD, members=None) -> None:
-    """Refuse results past every float before any output, naming the field that puts them there.
+def _at_fault(run: _Run, results: str, reason: str, storm="holland", members=None, small=False) -> ConfigError:
+    """The refusal, for `reason`, of `results` (letters of `_FACTORS`) past every float or, if
+    `small`, at or near 0.  It names the factor whose power times log10 of its value is the largest
+    (if `small`, the most negative), as too large or too small.  The storm is the run's, the
+    sweep's largest with `storm="sweep"`, or none with None (`tables123`'s are fixed); `members`,
+    the run's member source, gives the members' largest Vm, drawn only here."""
+    sweep = storm == "sweep"
+    Vm, Rm = (a.max() for a in run.sweep) if sweep else (run.holland.Vm, run.holland.Rm)
+    top = None if members is None else max(q.Vm for _, q in members.parameters()) / Vm
+    p, r = run.nhpp, run.repair
+    values = p.lambda_norm, p.alpha, p.Vcrit, storm and Vm, top, storm and Rm, r.Lf, r.Y  # None: not a factor
+    with np.errstate(divide="ignore"):  # log10 of a zero Lf is -inf
+        logs = {
+            (sweep and swept) or field: (power, power * np.log10(value))
+            for (field, swept, power, enters), value in zip(_FACTORS, values)
+            if value is not None and set(results) & set(enters)
+        }
+    field = (min if small else max)(logs, key=lambda f: logs[f][1])
+    return ConfigError(field, f"too {'large' if (logs[field][0] > 0) != small else 'small'}: {reason}")
 
-    `values` are critical radii and zone areas or, with `T`, the `power`-th powers of `of`: failure
-    rates summed over `T` hours ("rates"), repair losses (Lf / 2Y) rate^2 ("losses"), or the run's
-    wind speeds summed over its steps ("speeds").  Named in turn: ensemble.sigma_Vm_mps if the
-    speeds' or rates' bound is finite at `Vm` but not at the largest Vm of the storms of `members`,
-    a member source; holland.Vm_mps if Vm times the steps is past every float (speeds); nhpp.alpha
-    or nhpp.lambda_norm if the intensity at the largest `Vm` is; nhpp.lambda_norm if the nominal rate
-    lambda_norm T to the rates' power is; repair.Lf or repair.Y if the losses' bound is only with the
-    repair cost; nhpp.lambda_norm, with `reason`, if the nominal rate is the larger factor of the
-    rates' bound lambda_norm T (1 + alpha g); else the threshold, with `reason`, as one far below
-    the winds gives them."""
-    if all(np.isfinite(v).all() for v in values):
-        return
-    p, Vm, steps = run.nhpp, np.float64(np.max(Vm)), run.times.n_steps
-    k = 2 * power if of == "losses" else power  # the power of the rates
 
-    def refuse(field, too, what, n=1):
-        raise ConfigError(field, f"too {too}: {what}{'' if n == 1 else f' to the power {n}'} is not finite")
-
-    def intensity(Vm):  # g = (Vm/Vcrit)^2 - 1, 1 + alpha g and the intensity lambda_norm (1 + alpha g)
-        g = np.square(np.fmax(Vm, p.Vcrit) / p.Vcrit) - 1.0
-        shape = 1.0 + p.alpha * g
-        return g, shape, p.lambda_norm * shape
-
-    def bound(Vm):  # of the speeds or rates of storms up to `Vm`
-        return (Vm * steps if of == "speeds" else intensity(Vm)[2] * T) ** power
-
-    with np.errstate(over="ignore"):
-        top = None if members is None else np.float64(max(q.Vm for _, q in members.parameters()))
-        if top is not None and np.isfinite(bound(Vm)) and not np.isfinite(bound(top)):
-            what = f"the wind speed summed over {steps} steps" if of == "speeds" else f"the failure rate over {T:g} h"
-            refuse("ensemble.sigma_Vm_mps", "large", f"{what} at the members' largest Vm = {top:g} m/s", power)
-        if of == "speeds" and not np.isfinite(bound(Vm)):  # no NHPP field enters a speed
-            refuse("holland.Vm_mps", "large", f"the wind speed summed over {steps} steps", power)
-        g, shape, intensity = intensity(Vm)
-        if of != "speeds" and np.isfinite(g) and not np.isfinite(intensity):
-            refuse("nhpp.alpha" if not np.isfinite(shape) else "nhpp.lambda_norm", "large",
-                   f"the failure intensity at Vm = {Vm:g} m/s")
-        if of != "speeds" and T is not None:
-            nominal = np.float64(p.lambda_norm * T)
-            if not np.isfinite(nominal**k):
-                refuse("nhpp.lambda_norm", "large", f"the nominal failure rate over {T:g} h", k)
-            bound, cost = (intensity * T) ** k, np.float64(run.repair.half_ratio) ** power
-            if of == "losses" and np.isfinite(bound) and not np.isfinite(cost * bound):
-                Lf = run.repair.Lf * run.repair.Y >= 1  # Lf, rather than 1 / Y, is past 1
-                field, too = ("repair.Lf", "large") if Lf else ("repair.Y", "small")
-                refuse(field, too, f"the repair loss over {T:g} h", power)
-            if nominal > shape:  # past every float through a sum, as of a mean over cells
-                raise ConfigError("nhpp.lambda_norm", f"too large: {reason}")
-    raise ConfigError("nhpp.Vcrit_mps", f"too small: {reason}")
+def _require_finite(run: _Run, results: str, reason: str, *values, **where) -> None:
+    """Refuse `values` before any output unless each is finite, as `_at_fault` names the field."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise _at_fault(run, results, reason, **where)
 
 
 def cmd_windfield(run: _Run, args) -> None:
@@ -350,7 +341,7 @@ def cmd_ensemble(run: _Run, args) -> None:
 def cmd_failure_rates(run: _Run, args) -> None:
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     rates = (nhpp.fr1 if args.which == "fr1" else nhpp.fr2)(run.nhpp, members)
-    _require_finite(run, run.holland.Vm, rates, T=run.times.duration, members=members)
+    _require_finite(run, "r", f"the failure rate over {run.times.duration:g} h is not finite", rates, members=members)
     nhpp.save_failure_rate_field(rates, run.out(f"failure_rates_{args.which}.csv"), header_comment=run.tag)
 
 
@@ -368,22 +359,15 @@ def cmd_fail_dist(run: _Run, args) -> None:
         raise ConfigError("--n-max", "must be >= 0")
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     rates = nhpp.member_rates(run.nhpp, members, cells)
-    _require_finite(run, run.holland.Vm, rates, T=run.times.duration, members=members)
+    _require_finite(run, "r", f"the failure rate over {run.times.duration:g} h is not finite", rates, members=members)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
-    if args.n_max is None:  # the default truncation point follows FD-A's or FD-B's largest rate
-        peak = max(rates[:, j].mean() for j in range(len(cells))) if args.kind == "fda" else rates.max()
-        if not peak <= nhpp._MAX_DEFAULT_RATE:
-            raise ConfigError(
-                "--n-max",
-                f"required: a failure rate of {peak:.3g} passes {nhpp._MAX_DEFAULT_RATE:,.0f}, above which"
-                " the default truncation's masses may not total 1 within 1e-12",
-            )
     dists = []
     for j, cell in enumerate(cells):
         try:
             dists.append(make(rates[:, j], args.n_max))
-        except ValueError as exc:  # masses that miss 1
-            raise ConfigError("--n-max", f"at cell {cell}: {exc}") from None
+        except ValueError as exc:  # a rate past the default truncation's cap, or masses that miss 1
+            where = "required" if args.n_max is None else f"at cell {cell}"
+            raise ConfigError("--n-max", f"{where}: {exc}") from None
     for cell, dist in zip(cells, dists):
         nhpp.save_failure_distribution(dist, run.out(f"fail_dist_{args.kind}_cell{cell}.csv"), run.tag)
 
@@ -393,12 +377,12 @@ def cmd_critzone(run: _Run, args) -> None:
     Rcrit = critzone.critical_radius(run.holland, run.nhpp.Vcrit)
     obround = None if Rcrit is None else critzone.obround_area(Rcrit, run.times.duration, run.track.Vtr)
     if Rcrit is not None:
-        _require_finite(run, run.holland.Vm, Rcrit, obround)
+        _require_finite(run, "g", _ZONE, Rcrit, obround)
     rates, zone = critzone.storm_swath(
         run.track, run.holland, run.grid, run.times, run.nhpp, asymmetric=s.asymmetric, hemisphere=s.hemisphere
     )
     stats = critzone.zone_failure_stats(rates, zone)
-    _require_finite(run, run.holland.Vm, stats["max"], stats["mean"], T=run.times.duration)
+    _require_finite(run, "r", _ZONE, stats["max"], stats["mean"])
     cells = np.flatnonzero(zone)
     rows = ([cell] for cell in cells)
     _write_csv(run.out("critzone_cells.csv"), ["cell_id"], rows, run.tag, line_end="\n")
@@ -418,8 +402,8 @@ def _sweep_fit_critzone(run: _Run) -> None:
     try:
         sweep = critzone.zone_sweep(*run.sweep, run.nhpp, run.track, run.times, run.holland.B)
     except ValueError as exc:  # a storm's swath grid is past the cap
-        raise ConfigError("nhpp.Vcrit_mps", f"too small: {exc}") from None
-    _require_finite(run, run.sweep[0], *sweep, T=run.times.duration)
+        raise _at_fault(run, "g", str(exc), storm="sweep") from None
+    _require_finite(run, "rg", _ZONE, *sweep, storm="sweep")
     Vm, Rm, Rcrit, area = sweep[:4]
     radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=run.nhpp.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)
@@ -470,9 +454,9 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         print(f"warning: sweep.Rm_step: {len(Rm_values)} radii make the loss design singular;"
               " its p-values and term pruning rest on a singular fit", file=sys.stderr)
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, B=run.holland.B)
-    T = aggregate.REFERENCE_TIMES.duration
-    _require_finite(run, Vm, damage, T=T)
-    _require_finite(run, Vm, loss, T=T, of="losses")
+    T, response = aggregate.REFERENCE_TIMES.duration, "r" if args.target == "damage" else "l"
+    _require_finite(run, "r", f"the damage over {T:g} h is not finite", damage, storm="sweep")
+    _require_finite(run, "l", f"the repair loss over {T:g} h is not finite", loss, storm="sweep")
     try:
         if args.target == "damage":
             model = aggregate.fit_damage_model(Vm, Rm, damage, Vcrit)
@@ -480,17 +464,10 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         else:
             model = aggregate.fit_loss_model(Vm, Rm, loss, Vcrit)
             report = {"p": model.p, "condition_number": model.fit.cond}
-    except ValueError as exc:  # responses near 0: name the smaller factor of their bound (Lf/2Y) (lambda_norm T)^2
-        nominal = run.nhpp.lambda_norm * T
-        field, too = "nhpp.lambda_norm", "small"
-        if args.target == "loss" and run.repair.half_ratio <= nominal * nominal:
-            field, too = ("repair.Lf", "small") if run.repair.Lf * run.repair.Y <= 1 else ("repair.Y", "large")
-        raise ConfigError(field, f"too {too}: {exc}") from None
-    except OverflowError as exc:  # in the fit's weights 1 / y^2, or in its regressors, powers of g
-        y, of = (damage, "rates") if args.target == "damage" else (loss, "losses")
-        with np.errstate(over="ignore"):
-            _require_finite(run, Vm, np.square(y), T=T, of=of, power=2, reason=str(exc))
-        raise ConfigError("nhpp.Vcrit_mps", f"too small: {exc}") from None
+    except ValueError as exc:  # responses at or near 0, whose weights 1 / y^2 are not finite
+        raise _at_fault(run, response, str(exc), storm="sweep", small=True) from None
+    except OverflowError as exc:  # in the fit's regressors, or in the responses' squares
+        raise _at_fault(run, response + "g", str(exc), storm="sweep") from None
     aggregate.save_agg_sweep(Vm, Rm, damage, loss, run.out(f"{args.target}_sweep.csv"), header_comment=run.tag)
     report.update(
         terms=list(model.terms),
@@ -522,13 +499,15 @@ def cmd_outage_fit(run: _Run, args) -> None:
     x = np.array(
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )
-    of = "rates" if args.predictor == "failure_rate" else "speeds"
-    _require_finite(run, run.holland.Vm, x, T=run.times.duration, of=of, members=members)
+    if args.predictor == "failure_rate":
+        results, what = "r", f"the failure rate over {run.times.duration:g} h"
+    else:
+        results, what = "v", f"the wind speed summed over {run.times.n_steps} steps"
+    _require_finite(run, results, f"{what} is not finite", x, members=members)
     households = np.array([obs.households for obs in observations], dtype=float)
     with np.errstate(over="ignore"):  # the sum bounds every entry of the fit's X'WX
         normal = np.sum(households * x * x)
-    reason = "the exposures overflow the outage fit's normal equations"
-    _require_finite(run, run.holland.Vm, normal, T=run.times.duration, of=of, power=2, reason=reason, members=members)
+    _require_finite(run, results, "the exposures overflow the outage fit's normal equations", normal, members=members)
     fit = glm.fit_binomial(
         np.column_stack([np.ones_like(x), x]),
         np.array([obs.outages for obs in observations], dtype=float),
@@ -553,8 +532,7 @@ def cmd_outage_fit(run: _Run, args) -> None:
 def cmd_tables123(run: _Run, args) -> None:
     records = critzone.tables123(nhpp=run.nhpp)
     values = (rec[c] for rec in records for c in critzone.TABLE_HEADER[2:])
-    Vm = max(critzone.TABLE_STORMS)[0]  # the largest Vm leads its tuple
-    _require_finite(run, Vm, *values, T=critzone.TABLE_TIMES.duration)
+    _require_finite(run, "rg", _ZONE, *values, storm=None)
     rows = (
         [str(rec["Vm"]), str(rec["Rm"])] + [format(rec[c], TABLE_FMT) for c in critzone.TABLE_HEADER[2:]]
         for rec in records

@@ -229,6 +229,12 @@ class TestConfig:
         ]
         assert rows == schema
 
+    def test_readme_factor_table_matches_the_code(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme[readme.index("| Factor | In a sweep | Power | Results |") :].split("\n\n")[0].splitlines()
+        rows = [tuple(c.strip().strip("`") for c in line.strip("|").split("|")) for line in lines[2:]]
+        assert rows == [(field, swept or "", str(power), results) for field, swept, power, results in cli._FACTORS]
+
     @pytest.mark.parametrize("path, default", [row[:2] for row in cli.CONFIG_SCHEMA], ids=lambda x: str(x))
     def test_every_field_reaches_the_run(self, path, default):
         # Another valid value of each field changes what the commands read,
@@ -540,13 +546,84 @@ class TestEnsembleCommands:
         assert not out.exists() or not any(out.iterdir())
 
 
-# The one line of a command whose results a tiny threshold makes non-finite.
+# The one line of `critzone` when a tiny threshold makes its results non-finite.
 TOO_SMALL = (
     "error: invalid input: nhpp.Vcrit_mps: too small: a critical radius, zone area or failure rate"
     " is not finite\n"
 )
 
 SWEEP_FIT_OVERFLOW = "g = (Vm - Vcrit) / Vcrit overflows the fit's normal equations"
+
+# Each refusing command with one factor of its results pushed alone to an extreme: (command,
+# the factor's overrides, the one line after "error: invalid input: ", naming the first override's
+# field).  The config is `_write_config`'s with a sweep of 4 Vm by 7 Rm values.
+_ZONE = "a critical radius, zone area or failure rate is not finite"
+_RATE = "the failure rate over 6 h is not finite"
+_DAMAGE, _LOSS = "the damage over 24 h is not finite", "the repair loss over 24 h is not finite"
+_NORMAL = "the exposures overflow the outage fit's normal equations"
+_SPEED = "outage-fit --predictor cumulative_velocity"
+_SWATH = "too {}: storm (Vm={}, Rm={}) has critical radius {} km; its swath grid passes 1,000,000,000 cell-steps"
+_EXTREMES = [
+    ("critzone", "nhpp.lambda_norm=1e308", f"too large: {_ZONE}"),
+    ("critzone", "nhpp.alpha=1e308", f"too large: {_ZONE}"),
+    ("critzone", "nhpp.Vcrit_mps=1e-160", f"too small: {_ZONE}"),
+    ("critzone", "holland.Vm_mps=1e155", f"too large: {_ZONE}"),
+    ("critzone", "holland.Vm_mps=1e200", f"too large: {_ZONE}"),
+    ("critzone", "holland.Rm_km=1e300", f"too large: {_ZONE}"),
+    ("tables123", "nhpp.lambda_norm=1e308", f"too large: {_ZONE}"),
+    ("tables123", "nhpp.alpha=1e308", f"too large: {_ZONE}"),
+    ("tables123", "nhpp.Vcrit_mps=1e-160", f"too small: {_ZONE}"),
+    ("failure-rates", "nhpp.lambda_norm=1e308", f"too large: {_RATE}"),
+    ("failure-rates", "nhpp.alpha=1e308", f"too large: {_RATE}"),
+    ("failure-rates", "nhpp.Vcrit_mps=1e-160", f"too small: {_RATE}"),
+    ("failure-rates", "holland.Vm_mps=1e155", f"too large: {_RATE}"),
+    ("failure-rates", "holland.Vm_mps=1e200", f"too large: {_RATE}"),
+    ("failure-rates", "ensemble.sigma_Vm_mps=1e200", f"too large: {_RATE}"),
+    ("fail-dist --cells 0,77", "nhpp.lambda_norm=1e308", f"too large: {_RATE}"),
+    ("fail-dist --cells 0,77", "nhpp.alpha=1e308", f"too large: {_RATE}"),
+    ("fail-dist --cells 0,77", "nhpp.Vcrit_mps=1e-160", f"too small: {_RATE}"),
+    ("fail-dist --cells 0,77", "holland.Vm_mps=1e200", f"too large: {_RATE}"),
+    ("fail-dist --cells 0,77", "ensemble.sigma_Vm_mps=1e200", f"too large: {_RATE}"),
+    ("outage-fit", "nhpp.lambda_norm=1e308", f"too large: {_RATE}"),
+    ("outage-fit", "nhpp.alpha=1e308", f"too large: {_RATE}"),
+    ("outage-fit", "nhpp.Vcrit_mps=1e-160", f"too small: {_RATE}"),
+    ("outage-fit", "holland.Vm_mps=1e200", f"too large: {_RATE}"),
+    ("outage-fit", "ensemble.sigma_Vm_mps=1e200", f"too large: {_RATE}"),
+    (_SPEED, "holland.Vm_mps=1e200", f"too large: {_NORMAL}"),
+    (_SPEED, "holland.Vm_mps=1e308", "too large: the wind speed summed over 6 steps is not finite"),
+    (_SPEED, "ensemble.sigma_Vm_mps=1e200", f"too large: {_NORMAL}"),
+    ("sweep-fit --target critzone", "nhpp.lambda_norm=1e308", f"too large: {_ZONE}"),
+    ("sweep-fit --target critzone", "nhpp.alpha=1e308", f"too large: {_ZONE}"),
+    ("sweep-fit --target critzone", "nhpp.Vcrit_mps=1e-160", _SWATH.format("small", 25, 20, "inf")),
+    (
+        "sweep-fit --target critzone",
+        "sweep.Vm_max=1e155 sweep.Vm_step=1e153",
+        _SWATH.format("large", "1e+153", 20, "1.28e+305"),
+    ),
+    (
+        "sweep-fit --target critzone",
+        "sweep.Vm_max=1e200 sweep.Vm_step=1e199",
+        _SWATH.format("large", "1e+199", 20, "inf"),
+    ),
+    (
+        "sweep-fit --target critzone",
+        "sweep.Rm_max=1e300 sweep.Rm_step=1e299",
+        _SWATH.format("large", 25, "1e+299", "2.8e+299"),
+    ),
+    ("sweep-fit --target damage", "nhpp.lambda_norm=1e308", f"too large: {_DAMAGE}"),
+    ("sweep-fit --target damage", "nhpp.alpha=1e308", f"too large: {_DAMAGE}"),
+    ("sweep-fit --target damage", "nhpp.Vcrit_mps=1e-160", f"too small: {_DAMAGE}"),
+    ("sweep-fit --target damage", "sweep.Vm_max=1e155 sweep.Vm_step=1e153", f"too large: {_DAMAGE}"),
+    ("sweep-fit --target damage", "sweep.Rm_max=1e300 sweep.Rm_step=1e299", f"too large: {SWEEP_FIT_OVERFLOW}"),
+    ("sweep-fit --target damage", "repair.Lf=1e308", f"too large: {_LOSS}"),
+    ("sweep-fit --target loss", "nhpp.lambda_norm=1e308", f"too large: {_DAMAGE}"),
+    ("sweep-fit --target loss", "nhpp.alpha=1e308", f"too large: {_DAMAGE}"),
+    ("sweep-fit --target loss", "nhpp.Vcrit_mps=1e-160", f"too small: {_DAMAGE}"),
+    ("sweep-fit --target loss", "sweep.Vm_max=1e155 sweep.Vm_step=1e153", f"too large: {_DAMAGE}"),
+    ("sweep-fit --target loss", "sweep.Rm_max=1e300 sweep.Rm_step=1e299", f"too large: {SWEEP_FIT_OVERFLOW}"),
+    ("sweep-fit --target loss", "repair.Lf=1e308", f"too large: {_LOSS}"),
+    ("sweep-fit --target loss", "repair.Y=1e-308", f"too small: {_LOSS}"),
+]
 
 
 class TestCritzoneAndSweeps:
@@ -606,18 +683,18 @@ class TestCritzoneAndSweeps:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow is silent
     @pytest.mark.parametrize(
-        "argv",
+        "argv, reason",
         [
-            ["tables123"],
-            ["failure-rates"],
-            ["fail-dist"],
-            ["sweep-fit", "--target", "damage"],
-            ["sweep-fit", "--target", "loss"],
-            ["outage-fit"],
+            (["tables123"], "a critical radius, zone area or failure rate"),
+            (["failure-rates"], "the failure rate over 6 h"),
+            (["fail-dist"], "the failure rate over 6 h"),
+            (["sweep-fit", "--target", "damage"], "the damage over 24 h"),
+            (["sweep-fit", "--target", "loss"], "the damage over 24 h"),
+            (["outage-fit"], "the failure rate over 6 h"),
         ],
         ids=["tables123", "failure-rates", "fail-dist", "sweep-fit-damage", "sweep-fit-loss", "outage-fit"],
     )
-    def test_overflowing_results_exit_2(self, tmp_path, capsys, argv):
+    def test_overflowing_results_exit_2(self, tmp_path, capsys, argv, reason):
         # Every rate, exposure, damage and loss of these commands is inf.
         if argv == ["outage-fit"]:
             cfg, obs_csv = _outage_inputs(tmp_path)
@@ -625,7 +702,7 @@ class TestCritzoneAndSweeps:
         else:
             cfg = _write_config(tmp_path)
         assert main(argv + ["--config", cfg, "--set", "nhpp.Vcrit_mps=1e-160"]) == 2
-        assert capsys.readouterr().err == TOO_SMALL
+        assert capsys.readouterr().err == f"error: invalid input: nhpp.Vcrit_mps: too small: {reason} is not finite\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -759,9 +836,8 @@ class TestCritzoneAndSweeps:
         # already past every float, so the field, not the threshold, is at fault.
         argv = [command, "--config", _write_config(tmp_path), "--set", f"nhpp.{field}=1e308"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: invalid input: nhpp.{field}: too large: the failure intensity at Vm = 37 m/s is not finite\n"
-        )
+        reason = "the failure rate over 6 h is not finite" if command == "failure-rates" else _ZONE
+        assert capsys.readouterr().err == f"error: invalid input: nhpp.{field}: too large: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -770,7 +846,7 @@ class TestCritzoneAndSweeps:
         argv = ["failure-rates", "--config", _write_config(tmp_path)]
         assert main(argv + ["--set", "nhpp.lambda_norm=1e308", "--set", "holland.Vm_mps=20"]) == 2
         assert capsys.readouterr().err == (
-            "error: invalid input: nhpp.lambda_norm: too large: the nominal failure rate over 6 h is not finite\n"
+            "error: invalid input: nhpp.lambda_norm: too large: the failure rate over 6 h is not finite\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -779,24 +855,24 @@ class TestCritzoneAndSweeps:
     _FAULTS = [
         (
             ["sweep-fit", "--target", "loss", "--set", "nhpp.lambda_norm=1e160"],  # rate^2 in the loss
-            "nhpp.lambda_norm: too large: the nominal failure rate over 24 h to the power 2 is not finite",
+            "nhpp.lambda_norm: too large: the repair loss over 24 h is not finite",
         ),
         (
             ["sweep-fit", "--target", "damage", "--set", "nhpp.lambda_norm=1e300"],
-            "nhpp.lambda_norm: too large: the nominal failure rate over 24 h to the power 2 is not finite",
+            "nhpp.lambda_norm: too large: the repair loss over 24 h is not finite",
         ),
         (
             ["outage-fit", "--set", "nhpp.lambda_norm=1e300"],  # x^2 in the normal equations
-            "nhpp.lambda_norm: too large: the nominal failure rate over 6 h to the power 2 is not finite",
+            "nhpp.lambda_norm: too large: the exposures overflow the outage fit's normal equations",
         ),
         (
             ["outage-fit", "--predictor", "cumulative_velocity", "--set", "holland.Vm_mps=1e200"],
-            "holland.Vm_mps: too large: the wind speed summed over 6 steps to the power 2 is not finite",
+            "holland.Vm_mps: too large: the exposures overflow the outage fit's normal equations",
         ),
         (
             # Each damage is finite, their sum over the region's 1,000 cells is not.
             ["sweep-fit", "--target", "damage", "--set", "nhpp.lambda_norm=1e300", "--set", "sweep.Vm_max=80"],
-            "nhpp.lambda_norm: too large: a critical radius, zone area or failure rate is not finite",
+            "nhpp.lambda_norm: too large: the damage over 24 h is not finite",
         ),
         (
             ["sweep-fit", "--target", "loss", "--set", "repair.Lf=1e308"],
@@ -808,27 +884,30 @@ class TestCritzoneAndSweeps:
         ),
         (
             ["sweep-fit", "--target", "loss", "--set", "repair.Lf=1e300"],  # finite losses, their squares not
-            "repair.Lf: too large: the repair loss over 24 h to the power 2 is not finite",
+            "repair.Lf: too large: a response's square, which weights the fit, is not finite",
         ),
         (
             ["sweep-fit", "--target", "loss", "--set", "repair.Y=1e-300"],
-            "repair.Y: too small: the repair loss over 24 h to the power 2 is not finite",
+            "repair.Y: too small: a response's square, which weights the fit, is not finite",
         ),
     ]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "argv, what",
+        "argv, reason",
         [
-            (["failure-rates", "--which", "fr1"], "the failure rate over 6 h"),
-            (["failure-rates", "--which", "fr2"], "the failure rate over 6 h"),
-            (["fail-dist", "--kind", "fdb", "--cells", "0,77"], "the failure rate over 6 h"),
-            (["outage-fit"], "the failure rate over 6 h"),
-            (["outage-fit", "--predictor", "cumulative_velocity"], "the wind speed summed over 6 steps"),
+            (["failure-rates", "--which", "fr1"], "the failure rate over 6 h is not finite"),
+            (["failure-rates", "--which", "fr2"], "the failure rate over 6 h is not finite"),
+            (["fail-dist", "--kind", "fdb", "--cells", "0,77"], "the failure rate over 6 h is not finite"),
+            (["outage-fit"], "the failure rate over 6 h is not finite"),
+            (
+                ["outage-fit", "--predictor", "cumulative_velocity"],
+                "the exposures overflow the outage fit's normal equations",
+            ),
         ],
         ids=["fr1", "fr2", "fail-dist", "outage-fit", "outage-fit-speed"],
     )
-    def test_member_intensity_past_every_float_names_sigma_vm(self, tmp_path, capsys, argv, what):
+    def test_member_intensity_past_every_float_names_sigma_vm(self, tmp_path, capsys, argv, reason):
         # The central Vm of 37 m/s keeps every bound finite; a member's Vm of about 1e200 does not.
         if argv[0] == "outage-fit":
             cfg, obs_csv = _outage_inputs(tmp_path)
@@ -836,11 +915,7 @@ class TestCritzoneAndSweeps:
         else:
             cfg = _write_config(tmp_path)
         assert main(argv + ["--config", cfg, "--set", "ensemble.sigma_Vm_mps=1e200"]) == 2
-        power = " to the power 2" if argv[0] == "outage-fit" and "speed" in what else ""
-        assert capsys.readouterr().err == (
-            f"error: invalid input: ensemble.sigma_Vm_mps: too large: {what} at the members' largest"
-            f" Vm = 1.1273e+200 m/s{power} is not finite\n"
-        )
+        assert capsys.readouterr().err == f"error: invalid input: ensemble.sigma_Vm_mps: too large: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -914,11 +989,11 @@ class TestCritzoneAndSweeps:
         [
             (
                 ["holland.Vm_mps=1e155"],
-                "nhpp.alpha: too large: the failure intensity at Vm = 1e+155 m/s is not finite",
+                "holland.Vm_mps: too large: a critical radius, zone area or failure rate is not finite",
             ),
             (
                 ["sweep.Vm_max=1e200", "sweep.Vm_step=1e199"],
-                "nhpp.Vcrit_mps: too small: storm (Vm=1e+199, Rm=20) has critical radius inf km;"
+                "sweep.Vm_max: too large: storm (Vm=1e+199, Rm=20) has critical radius inf km;"
                 " its swath grid passes 1,000,000,000 cell-steps",
             ),
         ],
@@ -930,6 +1005,24 @@ class TestCritzoneAndSweeps:
         argv += ["--config", _write_config(tmp_path)]
         assert main(argv + [a for s in sets for a in ("--set", s)]) == 2
         assert capsys.readouterr().err == f"error: invalid input: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        _EXTREMES,
+        ids=["-".join([w for w in c.split() if not w.startswith("-")] + o.split()[:1]) for c, o, _ in _EXTREMES],
+    )
+    def test_one_extreme_factor_names_its_field(self, tmp_path, capsys, command, overrides, message):
+        argv = command.split() + [a for o in overrides.split() for a in ("--set", o)]
+        if argv[0] == "outage-fit":
+            cfg, obs_csv = _outage_inputs(tmp_path)
+            argv += ["--obs", str(obs_csv)]
+        else:
+            cfg = _write_config(tmp_path, sweep=dict(_CRITZONE_SWEEP, Rm_step=5))
+        assert main(argv + ["--config", cfg]) == 2
+        field = overrides.split("=")[0]
+        assert capsys.readouterr().err == f"error: invalid input: {field}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_sweep_fit_critzone(self, tmp_path):

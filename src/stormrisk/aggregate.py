@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .csvio import TABLE_FMT, _write_csv
+from .csvio import _write_table
 from .fitting import LinearFit, linear_least_squares
 from .grid import TimeAxis
 from .nhpp import NhppParams, _intensity
@@ -350,8 +350,4 @@ AGG_SWEEP_HEADER = ["Vm", "Rm", "damage_norm", "loss_norm"]
 
 def save_agg_sweep(Vm, Rm, damage, loss, path, header_comment: str | None = None) -> None:
     """Write a damage/loss sweep as CSV."""
-    rows = (
-        (v, r, format(d, TABLE_FMT), format(lo, TABLE_FMT))
-        for v, r, d, lo in zip(Vm, Rm, damage, loss)
-    )
-    _write_csv(path, AGG_SWEEP_HEADER, rows, header_comment)
+    _write_table(path, AGG_SWEEP_HEADER, [Vm, Rm], [damage, loss], header_comment)

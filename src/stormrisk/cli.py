@@ -43,8 +43,8 @@ from .csvio import (
     _check,
     _read_json,
     _type_name,
-    _write_csv,
     _write_json,
+    _write_table,
 )
 from .ensemble import EnsemblePerturbationSpec, SyntheticEnsemble, save_ensemble
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, county_average, load_county_fixture
@@ -286,8 +286,10 @@ def _load(loader, name: str, path):
 # results it enters).  Results: failure rates (r), at most lambda_norm T alpha (Vm / Vcrit)^2;
 # wind speeds summed over the steps (v), at most Vm times the steps; a storm's geometry (g:
 # critical radius, zone area, a sweep storm's swath grid, a fit's regressors), growing with Rm
-# and Vm / Vcrit; repair losses (l), Lf / 2Y times a rate squared.  ensemble.sigma_Vm_mps enters
-# as the members' largest Vm over the central Vm.
+# and Vm / Vcrit; repair losses (l), Lf / 2Y times a rate squared; the numeric zone area of the
+# run's own grid (a), its cells times the cell area; any of these over the run's own span T (t),
+# not the fixed spans of tables123 and the damage/loss sweeps.  ensemble.sigma_Vm_mps enters as
+# the members' largest Vm over the central Vm.
 _FACTORS = (
     ("nhpp.lambda_norm", None, 1, "rl"),
     ("nhpp.alpha", None, 1, "rl"),
@@ -297,6 +299,8 @@ _FACTORS = (
     ("holland.Rm_km", "sweep.Rm_max", 1, "g"),
     ("repair.Lf", None, 1, "l"),
     ("repair.Y", None, -1, "l"),
+    ("times.dt_h", None, 1, "t"),
+    ("grid.cell_size_km", None, 2, "a"),
 )
 
 _ZONE = "a critical radius, zone area or failure rate is not finite"
@@ -311,8 +315,8 @@ def _at_fault(run: _Run, results: str, reason: str, storm="holland", members=Non
     sweep = storm == "sweep"
     Vm, Rm = (a.max() for a in run.sweep) if sweep else (run.holland.Vm, run.holland.Rm)
     top = None if members is None else max(q.Vm for _, q in members.parameters()) / Vm
-    p, r = run.nhpp, run.repair
-    values = p.lambda_norm, p.alpha, p.Vcrit, storm and Vm, top, storm and Rm, r.Lf, r.Y  # None: not a factor
+    p, r, t, g = run.nhpp, run.repair, run.times, run.grid  # None below: not a factor
+    values = p.lambda_norm, p.alpha, p.Vcrit, storm and Vm, top, storm and Rm, r.Lf, r.Y, t.dt, g.cell_size
     with np.errstate(divide="ignore"):  # log10 of a zero Lf is -inf
         logs = {
             (sweep and swept) or field: (power, power * np.log10(value))
@@ -341,7 +345,7 @@ def cmd_ensemble(run: _Run, args) -> None:
 def cmd_failure_rates(run: _Run, args) -> None:
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     rates = (nhpp.fr1 if args.which == "fr1" else nhpp.fr2)(run.nhpp, members)
-    _require_finite(run, "r", f"the failure rate over {run.times.duration:g} h is not finite", rates, members=members)
+    _require_finite(run, "rt", f"the failure rate over {run.times.duration:g} h is not finite", rates, members=members)
     nhpp.save_failure_rate_field(rates, run.out(f"failure_rates_{args.which}.csv"), header_comment=run.tag)
 
 
@@ -359,7 +363,7 @@ def cmd_fail_dist(run: _Run, args) -> None:
         raise ConfigError("--n-max", "must be >= 0")
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     rates = nhpp.member_rates(run.nhpp, members, cells)
-    _require_finite(run, "r", f"the failure rate over {run.times.duration:g} h is not finite", rates, members=members)
+    _require_finite(run, "rt", f"the failure rate over {run.times.duration:g} h is not finite", rates, members=members)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
     dists = []
     for j, cell in enumerate(cells):
@@ -376,34 +380,29 @@ def cmd_critzone(run: _Run, args) -> None:
     s = run.spec
     Rcrit = critzone.critical_radius(run.holland, run.nhpp.Vcrit)
     obround = None if Rcrit is None else critzone.obround_area(Rcrit, run.times.duration, run.track.Vtr)
-    if Rcrit is not None:
-        _require_finite(run, "g", _ZONE, Rcrit, obround)
+    if Rcrit is not None:  # an infinite radius has no swath to run
+        _require_finite(run, "gt", _ZONE, Rcrit, obround)
     rates, zone = critzone.storm_swath(
         run.track, run.holland, run.grid, run.times, run.nhpp, asymmetric=s.asymmetric, hemisphere=s.hemisphere
     )
     stats = critzone.zone_failure_stats(rates, zone)
-    _require_finite(run, "r", _ZONE, stats["max"], stats["mean"])
     cells = np.flatnonzero(zone)
-    rows = ([cell] for cell in cells)
-    _write_csv(run.out("critzone_cells.csv"), ["cell_id"], rows, run.tag, line_end="\n")
-    report = {
-        "Vthres_mps": run.nhpp.Vcrit,
-        "Rcrit_km": None if Rcrit is None else float(format(Rcrit, TABLE_FMT)),
-        "area_numeric_km2": float(format(len(cells) * run.grid.cell_area, TABLE_FMT)),
-        "area_obround_km2": None if obround is None else float(format(obround, TABLE_FMT)),
-        "n_cells": len(cells),
-        "max_failure_rate_per_km": float(format(stats["max"], TABLE_FMT)),
-        "mean_failure_rate_per_km": float(format(stats["mean"], TABLE_FMT)),
-    }
-    run.report("critzone_stats.json", report)
+    area = len(cells) * run.grid.cell_area
+    _require_finite(run, "rt", _ZONE, stats["max"], stats["mean"])
+    _require_finite(run, "a", _ZONE, area)
+    _write_table(run.out("critzone_cells.csv"), ["cell_id"], [cells], [], run.tag, line_end="\n")
+    numbers = {"Rcrit_km": Rcrit, "area_numeric_km2": area, "area_obround_km2": obround,
+               "max_failure_rate_per_km": stats["max"], "mean_failure_rate_per_km": stats["mean"]}
+    report = {key: None if x is None else float(format(x, TABLE_FMT)) for key, x in numbers.items()}
+    run.report("critzone_stats.json", {"Vthres_mps": run.nhpp.Vcrit, "n_cells": len(cells), **report})
 
 
 def _sweep_fit_critzone(run: _Run) -> None:
     try:
         sweep = critzone.zone_sweep(*run.sweep, run.nhpp, run.track, run.times, run.holland.B)
     except ValueError as exc:  # a storm's swath grid is past the cap
-        raise _at_fault(run, "g", str(exc), storm="sweep") from None
-    _require_finite(run, "rg", _ZONE, *sweep, storm="sweep")
+        raise _at_fault(run, "gt", str(exc), storm="sweep") from None
+    _require_finite(run, "rgt", _ZONE, *sweep, storm="sweep")
     Vm, Rm, Rcrit, area = sweep[:4]
     radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=run.nhpp.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)
@@ -483,6 +482,10 @@ def cmd_outage_fit(run: _Run, args) -> None:
     if run.counties_csv is None:
         raise ConfigError("counties_csv", "required for outage-fit")
     counties = _load(load_county_fixture, "counties_csv", run.counties_csv)
+    for county in counties:
+        for cell in sorted(county.cells):
+            if not 0 <= cell < run.grid.n_cells:
+                raise ConfigError("counties_csv", f"county {county.name!r}: cell {cell} outside [0, {run.grid.n_cells})")
     observations = _load(glm.load_observations, "--obs", args.obs)
     unknown = sorted({obs.county for obs in observations} - set(counties.names()))
     if unknown:
@@ -500,7 +503,7 @@ def cmd_outage_fit(run: _Run, args) -> None:
         [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
     )
     if args.predictor == "failure_rate":
-        results, what = "r", f"the failure rate over {run.times.duration:g} h"
+        results, what = "rt", f"the failure rate over {run.times.duration:g} h"
     else:
         results, what = "v", f"the wind speed summed over {run.times.n_steps} steps"
     _require_finite(run, results, f"{what} is not finite", x, members=members)
@@ -531,13 +534,9 @@ def cmd_outage_fit(run: _Run, args) -> None:
 
 def cmd_tables123(run: _Run, args) -> None:
     records = critzone.tables123(nhpp=run.nhpp)
-    values = (rec[c] for rec in records for c in critzone.TABLE_HEADER[2:])
+    Vm, Rm, *values = ([rec[c] for rec in records] for c in critzone.TABLE_HEADER)
     _require_finite(run, "rg", _ZONE, *values, storm=None)
-    rows = (
-        [str(rec["Vm"]), str(rec["Rm"])] + [format(rec[c], TABLE_FMT) for c in critzone.TABLE_HEADER[2:]]
-        for rec in records
-    )
-    _write_csv(run.out("tables123.csv"), critzone.TABLE_HEADER, rows, run.tag, line_end="\n")
+    _write_table(run.out("tables123.csv"), critzone.TABLE_HEADER, [Vm, Rm], values, run.tag, line_end="\n")
 
 
 # =============================================================================

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import TABLE_FMT, _write_csv
+from .csvio import _write_table
 from .fitting import LinearFit, linear_least_squares
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis
 from .nhpp import NhppParams, _intensity
@@ -499,10 +499,7 @@ def zone_sweep(Vm_values, Rm_values, nhpp: NhppParams, track: Track, times: Time
 
 def save_zone_sweep(columns, path, header_comment: str | None = None) -> None:
     """Write the `SWEEP_HEADER` columns of a zone sweep (as `zone_sweep`
-    returns them) as CSV: Vm and Rm as Python floats print, the rest at
-    `TABLE_FMT`."""
-    rows = (
-        [float(v), float(r)] + [format(x, TABLE_FMT) for x in rest]
-        for v, r, *rest in zip(*columns)
-    )
-    _write_csv(path, SWEEP_HEADER, rows, header_comment)
+    returns them) as CSV: Vm and Rm as Python floats print, the rest as
+    every derived table's values."""
+    Vm, Rm, *rest = columns
+    _write_table(path, SWEEP_HEADER, [map(float, Vm), map(float, Rm)], rest, header_comment)

@@ -4,10 +4,12 @@ The data-file format, in one place.
 Every CSV the package writes is an optional `# comment` line (the CLI puts
 `# config_sha256=<hash>` there), a header row, then one row per record.
 `_write_velocities` writes the two velocity tables (wind field, ensemble)
-from a bytes row template per block of cells; `_write_csv` writes the other,
-smaller tables through the `csv` module.  The comment line ends with LF and
-rows with CRLF, except in the two tables the CLI writes itself
-(`tables123.csv`, `critzone_cells.csv`), which use LF throughout.  Readers
+from a bytes row template per block of cells.  `_write_table` writes every
+derived table (failure rates and distributions, zone and damage/loss sweeps,
+`tables123.csv`, `critzone_cells.csv`) through `_write_csv`, the `csv`
+module's writer, which also writes the two fixture files (observations,
+counties).  The comment line ends with LF and rows with CRLF, except in
+`tables123.csv` and `critzone_cells.csv`, which use LF throughout.  Readers
 skip leading `#` lines, check the header, skip blank and `#` rows, and name
 the file and physical line of the first bad row, including a row that
 repeats an earlier row's key.  Files are UTF-8 in any locale.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -65,6 +68,15 @@ def _write_csv(path, header, rows, comment: str | None = None, line_end: str = "
         w = csv.writer(f, lineterminator=line_end)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _write_table(path, header, keys, values, comment: str | None = None, line_end: str = "\r\n") -> None:
+    """Write a derived table: `header`, then one row per entry of the key
+    columns `keys` as the `csv` module prints them and of the value columns
+    `values` at `TABLE_FMT`.  Columns are any iterables, read as the rows
+    are written."""
+    formatted = (map(format, column, itertools.repeat(TABLE_FMT)) for column in values)
+    _write_csv(path, header, zip(*keys, *formatted), comment, line_end)
 
 
 def _write_velocities(path, header, fields, comment: str | None = None) -> int:

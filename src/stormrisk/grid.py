@@ -8,7 +8,7 @@ county exposures are plain means of a per-cell field over those cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -205,28 +205,24 @@ def save_county_fixture(counties: CountySet, path) -> None:
 def load_county_fixture(path) -> CountySet:
     """Read a county fixture CSV.
 
-    Households and asset density are repeated on every row of a county and
-    must be mutually consistent, otherwise ingestion fails with the offending
-    line number.
+    Each row must pass `County`'s own checks, and households and asset
+    density are repeated on every row of a county and must be mutually
+    consistent; a cell belongs to one county.  Otherwise ingestion fails with
+    the offending line number.
     """
-    rows: dict[str, dict] = {}
+    counties: dict[str, tuple[County, set[int]]] = {}  # each county's first row and its cells
+    owner: dict[int, str] = {}
     for lineno, (name, cell, hh, dens) in _read_csv(path, COUNTY_HEADER, (str, int, int, float)):
-        rec = rows.setdefault(name, {"cells": set(), "households": hh, "density": dens})
-        if rec["households"] != hh or rec["density"] != dens:
-            raise ValueError(
-                f"{path}:{lineno}: inconsistent households/asset_density for county {name!r}"
-            )
-        rec["cells"].add(cell)
-    if not rows:
+        try:
+            row = County(name=name, cells={cell}, households=hh, asset_density=dens)
+        except ValueError as exc:  # the record's own checks
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        first, cells = counties.setdefault(name, (row, set()))
+        if (first.households, first.asset_density) != (hh, dens):
+            raise ValueError(f"{path}:{lineno}: inconsistent households/asset_density for county {name!r}")
+        if owner.setdefault(cell, name) != name:
+            raise ValueError(f"{path}:{lineno}: cell {cell} assigned to both {owner[cell]!r} and {name!r}")
+        cells.add(cell)
+    if not counties:
         raise ValueError(f"{path}: no counties")
-    return CountySet(
-        [
-            County(
-                name=name,
-                cells=frozenset(rec["cells"]),
-                households=rec["households"],
-                asset_density=rec["density"],
-            )
-            for name, rec in rows.items()
-        ]
-    )
+    return CountySet([replace(first, cells=cells) for first, cells in counties.values()])

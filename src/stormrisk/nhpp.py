@@ -19,7 +19,7 @@ import numpy as np
 # scipy.special is imported inside the Poisson functions that use it: loading
 # it takes most of a CLI start-up, and only `fail-dist` computes a Poisson tail.
 
-from .csvio import TABLE_FMT, _write_csv
+from .csvio import _write_table
 from .ensemble import _mean
 from .grid import _MAX_CELL_STEPS
 
@@ -330,14 +330,10 @@ FAILURE_RATE_HEADER = ["cell_id", "failure_rate_per_km"]
 def save_failure_rate_field(rates, path, header_comment: str | None = None) -> None:
     """Write per-cell failure rates as CSV `cell_id,failure_rate_per_km`."""
     rates = np.asarray(rates, dtype=float).tolist()
-    rows = ((cell, format(rate, TABLE_FMT)) for cell, rate in enumerate(rates))
-    _write_csv(path, FAILURE_RATE_HEADER, rows, header_comment)
+    _write_table(path, FAILURE_RATE_HEADER, [range(len(rates))], [rates], header_comment)
 
 
-def save_failure_distribution(
-    dist: FailureDistribution, path, header_comment: str | None = None
-) -> None:
+def save_failure_distribution(dist: FailureDistribution, path, header_comment: str | None = None) -> None:
     """Write a count distribution as CSV `n,probability`, final row the tail."""
-    rows = [(n, format(mass, TABLE_FMT)) for n, mass in enumerate(dist.pmf)]
-    rows.append(("tail", format(dist.tail, TABLE_FMT)))
-    _write_csv(path, ["n", "probability"], rows, header_comment)
+    keys, masses = [*range(len(dist.pmf)), "tail"], [*dist.pmf, dist.tail]
+    _write_table(path, ["n", "probability"], [keys], [masses], header_comment)

@@ -570,6 +570,8 @@ _EXTREMES = [
     ("critzone", "holland.Vm_mps=1e155", f"too large: {_ZONE}"),
     ("critzone", "holland.Vm_mps=1e200", f"too large: {_ZONE}"),
     ("critzone", "holland.Rm_km=1e300", f"too large: {_ZONE}"),
+    ("critzone", "times.dt_h=1e306", f"too large: {_ZONE}"),  # the obround area over T
+    ("critzone", "grid.cell_size_km=1e300", f"too large: {_ZONE}"),  # the numeric area
     ("tables123", "nhpp.lambda_norm=1e308", f"too large: {_ZONE}"),
     ("tables123", "nhpp.alpha=1e308", f"too large: {_ZONE}"),
     ("tables123", "nhpp.Vcrit_mps=1e-160", f"too small: {_ZONE}"),
@@ -610,6 +612,7 @@ _EXTREMES = [
         "sweep.Rm_max=1e300 sweep.Rm_step=1e299",
         _SWATH.format("large", 25, "1e+299", "2.8e+299"),
     ),
+    ("sweep-fit --target critzone", "times.dt_h=1e200", _SWATH.format("large", 25, 20, 56)),  # the track over T
     ("sweep-fit --target damage", "nhpp.lambda_norm=1e308", f"too large: {_DAMAGE}"),
     ("sweep-fit --target damage", "nhpp.alpha=1e308", f"too large: {_DAMAGE}"),
     ("sweep-fit --target damage", "nhpp.Vcrit_mps=1e-160", f"too small: {_DAMAGE}"),
@@ -1200,20 +1203,41 @@ class TestOutageFit:
         assert f"{obs_csv}:{header + 1}: time_h must be finite, got nan" in err
         assert "Traceback" not in err and "cannot convert" not in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("near,many,5000,1.0", "malformed row"),
+            ("west,100,-5,0.0", "households must be >= 0"),
+            ("west,100,10,-1.0", "asset_density must be >= 0"),
+            ("west,0,10,0.0", "cell 0 assigned to both 'far' and 'west'"),  # after far's row for cell 0
+        ],
+        ids=["malformed", "households", "asset-density", "cell-in-two-counties"],
+    )
     def test_bad_counties_file_exits_2_naming_the_line_before_the_ensemble(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, row, message
     ):
         cfg, obs_csv = _outage_inputs(tmp_path)
         counties_csv = tmp_path / "counties.csv"
         lines = counties_csv.read_text().splitlines(keepends=True)
         header = 1 + lines[0].startswith("#")
-        lines.insert(header + 1, "near,many,5000,1.0\n")
+        lines.insert(header + 1, f"{row}\n")
         counties_csv.write_text("".join(lines))
         monkeypatch.setattr(ensemble.SyntheticEnsemble, "fields", None)  # never reached
         assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
         err = capsys.readouterr().err
-        assert f"error: invalid input: counties_csv: {counties_csv}:{header + 2}: malformed row" in err
+        assert f"error: invalid input: counties_csv: {counties_csv}:{header + 2}: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", [999, -3])  # past the end, and one that numpy would wrap to cell 141
+    def test_county_cell_outside_the_grid_exits_2_before_the_ensemble(self, tmp_path, capsys, monkeypatch, cell):
+        cfg, obs_csv = _outage_inputs(tmp_path)
+        counties_csv = tmp_path / "counties.csv"
+        counties_csv.write_text(counties_csv.read_text() + f"far,{cell},5000,0.0\n")
+        monkeypatch.setattr(ensemble.SyntheticEnsemble, "fields", None)  # never reached
+        assert main(["outage-fit", "--config", cfg, "--obs", str(obs_csv)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid input: counties_csv: county 'far': cell {cell} outside [0, 144)\n"
+        )
 
     @pytest.mark.parametrize("which", ["--obs", "counties_csv"])
     def test_file_not_utf8_exits_2_naming_the_line(self, tmp_path, capsys, monkeypatch, which):

@@ -1203,19 +1203,27 @@ class TestOutageFit:
         assert f"{obs_csv}:{header + 1}: time_h must be finite, got nan" in err
         assert "Traceback" not in err and "cannot convert" not in err
 
+    def test_bad_counties_file_exits_2_naming_the_line_before_the_ensemble(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._check_bad_county_row(tmp_path, capsys, monkeypatch, "near,many,5000,1.0", "malformed row")
+
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("near,many,5000,1.0", "malformed row"),
             ("west,100,-5,0.0", "households must be >= 0"),
             ("west,100,10,-1.0", "asset_density must be >= 0"),
             ("west,0,10,0.0", "cell 0 assigned to both 'far' and 'west'"),  # after far's row for cell 0
         ],
-        ids=["malformed", "households", "asset-density", "cell-in-two-counties"],
+        ids=["households", "asset-density", "cell-in-two-counties"],
     )
-    def test_bad_counties_file_exits_2_naming_the_line_before_the_ensemble(
+    def test_bad_county_value_exits_2_naming_the_line_before_the_ensemble(
         self, tmp_path, capsys, monkeypatch, row, message
     ):
+        self._check_bad_county_row(tmp_path, capsys, monkeypatch, row, message)
+
+    @staticmethod
+    def _check_bad_county_row(tmp_path, capsys, monkeypatch, row, message):
         cfg, obs_csv = _outage_inputs(tmp_path)
         counties_csv = tmp_path / "counties.csv"
         lines = counties_csv.read_text().splitlines(keepends=True)

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .csvio import _write_table
+from .csvio import _require, _write_table
 from .fitting import LinearFit, linear_least_squares
 from .grid import TimeAxis
 from .nhpp import NhppParams, _intensity
@@ -54,8 +54,7 @@ class RepairParams:
     Y: float = 1.0
 
     def __post_init__(self):
-        if self.Lf < 0 or self.Y <= 0:
-            raise ValueError("Lf must be >= 0 and Y > 0")
+        _require(self, Lf=">= 0", Y="> 0")
 
     @property
     def half_ratio(self) -> float:

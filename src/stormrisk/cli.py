@@ -41,6 +41,7 @@ from .csvio import (
     _XY,
     ConfigError,
     _check,
+    _finite,
     _read_json,
     _type_name,
     _write_json,
@@ -49,7 +50,7 @@ from .csvio import (
 from .ensemble import EnsemblePerturbationSpec, SyntheticEnsemble, save_ensemble
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, county_average, load_county_fixture
 from .nhpp import NhppParams
-from .wind import HollandParams, Track, save_wind_field, wind_field
+from .wind import MPS_TO_KMH, HollandParams, Track, save_wind_field, wind_field
 
 
 # =============================================================================
@@ -122,7 +123,8 @@ def _sweep_axes(sweep: dict) -> list[tuple]:
 
 
 def validate_config(config: dict) -> dict:
-    """Check every field against its schema row, then the sweep's range,
+    """Check every field against its schema row, then the wind field's size,
+    the storm's last position and the sweep's range,
     raising ConfigError with the dotted path of the first offending field.
     Returns the fields' values nested as in `config`, with numbers as floats
     and pairs as tuples of floats."""
@@ -140,6 +142,12 @@ def validate_config(config: dict) -> dict:
         if size > _MAX_CELL_STEPS:
             cap = f"{' * '.join(_FIELD_SIZE)} at most {_MAX_CELL_STEPS:,}"
             raise ConfigError(path, f"value {value!r} out of range ({cap})")
+    # The storm's last position, formed as `Track.position` forms it, must be finite.
+    x0, vtr, t = config["track"]["x0_km"], config["track"]["vtr_mps"], config["times"]
+    span = (t["n_steps"] - 1) * float(t["dt_h"])
+    if not all(_finite(x + v * MPS_TO_KMH * span) for x, v in zip(x0, vtr)):
+        field = "track.vtr_mps" if max(map(abs, vtr)) > t["dt_h"] else "times.dt_h"
+        raise ConfigError(field, "too large: the storm's position at the last step is not finite")
     s = config["sweep"]
     for a in ("Vm", "Rm"):
         if s[f"{a}_max"] < s[f"{a}_min"]:

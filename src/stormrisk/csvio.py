@@ -24,7 +24,9 @@ groups.  Every other value goes through `%` itself.
 
 JSON documents (the config, the ensemble sidecar, the reports) go through
 `_read_json` and `_write_json`, and the config's and the sidecar's fields
-through one kind checker, `_check`.
+through one kind checker, `_check`.  The parameter records (storm, grid,
+time axis, failure, repair, ensemble, county, observation) check their
+numeric fields through `_require`, against the same `_CHECKS` table.
 """
 
 from __future__ import annotations
@@ -227,6 +229,18 @@ _CHECKS = {
 def _finite(v) -> bool:
     """Whether a JSON number is finite as a float; a huge integer is not."""
     return abs(v) <= sys.float_info.max
+
+
+def _require(record, **checks) -> None:
+    """Raise ValueError naming the first field of `record` in `checks` that is
+    not finite (a pair entry by entry) or fails its `_CHECKS` test `check`
+    (None: finite only)."""
+    for field, check in checks.items():
+        value = getattr(record, field)
+        for v in value if hasattr(value, "__len__") else (value,):
+            if not (_finite(v) and (check is None or _CHECKS[check](v))):
+                rule = "finite" if check is None else f"finite and {check}"
+                raise ValueError(f"{field} must be {rule}, got {value!r}")
 
 
 def _type_name(value) -> str:

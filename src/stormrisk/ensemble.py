@@ -31,6 +31,7 @@ from .csvio import (
     _check,
     _read_json,
     _read_velocities,
+    _require,
     _write_json,
     _write_velocities,
 )
@@ -102,11 +103,7 @@ class EnsemblePerturbationSpec:
     hemisphere: str = "N"
 
     def __post_init__(self):
-        for name in ("sigma_track", "sigma_heading", "sigma_Vm", "sigma_Rm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.H < 1:
-            raise ValueError("H must be >= 1")
+        _require(self, sigma_track=">= 0", sigma_heading=">= 0", sigma_Vm=">= 0", sigma_Rm=">= 0", H=">= 1")
 
 
 def member_parameters(

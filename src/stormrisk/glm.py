@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import TABLE_FMT, _read_csv, _write_csv
+from .csvio import TABLE_FMT, _read_csv, _require, _write_csv
 from .fitting import chi2_sf
 
 
@@ -31,10 +31,7 @@ class OutageObservation:
         # Data files skip rows whose first field starts with '#'.
         if self.county.startswith("#"):
             raise ValueError(f"county {self.county!r} must not start with '#'")
-        if not np.isfinite(self.time_h):
-            raise ValueError(f"time_h must be finite, got {self.time_h!r}")
-        if self.households <= 0:
-            raise ValueError("households must be > 0")
+        _require(self, time_h=None, households="> 0")
         if not 0 <= self.outages <= self.households:
             raise ValueError("outages must be in [0, households]")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .csvio import _read_csv, _write_csv
+from .csvio import _read_csv, _require, _write_csv
 
 
 # =============================================================================
@@ -48,12 +48,7 @@ class Grid:
     cell_size: float = 1.0
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("nx and ny must be >= 1")
-        if not 0 < self.cell_size < np.inf:
-            raise ValueError("cell_size must be finite and > 0")
-        if not np.all(np.isfinite(self.origin)):
-            raise ValueError("origin must be finite")
+        _require(self, nx=">= 1", ny=">= 1", cell_size="> 0", origin=None)
 
     @property
     def n_cells(self) -> int:
@@ -94,10 +89,7 @@ class TimeAxis:
     dt: float = 1.0
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if not 0 < self.dt < np.inf:
-            raise ValueError("dt must be finite and > 0")
+        _require(self, n_steps=">= 1", dt="> 0")
 
     @property
     def duration(self) -> float:
@@ -141,10 +133,7 @@ class County:
             raise ValueError(f"county name {self.name!r} must not start with '#'")
         if not self.cells:
             raise ValueError(f"county {self.name!r} has no cells")
-        if self.households < 0:
-            raise ValueError("households must be >= 0")
-        if self.asset_density < 0:
-            raise ValueError("asset_density must be >= 0")
+        _require(self, households=">= 0", asset_density=">= 0")
 
 
 class CountySet:

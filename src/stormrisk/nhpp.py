@@ -19,7 +19,7 @@ import numpy as np
 # scipy.special is imported inside the Poisson functions that use it: loading
 # it takes most of a CLI start-up, and only `fail-dist` computes a Poisson tail.
 
-from .csvio import _write_table
+from .csvio import _require, _write_table
 from .ensemble import _mean
 from .grid import _MAX_CELL_STEPS
 
@@ -43,12 +43,7 @@ class NhppParams:
     lambda_norm: float = 3.5e-5
 
     def __post_init__(self):
-        if self.Vcrit <= 0:
-            raise ValueError("Vcrit must be > 0")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-        if self.lambda_norm <= 0:
-            raise ValueError("lambda_norm must be > 0")
+        _require(self, Vcrit="> 0", alpha=">= 1", lambda_norm="> 0")
 
 
 # =============================================================================
@@ -180,10 +175,10 @@ class FailureDistribution:
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
-        if np.any(pmf < 0) or self.tail < -1e-15:
+        if not (np.all(pmf >= 0) and self.tail >= -1e-15):  # NaN fails both
             raise ValueError("probability masses must be >= 0")
         total = float(pmf.sum() + self.tail)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"masses total {total}, expected 1 within 1e-12")
         object.__setattr__(self, "pmf", pmf)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _write_velocities
+from .csvio import _require, _write_velocities
 from .grid import Grid, TimeAxis
 
 MPS_TO_KMH = 3.6
@@ -59,10 +59,7 @@ class HollandParams:
     B: float = 1.0
 
     def __post_init__(self):
-        for name in ("Vm", "Rm", "B"):
-            # Also false for NaN, so a NaN storm cannot pass as a calm one.
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        _require(self, Vm="> 0", Rm="> 0", B="> 0")
 
 
 def _sweep_storms(Vm_values, Rm_values, B: float):
@@ -72,7 +69,7 @@ def _sweep_storms(Vm_values, Rm_values, B: float):
     valid = (0 < Vm) & (Vm < np.inf) & (0 < Rm) & (Rm < np.inf) & (0 < B < np.inf)
     if not valid.all():
         i = np.argmin(valid)
-        HollandParams(Vm=Vm[i], Rm=Rm[i], B=B)
+        HollandParams(Vm=Vm[i].item(), Rm=Rm[i].item(), B=B)
     return Vm, Rm
 
 

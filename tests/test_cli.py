@@ -1028,6 +1028,17 @@ class TestCritzoneAndSweeps:
         assert capsys.readouterr().err == f"error: invalid input: {field}: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["windfield", "failure-rates", "critzone", "sweep-fit --target critzone"])
+    @pytest.mark.parametrize("override", ["times.dt_h=1e308", "track.vtr_mps=[1e308,0]"])
+    def test_track_past_every_float_names_the_larger_factor(self, tmp_path, capsys, command, override):
+        cfg = _write_config(tmp_path, sweep=dict(_CRITZONE_SWEEP, Rm_step=5))
+        assert main(command.split() + ["--config", cfg, "--set", override]) == 2
+        field = override.split("=")[0]
+        message = "too large: the storm's position at the last step is not finite"
+        assert capsys.readouterr().err == f"error: invalid config: {field}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_fit_critzone(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -1211,11 +1222,13 @@ class TestOutageFit:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("west,100,-5,0.0", "households must be >= 0"),
-            ("west,100,10,-1.0", "asset_density must be >= 0"),
+            ("west,100,-5,0.0", "households must be finite and >= 0, got -5"),
+            ("west,100,10,-1.0", "asset_density must be finite and >= 0, got -1.0"),
             ("west,0,10,0.0", "cell 0 assigned to both 'far' and 'west'"),  # after far's row for cell 0
+            ("a,0,10,nan", "asset_density must be finite and >= 0, got nan"),
+            ("b,1,10,inf", "asset_density must be finite and >= 0, got inf"),
         ],
-        ids=["households", "asset-density", "cell-in-two-counties"],
+        ids=["households", "asset-density", "cell-in-two-counties", "asset-density-nan", "asset-density-inf"],
     )
     def test_bad_county_value_exits_2_naming_the_line_before_the_ensemble(
         self, tmp_path, capsys, monkeypatch, row, message

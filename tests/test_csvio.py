@@ -21,7 +21,12 @@ from stormrisk import (
     County,
     CountySet,
     Ensemble,
+    EnsemblePerturbationSpec,
+    HollandParams,
+    NhppParams,
     OutageObservation,
+    RepairParams,
+    Track,
     critzone,
     load_county_fixture,
     load_ensemble,
@@ -36,7 +41,7 @@ from stormrisk import (
     save_zone_sweep,
 )
 from stormrisk import csvio
-from stormrisk.cli import main
+from stormrisk.cli import CONFIG_SCHEMA, main
 from stormrisk.csvio import VELOCITY_FMT, _read_csv, _read_velocities, _write_csv
 from stormrisk.ensemble import ENSEMBLE_HEADER
 from stormrisk.grid import Grid, TimeAxis
@@ -591,3 +596,105 @@ class TestOnePassReader:
             _read_velocities(path, WINDFIELD_HEADER, (1, 2))
         with pytest.raises(ValueError, match=r"wf\.csv:4: malformed row"):
             reference_read_velocities(path, WINDFIELD_HEADER, (1, 2))
+
+
+# Each parameter record: the keyword arguments of a valid one, and each
+# numeric field with its `_CHECKS` text (None: finite only).
+RECORDS = {
+    HollandParams: ({"Vm": 40.0, "Rm": 30.0, "B": 1.0}, {"Vm": "> 0", "Rm": "> 0", "B": "> 0"}),
+    Grid: (
+        {"origin": (0.0, 0.0), "nx": 2, "ny": 2, "cell_size": 1.0},
+        {"nx": ">= 1", "ny": ">= 1", "cell_size": "> 0", "origin": None},
+    ),
+    TimeAxis: ({"n_steps": 2, "dt": 1.0}, {"n_steps": ">= 1", "dt": "> 0"}),
+    NhppParams: ({}, {"Vcrit": "> 0", "alpha": ">= 1", "lambda_norm": "> 0"}),
+    RepairParams: ({}, {"Lf": ">= 0", "Y": "> 0"}),
+    EnsemblePerturbationSpec: (
+        {"base_track": Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0)), "base_params": HollandParams(Vm=40.0, Rm=30.0)},
+        {"sigma_track": ">= 0", "sigma_heading": ">= 0", "sigma_Vm": ">= 0", "sigma_Rm": ">= 0", "H": ">= 1"},
+    ),
+    County: (
+        {"name": "a", "cells": {0}, "households": 10, "asset_density": 1.0},
+        {"households": ">= 0", "asset_density": ">= 0"},
+    ),
+    OutageObservation: (
+        {"county": "a", "time_h": 1.0, "outages": 1, "households": 10},
+        {"time_h": None, "households": "> 0"},
+    ),
+}
+
+# The largest value each check refuses.
+JUST_OUTSIDE = {"> 0": 0.0, ">= 0": -5e-324, ">= 1": math.nextafter(1.0, 0.0)}
+
+# The config rows that build record fields (`times.t0_h` builds none), and
+# the record field each one builds.
+FEEDING = [
+    row
+    for row in CONFIG_SCHEMA
+    if row[0].split(".")[0] in ("holland", "nhpp", "repair", "grid", "times", "ensemble") and row[0] != "times.t0_h"
+]
+SCHEMA_FIELDS = {
+    "grid.nx": (Grid, "nx"),
+    "grid.ny": (Grid, "ny"),
+    "grid.cell_size_km": (Grid, "cell_size"),
+    "grid.origin_km": (Grid, "origin"),
+    "times.n_steps": (TimeAxis, "n_steps"),
+    "times.dt_h": (TimeAxis, "dt"),
+    "holland.Vm_mps": (HollandParams, "Vm"),
+    "holland.Rm_km": (HollandParams, "Rm"),
+    "holland.B": (HollandParams, "B"),
+    "nhpp.Vcrit_mps": (NhppParams, "Vcrit"),
+    "nhpp.alpha": (NhppParams, "alpha"),
+    "nhpp.lambda_norm": (NhppParams, "lambda_norm"),
+    "repair.Lf": (RepairParams, "Lf"),
+    "repair.Y": (RepairParams, "Y"),
+    "ensemble.H": (EnsemblePerturbationSpec, "H"),
+    "ensemble.sigma_track_km": (EnsemblePerturbationSpec, "sigma_track"),
+    "ensemble.sigma_heading_deg": (EnsemblePerturbationSpec, "sigma_heading"),
+    "ensemble.sigma_Vm_mps": (EnsemblePerturbationSpec, "sigma_Vm"),
+    "ensemble.sigma_Rm_km": (EnsemblePerturbationSpec, "sigma_Rm"),
+}
+
+
+def bad_values(check) -> list:
+    return [math.nan, math.inf, -math.inf] + ([] if check is None else [JUST_OUTSIDE[check]])
+
+
+def refusal(record, field, value) -> None:
+    """Check the message of `record` built with `field` (an entry of a pair) set to `value`."""
+    kwargs, checks = RECORDS[record]
+    if field == "origin":
+        value = (0.0, value)
+    with pytest.raises(ValueError) as raised:
+        record(**{**kwargs, field: value})
+    rule = "finite" if checks[field] is None else f"finite and {checks[field]}"
+    assert str(raised.value) == f"{field} must be {rule}, got {value!r}"
+
+
+class TestRecordChecks:
+    """Every numeric field of every parameter record is refused, by name, when
+    it is not finite or fails its check, as the config refuses it."""
+
+    @pytest.mark.parametrize(
+        "record, field, value",
+        [
+            (record, field, value)
+            for record, (_, checks) in RECORDS.items()
+            for field, check in checks.items()
+            for value in bad_values(check)
+        ],
+        ids=lambda x: getattr(x, "__name__", str(x)),
+    )
+    def test_bad_value_named(self, record, field, value):
+        refusal(record, field, value)
+
+    @pytest.mark.parametrize(
+        "path, kind, check", [(path, kind, check) for path, _, kind, check in FEEDING], ids=[row[0] for row in FEEDING]
+    )
+    def test_config_and_record_refuse_alike(self, path, kind, check):
+        record, field = SCHEMA_FIELDS[path]
+        assert RECORDS[record][1][field] == check
+        for value in bad_values(check):
+            with pytest.raises(csvio.ConfigError, match=f"^{re.escape(path)}: "):
+                csvio._check(path, [0.0, value] if field == "origin" else value, kind, check)
+            refusal(record, field, value)

@@ -321,6 +321,12 @@ class TestFailureDistributions:
         with pytest.raises(ValueError):
             FailureDistribution(pmf=np.array([-0.1, 1.1]), tail=0.0)
 
+    @pytest.mark.parametrize("pmf, tail", [([np.nan], 0.0), ([1.0], np.nan)], ids=["pmf", "tail"])
+    def test_nan_mass_refused(self, pmf, tail):
+        # NaN compares false with everything, so `< 0` and `> 1e-12` tests let it in.
+        with pytest.raises(ValueError, match="probability masses must be >= 0"):
+            FailureDistribution(pmf=np.array(pmf), tail=tail)
+
 
 class TestSaturated:
     def test_frozen_rate_one_ng_two(self):

@@ -70,10 +70,10 @@ class RepairParams:
 _NX, _NY, _CELL, _VTR, _N_STEPS, _DT = 25, 40, 22.264, 3.0, 24, 1.0
 REFERENCE_TIMES = TimeAxis(n_steps=_N_STEPS, dt=_DT)  # the span that damage and loss accumulate over
 
-# Vm values evaluated together: the chunk's speed buffer and rate sum are 66 kB
-# each on the default 25 x 40 grid's 13 x 40 half, under malloc's 128 KiB mmap
-# threshold, and both are made once per chunk, never per step.
-_SWEEP_CHUNK = 16
+# Vm values evaluated together.  A chunk's speeds at every step are one buffer of
+# 24 x 13 x 40 floats per Vm on the default grid's evaluated half: 400 kB at 4, which
+# ran the default sweep as fast as 8 or 16, and with a lower peak than 8.
+_SWEEP_CHUNK = 4
 
 
 def damage_loss_sweep(
@@ -107,12 +107,8 @@ def damage_loss_sweep(
         for j, Rm_j in enumerate(Rm_axis.tolist() if Vm.size else []):
             speeds = np.stack([v for _, _, v in _wind_steps(HollandParams(1.0, Rm_j, B), half, ys, pos)])
             for lo in range(0, Vm_axis.size, _SWEEP_CHUNK):
-                Vm_chunk = Vm_axis[lo : lo + _SWEEP_CHUNK, None, None]
-                lam = np.zeros((len(Vm_chunk),) + speeds.shape[1:])
-                v = np.empty_like(lam)
-                for s in speeds:
-                    np.multiply(s, Vm_chunk, out=v)
-                    lam += _intensity(nhpp, v, out=v)
+                v = np.multiply.outer(Vm_axis[lo : lo + _SWEEP_CHUNK], speeds)
+                lam = np.add.reduce(_intensity(nhpp, v, out=v), axis=1)  # an outer axis: steps added in time order
                 lam = np.concatenate([lam, lam[:, : _NX // 2][:, ::-1]], axis=1)
                 lam = lam.reshape(len(lam), -1) * _DT
                 # Row means keep each storm's pairwise summation over its cells.

@@ -48,7 +48,7 @@ from .csvio import (
     _write_table,
 )
 from .ensemble import EnsemblePerturbationSpec, SyntheticEnsemble, save_ensemble
-from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, county_average, load_county_fixture
+from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, load_county_fixture
 from .nhpp import NhppParams
 from .wind import MPS_TO_KMH, HollandParams, Track, save_wind_field, wind_field
 
@@ -319,10 +319,10 @@ def _at_fault(run: _Run, results: str, reason: str, storm="holland", members=Non
     `small`, at or near 0.  It names the factor whose power times log10 of its value is the largest
     (if `small`, the most negative), as too large or too small.  The storm is the run's, the
     sweep's largest with `storm="sweep"`, or none with None (`tables123`'s are fixed); `members`,
-    the run's member source, gives the members' largest Vm, drawn only here."""
+    the run's member source, gives the members' largest Vm."""
     sweep = storm == "sweep"
     Vm, Rm = (a.max() for a in run.sweep) if sweep else (run.holland.Vm, run.holland.Rm)
-    top = None if members is None else max(q.Vm for _, q in members.parameters()) / Vm
+    top = None if members is None else max(q.Vm for _, q in members.parameters) / Vm
     p, r, t, g = run.nhpp, run.repair, run.times, run.grid  # None below: not a factor
     values = p.lambda_norm, p.alpha, p.Vcrit, storm and Vm, top, storm and Rm, r.Lf, r.Y, t.dt, g.cell_size
     with np.errstate(divide="ignore"):  # log10 of a zero Lf is -inf
@@ -490,10 +490,11 @@ def cmd_outage_fit(run: _Run, args) -> None:
     if run.counties_csv is None:
         raise ConfigError("counties_csv", "required for outage-fit")
     counties = _load(load_county_fixture, "counties_csv", run.counties_csv)
-    for county in counties:
-        for cell in sorted(county.cells):
-            if not 0 <= cell < run.grid.n_cells:
-                raise ConfigError("counties_csv", f"county {county.name!r}: cell {cell} outside [0, {run.grid.n_cells})")
+    index = {c.name: np.array(sorted(c.cells)) for c in counties}  # each county's cells as `county_average` reads them
+    for name, cells in index.items():
+        outside = cells[(cells < 0) | (cells >= run.grid.n_cells)]
+        if outside.size:
+            raise ConfigError("counties_csv", f"county {name!r}: cell {outside[0]} outside [0, {run.grid.n_cells})")
     observations = _load(glm.load_observations, "--obs", args.obs)
     unknown = sorted({obs.county for obs in observations} - set(counties.names()))
     if unknown:
@@ -507,9 +508,7 @@ def cmd_outage_fit(run: _Run, args) -> None:
     )
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     per_step = nhpp._cumulative_exposure(run.nhpp, members, args.predictor, steps)
-    x = np.array(
-        [county_average(per_step[:, j], counties[obs.county]) for obs, j in zip(observations, column)]
-    )
+    x = np.array([np.mean(per_step[index[obs.county], j]) for obs, j in zip(observations, column)])
     if args.predictor == "failure_rate":
         results, what = "rt", f"the failure rate over {run.times.duration:g} h"
     else:

@@ -19,7 +19,7 @@ a generated source's memory does not grow with H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .csvio import (
     _write_velocities,
 )
 from .grid import Grid, TimeAxis
-from .wind import HollandParams, Track, WindField, _sub_grid, _velocities
+from .wind import MPS_TO_KMH, HollandParams, Track, WindField, _sub_grid, _velocities
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,14 @@ class EnsemblePerturbationSpec:
 
 
 def member_parameters(
-    spec: EnsemblePerturbationSpec, child_seed
+    spec: EnsemblePerturbationSpec, child_seed, span_h: float = 0.0
 ) -> tuple[Track, HollandParams]:
     """Perturbed (track, profile) for one member, drawn from its substream.
 
     Draw order is fixed (genesis x, genesis y, heading, Vm, Rm) and a draw is
     skipped entirely when its sigma is zero, so adding a perturbation never
-    reshuffles the others.
+    reshuffles the others.  Raises `ConfigError` naming the `ensemble.sigma_*`
+    config field at fault if the position `span_h` hours on, Vm or Rm is not finite.
     """
     rng = np.random.Generator(np.random.PCG64(child_seed))
     dx = rng.normal(0.0, spec.sigma_track) if spec.sigma_track else 0.0
@@ -125,33 +126,35 @@ def member_parameters(
     vx, vy = spec.base_track.Vtr
     vtr = (vx * math.cos(th) - vy * math.sin(th), vx * math.sin(th) + vy * math.cos(th))
     track = Track(x0=(spec.base_track.x0[0] + dx, spec.base_track.x0[1] + dy), Vtr=vtr)
-    params = HollandParams(
-        Vm=max(1.0, spec.base_params.Vm + dvm),
-        Rm=max(1.0, spec.base_params.Rm + drm),
-        B=spec.base_params.B,
-    )
-    return track, params
+    Vm, Rm = max(1.0, spec.base_params.Vm + dvm), max(1.0, spec.base_params.Rm + drm)
+    end = [x + v * MPS_TO_KMH * span_h for x, v in zip(track.x0, vtr)]  # as `Track.position` forms it
+    moved = "sigma_track_km" if spec.sigma_track else "sigma_heading_deg"  # a rotation lengthens a component
+    for sigma, what, xs in ((moved, "storm position", end), ("sigma_Vm_mps", "Vm", [Vm]), ("sigma_Rm_km", "Rm", [Rm])):
+        if not all(map(math.isfinite, xs)):
+            raise ConfigError(f"ensemble.{sigma}", f"too large: a member's {what} is not finite")
+    return track, HollandParams(Vm=Vm, Rm=Rm, B=spec.base_params.B)
 
 
 @dataclass(frozen=True)
 class SyntheticEnsemble:
     """The members `spec` perturbs, on `grid` over `times`, each made as it is
-    read: member i from substream i of `spec.seed`, the same bits whatever `threads`."""
+    read: member i from substream i of `spec.seed`, the same bits whatever `threads`.
+    `parameters`, each member's (track, params), are drawn and checked once, before any member is made."""
 
     spec: EnsemblePerturbationSpec
     grid: Grid
     times: TimeAxis
     threads: int = 1
+    parameters: tuple = field(init=False, repr=False, compare=False)
 
-    def parameters(self):
-        """Each member's perturbed (track, params), in member order."""
-        for child_seed in np.random.SeedSequence(self.spec.seed).spawn(self.spec.H):
-            yield member_parameters(self.spec, child_seed)
+    def __post_init__(self):
+        span, seeds = float(self.times.offsets()[-1]), np.random.SeedSequence(self.spec.seed).spawn(self.spec.H)
+        object.__setattr__(self, "parameters", tuple(member_parameters(self.spec, s, span) for s in seeds))
 
     def fields(self, cells=None):
         """`Ensemble.fields`, members made `threads` at a time by one pool, on the sub-grid of `cells` if given."""
         from concurrent.futures import ThreadPoolExecutor  # here: it loads `logging`, `queue` and `traceback`
-        spec, members = self.spec, list(self.parameters())
+        spec, members = self.spec, self.parameters
         xs, ys, rows = (*self.grid.axes(), None) if cells is None else _sub_grid(self.grid, np.atleast_1d(cells))
 
         def make(member):

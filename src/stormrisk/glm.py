@@ -117,8 +117,8 @@ def fit_binomial(X, outages, totals) -> GlmFit:
 
     beta = np.zeros(k)
     # Start the intercept (if the first column is constant) at the pooled rate.
+    pbar = np.clip(y.sum() / n.sum(), _P_CLAMP, 1 - _P_CLAMP)
     if np.allclose(X[:, 0], X[0, 0]) and X[0, 0] != 0:
-        pbar = np.clip(y.sum() / n.sum(), _P_CLAMP, 1 - _P_CLAMP)
         beta[0] = float(logit(pbar)) / X[0, 0]
     p = np.clip(inv_logit(X @ beta), _P_CLAMP, 1 - _P_CLAMP)
     dev = _binomial_deviance(y, n, p)
@@ -154,7 +154,6 @@ def fit_binomial(X, outages, totals) -> GlmFit:
         zstat = np.where(se > 0, beta / se, np.inf)
     p_values = np.array([chi2_sf(z * z, 1) for z in zstat.tolist()], dtype=float)  # P(|Z| > |z|) = P(chi2_1 > z^2)
 
-    pbar = np.clip(y.sum() / n.sum(), _P_CLAMP, 1 - _P_CLAMP)
     null_dev = _binomial_deviance(y, n, np.full(nobs, pbar))
     df = k - 1
     lr = max(null_dev - dev, 0.0)

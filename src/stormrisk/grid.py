@@ -197,18 +197,21 @@ def load_county_fixture(path) -> CountySet:
     Each row must pass `County`'s own checks, and households and asset
     density are repeated on every row of a county and must be mutually
     consistent; a cell belongs to one county.  Otherwise ingestion fails with
-    the offending line number.
+    the offending line number.  Only a county's first row, and a row unlike
+    it, is built as a `County`.
     """
     counties: dict[str, tuple[County, set[int]]] = {}  # each county's first row and its cells
     owner: dict[int, str] = {}
     for lineno, (name, cell, hh, dens) in _read_csv(path, COUNTY_HEADER, (str, int, int, float)):
-        try:
-            row = County(name=name, cells={cell}, households=hh, asset_density=dens)
-        except ValueError as exc:  # the record's own checks
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        first, cells = counties.setdefault(name, (row, set()))
-        if (first.households, first.asset_density) != (hh, dens):
-            raise ValueError(f"{path}:{lineno}: inconsistent households/asset_density for county {name!r}")
+        first, cells = counties.get(name, (None, None))
+        if first is None or (first.households, first.asset_density) != (hh, dens):
+            try:
+                row = County(name=name, cells={cell}, households=hh, asset_density=dens)
+            except ValueError as exc:  # the record's own checks
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if first is not None:
+                raise ValueError(f"{path}:{lineno}: inconsistent households/asset_density for county {name!r}")
+            first, cells = counties[name] = row, set()
         if owner.setdefault(cell, name) != name:
             raise ValueError(f"{path}:{lineno}: cell {cell} assigned to both {owner[cell]!r} and {name!r}")
         cells.add(cell)

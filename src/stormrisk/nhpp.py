@@ -145,13 +145,9 @@ def member_rates(p: NhppParams, e, cell) -> np.ndarray:
 def _cumulative_exposure(p: NhppParams, e, predictor: str, steps) -> np.ndarray:
     """Member mean of each cell's running sum of intensity times `dt`
     ("failure_rate") or of speed, at the time steps `steps` only."""
-    dt = e.times.dt
-    if predictor == "failure_rate":
-        def running(v):
-            return np.cumsum(poisson_intensity(p, v) * dt, axis=-1)[:, steps]
-    else:
-        def running(v):
-            return np.cumsum(v, axis=-1)[:, steps]
+    def running(v):
+        return np.cumsum(poisson_intensity(p, v) * e.times.dt if predictor == "failure_rate" else v, axis=-1)[:, steps]
+
     with np.errstate(over="ignore"):
         return _mean(_by_cells(running, v) for v in e.fields())
 

@@ -245,17 +245,21 @@ class TestSweep:
         B=st.sampled_from([0.6, 1.0, 1.5, 2.5]),
         alpha=st.floats(1.0, 1e4),
         Lf=st.floats(0.0, 5.0),
-        chunk=st.sampled_from([1, 2, 3, aggregate._SWEEP_CHUNK]),
+        chunk=st.sampled_from([1, 2, 3, aggregate._SWEEP_CHUNK, 64]),
     )
-    # Six storms in chunks of four: a partial last chunk.
+    # Three Vm values in one chunk of four: a partial chunk.
     @example(Vm=[30.0, 50.0, 70.0], Rm=[20.0, 40.0], B=1.0, alpha=P.alpha, Lf=1.0, chunk=4)
+    # The default chunk, one full and one partial; and one chunk longer than the Vm axis.
+    @example(Vm=[22.0, 30.0, 41.0, 55.0, 70.0], Rm=[20.0, 40.0], B=1.0, alpha=P.alpha, Lf=1.0,
+             chunk=aggregate._SWEEP_CHUNK)
+    @example(Vm=[30.0, 50.0], Rm=[25.0], B=1.5, alpha=P.alpha, Lf=1.0, chunk=64)
     # Repeated Vm and Rm values, and Vm at and below Vcrit (all-nominal storms).
     @example(Vm=[30.0, 15.0, 30.0, VCRIT], Rm=[40.0, 20.0, 40.0], B=1.0, alpha=P.alpha, Lf=1.0, chunk=3)
     @example(Vm=[10.0, VCRIT, 10.0], Rm=[30.0, 30.0], B=2.5, alpha=P.alpha, Lf=1.0, chunk=2)
     def test_bit_identical_to_reference_loop(self, Vm, Rm, B, alpha, Lf, chunk):
         nhpp = NhppParams(alpha=alpha)
         repair = RepairParams(Lf=Lf, Y=2.0)
-        # Up to 9 storms in chunks of 1-3: full, partial and single-storm chunks.
+        # Up to 9 storms in chunks of 1-64 Vm values: full, partial, single and oversized chunks.
         with mock.patch.object(aggregate, "_SWEEP_CHUNK", chunk):
             got = damage_loss_sweep(Vm, Rm, nhpp=nhpp, repair=repair, B=B)
         ref = sweep_reference(Vm, Rm, nhpp, repair, B)
@@ -263,10 +267,8 @@ class TestSweep:
             assert np.array_equal(a, b)
 
     def test_bit_identical_across_default_chunks(self):
-        # 35 storms: two full chunks and a partial one at the default size.
-        Vm, Rm = np.linspace(15.0, 80.0, 5), [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
-        assert len(Vm) * len(Rm) % aggregate._SWEEP_CHUNK != 0
-        assert len(Vm) * len(Rm) > 2 * aggregate._SWEEP_CHUNK
+        # Two full chunks of Vm values and a partial one at the default size.
+        Vm, Rm = np.linspace(15.0, 80.0, 2 * aggregate._SWEEP_CHUNK + 1), [20.0, 30.0, 40.0, 50.0]
         got = damage_loss_sweep(Vm, Rm)
         ref = sweep_reference(Vm, Rm, P, RepairParams())
         for a, b in zip(got, ref):

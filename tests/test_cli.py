@@ -533,6 +533,35 @@ class TestEnsembleCommands:
         for name in names:
             assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes(), name
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["ensemble", "failure-rates", "fail-dist --cells 0,77", "outage-fit"])
+    @pytest.mark.parametrize(
+        "overrides, field, what",
+        [
+            ("ensemble.sigma_track_km=1e308", "ensemble.sigma_track_km", "storm position"),
+            ("ensemble.sigma_Rm_km=1e308", "ensemble.sigma_Rm_km", "Rm"),
+            ("ensemble.sigma_Vm_mps=1.7e308", "ensemble.sigma_Vm_mps", "Vm"),  # 1e308 draws no infinite Vm at seed 0
+            # A rotation lengthens a component of the velocity: the base track's last position is finite.
+            (
+                "track.vtr_mps=[9e306,9e306] ensemble.sigma_track_km=0 ensemble.sigma_heading_deg=45",
+                "ensemble.sigma_heading_deg",
+                "storm position",
+            ),
+        ],
+        ids=["track", "Rm", "Vm", "heading"],
+    )
+    def test_member_past_every_float_names_its_sigma(self, tmp_path, capsys, command, overrides, field, what):
+        # Drawn once, before any output: a member's draw that overflows is refused by its field.
+        argv = command.split() + [a for o in overrides.split() + ["ensemble.H=10"] for a in ("--set", o)]
+        if command == "outage-fit":
+            cfg, obs_csv = _outage_inputs(tmp_path)
+            argv += ["--obs", str(obs_csv)]
+        else:
+            cfg = _write_config(tmp_path)
+        assert main(argv + ["--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: invalid input: {field}: too large: a member's {what} is not finite\n"
+        assert not (tmp_path / "out").exists()
+
     def test_fail_dist_negative_n_max_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         assert main(["fail-dist", "--config", cfg, "--n-max", "-1"]) == 2

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from stormrisk import grid
 from stormrisk import (
     County,
     CountySet,
@@ -127,6 +130,44 @@ class TestCountyFixtureIO:
         )
         with pytest.raises(ValueError, match="a"):
             load_county_fixture(path)
+
+    def test_one_record_per_county_on_a_consistent_file(self, tmp_path):
+        # A row equal to its county's first is not built as a record again.
+        cs = CountySet(
+            [
+                County(name="a", cells=set(range(0, 40)), households=100, asset_density=0.65),
+                County(name="b", cells=set(range(40, 70)), households=200, asset_density=7.08),
+            ]
+        )
+        path = tmp_path / "counties.csv"
+        save_county_fixture(cs, path)
+        with mock.patch.object(grid, "County", wraps=grid.County) as built:
+            loaded = load_county_fixture(path)
+        assert [c.kwargs["name"] for c in built.call_args_list] == ["a", "b"]
+        assert loaded["a"] == cs["a"] and loaded["b"] == cs["b"]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,7,-1,0.65", "households must be finite and >= 0, got -1"),
+            ("a,7,100,nan", "asset_density must be finite and >= 0, got nan"),
+            ("a,7,100,0.5", "inconsistent households/asset_density for county 'a'"),
+            ("a,7,200,0.65", "inconsistent households/asset_density for county 'a'"),
+        ],
+        ids=["households", "density-nan", "density-differs", "households-differ"],
+    )
+    def test_later_row_refused_at_its_own_line(self, tmp_path, row, message):
+        path = tmp_path / "counties.csv"
+        path.write_text(
+            "county,cell_id,households,asset_density_km_per_km2\n"
+            "a,0,100,0.65\n"
+            "b,1,200,7.08\n"
+            "a,2,100,0.65\n"
+            f"{row}\n"
+        )
+        with pytest.raises(ValueError) as raised:
+            load_county_fixture(path)
+        assert str(raised.value) == f"{path}:5: {message}"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -47,14 +47,15 @@ class RepairParams:
 
     `Lf` is the lost service value per unit time per failure outstanding and
     `Y` the repair rate (failures repaired per unit time), so n simultaneous
-    failures take n/Y to clear at average outstanding count n/2.
+    failures take n/Y to clear at average outstanding count n/2.  `Lf` is in
+    [0, 1e6] and `Y` in [1e-6, 1e6].
     """
 
     Lf: float = 1.0
     Y: float = 1.0
 
     def __post_init__(self):
-        _require(self, Lf=">= 0", Y="> 0")
+        _require(self, Lf="in [0, 1e6]", Y="in [1e-6, 1e6]")
 
     @property
     def half_ratio(self) -> float:
@@ -88,7 +89,7 @@ def damage_loss_sweep(
 
     Returns flat arrays (Vm, Rm, damage, loss), Vm outer.  Damage is the mean
     cellwise failure rate over the region; loss the mean cellwise plug-in repair loss.
-    A value past every float is inf, with no overflow warning.
+    Both are finite inside the config ranges.
     """
     nhpp = nhpp or NhppParams()
     repair = repair or RepairParams()
@@ -103,17 +104,16 @@ def damage_loss_sweep(
     half = (np.arange((_NX + 1) // 2) - (_NX - 1) / 2.0) * _CELL
     ys = (np.arange(_NY) - (_NY - 1) / 2.0) * _CELL
     # One Vm = 1 profile per radius; no radius is checked or run without a Vm.
-    with np.errstate(over="ignore"):
-        for j, Rm_j in enumerate(Rm_axis.tolist() if Vm.size else []):
-            speeds = np.stack([v for _, _, v in _wind_steps(HollandParams(1.0, Rm_j, B), half, ys, pos)])
-            for lo in range(0, Vm_axis.size, _SWEEP_CHUNK):
-                v = np.multiply.outer(Vm_axis[lo : lo + _SWEEP_CHUNK], speeds)
-                lam = np.add.reduce(_intensity(nhpp, v, out=v), axis=1)  # an outer axis: steps added in time order
-                lam = np.concatenate([lam, lam[:, : _NX // 2][:, ::-1]], axis=1)
-                lam = lam.reshape(len(lam), -1) * _DT
-                # Row means keep each storm's pairwise summation over its cells.
-                damage[lo : lo + _SWEEP_CHUNK, j] = lam.mean(axis=1)
-                loss[lo : lo + _SWEEP_CHUNK, j] = repair.half_ratio * np.mean(lam * lam, axis=1)
+    for j, Rm_j in enumerate(Rm_axis.tolist() if Vm.size else []):
+        speeds = np.stack([v for _, _, v in _wind_steps(HollandParams(1.0, Rm_j, B), half, ys, pos)])
+        for lo in range(0, Vm_axis.size, _SWEEP_CHUNK):
+            v = np.multiply.outer(Vm_axis[lo : lo + _SWEEP_CHUNK], speeds)
+            lam = np.add.reduce(_intensity(nhpp, v, out=v), axis=1)  # an outer axis: steps added in time order
+            lam = np.concatenate([lam, lam[:, : _NX // 2][:, ::-1]], axis=1)
+            lam = lam.reshape(len(lam), -1) * _DT
+            # Row means keep each storm's pairwise summation over its cells.
+            damage[lo : lo + _SWEEP_CHUNK, j] = lam.mean(axis=1)
+            loss[lo : lo + _SWEEP_CHUNK, j] = repair.half_ratio * np.mean(lam * lam, axis=1)
     return Vm, Rm, damage.ravel(), loss.ravel()
 
 
@@ -260,31 +260,20 @@ def _damage_design(Vm, Rm, p1, p2, Vcrit, terms=_DAMAGE_TERMS) -> np.ndarray:
     return _power_design(Vm, Rm, Vcrit, _DAMAGE_POWERS, (p1, p2), terms)
 
 
+# The smallest response the fits take: its weight 1 / y^2 is at most 1e240,
+# which keeps their normal equations finite (the worst case beside `csvio._CHECKS`).
+_MIN_RESPONSE = 1e-120
+
+
 def _fit_powers(y, Vm, Rm, Vcrit, candidates, powers):
     """The screened `_scan_fit` of a `_power_design` model over `candidates`.
-    Checks first, before any fit, that each regressor's weighted sum of
-    squares, which bounds its normal equations, is finite at the smallest and
-    largest exponents (each regressor is monotone in each).  If not, raises
-    `ValueError` where the unweighted sums are finite, so the weights 1 / y^2
-    of responses at or near 0 are at fault, and `OverflowError` where they are
-    not, as from a tiny Vcrit.  Then raises `OverflowError` if a response's
-    square, its weight's reciprocal, is not finite."""
+    Raises `ValueError` first if a response is below `_MIN_RESPONSE`, as
+    every loss is at `Lf = 0`."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.abs(y) >= _MIN_RESPONSE):
+        raise ValueError("a response is too close to 0 for the fit's relative weights 1 / y^2")
     bank = (np.asarray(Rm, dtype=float), g_of_vm(Vm, Vcrit), list(powers.values()))
     design = partial(_power_design, Vm, Rm, Vcrit, powers)
-    c, y = np.asarray(candidates, dtype=float), np.asarray(y, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sw = 1.0 / np.abs(y)
-        sums, plain = (
-            [np.sum(np.square(design(e, tuple(powers)) * w), axis=0) for e in (c.min(0), c.max(0))]
-            for w in (sw[:, None], 1.0)
-        )
-        squares = np.square(y)
-    if not np.all(np.isfinite(sums)):
-        if np.all(np.isfinite(plain)):
-            raise ValueError("a response is too close to 0 for the fit's relative weights 1 / y^2")
-        raise OverflowError("g = (Vm - Vcrit) / Vcrit overflows the fit's normal equations")
-    if not np.all(np.isfinite(squares)):
-        raise OverflowError("a response's square, which weights the fit, is not finite")
     return _scan_fit(y, candidates, design, tuple(powers), bank)
 
 

@@ -41,7 +41,6 @@ from .csvio import (
     _XY,
     ConfigError,
     _check,
-    _finite,
     _read_json,
     _type_name,
     _write_json,
@@ -50,7 +49,7 @@ from .csvio import (
 from .ensemble import EnsemblePerturbationSpec, SyntheticEnsemble, save_ensemble
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, load_county_fixture
 from .nhpp import NhppParams
-from .wind import MPS_TO_KMH, HollandParams, Track, save_wind_field, wind_field
+from .wind import HollandParams, Track, save_wind_field, wind_field
 
 
 # =============================================================================
@@ -63,34 +62,34 @@ from .wind import MPS_TO_KMH, HollandParams, Track, save_wind_field, wind_field
 CONFIG_SCHEMA = (
     ("grid.nx", 100, _INTEGER, ">= 1"),
     ("grid.ny", 100, _INTEGER, ">= 1"),
-    ("grid.cell_size_km", 1.0, _NUMBER, "> 0"),
-    ("grid.origin_km", [0.0, 0.0], _XY, None),
+    ("grid.cell_size_km", 1.0, _NUMBER, "in (0, 100]"),
+    ("grid.origin_km", [0.0, 0.0], _XY, "in [-2e4, 2e4]"),
     ("times.n_steps", 121, _INTEGER, ">= 1"),
-    ("times.dt_h", 1.0, _NUMBER, "> 0"),
+    ("times.dt_h", 1.0, _NUMBER, "in (0, 24]"),
     ("times.t0_h", 0.0, _NUMBER, None),  # accepted and ignored: no command reads it
-    ("track.x0_km", [50.0, -150.0], _XY, None),
-    ("track.vtr_mps", [0.0, 3.0], _VXY, None),
-    ("holland.Vm_mps", 46.0, _NUMBER, "> 0"),
-    ("holland.Rm_km", 30.0, _NUMBER, "> 0"),
-    ("holland.B", 1.0, _NUMBER, "> 0"),
-    ("nhpp.Vcrit_mps", 20.6, _NUMBER, "> 0"),
-    ("nhpp.alpha", 4175.6, _NUMBER, ">= 1"),
-    ("nhpp.lambda_norm", 3.5e-5, _NUMBER, "> 0"),
+    ("track.x0_km", [50.0, -150.0], _XY, "in [-2e4, 2e4]"),
+    ("track.vtr_mps", [0.0, 3.0], _VXY, "in [-50, 50]"),
+    ("holland.Vm_mps", 46.0, _NUMBER, "in [1, 150]"),
+    ("holland.Rm_km", 30.0, _NUMBER, "in [1, 500]"),
+    ("holland.B", 1.0, _NUMBER, "in [0.5, 3]"),
+    ("nhpp.Vcrit_mps", 20.6, _NUMBER, "in [1, 150]"),
+    ("nhpp.alpha", 4175.6, _NUMBER, "in [1, 1e6]"),
+    ("nhpp.lambda_norm", 3.5e-5, _NUMBER, "in [1e-12, 1]"),
     ("field.asymmetric", False, _BOOLEAN, None),
     ("field.hemisphere", "N", _STRING, '"N" or "S"'),
     ("ensemble.H", 10, _INTEGER, ">= 1"),
-    ("ensemble.sigma_track_km", 10.0, _NUMBER, ">= 0"),
-    ("ensemble.sigma_heading_deg", 5.0, _NUMBER, ">= 0"),
-    ("ensemble.sigma_Vm_mps", 3.0, _NUMBER, ">= 0"),
-    ("ensemble.sigma_Rm_km", 3.0, _NUMBER, ">= 0"),
-    ("repair.Lf", 1.0, _NUMBER, ">= 0"),
-    ("repair.Y", 1.0, _NUMBER, "> 0"),
-    ("sweep.Vm_min", 21.0, _NUMBER, "> 0"),
-    ("sweep.Vm_max", 80.0, _NUMBER, "> 0"),
-    ("sweep.Vm_step", 1.0, _NUMBER, "> 0"),
-    ("sweep.Rm_min", 20.0, _NUMBER, "> 0"),
-    ("sweep.Rm_max", 50.0, _NUMBER, "> 0"),
-    ("sweep.Rm_step", 1.0, _NUMBER, "> 0"),
+    ("ensemble.sigma_track_km", 10.0, _NUMBER, "in [0, 2e4]"),
+    ("ensemble.sigma_heading_deg", 5.0, _NUMBER, "in [0, 360]"),
+    ("ensemble.sigma_Vm_mps", 3.0, _NUMBER, "in [0, 150]"),
+    ("ensemble.sigma_Rm_km", 3.0, _NUMBER, "in [0, 500]"),
+    ("repair.Lf", 1.0, _NUMBER, "in [0, 1e6]"),
+    ("repair.Y", 1.0, _NUMBER, "in [1e-6, 1e6]"),
+    ("sweep.Vm_min", 21.0, _NUMBER, "in [1, 150]"),
+    ("sweep.Vm_max", 80.0, _NUMBER, "in [1, 150]"),
+    ("sweep.Vm_step", 1.0, _NUMBER, "in (0, 150]"),
+    ("sweep.Rm_min", 20.0, _NUMBER, "in [1, 500]"),
+    ("sweep.Rm_max", 50.0, _NUMBER, "in [1, 500]"),
+    ("sweep.Rm_step", 1.0, _NUMBER, "in (0, 500]"),
     ("counties_csv", None, _OPTIONAL_PATH, None),
     ("output_dir", "out", _PATH, None),
     ("seed", 0, _INTEGER, ">= 0"),
@@ -123,10 +122,9 @@ def _sweep_axes(sweep: dict) -> list[tuple]:
 
 
 def validate_config(config: dict) -> dict:
-    """Check every field against its schema row, then the wind field's size,
-    the storm's last position and the sweep's range,
-    raising ConfigError with the dotted path of the first offending field.
-    Returns the fields' values nested as in `config`, with numbers as floats
+    """Check every field against its schema row, then the wind field's size
+    and the sweep's range, raising ConfigError with the dotted path of the
+    first offending field.  Returns the fields' values nested as in `config`, with numbers as floats
     and pairs as tuples of floats."""
     values = []
     for path, _, kind, check in CONFIG_SCHEMA:
@@ -142,12 +140,6 @@ def validate_config(config: dict) -> dict:
         if size > _MAX_CELL_STEPS:
             cap = f"{' * '.join(_FIELD_SIZE)} at most {_MAX_CELL_STEPS:,}"
             raise ConfigError(path, f"value {value!r} out of range ({cap})")
-    # The storm's last position, formed as `Track.position` forms it, must be finite.
-    x0, vtr, t = config["track"]["x0_km"], config["track"]["vtr_mps"], config["times"]
-    span = (t["n_steps"] - 1) * float(t["dt_h"])
-    if not all(_finite(x + v * MPS_TO_KMH * span) for x, v in zip(x0, vtr)):
-        field = "track.vtr_mps" if max(map(abs, vtr)) > t["dt_h"] else "times.dt_h"
-        raise ConfigError(field, "too large: the storm's position at the last step is not finite")
     s = config["sweep"]
     for a in ("Vm", "Rm"):
         if s[f"{a}_max"] < s[f"{a}_min"]:
@@ -289,58 +281,6 @@ def _load(loader, name: str, path):
 # =============================================================================
 
 
-# The factors of every result a command refuses as past every float, one row each: (config field,
-# the field in its place when the storms are a sweep's, the power of its value in the result, the
-# results it enters).  Results: failure rates (r), at most lambda_norm T alpha (Vm / Vcrit)^2;
-# wind speeds summed over the steps (v), at most Vm times the steps; a storm's geometry (g:
-# critical radius, zone area, a sweep storm's swath grid, a fit's regressors), growing with Rm
-# and Vm / Vcrit; repair losses (l), Lf / 2Y times a rate squared; the numeric zone area of the
-# run's own grid (a), its cells times the cell area; any of these over the run's own span T (t),
-# not the fixed spans of tables123 and the damage/loss sweeps.  ensemble.sigma_Vm_mps enters as
-# the members' largest Vm over the central Vm.
-_FACTORS = (
-    ("nhpp.lambda_norm", None, 1, "rl"),
-    ("nhpp.alpha", None, 1, "rl"),
-    ("nhpp.Vcrit_mps", None, -1, "rgl"),
-    ("holland.Vm_mps", "sweep.Vm_max", 1, "rvgl"),
-    ("ensemble.sigma_Vm_mps", None, 1, "rv"),
-    ("holland.Rm_km", "sweep.Rm_max", 1, "g"),
-    ("repair.Lf", None, 1, "l"),
-    ("repair.Y", None, -1, "l"),
-    ("times.dt_h", None, 1, "t"),
-    ("grid.cell_size_km", None, 2, "a"),
-)
-
-_ZONE = "a critical radius, zone area or failure rate is not finite"
-
-
-def _at_fault(run: _Run, results: str, reason: str, storm="holland", members=None, small=False) -> ConfigError:
-    """The refusal, for `reason`, of `results` (letters of `_FACTORS`) past every float or, if
-    `small`, at or near 0.  It names the factor whose power times log10 of its value is the largest
-    (if `small`, the most negative), as too large or too small.  The storm is the run's, the
-    sweep's largest with `storm="sweep"`, or none with None (`tables123`'s are fixed); `members`,
-    the run's member source, gives the members' largest Vm."""
-    sweep = storm == "sweep"
-    Vm, Rm = (a.max() for a in run.sweep) if sweep else (run.holland.Vm, run.holland.Rm)
-    top = None if members is None else max(q.Vm for _, q in members.parameters) / Vm
-    p, r, t, g = run.nhpp, run.repair, run.times, run.grid  # None below: not a factor
-    values = p.lambda_norm, p.alpha, p.Vcrit, storm and Vm, top, storm and Rm, r.Lf, r.Y, t.dt, g.cell_size
-    with np.errstate(divide="ignore"):  # log10 of a zero Lf is -inf
-        logs = {
-            (sweep and swept) or field: (power, power * np.log10(value))
-            for (field, swept, power, enters), value in zip(_FACTORS, values)
-            if value is not None and set(results) & set(enters)
-        }
-    field = (min if small else max)(logs, key=lambda f: logs[f][1])
-    return ConfigError(field, f"too {'large' if (logs[field][0] > 0) != small else 'small'}: {reason}")
-
-
-def _require_finite(run: _Run, results: str, reason: str, *values, **where) -> None:
-    """Refuse `values` before any output unless each is finite, as `_at_fault` names the field."""
-    if not all(np.isfinite(v).all() for v in values):
-        raise _at_fault(run, results, reason, **where)
-
-
 def cmd_windfield(run: _Run, args) -> None:
     field = wind_field(run.track, run.holland, run.grid, run.times, run.spec.asymmetric, run.spec.hemisphere)
     save_wind_field(field, run.out("windfield.csv"), header_comment=run.tag)
@@ -353,7 +293,6 @@ def cmd_ensemble(run: _Run, args) -> None:
 def cmd_failure_rates(run: _Run, args) -> None:
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     rates = (nhpp.fr1 if args.which == "fr1" else nhpp.fr2)(run.nhpp, members)
-    _require_finite(run, "rt", f"the failure rate over {run.times.duration:g} h is not finite", rates, members=members)
     nhpp.save_failure_rate_field(rates, run.out(f"failure_rates_{args.which}.csv"), header_comment=run.tag)
 
 
@@ -371,7 +310,6 @@ def cmd_fail_dist(run: _Run, args) -> None:
         raise ConfigError("--n-max", "must be >= 0")
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     rates = nhpp.member_rates(run.nhpp, members, cells)
-    _require_finite(run, "rt", f"the failure rate over {run.times.duration:g} h is not finite", rates, members=members)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b
     dists = []
     for j, cell in enumerate(cells):
@@ -388,16 +326,12 @@ def cmd_critzone(run: _Run, args) -> None:
     s = run.spec
     Rcrit = critzone.critical_radius(run.holland, run.nhpp.Vcrit)
     obround = None if Rcrit is None else critzone.obround_area(Rcrit, run.times.duration, run.track.Vtr)
-    if Rcrit is not None:  # an infinite radius has no swath to run
-        _require_finite(run, "gt", _ZONE, Rcrit, obround)
     rates, zone = critzone.storm_swath(
         run.track, run.holland, run.grid, run.times, run.nhpp, asymmetric=s.asymmetric, hemisphere=s.hemisphere
     )
     stats = critzone.zone_failure_stats(rates, zone)
     cells = np.flatnonzero(zone)
     area = len(cells) * run.grid.cell_area
-    _require_finite(run, "rt", _ZONE, stats["max"], stats["mean"])
-    _require_finite(run, "a", _ZONE, area)
     _write_table(run.out("critzone_cells.csv"), ["cell_id"], [cells], [], run.tag, line_end="\n")
     numbers = {"Rcrit_km": Rcrit, "area_numeric_km2": area, "area_obround_km2": obround,
                "max_failure_rate_per_km": stats["max"], "mean_failure_rate_per_km": stats["mean"]}
@@ -409,8 +343,7 @@ def _sweep_fit_critzone(run: _Run) -> None:
     try:
         sweep = critzone.zone_sweep(*run.sweep, run.nhpp, run.track, run.times, run.holland.B)
     except ValueError as exc:  # a storm's swath grid is past the cap
-        raise _at_fault(run, "gt", str(exc), storm="sweep") from None
-    _require_finite(run, "rgt", _ZONE, *sweep, storm="sweep")
+        raise ConfigError("sweep.Vm_max", str(exc)) from None
     Vm, Rm, Rcrit, area = sweep[:4]
     radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=run.nhpp.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)
@@ -461,9 +394,6 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         print(f"warning: sweep.Rm_step: {len(Rm_values)} radii make the loss design singular;"
               " its p-values and term pruning rest on a singular fit", file=sys.stderr)
     Vm, Rm, damage, loss = aggregate.damage_loss_sweep(*run.sweep, nhpp=run.nhpp, repair=run.repair, B=run.holland.B)
-    T, response = aggregate.REFERENCE_TIMES.duration, "r" if args.target == "damage" else "l"
-    _require_finite(run, "r", f"the damage over {T:g} h is not finite", damage, storm="sweep")
-    _require_finite(run, "l", f"the repair loss over {T:g} h is not finite", loss, storm="sweep")
     try:
         if args.target == "damage":
             model = aggregate.fit_damage_model(Vm, Rm, damage, Vcrit)
@@ -471,10 +401,8 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         else:
             model = aggregate.fit_loss_model(Vm, Rm, loss, Vcrit)
             report = {"p": model.p, "condition_number": model.fit.cond}
-    except ValueError as exc:  # responses at or near 0, whose weights 1 / y^2 are not finite
-        raise _at_fault(run, response, str(exc), storm="sweep", small=True) from None
-    except OverflowError as exc:  # in the fit's regressors, or in the responses' squares
-        raise _at_fault(run, response + "g", str(exc), storm="sweep") from None
+    except ValueError as exc:  # responses at or near 0, as every loss is at Lf = 0
+        raise ConfigError("nhpp.lambda_norm" if args.target == "damage" else "repair.Lf", str(exc)) from None
     aggregate.save_agg_sweep(Vm, Rm, damage, loss, run.out(f"{args.target}_sweep.csv"), header_comment=run.tag)
     report.update(
         terms=list(model.terms),
@@ -509,19 +437,10 @@ def cmd_outage_fit(run: _Run, args) -> None:
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     per_step = nhpp._cumulative_exposure(run.nhpp, members, args.predictor, steps)
     x = np.array([np.mean(per_step[index[obs.county], j]) for obs, j in zip(observations, column)])
-    if args.predictor == "failure_rate":
-        results, what = "rt", f"the failure rate over {run.times.duration:g} h"
-    else:
-        results, what = "v", f"the wind speed summed over {run.times.n_steps} steps"
-    _require_finite(run, results, f"{what} is not finite", x, members=members)
-    households = np.array([obs.households for obs in observations], dtype=float)
-    with np.errstate(over="ignore"):  # the sum bounds every entry of the fit's X'WX
-        normal = np.sum(households * x * x)
-    _require_finite(run, results, "the exposures overflow the outage fit's normal equations", normal, members=members)
     fit = glm.fit_binomial(
         np.column_stack([np.ones_like(x), x]),
         np.array([obs.outages for obs in observations], dtype=float),
-        households,
+        np.array([obs.households for obs in observations], dtype=float),
     )
     report = {
         "predictor": args.predictor,
@@ -542,7 +461,6 @@ def cmd_outage_fit(run: _Run, args) -> None:
 def cmd_tables123(run: _Run, args) -> None:
     records = critzone.tables123(nhpp=run.nhpp)
     Vm, Rm, *values = ([rec[c] for rec in records] for c in critzone.TABLE_HEADER)
-    _require_finite(run, "rg", _ZONE, *values, storm=None)
     _write_table(run.out("tables123.csv"), critzone.TABLE_HEADER, [Vm, Rm], values, run.tag, line_end="\n")
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _write_table
+from .csvio import _require_value, _write_table
 from .fitting import LinearFit, linear_least_squares
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis
-from .nhpp import NhppParams, _intensity
+from .nhpp import _NHPP_CHECKS, NhppParams, _intensity
 from .wind import MPS_TO_KMH, HollandParams, Track, WindField, _speed, _sweep_storms, _translation, _wind_steps
 
 
@@ -32,10 +32,10 @@ def critical_radius(p: HollandParams, Vthres: float) -> float | None:
 
     None when Vm < Vthres (no such radius exists); Rm when Vm == Vthres;
     otherwise the unique root beyond Rm, found by bisection on the monotone
-    outer branch to |V(r) - Vthres| <= 1e-9 m/s, or inf past every float.
+    outer branch to |V(r) - Vthres| <= 1e-9 m/s.  `Vthres` has the range
+    of `NhppParams.Vcrit`, inside which the radius is finite.
     """
-    if Vthres <= 0:
-        raise ValueError("Vthres must be > 0")
+    _require_value("Vthres", Vthres, _NHPP_CHECKS["Vcrit"])
     (Rc,) = _critical_radii(np.array([p.Vm], dtype=float), np.array([p.Rm], dtype=float), p.B, Vthres)
     return None if np.isnan(Rc) else float(Rc)
 
@@ -52,17 +52,13 @@ def _critical_radii(Vm, Rm, B: float, Vthres: float) -> np.ndarray:
     todo = Vm > Vthres
     lo, hi = Rm, 2.0 * Rm
     grow = todo.copy()
-    # A threshold far below Vm doubles hi past every float: that radius is inf, and is not bisected.
-    with np.errstate(over="ignore"):
-        while grow.any():
-            grow &= _speed(Vm, Rm, B, hi) >= Vthres
-            hi[grow] *= 2.0
-    out[todo & np.isinf(hi)] = np.inf
-    todo &= np.isfinite(hi)
+    while grow.any():
+        grow &= _speed(Vm, Rm, B, hi) >= Vthres
+        hi[grow] *= 2.0
     for _ in range(200):
         if not todo.any():
             return out
-        mid = 0.5 * lo + 0.5 * hi  # 0.5 (lo + hi) bit for bit on normal floats, with no sum to overflow
+        mid = 0.5 * (lo + hi)
         v = _speed(Vm, Rm, B, mid)
         done = todo & (np.abs(v - Vthres) <= 1e-9)
         out[done] = mid[done]
@@ -94,8 +90,7 @@ def critical_zone_numeric(
     Works for both axisymmetric and asymmetric fields (the inside-Rm clause
     is always evaluated against the centre of the given track).
     """
-    if Vthres <= 0:
-        raise ValueError("Vthres must be > 0")
+    _require_value("Vthres", Vthres, _NHPP_CHECKS["Vcrit"])
     grid = field.grid
     xs, ys = grid.axes()
     pos = track.position(field.times.offsets())
@@ -120,13 +115,11 @@ def obround_area(Rcrit: float, T: float, Vtr) -> float:
 
 def zone_failure_stats(rates, zone: np.ndarray) -> dict[str, float]:
     """Maximum and mean of `rates` over the boolean cell mask `zone`; both
-    are 0 for an empty zone.  A mean whose sum passes every float is inf,
-    with no overflow warning."""
+    are 0 for an empty zone.  Finite inside the config ranges."""
     sub = np.asarray(rates, dtype=float)[zone]
     if sub.size == 0:
         return {"max": 0.0, "mean": 0.0}
-    with np.errstate(over="ignore"):
-        return {"max": float(sub.max()), "mean": float(sub.mean())}
+    return {"max": float(sub.max()), "mean": float(sub.mean())}
 
 
 _AREA_ROWS = 32  # x-rows per block of `axisymmetric_zone_area`'s count
@@ -229,8 +222,9 @@ def sweep_critical_radius(Vm_values, Rm_values, Vthres: float, B: float = 1.0):
     """Critical radii over the cartesian (Vm, Rm) sweep.
 
     Returns flat arrays (Vm, Rm, Rcrit) covering pairs with Vm >= Vthres, Vm
-    the outer axis.
+    the outer axis.  `Vthres` is checked as in `critical_radius`.
     """
+    _require_value("Vthres", Vthres, _NHPP_CHECKS["Vcrit"])
     Vm, Rm = _sweep_storms(Vm_values, Rm_values, B)
     Rc = _critical_radii(Vm.astype(float), Rm.astype(float), B, Vthres)
     keep = ~np.isnan(Rc)
@@ -387,10 +381,7 @@ def _window_radius(p: HollandParams, Vhot: float) -> float:
     if p.Vm < Vhot:
         return p.Rm
     y = -_lambert_w0(-(((1.0 - 1e-8) * Vhot / p.Vm) ** 2) / math.e)
-    try:
-        return p.Rm * y ** (-1.0 / p.B)
-    except (ZeroDivisionError, OverflowError):  # y = 0, or y^(-1/B) past every float
-        return np.inf
+    return p.Rm * y ** (-1.0 / p.B)
 
 
 def storm_swath(
@@ -412,8 +403,7 @@ def storm_swath(
     step (the window invariant of `stormrisk.wind`).
 
     An asymmetric stationary storm (Vtr == (0, 0)) is the axisymmetric
-    storm, as in `wind_field`.  A rate past every float, as a
-    threshold far below the winds gives, is inf, with no overflow warning.
+    storm, as in `wind_field`.  The rates are finite inside the config ranges.
     """
     Vtr = _translation(track, asymmetric)
     Vhot = nhpp.Vcrit - float(np.hypot(*Vtr))
@@ -422,16 +412,15 @@ def storm_swath(
     pos = track.position(times.offsets())
     rates = np.zeros((grid.nx, grid.ny))
     zone = np.zeros((grid.nx, grid.ny), dtype=bool)
-    with np.errstate(over="ignore"):
-        for window, r, v in _wind_steps(p, xs, ys, pos, reach, Vtr, hemisphere):
-            # Each cell adds this step's intensity to its rate, the window's
-            # evaluated and every other cell's lambda_norm.
-            hot = _intensity(nhpp, v)
-            hot += rates[window]
-            rates += nhpp.lambda_norm
-            rates[window] = hot
-            zone[window] |= (r < p.Rm) | (v >= nhpp.Vcrit)
-        rates *= times.dt
+    for window, r, v in _wind_steps(p, xs, ys, pos, reach, Vtr, hemisphere):
+        # Each cell adds this step's intensity to its rate, the window's
+        # evaluated and every other cell's lambda_norm.
+        hot = _intensity(nhpp, v)
+        hot += rates[window]
+        rates += nhpp.lambda_norm
+        rates[window] = hot
+        zone[window] |= (r < p.Rm) | (v >= nhpp.Vcrit)
+    rates *= times.dt
     return rates.ravel(), zone.ravel()
 
 
@@ -470,15 +459,14 @@ def zone_sweep(Vm_values, Rm_values, nhpp: NhppParams, track: Track, times: Time
     swath.  The area and rate grids coarsen as the critical radius grows, so
     the cost per storm stays bounded across the sweep.  Raises ValueError,
     before any storm is run, if a storm's rate grid would have more than
-    `_MAX_CELL_STEPS` cell-steps, as an infinite radius would."""
+    `_MAX_CELL_STEPS` cell-steps."""
     Vm, Rm, Rcrit = sweep_critical_radius(Vm_values, Rm_values, Vthres=nhpp.Vcrit, B=B)
     pos = track.position(times.offsets())
     cell = np.clip(Rcrit / 30.0, 1.0, 25.0)
     pad = (Rcrit + 2.0 * cell)[:, None]
     lo = pos.min(axis=0) - pad
-    with np.errstate(over="ignore"):  # an inf radius, or a span or product past every float, is too big
-        shape = np.maximum(1.0, np.ceil((pos.max(axis=0) + pad - lo) / cell[:, None]))
-        too_big = ~(shape[:, 0] * shape[:, 1] * times.n_steps <= _MAX_CELL_STEPS)
+    shape = np.maximum(1.0, np.ceil((pos.max(axis=0) + pad - lo) / cell[:, None]))
+    too_big = shape[:, 0] * shape[:, 1] * times.n_steps > _MAX_CELL_STEPS
     if too_big.any():
         i = np.argmax(too_big)
         raise ValueError(

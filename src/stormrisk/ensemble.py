@@ -29,6 +29,7 @@ from .csvio import (
     _XY,
     ConfigError,
     _check,
+    _interval,
     _read_json,
     _read_velocities,
     _require,
@@ -36,7 +37,7 @@ from .csvio import (
     _write_velocities,
 )
 from .grid import Grid, TimeAxis
-from .wind import MPS_TO_KMH, HollandParams, Track, WindField, _sub_grid, _velocities
+from .wind import _HOLLAND_CHECKS, HollandParams, Track, WindField, _sub_grid, _velocities
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,11 @@ class EnsemblePerturbationSpec:
 
     Per member: genesis position jittered by N(0, sigma_track) on each axis
     (km), translation direction rotated by N(0, sigma_heading) degrees, Vm and
-    Rm jittered by N(0, sigma_Vm) / N(0, sigma_Rm) and truncated below at
-    1 m/s and 1 km.  Perturbations are drawn once per member and held constant
-    over the storm lifetime.  Members are `wind_field`s of `asymmetric` and
-    `hemisphere`.
+    Rm jittered by N(0, sigma_Vm) / N(0, sigma_Rm) and clipped into
+    `HollandParams`' ranges, [1, 150] m/s and [1, 500] km; each sigma is at
+    most 2e4 km, 360 degrees, 150 m/s and 500 km.  Perturbations are drawn
+    once per member and held constant over the storm lifetime.  Members are
+    `wind_field`s of `asymmetric` and `hemisphere`.
     """
 
     base_track: Track
@@ -103,18 +105,16 @@ class EnsemblePerturbationSpec:
     hemisphere: str = "N"
 
     def __post_init__(self):
-        _require(self, sigma_track=">= 0", sigma_heading=">= 0", sigma_Vm=">= 0", sigma_Rm=">= 0", H=">= 1")
+        _require(self, sigma_track="in [0, 2e4]", sigma_heading="in [0, 360]", sigma_Vm="in [0, 150]",
+                 sigma_Rm="in [0, 500]", H=">= 1")
 
 
-def member_parameters(
-    spec: EnsemblePerturbationSpec, child_seed, span_h: float = 0.0
-) -> tuple[Track, HollandParams]:
+def member_parameters(spec: EnsemblePerturbationSpec, child_seed) -> tuple[Track, HollandParams]:
     """Perturbed (track, profile) for one member, drawn from its substream.
 
     Draw order is fixed (genesis x, genesis y, heading, Vm, Rm) and a draw is
     skipped entirely when its sigma is zero, so adding a perturbation never
-    reshuffles the others.  Raises `ConfigError` naming the `ensemble.sigma_*`
-    config field at fault if the position `span_h` hours on, Vm or Rm is not finite.
+    reshuffles the others.  Vm and Rm are clipped into their ranges.
     """
     rng = np.random.Generator(np.random.PCG64(child_seed))
     dx = rng.normal(0.0, spec.sigma_track) if spec.sigma_track else 0.0
@@ -126,12 +126,9 @@ def member_parameters(
     vx, vy = spec.base_track.Vtr
     vtr = (vx * math.cos(th) - vy * math.sin(th), vx * math.sin(th) + vy * math.cos(th))
     track = Track(x0=(spec.base_track.x0[0] + dx, spec.base_track.x0[1] + dy), Vtr=vtr)
-    Vm, Rm = max(1.0, spec.base_params.Vm + dvm), max(1.0, spec.base_params.Rm + drm)
-    end = [x + v * MPS_TO_KMH * span_h for x, v in zip(track.x0, vtr)]  # as `Track.position` forms it
-    moved = "sigma_track_km" if spec.sigma_track else "sigma_heading_deg"  # a rotation lengthens a component
-    for sigma, what, xs in ((moved, "storm position", end), ("sigma_Vm_mps", "Vm", [Vm]), ("sigma_Rm_km", "Rm", [Rm])):
-        if not all(map(math.isfinite, xs)):
-            raise ConfigError(f"ensemble.{sigma}", f"too large: a member's {what} is not finite")
+    (Vm_lo, Vm_hi), (Rm_lo, Rm_hi) = (_interval(_HOLLAND_CHECKS[k]) for k in ("Vm", "Rm"))
+    Vm = min(Vm_hi, max(Vm_lo, spec.base_params.Vm + dvm))
+    Rm = min(Rm_hi, max(Rm_lo, spec.base_params.Rm + drm))
     return track, HollandParams(Vm=Vm, Rm=Rm, B=spec.base_params.B)
 
 
@@ -139,7 +136,7 @@ def member_parameters(
 class SyntheticEnsemble:
     """The members `spec` perturbs, on `grid` over `times`, each made as it is
     read: member i from substream i of `spec.seed`, the same bits whatever `threads`.
-    `parameters`, each member's (track, params), are drawn and checked once, before any member is made."""
+    `parameters`, each member's (track, params), are drawn once, before any member is made."""
 
     spec: EnsemblePerturbationSpec
     grid: Grid
@@ -148,8 +145,8 @@ class SyntheticEnsemble:
     parameters: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        span, seeds = float(self.times.offsets()[-1]), np.random.SeedSequence(self.spec.seed).spawn(self.spec.H)
-        object.__setattr__(self, "parameters", tuple(member_parameters(self.spec, s, span) for s in seeds))
+        seeds = np.random.SeedSequence(self.spec.seed).spawn(self.spec.H)
+        object.__setattr__(self, "parameters", tuple(member_parameters(self.spec, s) for s in seeds))
 
     def fields(self, cells=None):
         """`Ensemble.fields`, members made `threads` at a time by one pool, on the sub-grid of `cells` if given."""
@@ -198,10 +195,10 @@ SIDECAR_SCHEMA = (
     ("H", _INTEGER, ">= 1", "ensemble.H"),
     ("nx", _INTEGER, ">= 1", "grid.nx"),
     ("ny", _INTEGER, ">= 1", "grid.ny"),
-    ("cell_size_km", _NUMBER, "> 0", "grid.cell_size_km"),
-    ("origin_km", _XY, None, "grid.origin_km"),
+    ("cell_size_km", _NUMBER, "in (0, 100]", "grid.cell_size_km"),
+    ("origin_km", _XY, "in [-2e4, 2e4]", "grid.origin_km"),
     ("n_steps", _INTEGER, ">= 1", "times.n_steps"),
-    ("dt_h", _NUMBER, "> 0", "times.dt_h"),
+    ("dt_h", _NUMBER, "in (0, 24]", "times.dt_h"),
 )
 
 

@@ -31,7 +31,7 @@ class OutageObservation:
         # Data files skip rows whose first field starts with '#'.
         if self.county.startswith("#"):
             raise ValueError(f"county {self.county!r} must not start with '#'")
-        _require(self, time_h=None, households="> 0")
+        _require(self, time_h=None, households="in (0, 1e9]")
         if not 0 <= self.outages <= self.households:
             raise ValueError("outages must be in [0, households]")
 

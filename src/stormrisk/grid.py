@@ -35,11 +35,11 @@ class Grid:
     Parameters
     ----------
     origin : tuple of float
-        South-west corner of the grid (km, km).
+        South-west corner of the grid (km, km), each in [-2e4, 2e4].
     nx, ny : int
         Cell counts along x and y.
     cell_size : float
-        Side length of each (square) cell in km.
+        Side length of each (square) cell in km, in (0, 100].
     """
 
     origin: tuple[float, float] = (0.0, 0.0)
@@ -48,7 +48,7 @@ class Grid:
     cell_size: float = 1.0
 
     def __post_init__(self):
-        _require(self, nx=">= 1", ny=">= 1", cell_size="> 0", origin=None)
+        _require(self, nx=">= 1", ny=">= 1", cell_size="in (0, 100]", origin="in [-2e4, 2e4]")
 
     @property
     def n_cells(self) -> int:
@@ -82,14 +82,14 @@ class TimeAxis:
     n_steps : int
         Number of samples.
     dt : float
-        Spacing in hours (default one hour).
+        Spacing in hours, in (0, 24] (default one hour).
     """
 
     n_steps: int = 1
     dt: float = 1.0
 
     def __post_init__(self):
-        _require(self, n_steps=">= 1", dt="> 0")
+        _require(self, n_steps=">= 1", dt="in (0, 24]")
 
     @property
     def duration(self) -> float:
@@ -116,7 +116,7 @@ class County:
     cells : frozenset of int
         Grid ids belonging to the county (non-empty).
     households : int
-        Household count (>= 0).
+        Household count, in [0, 1e9].
     asset_density : float
         Kilometres of distribution line per km^2 of area (>= 0).
     """
@@ -133,7 +133,7 @@ class County:
             raise ValueError(f"county name {self.name!r} must not start with '#'")
         if not self.cells:
             raise ValueError(f"county {self.name!r} has no cells")
-        _require(self, households=">= 0", asset_density=">= 0")
+        _require(self, households="in [0, 1e9]", asset_density=">= 0")
 
 
 class CountySet:

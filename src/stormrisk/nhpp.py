@@ -24,6 +24,10 @@ from .ensemble import _mean
 from .grid import _MAX_CELL_STEPS
 
 
+# `NhppParams`' checks; a critical-zone threshold takes Vcrit's.
+_NHPP_CHECKS = {"Vcrit": "in [1, 150]", "alpha": "in [1, 1e6]", "lambda_norm": "in [1e-12, 1]"}
+
+
 @dataclass(frozen=True)
 class NhppParams:
     """Failure-intensity parameters.
@@ -31,11 +35,11 @@ class NhppParams:
     Parameters
     ----------
     Vcrit : float
-        Critical wind speed (m/s) below which the intensity is nominal.
+        Critical wind speed (m/s) below which the intensity is nominal, in [1, 150].
     alpha : float
-        Quadratic scaling of the supercritical intensity (>= 1).
+        Quadratic scaling of the supercritical intensity, in [1, 1e6].
     lambda_norm : float
-        Nominal intensity in failures per hour per km of line.
+        Nominal intensity in failures per hour per km of line, in [1e-12, 1].
     """
 
     Vcrit: float = 20.6
@@ -43,7 +47,7 @@ class NhppParams:
     lambda_norm: float = 3.5e-5
 
     def __post_init__(self):
-        _require(self, Vcrit="> 0", alpha=">= 1", lambda_norm="> 0")
+        _require(self, **_NHPP_CHECKS)
 
 
 # =============================================================================
@@ -85,17 +89,15 @@ def failure_rate(p: NhppParams, velocities, dt: float = 1.0):
 
     Sums poisson_intensity over the last axis times `dt`; an all-subcritical
     series of duration T returns lambda_norm * T.  Works on a single series
-    (shape (n_steps,)) or a field (shape (..., n_steps)).  A rate past
-    every float, as a threshold far below the winds gives, is inf, with no
-    overflow warning; so are the ensemble rates and exposures below.
+    (shape (n_steps,)) or a field (shape (..., n_steps)).  Finite inside
+    the config ranges; so are the ensemble rates and exposures below.
     """
     v = np.asarray(velocities, dtype=float)
     if v.size == 0:
         raise ValueError("velocities must be non-empty")
     series = v.reshape(-1, v.shape[-1])
-    with np.errstate(over="ignore"):
-        out = _by_cells(lambda block: np.sum(poisson_intensity(p, block), axis=-1), series)
-        out = out.reshape(v.shape[:-1]) * dt
+    out = _by_cells(lambda block: np.sum(poisson_intensity(p, block), axis=-1), series)
+    out = out.reshape(v.shape[:-1]) * dt
     if out.ndim == 0:
         return float(out)
     return out
@@ -132,8 +134,7 @@ def fr1(p: NhppParams, e) -> np.ndarray:
 def fr2(p: NhppParams, e) -> np.ndarray:
     """Ensemble mean of the per-member failure rates (>= fr1 by convexity),
     per cell.  Member order is fixed, so the reduction is reproducible."""
-    with np.errstate(over="ignore"):
-        return _mean(failure_rate(p, v, e.times.dt) for v in e.fields())
+    return _mean(failure_rate(p, v, e.times.dt) for v in e.fields())
 
 
 def member_rates(p: NhppParams, e, cell) -> np.ndarray:
@@ -148,8 +149,7 @@ def _cumulative_exposure(p: NhppParams, e, predictor: str, steps) -> np.ndarray:
     def running(v):
         return np.cumsum(poisson_intensity(p, v) * e.times.dt if predictor == "failure_rate" else v, axis=-1)[:, steps]
 
-    with np.errstate(over="ignore"):
-        return _mean(_by_cells(running, v) for v in e.fields())
+    return _mean(_by_cells(running, v) for v in e.fields())
 
 
 # =============================================================================

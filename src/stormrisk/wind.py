@@ -34,10 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _require, _write_velocities
+from .csvio import _CHECKS, _require, _write_velocities
 from .grid import Grid, TimeAxis
 
 MPS_TO_KMH = 3.6
+
+# `HollandParams`' checks, which the sweeps' storm screen and the ensemble's draws read too.
+_HOLLAND_CHECKS = {"Vm": "in [1, 150]", "Rm": "in [1, 500]", "B": "in [0.5, 3]"}
 
 
 @dataclass(frozen=True)
@@ -47,11 +50,11 @@ class HollandParams:
     Parameters
     ----------
     Vm : float
-        Maximum sustained wind speed (m/s), finite and > 0.
+        Maximum sustained wind speed (m/s), in [1, 150].
     Rm : float
-        Radius of maximum winds (km), finite and > 0.
+        Radius of maximum winds (km), in [1, 500].
     B : float
-        Profile shape parameter, finite and > 0 (default 1; typically 1-2.5).
+        Profile shape parameter, in [0.5, 3] (default 1; typically 1-2.5).
     """
 
     Vm: float
@@ -59,14 +62,15 @@ class HollandParams:
     B: float = 1.0
 
     def __post_init__(self):
-        _require(self, Vm="> 0", Rm="> 0", B="> 0")
+        _require(self, **_HOLLAND_CHECKS)
 
 
 def _sweep_storms(Vm_values, Rm_values, B: float):
     """Flat (Vm, Rm) of the cartesian sweep, Vm outer.  Raises the
     `HollandParams` error of its first invalid storm, if any."""
     Vm, Rm = np.repeat(Vm_values, len(Rm_values)), np.tile(Rm_values, len(Vm_values))
-    valid = (0 < Vm) & (Vm < np.inf) & (0 < Rm) & (Rm < np.inf) & (0 < B < np.inf)
+    Vm_ok, Rm_ok, B_ok = (_CHECKS[check] for check in _HOLLAND_CHECKS.values())
+    valid = Vm_ok(Vm) & Rm_ok(Rm) & B_ok(B)
     if not valid.all():
         i = np.argmin(valid)
         HollandParams(Vm=Vm[i].item(), Rm=Rm[i].item(), B=B)

@@ -601,30 +601,67 @@ class TestOnePassReader:
 # Each parameter record: the keyword arguments of a valid one, and each
 # numeric field with its `_CHECKS` text (None: finite only).
 RECORDS = {
-    HollandParams: ({"Vm": 40.0, "Rm": 30.0, "B": 1.0}, {"Vm": "> 0", "Rm": "> 0", "B": "> 0"}),
+    HollandParams: ({"Vm": 40.0, "Rm": 30.0, "B": 1.0}, {"Vm": "in [1, 150]", "Rm": "in [1, 500]", "B": "in [0.5, 3]"}),
     Grid: (
         {"origin": (0.0, 0.0), "nx": 2, "ny": 2, "cell_size": 1.0},
-        {"nx": ">= 1", "ny": ">= 1", "cell_size": "> 0", "origin": None},
+        {"nx": ">= 1", "ny": ">= 1", "cell_size": "in (0, 100]", "origin": "in [-2e4, 2e4]"},
     ),
-    TimeAxis: ({"n_steps": 2, "dt": 1.0}, {"n_steps": ">= 1", "dt": "> 0"}),
-    NhppParams: ({}, {"Vcrit": "> 0", "alpha": ">= 1", "lambda_norm": "> 0"}),
-    RepairParams: ({}, {"Lf": ">= 0", "Y": "> 0"}),
+    TimeAxis: ({"n_steps": 2, "dt": 1.0}, {"n_steps": ">= 1", "dt": "in (0, 24]"}),
+    NhppParams: ({}, {"Vcrit": "in [1, 150]", "alpha": "in [1, 1e6]", "lambda_norm": "in [1e-12, 1]"}),
+    RepairParams: ({}, {"Lf": "in [0, 1e6]", "Y": "in [1e-6, 1e6]"}),
     EnsemblePerturbationSpec: (
         {"base_track": Track(x0=(0.0, 0.0), Vtr=(0.0, 3.0)), "base_params": HollandParams(Vm=40.0, Rm=30.0)},
-        {"sigma_track": ">= 0", "sigma_heading": ">= 0", "sigma_Vm": ">= 0", "sigma_Rm": ">= 0", "H": ">= 1"},
+        {
+            "sigma_track": "in [0, 2e4]",
+            "sigma_heading": "in [0, 360]",
+            "sigma_Vm": "in [0, 150]",
+            "sigma_Rm": "in [0, 500]",
+            "H": ">= 1",
+        },
     ),
     County: (
         {"name": "a", "cells": {0}, "households": 10, "asset_density": 1.0},
-        {"households": ">= 0", "asset_density": ">= 0"},
+        {"households": "in [0, 1e9]", "asset_density": ">= 0"},
     ),
     OutageObservation: (
         {"county": "a", "time_h": 1.0, "outages": 1, "households": 10},
-        {"time_h": None, "households": "> 0"},
+        {"time_h": None, "households": "in (0, 1e9]"},
     ),
 }
 
-# The largest value each check refuses.
-JUST_OUTSIDE = {"> 0": 0.0, ">= 0": -5e-324, ">= 1": math.nextafter(1.0, 0.0)}
+
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x):
+    return math.nextafter(x, math.inf)
+
+
+# The values nearest each end of each numeric check that it refuses.
+JUST_OUTSIDE = {
+    ">= 0": [-5e-324],
+    ">= 1": [_below(1.0)],
+    "in (0, 24]": [0.0, _above(24.0)],
+    "in (0, 100]": [0.0, _above(100.0)],
+    "in (0, 150]": [0.0, _above(150.0)],
+    "in (0, 500]": [0.0, _above(500.0)],
+    "in [0, 150]": [-5e-324, _above(150.0)],
+    "in [0, 360]": [-5e-324, _above(360.0)],
+    "in [0, 500]": [-5e-324, _above(500.0)],
+    "in [0, 2e4]": [-5e-324, _above(2e4)],
+    "in [0, 1e6]": [-5e-324, _above(1e6)],
+    "in [0, 1e9]": [-5e-324, _above(1e9)],
+    "in (0, 1e9]": [0.0, _above(1e9)],
+    "in [-50, 50]": [_below(-50.0), _above(50.0)],
+    "in [-2e4, 2e4]": [_below(-2e4), _above(2e4)],
+    "in [0.5, 3]": [_below(0.5), _above(3.0)],
+    "in [1, 150]": [_below(1.0), _above(150.0)],
+    "in [1, 500]": [_below(1.0), _above(500.0)],
+    "in [1, 1e6]": [_below(1.0), _above(1e6)],
+    "in [1e-12, 1]": [_below(1e-12), _above(1.0)],
+    "in [1e-6, 1e6]": [_below(1e-6), _above(1e6)],
+}
 
 # The config rows that build record fields (`times.t0_h` builds none), and
 # the record field each one builds.
@@ -657,7 +694,7 @@ SCHEMA_FIELDS = {
 
 
 def bad_values(check) -> list:
-    return [math.nan, math.inf, -math.inf] + ([] if check is None else [JUST_OUTSIDE[check]])
+    return [math.nan, math.inf, -math.inf] + ([] if check is None else JUST_OUTSIDE[check])
 
 
 def refusal(record, field, value) -> None:
@@ -674,6 +711,17 @@ def refusal(record, field, value) -> None:
 class TestRecordChecks:
     """Every numeric field of every parameter record is refused, by name, when
     it is not finite or fails its check, as the config refuses it."""
+
+    @pytest.mark.parametrize("check", sorted(JUST_OUTSIDE))
+    def test_each_end_refuses_just_outside(self, check):
+        # Both ends of every numeric check, and the next floats inside them,
+        # one at a time and as one array, as the sweeps' storm screen passes them.
+        assert set(JUST_OUTSIDE) == set(csvio._CHECKS) - {'"N" or "S"'}
+        outside = JUST_OUTSIDE[check]
+        inside = [_above(outside[0])] + [_below(v) for v in outside[1:]]
+        test = csvio._CHECKS[check]
+        assert [bool(test(v)) for v in outside + inside] == [False] * len(outside) + [True] * len(inside)
+        assert test(np.array(outside + inside)).tolist() == [False] * len(outside) + [True] * len(inside)
 
     @pytest.mark.parametrize(
         "record, field, value",

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -80,13 +81,21 @@ class TestGeneration:
         assert np.std(vms, ddof=1) == pytest.approx(5.0, abs=0.35)
         assert np.mean(vms) == pytest.approx(50.0, abs=0.5)
 
-    def test_vm_rm_truncated_below(self):
-        spec = _spec(sigma_Vm=100.0, sigma_Rm=100.0, H=200)
+    def test_vm_rm_clipped_into_their_ranges(self):
+        # At the largest sigmas many draws fall outside [1, 150] m/s and [1,
+        # 500] km: each is taken to the nearer end, and every other draw is
+        # kept bit for bit.
+        spec = _spec(sigma_Vm=150.0, sigma_Rm=500.0, H=200)
         children = np.random.SeedSequence(spec.seed).spawn(spec.H)
+        ends = set()
         for cs in children:
+            rng = np.random.Generator(np.random.PCG64(cs))
+            drawn = (PARAMS.Vm + rng.normal(0.0, 150.0), PARAMS.Rm + rng.normal(0.0, 500.0))
             _, p = member_parameters(spec, cs)
-            assert p.Vm >= 1.0
-            assert p.Rm >= 1.0
+            for got, x, hi in zip((p.Vm, p.Rm), drawn, (150.0, 500.0)):
+                assert got == min(hi, max(1.0, x))
+                ends |= {got} & {1.0, hi}
+        assert ends == {1.0, 150.0, 500.0}
 
     def test_heading_rotates_translation(self):
         spec = _spec(sigma_heading=30.0, H=50)
@@ -229,12 +238,12 @@ class TestEnsembleIO:
 
     @pytest.mark.parametrize(
         "key, value, check",
-        [("nx", 0, ">= 1"), ("dt_h", -1, "> 0"), ("H", 0, ">= 1"), ("n_steps", 0, ">= 1"),
-         ("cell_size_km", 0.0, "> 0")],
+        [("nx", 0, ">= 1"), ("dt_h", -1, "in (0, 24]"), ("dt_h", 25, "in (0, 24]"), ("H", 0, ">= 1"),
+         ("n_steps", 0, ">= 1"), ("cell_size_km", 0.0, "in (0, 100]"), ("origin_km", [0, 3e4], "in [-2e4, 2e4]")],
     )
     def test_sidecar_value_out_of_range_named(self, tmp_path, key, value, check):
         path = self._with_sidecar(tmp_path, lambda meta: meta.update({key: value}))
-        with pytest.raises(ValueError, match=rf"ens\.csv\.json: {key}: value {value} out of range \({check}\)"):
+        with pytest.raises(ValueError, match=re.escape(f"ens.csv.json: {key}: value {value!r} out of range ({check})")):
             load_ensemble(path)
 
     def test_readme_sidecar_table_matches_schema(self):

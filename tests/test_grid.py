@@ -149,12 +149,13 @@ class TestCountyFixtureIO:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("a,7,-1,0.65", "households must be finite and >= 0, got -1"),
+            ("a,7,-1,0.65", "households must be finite and in [0, 1e9], got -1"),
+            ("a,7,1000000001,0.65", "households must be finite and in [0, 1e9], got 1000000001"),
             ("a,7,100,nan", "asset_density must be finite and >= 0, got nan"),
             ("a,7,100,0.5", "inconsistent households/asset_density for county 'a'"),
             ("a,7,200,0.65", "inconsistent households/asset_density for county 'a'"),
         ],
-        ids=["households", "density-nan", "density-differs", "households-differ"],
+        ids=["households", "households-past-1e9", "density-nan", "density-differs", "households-differ"],
     )
     def test_later_row_refused_at_its_own_line(self, tmp_path, row, message):
         path = tmp_path / "counties.csv"

@@ -303,11 +303,12 @@ class TestFailureDistributions:
             raise AssertionError("a pmf was built")
 
         monkeypatch.setattr(nhpp, "poisson_pmf", refuse)
+        # A wind of twice Vcrit for one hour: 1e-3 (1 + 3e6) failures per km.
         grid, times = Grid(nx=1, ny=1), TimeAxis(n_steps=1)
-        e = Ensemble(members=(WindField(grid=grid, times=times, velocities=np.array([[0.0]])),))
-        message = "a failure rate of 2e\\+03 passes 1,000, above which the default truncation's masses"
+        e = Ensemble(members=(WindField(grid=grid, times=times, velocities=np.array([[41.2]])),))
+        message = "a failure rate of 3e\\+03 passes 1,000, above which the default truncation's masses"
         with pytest.raises(ValueError, match=message):
-            make(NhppParams(lambda_norm=2000.0), e, 0)
+            make(NhppParams(alpha=1e6, lambda_norm=1e-3), e, 0)
 
     @pytest.mark.parametrize("rate", [1e9, 1e12, np.inf])
     def test_default_n_max_past_the_cap_raises(self, rate):

@@ -81,7 +81,7 @@ class TestHollandSpeed:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_params_rejected(self, name, value):
         # NaN compares false with everything, so a plain `<= 0` check lets it in.
-        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        with pytest.raises(ValueError, match=rf"{name} must be finite and in \["):
             HollandParams(**{"Vm": 25.0, "Rm": 20.0, "B": 1.0, name: value})
 
 

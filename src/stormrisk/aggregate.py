@@ -29,10 +29,10 @@ from functools import partial
 
 import numpy as np
 
-from .csvio import _require, _write_table
+from .csvio import _require, _require_value, _write_table
 from .fitting import LinearFit, linear_least_squares
 from .grid import TimeAxis
-from .nhpp import NhppParams, _intensity
+from .nhpp import _NHPP_CHECKS, NhppParams, _intensity
 from .wind import MPS_TO_KMH, HollandParams, _sweep_storms, _wind_steps
 
 
@@ -280,6 +280,7 @@ def _fit_powers(y, Vm, Rm, Vcrit, candidates, powers):
 def fit_damage_model(Vm, Rm, damage, Vcrit: float) -> DamageFitModel:
     """Scan p1 in [1, 1.5] and p2 in [-0.5, 0.5] (step 0.01) for the
     relative-error least-squares minimum, then prune insignificant terms."""
+    _require_value("Vcrit", Vcrit, _NHPP_CHECKS["Vcrit"])
     if not np.all(g_of_vm(Vm, Vcrit) > 0):  # g = 0 makes the p2 < 0 terms infinite
         raise ValueError(f"every Vm must exceed Vcrit = {Vcrit:g} for the damage fit")
     candidates = [(p1, p2) for p1 in _P1_GRID for p2 in _P2_GRID]
@@ -321,6 +322,7 @@ def _loss_design(Vm, Rm, p, Vcrit, terms=_LOSS_TERMS) -> np.ndarray:
 def fit_loss_model(Vm, Rm, loss, Vcrit: float) -> LossFitModel:
     """Scan p in [1.2, 2] (step 0.01) for the relative-error least-squares
     minimum, then prune insignificant terms."""
+    _require_value("Vcrit", Vcrit, _NHPP_CHECKS["Vcrit"])
     (p,), terms, fit = _fit_powers(loss, Vm, Rm, Vcrit, [(p,) for p in _LOSS_P_GRID], _LOSS_POWERS)
     return LossFitModel(p=p, terms=terms, fit=fit, Vcrit=Vcrit)
 

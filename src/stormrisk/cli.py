@@ -48,8 +48,8 @@ from .csvio import (
 )
 from .ensemble import EnsemblePerturbationSpec, SyntheticEnsemble, save_ensemble
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, load_county_fixture
-from .nhpp import NhppParams
-from .wind import HollandParams, Track, save_wind_field, wind_field
+from .nhpp import _NHPP_CHECKS, NhppParams
+from .wind import _HOLLAND_CHECKS, HollandParams, Track, save_wind_field, wind_field
 
 
 # =============================================================================
@@ -69,12 +69,12 @@ CONFIG_SCHEMA = (
     ("times.t0_h", 0.0, _NUMBER, None),  # accepted and ignored: no command reads it
     ("track.x0_km", [50.0, -150.0], _XY, "in [-2e4, 2e4]"),
     ("track.vtr_mps", [0.0, 3.0], _VXY, "in [-50, 50]"),
-    ("holland.Vm_mps", 46.0, _NUMBER, "in [1, 150]"),
-    ("holland.Rm_km", 30.0, _NUMBER, "in [1, 500]"),
-    ("holland.B", 1.0, _NUMBER, "in [0.5, 3]"),
-    ("nhpp.Vcrit_mps", 20.6, _NUMBER, "in [1, 150]"),
-    ("nhpp.alpha", 4175.6, _NUMBER, "in [1, 1e6]"),
-    ("nhpp.lambda_norm", 3.5e-5, _NUMBER, "in [1e-12, 1]"),
+    ("holland.Vm_mps", 46.0, _NUMBER, _HOLLAND_CHECKS["Vm"]),
+    ("holland.Rm_km", 30.0, _NUMBER, _HOLLAND_CHECKS["Rm"]),
+    ("holland.B", 1.0, _NUMBER, _HOLLAND_CHECKS["B"]),
+    ("nhpp.Vcrit_mps", 20.6, _NUMBER, _NHPP_CHECKS["Vcrit"]),
+    ("nhpp.alpha", 4175.6, _NUMBER, _NHPP_CHECKS["alpha"]),
+    ("nhpp.lambda_norm", 3.5e-5, _NUMBER, _NHPP_CHECKS["lambda_norm"]),
     ("field.asymmetric", False, _BOOLEAN, None),
     ("field.hemisphere", "N", _STRING, '"N" or "S"'),
     ("ensemble.H", 10, _INTEGER, ">= 1"),
@@ -84,11 +84,11 @@ CONFIG_SCHEMA = (
     ("ensemble.sigma_Rm_km", 3.0, _NUMBER, "in [0, 500]"),
     ("repair.Lf", 1.0, _NUMBER, "in [0, 1e6]"),
     ("repair.Y", 1.0, _NUMBER, "in [1e-6, 1e6]"),
-    ("sweep.Vm_min", 21.0, _NUMBER, "in [1, 150]"),
-    ("sweep.Vm_max", 80.0, _NUMBER, "in [1, 150]"),
+    ("sweep.Vm_min", 21.0, _NUMBER, _HOLLAND_CHECKS["Vm"]),
+    ("sweep.Vm_max", 80.0, _NUMBER, _HOLLAND_CHECKS["Vm"]),
     ("sweep.Vm_step", 1.0, _NUMBER, "in (0, 150]"),
-    ("sweep.Rm_min", 20.0, _NUMBER, "in [1, 500]"),
-    ("sweep.Rm_max", 50.0, _NUMBER, "in [1, 500]"),
+    ("sweep.Rm_min", 20.0, _NUMBER, _HOLLAND_CHECKS["Rm"]),
+    ("sweep.Rm_max", 50.0, _NUMBER, _HOLLAND_CHECKS["Rm"]),
     ("sweep.Rm_step", 1.0, _NUMBER, "in (0, 500]"),
     ("counties_csv", None, _OPTIONAL_PATH, None),
     ("output_dir", "out", _PATH, None),
@@ -401,8 +401,8 @@ def cmd_sweep_fit(run: _Run, args) -> None:
         else:
             model = aggregate.fit_loss_model(Vm, Rm, loss, Vcrit)
             report = {"p": model.p, "condition_number": model.fit.cond}
-    except ValueError as exc:  # responses at or near 0, as every loss is at Lf = 0
-        raise ConfigError("nhpp.lambda_norm" if args.target == "damage" else "repair.Lf", str(exc)) from None
+    except ValueError as exc:  # losses at or near 0, as at Lf = 0; a damage is at least lambda_norm 24 h >= 2.4e-11
+        raise ConfigError("repair.Lf", str(exc)) from None
     aggregate.save_agg_sweep(Vm, Rm, damage, loss, run.out(f"{args.target}_sweep.csv"), header_comment=run.tag)
     report.update(
         terms=list(model.terms),

@@ -26,7 +26,7 @@ JSON documents (the config, the ensemble sidecar, the reports) go through
 `_read_json` and `_write_json`, and the config's and the sidecar's fields
 through one kind checker, `_check`.  The parameter records (storm, grid,
 time axis, failure, repair, ensemble, county, observation) check their
-numeric fields through `_require`, against the same `_CHECKS` table.
+numeric fields through `_require`, against the same check texts.
 """
 
 from __future__ import annotations
@@ -223,37 +223,33 @@ def _interval(check: str):
     return float(lo), float(hi)
 
 
-def _within(check: str):
-    """The test of an interval check; it takes an array as well as a number."""
-    lo, hi = _interval(check)
-    return (lambda v: (v > lo) & (v <= hi)) if check[3] == "(" else (lambda v: (v >= lo) & (v <= hi))
-
-
-# A check's text, as messages and the README give it, and its test.  The
-# intervals are the model's domain, and inside them every result is finite.
-# A speed is at most Vm + |Vtr| = 221 m/s.  The largest rate, lambda T alpha
-# (Vmax / Vcrit)^2, is 1.2e21 over the longest run (the cell-step cap's 1e9
-# steps of 24 h).  The largest loss is Lf / 2Y = 5e11 times a rate squared,
-# 1.5e35 over the sweeps' 24 h.  The fits' regressors are powers up to Rm^4
-# g^8 = 1.5e28 (g = Vm / Vcrit - 1 <= 149; the damage fit's Rm^2 / g <= 1.7e23,
-# as g >= 1.5e-18), so their weighted normal equations of a million storms
-# stay below 1e303 with `aggregate._MIN_RESPONSE`.  A critical radius is at
-# most Rm (Vm / Vthres)^(2/B) e^(1/B) = 1.9e12 km, its obround 8e25 km^2; an
-# outage fit's households times exposure squared 1.4e51 per row.
+# The checks that are not intervals, with their tests.  The intervals are the
+# model's domain, and inside them every result is finite.  A speed is at most
+# Vm + |Vtr| = 221 m/s.  The largest rate, lambda T alpha (Vmax / Vcrit)^2, is
+# 1.2e21 over the longest run (the cell-step cap's 1e9 steps of 24 h).  The
+# largest loss is Lf / 2Y = 5e11 times a rate squared, 1.5e35 over the sweeps'
+# 24 h.  The fits' regressors are powers up to Rm^4 g^8 = 1.5e28 (g = Vm /
+# Vcrit - 1 <= 149; the damage fit's Rm^2 / g <= 1.7e23, as g >= 1.5e-18), so
+# their weighted normal equations of a million storms stay below 1e303 with
+# `aggregate._MIN_RESPONSE`.  A critical radius is at most Rm (Vm /
+# Vthres)^(2/B) e^(1/B) = 1.9e12 km, its obround 8e25 km^2; an outage fit's
+# households times exposure squared 1.4e51 per row.
 _CHECKS = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     '"N" or "S"': lambda v: v in ("N", "S"),
-    **{
-        check: _within(check)
-        for check in (
-            "in (0, 24]", "in (0, 100]", "in (0, 150]", "in (0, 500]", "in [0, 150]", "in [0, 360]",
-            "in [0, 500]", "in [0, 2e4]", "in [0, 1e6]", "in [0, 1e9]", "in (0, 1e9]", "in [-50, 50]",
-            "in [-2e4, 2e4]", "in [0.5, 3]", "in [1, 150]", "in [1, 500]", "in [1, 1e6]", "in [1e-12, 1]",
-            "in [1e-6, 1e6]",
-        )
-    },
 }
+
+
+@functools.cache
+def _test(check: str):
+    """The test of a check text, as messages and the README give it: an
+    interval "in [lo, hi]" or "in (lo, hi]", which takes an array as well as
+    a number, or one of `_CHECKS`."""
+    if not check.startswith("in "):
+        return _CHECKS[check]
+    lo, hi = _interval(check)
+    return (lambda v: (v > lo) & (v <= hi)) if check[3] == "(" else (lambda v: (v >= lo) & (v <= hi))
 
 
 def _finite(v) -> bool:
@@ -263,9 +259,9 @@ def _finite(v) -> bool:
 
 def _require_value(name: str, value, check: str | None) -> None:
     """Raise ValueError naming `name` unless `value` is finite (a pair entry
-    by entry) and passes its `_CHECKS` test `check` (None: finite only)."""
+    by entry) and passes the test of its check text `check` (None: finite only)."""
     for v in value if hasattr(value, "__len__") else (value,):
-        if not (_finite(v) and (check is None or _CHECKS[check](v))):
+        if not (_finite(v) and (check is None or _test(check)(v))):
             rule = "finite" if check is None else f"finite and {check}"
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
@@ -282,7 +278,7 @@ def _type_name(value) -> str:
 
 def _check(path: str, value, kind, check: str | None):
     """`value` converted by its `kind`, once it has the kind and passes the
-    `_CHECKS` test `check` (a pair entry by entry); otherwise ConfigError
+    test of its check text `check` (a pair entry by entry); otherwise ConfigError
     naming `path`."""
     types, name, convert = kind
     if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
@@ -293,7 +289,7 @@ def _check(path: str, value, kind, check: str | None):
         raise ConfigError(path, f"value {value!r} out of range ({name})")
     if convert is _pair and not all(type(v) in (int, float) and _finite(v) for v in value):
         raise ConfigError(path, "entries must be finite numbers")
-    if check is not None and not all(map(_CHECKS[check], value if convert is _pair else [value])):
+    if check is not None and not all(map(_test(check), value if convert is _pair else [value])):
         raise ConfigError(path, f"value {value!r} out of range ({check})")
     return value if convert is None else convert(value)
 

@@ -24,6 +24,13 @@ from .csvio import _read_csv, _require, _write_csv
 _MAX_CELL_STEPS = 10**9
 
 
+# A critical-zone sweep's swath grid starts past the config's positions (2e4
+# km) by the track's run and a critical radius.  Under the swath-size cap, in
+# cells of at most 25 km, these are at most 5.2e6 km (4320 n km in n steps of
+# 24 h at 50 m/s, over 4 cells or more across) and 4e5 km (2 Rcrit / 25 cells).
+_ORIGIN_CHECK = "in [-1e7, 1e7]"
+
+
 @dataclass(frozen=True)
 class Grid:
     """A regular grid of square cells.
@@ -35,7 +42,7 @@ class Grid:
     Parameters
     ----------
     origin : tuple of float
-        South-west corner of the grid (km, km), each in [-2e4, 2e4].
+        South-west corner of the grid (km, km), each in [-1e7, 1e7].
     nx, ny : int
         Cell counts along x and y.
     cell_size : float
@@ -48,7 +55,7 @@ class Grid:
     cell_size: float = 1.0
 
     def __post_init__(self):
-        _require(self, nx=">= 1", ny=">= 1", cell_size="in (0, 100]", origin="in [-2e4, 2e4]")
+        _require(self, nx=">= 1", ny=">= 1", cell_size="in (0, 100]", origin=_ORIGIN_CHECK)
 
     @property
     def n_cells(self) -> int:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _CHECKS, _require, _write_velocities
+from .csvio import _require, _test, _write_velocities
 from .grid import Grid, TimeAxis
 
 MPS_TO_KMH = 3.6
@@ -69,7 +69,7 @@ def _sweep_storms(Vm_values, Rm_values, B: float):
     """Flat (Vm, Rm) of the cartesian sweep, Vm outer.  Raises the
     `HollandParams` error of its first invalid storm, if any."""
     Vm, Rm = np.repeat(Vm_values, len(Rm_values)), np.tile(Rm_values, len(Vm_values))
-    Vm_ok, Rm_ok, B_ok = (_CHECKS[check] for check in _HOLLAND_CHECKS.values())
+    Vm_ok, Rm_ok, B_ok = map(_test, _HOLLAND_CHECKS.values())
     valid = Vm_ok(Vm) & Rm_ok(Rm) & B_ok(B)
     if not valid.all():
         i = np.argmin(valid)

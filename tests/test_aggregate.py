@@ -409,6 +409,16 @@ class TestLossFit:
         assert np.allclose(model.predict(Vm, Rm), y, rtol=1e-5)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fit", [fit_damage_model, fit_loss_model], ids=lambda f: f.__name__)
+    def test_vcrit_outside_its_range_refused_before_scanning(self, fit):
+        # g is about 1e41 at Vcrit 1e-40, so the Rm^4 g^4p terms would pass every float at p = 2.
+        Vm, Rm = np.meshgrid(np.arange(22, 81, 3), np.arange(20, 51, 5))
+        Vm, Rm = Vm.ravel().astype(float), Rm.ravel().astype(float)
+        with mock.patch.object(aggregate, "_scan_fit", side_effect=AssertionError("scanned")):
+            with pytest.raises(ValueError, match=r"^Vcrit must be finite and in \[1, 150\], got 1e-40$"):
+                fit(Vm, Rm, np.ones_like(Vm), 1e-40)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "y, refused",
         [(0.0, True), (1e-200, True), (np.nextafter(1e-120, 0.0), True), (1e-120, False)],

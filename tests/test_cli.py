@@ -247,7 +247,7 @@ class TestConfig:
         elif isinstance(default, list):
             other = [x + 1.0 for x in default]
         else:  # a number: one more, or half when that leaves its range
-            other = default + 1 if check is None or csvio._CHECKS[check](default + 1) else default / 2
+            other = default + 1 if check is None or csvio._test(check)(default + 1) else default / 2
 
         def run(overrides):
             built = cli._build(load_config(None, overrides))
@@ -662,25 +662,20 @@ class TestCritzoneAndSweeps:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "target, assignment, least, field",
+        "assignment",
         [
-            ("loss", "repair.Lf=0", None, "repair.Lf"),  # every loss is 0
-            ("loss", "repair.Lf=1e-120", None, "repair.Lf"),  # the least loss is 2.3e-123
-            ("damage", "nhpp.lambda_norm=1e-12", 1.0, "nhpp.lambda_norm"),  # damages of 4.6e-10 to 1.2e-7
+            "repair.Lf=0",  # every loss is 0
+            "repair.Lf=1e-120",  # the least loss is 2.3e-123
         ],
-        ids=["loss-Lf", "loss-tiny-Lf", "damage-lambda"],
+        ids=["loss-Lf", "loss-tiny-Lf"],
     )
-    def test_responses_near_zero_name_their_field(
-        self, tmp_path, capsys, monkeypatch, target, assignment, least, field
-    ):
-        # Weights 1 / y^2 past the least response's: a loss names repair.Lf, a
-        # damage (only below a raised least response) nhpp.lambda_norm.
-        if least is not None:
-            monkeypatch.setattr(cli.aggregate, "_MIN_RESPONSE", least)
+    def test_responses_near_zero_name_their_field(self, tmp_path, capsys, assignment):
+        # Weights 1 / y^2 past the least response's name repair.Lf; a damage
+        # is at least lambda_norm 24 h, far above the least response.
         cfg = _write_config(tmp_path, sweep=dict(_CRITZONE_SWEEP, Rm_step=5))  # 4 Vm by 7 Rm values
-        assert main(["sweep-fit", "--config", cfg, "--target", target, "--set", assignment]) == 2
+        assert main(["sweep-fit", "--config", cfg, "--target", "loss", "--set", assignment]) == 2
         assert capsys.readouterr().err == (
-            f"error: invalid input: {field}: a response is too close to 0 for the fit's relative weights 1 / y^2\n"
+            "error: invalid input: repair.Lf: a response is too close to 0 for the fit's relative weights 1 / y^2\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -724,6 +719,16 @@ class TestCritzoneAndSweeps:
         report = json.loads((tmp_path / "out" / "critzone_fit.json").read_text())
         assert report["radius_fit"]["a1"] > 0
         assert (tmp_path / "out" / "critzone_sweep.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x0", [[-2e4, -2e4], [2e4, 2e4]], ids=["lower", "upper"])
+    def test_sweep_fit_critzone_at_the_position_bounds(self, tmp_path, capsys, x0):
+        # The swath grids reach past the config's positions by a critical radius.
+        cfg = _write_config(tmp_path, sweep=_CRITZONE_SWEEP)
+        assert main(["sweep-fit", "--config", cfg, "--target", "critzone", "--set", f"track.x0_km={x0}"]) == 0
+        assert capsys.readouterr().err == ""
+        numbers = [x for path in (tmp_path / "out").iterdir() for x in _numbers(path)]
+        assert numbers and all(map(math.isfinite, numbers))
 
     def test_sweep_fit_critzone_bisects_no_storm_alone(self, tmp_path, monkeypatch):
         # Each storm's radius comes from the one vectorised sweep bisection.

@@ -363,7 +363,7 @@ def dense_swath(track, p, grid, times, nhpp, asymmetric=False, hemisphere="N"):
 class TestWindowRadius:
     @settings(max_examples=300)
     @given(
-        Vm=st.floats(20.0, 90.0),  # Vhot at least 1 m/s, Vcrit's range
+        Vm=st.floats(5.0, 90.0),
         Rm=st.floats(1.0, 100.0),
         B=st.sampled_from([0.6, 1.0, 1.5, 2.5]),
         # Vhot / Vm, down to 0.05 so that Vhot * 1e-8 exceeds the 1e-9 m/s
@@ -378,7 +378,8 @@ class TestWindowRadius:
         Vhot = frac * Vm
         bound = _window_radius(p, Vhot)
         assert holland_speed(p, bound) < Vhot
-        assert bound >= critical_radius(p, Vhot)
+        # `storm_swath` passes Vhot = Vcrit - |Vtr|, which may be below Vcrit's range.
+        assert bound >= _critical_radii(np.array([Vm]), np.array([Rm]), B, Vhot)[0]
 
     def test_degenerate_targets(self):
         p = HollandParams(Vm=30.0, Rm=25.0)

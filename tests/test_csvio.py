@@ -604,7 +604,7 @@ RECORDS = {
     HollandParams: ({"Vm": 40.0, "Rm": 30.0, "B": 1.0}, {"Vm": "in [1, 150]", "Rm": "in [1, 500]", "B": "in [0.5, 3]"}),
     Grid: (
         {"origin": (0.0, 0.0), "nx": 2, "ny": 2, "cell_size": 1.0},
-        {"nx": ">= 1", "ny": ">= 1", "cell_size": "in (0, 100]", "origin": "in [-2e4, 2e4]"},
+        {"nx": ">= 1", "ny": ">= 1", "cell_size": "in (0, 100]", "origin": "in [-1e7, 1e7]"},
     ),
     TimeAxis: ({"n_steps": 2, "dt": 1.0}, {"n_steps": ">= 1", "dt": "in (0, 24]"}),
     NhppParams: ({}, {"Vcrit": "in [1, 150]", "alpha": "in [1, 1e6]", "lambda_norm": "in [1e-12, 1]"}),
@@ -655,6 +655,7 @@ JUST_OUTSIDE = {
     "in (0, 1e9]": [0.0, _above(1e9)],
     "in [-50, 50]": [_below(-50.0), _above(50.0)],
     "in [-2e4, 2e4]": [_below(-2e4), _above(2e4)],
+    "in [-1e7, 1e7]": [_below(-1e7), _above(1e7)],
     "in [0.5, 3]": [_below(0.5), _above(3.0)],
     "in [1, 150]": [_below(1.0), _above(150.0)],
     "in [1, 500]": [_below(1.0), _above(500.0)],
@@ -716,10 +717,11 @@ class TestRecordChecks:
     def test_each_end_refuses_just_outside(self, check):
         # Both ends of every numeric check, and the next floats inside them,
         # one at a time and as one array, as the sweeps' storm screen passes them.
-        assert set(JUST_OUTSIDE) == set(csvio._CHECKS) - {'"N" or "S"'}
+        in_use = {row[3] for row in CONFIG_SCHEMA} | {c for _, checks in RECORDS.values() for c in checks.values()}
+        assert set(JUST_OUTSIDE) == in_use - {None, '"N" or "S"'}
         outside = JUST_OUTSIDE[check]
         inside = [_above(outside[0])] + [_below(v) for v in outside[1:]]
-        test = csvio._CHECKS[check]
+        test = csvio._test(check)
         assert [bool(test(v)) for v in outside + inside] == [False] * len(outside) + [True] * len(inside)
         assert test(np.array(outside + inside)).tolist() == [False] * len(outside) + [True] * len(inside)
 
@@ -740,9 +742,14 @@ class TestRecordChecks:
         "path, kind, check", [(path, kind, check) for path, _, kind, check in FEEDING], ids=[row[0] for row in FEEDING]
     )
     def test_config_and_record_refuse_alike(self, path, kind, check):
+        # A grid record's origin alone has a wider range than the config's,
+        # for the swath grids a critical-zone sweep derives.
         record, field = SCHEMA_FIELDS[path]
-        assert RECORDS[record][1][field] == check
+        assert RECORDS[record][1][field] == ("in [-1e7, 1e7]" if path == "grid.origin_km" else check)
         for value in bad_values(check):
             with pytest.raises(csvio.ConfigError, match=f"^{re.escape(path)}: "):
                 csvio._check(path, [0.0, value] if field == "origin" else value, kind, check)
-            refusal(record, field, value)
+            if path == "grid.origin_km" and math.isfinite(value):
+                Grid(origin=(0.0, value))
+            else:
+                refusal(record, field, value)

@@ -342,8 +342,8 @@ def cmd_critzone(run: _Run, args) -> None:
 def _sweep_fit_critzone(run: _Run) -> None:
     try:
         sweep = critzone.zone_sweep(*run.sweep, run.nhpp, run.track, run.times, run.holland.B)
-    except ValueError as exc:  # a storm's swath grid is past the cap
-        raise ConfigError("sweep.Vm_max", str(exc)) from None
+    except critzone._SwathCapError as exc:  # Vm makes a grid of the coarsest cells large, else the track's run
+        raise ConfigError("sweep.Vm_max" if exc.at_ceiling else "times.n_steps", str(exc)) from None
     Vm, Rm, Rcrit, area = sweep[:4]
     radius_fit = critzone.fit_crit_radius(Vm, Rm, Rcrit, Vthres=run.nhpp.Vcrit)
     vm_only = critzone.fit_power_law_vm_only(Vm, Rcrit)

@@ -19,7 +19,8 @@ from .csvio import _require_value, _write_table
 from .fitting import LinearFit, linear_least_squares
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis
 from .nhpp import _NHPP_CHECKS, NhppParams, _intensity
-from .wind import MPS_TO_KMH, HollandParams, Track, WindField, _speed, _sweep_storms, _translation, _wind_steps
+from .wind import (MPS_TO_KMH, HollandParams, Track, WindField, _geometry, _spin, _speed, _sweep_storms, _tangents,
+                   _translation, _vector_sum, _windows)
 
 
 # =============================================================================
@@ -95,7 +96,7 @@ def critical_zone_numeric(
     xs, ys = grid.axes()
     pos = track.position(field.times.offsets())
     inside = np.zeros((grid.nx, grid.ny), dtype=bool)
-    for window, r, _ in _wind_steps(p, xs, ys, pos, reach=p.Rm + grid.cell_size):
+    for window, _, _, r in _geometry(xs, ys, pos, _windows(xs, ys, pos, p.Rm)):
         inside[window] |= r < p.Rm
     return inside.ravel() | np.any(field.velocities >= Vthres, axis=1)
 
@@ -144,7 +145,8 @@ def axisymmetric_zone_area(
     """
     radius = p.Rm if Rcrit is None else Rcrit
     # A cell counts when d < Rm or d <= Rcrit: one test, as d < Rm is d <=
-    # the float below Rm.
+    # the float below Rm.  The test compares squares, d^2 with the limit's,
+    # which can move only a cell whose distance is within a few ulp of it.
     below_rm = np.nextafter(p.Rm, 0.0)
     limit = below_rm if Rcrit is None else max(Rcrit, below_rm)
     pos = track.position(times.offsets())
@@ -186,8 +188,10 @@ def axisymmetric_zone_area(
         kb *= ey
         kb += a[1]
         np.subtract(ys, kb, out=kb)  # Y - cy
-        np.hypot(db, kb, out=db)
-        count += int(np.count_nonzero(np.less_equal(db, limit, out=ib)))
+        db *= db
+        kb *= kb
+        db += kb
+        count += int(np.count_nonzero(np.less_equal(db, limit * limit, out=ib)))
     return count * cell_size * cell_size
 
 
@@ -384,6 +388,51 @@ def _window_radius(p: HollandParams, Vhot: float) -> float:
     return p.Rm * y ** (-1.0 / p.B)
 
 
+def _swaths(track: Track, storms, grid: Grid, times: TimeAxis, nhpp: NhppParams, hemisphere: str = "N"):
+    """`storm_swath`'s (rates, zone) of each (HollandParams, asymmetric) of
+    `storms`, which share one Rm and B, from one kernel pass.
+
+    Each step evaluates the distances, the Vm = 1 profile and the tangent
+    unit vectors once, on the widest storm's window; each storm scales the
+    unit speeds by its Vm on its own window, a sub-window of that one (the
+    profile's last step is the product by Vm, so its speeds are exactly its
+    own kernel's).  The widest storm comes last and scales them in place.
+    """
+    Rm, B = storms[0][0].Rm, storms[0][0].B
+    xs, ys = grid.axes()
+    pos = track.position(times.offsets())
+    spin = _spin(hemisphere)
+    Vtrs = [_translation(track, asym) for _, asym in storms]
+    reaches = [_window_radius(p, nhpp.Vcrit - float(np.hypot(*Vtr))) for (p, _), Vtr in zip(storms, Vtrs)]
+    windows = [_windows(xs, ys, pos, reach) for reach in reaches]
+    moving = [tuple(Vtr) != (0.0, 0.0) for Vtr in Vtrs]
+    rates = [np.zeros((grid.nx, grid.ny)) for _ in storms]
+    zones = [np.zeros((grid.nx, grid.ny), dtype=bool) for _ in storms]
+    order = sorted(range(len(storms)), key=reaches.__getitem__)
+    last, asymmetric = order[-1], any(moving)
+    for t, (window, dx, dy, r) in enumerate(_geometry(xs, ys, pos, windows[last])):
+        unit = _speed(1.0, Rm, B, r)
+        tx, ty = _tangents(dx, dy, r, spin) if asymmetric else (None, None)
+        inside = r < Rm
+        x0, y0 = window[0].start, window[1].start
+        for k in order:
+            own = windows[k][t]
+            sub = (slice(own[0].start - x0, own[0].stop - x0), slice(own[1].start - y0, own[1].stop - y0))
+            v = np.multiply(unit[sub], storms[k][0].Vm, out=unit if k == last else None)
+            if moving[k]:
+                v = _vector_sum(v, tx[sub], ty[sub], Vtrs[k])
+            zones[k][own] |= inside[sub] | (v >= nhpp.Vcrit)
+            # Each cell adds this step's intensity to its rate, the window's
+            # evaluated and every other cell's lambda_norm.
+            hot = _intensity(nhpp, v, out=v)
+            hot += rates[k][own]
+            rates[k] += nhpp.lambda_norm
+            rates[k][own] = hot
+    for swath in rates:
+        swath *= times.dt
+    return [(swath.ravel(), zone.ravel()) for swath, zone in zip(rates, zones)]
+
+
 def storm_swath(
     track: Track,
     p: HollandParams,
@@ -405,43 +454,28 @@ def storm_swath(
     An asymmetric stationary storm (Vtr == (0, 0)) is the axisymmetric
     storm, as in `wind_field`.  The rates are finite inside the config ranges.
     """
-    Vtr = _translation(track, asymmetric)
-    Vhot = nhpp.Vcrit - float(np.hypot(*Vtr))
-    reach = _window_radius(p, Vhot) + grid.cell_size
-    xs, ys = grid.axes()
-    pos = track.position(times.offsets())
-    rates = np.zeros((grid.nx, grid.ny))
-    zone = np.zeros((grid.nx, grid.ny), dtype=bool)
-    for window, r, v in _wind_steps(p, xs, ys, pos, reach, Vtr, hemisphere):
-        # Each cell adds this step's intensity to its rate, the window's
-        # evaluated and every other cell's lambda_norm.
-        hot = _intensity(nhpp, v)
-        hot += rates[window]
-        rates += nhpp.lambda_norm
-        rates[window] = hot
-        zone[window] |= (r < p.Rm) | (v >= nhpp.Vcrit)
-    rates *= times.dt
-    return rates.ravel(), zone.ravel()
+    (swath,) = _swaths(track, [(p, asymmetric)], grid, times, nhpp, hemisphere)
+    return swath
 
 
 def tables123(nhpp: NhppParams | None = None) -> list[dict]:
     """Critical-zone area and failure-rate statistics for the nine benchmark
     storms on the tables' fixed scenario, axisymmetric and asymmetric: one
-    record per (Vm, Rm), keyed by `TABLE_HEADER`.
+    record per (Vm, Rm), keyed by `TABLE_HEADER`.  The six swaths of each
+    radius come from one kernel pass (`_swaths`).
     """
     nhpp = nhpp or NhppParams()
-    out = []
-    for Vm, Rm in TABLE_STORMS:
-        p = HollandParams(Vm=float(Vm), Rm=float(Rm))
-        rec = {"Vm": Vm, "Rm": Rm}
-        for asym, label in ((False, "axi"), (True, "asym")):
-            rates, zone = storm_swath(_TABLE_TRACK, p, _TABLE_GRID, TABLE_TIMES, nhpp, asymmetric=asym)
+    records = {storm: {"Vm": storm[0], "Rm": storm[1]} for storm in TABLE_STORMS}
+    for radius in dict.fromkeys(Rm for _, Rm in TABLE_STORMS):
+        runs = [(rec, asym) for (_, Rm), rec in records.items() if Rm == radius for asym in (False, True)]
+        storms = [(HollandParams(Vm=float(rec["Vm"]), Rm=float(radius)), asym) for rec, asym in runs]
+        for (rec, asym), (rates, zone) in zip(runs, _swaths(_TABLE_TRACK, storms, _TABLE_GRID, TABLE_TIMES, nhpp)):
+            label = "asym" if asym else "axi"
             stats = zone_failure_stats(rates, zone)
             rec[f"area_{label}_km2"] = float(np.count_nonzero(zone)) * _TABLE_GRID.cell_area
             rec[f"max_fr_{label}"] = stats["max"]
             rec[f"mean_fr_{label}"] = stats["mean"]
-        out.append(rec)
-    return out
+    return list(records.values())
 
 
 # =============================================================================
@@ -452,26 +486,41 @@ SWEEP_HEADER = ["Vm_mps", "Rm_km", "Rcrit_km", "Acrit_numeric_km2",
                 "Acrit_obround_km2", "maxFR", "meanFR"]
 
 
+_SWATH_CELL_MAX = 25.0  # km, the coarsest cell of `zone_sweep`'s rate grids
+
+
+class _SwathCapError(ValueError):
+    """`zone_sweep`'s refusal of a storm whose rate grid passes the cell-step
+    cap.  `at_ceiling`: its cells are the coarsest, so its critical radius
+    makes the grid large; below the ceiling a grid has at most
+    64 + 30 run / max(Rcrit, 30 km) cells a side, so the track's run does."""
+
+    def __init__(self, message: str, at_ceiling: bool):
+        super().__init__(message)
+        self.at_ceiling = at_ceiling
+
+
 def zone_sweep(Vm_values, Rm_values, nhpp: NhppParams, track: Track, times: TimeAxis, B: float = 1.0):
     """The `SWEEP_HEADER` columns, as arrays, of the storms of the cartesian
     (Vm, Rm) sweep with Vm >= `nhpp.Vcrit` (Vm the outer axis) on `track`.
     The zone's failure rates come from `storm_swath` on a grid spanning the
     swath.  The area and rate grids coarsen as the critical radius grows, so
-    the cost per storm stays bounded across the sweep.  Raises ValueError,
-    before any storm is run, if a storm's rate grid would have more than
-    `_MAX_CELL_STEPS` cell-steps."""
+    the cost per storm stays bounded across the sweep.  Raises ValueError
+    (`_SwathCapError`), before any storm is run, if a storm's rate grid
+    would have more than `_MAX_CELL_STEPS` cell-steps."""
     Vm, Rm, Rcrit = sweep_critical_radius(Vm_values, Rm_values, Vthres=nhpp.Vcrit, B=B)
     pos = track.position(times.offsets())
-    cell = np.clip(Rcrit / 30.0, 1.0, 25.0)
+    cell = np.clip(Rcrit / 30.0, 1.0, _SWATH_CELL_MAX)
     pad = (Rcrit + 2.0 * cell)[:, None]
     lo = pos.min(axis=0) - pad
     shape = np.maximum(1.0, np.ceil((pos.max(axis=0) + pad - lo) / cell[:, None]))
     too_big = shape[:, 0] * shape[:, 1] * times.n_steps > _MAX_CELL_STEPS
     if too_big.any():
         i = np.argmax(too_big)
-        raise ValueError(
+        raise _SwathCapError(
             f"storm (Vm={Vm[i]:g}, Rm={Rm[i]:g}) has critical radius {Rcrit[i]:.3g} km; "
-            f"its swath grid passes {_MAX_CELL_STEPS:,} cell-steps"
+            f"its swath grid passes {_MAX_CELL_STEPS:,} cell-steps",
+            at_ceiling=bool(cell[i] == _SWATH_CELL_MAX),
         )
     area, obround, max_fr, mean_fr = (np.empty(len(Rcrit)) for _ in range(4))
     for i, (v, r, rc) in enumerate(zip(Vm, Rm, Rcrit)):

@@ -13,17 +13,27 @@ Storm geometry lives in one kernel, `_wind_steps`: for each storm position it
 yields the index window of grid cells within a given reach of the centre,
 their distances r to the centre and their speeds v.  Dense fields take the
 whole grid at every step (`fail-dist` only the sub-grid of its cells); the
-swath and zone reducers of `critzone` and the damage/loss sweep of
-`aggregate` consume the same steps, the sweep for one Vm = 1 storm per radius.
+damage/loss sweep of `aggregate` consumes the same steps for one Vm = 1 storm
+per radius.  The zone reducers of `critzone` take the kernel's parts,
+`_windows` and `_geometry`, and the swaths of the storms of one radius scale
+one Vm = 1 profile, adding the translation through `_vector_sum`.
 
 Window invariant.  A reducer that evaluates only a window must give each
 cell outside it the result an evaluation would give.  `critzone.storm_swath`
-uses the reach W plus one cell, where W >= max(Rm, Rcrit(Vhot)) is the
-closed-form bound `critzone._window_radius` and Vhot = Vcrit - ||Vtr|| (the
-||Vtr|| term only for an asymmetric storm: vector addition raises a speed by
-at most ||Vtr||).  Beyond W a cell is outside Rm and its wind is below Vcrit,
-the zone threshold, so its zone bit is unchanged and its intensity is
-exactly `lambda_norm`, which it receives without evaluation.
+uses the reach W >= max(Rm, Rcrit(Vhot)), the closed-form bound
+`critzone._window_radius`, where Vhot = Vcrit - ||Vtr|| (the ||Vtr|| term
+only for an asymmetric storm: vector addition raises a speed by at most
+||Vtr||).  A cell outside the window is at least W from the centre as the
+kernel computes it: `np.searchsorted` on the correctly rounded px - W and
+px + W leaves out only centres x < px - W or x > px + W exactly (rounding
+is monotone, so no float lies between a number and its rounding), the
+rounded difference x - px is then still at least W in magnitude, the same
+holds on the y axis, and `np.hypot` is never below max(|dx|, |dy|).  So the
+cell is not inside Rm, and its profile speed is below Vhot: W is taken 1e-8
+below Vhot in speed, a margin far larger than the rounding of W or of the
+profile.  Its wind is then below Vcrit, the zone threshold, so its zone bit
+is unchanged and its intensity is exactly `lambda_norm`, which it receives
+without evaluation.
 Every cell still adds its per-step intensities one at a time in time order,
 so the swath is bit-identical to evaluating every cell at every step.
 """
@@ -65,15 +75,21 @@ class HollandParams:
         _require(self, **_HOLLAND_CHECKS)
 
 
-def _sweep_storms(Vm_values, Rm_values, B: float):
-    """Flat (Vm, Rm) of the cartesian sweep, Vm outer.  Raises the
-    `HollandParams` error of its first invalid storm, if any."""
-    Vm, Rm = np.repeat(Vm_values, len(Rm_values)), np.tile(Rm_values, len(Vm_values))
+def _require_storms(Vm, Rm, B: float = 1.0) -> None:
+    """Raises the `HollandParams` error of the first invalid storm of the
+    arrays `Vm`, `Rm` (of exponent `B`), if any."""
     Vm_ok, Rm_ok, B_ok = map(_test, _HOLLAND_CHECKS.values())
     valid = Vm_ok(Vm) & Rm_ok(Rm) & B_ok(B)
     if not valid.all():
         i = np.argmin(valid)
         HollandParams(Vm=Vm[i].item(), Rm=Rm[i].item(), B=B)
+
+
+def _sweep_storms(Vm_values, Rm_values, B: float):
+    """Flat (Vm, Rm) of the cartesian sweep, Vm outer.  Raises the
+    `HollandParams` error of its first invalid storm, if any."""
+    Vm, Rm = np.repeat(Vm_values, len(Rm_values)), np.tile(Rm_values, len(Vm_values))
+    _require_storms(Vm, Rm, B)
     return Vm, Rm
 
 
@@ -150,7 +166,7 @@ def holland_speed(p, r):
 
 def _speed(Vm, Rm, B, r):
     """`holland_speed` at radii `r` >= 0, unchecked; `Vm`, `Rm` may be arrays, `B` is one number.
-    The last step is the product by `Vm`: exactly `Vm` times the `Vm = 1` speeds."""
+    The last step is the product by `Vm` (skipped for the number 1): exactly `Vm` times the `Vm = 1` speeds."""
     # Evaluated as Vm * exp((B/2) log(Rm/r) + (1 - (Rm/r)^B) / 2): near the
     # centre (Rm/r)^B overflows, but the exponent then underflows to -inf and
     # the speed correctly evaluates to 0 instead of inf * 0 = nan.  The log is
@@ -169,9 +185,53 @@ def _speed(Vm, Rm, B, r):
         logx *= 0.5 if unit else 0.5 * B
         v += logx
         np.exp(v, out=v)
-        v *= Vm
+        if np.ndim(Vm) or Vm != 1:
+            v *= Vm
     np.copyto(v, 0.0, where=~(r > 0))
     return v
+
+
+def _windows(xs, ys, pos, reach) -> list[tuple[slice, slice]]:
+    """Per storm-centre position of `pos` ((n_steps, 2), km), the index window
+    `(rows, cols)` of the cells whose centres lie within `reach` km of it on
+    both axes (the whole grid when `reach` is infinite); `xs` and `ys` are the
+    ascending cell-centre coordinates of a rectangular grid."""
+    bounds = (
+        np.searchsorted(xs, pos[:, 0] - reach),
+        np.searchsorted(xs, pos[:, 0] + reach, side="right"),
+        np.searchsorted(ys, pos[:, 1] - reach),
+        np.searchsorted(ys, pos[:, 1] + reach, side="right"),
+    )
+    return [(slice(a, b), slice(c, d)) for a, b, c, d in zip(*(x.tolist() for x in bounds))]
+
+
+def _geometry(xs, ys, pos, windows):
+    """Per position and its window of `_windows`: `(window, dx, dy, r)`, the
+    cell-to-centre offsets dx (a column) and dy (a row) and distances r."""
+    for window, (px, py) in zip(windows, pos):
+        dx = xs[window[0], None] - px
+        dy = ys[None, window[1]] - py
+        yield window, dx, dy, np.hypot(dx, dy)  # r is never negative, so the profile skips the check
+
+
+def _spin(hemisphere: str) -> float:
+    """The cyclonic sense: 1 counterclockwise (Northern `hemisphere`), -1 clockwise."""
+    if hemisphere not in ("N", "S"):
+        raise ValueError("hemisphere must be 'N' or 'S'")
+    return 1.0 if hemisphere == "N" else -1.0
+
+
+def _tangents(dx, dy, r, spin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tangential unit vector of the cyclonic wind, (-dy, dx) / r times `spin`; (0, 0) at the centre."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tx = np.where(r > 0, -spin * dy / r, 0.0)
+        ty = np.where(r > 0, spin * dx / r, 0.0)
+    return tx, ty
+
+
+def _vector_sum(v, tx, ty, Vtr) -> np.ndarray:
+    """Magnitude of the cyclonic wind of speed `v` along the tangent (`tx`, `ty`) plus the translation `Vtr` (m/s)."""
+    return np.hypot(v * tx + Vtr[0], v * ty + Vtr[1])
 
 
 def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
@@ -179,35 +239,20 @@ def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
 
     `xs` and `ys` are the ascending cell-centre coordinates of a rectangular
     grid and `pos` the (n_steps, 2) storm-centre positions, in km.  Yields
-    `(window, r, v)` per position: the index window `(rows, cols)` of slices
-    covering every cell within `reach` km of the centre on both axes (the
-    whole grid when `reach` is infinite), the cell-to-centre distances `r`
-    and the wind speeds `v` on that window.  With a non-zero translation
-    velocity `Vtr` (m/s) the speed is the magnitude of the cyclonic wind
-    vector plus `Vtr`; see the module docstring.
+    `(window, r, v)` per position: the index window of `_windows`, the
+    cell-to-centre distances `r` and the wind speeds `v` on that window.
+    With a non-zero translation velocity `Vtr` (m/s) the speed is the
+    magnitude of the cyclonic wind vector plus `Vtr`; see the module
+    docstring.
     """
-    if hemisphere not in ("N", "S"):
-        raise ValueError("hemisphere must be 'N' or 'S'")
-    spin = 1.0 if hemisphere == "N" else -1.0
+    spin = _spin(hemisphere)
     # A stationary storm skips the vector sum, so its speeds are exactly the
     # axisymmetric ones (no rounding through the unit-vector decomposition).
     asymmetric = tuple(Vtr) != (0.0, 0.0)
-    lo_x = np.searchsorted(xs, pos[:, 0] - reach)
-    hi_x = np.searchsorted(xs, pos[:, 0] + reach, side="right")
-    lo_y = np.searchsorted(ys, pos[:, 1] - reach)
-    hi_y = np.searchsorted(ys, pos[:, 1] + reach, side="right")
-    for t, (px, py) in enumerate(pos):
-        window = (slice(lo_x[t], hi_x[t]), slice(lo_y[t], hi_y[t]))
-        dx = xs[window[0], None] - px
-        dy = ys[None, window[1]] - py
-        r = np.hypot(dx, dy)  # never negative, so the profile skips the check
+    for window, dx, dy, r in _geometry(xs, ys, pos, _windows(xs, ys, pos, reach)):
         v = _speed(p.Vm, p.Rm, p.B, r)
         if asymmetric:
-            # Tangential unit vector for counterclockwise rotation: (-dy, dx) / r.
-            with np.errstate(invalid="ignore", divide="ignore"):
-                tx = np.where(r > 0, -spin * dy / r, 0.0)
-                ty = np.where(r > 0, spin * dx / r, 0.0)
-            v = np.hypot(v * tx + Vtr[0], v * ty + Vtr[1])
+            v = _vector_sum(v, *_tangents(dx, dy, r, spin), Vtr)
         yield window, r, v
 
 

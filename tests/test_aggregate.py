@@ -419,6 +419,22 @@ class TestLossFit:
                 fit(Vm, Rm, np.ones_like(Vm), 1e-40)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fit", [fit_damage_model, fit_loss_model], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "scale, message",
+        [((1e80, 1.0), r"^Vm must be finite and in \[1, 150\], got 2.2e\+81$"),
+         ((1.0, 1e80), r"^Rm must be finite and in \[1, 500\], got 2e\+81$")],
+        ids=["Vm", "Rm"],
+    )
+    def test_storm_outside_the_holland_ranges_refused_before_scanning(self, fit, scale, message):
+        # Vm * 1e80 overflowed the power design under -W error before the storms had a range.
+        Vm, Rm = np.meshgrid(np.arange(22, 81, 3), np.arange(20, 51, 5))
+        Vm, Rm = Vm.ravel() * scale[0], Rm.ravel() * scale[1]
+        with mock.patch.object(aggregate, "_scan_fit", side_effect=AssertionError("scanned")):
+            with pytest.raises(ValueError, match=message):
+                fit(Vm, Rm, np.ones_like(Vm), VCRIT)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "y, refused",
         [(0.0, True), (1e-200, True), (np.nextafter(1e-120, 0.0), True), (1e-120, False)],

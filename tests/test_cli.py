@@ -710,6 +710,29 @@ class TestCritzoneAndSweeps:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "n_steps, message",
+        [
+            (6, "times.n_steps: storm (Vm=1, Rm=1) has critical radius 1 km"),
+            (1, "sweep.Vm_max: storm (Vm=54, Rm=50) has critical radius 3.96e+05 km"),
+        ],
+    )
+    def test_sweep_fit_critzone_swath_cap_names_the_track_or_vm(self, tmp_path, capsys, n_steps, message):
+        # `TestDomain`'s corner: 1 km cells over a 21,600 km run pass the cap
+        # at the first storm, though its Vm is the least; without a run, the
+        # largest radii at 25 km cells do.
+        cfg = _write_config(tmp_path)
+        sets = {
+            "nhpp.Vcrit_mps": 1, "sweep.Vm_min": math.nextafter(1.0, 2.0), "sweep.Rm_min": 1,
+            "times.dt_h": 24, "track.vtr_mps": [50, 50], "times.n_steps": n_steps,
+        }
+        argv = ["sweep-fit", "--config", cfg, "--target", "critzone"]
+        assert main(argv + [a for k, v in sets.items() for a in ("--set", f"{k}={json.dumps(v)}")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid input: {message}; its swath grid passes 1,000,000,000 cell-steps\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_fit_critzone(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -868,7 +891,7 @@ _CORNER_COMMANDS = [
 _CAPS = {
     "--n-max": r"--n-max: required: a failure rate of \S+ passes 1,000, above which"
     r" the default truncation's masses may not total 1 within 1e-12",
-    "swath": r"sweep\.Vm_max: storm \(Vm=\S+, Rm=\S+\) has critical radius \S+ km;"
+    "swath": r"times\.n_steps: storm \(Vm=\S+, Rm=\S+\) has critical radius \S+ km;"
     r" its swath grid passes 1,000,000,000 cell-steps",
 }
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from stormrisk import (
     Grid,
@@ -28,7 +28,7 @@ from stormrisk import (
     zone_sweep,
 )
 from stormrisk import critzone
-from stormrisk.critzone import SWEEP_HEADER, _critical_radii, _window_radius
+from stormrisk.critzone import SWEEP_HEADER, TABLE_HEADER, _critical_radii, _window_radius
 from stormrisk.csvio import TABLE_FMT, _write_csv
 
 VTHRES = 20.6
@@ -266,7 +266,9 @@ class TestNumericZone:
 def zone_area_by_1024_rows(track, p, times, Vthres, cell_size):
     """Reference: `axisymmetric_zone_area` as it counted before its blocked,
     in-place count, bisecting the radius itself and building each 1,024-row
-    chunk's arrays whole."""
+    chunk's arrays whole, with the cell distances from `np.hypot`.  Returns
+    the area and the number of cells whose distance is within 4 ulp of the
+    count's limit, max(Rcrit, the float below Rm)."""
     Rc = scalar_critical_radius(p, Vthres)
     radius = p.Rm if Rc is None else Rc
     pos = track.position(times.offsets())
@@ -281,7 +283,9 @@ def zone_area_by_1024_rows(track, p, times, Vthres, cell_size):
         ex, ey = (b - a) / np.hypot(*(b - a))
     else:
         ex, ey = 1.0, 0.0
-    count = 0
+    below_rm = np.nextafter(p.Rm, 0.0)
+    limit = below_rm if Rc is None else max(Rc, below_rm)
+    count = near = 0
     for x0 in range(0, len(xs), 1024):
         X = xs[x0 : x0 + 1024][:, None]
         Y = ys[None, :]
@@ -298,7 +302,8 @@ def zone_area_by_1024_rows(track, p, times, Vthres, cell_size):
             count += int(np.count_nonzero(d < p.Rm))
         else:
             count += int(np.count_nonzero((d < p.Rm) | (d <= Rc)))
-    return count * cell_size * cell_size
+        near += int(np.count_nonzero(np.abs(d - limit) <= 4 * np.spacing(limit)))
+    return count * cell_size * cell_size, near
 
 
 class TestBlockedZoneArea:
@@ -310,22 +315,36 @@ class TestBlockedZoneArea:
         B=st.floats(0.5, 2.5),
         x0=st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
         speed=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
-        heading=st.floats(0.0, 2 * np.pi),
+        # Diagonal tracks too, whose centres and cells are not aligned.
+        heading=st.one_of(st.floats(0.0, 2 * np.pi), st.sampled_from([k * np.pi / 4 for k in range(8)])),
         n_steps=st.integers(1, 40),
         dt=st.floats(0.25, 2.0),
-        cell=st.floats(0.7, 8.0),
+        cell=st.one_of(st.floats(0.7, 8.0), st.sampled_from([1.0, 2.0, 2.5, 4.0])),
     )
     @example(q=0.8, Rm=30.0, B=1.0, x0=(0.0, 0.0), speed=3.0, heading=0.0, n_steps=11, dt=1.0, cell=2.0)
     @example(q=1.8, Rm=40.0, B=1.0, x0=(0.0, 0.0), speed=0.0, heading=0.0, n_steps=11, dt=1.0, cell=0.7)
     @example(q=1.2, Rm=30.0, B=1.0, x0=(0.0, 0.0), speed=1e-310, heading=0.0, n_steps=5, dt=1.0, cell=2.0)
-    def test_equals_the_1024_row_count(self, q, Rm, B, x0, speed, heading, n_steps, dt, cell):
+    # Subcritical, 2 km cells, centres 9 km apart: five cells lie exactly
+    # Rm = 25 km from the nearest centre, one ulp past the limit.
+    @example(q=0.8, Rm=25.0, B=1.0, x0=(0.0, 0.0), speed=2.5, heading=0.0, n_steps=2, dt=1.0, cell=2.0)
+    def test_equals_the_hypot_count_but_at_the_limit(self, q, Rm, B, x0, speed, heading, n_steps, dt, cell):
+        # The count compares squared distances with the squared limit; it may
+        # differ from the `np.hypot` count only by the cells whose distance
+        # is within 4 ulp of the limit.
         p = HollandParams(Vm=q * VTHRES, Rm=Rm, B=B)
         Vtr = (speed * np.cos(heading), speed * np.sin(heading))
         track = Track(x0=x0, Vtr=Vtr)
         times = TimeAxis(n_steps=n_steps, dt=dt)
         got = axisymmetric_zone_area(track, p, times, critical_radius(p, VTHRES), cell_size=cell)
         with np.errstate(over="ignore"):  # the reference divides by a subnormal step
-            assert got == zone_area_by_1024_rows(track, p, times, VTHRES, cell)
+            ref, near = zone_area_by_1024_rows(track, p, times, VTHRES, cell)
+        event(f"cells within 4 ulp of the limit: {'some' if near else 'none'}")
+        if near == 0:
+            assert got == ref
+        else:
+            count, ref_count = (round(area / (cell * cell)) for area in (got, ref))
+            assert count * cell * cell == got
+            assert abs(count - ref_count) <= near
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("Vtr", [(1e-310, 0.0), (5e-324, 0.0), (-1e-320, 0.0), (0.0, 1e-310), (1e-310, -1e-310)])
@@ -450,6 +469,32 @@ class TestStormSwath:
         assert np.array_equal(zone, ref_zone)
         assert zone.all()
 
+    @pytest.mark.parametrize("asymmetric", [False, True], ids=["axisymmetric", "asymmetric"])
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["west", "east"])
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1])
+    def test_window_edge_at_rm(self, asymmetric, side, ulps):
+        # Vm below Vhot, so the window reaches exactly Rm, with no slack: a
+        # cell centre lies `ulps` floats from |dx| = Rm, with dy = 0 at the
+        # first step.
+        p, nhpp = HollandParams(Vm=15.0, Rm=30.0), NhppParams()
+        Vtr = (0.0, 3.0)
+        assert _window_radius(p, nhpp.Vcrit - np.hypot(*Vtr) * asymmetric) == p.Rm
+        grid = Grid(origin=(-40.0, 0.0), nx=81, ny=24, cell_size=1.0)
+        xs, ys = grid.axes()
+        d = p.Rm
+        for _ in range(abs(ulps)):
+            d = np.nextafter(d, np.copysign(np.inf, ulps))
+        # The cell at x = 15.5 east of a centre at -14.5, or at -15.5 west of 14.5.
+        i = int(np.searchsorted(xs, side * 15.5))
+        px = xs[i] - side * d
+        assert xs[i] - px == side * d
+        track, times = Track(x0=(px, ys[4]), Vtr=Vtr), TimeAxis(n_steps=4)
+        rates, zone = storm_swath(track, p, grid, times, nhpp, asymmetric=asymmetric)
+        ref_rates, ref_zone = dense_swath(track, p, grid, times, nhpp, asymmetric=asymmetric)
+        assert np.array_equal(rates, ref_rates)
+        assert np.array_equal(zone, ref_zone)
+        assert zone.reshape(grid.nx, grid.ny)[i, 4] == (ulps < 0)
+
     def test_unknown_hemisphere_rejected(self):
         p, track, grid, times = TestNumericZone()._setup(cell=10.0)
         with pytest.raises(ValueError, match="hemisphere"):
@@ -545,6 +590,25 @@ class TestAreaFit:
         assert rel.max() < 0.05
 
 
+def tables123_per_storm():
+    """Reference: `tables123` as it ran before its shared pass per radius,
+    one `storm_swath` per storm and asymmetry."""
+    nhpp = NhppParams()
+    grid = critzone._TABLE_GRID
+    out = []
+    for Vm, Rm in critzone.TABLE_STORMS:
+        p = HollandParams(Vm=float(Vm), Rm=float(Rm))
+        rec = {"Vm": Vm, "Rm": Rm}
+        for asym, label in ((False, "axi"), (True, "asym")):
+            rates, zone = storm_swath(critzone._TABLE_TRACK, p, grid, critzone.TABLE_TIMES, nhpp, asymmetric=asym)
+            stats = zone_failure_stats(rates, zone)
+            rec[f"area_{label}_km2"] = float(np.count_nonzero(zone)) * grid.cell_area
+            rec[f"max_fr_{label}"] = stats["max"]
+            rec[f"mean_fr_{label}"] = stats["mean"]
+        out.append(rec)
+    return out
+
+
 class TestBenchmarkTables:
     def test_structure_on_small_domain(self, monkeypatch):
         monkeypatch.setattr(critzone, "_TABLE_GRID", Grid(origin=(0.0, 0.0), nx=30, ny=40, cell_size=10.0))
@@ -556,6 +620,16 @@ class TestBenchmarkTables:
             assert rec["area_asym_km2"] > 0
             assert rec["max_fr_asym"] >= rec["max_fr_axi"] > 0
             assert rec["mean_fr_axi"] > 0
+
+    def test_equals_the_per_storm_loop(self):
+        # Each radius's six swaths come from one kernel pass; every value is
+        # the one storm-at-a-time swaths give.
+        records = tables123()
+        ref = tables123_per_storm()
+        assert [list(rec) for rec in records] == [list(rec) for rec in ref]
+        assert [(rec["Vm"], rec["Rm"]) for rec in records] == critzone.TABLE_STORMS
+        values = [(rec[name], r[name]) for rec, r in zip(records, ref) for name in TABLE_HEADER[2:]]
+        assert len(values) == 54 and all(type(a) is type(b) is float and a == b for a, b in values)
 
     def test_default_config_grid_dimensions(self):
         g = critzone._TABLE_GRID

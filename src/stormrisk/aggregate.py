@@ -4,9 +4,9 @@ Region-aggregate damage and loss: a (Vm, Rm) sweep and parametric fits.
 Over a bounded region G crossed by a storm, total expected damage is the sum
 of cellwise inhomogeneous-Poisson failure rates, and total repair loss is the
 sum of cellwise quadratic repair costs.  `damage_loss_sweep` accumulates both
-directly over the geometry kernel `wind._wind_steps`, run once per radius for
-Vm = 1: a chunk of storms scales those speeds by each Vm (exact, as the
-profile ends with that product) and adds the steps' intensities in time order.
+directly over the storm kernel `wind._kernel`, run once per radius: a chunk
+of storms scales its Vm = 1 shape by each Vm (exact, as the profile ends with
+that product) and adds the steps' intensities in time order.
 Both admit a decomposition into a nominal term (weather-independent,
 proportional to |G| and the exposure time) plus excess terms driven by the
 velocity ratio f = v / Vcrit wherever it exceeds one (checked against the
@@ -31,14 +31,17 @@ import numpy as np
 
 from .csvio import _require, _require_value, _write_table
 from .fitting import LinearFit, linear_least_squares
-from .grid import TimeAxis
 from .nhpp import _NHPP_CHECKS, NhppParams, _intensity
-from .wind import MPS_TO_KMH, HollandParams, _require_storms, _sweep_storms, _wind_steps
+from .wind import MPS_TO_KMH, _kernel, _require_storms, _sweep_storms
 
 
 # =============================================================================
 # (Vm, Rm) sweep over the reference region
 # =============================================================================
+
+
+# `RepairParams`' checks, which the config reads too.
+_REPAIR_CHECKS = {"Lf": "in [0, 1e6]", "Y": "in [1e-6, 1e6]"}
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class RepairParams:
     Y: float = 1.0
 
     def __post_init__(self):
-        _require(self, Lf="in [0, 1e6]", Y="in [1e-6, 1e6]")
+        _require(self, **_REPAIR_CHECKS)
 
     @property
     def half_ratio(self) -> float:
@@ -69,7 +72,6 @@ class RepairParams:
 # reported per cell (means over the region), which makes the fitted
 # coefficients independent of |G|.
 _NX, _NY, _CELL, _VTR, _N_STEPS, _DT = 25, 40, 22.264, 3.0, 24, 1.0
-REFERENCE_TIMES = TimeAxis(n_steps=_N_STEPS, dt=_DT)  # the span that damage and loss accumulate over
 
 # Vm values evaluated together.  A chunk's speeds at every step are one buffer of
 # 24 x 13 x 40 floats per Vm on the default grid's evaluated half: 400 kB at 4, which
@@ -103,9 +105,9 @@ def damage_loss_sweep(
     # column _NX-1-i equals column i.  Evaluate ceil(_NX/2) columns.
     half = (np.arange((_NX + 1) // 2) - (_NX - 1) / 2.0) * _CELL
     ys = (np.arange(_NY) - (_NY - 1) / 2.0) * _CELL
-    # One Vm = 1 profile per radius; no radius is checked or run without a Vm.
+    # One kernel pass per radius; no radius is run without a Vm.
     for j, Rm_j in enumerate(Rm_axis.tolist() if Vm.size else []):
-        speeds = np.stack([v for _, _, v in _wind_steps(HollandParams(1.0, Rm_j, B), half, ys, pos)])
+        speeds = np.stack([shape for _, _, shape, _ in _kernel(Rm_j, B, half, ys, pos)])
         for lo in range(0, Vm_axis.size, _SWEEP_CHUNK):
             v = np.multiply.outer(Vm_axis[lo : lo + _SWEEP_CHUNK], speeds)
             lam = np.add.reduce(_intensity(nhpp, v, out=v), axis=1)  # an outer axis: steps added in time order

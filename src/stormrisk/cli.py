@@ -46,8 +46,9 @@ from .csvio import (
     _write_json,
     _write_table,
 )
-from .ensemble import EnsemblePerturbationSpec, SyntheticEnsemble, save_ensemble
-from .grid import _MAX_CELL_STEPS, Grid, TimeAxis, load_county_fixture
+from .ensemble import _ENSEMBLE_CHECKS, EnsemblePerturbationSpec, SyntheticEnsemble, save_ensemble
+from .grid import (_GRID_CHECKS, _MAX_CELL_STEPS, _POSITION_CHECK, _TIME_CHECKS, Grid, TimeAxis, _require_cell_steps,
+                   load_county_fixture)
 from .nhpp import _NHPP_CHECKS, NhppParams
 from .wind import _HOLLAND_CHECKS, HollandParams, Track, save_wind_field, wind_field
 
@@ -60,14 +61,14 @@ from .wind import _HOLLAND_CHECKS, HollandParams, Track, save_wind_field, wind_f
 # config, the validation and the builders' values all come from this table,
 # and the README's config reference is tested against it.
 CONFIG_SCHEMA = (
-    ("grid.nx", 100, _INTEGER, ">= 1"),
-    ("grid.ny", 100, _INTEGER, ">= 1"),
-    ("grid.cell_size_km", 1.0, _NUMBER, "in (0, 100]"),
-    ("grid.origin_km", [0.0, 0.0], _XY, "in [-2e4, 2e4]"),
-    ("times.n_steps", 121, _INTEGER, ">= 1"),
-    ("times.dt_h", 1.0, _NUMBER, "in (0, 24]"),
+    ("grid.nx", 100, _INTEGER, _GRID_CHECKS["nx"]),
+    ("grid.ny", 100, _INTEGER, _GRID_CHECKS["ny"]),
+    ("grid.cell_size_km", 1.0, _NUMBER, _GRID_CHECKS["cell_size"]),
+    ("grid.origin_km", [0.0, 0.0], _XY, _POSITION_CHECK),
+    ("times.n_steps", 121, _INTEGER, _TIME_CHECKS["n_steps"]),
+    ("times.dt_h", 1.0, _NUMBER, _TIME_CHECKS["dt"]),
     ("times.t0_h", 0.0, _NUMBER, None),  # accepted and ignored: no command reads it
-    ("track.x0_km", [50.0, -150.0], _XY, "in [-2e4, 2e4]"),
+    ("track.x0_km", [50.0, -150.0], _XY, _POSITION_CHECK),
     ("track.vtr_mps", [0.0, 3.0], _VXY, "in [-50, 50]"),
     ("holland.Vm_mps", 46.0, _NUMBER, _HOLLAND_CHECKS["Vm"]),
     ("holland.Rm_km", 30.0, _NUMBER, _HOLLAND_CHECKS["Rm"]),
@@ -77,13 +78,13 @@ CONFIG_SCHEMA = (
     ("nhpp.lambda_norm", 3.5e-5, _NUMBER, _NHPP_CHECKS["lambda_norm"]),
     ("field.asymmetric", False, _BOOLEAN, None),
     ("field.hemisphere", "N", _STRING, '"N" or "S"'),
-    ("ensemble.H", 10, _INTEGER, ">= 1"),
-    ("ensemble.sigma_track_km", 10.0, _NUMBER, "in [0, 2e4]"),
-    ("ensemble.sigma_heading_deg", 5.0, _NUMBER, "in [0, 360]"),
-    ("ensemble.sigma_Vm_mps", 3.0, _NUMBER, "in [0, 150]"),
-    ("ensemble.sigma_Rm_km", 3.0, _NUMBER, "in [0, 500]"),
-    ("repair.Lf", 1.0, _NUMBER, "in [0, 1e6]"),
-    ("repair.Y", 1.0, _NUMBER, "in [1e-6, 1e6]"),
+    ("ensemble.H", 10, _INTEGER, _ENSEMBLE_CHECKS["H"]),
+    ("ensemble.sigma_track_km", 10.0, _NUMBER, _ENSEMBLE_CHECKS["sigma_track"]),
+    ("ensemble.sigma_heading_deg", 5.0, _NUMBER, _ENSEMBLE_CHECKS["sigma_heading"]),
+    ("ensemble.sigma_Vm_mps", 3.0, _NUMBER, _ENSEMBLE_CHECKS["sigma_Vm"]),
+    ("ensemble.sigma_Rm_km", 3.0, _NUMBER, _ENSEMBLE_CHECKS["sigma_Rm"]),
+    ("repair.Lf", 1.0, _NUMBER, aggregate._REPAIR_CHECKS["Lf"]),
+    ("repair.Y", 1.0, _NUMBER, aggregate._REPAIR_CHECKS["Y"]),
     ("sweep.Vm_min", 21.0, _NUMBER, _HOLLAND_CHECKS["Vm"]),
     ("sweep.Vm_max", 80.0, _NUMBER, _HOLLAND_CHECKS["Vm"]),
     ("sweep.Vm_step", 1.0, _NUMBER, "in (0, 150]"),
@@ -97,8 +98,6 @@ CONFIG_SCHEMA = (
 
 # Most storms a sweep may hold, far above the default sweep's 1,860.
 _MAX_SWEEP_STORMS = 10**6
-# The fields whose product `_MAX_CELL_STEPS` caps.
-_FIELD_SIZE = ("grid.nx", "grid.ny", "times.n_steps")
 
 
 def _nest(items) -> dict:
@@ -126,20 +125,13 @@ def validate_config(config: dict) -> dict:
     and the sweep's range, raising ConfigError with the dotted path of the
     first offending field.  Returns the fields' values nested as in `config`, with numbers as floats
     and pairs as tuples of floats."""
-    values = []
+    values = {}
     for path, _, kind, check in CONFIG_SCHEMA:
         value = config
         for part in path.split("."):
             value = value[part]
-        values.append((path, _check(path, value, kind, check)))
-    size = 1
-    for path in _FIELD_SIZE:
-        section, key = path.split(".")
-        value = config[section][key]
-        size *= value
-        if size > _MAX_CELL_STEPS:
-            cap = f"{' * '.join(_FIELD_SIZE)} at most {_MAX_CELL_STEPS:,}"
-            raise ConfigError(path, f"value {value!r} out of range ({cap})")
+        values[path] = _check(path, value, kind, check)
+    _require_cell_steps({path: values[path] for path in ("grid.nx", "grid.ny", "times.n_steps")})
     s = config["sweep"]
     for a in ("Vm", "Rm"):
         if s[f"{a}_max"] < s[f"{a}_min"]:
@@ -150,7 +142,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("sweep.Vm_max", f"{n_Vm:.3g} Vm values at sweep.Vm_step; {cap}")
     if n_Vm * n_Rm > _MAX_SWEEP_STORMS:
         raise ConfigError("sweep.Rm_max", f"{n_Vm:.0f} Vm by {n_Rm:.3g} Rm values at sweep.Rm_step; {cap}")
-    return _nest(values)
+    return _nest(values.items())
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
@@ -306,8 +298,8 @@ def cmd_fail_dist(run: _Run, args) -> None:
     for cell in cells:
         if not 0 <= cell < run.grid.n_cells:
             raise ConfigError("--cells", f"cell {cell} outside [0, {run.grid.n_cells})")
-    if args.n_max is not None and args.n_max < 0:
-        raise ConfigError("--n-max", "must be >= 0")
+    if args.n_max is not None and not 0 <= args.n_max <= _MAX_CELL_STEPS:
+        raise ConfigError("--n-max", f"must be in [0, {_MAX_CELL_STEPS:,}]")
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
     rates = nhpp.member_rates(run.nhpp, members, cells)
     make = nhpp._fd_a if args.kind == "fda" else nhpp._fd_b

@@ -19,8 +19,8 @@ from .csvio import _require_value, _write_table
 from .fitting import LinearFit, linear_least_squares
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis
 from .nhpp import _NHPP_CHECKS, NhppParams, _intensity
-from .wind import (MPS_TO_KMH, HollandParams, Track, WindField, _geometry, _spin, _speed, _sweep_storms, _tangents,
-                   _translation, _vector_sum, _windows)
+from .wind import (MPS_TO_KMH, HollandParams, Track, WindField, _kernel, _speed, _spin, _sweep_storms, _translation,
+                   _vector_sum, _windows)
 
 
 # =============================================================================
@@ -54,13 +54,13 @@ def _critical_radii(Vm, Rm, B: float, Vthres: float) -> np.ndarray:
     lo, hi = Rm, 2.0 * Rm
     grow = todo.copy()
     while grow.any():
-        grow &= _speed(Vm, Rm, B, hi) >= Vthres
+        grow &= Vm * _speed(Rm, B, hi) >= Vthres
         hi[grow] *= 2.0
     for _ in range(200):
         if not todo.any():
             return out
         mid = 0.5 * (lo + hi)
-        v = _speed(Vm, Rm, B, mid)
+        v = Vm * _speed(Rm, B, mid)
         done = todo & (np.abs(v - Vthres) <= 1e-9)
         out[done] = mid[done]
         todo &= ~done
@@ -96,7 +96,7 @@ def critical_zone_numeric(
     xs, ys = grid.axes()
     pos = track.position(field.times.offsets())
     inside = np.zeros((grid.nx, grid.ny), dtype=bool)
-    for window, _, _, r in _geometry(xs, ys, pos, _windows(xs, ys, pos, p.Rm)):
+    for window, r, _, _ in _kernel(p.Rm, p.B, xs, ys, pos, p.Rm):
         inside[window] |= r < p.Rm
     return inside.ravel() | np.any(field.velocities >= Vthres, axis=1)
 
@@ -392,35 +392,33 @@ def _swaths(track: Track, storms, grid: Grid, times: TimeAxis, nhpp: NhppParams,
     """`storm_swath`'s (rates, zone) of each (HollandParams, asymmetric) of
     `storms`, which share one Rm and B, from one kernel pass.
 
-    Each step evaluates the distances, the Vm = 1 profile and the tangent
-    unit vectors once, on the widest storm's window; each storm scales the
-    unit speeds by its Vm on its own window, a sub-window of that one (the
-    profile's last step is the product by Vm, so its speeds are exactly its
-    own kernel's).  The widest storm comes last and scales them in place.
+    Each step evaluates the kernel (`wind._kernel`) once, on the widest
+    storm's window; each storm scales the Vm = 1 shape by its Vm on its own
+    window, a sub-window of that one.  The widest storm comes last and scales
+    it in place.
     """
     Rm, B = storms[0][0].Rm, storms[0][0].B
     xs, ys = grid.axes()
     pos = track.position(times.offsets())
     spin = _spin(hemisphere)
     Vtrs = [_translation(track, asym) for _, asym in storms]
-    reaches = [_window_radius(p, nhpp.Vcrit - float(np.hypot(*Vtr))) for (p, _), Vtr in zip(storms, Vtrs)]
+    speeds = [0.0 if Vtr is None else float(np.hypot(*Vtr)) for Vtr in Vtrs]
+    reaches = [_window_radius(p, nhpp.Vcrit - speed) for (p, _), speed in zip(storms, speeds)]
     windows = [_windows(xs, ys, pos, reach) for reach in reaches]
-    moving = [tuple(Vtr) != (0.0, 0.0) for Vtr in Vtrs]
     rates = [np.zeros((grid.nx, grid.ny)) for _ in storms]
     zones = [np.zeros((grid.nx, grid.ny), dtype=bool) for _ in storms]
     order = sorted(range(len(storms)), key=reaches.__getitem__)
-    last, asymmetric = order[-1], any(moving)
-    for t, (window, dx, dy, r) in enumerate(_geometry(xs, ys, pos, windows[last])):
-        unit = _speed(1.0, Rm, B, r)
-        tx, ty = _tangents(dx, dy, r, spin) if asymmetric else (None, None)
+    last = order[-1]
+    steps = _kernel(Rm, B, xs, ys, pos, reaches[last], spin if any(Vtr is not None for Vtr in Vtrs) else None)
+    for t, (window, r, unit, tangents) in enumerate(steps):
         inside = r < Rm
         x0, y0 = window[0].start, window[1].start
         for k in order:
             own = windows[k][t]
             sub = (slice(own[0].start - x0, own[0].stop - x0), slice(own[1].start - y0, own[1].stop - y0))
             v = np.multiply(unit[sub], storms[k][0].Vm, out=unit if k == last else None)
-            if moving[k]:
-                v = _vector_sum(v, tx[sub], ty[sub], Vtrs[k])
+            if Vtrs[k] is not None:
+                v = _vector_sum(v, tangents[0][sub], tangents[1][sub], Vtrs[k])
             zones[k][own] |= inside[sub] | (v >= nhpp.Vcrit)
             # Each cell adds this step's intensity to its rate, the window's
             # evaluated and every other cell's lambda_norm.

@@ -36,7 +36,7 @@ from .csvio import (
     _write_json,
     _write_velocities,
 )
-from .grid import Grid, TimeAxis
+from .grid import _GRID_CHECKS, _POSITION_CHECK, _TIME_CHECKS, Grid, TimeAxis, _require_cell_steps
 from .wind import _HOLLAND_CHECKS, HollandParams, Track, WindField, _sub_grid, _velocities
 
 
@@ -80,6 +80,11 @@ class Ensemble:
             yield m.velocities if cells is None else m.velocities[cells]
 
 
+# `EnsemblePerturbationSpec`'s checks, which the config and the sidecar read too.
+_ENSEMBLE_CHECKS = {"sigma_track": "in [0, 2e4]", "sigma_heading": "in [0, 360]", "sigma_Vm": "in [0, 150]",
+                    "sigma_Rm": "in [0, 500]", "H": ">= 1"}
+
+
 @dataclass(frozen=True)
 class EnsemblePerturbationSpec:
     """Gaussian perturbation recipe for synthetic ensembles.
@@ -105,8 +110,7 @@ class EnsemblePerturbationSpec:
     hemisphere: str = "N"
 
     def __post_init__(self):
-        _require(self, sigma_track="in [0, 2e4]", sigma_heading="in [0, 360]", sigma_Vm="in [0, 150]",
-                 sigma_Rm="in [0, 500]", H=">= 1")
+        _require(self, **_ENSEMBLE_CHECKS)
 
 
 def member_parameters(spec: EnsemblePerturbationSpec, child_seed) -> tuple[Track, HollandParams]:
@@ -192,13 +196,13 @@ ENSEMBLE_HEADER = ["member", "cell_id", "time_index", "velocity_mps"]
 # check it has).  Only origin_km may be left out.  The README's sidecar table
 # is tested against these rows.
 SIDECAR_SCHEMA = (
-    ("H", _INTEGER, ">= 1", "ensemble.H"),
-    ("nx", _INTEGER, ">= 1", "grid.nx"),
-    ("ny", _INTEGER, ">= 1", "grid.ny"),
-    ("cell_size_km", _NUMBER, "in (0, 100]", "grid.cell_size_km"),
-    ("origin_km", _XY, "in [-2e4, 2e4]", "grid.origin_km"),
-    ("n_steps", _INTEGER, ">= 1", "times.n_steps"),
-    ("dt_h", _NUMBER, "in (0, 24]", "times.dt_h"),
+    ("H", _INTEGER, _ENSEMBLE_CHECKS["H"], "ensemble.H"),
+    ("nx", _INTEGER, _GRID_CHECKS["nx"], "grid.nx"),
+    ("ny", _INTEGER, _GRID_CHECKS["ny"], "grid.ny"),
+    ("cell_size_km", _NUMBER, _GRID_CHECKS["cell_size"], "grid.cell_size_km"),
+    ("origin_km", _XY, _POSITION_CHECK, "grid.origin_km"),
+    ("n_steps", _INTEGER, _TIME_CHECKS["n_steps"], "times.n_steps"),
+    ("dt_h", _NUMBER, _TIME_CHECKS["dt"], "times.dt_h"),
 )
 
 
@@ -233,7 +237,8 @@ def load_ensemble(path) -> Ensemble:
     gaps, repeats and malformed rows raise errors naming the offending
     location, and a sidecar that is not a JSON object, or misses a key or
     gives one a value its `SIDECAR_SCHEMA` row rejects, raises one naming the
-    sidecar and the key.
+    sidecar and the key, as does one whose H * nx * ny * n_steps passes
+    `grid._MAX_CELL_STEPS`, before the CSV is opened.
     """
     sidecar = f"{path}.json"
     doc = {"origin_km": [0.0, 0.0], **_read_json(sidecar)}
@@ -242,6 +247,7 @@ def load_ensemble(path) -> Ensemble:
         if key not in doc:
             raise ConfigError(sidecar, f"missing key {key!r}")
         meta[key] = _check(f"{sidecar}: {key}", doc[key], kind, check)
+    _require_cell_steps({key: meta[key] for key in ("H", "nx", "ny", "n_steps")}, f"{sidecar}: ")
     grid = Grid(origin=meta["origin_km"], nx=meta["nx"], ny=meta["ny"], cell_size=meta["cell_size_km"])
     times = TimeAxis(n_steps=meta["n_steps"], dt=meta["dt_h"])
     H = meta["H"]

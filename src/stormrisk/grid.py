@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .csvio import _read_csv, _require, _write_csv
+from .csvio import ConfigError, _read_csv, _require, _write_csv
 
 
 # =============================================================================
@@ -29,6 +29,20 @@ _MAX_CELL_STEPS = 10**9
 # cells of at most 25 km, these are at most 5.2e6 km (4320 n km in n steps of
 # 24 h at 50 m/s, over 4 cells or more across) and 4e5 km (2 Rcrit / 25 cells).
 _ORIGIN_CHECK = "in [-1e7, 1e7]"
+_POSITION_CHECK = "in [-2e4, 2e4]"  # a config's positions: the grid's origin, the track's genesis
+# `Grid`'s and `TimeAxis`' checks, which the config and the ensemble sidecar read too.
+_GRID_CHECKS = {"nx": ">= 1", "ny": ">= 1", "cell_size": "in (0, 100]", "origin": _ORIGIN_CHECK}
+_TIME_CHECKS = {"n_steps": ">= 1", "dt": "in (0, 24]"}
+
+
+def _require_cell_steps(counts: dict, where: str = "") -> None:
+    """ConfigError naming `where` + the first name of `counts` at which their product passes `_MAX_CELL_STEPS`."""
+    size = 1
+    for name, count in counts.items():
+        size *= count
+        if size > _MAX_CELL_STEPS:
+            cap = f"{' * '.join(counts)} at most {_MAX_CELL_STEPS:,}"
+            raise ConfigError(where + name, f"value {count!r} out of range ({cap})")
 
 
 @dataclass(frozen=True)
@@ -55,7 +69,7 @@ class Grid:
     cell_size: float = 1.0
 
     def __post_init__(self):
-        _require(self, nx=">= 1", ny=">= 1", cell_size="in (0, 100]", origin=_ORIGIN_CHECK)
+        _require(self, **_GRID_CHECKS)
 
     @property
     def n_cells(self) -> int:
@@ -96,7 +110,7 @@ class TimeAxis:
     dt: float = 1.0
 
     def __post_init__(self):
-        _require(self, n_steps=">= 1", dt="in (0, 24]")
+        _require(self, **_TIME_CHECKS)
 
     @property
     def duration(self) -> float:

@@ -9,14 +9,13 @@ asymmetric, where the tangential cyclonic wind vector is added to the storm
 translation vector so that, for a northward-moving storm in the Northern
 Hemisphere, the strongest winds sit due east of the centre.
 
-Storm geometry lives in one kernel, `_wind_steps`: for each storm position it
-yields the index window of grid cells within a given reach of the centre,
-their distances r to the centre and their speeds v.  Dense fields take the
-whole grid at every step (`fail-dist` only the sub-grid of its cells); the
-damage/loss sweep of `aggregate` consumes the same steps for one Vm = 1 storm
-per radius.  The zone reducers of `critzone` take the kernel's parts,
-`_windows` and `_geometry`, and the swaths of the storms of one radius scale
-one Vm = 1 profile, adding the translation through `_vector_sum`.
+One kernel, `_kernel`, holds the storm geometry: per storm position, the
+window of grid cells within a reach of the centre, their distances r, the
+profile's Vm = 1 shape at r and, for a moving asymmetric storm, the tangent
+unit vectors.  The profile's last step is the product by Vm, so each
+consumer (the dense fields of `_velocities`, the damage/loss sweep of
+`aggregate`, the swaths of `critzone`) multiplies the shape by its own Vm,
+exactly, and adds the translation through `_vector_sum`.
 
 Window invariant.  A reducer that evaluates only a window must give each
 cell outside it the result an evaluation would give.  `critzone.storm_swath`
@@ -160,16 +159,18 @@ def holland_speed(p, r):
     r = np.asarray(r, dtype=float)
     if not np.all(r >= 0):  # NaN fails it too
         raise ValueError("radius must be >= 0")
-    out = _speed(p.Vm, p.Rm, p.B, r)
+    out = _speed(p.Rm, p.B, r)
+    out *= p.Vm
     return float(out) if out.ndim == 0 else out
 
 
-def _speed(Vm, Rm, B, r):
-    """`holland_speed` at radii `r` >= 0, unchecked; `Vm`, `Rm` may be arrays, `B` is one number.
-    The last step is the product by `Vm` (skipped for the number 1): exactly `Vm` times the `Vm = 1` speeds."""
-    # Evaluated as Vm * exp((B/2) log(Rm/r) + (1 - (Rm/r)^B) / 2): near the
-    # centre (Rm/r)^B overflows, but the exponent then underflows to -inf and
-    # the speed correctly evaluates to 0 instead of inf * 0 = nan.  The log is
+def _speed(Rm, B, r):
+    """The profile's Vm = 1 shape at radii `r` >= 0, unchecked; `Rm` may be an
+    array, `B` is one number.  A storm's speeds are its `Vm` times these: the
+    product by Vm is the profile's last step, and 0 times Vm is 0."""
+    # Evaluated as exp((B/2) log(Rm/r) + (1 - (Rm/r)^B) / 2): near the centre
+    # (Rm/r)^B overflows, but the exponent then underflows to -inf and the
+    # speed correctly evaluates to 0 instead of inf * 0 = nan.  The log is
     # taken as a difference so the ratio itself cannot overflow for subnormal r.
     # At r = 0 the exponent is inf - inf = nan; the limit there is 0.  The
     # steps run in place, in that expression's order up to operand order (IEEE
@@ -185,8 +186,6 @@ def _speed(Vm, Rm, B, r):
         logx *= 0.5 if unit else 0.5 * B
         v += logx
         np.exp(v, out=v)
-        if np.ndim(Vm) or Vm != 1:
-            v *= Vm
     np.copyto(v, 0.0, where=~(r > 0))
     return v
 
@@ -205,15 +204,6 @@ def _windows(xs, ys, pos, reach) -> list[tuple[slice, slice]]:
     return [(slice(a, b), slice(c, d)) for a, b, c, d in zip(*(x.tolist() for x in bounds))]
 
 
-def _geometry(xs, ys, pos, windows):
-    """Per position and its window of `_windows`: `(window, dx, dy, r)`, the
-    cell-to-centre offsets dx (a column) and dy (a row) and distances r."""
-    for window, (px, py) in zip(windows, pos):
-        dx = xs[window[0], None] - px
-        dy = ys[None, window[1]] - py
-        yield window, dx, dy, np.hypot(dx, dy)  # r is never negative, so the profile skips the check
-
-
 def _spin(hemisphere: str) -> float:
     """The cyclonic sense: 1 counterclockwise (Northern `hemisphere`), -1 clockwise."""
     if hemisphere not in ("N", "S"):
@@ -221,39 +211,27 @@ def _spin(hemisphere: str) -> float:
     return 1.0 if hemisphere == "N" else -1.0
 
 
-def _tangents(dx, dy, r, spin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tangential unit vector of the cyclonic wind, (-dy, dx) / r times `spin`; (0, 0) at the centre."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tx = np.where(r > 0, -spin * dy / r, 0.0)
-        ty = np.where(r > 0, spin * dx / r, 0.0)
-    return tx, ty
+def _kernel(Rm, B, xs, ys, pos, reach=np.inf, spin=None):
+    """The storm kernel: per position of `pos` ((n_steps, 2), km) on the grid
+    of ascending cell-centre axes `xs`, `ys`, `(window, r, shape, tangents)`:
+    the `_windows` window for `reach`, the cell-to-centre distances there, the
+    profile's Vm = 1 shape `_speed(Rm, B, r)`, and, given the cyclonic sense
+    `spin` (`_spin`), the tangent unit vectors spin (-dy, dx) / r, (0, 0) at
+    the centre (else None)."""
+    for window, (px, py) in zip(_windows(xs, ys, pos, reach), pos):
+        dx = xs[window[0], None] - px
+        dy = ys[None, window[1]] - py
+        r = np.hypot(dx, dy)  # never negative, so the profile skips the check
+        tangents = None
+        if spin is not None:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                tangents = np.where(r > 0, -spin * dy / r, 0.0), np.where(r > 0, spin * dx / r, 0.0)
+        yield window, r, _speed(Rm, B, r), tangents
 
 
 def _vector_sum(v, tx, ty, Vtr) -> np.ndarray:
     """Magnitude of the cyclonic wind of speed `v` along the tangent (`tx`, `ty`) plus the translation `Vtr` (m/s)."""
     return np.hypot(v * tx + Vtr[0], v * ty + Vtr[1])
-
-
-def _wind_steps(p, xs, ys, pos, reach=np.inf, Vtr=(0.0, 0.0), hemisphere="N"):
-    """The storm-geometry kernel: the wind at each storm position in turn.
-
-    `xs` and `ys` are the ascending cell-centre coordinates of a rectangular
-    grid and `pos` the (n_steps, 2) storm-centre positions, in km.  Yields
-    `(window, r, v)` per position: the index window of `_windows`, the
-    cell-to-centre distances `r` and the wind speeds `v` on that window.
-    With a non-zero translation velocity `Vtr` (m/s) the speed is the
-    magnitude of the cyclonic wind vector plus `Vtr`; see the module
-    docstring.
-    """
-    spin = _spin(hemisphere)
-    # A stationary storm skips the vector sum, so its speeds are exactly the
-    # axisymmetric ones (no rounding through the unit-vector decomposition).
-    asymmetric = tuple(Vtr) != (0.0, 0.0)
-    for window, dx, dy, r in _geometry(xs, ys, pos, _windows(xs, ys, pos, reach)):
-        v = _speed(p.Vm, p.Rm, p.B, r)
-        if asymmetric:
-            v = _vector_sum(v, *_tangents(dx, dy, r, spin), Vtr)
-        yield window, r, v
 
 
 def _sub_grid(grid: Grid, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,18 +244,20 @@ def _sub_grid(grid: Grid, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xs[ux], ys[uy], ix * len(uy) + iy
 
 
-def _translation(track: Track, asymmetric: bool) -> tuple[float, float]:
-    """The velocity (m/s) added to the cyclonic wind: the track's for an asymmetric storm, else none."""
-    return track.Vtr if asymmetric else (0.0, 0.0)
+def _translation(track: Track, asymmetric: bool):
+    """The velocity (m/s) added to the cyclonic wind: the track's for an asymmetric storm, None
+    for an axisymmetric or a stationary one (whose speeds are then exactly the profile's)."""
+    return track.Vtr if asymmetric and tuple(track.Vtr) != (0.0, 0.0) else None
 
 
 def _velocities(track, p, xs, ys, times, asymmetric, hemisphere) -> np.ndarray:
     """The (len(xs) * len(ys), n_steps) speeds on the grid with axes `xs`, `ys`."""
     velocities = np.empty((len(xs) * len(ys), times.n_steps))
-    pos = track.position(times.offsets())
-    steps = _wind_steps(p, xs, ys, pos, Vtr=_translation(track, asymmetric), hemisphere=hemisphere)
-    for t, (_, _, v) in enumerate(steps):
-        velocities[:, t] = v.ravel()
+    Vtr, spin = _translation(track, asymmetric), _spin(hemisphere)
+    steps = _kernel(p.Rm, p.B, xs, ys, track.position(times.offsets()), spin=None if Vtr is None else spin)
+    for t, (_, _, v, tangents) in enumerate(steps):
+        v *= p.Vm
+        velocities[:, t] = (v if Vtr is None else _vector_sum(v, *tangents, Vtr)).ravel()
     return velocities
 
 

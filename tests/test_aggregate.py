@@ -289,9 +289,9 @@ class TestSweep:
 
     def test_profile_evaluated_once_per_radius(self):
         Vm, Rm = [25.0, 37.0, 46.0, 37.0], [20.0, 30.0, 20.0]
-        with mock.patch.object(aggregate, "_wind_steps", wraps=aggregate._wind_steps) as steps:
+        with mock.patch.object(aggregate, "_kernel", wraps=aggregate._kernel) as steps:
             damage_loss_sweep(Vm, Rm, B=1.5)
-        assert [c.args[0] for c in steps.call_args_list] == [HollandParams(Vm=1.0, Rm=r, B=1.5) for r in Rm]
+        assert [c.args[:2] for c in steps.call_args_list] == [(r, 1.5) for r in Rm]
 
     @settings(max_examples=60)
     @given(

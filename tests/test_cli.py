@@ -555,6 +555,14 @@ class TestEnsembleCommands:
         assert main(["fail-dist", "--config", cfg, "--n-max", "-1"]) == 2
         assert "--n-max" in capsys.readouterr().err
 
+    def test_fail_dist_n_max_past_the_cap_exits_2(self, tmp_path, capsys):
+        # Without the cap the pmf of 10^15 + 1 counts would be allocated (7.11 PiB).
+        sets = ["--set", "grid.nx=4", "--set", "grid.ny=4", "--set", "times.n_steps=3", "--set", "ensemble.H=2"]
+        argv = ["fail-dist", "--config", _write_config(tmp_path), "--n-max", "1000000000000000"]
+        assert main(argv + sets) == 2
+        assert capsys.readouterr().err == "error: invalid input: --n-max: must be in [0, 1,000,000,000]\n"
+        assert not (tmp_path / "out").exists()
+
     def test_fail_dist_bad_cell_exits_2_before_writing(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         assert main(["fail-dist", "--config", cfg, "--cells", "0,99999"]) == 2

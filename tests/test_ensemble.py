@@ -24,6 +24,7 @@ from stormrisk import (
 )
 from stormrisk import NhppParams, ensemble, failure_rate, fr1, fr2, member_rates, poisson_intensity
 from stormrisk.cli import CONFIG_SCHEMA
+from stormrisk.csvio import ConfigError
 from stormrisk.ensemble import SIDECAR_SCHEMA, _mean
 from stormrisk.nhpp import _cumulative_exposure
 
@@ -245,6 +246,16 @@ class TestEnsembleIO:
         path = self._with_sidecar(tmp_path, lambda meta: meta.update({key: value}))
         with pytest.raises(ValueError, match=re.escape(f"ens.csv.json: {key}: value {value!r} out of range ({check})")):
             load_ensemble(path)
+
+    def test_sidecar_past_the_cell_step_cap_refused_before_the_csv(self, tmp_path):
+        # 2 members of 10^7 x 10^7 cells: the product first passes the cap at ny.
+        path = self._with_sidecar(tmp_path, lambda meta: meta.update(nx=10**7, ny=10**7))
+        path.unlink()  # the refusal comes before the CSV is opened
+        with pytest.raises(ConfigError) as raised:
+            load_ensemble(path)
+        assert str(raised.value) == (
+            f"{path}.json: ny: value 10000000 out of range (H * nx * ny * n_steps at most 1,000,000,000)"
+        )
 
     def test_readme_sidecar_table_matches_schema(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -15,7 +15,7 @@ from stormrisk import (
     wind_field,
 )
 from stormrisk.csvio import _read_velocities
-from stormrisk.wind import WINDFIELD_HEADER, _speed, _sub_grid, _velocities, _wind_steps
+from stormrisk.wind import WINDFIELD_HEADER, _kernel, _speed, _sub_grid, _velocities
 
 # Frozen oracle: 25 * sqrt(0.5) * exp(0.25), hand evaluation of the radial
 # profile at (Vm=25, Rm=20, B=1), r=40.
@@ -86,12 +86,17 @@ class TestHollandSpeed:
 
 
 def speed_reference(Vm, Rm, B, r):
-    """Reference: `wind._speed` as one whole-array expression, before it
-    worked in place."""
+    """Reference: a storm's speeds as one whole-array expression, before
+    `wind._speed` worked in place and left the product by Vm to its callers."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         logx = np.log(Rm) - np.log(r)
         v = Vm * np.exp(0.5 * B * logx + 0.5 * (1.0 - np.exp(B * logx)))
     return np.where(r > 0, v, 0.0)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # Radii down to zero and subnormals, where the profile's log overflows.
@@ -100,9 +105,9 @@ STORM = st.tuples(st.floats(1.0, 100.0), st.floats(1.0, 100.0), st.one_of(st.jus
 
 
 class TestVmScaling:
-    """The damage/loss sweep evaluates one Vm = 1 storm per radius and scales
-    its speeds by each Vm; that is exact because the profile's last step is
-    the product by Vm."""
+    """Every consumer of the kernel multiplies the profile's Vm = 1 shape by
+    its own Vm; that gives exactly the storm's speeds because the profile's
+    last step is the product by Vm, and 0 times Vm is 0."""
 
     @settings(max_examples=150)
     @given(storm=STORM, Vm=st.floats(1e-300, 1e300), radii=st.lists(RADII, min_size=1, max_size=40))
@@ -111,18 +116,23 @@ class TestVmScaling:
     def test_speed_is_vm_times_unit_speed(self, storm, Vm, radii):
         _, Rm, B = storm
         r = np.array(radii)
-        got, ref = _speed(Vm, Rm, B, r), Vm * _speed(1.0, Rm, B, r)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert same_bits(Vm * _speed(Rm, B, r), speed_reference(Vm, Rm, B, r))
 
     def test_kernel_speeds_scale_with_vm(self):
+        # On a window the kernel's steps hold the whole grid's values there,
+        # and Vm times the shape is `holland_speed` at the same distances.
         xs, ys = np.linspace(-90.0, 90.0, 7), np.linspace(-60.0, 60.0, 5)
         pos = np.array([[0.0, -30.0], [10.0, 0.0], [30.0, 45.0], [xs[2], ys[1]]])
         for p in (HollandParams(Vm=25, Rm=20), HollandParams(Vm=46, Rm=40, B=1.5)):
-            unit = HollandParams(Vm=1.0, Rm=p.Rm, B=p.B)
-            steps = zip(_wind_steps(p, xs, ys, pos, reach=50.0), _wind_steps(unit, xs, ys, pos, reach=50.0))
-            for (window, r, v), (unit_window, unit_r, unit_v) in steps:
-                assert window == unit_window and np.array_equal(r, unit_r)
-                assert np.array_equal(v.view(np.uint64), (p.Vm * unit_v).view(np.uint64))
+            for spin in (None, 1.0, -1.0):
+                steps = zip(_kernel(p.Rm, p.B, xs, ys, pos, 50.0, spin), _kernel(p.Rm, p.B, xs, ys, pos, spin=spin))
+                for (window, r, shape, tangents), (_, all_r, all_shape, all_tangents) in steps:
+                    assert np.array_equal(r, all_r[window]) and same_bits(shape, all_shape[window])
+                    assert same_bits(p.Vm * shape, holland_speed(p, r))
+                    if spin is None:
+                        assert tangents is None and all_tangents is None
+                    else:
+                        assert all(same_bits(a, b[window]) for a, b in zip(tangents, all_tangents))
 
 
 class TestInPlaceSpeed:
@@ -130,17 +140,14 @@ class TestInPlaceSpeed:
     @given(storms=st.lists(STORM, min_size=1, max_size=6), radii=st.lists(RADII, min_size=1, max_size=40))
     def test_equals_whole_array_expression(self, storms, radii):
         for r in (np.array(radii), np.array(radii[:1]).reshape(()), np.array(radii).reshape(-1, 1)):
-            # Each storm's scalars, and the storms of each exponent B at once:
-            # arrays Vm and Rm with a leading storms axis, as
-            # `critzone._critical_radii` passes them.
-            shape, batches = (-1,) + (1,) * r.ndim, []
+            # Each storm's radius, and the radii of each exponent B at once:
+            # an array Rm with a leading storms axis, as
+            # `critzone._critical_radii` passes it.
+            shape, profiles = (-1,) + (1,) * r.ndim, [s[1:] for s in storms]
             for B in {s[2] for s in storms}:
-                Vm, Rm = np.array([s[:2] for s in storms if s[2] == B]).T
-                batches.append((Vm.reshape(shape), Rm.reshape(shape), B))
-            for profile in storms + batches:
-                got, ref = _speed(*profile, r), speed_reference(*profile, r)
-                assert got.shape == ref.shape
-                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+                profiles.append((np.array([s[1] for s in storms if s[2] == B]).reshape(shape), B))
+            for Rm, B in profiles:
+                assert same_bits(_speed(Rm, B, r), speed_reference(1.0, Rm, B, r))
 
     @settings(max_examples=50)
     @given(

@@ -48,7 +48,7 @@ from .csvio import (
 )
 from .ensemble import _ENSEMBLE_CHECKS, EnsemblePerturbationSpec, SyntheticEnsemble, save_ensemble
 from .grid import (_GRID_CHECKS, _MAX_CELL_STEPS, _POSITION_CHECK, _TIME_CHECKS, Grid, TimeAxis, _require_cell_steps,
-                   load_county_fixture)
+                   _require_cells, load_county_fixture)
 from .nhpp import _NHPP_CHECKS, NhppParams
 from .wind import _HOLLAND_CHECKS, HollandParams, Track, save_wind_field, wind_field
 
@@ -93,7 +93,7 @@ CONFIG_SCHEMA = (
     ("sweep.Rm_step", 1.0, _NUMBER, "in (0, 500]"),
     ("counties_csv", None, _OPTIONAL_PATH, None),
     ("output_dir", "out", _PATH, None),
-    ("seed", 0, _INTEGER, ">= 0"),
+    ("seed", 0, _INTEGER, _ENSEMBLE_CHECKS["seed"]),
 )
 
 # Most storms a sweep may hold, far above the default sweep's 1,860.
@@ -260,11 +260,11 @@ def _build(config) -> _Run:
     )
 
 
-def _load(loader, name: str, path):
-    """`loader(path)`; a file that does not parse is bad input under `name`."""
+def _input(name: str, f, *args):
+    """`f(*args)`; its ValueError (a file that does not parse, a cell off the grid) is bad input under `name`."""
     try:
-        return loader(path)
-    except ValueError as exc:  # it names the file and line
+        return f(*args)
+    except ValueError as exc:  # it names the file and line, or the value
         raise ConfigError(name, str(exc)) from None
 
 
@@ -295,9 +295,7 @@ def cmd_fail_dist(run: _Run, args) -> None:
         raise ConfigError("--cells", "expected a comma-separated list of cell ids") from None
     if not cells:
         raise ConfigError("--cells", "need at least one cell id")
-    for cell in cells:
-        if not 0 <= cell < run.grid.n_cells:
-            raise ConfigError("--cells", f"cell {cell} outside [0, {run.grid.n_cells})")
+    _input("--cells", _require_cells, cells, run.grid.n_cells)
     if args.n_max is not None and not 0 <= args.n_max <= _MAX_CELL_STEPS:
         raise ConfigError("--n-max", f"must be in [0, {_MAX_CELL_STEPS:,}]")
     members = SyntheticEnsemble(run.spec, run.grid, run.times, args.threads)
@@ -409,13 +407,11 @@ def cmd_sweep_fit(run: _Run, args) -> None:
 def cmd_outage_fit(run: _Run, args) -> None:
     if run.counties_csv is None:
         raise ConfigError("counties_csv", "required for outage-fit")
-    counties = _load(load_county_fixture, "counties_csv", run.counties_csv)
+    counties = _input("counties_csv", load_county_fixture, run.counties_csv)
     index = {c.name: np.array(sorted(c.cells)) for c in counties}  # each county's cells as `county_average` reads them
     for name, cells in index.items():
-        outside = cells[(cells < 0) | (cells >= run.grid.n_cells)]
-        if outside.size:
-            raise ConfigError("counties_csv", f"county {name!r}: cell {outside[0]} outside [0, {run.grid.n_cells})")
-    observations = _load(glm.load_observations, "--obs", args.obs)
+        _input(f"counties_csv: county {name!r}", _require_cells, cells, run.grid.n_cells)
+    observations = _input("--obs", glm.load_observations, args.obs)
     unknown = sorted({obs.county for obs in observations} - set(counties.names()))
     if unknown:
         raise ConfigError("--obs", f"counties not in counties_csv: {', '.join(map(repr, unknown))}")

@@ -10,7 +10,6 @@ the track — which gives a closed-form area to check the numeric zone against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,8 @@ from .csvio import _require_value, _write_table
 from .fitting import LinearFit, linear_least_squares
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis
 from .nhpp import _NHPP_CHECKS, NhppParams, _intensity
-from .wind import (MPS_TO_KMH, HollandParams, Track, WindField, _kernel, _speed, _spin, _sweep_storms, _translation,
-                   _vector_sum, _windows)
+from .wind import (MPS_TO_KMH, HollandParams, Track, WindField, _kernel, _reach, _speed, _spin, _sweep_storms,
+                   _translation, _vector_sum, _windows)
 
 
 # =============================================================================
@@ -108,7 +107,7 @@ def obround_area(Rcrit: float, T: float, Vtr) -> float:
     `Vtr` (m/s vector or scalar speed) sweeps a rectangle capped by two
     semicircles: 2 * Rcrit * (T * ||Vtr|| * 3.6) + pi * Rcrit^2.
     """
-    if Rcrit < 0:
+    if not Rcrit >= 0:  # NaN fails it too
         raise ValueError("Rcrit must be >= 0")
     speed = float(np.hypot(*Vtr)) if np.ndim(Vtr) else float(Vtr)
     return 2.0 * Rcrit * T * speed * MPS_TO_KMH + np.pi * Rcrit * Rcrit
@@ -349,45 +348,6 @@ TABLE_HEADER = ["Vm", "Rm", "area_axi_km2", "area_asym_km2", "max_fr_axi", "max_
                 "mean_fr_axi", "mean_fr_asym"]
 
 
-def _lambert_w0(z: float) -> float:
-    """Principal branch W0 of the Lambert W function on -1/e < z < 0: the
-    w in (-1, 0) with w e^w = z.
-
-    Starts from the branch-point series in p = sqrt(2 (e z + 1)) and takes
-    Halley steps, which converge cubically; five reach rounding level
-    everywhere on the interval, down to subnormal z.
-    """
-    p = math.sqrt(2.0 * (math.e * z + 1.0))
-    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
-    for _ in range(5):
-        ew = math.exp(w)
-        f = w * ew - z
-        if f == 0.0:
-            break
-        wp1 = w + 1.0
-        w -= f / (ew * wp1 - 0.5 * (w + 2.0) * f / wp1)
-    return w
-
-
-def _window_radius(p: HollandParams, Vhot: float) -> float:
-    """Radius (km) beyond which no cell lies inside Rm or has a radial wind
-    speed >= `Vhot`; infinite when `Vhot` <= 0 (every speed qualifies).
-
-    With y = (Rm/r)^B the profile reads (V/Vm)^2 = y e^(1-y), so the outer
-    radius where V = U is Rm y^(-1/B) with y = -W0(-(U/Vm)^2 / e), W0 the
-    principal branch of the Lambert W function (`_lambert_w0`).  It is taken
-    at U = Vhot (1 - 1e-8): the rounding of W and of the profile is far
-    smaller than that margin, so the profile there is below Vhot and keeps
-    decreasing outward.
-    """
-    if Vhot <= 0:
-        return np.inf
-    if p.Vm < Vhot:
-        return p.Rm
-    y = -_lambert_w0(-(((1.0 - 1e-8) * Vhot / p.Vm) ** 2) / math.e)
-    return p.Rm * y ** (-1.0 / p.B)
-
-
 def _swaths(track: Track, storms, grid: Grid, times: TimeAxis, nhpp: NhppParams, hemisphere: str = "N"):
     """`storm_swath`'s (rates, zone) of each (HollandParams, asymmetric) of
     `storms`, which share one Rm and B, from one kernel pass.
@@ -402,8 +362,7 @@ def _swaths(track: Track, storms, grid: Grid, times: TimeAxis, nhpp: NhppParams,
     pos = track.position(times.offsets())
     spin = _spin(hemisphere)
     Vtrs = [_translation(track, asym) for _, asym in storms]
-    speeds = [0.0 if Vtr is None else float(np.hypot(*Vtr)) for Vtr in Vtrs]
-    reaches = [_window_radius(p, nhpp.Vcrit - speed) for (p, _), speed in zip(storms, speeds)]
+    reaches = [_reach(p, Vtr, nhpp.Vcrit) for (p, _), Vtr in zip(storms, Vtrs)]
     windows = [_windows(xs, ys, pos, reach) for reach in reaches]
     rates = [np.zeros((grid.nx, grid.ny)) for _ in storms]
     zones = [np.zeros((grid.nx, grid.ny), dtype=bool) for _ in storms]

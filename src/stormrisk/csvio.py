@@ -225,15 +225,15 @@ def _interval(check: str):
 
 # The checks that are not intervals, with their tests.  The intervals are the
 # model's domain, and inside them every result is finite.  A speed is at most
-# Vm + |Vtr| = 221 m/s.  The largest rate, lambda T alpha (Vmax / Vcrit)^2, is
-# 1.2e21 over the longest run (the cell-step cap's 1e9 steps of 24 h).  The
+# Vm + ||Vtr|| = 150 + 75 sqrt(2) = 256 m/s.  The largest rate, lambda T alpha
+# (Vmax / Vcrit)^2, is 1.6e21 over the longest run (1e9 steps of 24 h).  The
 # largest loss is Lf / 2Y = 5e11 times a rate squared, 1.5e35 over the sweeps'
 # 24 h.  The fits' regressors are powers up to Rm^4 g^8 = 1.5e28 (g = Vm /
 # Vcrit - 1 <= 149; the damage fit's Rm^2 / g <= 1.7e23, as g >= 1.5e-18), so
 # their weighted normal equations of a million storms stay below 1e303 with
 # `aggregate._MIN_RESPONSE`.  A critical radius is at most Rm (Vm /
 # Vthres)^(2/B) e^(1/B) = 1.9e12 km, its obround 8e25 km^2; an outage fit's
-# households times exposure squared 1.4e51 per row.
+# households times exposure squared 2.5e51 per row.
 _CHECKS = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
@@ -283,7 +283,7 @@ def _check(path: str, value, kind, check: str | None):
     types, name, convert = kind
     if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
         raise ConfigError(path, f"expected {name}, got {_type_name(value)}")
-    if convert is float and not _finite(value):
+    if int in types and not _finite(value):  # a number, or an integer past the float range
         raise ConfigError(path, f"expected a finite number, got {value!r}")
     if convert is _pair and len(value) != 2:
         raise ConfigError(path, f"value {value!r} out of range ({name})")

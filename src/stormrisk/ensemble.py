@@ -37,7 +37,7 @@ from .csvio import (
     _write_velocities,
 )
 from .grid import _GRID_CHECKS, _POSITION_CHECK, _TIME_CHECKS, Grid, TimeAxis, _require_cell_steps
-from .wind import _HOLLAND_CHECKS, HollandParams, Track, WindField, _sub_grid, _velocities
+from .wind import _HOLLAND_CHECKS, HollandParams, Track, WindField, _spin, _sub_grid, _velocities
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class Ensemble:
 
 # `EnsemblePerturbationSpec`'s checks, which the config and the sidecar read too.
 _ENSEMBLE_CHECKS = {"sigma_track": "in [0, 2e4]", "sigma_heading": "in [0, 360]", "sigma_Vm": "in [0, 150]",
-                    "sigma_Rm": "in [0, 500]", "H": ">= 1"}
+                    "sigma_Rm": "in [0, 500]", "seed": ">= 0", "H": ">= 1"}
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,7 @@ class EnsemblePerturbationSpec:
 
     def __post_init__(self):
         _require(self, **_ENSEMBLE_CHECKS)
+        _spin(self.hemisphere)
 
 
 def member_parameters(spec: EnsemblePerturbationSpec, child_seed) -> tuple[Track, HollandParams]:

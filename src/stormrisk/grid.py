@@ -94,6 +94,14 @@ class Grid:
         return np.column_stack([np.repeat(xs, self.ny), np.tile(ys, self.nx)])
 
 
+def _require_cells(cells, n_cells: int) -> None:
+    """ValueError naming the first of the cell ids `cells` outside [0, `n_cells`): numpy would wrap -1."""
+    ids = np.asarray(cells)
+    outside = ids[(ids < 0) | (ids >= n_cells)]
+    if outside.size:
+        raise ValueError(f"cell {outside[0]} outside [0, {n_cells})")
+
+
 @dataclass(frozen=True)
 class TimeAxis:
     """Discrete, equally spaced sample times.
@@ -192,6 +200,7 @@ def county_average(field_values, county: County) -> float:
     """Arithmetic mean of a per-cell field over a county's cells."""
     values = np.asarray(field_values, dtype=float)
     idx = np.fromiter(sorted(county.cells), dtype=int)
+    _require_cells(idx, len(values))
     return float(np.mean(values[idx]))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .csvio import _require, _write_table
 from .ensemble import _mean
-from .grid import _MAX_CELL_STEPS
+from .grid import _MAX_CELL_STEPS, _require_cells
 
 
 # `NhppParams`' checks; a critical-zone threshold takes Vcrit's.
@@ -140,6 +140,7 @@ def fr2(p: NhppParams, e) -> np.ndarray:
 def member_rates(p: NhppParams, e, cell) -> np.ndarray:
     """Per-member failure rates at one cell, shape (H,), or at each of a list
     of cells, shape (H, len(cells))."""
+    _require_cells(cell, e.grid.n_cells)
     return np.array([failure_rate(p, v, e.times.dt) for v in e.fields(cell)])
 
 
@@ -275,9 +276,9 @@ def saturated_distribution(total_rate: float, Ng: int) -> FailureDistribution:
     """
     from scipy.special import pdtr
 
-    if Ng < 0:
+    if not Ng >= 0:  # NaN fails it too
         raise ValueError("Ng must be >= 0")
-    if total_rate < 0:
+    if not total_rate >= 0:
         raise ValueError("total_rate must be >= 0")
     if Ng == 0:
         return FailureDistribution(pmf=np.array([1.0]), tail=0.0)
@@ -301,9 +302,9 @@ def expected_failures_saturated(total_rate, Ng):
 
     lam = np.asarray(total_rate, dtype=float)
     ng = np.asarray(Ng)
-    if np.any(ng < 0):
+    if not np.all(ng >= 0):  # NaN fails it too
         raise ValueError("Ng must be >= 0")
-    if np.any(lam < 0):
+    if not np.all(lam >= 0):
         raise ValueError("total_rate must be >= 0")
     # pdtr(-1, .) is NaN; for Ng == 1 the sum over n < Ng is empty.
     body = np.where(ng >= 2, lam * pdtr(ng - 2, lam), 0.0)

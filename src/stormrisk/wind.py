@@ -19,32 +19,27 @@ exactly, and adds the translation through `_vector_sum`.
 
 Window invariant.  A reducer that evaluates only a window must give each
 cell outside it the result an evaluation would give.  `critzone.storm_swath`
-uses the reach W >= max(Rm, Rcrit(Vhot)), the closed-form bound
-`critzone._window_radius`, where Vhot = Vcrit - ||Vtr|| (the ||Vtr|| term
-only for an asymmetric storm: vector addition raises a speed by at most
-||Vtr||).  A cell outside the window is at least W from the centre as the
-kernel computes it: `np.searchsorted` on the correctly rounded px - W and
-px + W leaves out only centres x < px - W or x > px + W exactly (rounding
-is monotone, so no float lies between a number and its rounding), the
-rounded difference x - px is then still at least W in magnitude, the same
-holds on the y axis, and `np.hypot` is never below max(|dx|, |dy|).  So the
-cell is not inside Rm, and its profile speed is below Vhot: W is taken 1e-8
-below Vhot in speed, a margin far larger than the rounding of W or of the
-profile.  Its wind is then below Vcrit, the zone threshold, so its zone bit
-is unchanged and its intensity is exactly `lambda_norm`, which it receives
-without evaluation.
-Every cell still adds its per-step intensities one at a time in time order,
-so the swath is bit-identical to evaluating every cell at every step.
+uses the reach W = `_reach` at Vcrit.  A cell outside the window is at least
+W from the centre as the kernel computes it: `np.searchsorted` on the
+correctly rounded px - W and px + W leaves out only centres x < px - W or
+x > px + W exactly (rounding is monotone), the rounded difference x - px is
+then still at least W in magnitude, the same holds on the y axis, and
+`np.hypot` is never below max(|dx|, |dy|).  So the cell's wind is below
+Vcrit and it is not inside Rm: its zone bit is unchanged and its intensity
+is exactly `lambda_norm`, which it receives without evaluation.  Every cell
+still adds its per-step intensities one at a time in time order, so the
+swath is bit-identical to evaluating every cell at every step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import _require, _test, _write_velocities
-from .grid import Grid, TimeAxis
+from .grid import _ORIGIN_CHECK, Grid, TimeAxis
 
 MPS_TO_KMH = 3.6
 
@@ -92,6 +87,11 @@ def _sweep_storms(Vm_values, Rm_values, B: float):
     return Vm, Rm
 
 
+# `Track`'s checks, which every ensemble member passes: its genesis is a config position plus a N(0, <= 2e4 km)
+# draw (numpy's ziggurat stays within 14 sigma), its velocity a rotation of one in [-50, 50]^2, of norm <= 50 sqrt(2).
+_TRACK_CHECKS = {"x0": _ORIGIN_CHECK, "Vtr": "in [-75, 75]"}
+
+
 @dataclass(frozen=True)
 class Track:
     """Straight-line storm track at constant translation velocity.
@@ -99,9 +99,9 @@ class Track:
     Parameters
     ----------
     x0 : tuple of float
-        Genesis position (km, km) at elapsed time zero.
+        Genesis position (km, km) at elapsed time zero, each in [-1e7, 1e7].
     Vtr : tuple of float
-        Translation velocity vector (m/s, m/s).
+        Translation velocity vector (m/s, m/s), each in [-75, 75].
 
     The storm's span is the run's `TimeAxis`.
     """
@@ -109,16 +109,16 @@ class Track:
     x0: tuple[float, float]
     Vtr: tuple[float, float]
 
+    def __post_init__(self):
+        _require(self, **_TRACK_CHECKS)
+
     def position(self, elapsed_h) -> np.ndarray:
         """Storm-centre position (km) after `elapsed_h` hours.
 
         Accepts a scalar or an array of elapsed times; returns shape (..., 2).
         """
         t = np.asarray(elapsed_h, dtype=float)
-        out = np.empty(t.shape + (2,))
-        out[..., 0] = self.x0[0] + self.Vtr[0] * MPS_TO_KMH * t
-        out[..., 1] = self.x0[1] + self.Vtr[1] * MPS_TO_KMH * t
-        return out
+        return np.asarray(self.x0, dtype=float) + (np.asarray(self.Vtr, dtype=float) * MPS_TO_KMH) * t[..., None]
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,40 @@ def _windows(xs, ys, pos, reach) -> list[tuple[slice, slice]]:
         np.searchsorted(ys, pos[:, 1] + reach, side="right"),
     )
     return [(slice(a, b), slice(c, d)) for a, b, c, d in zip(*(x.tolist() for x in bounds))]
+
+
+def _lambert_w0(z: float) -> float:
+    """Principal branch W0 of the Lambert W function on -1/e < z < 0: the w in (-1, 0) with w e^w = z.
+    From the branch-point series in p = sqrt(2 (e z + 1)), five Halley steps (cubic convergence)
+    reach rounding level everywhere on the interval, down to subnormal z."""
+    p = math.sqrt(2.0 * (math.e * z + 1.0))
+    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    for _ in range(5):
+        ew = math.exp(w)
+        f = w * ew - z
+        if f == 0.0:
+            break
+        wp1 = w + 1.0
+        w -= f / (ew * wp1 - 0.5 * (w + 2.0) * f / wp1)
+    return w
+
+
+def _reach(p: HollandParams, Vtr, Vthres: float) -> float:
+    """The radius (km) beyond which no cell lies inside Rm or has a wind >= `Vthres` for storm `p` of
+    translation `Vtr` (`_translation`'s): vector addition raises a speed by at most ||Vtr|| (0 for None),
+    so the profile there is below Vhot = Vthres - ||Vtr||.  Infinite when Vhot <= 0, Rm when Vm < Vhot.
+
+    With y = (Rm/r)^B the profile reads (V/Vm)^2 = y e^(1-y), so it equals U at Rm y^(-1/B),
+    y = -W0(-(U/Vm)^2 / e).  U = Vhot (1 - 1e-8), a margin far larger than the rounding of W or of
+    the profile, so the profile is below Vhot there and keeps decreasing outward.
+    """
+    Vhot = Vthres - (0.0 if Vtr is None else float(np.hypot(*Vtr)))
+    if Vhot <= 0:
+        return np.inf
+    if p.Vm < Vhot:
+        return p.Rm
+    y = -_lambert_w0(-(((1.0 - 1e-8) * Vhot / p.Vm) ** 2) / math.e)
+    return p.Rm * y ** (-1.0 / p.B)
 
 
 def _spin(hemisphere: str) -> float:

@@ -411,6 +411,13 @@ class TestEntryPoints:
         with pytest.raises(ConfigError, match=assignment.split("=")[0]):
             load_config(None, [assignment])
 
+    @pytest.mark.parametrize("field", ["seed", "ensemble.H"])
+    def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys, field):
+        # `EnsemblePerturbationSpec` would refuse it as not finite.
+        huge = 10**400
+        assert main(["windfield", "--set", f"output_dir={tmp_path / 'out'}", "--set", f"{field}={huge}"]) == 2
+        assert capsys.readouterr().err == f"error: invalid config: {field}: expected a finite number, got {huge}\n"
+
 
 class TestWindfieldCommand:
     def test_writes_csv_with_config_hash(self, tmp_path):

@@ -28,8 +28,9 @@ from stormrisk import (
     zone_sweep,
 )
 from stormrisk import critzone
-from stormrisk.critzone import SWEEP_HEADER, TABLE_HEADER, _critical_radii, _window_radius
+from stormrisk.critzone import SWEEP_HEADER, TABLE_HEADER, _critical_radii
 from stormrisk.csvio import TABLE_FMT, _write_csv
+from stormrisk.wind import _reach, _translation
 
 VTHRES = 20.6
 
@@ -189,6 +190,10 @@ class TestObround:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             obround_area(-1.0, 1.0, 1.0)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="Rcrit must be >= 0"):
+            obround_area(np.nan, 10.0, (0.0, 3.0))
 
 
 class TestNumericZone:
@@ -395,16 +400,21 @@ class TestWindowRadius:
     def test_closed_form_bounds_the_bisection_root(self, Vm, Rm, B, frac):
         p = HollandParams(Vm=Vm, Rm=Rm, B=B)
         Vhot = frac * Vm
-        bound = _window_radius(p, Vhot)
+        bound = _reach(p, None, Vhot)
         assert holland_speed(p, bound) < Vhot
-        # `storm_swath` passes Vhot = Vcrit - |Vtr|, which may be below Vcrit's range.
+        # Vhot = Vcrit - |Vtr| may be below Vcrit's range.
         assert bound >= _critical_radii(np.array([Vm]), np.array([Rm]), B, Vhot)[0]
+        # A translation lowers the threshold by its speed.
+        assert _reach(p, (0.0, -Vhot), 2.0 * Vhot) == bound
 
     def test_degenerate_targets(self):
         p = HollandParams(Vm=30.0, Rm=25.0)
-        assert _window_radius(p, 0.0) == np.inf
-        assert _window_radius(p, -3.0) == np.inf
-        assert _window_radius(p, 30.5) == 25.0
+        assert _reach(p, None, 0.0) == np.inf
+        assert _reach(p, None, -3.0) == np.inf
+        assert _reach(p, (3.0, 4.0), 5.0) == np.inf
+        assert _reach(p, (3.0, 4.0), 4.0) == np.inf
+        assert _reach(p, None, 30.5) == 25.0
+        assert _reach(p, (0.0, 3.0), 33.5) == 25.0
 
 
 class TestStormSwath:
@@ -458,11 +468,11 @@ class TestStormSwath:
         # At the least Vcrit, 1 m/s, the closed-form window radius passes the
         # grid; with a translation faster than Vcrit it is unbounded.
         p = HollandParams(Vm=37.0, Rm=30.0, B=B)
-        assert _window_radius(p, 1.0 - 3.0 * asymmetric) > 72.0
         track = Track(x0=(0.0, -30.0), Vtr=(0.0, 3.0))
         grid = Grid(origin=(-36.0, -36.0), nx=12, ny=12, cell_size=6.0)
         times = TimeAxis(n_steps=6)
         nhpp = NhppParams(Vcrit=1.0)
+        assert _reach(p, _translation(track, asymmetric), nhpp.Vcrit) > 72.0
         rates, zone = storm_swath(track, p, grid, times, nhpp, asymmetric=asymmetric)
         ref_rates, ref_zone = dense_swath(track, p, grid, times, nhpp, asymmetric=asymmetric)
         assert np.array_equal(rates, ref_rates)
@@ -478,7 +488,7 @@ class TestStormSwath:
         # first step.
         p, nhpp = HollandParams(Vm=15.0, Rm=30.0), NhppParams()
         Vtr = (0.0, 3.0)
-        assert _window_radius(p, nhpp.Vcrit - np.hypot(*Vtr) * asymmetric) == p.Rm
+        assert _reach(p, Vtr if asymmetric else None, nhpp.Vcrit) == p.Rm
         grid = Grid(origin=(-40.0, 0.0), nx=81, ny=24, cell_size=1.0)
         xs, ys = grid.axes()
         d = p.Rm

@@ -22,7 +22,7 @@ from stormrisk import (
     save_ensemble,
     wind_field,
 )
-from stormrisk import NhppParams, ensemble, failure_rate, fr1, fr2, member_rates, poisson_intensity
+from stormrisk import NhppParams, ensemble, failure_rate, fd_a, fd_b, fr1, fr2, member_rates, poisson_intensity
 from stormrisk.cli import CONFIG_SCHEMA
 from stormrisk.csvio import ConfigError
 from stormrisk.ensemble import SIDECAR_SCHEMA, _mean
@@ -45,6 +45,28 @@ class TestSpecValidation:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             _spec(**bad)
+
+    @pytest.mark.parametrize("hemisphere", ["X", "n", ""])
+    def test_unknown_hemisphere_refused_when_made(self, hemisphere):
+        with pytest.raises(ValueError, match="hemisphere must be 'N' or 'S'"):
+            _spec(hemisphere=hemisphere)
+
+    @pytest.mark.parametrize("seed", [-1, np.nan, np.inf, 10**400], ids=["-1", "nan", "inf", "10**400"])
+    def test_bad_seed_refused_when_made(self, seed):
+        with pytest.raises(ValueError, match="seed must be finite and >= 0"):
+            _spec(seed=seed)
+
+    @pytest.mark.parametrize("vtr", [(50.0, 50.0), (-50.0, 50.0), (50.0, -50.0), (-50.0, -50.0)])
+    def test_members_of_the_widest_config_are_valid_tracks(self, vtr):
+        # Config positions at their ends, the largest sigmas: every member's
+        # track passes `Track`'s checks (its genesis within 1e7 km, its
+        # velocity entries within 75 m/s).
+        base = Track(x0=(2e4, -2e4), Vtr=vtr)
+        spec = _spec(base_track=base, sigma_track=2e4, sigma_heading=360.0, H=400)
+        for cs in np.random.SeedSequence(spec.seed).spawn(spec.H):
+            track, _ = member_parameters(spec, cs)
+            assert np.hypot(*track.Vtr) <= 50.0 * np.sqrt(2.0) + 1e-12
+            assert max(map(abs, track.x0)) < 3e5
 
 
 class TestGeneration:
@@ -120,6 +142,30 @@ class TestGeneration:
             track, params = member_parameters(spec, child)
             field = wind_field(track, params, GRID, TIMES, asymmetric=True, hemisphere=hemisphere)
             assert np.array_equal(member.velocities, field.velocities)
+
+
+class TestCellIds:
+    """A cell id off the grid is refused by both member sources, where numpy
+    would wrap -1 to the last cell or raise a bare IndexError."""
+
+    @pytest.mark.parametrize("source", ["stored", "generated"])
+    @pytest.mark.parametrize(
+        "statistic, cell, bad",
+        [(f, c, c) for f in (member_rates, fd_a, fd_b) for c in (-1, GRID.n_cells)]
+        + [(member_rates, [0, -1, 99], -1), (member_rates, [GRID.n_cells, 0], GRID.n_cells)],
+        ids=lambda x: getattr(x, "__name__", str(x)),
+    )
+    def test_outside_the_grid_refused(self, source, statistic, cell, bad):
+        spec = _spec(sigma_Vm=3.0)
+        e = SyntheticEnsemble(spec, GRID, TIMES)
+        e = generate_synthetic_ensemble(spec, GRID, TIMES) if source == "stored" else e
+        with pytest.raises(ValueError, match=rf"^cell {bad} outside \[0, {GRID.n_cells}\)$"):
+            statistic(NhppParams(), e, cell)
+
+    def test_last_cell_still_read(self):
+        e = generate_synthetic_ensemble(_spec(sigma_Vm=3.0), GRID, TIMES)
+        last = GRID.n_cells - 1
+        assert np.array_equal(member_rates(NhppParams(), e, last), member_rates(NhppParams(), e, [last])[:, 0])
 
 
 class TestEnsembleType:

@@ -88,6 +88,12 @@ class TestCountyAverage:
         c = County(name="a", cells={1, 4, 7}, households=1)
         assert county_average(values, c) == county_average(list(values), c)
 
+    @pytest.mark.parametrize("cells, bad", [({-1}, -1), ({0, 3}, 3), ({-2, 0, 5}, -2)])
+    def test_cell_outside_the_field_refused(self, cells, bad):
+        # numpy would read -1 as the last cell.
+        with pytest.raises(ValueError, match=rf"^cell {bad} outside \[0, 3\)$"):
+            county_average([1.0, 2.0, 3.0], County(name="a", cells=cells))
+
 
 class TestCountyValidation:
     def test_empty_cells_rejected(self):

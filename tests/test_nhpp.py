@@ -358,6 +358,12 @@ class TestSaturated:
     def test_asymptote(self):
         assert expected_failures_saturated(500.0, 5) == pytest.approx(5.0, abs=1e-6)
 
+    @pytest.mark.parametrize("f", [saturated_distribution, expected_failures_saturated])
+    @pytest.mark.parametrize("rate, Ng, name", [(np.nan, 5, "total_rate"), (-1.0, 5, "total_rate"), (1.0, -1, "Ng")])
+    def test_negative_or_nan_refused(self, f, rate, Ng, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            f(rate, Ng)
+
     @given(
         st.one_of(st.floats(-9.0, 3.0).map(lambda e: 10.0**e), st.floats(0.0, 1e3)),
         st.integers(0, 1000),

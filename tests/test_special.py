@@ -36,8 +36,8 @@ from stormrisk import (
 )
 from stormrisk import fitting
 from stormrisk.cli import DEFAULT_CONFIG, config_hash
-from stormrisk.critzone import _lambert_w0
 from stormrisk.fitting import LinearFit, chi2_sf, t_sf2
+from stormrisk.wind import _lambert_w0
 
 # Poisson means from 1e-9 to 1e4: log-uniform, plus hypothesis's own floats
 # (which favour the ends of the range).

@@ -175,6 +175,25 @@ class TestTrack:
         assert pos[1] == pytest.approx((5.0, 10.8))
         assert pos[2] == pytest.approx((5.0, 21.6))
 
+    @pytest.mark.parametrize(
+        "x0, Vtr, field",
+        [
+            ((np.nan, 0.0), (0.0, 3.0), "x0"),  # was an all-nominal swath with an empty zone
+            ((0.0, -np.inf), (0.0, 3.0), "x0"),
+            ((1.0000001e7, 0.0), (0.0, 3.0), "x0"),
+            ((0.0, 0.0), (np.inf, 3.0), "Vtr"),  # was a RuntimeWarning in `position`
+            ((0.0, 0.0), (0.0, np.nan), "Vtr"),
+            ((0.0, 0.0), (-75.5, 0.0), "Vtr"),
+        ],
+    )
+    def test_bad_entry_refused(self, x0, Vtr, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and in \["):
+            Track(x0=x0, Vtr=Vtr)
+
+    def test_range_ends_accepted(self):
+        track = Track(x0=(-1e7, 1e7), Vtr=(75.0, -75.0))
+        assert np.all(np.isfinite(track.position([0.0, 1e9 * 24.0])))
+
 
 def _single_cell_grid(cx: float, cy: float) -> Grid:
     return Grid(origin=(cx - 0.5, cy - 0.5), nx=1, ny=1, cell_size=1.0)

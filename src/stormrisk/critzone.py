@@ -18,8 +18,7 @@ from .csvio import _require_value, _write_table
 from .fitting import LinearFit, linear_least_squares
 from .grid import _MAX_CELL_STEPS, Grid, TimeAxis
 from .nhpp import _NHPP_CHECKS, NhppParams, _intensity
-from .wind import (MPS_TO_KMH, HollandParams, Track, WindField, _kernel, _reach, _speed, _spin, _sweep_storms,
-                   _translation, _vector_sum, _windows)
+from .wind import MPS_TO_KMH, HollandParams, Track, WindField, _speed, _sweep_storms, _winds
 
 
 # =============================================================================
@@ -92,11 +91,9 @@ def critical_zone_numeric(
     """
     _require_value("Vthres", Vthres, _NHPP_CHECKS["Vcrit"])
     grid = field.grid
-    xs, ys = grid.axes()
-    pos = track.position(field.times.offsets())
     inside = np.zeros((grid.nx, grid.ny), dtype=bool)
-    for window, r, _, _ in _kernel(p.Rm, p.B, xs, ys, pos, p.Rm):
-        inside[window] |= r < p.Rm
+    for r, winds in _winds(track, [(p, False)], *grid.axes(), field.times, np.inf, "N"):
+        inside[next(winds)[1]] |= r < p.Rm
     return inside.ravel() | np.any(field.velocities >= Vthres, axis=1)
 
 
@@ -350,37 +347,14 @@ TABLE_HEADER = ["Vm", "Rm", "area_axi_km2", "area_asym_km2", "max_fr_axi", "max_
 
 def _swaths(track: Track, storms, grid: Grid, times: TimeAxis, nhpp: NhppParams, hemisphere: str = "N"):
     """`storm_swath`'s (rates, zone) of each (HollandParams, asymmetric) of
-    `storms`, which share one Rm and B, from one kernel pass.
-
-    Each step evaluates the kernel (`wind._kernel`) once, on the widest
-    storm's window; each storm scales the Vm = 1 shape by its Vm on its own
-    window, a sub-window of that one.  The widest storm comes last and scales
-    it in place.
-    """
-    Rm, B = storms[0][0].Rm, storms[0][0].B
-    xs, ys = grid.axes()
-    pos = track.position(times.offsets())
-    spin = _spin(hemisphere)
-    Vtrs = [_translation(track, asym) for _, asym in storms]
-    reaches = [_reach(p, Vtr, nhpp.Vcrit) for (p, _), Vtr in zip(storms, Vtrs)]
-    windows = [_windows(xs, ys, pos, reach) for reach in reaches]
+    `storms`, which share one Rm and B, from one pass of `wind._winds`."""
     rates = [np.zeros((grid.nx, grid.ny)) for _ in storms]
     zones = [np.zeros((grid.nx, grid.ny), dtype=bool) for _ in storms]
-    order = sorted(range(len(storms)), key=reaches.__getitem__)
-    last = order[-1]
-    steps = _kernel(Rm, B, xs, ys, pos, reaches[last], spin if any(Vtr is not None for Vtr in Vtrs) else None)
-    for t, (window, r, unit, tangents) in enumerate(steps):
-        inside = r < Rm
-        x0, y0 = window[0].start, window[1].start
-        for k in order:
-            own = windows[k][t]
-            sub = (slice(own[0].start - x0, own[0].stop - x0), slice(own[1].start - y0, own[1].stop - y0))
-            v = np.multiply(unit[sub], storms[k][0].Vm, out=unit if k == last else None)
-            if Vtrs[k] is not None:
-                v = _vector_sum(v, tangents[0][sub], tangents[1][sub], Vtrs[k])
+    for r, winds in _winds(track, storms, *grid.axes(), times, nhpp.Vcrit, hemisphere):
+        inside = r < storms[0][0].Rm
+        for k, own, sub, v in winds:
             zones[k][own] |= inside[sub] | (v >= nhpp.Vcrit)
-            # Each cell adds this step's intensity to its rate, the window's
-            # evaluated and every other cell's lambda_norm.
+            # The window's cells add this step's intensity, every other cell lambda_norm.
             hot = _intensity(nhpp, v, out=v)
             hot += rates[k][own]
             rates[k] += nhpp.lambda_norm

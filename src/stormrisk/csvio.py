@@ -26,16 +26,19 @@ JSON documents (the config, the ensemble sidecar, the reports) go through
 `_read_json` and `_write_json`, and the config's and the sidecar's fields
 through one kind checker, `_check`.  The parameter records (storm, grid,
 time axis, failure, repair, ensemble, county, observation) check their
-numeric fields through `_require`, against the same check texts.
+numeric fields through `_require`, against the same check texts, and the
+kind each field's annotation declares (an integer, a pair of numbers).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import itertools
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -253,8 +256,20 @@ def _test(check: str):
 
 
 def _finite(v) -> bool:
-    """Whether a JSON number is finite as a float; a huge integer is not."""
-    return abs(v) <= sys.float_info.max
+    """Whether `v` is a number, not a boolean, finite as a float; a huge integer is not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+# The kinds a record field's annotation declares beyond its check text, with their tests.
+_KINDS = {
+    "int": _is_integer,
+    "frozenset[int]": lambda ids: all(map(_is_integer, ids)),
+    "tuple[float, float]": lambda pair: isinstance(pair, tuple) and len(pair) == 2,
+}
 
 
 def _require_value(name: str, value, check: str | None) -> None:
@@ -267,9 +282,14 @@ def _require_value(name: str, value, check: str | None) -> None:
 
 
 def _require(record, **checks) -> None:
-    """`_require_value` of each field of `record` in `checks`, in order."""
+    """`_require_value` of each field of `record` in `checks`, in order, then
+    the `_KINDS` test of each field's annotation (an `int` is an integer)."""
     for field, check in checks.items():
         _require_value(field, getattr(record, field), check)
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if f.type in _KINDS and not _KINDS[f.type](value):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 def _type_name(value) -> str:

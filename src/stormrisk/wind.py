@@ -12,23 +12,24 @@ Hemisphere, the strongest winds sit due east of the centre.
 One kernel, `_kernel`, holds the storm geometry: per storm position, the
 window of grid cells within a reach of the centre, their distances r, the
 profile's Vm = 1 shape at r and, for a moving asymmetric storm, the tangent
-unit vectors.  The profile's last step is the product by Vm, so each
-consumer (the dense fields of `_velocities`, the damage/loss sweep of
-`aggregate`, the swaths of `critzone`) multiplies the shape by its own Vm,
-exactly, and adds the translation through `_vector_sum`.
+unit vectors.  `_winds` alone forms a storm's speeds from it, the shape
+times Vm (the profile's last step, so exact) plus the translation through
+`_vector_sum`, for the dense fields (`_velocities`) and `critzone`'s swaths
+and zone mask; `aggregate`'s sweep scales its own chunks of Vm.
 
 Window invariant.  A reducer that evaluates only a window must give each
-cell outside it the result an evaluation would give.  `critzone.storm_swath`
-uses the reach W = `_reach` at Vcrit.  A cell outside the window is at least
-W from the centre as the kernel computes it: `np.searchsorted` on the
-correctly rounded px - W and px + W leaves out only centres x < px - W or
-x > px + W exactly (rounding is monotone), the rounded difference x - px is
-then still at least W in magnitude, the same holds on the y axis, and
-`np.hypot` is never below max(|dx|, |dy|).  So the cell's wind is below
-Vcrit and it is not inside Rm: its zone bit is unchanged and its intensity
-is exactly `lambda_norm`, which it receives without evaluation.  Every cell
-still adds its per-step intensities one at a time in time order, so the
-swath is bit-identical to evaluating every cell at every step.
+cell outside it the result an evaluation would give.  `_winds` uses the
+reach W = `_reach` at its threshold, Vcrit for `critzone.storm_swath`.  A
+cell outside the window is at least W from the centre as the kernel computes
+it: `np.searchsorted` on the correctly rounded px - W and px + W leaves out
+only centres x < px - W or x > px + W exactly (rounding is monotone), the
+rounded difference x - px is then still at least W in magnitude, the same
+holds on the y axis, and `np.hypot` is never below max(|dx|, |dy|).  So the
+cell's wind is below Vcrit and it is not inside Rm: its zone bit is
+unchanged and its intensity is exactly `lambda_norm`, which it receives
+without evaluation.  Every cell still adds its per-step intensities one at a
+time in time order, so the swath is bit-identical to evaluating every cell
+at every step.
 """
 
 from __future__ import annotations
@@ -192,9 +193,8 @@ def _speed(Rm, B, r):
 
 def _windows(xs, ys, pos, reach) -> list[tuple[slice, slice]]:
     """Per storm-centre position of `pos` ((n_steps, 2), km), the index window
-    `(rows, cols)` of the cells whose centres lie within `reach` km of it on
-    both axes (the whole grid when `reach` is infinite); `xs` and `ys` are the
-    ascending cell-centre coordinates of a rectangular grid."""
+    `(rows, cols)` of the cells of the ascending cell-centre axes `xs`, `ys`
+    within `reach` km of it on both axes (all cells at an infinite `reach`)."""
     bounds = (
         np.searchsorted(xs, pos[:, 0] - reach),
         np.searchsorted(xs, pos[:, 0] + reach, side="right"),
@@ -246,12 +246,11 @@ def _spin(hemisphere: str) -> float:
 
 
 def _kernel(Rm, B, xs, ys, pos, reach=np.inf, spin=None):
-    """The storm kernel: per position of `pos` ((n_steps, 2), km) on the grid
-    of ascending cell-centre axes `xs`, `ys`, `(window, r, shape, tangents)`:
-    the `_windows` window for `reach`, the cell-to-centre distances there, the
-    profile's Vm = 1 shape `_speed(Rm, B, r)`, and, given the cyclonic sense
-    `spin` (`_spin`), the tangent unit vectors spin (-dy, dx) / r, (0, 0) at
-    the centre (else None)."""
+    """The storm kernel: per position of `pos` ((n_steps, 2), km),
+    `(window, r, shape, tangents)`: the `_windows` window for `reach`, the
+    cell-to-centre distances there, the Vm = 1 shape `_speed(Rm, B, r)` and,
+    given the cyclonic sense `spin` (`_spin`), the tangent unit vectors
+    spin (-dy, dx) / r, (0, 0) at the centre (else None)."""
     for window, (px, py) in zip(_windows(xs, ys, pos, reach), pos):
         dx = xs[window[0], None] - px
         dy = ys[None, window[1]] - py
@@ -284,14 +283,40 @@ def _translation(track: Track, asymmetric: bool):
     return track.Vtr if asymmetric and tuple(track.Vtr) != (0.0, 0.0) else None
 
 
+def _winds(track: Track, storms, xs, ys, times: TimeAxis, Vthres: float, hemisphere: str):
+    """Per step of `times`, `(r, winds)`: the distances on the widest window,
+    then, lazily, `(k, window, sub, v)` per storm k of `storms` ((HollandParams,
+    asymmetric) pairs of one Rm and B), narrowest first: its `_reach` window
+    for `Vthres` on the axes `xs`, `ys`, its place `sub` in r and its speeds
+    there, from one kernel pass whose shape the widest, last, scales in place."""
+    Rm, B = storms[0][0].Rm, storms[0][0].B
+    pos = track.position(times.offsets())
+    spin = _spin(hemisphere)
+    Vtrs = [_translation(track, asym) for _, asym in storms]
+    reaches = [_reach(p, Vtr, Vthres) for (p, _), Vtr in zip(storms, Vtrs)]
+    windows = [_windows(xs, ys, pos, reach) for reach in reaches]
+    order = sorted(range(len(storms)), key=reaches.__getitem__)
+
+    def scaled(t, window, unit, tangents):
+        x0, y0 = window[0].start, window[1].start
+        for k in order:
+            own = windows[k][t]
+            sub = (slice(own[0].start - x0, own[0].stop - x0), slice(own[1].start - y0, own[1].stop - y0))
+            v = np.multiply(unit[sub], storms[k][0].Vm, out=unit if k == order[-1] else None)
+            if Vtrs[k] is not None:
+                v = _vector_sum(v, tangents[0][sub], tangents[1][sub], Vtrs[k])
+            yield k, own, sub, v
+
+    steps = _kernel(Rm, B, xs, ys, pos, reaches[order[-1]], spin if any(Vtr is not None for Vtr in Vtrs) else None)
+    for t, (window, r, unit, tangents) in enumerate(steps):
+        yield r, scaled(t, window, unit, tangents)
+
+
 def _velocities(track, p, xs, ys, times, asymmetric, hemisphere) -> np.ndarray:
     """The (len(xs) * len(ys), n_steps) speeds on the grid with axes `xs`, `ys`."""
     velocities = np.empty((len(xs) * len(ys), times.n_steps))
-    Vtr, spin = _translation(track, asymmetric), _spin(hemisphere)
-    steps = _kernel(p.Rm, p.B, xs, ys, track.position(times.offsets()), spin=None if Vtr is None else spin)
-    for t, (_, _, v, tangents) in enumerate(steps):
-        v *= p.Vm
-        velocities[:, t] = (v if Vtr is None else _vector_sum(v, *tangents, Vtr)).ravel()
+    for t, (_, winds) in enumerate(_winds(track, [(p, asymmetric)], xs, ys, times, 0.0, hemisphere)):
+        velocities[:, t] = next(winds)[3].ravel()
     return velocities
 
 

@@ -1,6 +1,6 @@
 """Every module-level name of the package is used somewhere besides its own
 definition: in `src/`, `demos/`, `tests/` or `bench/`.  A name nothing reads
-is dead code."""
+is dead code.  The storm kernel's internals are read only where they belong."""
 
 import ast
 from collections import Counter
@@ -50,3 +50,27 @@ def test_every_module_level_name_is_used():
         if not name.startswith("__") and not refs[name]
     ]
     assert dead == []
+
+
+# Storm geometry has one home: the kernel's callers, and the names only `wind` reads.
+KERNEL_USERS = {"_kernel": {"wind", "aggregate"}} | {
+    name: {"wind"} for name in ("_reach", "_translation", "_vector_sum", "_windows")
+}
+
+
+def test_storm_geometry_stays_in_wind():
+    users = {name: set() for name in KERNEL_USERS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                read = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                read = {node.id}
+            elif isinstance(node, ast.Attribute):
+                read = {node.attr}
+            else:
+                continue
+            for name in read & users.keys():
+                users[name].add(path.stem)
+    strays = {name: users[name] - allowed for name, allowed in KERNEL_USERS.items() if users[name] - allowed}
+    assert strays == {}

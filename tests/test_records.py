@@ -1,6 +1,7 @@
 """Every parameter record refuses a non-finite number in any numeric field,
-and every frozen dataclass of the package is either such a record or a
-result type, so that a new record without checks fails here."""
+an `int` field that is not an integer and a pair field that is not two
+numbers, and every frozen dataclass of the package is either such a record
+or a result type, so that a new record without checks fails here."""
 
 import dataclasses
 import importlib
@@ -57,18 +58,22 @@ def _is_number(value) -> bool:
 
 def _bad_values():
     """(record, field, bad value): each numeric field, and each entry of a
-    numeric pair, set to NaN, +inf and -inf."""
+    numeric pair, set to NaN, +inf and -inf; each `int` field also set to 2.5
+    and True; each pair also of one entry, of three, with a string entry and as a list."""
     for record in RECORDS:
         for f in dataclasses.fields(record):
             value = getattr(record, f.name)
             if _is_number(value):
                 variants = [(f.name, x) for x in (np.nan, np.inf, -np.inf)]
+                if f.type == "int":
+                    variants += [(f.name, 2.5), (f.name, True)]
             elif isinstance(value, tuple) and value and all(map(_is_number, value)):
                 variants = [
                     (f"{f.name}[{i}]", value[:i] + (x,) + value[i + 1 :])
                     for i in range(len(value))
-                    for x in (np.nan, np.inf, -np.inf)
+                    for x in (np.nan, np.inf, -np.inf, "a")
                 ]
+                variants += [(f.name, value[:1]), (f.name, value + value[:1]), (f.name, list(value))]
             else:
                 continue
             for label, bad in variants:
@@ -79,6 +84,17 @@ def _bad_values():
 def test_non_finite_number_refused(record, field, bad):
     with pytest.raises(ValueError):
         dataclasses.replace(record, **{field: bad})
+
+
+@pytest.mark.parametrize("cells", [{1.5}, {0, 2.0}, {True}, {0, np.float64(1.0)}])
+def test_county_cell_ids_must_be_integers(cells):
+    with pytest.raises(ValueError, match="cells must be frozenset"):
+        County(name="a", cells=cells)
+
+
+def test_numpy_integers_are_integers():
+    assert Grid(nx=np.int64(3), ny=np.int32(2)).n_cells == 6
+    assert County(name="a", cells={np.int64(2)}, households=np.int64(5)).households == 5
 
 
 def test_every_frozen_dataclass_is_a_checked_record_or_a_result():

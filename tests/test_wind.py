@@ -15,7 +15,8 @@ from stormrisk import (
     wind_field,
 )
 from stormrisk.csvio import _read_velocities
-from stormrisk.wind import WINDFIELD_HEADER, _kernel, _speed, _sub_grid, _velocities
+from stormrisk.wind import (WINDFIELD_HEADER, _kernel, _reach, _speed, _sub_grid, _translation, _velocities, _winds,
+                            _windows)
 
 # Frozen oracle: 25 * sqrt(0.5) * exp(0.25), hand evaluation of the radial
 # profile at (Vm=25, Rm=20, B=1), r=40.
@@ -356,6 +357,37 @@ class TestFieldsMatchReference:
         gx, gy = grid.axes()
         assert np.array_equal(xs, gx) and np.array_equal(ys, gy)
         assert rows.tolist() == list(reversed(range(grid.n_cells)))
+
+    @settings(max_examples=60)
+    @given(
+        storms=st.lists(st.tuples(st.floats(1.0, 80.0), st.booleans()), min_size=1, max_size=4),
+        Rm=st.floats(5.0, 60.0),
+        B=st.sampled_from([0.6, 1.0, 2.5]),
+        hemisphere=st.sampled_from(["N", "S"]),
+        vtr=st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+        Vthres=st.sampled_from([0.0, 20.6, 40.0, np.inf]),
+    )
+    def test_one_pass_gives_each_storm_its_dense_field_on_its_window(self, storms, Rm, B, hemisphere, vtr, Vthres):
+        # `_winds` runs the kernel once for storms of one Rm and B and yields
+        # them narrowest `_reach` window first, each with its own speeds there.
+        storms = [(HollandParams(Vm=Vm, Rm=Rm, B=B), asym) for Vm, asym in storms]
+        track = Track(x0=(30.0, -40.0), Vtr=vtr)
+        grid = Grid(origin=(-100.0, -120.0), nx=24, ny=20, cell_size=9.0)
+        times = TimeAxis(n_steps=5, dt=2.0)
+        xs, ys = grid.axes()
+        pos = track.position(times.offsets())
+        fields = [dense_field_reference(track, p, grid, times, asym, hemisphere).reshape(grid.nx, grid.ny, -1)
+                  for p, asym in storms]
+        reaches = [_reach(p, _translation(track, asym), Vthres) for p, asym in storms]
+        for t, (r, winds) in enumerate(_winds(track, storms, xs, ys, times, Vthres, hemisphere)):
+            order = []
+            for k, window, sub, v in winds:
+                assert window == _windows(xs, ys, pos, reaches[k])[t]
+                assert same_bits(v, fields[k][window + (t,)])
+                assert r[sub].shape == v.shape
+                order.append(k)
+            assert sorted(order) == list(range(len(storms)))
+            assert [reaches[k] for k in order] == sorted(reaches)
 
     def test_unknown_hemisphere_rejected(self):
         track = Track(x0=(0.0, 0.0), Vtr=(0.0, 0.0))
